@@ -86,16 +86,23 @@ def _pack_str(s: str) -> bytes:
     return struct.pack("<H", len(raw)) + raw
 
 
-def _read_exact(f, nbytes: int, what: str) -> bytes:
+def _read_exact(f, nbytes: int, what: str, size: int) -> bytes:
+    """Read nbytes of a file of `size` bytes; a size the file declares is
+    checked against the bytes left before anything is allocated for it."""
+    left = size - f.tell()
+    if nbytes > left:
+        raise SchemaError(
+            f"file truncated while reading {what}: {nbytes} bytes declared, "
+            f"{left} left")
     buf = f.read(nbytes)
     if len(buf) != nbytes:
         raise SchemaError(f"file truncated while reading {what}")
     return buf
 
 
-def _read_str(f, what: str) -> str:
-    (length,) = struct.unpack("<H", _read_exact(f, 2, what))
-    return _read_exact(f, length, what).decode("utf-8")
+def _read_str(f, what: str, size: int) -> str:
+    (length,) = struct.unpack("<H", _read_exact(f, 2, what, size))
+    return _read_exact(f, length, what, size).decode("utf-8")
 
 
 def _atomic_write(path: str, payload: bytes) -> None:
@@ -130,27 +137,31 @@ def write_feature_file(dataset: Dataset, path: str) -> None:
 def load_feature_file(path: str) -> Dataset:
     """Parse a canonical binary feature file, verifying every invariant."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         magic = f.read(4)
         if magic != _MAGIC:
             raise FormatError(f"bad magic bytes {magic!r}, expected {_MAGIC!r}")
-        version, dim, num_classes = struct.unpack("<III", _read_exact(f, 12, "header"))
+        version, dim, num_classes = struct.unpack(
+            "<III", _read_exact(f, 12, "header", size))
         if version != _VERSION:
             raise FormatError(f"unsupported format version {version}")
         if dim < 1 or num_classes < 1:
             raise SchemaError("header dim and class count must be positive")
-        (count,) = struct.unpack("<Q", _read_exact(f, 8, "header"))
-        class_names = [_read_str(f, "class name") for _ in range(num_classes)]
+        (count,) = struct.unpack("<Q", _read_exact(f, 8, "header", size))
+        class_names = [_read_str(f, "class name", size) for _ in range(num_classes)]
 
         instances = []
         for _ in range(count):
-            video_id = _read_str(f, "video id")
-            subject_id = _read_str(f, "subject id")
-            label, n = struct.unpack("<II", _read_exact(f, 8, f"record '{video_id}'"))
+            video_id = _read_str(f, "video id", size)
+            subject_id = _read_str(f, "subject id", size)
+            label, n = struct.unpack(
+                "<II", _read_exact(f, 8, f"record '{video_id}'", size))
             if label >= num_classes:
                 raise SchemaError(f"record '{video_id}': label {label} >= {num_classes}")
             if n < 1:
                 raise SchemaError(f"record '{video_id}': zero frames")
-            raw = _read_exact(f, 4 * n * dim, f"features of record '{video_id}'")
+            raw = _read_exact(f, 4 * n * dim, f"features of record '{video_id}'",
+                              size)
             feats = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(n, dim)
             if not np.all(np.isfinite(feats)):
                 raise DataError(f"record '{video_id}': non-finite feature value")

@@ -31,4 +31,12 @@ class ConfigError(FrameAttnError):
 
 
 class NumericError(FrameAttnError):
-    """A computation produced NaN or Inf."""
+    """A computation produced NaN or Inf.
+
+    row, when known, is the batch position of the first instance whose
+    values went non-finite.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row

@@ -21,7 +21,7 @@ from .data import Dataset, FoldPlan, split_by_fold
 from .errors import ConfigError, DimensionError, NumericError
 from .model import FanParams
 from .numerics import softmax, softmax_cross_entropy
-from .training import TrainConfig, lr_at, train
+from .training import TrainConfig, lr_at, minibatches, train
 
 
 @dataclass
@@ -131,8 +131,10 @@ def _train_frame_classifier(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Affine per-frame classifier trained with the shared optimizer settings.
 
-    Each instance contributes k segment-sampled frames per epoch; every frame
-    is an independent sample and batch gradients are averaged over frames.
+    It steps through the attention trainer's minibatches (training.minibatches),
+    so each epoch uses the same (seed, epoch) draw: every instance contributes
+    its k segment-sampled frames, each frame is an independent sample, and
+    batch gradients are averaged over the batch's B*k frames.
     """
     d, c = dataset.dim, dataset.num_classes
     rng = np.random.default_rng(config.seed)
@@ -144,29 +146,15 @@ def _train_frame_classifier(
 
     for epoch in range(config.total_epochs):
         lr = lr_at(config.schedule, epoch)
-        order = sampling.stream(config.seed, epoch).permutation(len(train_indices))
-        for lo in range(0, len(order), config.batch_size):
-            batch = [train_indices[i] for i in order[lo:lo + config.batch_size]]
-            gw = np.zeros_like(w)
-            gb = np.zeros_like(b)
-            frames_seen = 0
-            for idx in batch:
-                inst = dataset.instances[idx]
-                picks = sampling.sample_training(
-                    inst.features.shape[0], config.k,
-                    sampling.stream(config.seed, epoch, idx))
-                for p in picks:
-                    f = inst.features[p]
-                    _, g = softmax_cross_entropy(w @ f + b, inst.label)
-                    gw += np.outer(g, f)
-                    gb += g
-                    frames_seen += 1
-            gw /= frames_seen
-            gb /= frames_seen
+        for _, stack, labels in minibatches(dataset, train_indices, config, epoch):
+            frames = stack.reshape(-1, d)
+            _, g = softmax_cross_entropy(frames @ w.T + b,
+                                         np.repeat(labels, config.k))
+            g /= len(frames)
             vw *= config.momentum
-            vw += gw + config.weight_decay * w
+            vw += g.T @ frames + config.weight_decay * w
             vb *= config.momentum
-            vb += gb
+            vb += g.sum(axis=0)
             w -= lr * vw
             b -= lr * vb
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):

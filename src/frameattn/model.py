@@ -23,7 +23,16 @@ weighted mean in the top half of v, W = sum(alpha*beta), A = sum(alpha):
     dL/dalpha_i = beta_i dL/dw_i + (f_i - a) . (dL/da) / A
     dq1        = [F^T g_t : sum(g_t) a],  dq0 = F^T g_s
 
-where g_t, g_s are the pre-sigmoid cotangents of beta and alpha.
+where g_t, g_s are the pre-sigmoid cotangents of beta and alpha. The kernel
+applies the sigmoid slopes as g_t_i = w_i/W (f_i - u).g_u (1 - beta_i) and
+g_s_i = [w_i/W (f_i - u).g_u + alpha_i/A (f_i - a).(dL/da)] (1 - alpha_i):
+only normalized weights appear, so saturated sigmoids, whose alpha and beta
+can be tiny, never make a cotangent divide by a tiny sum.
+
+One kernel computes all of this for a (B, K, D) stack of B instances with K
+frames each, and sums the gradients over B. Training steps whole minibatches
+through it; forward, backward and forward_backward on one video's n x D
+matrix are its B=1, K=n case, so ragged videos need no padding.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericError
+from .errors import DataError, DimensionError, NumericError
 from .numerics import (
     as_matrix,
     as_vector,
@@ -253,47 +262,103 @@ def aggregate_self_only(features, alpha) -> np.ndarray:
     return global_anchor(features, alpha)
 
 
-def _forward(features: np.ndarray, params: FanParams):
-    """Shared forward pass; returns logits plus every intermediate the
-    backward pass needs."""
-    f = as_matrix(features, "features")
-    d = params.feature_dim
-    if f.shape[1] != d:
-        raise DimensionError(f"feature dim {f.shape[1]} != params dim {d}")
+def _kernel(f: np.ndarray, params: FanParams, labels=None):
+    """The head on a validated (B, K, D) stack: B instances of K frames each.
+
+    Returns the (B, C) logits and the attention trace with a leading B axis
+    on every field. Given one label per instance it also returns the (B,)
+    cross-entropy losses and the parameter gradients summed over B;
+    otherwise those two are None. A non-finite value raises NumericError
+    whose row is the batch position of the first bad instance.
+    """
+    b, k, d = f.shape
+    rows = f.reshape(b * k, d)
 
     # weights are normalized before averaging so that a single frame passes
     # through exactly (its weight is 1.0 bit-for-bit)
-    alpha = sigmoid(f @ params.q0)
-    asum = float(np.sum(alpha))
-    anchor = (alpha / asum) @ f
+    alpha = sigmoid(rows @ params.q0).reshape(b, k)
+    alpha_n = alpha / alpha.sum(axis=1, keepdims=True)
+    anchor = np.matmul(alpha_n[:, None, :], f)[:, 0, :]
 
     if params.mode is Mode.FULL:
-        beta = sigmoid(f @ params.q1[:d] + float(anchor @ params.q1[d:]))
+        beta = sigmoid((rows @ params.q1[:d]).reshape(b, k)
+                       + (anchor @ params.q1[d:])[:, None])
         w = alpha * beta
-        wsum = float(np.sum(w))
-        final = w / wsum
-        top = final @ f
-        agg = np.concatenate([top, anchor])
+        final = w / w.sum(axis=1, keepdims=True)
+        top = np.matmul(final[:, None, :], f)[:, 0, :]
+        agg = np.concatenate([top, anchor], axis=1)
     else:
         beta = np.ones_like(alpha)
+        final = alpha_n
         agg = anchor
-        final = alpha / asum
-        w = alpha
-        wsum = asum
-        top = anchor
 
-    logits = params.class_w @ agg + params.class_b
+    logits = agg @ params.class_w.T + params.class_b
     if not np.all(np.isfinite(logits)):
-        raise NumericError("forward pass produced non-finite logits")
+        raise NumericError("forward pass produced non-finite logits",
+                           row=int(np.argmin(np.all(np.isfinite(logits), axis=1))))
     trace = AttentionTrace(alpha=alpha, beta=beta, final_weights=final,
                            anchor=anchor, aggregate=agg)
-    return logits, trace, f, w, wsum, top, asum
+    if labels is None:
+        return logits, trace, None, None
+
+    losses, g_logits = softmax_cross_entropy(logits, labels)
+    g_agg = g_logits @ params.class_w
+
+    if params.mode is Mode.FULL:
+        g_top = g_agg[:, :d]
+        # through the weighted mean: (f_i - top) . g_top, times w_i / W
+        y = final * (np.matmul(f, g_top[:, :, None])[:, :, 0]
+                     - np.sum(top * g_top, axis=1, keepdims=True))
+        g_t = y * (1.0 - beta)
+        gt_sum = g_t.sum(axis=1)
+        d_q1 = np.concatenate([g_t.reshape(-1) @ rows, gt_sum @ anchor])
+        g_anchor = g_agg[:, d:] + gt_sum[:, None] * params.q1[d:]
+    else:
+        y = 0.0
+        g_anchor = g_agg
+        d_q1 = np.zeros_like(params.q1)
+    # through the anchor: (f_i - anchor) . g_anchor, times alpha_i / A
+    g_s = (y + alpha_n * (np.matmul(f, g_anchor[:, :, None])[:, :, 0]
+                          - np.sum(anchor * g_anchor, axis=1, keepdims=True))
+           ) * (1.0 - alpha)
+
+    grads = FanGradients(q0=g_s.reshape(-1) @ rows, q1=d_q1,
+                         class_w=g_logits.T @ agg, class_b=g_logits.sum(axis=0))
+    if not np.all(np.isfinite(grads.flatten())):
+        raise NumericError("backward pass produced non-finite gradients",
+                           row=_first_bad_row(f, params, labels))
+    return logits, trace, losses, grads
+
+
+def _first_bad_row(f: np.ndarray, params: FanParams, labels) -> int | None:
+    """Batch position of the first instance whose own gradients are not
+    finite; None when each is finite and only their sum overflowed."""
+    if len(f) == 1:
+        return 0
+    for r in range(len(f)):
+        try:
+            _kernel(f[r:r + 1], params, labels[r:r + 1])
+        except NumericError:
+            return r
+    return None
+
+
+def _as_video(features, params: FanParams) -> np.ndarray:
+    """One video's n x D features as a (1, n, D) stack."""
+    f = as_matrix(features, "features")
+    if f.shape[1] != params.feature_dim:
+        raise DimensionError(
+            f"feature dim {f.shape[1]} != params dim {params.feature_dim}")
+    return f[None]
 
 
 def forward(features, params: FanParams) -> tuple[np.ndarray, AttentionTrace]:
     """Logits plus the attention trace for one video's feature matrix."""
-    logits, trace, *_ = _forward(features, params)
-    return logits, trace
+    logits, trace, _, _ = _kernel(_as_video(features, params), params)
+    return logits[0], AttentionTrace(
+        alpha=trace.alpha[0], beta=trace.beta[0],
+        final_weights=trace.final_weights[0], anchor=trace.anchor[0],
+        aggregate=trace.aggregate[0])
 
 
 def predict(logits) -> int:
@@ -309,38 +374,30 @@ def backward(features, params: FanParams, label: int) -> tuple[float, FanGradien
 
 def forward_backward(features, params: FanParams, label: int):
     """Like backward but also returns the logits, for training-loop metrics."""
-    logits, trace, f, w, wsum, top, asum = _forward(features, params)
-    loss, g_logits = softmax_cross_entropy(logits, label)
+    logits, _, losses, grads = _kernel(_as_video(features, params), params,
+                                       np.array([label]))
+    return float(losses[0]), logits[0], grads
 
-    d = params.feature_dim
-    alpha, beta, anchor = trace.alpha, trace.beta, trace.anchor
 
-    d_class_w = np.outer(g_logits, trace.aggregate)
-    d_class_b = g_logits.copy()
-    g_agg = params.class_w.T @ g_logits
+def forward_backward_batch(stack, params: FanParams, labels):
+    """Losses, logits and summed gradients of a minibatch.
 
-    if params.mode is Mode.FULL:
-        g_top = g_agg[:d]
-        g_anchor = g_agg[d:].copy()
-        # through the weighted mean: dL/dw_i = (f_i - top) . g_top / wsum
-        c = (f @ g_top - float(top @ g_top)) / wsum
-        d_alpha = beta * c
-        d_beta = alpha * c
-        g_t = d_beta * beta * (1.0 - beta)
-        d_q1 = np.concatenate([f.T @ g_t, float(np.sum(g_t)) * anchor])
-        g_anchor += float(np.sum(g_t)) * params.q1[d:]
-    else:
-        g_anchor = g_agg
-        d_alpha = np.zeros_like(alpha)
-        d_q1 = np.zeros_like(params.q1)
-
-    # through the anchor: dL/dalpha_i += (f_i - anchor) . g_anchor / asum
-    d_alpha = d_alpha + (f @ g_anchor - float(anchor @ g_anchor)) / asum
-    g_s = d_alpha * alpha * (1.0 - alpha)
-    d_q0 = f.T @ g_s
-
-    grads = FanGradients(q0=d_q0, q1=d_q1, class_w=d_class_w, class_b=d_class_b)
-    return loss, logits, grads
+    stack is a (B, K, D) array holding K frames of each of B instances and
+    labels their B class indices. Returns the (B,) per-instance losses, the
+    (B, C) logits and the parameter gradients summed over the batch; each
+    instance's share equals forward_backward on its own K frames.
+    """
+    f = np.asarray(stack, dtype=np.float64)
+    if f.ndim != 3 or min(f.shape) < 1:
+        raise DimensionError(
+            f"stack must be a non-empty (B, K, D) array, got {f.shape}")
+    if f.shape[2] != params.feature_dim:
+        raise DimensionError(
+            f"feature dim {f.shape[2]} != params dim {params.feature_dim}")
+    if not np.all(np.isfinite(f)):
+        raise DataError("stack contains non-finite entries")
+    logits, _, losses, grads = _kernel(f, params, np.asarray(labels))
+    return losses, logits, grads
 
 
 def gradient_check(features, params: FanParams, label: int,

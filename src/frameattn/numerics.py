@@ -49,19 +49,18 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
 def sigmoid(x):
     """Numerically stable logistic, clamped into the open interval (0, 1).
 
-    Branches so that exp never sees a positive argument; accepts scalars or
-    arrays and returns the matching kind.
+    Uses e = exp(-|x|), so exp never sees a positive argument: 1/(1+e) for
+    x >= 0 and e/(1+e) below. Accepts scalars or arrays and returns the
+    matching kind.
     """
     arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
-    return float(out[0]) if scalar else out
+    ex = np.exp(-np.abs(arr))
+    out = np.where(arr >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    # maximum/minimum rather than np.clip, whose call overhead dominates on
+    # the few values of one video
+    np.maximum(out, _SIGMOID_LO, out=out)
+    np.minimum(out, _SIGMOID_HI, out=out)
+    return float(out) if out.ndim == 0 else out
 
 
 def dot(a, b) -> float:
@@ -88,20 +87,30 @@ def softmax(logits) -> np.ndarray:
     return ez / np.sum(ez)
 
 
-def softmax_cross_entropy(logits, label: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy loss of softmax(logits) against an integer label.
+def softmax_cross_entropy(logits, label):
+    """Cross-entropy loss of softmax(logits) against integer labels.
 
-    Returns (loss, gradient) where gradient = softmax(logits) - onehot(label).
-    The gradient entries sum to zero up to rounding.
+    Takes one logit vector and one label, or (B, C) logits and B labels.
+    Returns (loss, gradient) where gradient = softmax(logits) - onehot(label),
+    per row; each gradient row sums to zero up to rounding. A single vector
+    gives a float loss and a (C,) gradient, a batch (B,) losses and a (B, C)
+    gradient.
     """
-    z = as_vector(logits, "logits")
-    if not 0 <= label < z.shape[0]:
-        raise IndexError(f"label {label} out of range for {z.shape[0]} logits")
-    shifted = z - np.max(z)
-    logsumexp = float(np.log(np.sum(np.exp(shifted))))
-    loss = logsumexp - float(shifted[label])
-    grad = np.exp(shifted - logsumexp)
-    grad[label] -= 1.0
+    single = np.ndim(logits) == 1
+    z = as_vector(logits, "logits")[None] if single else as_matrix(logits, "logits")
+    labels = np.atleast_1d(np.asarray(label))
+    if labels.shape != (z.shape[0],):
+        raise DimensionError(f"{labels.shape[0]} labels for {z.shape[0]} logit rows")
+    if np.any((labels < 0) | (labels >= z.shape[1])):
+        raise IndexError(f"label out of range for {z.shape[1]} logits")
+    rows = np.arange(z.shape[0])
+    shifted = z - np.max(z, axis=1, keepdims=True)
+    logsumexp = np.log(np.sum(np.exp(shifted), axis=1))
+    loss = logsumexp - shifted[rows, labels]
+    grad = np.exp(shifted - logsumexp[:, None])
+    grad[rows, labels] -= 1.0
+    if single:
+        return float(loss[0]), grad[0]
     return loss, grad
 
 

@@ -8,9 +8,12 @@ the gradient:
     param <- param - lr * v
 
 Gradients are averaged (not summed) over the batch so the learning rate
-keeps its meaning across batch sizes. Everything is deterministic given the
-config seed: the epoch shuffle uses the (seed, epoch) stream and each
-instance's frame sample uses the (seed, epoch, instance index) stream.
+keeps its meaning across batch sizes, and each batch goes through the head
+as one (B, K, D) stack (model.forward_backward_batch). Everything is
+deterministic given the config seed: each epoch draws, from its one
+(seed, epoch) stream, first the shuffle and then the K segment-sampled
+frames of every instance in shuffled order (sampling.training_draw). The
+score-fusion baseline trains on the same minibatches.
 
 Checkpoint format ("FANP", little-endian): magic, version u32 = 1, D u32,
 C u32, mode u32 (0 full, 1 self-only), then the parameters as float64 in
@@ -152,6 +155,29 @@ class EpochStats:
 TrainHistory = list[EpochStats]
 
 
+def minibatches(dataset: Dataset, indices, config: TrainConfig, epoch: int):
+    """The minibatches of one training epoch, in order.
+
+    Yields (dataset indices, frames, labels) per batch of at most
+    config.batch_size instances: the indices as a (B,) array, each
+    instance's config.k segment-sampled frames as a (B, K, D) stack, and
+    the (B,) labels. The epoch's order and every frame index come from one
+    sampling.training_draw; each batch's stack is gathered only when it is
+    reached, so one batch of frames is held at a time.
+    """
+    instances = dataset.instances
+    indices = np.asarray(indices)
+    order, picks = sampling.training_draw(
+        config.seed, epoch, [instances[i].features.shape[0] for i in indices],
+        config.k)
+    indices = indices[order]
+    for lo in range(0, len(indices), config.batch_size):
+        batch = indices[lo:lo + config.batch_size]
+        stack = np.stack([instances[i].features[p]
+                          for i, p in zip(batch, picks[lo:lo + config.batch_size])])
+        yield batch, stack, np.array([instances[i].label for i in batch])
+
+
 def train(
     dataset: Dataset,
     config: TrainConfig,
@@ -164,7 +190,9 @@ def train(
     train_indices/val_indices select instances by position in
     dataset.instances; by default every instance is used for training and no
     validation accuracy is recorded. on_epoch, if given, is called with each
-    EpochStats as it completes. Deterministic given config.seed.
+    EpochStats as it completes. Deterministic given config.seed. A NumericError
+    names the epoch, the batch and, when one instance caused it, that
+    instance's dataset index.
     """
     config.validate()
     dataset.validate()
@@ -180,25 +208,23 @@ def train(
 
     for epoch in range(config.total_epochs):
         lr = lr_at(config.schedule, epoch)
-        order = sampling.stream(config.seed, epoch).permutation(len(train_indices))
         loss_sum = 0.0
         correct = 0
-        for lo in range(0, len(order), config.batch_size):
-            batch = [train_indices[i] for i in order[lo:lo + config.batch_size]]
-            batch_grads = FanGradients.zeros_like(params)
-            for idx in batch:
-                inst = dataset.instances[idx]
-                frames = sampling.sample_training(
-                    inst.features.shape[0], config.k,
-                    sampling.stream(config.seed, epoch, idx))
-                loss, logits, grads = model.forward_backward(
-                    inst.features[frames], params, inst.label)
-                loss_sum += loss
-                correct += model.predict(logits) == inst.label
-                batch_grads.add(grads)
-            batch_grads.scale(1.0 / len(batch))
-            sgd_step(params, batch_grads, state, lr,
-                     config.momentum, config.weight_decay)
+        batches = minibatches(dataset, train_indices, config, epoch)
+        for number, (batch, stack, labels) in enumerate(batches):
+            try:
+                losses, logits, grads = model.forward_backward_batch(
+                    stack, params, labels)
+                grads.scale(1.0 / len(batch))
+                sgd_step(params, grads, state, lr,
+                         config.momentum, config.weight_decay)
+            except NumericError as e:
+                where = f"epoch {epoch}, batch {number}"
+                if e.row is not None:
+                    where += f", dataset index {int(batch[e.row])}"
+                raise NumericError(f"{where}: {e}") from e
+            loss_sum += float(losses.sum())
+            correct += int(np.sum(np.argmax(logits, axis=1) == labels))
 
         val_acc = None
         if val_indices is not None:

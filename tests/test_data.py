@@ -15,7 +15,10 @@ from frameattn.data import (
     synth_peak_positions,
     write_feature_file,
 )
+from frameattn.cli import EXIT_DATA, main
 from frameattn.errors import ConfigError, DataError, FormatError, SchemaError
+from frameattn.model import init_params
+from frameattn.training import save_checkpoint
 
 
 def tiny_dataset():
@@ -120,6 +123,24 @@ class TestBinaryFormat:
         open(path, "wb").write(b"".join(parts))
         with pytest.raises(SchemaError):
             load_feature_file(path)
+
+    def test_hostile_header_sizes_rejected_before_reading(self, tmp_path):
+        # 41 bytes declaring dim = n = 2^32-1: the record claims 4*n*dim
+        # feature bytes and the file has none left
+        big = 2**32 - 1
+        parts = [b"FANF", struct.pack("<III", 1, big, 1), struct.pack("<Q", 1),
+                 struct.pack("<H", 1), b"x",
+                 struct.pack("<H", 1), b"v", struct.pack("<H", 1), b"s",
+                 struct.pack("<II", 0, big)]
+        path = str(tmp_path / "hostile.fanf")
+        open(path, "wb").write(b"".join(parts))
+        assert len(open(path, "rb").read()) == 41
+        with pytest.raises(SchemaError):
+            load_feature_file(path)
+
+        ckpt = str(tmp_path / "head.fanp")
+        save_checkpoint(init_params(2, 1, seed=0), ckpt)
+        assert main(["eval", "--checkpoint", ckpt, "--data", path]) == EXIT_DATA
 
     def test_writer_rejects_nan(self, tmp_path):
         ds = Dataset([VideoInstance("v0", "s0", 0, np.array([[np.nan, 1.0]]))],

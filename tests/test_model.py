@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from frameattn.errors import DimensionError
+from frameattn.numerics import finite_diff_gradient, relative_error
 from frameattn.model import (
     FanGradients,
     FanParams,
@@ -10,6 +11,8 @@ from frameattn.model import (
     aggregate_self_only,
     backward,
     forward,
+    forward_backward,
+    forward_backward_batch,
     global_anchor,
     gradient_check,
     init_params,
@@ -254,6 +257,82 @@ class TestBackward:
         assert abs(loss1 - loss2) < 1e-10
         for a, b in zip(g1.flatten(), g2.flatten()):
             assert abs(a - b) < 1e-10
+
+
+class TestBatchKernel:
+    B = 48
+
+    def batch(self, mode, seed, k=3, d=4, c=3, scale=1.0):
+        rng = np.random.default_rng(seed)
+        params = random_params(d, c, mode, seed=seed)
+        stack = scale * rng.standard_normal((self.B, k, d))
+        return stack, params, rng.integers(0, c, size=self.B)
+
+    @pytest.mark.parametrize("mode", [Mode.FULL, Mode.SELF_ONLY])
+    def test_logits_match_scalar_oracle(self, mode):
+        stack, params, labels = self.batch(mode, 51)
+        _, logits, _ = forward_backward_batch(stack, params, labels)
+        expect = [oracle_logits(f.tolist(), params.q0.tolist(), params.q1.tolist(),
+                                params.class_w.tolist(), params.class_b.tolist(),
+                                self_only=mode is Mode.SELF_ONLY)
+                  for f in stack]
+        np.testing.assert_allclose(logits, expect, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", [Mode.FULL, Mode.SELF_ONLY])
+    def test_summed_gradient_matches_finite_differences(self, mode):
+        stack, params, labels = self.batch(mode, 52)
+        _, _, grads = forward_backward_batch(stack, params, labels)
+
+        def total_loss(flat):
+            candidate = FanParams.from_flat(flat, params.feature_dim,
+                                            params.num_classes, mode)
+            return float(np.sum(forward_backward_batch(stack, candidate, labels)[0]))
+
+        fd = finite_diff_gradient(total_loss, params.flatten())
+        assert relative_error(grads.flatten(), fd) < 1e-4
+
+    @pytest.mark.parametrize("mode", [Mode.FULL, Mode.SELF_ONLY])
+    def test_batch_equals_sum_of_single_calls(self, mode):
+        stack, params, labels = self.batch(mode, 53)
+        losses, logits, grads = forward_backward_batch(stack, params, labels)
+        total = FanGradients.zeros_like(params)
+        for i in range(self.B):
+            loss, lg, g = forward_backward(stack[i], params, labels[i])
+            assert abs(loss - losses[i]) <= 1e-12
+            np.testing.assert_allclose(lg, logits[i], rtol=0, atol=1e-12)
+            total.add(g)
+        np.testing.assert_allclose(grads.flatten(), total.flatten(),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode,low,high", [
+        (Mode.FULL, 40.0, 300.0),
+        (Mode.SELF_ONLY, 40.0, 300.0),
+        # past 745 alpha sits at its clamp, the smallest subnormal, and a
+        # video's sum of alphas is a few of them
+        (Mode.SELF_ONLY, 750.0, 900.0),
+    ])
+    def test_saturated_sigmoids_keep_gradients_finite(self, mode, low, high):
+        # every frame's f . q0 (and f . q1[:D]) has magnitude in [low, high],
+        # far past 37 where the logistic rounds to 0 or 1
+        rng = np.random.default_rng(54)
+        d = 4
+        params = random_params(d, 3, mode, seed=54)
+        params.q0[:] = 1.0
+        params.q1[:] = np.r_[np.ones(d), np.zeros(d)]
+        signs = rng.choice([-1.0, 1.0], size=(self.B, 3))
+        signs[0] = -1.0  # one video whose every alpha is tiny
+        attention = signs * rng.uniform(low, high, size=(self.B, 3))
+        stack = np.repeat(attention[:, :, None] / d, d, axis=2)
+        labels = rng.integers(0, 3, size=self.B)
+        _, _, grads = forward_backward_batch(stack, params, labels)
+        assert np.all(np.isfinite(grads.flatten()))
+
+    def test_shape_checks(self):
+        params = random_params(4, 3, Mode.FULL)
+        with pytest.raises(DimensionError):
+            forward_backward_batch(np.ones((2, 3, 5)), params, [0, 1])
+        with pytest.raises(DimensionError):
+            forward_backward_batch(np.ones((3, 4)), params, [0, 1, 2])
 
 
 class TestLearnedAttention:

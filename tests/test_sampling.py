@@ -1,6 +1,14 @@
+import numpy as np
 import pytest
 
-from frameattn.sampling import frames_for_eval, plan_segments, sample_training, stream
+from frameattn.sampling import (
+    frames_for_eval,
+    plan_segments,
+    sample_segments,
+    sample_training,
+    stream,
+    training_draw,
+)
 
 
 class TestPlanSegments:
@@ -72,6 +80,46 @@ class TestSampleTraining:
     def test_distinct_streams_differ(self):
         draws = {tuple(sample_training(100, 3, stream(7, e, 0))) for e in range(20)}
         assert len(draws) > 1
+
+
+class TestSampleSegments:
+    def test_rows_in_segment_and_ordered(self):
+        rng = np.random.default_rng(3)
+        for k in range(1, 11):
+            lengths = rng.integers(1, 60, size=200)
+            picks = sample_segments(lengths, k, stream(k))
+            assert picks.shape == (200, k)
+            for n, row in zip(lengths.tolist(), picks.tolist()):
+                assert all(0 <= p < n for p in row)
+                if n >= k:
+                    bounds = plan_segments(n, k).boundaries
+                    assert all(lo <= p < hi for p, (lo, hi) in zip(row, bounds))
+                    assert all(a < b for a, b in zip(row, row[1:]))
+                else:
+                    assert all(a <= b for a, b in zip(row, row[1:]))
+
+    def test_rows_continue_one_stream(self):
+        # N rows draw what N one-row calls on the same generator draw
+        lengths = [9, 2, 17, 5, 1, 30]
+        single = stream(5)
+        rows = [sample_training(n, 4, single) for n in lengths]
+        assert sample_segments(lengths, 4, stream(5)).tolist() == rows
+
+    def test_bad_args(self):
+        with pytest.raises(ValueError):
+            sample_segments([3, 0], 3, stream(0))
+        with pytest.raises(ValueError):
+            sample_segments([3], 0, stream(0))
+
+
+class TestTrainingDraw:
+    def test_golden_epoch_draw(self):
+        # pinned for the (seed, epoch) stream: the permutation first, then
+        # each instance's segment samples in permuted order
+        order, picks = training_draw(7, 2, [9, 4, 12, 2, 30], 3)
+        assert order.tolist() == [0, 2, 1, 3, 4]
+        assert picks.tolist() == [[1, 5, 7], [2, 7, 8], [0, 1, 2], [0, 0, 1],
+                                  [2, 10, 21]]
 
 
 class TestFramesForEval:
