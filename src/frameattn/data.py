@@ -19,14 +19,23 @@ Features are stored in single precision; everything is float64 in memory.
 Writing is canonical: equal datasets produce identical bytes. A plain-text
 CSV import (one frame per line) is provided for interoperability; the
 binary form is the canonical one.
+
+In memory a checked dataset holds all of its frames once, in one packed
+(sum n, D) float64 matrix: video i's frames are rows offsets[i]:offsets[i+1],
+and its `features` is a view of exactly those rows (Dataset.packed). The
+loader fills the matrix record by record; a dataset built in memory is
+packed, and its videos copied in, the first time it is checked.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import operator
 import os
 import struct
-from dataclasses import dataclass
+import tempfile
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +43,8 @@ from .errors import ConfigError, DataError, FormatError, SchemaError
 
 _MAGIC = b"FANF"
 _VERSION = 1
+_FEATURES = operator.attrgetter("features")
+_LABEL = operator.attrgetter("label")
 
 
 @dataclass
@@ -46,20 +57,75 @@ class VideoInstance:
     features: np.ndarray
 
 
+@dataclass(frozen=True)
+class PackedFrames:
+    """Every frame of a dataset in one matrix.
+
+    Video i's frames are rows offsets[i]:offsets[i + 1] of `frames` and its
+    class is labels[i].
+    """
+
+    frames: np.ndarray   # (sum n, D) float64
+    offsets: np.ndarray  # (N + 1,) int64, offsets[0] = 0
+    labels: np.ndarray   # (N,) int64
+
+
 @dataclass
 class Dataset:
+    """A list of videos sharing one feature dimension and class list.
+
+    Its frames live in one packed matrix (see `packed`). The first use
+    checks every video and copies it into the matrix, then rebinds each
+    instance's `features` to its view of it, so the frames are held once.
+    Later uses cost O(videos) while the dataset is unchanged. Replacing the
+    instance list, an instance, its `features` object or its label makes
+    the next use repack and recheck. Writing into `features` in place
+    changes the packed frames directly and is not rechecked: a non-finite
+    value written that way is caught by the model when it reads the frames.
+    Two datasets that share VideoInstance objects rebind each other's
+    instances when they pack, so using them in turn repacks each time.
+    """
+
     instances: list[VideoInstance]
     dim: int
     num_classes: int
     class_names: list[str]
+    _packed: PackedFrames | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _stamp: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def validate(self) -> None:
+        """Raise SchemaError or DataError unless every video is well formed:
+        D columns, at least one frame, finite values and a label in range."""
+        self.packed()
+
+    def packed(self) -> PackedFrames:
+        """The checked packed frames, offsets and labels of every instance;
+        packs (and checks) the dataset first if it has changed since."""
+        if self._packed is None or not self._unchanged():
+            self._pack()
+        return self._packed
+
+    def _header(self) -> tuple:
+        return self.dim, self.num_classes, len(self.class_names)
+
+    def _unchanged(self) -> bool:
+        """Whether the header, the instances' features objects and their
+        labels are those of the last pack: one `is` per video."""
+        header, views, labels = self._stamp
+        insts = self.instances
+        return (header == self._header() and len(insts) == len(views)
+                and all(map(operator.is_, map(_FEATURES, insts), views))
+                and list(map(_LABEL, insts)) == labels)
+
+    def _pack(self) -> None:
         if self.dim < 1 or self.num_classes < 1:
             raise SchemaError("dim and num_classes must be positive")
         if len(self.class_names) != self.num_classes:
             raise SchemaError(
                 f"expected {self.num_classes} class names, got {len(self.class_names)}"
             )
+        videos = []
         for inst in self.instances:
             f = np.asarray(inst.features)
             if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] != self.dim:
@@ -73,6 +139,23 @@ class Dataset:
                 raise SchemaError(
                     f"instance '{inst.video_id}': label {inst.label} out of range"
                 )
+            videos.append(f)
+        offsets = np.zeros(len(videos) + 1, dtype=np.int64)
+        np.cumsum([len(f) for f in videos], out=offsets[1:])
+        frames = np.empty((int(offsets[-1]), self.dim))
+        for f, lo, hi in zip(videos, offsets.tolist(), offsets[1:].tolist()):
+            frames[lo:hi] = f
+        self._adopt(frames, offsets)
+
+    def _adopt(self, frames: np.ndarray, offsets: np.ndarray) -> None:
+        """Make checked packed frames the dataset's storage: rebind every
+        instance's features to its rows of `frames`."""
+        for inst, lo, hi in zip(self.instances, offsets.tolist(), offsets[1:].tolist()):
+            inst.features = frames[lo:hi]
+        labels = [inst.label for inst in self.instances]
+        self._packed = PackedFrames(frames, offsets, np.array(labels, dtype=np.int64))
+        self._stamp = (self._header(),
+                       tuple(inst.features for inst in self.instances), labels)
 
     def subjects(self) -> list[str]:
         """Distinct subject ids, sorted ascending."""
@@ -86,14 +169,19 @@ def _pack_str(s: str) -> bytes:
     return struct.pack("<H", len(raw)) + raw
 
 
-def _read_exact(f, nbytes: int, what: str, size: int) -> bytes:
-    """Read nbytes of a file of `size` bytes; a size the file declares is
-    checked against the bytes left before anything is allocated for it."""
+def _check_left(f, nbytes: int, what: str, size: int) -> None:
+    """Raise SchemaError unless a file of `size` bytes holds nbytes more."""
     left = size - f.tell()
     if nbytes > left:
         raise SchemaError(
             f"file truncated while reading {what}: {nbytes} bytes declared, "
             f"{left} left")
+
+
+def _read_exact(f, nbytes: int, what: str, size: int) -> bytes:
+    """Read nbytes of a file of `size` bytes; a size the file declares is
+    checked against the bytes left before anything is allocated for it."""
+    _check_left(f, nbytes, what, size)
     buf = f.read(nbytes)
     if len(buf) != nbytes:
         raise SchemaError(f"file truncated while reading {what}")
@@ -105,37 +193,60 @@ def _read_str(f, what: str, size: int) -> str:
     return _read_exact(f, length, what, size).decode("utf-8")
 
 
-def _atomic_write(path: str, payload: bytes) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(payload)
-    os.replace(tmp, path)
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "wb", **kwargs):
+    """Open a uniquely named temporary file beside `path` for writing.
+
+    When the block completes the file replaces `path`, so readers see the
+    old content or the new, never a partial write, and concurrent writers
+    never share a temporary. If the block raises, the temporary is removed
+    and `path` is left as it was.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(fd, mode, **kwargs) as f:
+            yield f
+        # mkstemp creates the file private; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def write_feature_file(dataset: Dataset, path: str) -> None:
     """Serialize a dataset to the canonical binary form (deterministic bytes)."""
     dataset.validate()
-    parts = [
-        _MAGIC,
-        struct.pack("<III", _VERSION, dataset.dim, dataset.num_classes),
-        struct.pack("<Q", len(dataset.instances)),
-    ]
-    parts.extend(_pack_str(name) for name in dataset.class_names)
-    for inst in dataset.instances:
-        feats = np.ascontiguousarray(inst.features, dtype=np.float32)
-        if not np.all(np.isfinite(feats)):
-            raise DataError(
-                f"instance '{inst.video_id}': feature overflows single precision"
-            )
-        parts.append(_pack_str(inst.video_id))
-        parts.append(_pack_str(inst.subject_id))
-        parts.append(struct.pack("<II", inst.label, feats.shape[0]))
-        parts.append(feats.tobytes())
-    _atomic_write(path, b"".join(parts))
+    with atomic_open(path) as f:
+        f.write(_MAGIC)
+        f.write(struct.pack("<III", _VERSION, dataset.dim, dataset.num_classes))
+        f.write(struct.pack("<Q", len(dataset.instances)))
+        for name in dataset.class_names:
+            f.write(_pack_str(name))
+        for inst in dataset.instances:
+            feats = np.ascontiguousarray(inst.features, dtype=np.float32)
+            if not np.all(np.isfinite(feats)):
+                raise DataError(
+                    f"instance '{inst.video_id}': feature overflows single precision"
+                )
+            f.write(_pack_str(inst.video_id))
+            f.write(_pack_str(inst.subject_id))
+            f.write(struct.pack("<II", inst.label, feats.shape[0]))
+            f.write(feats.tobytes())
 
 
 def load_feature_file(path: str) -> Dataset:
-    """Parse a canonical binary feature file, verifying every invariant."""
+    """Parse a canonical binary feature file, verifying every invariant.
+
+    Two passes: the first reads and checks every record header, seeking
+    past the features, so the packed matrix is sized only from frame counts
+    whose bytes the file holds. The second reads each record's features
+    straight into its rows of that matrix and checks them.
+    """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         magic = f.read(4)
@@ -151,6 +262,7 @@ def load_feature_file(path: str) -> Dataset:
         class_names = [_read_str(f, "class name", size) for _ in range(num_classes)]
 
         instances = []
+        records = []   # (frame count, file position of the features)
         for _ in range(count):
             video_id = _read_str(f, "video id", size)
             subject_id = _read_str(f, "subject id", size)
@@ -160,17 +272,28 @@ def load_feature_file(path: str) -> Dataset:
                 raise SchemaError(f"record '{video_id}': label {label} >= {num_classes}")
             if n < 1:
                 raise SchemaError(f"record '{video_id}': zero frames")
-            raw = _read_exact(f, 4 * n * dim, f"features of record '{video_id}'",
-                              size)
-            feats = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(n, dim)
-            if not np.all(np.isfinite(feats)):
-                raise DataError(f"record '{video_id}': non-finite feature value")
-            instances.append(VideoInstance(video_id, subject_id, int(label), feats))
+            _check_left(f, 4 * n * dim, f"features of record '{video_id}'", size)
+            instances.append(VideoInstance(video_id, subject_id, int(label), None))
+            records.append((n, f.tell()))
+            f.seek(4 * n * dim, os.SEEK_CUR)
         if f.read(1):
             raise SchemaError("trailing bytes after final record")
 
+        offsets = np.zeros(len(records) + 1, dtype=np.int64)
+        np.cumsum([n for n, _ in records], out=offsets[1:])
+        frames = np.empty((int(offsets[-1]), dim))
+        for inst, (n, start), lo in zip(instances, records, offsets.tolist()):
+            f.seek(start)
+            raw = np.frombuffer(
+                _read_exact(f, 4 * n * dim, f"features of record '{inst.video_id}'",
+                            size), dtype="<f4").reshape(n, dim)
+            # float32 to float64 keeps finiteness, so the smaller copy is checked
+            if not np.all(np.isfinite(raw)):
+                raise DataError(f"record '{inst.video_id}': non-finite feature value")
+            frames[lo:lo + n] = raw
+
     ds = Dataset(instances, dim, num_classes, class_names)
-    ds.validate()
+    ds._adopt(frames, offsets)
     return ds
 
 
@@ -340,15 +463,29 @@ def _synth_videos(config: SynthConfig):
 
 
 def synth_generate(config: SynthConfig) -> Dataset:
-    """Generate the planted-peak dataset for the given configuration."""
-    instances = [inst for inst, _ in _synth_videos(config)]
-    ds = Dataset(
-        instances,
-        config.dim,
-        config.num_classes,
-        [f"class_{c}" for c in range(config.num_classes)],
-    )
-    ds.validate()
+    """Generate the planted-peak dataset for the given configuration.
+
+    Each video goes into the packed matrix as soon as it is drawn, so the
+    frames are never held twice. The matrix is sized for videos of
+    frames_max frames, then shrunk in place to the frames drawn.
+    """
+    config.validate()
+    count = config.num_classes * config.videos_per_class
+    frames = np.empty((count * config.frames_max, config.dim))
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    instances = []
+    for i, (inst, _) in enumerate(_synth_videos(config)):
+        if not np.all(np.isfinite(inst.features)):
+            raise DataError(f"instance '{inst.video_id}': non-finite feature value")
+        offsets[i + 1] = offsets[i] + len(inst.features)
+        frames[offsets[i]:offsets[i + 1]] = inst.features
+        inst.features = None
+        instances.append(inst)
+    # no view of the matrix exists yet, so nothing can see it move
+    frames.resize((int(offsets[-1]), config.dim), refcheck=False)
+    ds = Dataset(instances, config.dim, config.num_classes,
+                 [f"class_{c}" for c in range(config.num_classes)])
+    ds._adopt(frames, offsets)
     return ds
 
 

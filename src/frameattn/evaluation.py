@@ -13,11 +13,12 @@ import csv
 import json
 import os
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from . import model, sampling
-from .data import Dataset, FoldPlan, split_by_fold
+from .data import Dataset, FoldPlan, atomic_open, split_by_fold
 from .errors import ConfigError, DimensionError, NumericError
 from .model import FanParams
 from .numerics import softmax, softmax_cross_entropy
@@ -80,20 +81,18 @@ def evaluate(params: FanParams, dataset: Dataset, frame_mode: str = "all",
     """
     if frame_mode not in ("all", "sampled"):
         raise ConfigError(f"unknown frame_mode '{frame_mode}'")
-    dataset.validate()
+    labels = dataset.packed().labels
     _check_compat(params, dataset)
     if indices is None:
         indices = list(range(len(dataset.instances)))
     confusion = np.zeros((dataset.num_classes, dataset.num_classes), dtype=np.int64)
     for idx in indices:
-        inst = dataset.instances[idx]
-        n = inst.features.shape[0]
+        frames = dataset.instances[idx].features
         if frame_mode == "sampled":
-            frames = sampling.sample_training(n, k, sampling.stream(seed, idx))
-        else:
-            frames = sampling.frames_for_eval(n)
-        logits, _ = model.forward(inst.features[frames], params)
-        confusion[inst.label, model.predict(logits)] += 1
+            frames = frames[sampling.sample_training(len(frames), k,
+                                                     sampling.stream(seed, idx))]
+        logits, _ = model.forward(frames, params)
+        confusion[labels[idx], model.predict(logits)] += 1
     return _report_from_confusion(confusion)
 
 
@@ -106,7 +105,6 @@ def cross_validate(
     The pooled accuracy is instance-weighted (total correct / total count),
     not the mean of fold accuracies.
     """
-    dataset.validate()
     reports = []
     pooled = np.zeros((dataset.num_classes, dataset.num_classes), dtype=np.int64)
     for fold in range(fold_plan.fold_count):
@@ -177,7 +175,7 @@ def score_fusion_baseline(
     if fusion not in ("logits", "probs"):
         raise ConfigError(f"unknown fusion '{fusion}'")
     config.validate()
-    dataset.validate()
+    labels = dataset.packed().labels
     if train_indices is None:
         train_indices = list(range(len(dataset.instances)))
     if not train_indices:
@@ -188,13 +186,12 @@ def score_fusion_baseline(
     w, b = _train_frame_classifier(dataset, config, train_indices)
     confusion = np.zeros((dataset.num_classes, dataset.num_classes), dtype=np.int64)
     for idx in test_indices:
-        inst = dataset.instances[idx]
-        frame_logits = inst.features @ w.T + b
+        frame_logits = dataset.instances[idx].features @ w.T + b
         if fusion == "probs":
             scores = np.array([softmax(row) for row in frame_logits]).sum(axis=0)
         else:
             scores = frame_logits.sum(axis=0)
-        confusion[inst.label, int(np.argmax(scores))] += 1
+        confusion[labels[idx], int(np.argmax(scores))] += 1
     return _report_from_confusion(confusion)
 
 
@@ -207,7 +204,7 @@ def export_attention(params: FanParams, dataset: Dataset, path: str,
     next to it with the per-video sequences and overall accuracy. No
     rendering happens here; the output is plot-ready data.
     """
-    dataset.validate()
+    labels = dataset.packed().labels
     _check_compat(params, dataset)
     if indices is None:
         indices = list(range(len(dataset.instances)))
@@ -216,36 +213,35 @@ def export_attention(params: FanParams, dataset: Dataset, path: str,
 
     videos = []
     correct = 0
-    rows = []
-    for idx in indices:
-        inst = dataset.instances[idx]
-        logits, trace = model.forward(inst.features, params)
-        pred = model.predict(logits)
-        correct += pred == inst.label
-        frame_ids = sampling.frames_for_eval(inst.features.shape[0])
-        for i in frame_ids:
-            rows.append([inst.video_id, i, repr(float(trace.alpha[i])),
-                         repr(float(trace.final_weights[i])), inst.label, pred])
-        videos.append({
-            "video_id": inst.video_id,
-            "label": inst.label,
-            "prediction": pred,
-            "frame_indices": frame_ids,
-            "alpha": [float(a) for a in trace.alpha],
-            "final_weights": [float(wt) for wt in trace.final_weights],
-        })
-
-    with open(csv_path, "w", newline="") as f:
+    with atomic_open(csv_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["video_id", "frame_index", "alpha", "final_weight",
                          "label", "prediction"])
-        writer.writerows(rows)
+        for idx in indices:
+            inst = dataset.instances[idx]
+            label = int(labels[idx])
+            logits, trace = model.forward(inst.features, params)
+            pred = model.predict(logits)
+            correct += pred == label
+            frame_ids = sampling.frames_for_eval(len(inst.features))
+            alpha = trace.alpha.tolist()
+            final = trace.final_weights.tolist()
+            writer.writerows(zip(repeat(inst.video_id), frame_ids, map(repr, alpha),
+                                 map(repr, final), repeat(label), repeat(pred)))
+            videos.append({
+                "video_id": inst.video_id,
+                "label": label,
+                "prediction": pred,
+                "frame_indices": frame_ids,
+                "alpha": alpha,
+                "final_weights": final,
+            })
     summary = {
         "mode": params.mode.value,
         "count": len(indices),
         "accuracy": correct / len(indices) if indices else 0.0,
         "videos": videos,
     }
-    with open(json_path, "w") as f:
+    with atomic_open(json_path, "w") as f:
         json.dump(summary, f, indent=2)
         f.write("\n")

@@ -283,7 +283,14 @@ def _kernel(f: np.ndarray, params: FanParams, labels=None):
     if params.mode is Mode.FULL:
         beta = sigmoid((rows @ params.q1[:d]).reshape(b, k)
                        + (anchor @ params.q1[d:])[:, None])
-        w = alpha * beta
+        # w_i = alpha_i beta_i scaled by the power of two that brings the
+        # row's largest to [1/4, 1): the exponents are added apart from the
+        # mantissas, so when every product underflows the weights are still
+        # exact, and otherwise final is bit-for-bit w / sum(w)
+        ma, ea = np.frexp(alpha)
+        mb, eb = np.frexp(beta)
+        e = ea + eb
+        w = np.ldexp(ma * mb, e - e.max(axis=1, keepdims=True))
         final = w / w.sum(axis=1, keepdims=True)
         top = np.matmul(final[:, None, :], f)[:, 0, :]
         agg = np.concatenate([top, anchor], axis=1)

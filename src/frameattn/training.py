@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model, sampling
-from .data import Dataset, _atomic_write
+from .data import Dataset, atomic_open
 from .errors import ConfigError, DataError, FormatError, NumericError, SchemaError
 from .model import FanGradients, FanParams, Mode
 
@@ -162,20 +162,23 @@ def minibatches(dataset: Dataset, indices, config: TrainConfig, epoch: int):
     config.batch_size instances: the indices as a (B,) array, each
     instance's config.k segment-sampled frames as a (B, K, D) stack, and
     the (B,) labels. The epoch's order and every frame index come from one
-    sampling.training_draw; each batch's stack is gathered only when it is
-    reached, so one batch of frames is held at a time.
+    sampling.training_draw, turned into rows of the dataset's packed frames
+    (Dataset.packed) once per epoch; each batch's stack is one fancy index
+    of those rows, taken only when the batch is reached, so one batch of
+    frames is held at a time.
     """
-    instances = dataset.instances
-    indices = np.asarray(indices)
+    packed = dataset.packed()
+    # as list indexing would: negative indices count from the end
+    indices = np.arange(len(packed.labels))[indices]
+    starts = packed.offsets[indices]
     order, picks = sampling.training_draw(
-        config.seed, epoch, [instances[i].features.shape[0] for i in indices],
-        config.k)
+        config.seed, epoch, packed.offsets[indices + 1] - starts, config.k)
     indices = indices[order]
+    rows = starts[order][:, None] + picks
     for lo in range(0, len(indices), config.batch_size):
         batch = indices[lo:lo + config.batch_size]
-        stack = np.stack([instances[i].features[p]
-                          for i, p in zip(batch, picks[lo:lo + config.batch_size])])
-        yield batch, stack, np.array([instances[i].label for i in batch])
+        yield (batch, packed.frames[rows[lo:lo + config.batch_size]],
+               packed.labels[batch])
 
 
 def train(
@@ -195,7 +198,7 @@ def train(
     instance's dataset index.
     """
     config.validate()
-    dataset.validate()
+    dataset.packed()
     if train_indices is None:
         train_indices = list(range(len(dataset.instances)))
     if not train_indices:
@@ -256,13 +259,11 @@ def history_lines(history: TrainHistory) -> list[str]:
 
 def save_checkpoint(params: FanParams, path: str) -> None:
     """Write parameters in the FANP layout (deterministic bytes)."""
-    payload = b"".join([
-        _CKPT_MAGIC,
-        struct.pack("<IIII", _CKPT_VERSION, params.feature_dim,
-                    params.num_classes, _MODE_TAGS[params.mode]),
-        params.flatten().astype("<f8").tobytes(),
-    ])
-    _atomic_write(path, payload)
+    with atomic_open(path) as f:
+        f.write(_CKPT_MAGIC)
+        f.write(struct.pack("<IIII", _CKPT_VERSION, params.feature_dim,
+                            params.num_classes, _MODE_TAGS[params.mode]))
+        f.write(params.flatten().astype("<f8").tobytes())
 
 
 def load_checkpoint(path: str) -> FanParams:

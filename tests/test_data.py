@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -7,6 +8,7 @@ from frameattn.data import (
     Dataset,
     SynthConfig,
     VideoInstance,
+    atomic_open,
     build_folds,
     load_feature_csv,
     load_feature_file,
@@ -354,3 +356,133 @@ class TestDatasetValidation:
                      2, 1, ["a"])
         with pytest.raises(DataError):
             ds.validate()
+
+
+def fanf_record(video_id, label, n, values):
+    """One FANF record: ids, label, declared frame count and raw float32s."""
+    return (struct.pack("<H", len(video_id)) + video_id.encode()
+            + struct.pack("<H", 2) + b"s0" + struct.pack("<II", label, n)
+            + np.asarray(values, "<f4").tobytes())
+
+
+class TestPackedFrames:
+    def test_loaded_features_are_views_of_one_matrix(self, tmp_path):
+        path = str(tmp_path / "t.fanf")
+        write_feature_file(tiny_dataset(), path)
+        ds = load_feature_file(path)
+        packed = ds.packed()
+        lengths = [inst.features.shape[0] for inst in ds.instances]
+        assert packed.frames.shape == (sum(lengths), ds.dim)
+        assert packed.offsets.tolist() == np.r_[0, np.cumsum(lengths)].tolist()
+        assert packed.labels.tolist() == [inst.label for inst in ds.instances]
+        for inst, lo, hi in zip(ds.instances, packed.offsets, packed.offsets[1:]):
+            assert inst.features.base is packed.frames
+            assert np.shares_memory(inst.features, packed.frames[lo:hi])
+            np.testing.assert_array_equal(inst.features, packed.frames[lo:hi])
+
+    def test_in_memory_dataset_is_packed_on_first_use(self):
+        ds = tiny_dataset()
+        originals = [inst.features for inst in ds.instances]
+        frames = ds.packed().frames
+        for inst, before in zip(ds.instances, originals):
+            assert inst.features.base is frames
+            np.testing.assert_array_equal(inst.features, before)
+
+    def test_unchanged_dataset_is_not_rescanned(self, monkeypatch):
+        ds = tiny_dataset()
+        ds.validate()
+        packs = []
+        real = Dataset._pack
+        monkeypatch.setattr(Dataset, "_pack",
+                            lambda self: (packs.append(1), real(self))[1])
+        frames = ds.packed().frames
+        ds.validate()
+        assert ds.packed().frames is frames
+        assert packs == []
+
+    def test_replaced_features_are_repacked_and_rechecked(self):
+        ds = tiny_dataset()
+        old = ds.packed().frames
+        ds.instances[2].features = np.full((5, ds.dim), 3.0)   # was 4 frames
+        frames = ds.packed().frames
+        assert frames is not old and frames.shape[0] == old.shape[0] + 1
+        np.testing.assert_array_equal(ds.instances[2].features, np.full((5, ds.dim), 3.0))
+        assert ds.instances[2].features.base is frames
+        ds.instances[3].features = np.array([[np.nan] * ds.dim])
+        with pytest.raises(DataError, match="v003"):
+            ds.validate()
+
+    def test_changed_label_or_instance_list_is_rechecked(self):
+        ds = tiny_dataset()
+        ds.validate()
+        ds.instances[1].label = 7
+        with pytest.raises(SchemaError, match="v001"):
+            ds.validate()
+        ds.instances[1].label = 2
+        assert ds.packed().labels[1] == 2
+        ds.instances.append(VideoInstance("w", "s", 0, np.ones((2, 4))))
+        with pytest.raises(SchemaError, match="'w'"):
+            ds.validate()
+
+    def test_in_place_write_is_seen_but_not_rechecked(self):
+        ds = tiny_dataset()
+        ds.validate()
+        ds.instances[0].features[:] = np.inf
+        ds.validate()  # the contract: only a replaced object is rechecked
+        assert np.all(np.isinf(ds.packed().frames[:ds.packed().offsets[1]]))
+
+    def test_later_oversized_record_rejected_before_allocation(self, tmp_path,
+                                                                monkeypatch):
+        # record 0 holds a NaN, record 1 declares 2^31 frames of which the
+        # file holds one: the header pass raises before any features are read
+        parts = [b"FANF", struct.pack("<III", 1, 2, 1), struct.pack("<Q", 2),
+                 struct.pack("<H", 1), b"a",
+                 fanf_record("v0", 0, 1, [np.nan, 1.0]),
+                 fanf_record("v1", 0, 2**31, [1.0, 2.0])]
+        path = str(tmp_path / "big.fanf")
+        open(path, "wb").write(b"".join(parts))
+        sizes = []
+        real = np.empty
+        monkeypatch.setattr(np, "empty",
+                            lambda shape, *a, **k: (sizes.append(shape), real(shape, *a, **k))[1])
+        with pytest.raises(SchemaError, match="v1"):
+            load_feature_file(path)
+        assert sizes == []
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_target_and_removes_temp(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        with pytest.raises(RuntimeError):
+            with atomic_open(str(path)) as f:
+                f.write(b"new")
+                raise RuntimeError("interrupted")
+        assert path.read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+    def test_unrelated_tmp_file_survives(self, tmp_path):
+        path = tmp_path / "model.fanp"
+        bystander = tmp_path / "model.fanp.tmp"
+        bystander.write_bytes(b"keep")
+        save_checkpoint(init_params(3, 2), str(path))
+        assert bystander.read_bytes() == b"keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.fanp",
+                                                             "model.fanp.tmp"]
+
+    def test_concurrent_writers_use_distinct_temps(self, tmp_path):
+        path = tmp_path / "out.bin"
+        with atomic_open(str(path)) as first, atomic_open(str(path)) as second:
+            assert first.name != second.name
+            first.write(b"first")
+            second.write(b"second")
+        assert path.read_bytes() == b"first"   # the outer block finishes last
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+    def test_written_file_gets_default_permissions(self, tmp_path):
+        umask = os.umask(0)
+        os.umask(umask)
+        path = tmp_path / "out.bin"
+        with atomic_open(str(path)) as f:
+            f.write(b"x")
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from frameattn.data import Dataset, SynthConfig, VideoInstance, build_folds, synth_generate
-from frameattn.errors import ConfigError, DimensionError
+from frameattn.errors import ConfigError, DataError, DimensionError
 from frameattn.evaluation import (
     cross_validate,
     evaluate,
@@ -249,3 +249,43 @@ class TestExportAttention:
         export_attention(zero_params(3, 1), ds, base)
         assert (tmp_path / "noext.csv").exists()
         assert (tmp_path / "noext.json").exists()
+
+
+class TestPackedEvaluate:
+    def sign_params(self, d):
+        # zero attention kernels weigh frames equally; class 0 wins when the
+        # mean of coordinate 0 is positive
+        class_w = np.zeros((2, 2 * d))
+        class_w[:, 0] = [1.0, -1.0]
+        return FanParams(np.zeros(d), np.zeros(2 * d), class_w, np.zeros(2), Mode.FULL)
+
+    def test_replaced_features_and_labels_take_effect(self):
+        ds = labeled_dataset([0, 1, 0, 1], frames=3, seed=6)
+        params = self.sign_params(3)
+        before = evaluate(params, ds).confusion
+        for inst in ds.instances:
+            inst.features = -inst.features
+        ds.instances[0].label = 1
+        after = evaluate(params, ds).confusion
+        fresh = Dataset([VideoInstance(i.video_id, i.subject_id, i.label,
+                                       np.array(i.features)) for i in ds.instances],
+                        ds.dim, ds.num_classes, ds.class_names)
+        np.testing.assert_array_equal(after, evaluate(params, fresh).confusion)
+        assert not np.array_equal(after, before)
+
+    def test_in_place_non_finite_write_caught_at_kernel_entry(self):
+        ds = labeled_dataset([0, 1])
+        ds.validate()
+        ds.instances[1].features[0, 0] = np.inf
+        with pytest.raises(DataError):
+            evaluate(zero_params(3, 2), ds)
+
+    def test_failed_export_keeps_previous_files(self, tmp_path):
+        ds = labeled_dataset([0, 1, 0], d=3, frames=4)
+        path = str(tmp_path / "w.csv")
+        export_attention(zero_params(3, 2), ds, path)
+        old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        ds.instances[2].features[0, 0] = np.nan
+        with pytest.raises(DataError):
+            export_attention(zero_params(3, 2), ds, path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old

@@ -201,6 +201,32 @@ class TestForward:
                 np.testing.assert_array_equal(trace.beta, np.ones(6))
                 np.testing.assert_array_equal(trace.aggregate, trace.anchor)
 
+    def test_final_weights_are_normalized_products(self):
+        # away from underflow the weights are w / sum(w), bit for bit
+        rng = np.random.default_rng(25)
+        f = 3.0 * rng.standard_normal((7, 4))
+        _, trace = forward(f, random_params(4, 3, Mode.FULL, seed=8))
+        w = trace.alpha * trace.beta
+        np.testing.assert_array_equal(trace.final_weights, w / w.sum())
+
+    def test_final_weights_survive_underflow_of_every_product(self):
+        # f . q0 = f . q1[:D] = -400, -401, -402 (anchor half of q1 zero):
+        # each alpha_i beta_i is about e^-800, below the smallest double,
+        # while the weights themselves are softmax(-800, -802, -804)
+        d = 2
+        params = FanParams(np.ones(d), np.r_[np.ones(d), np.zeros(d)],
+                           np.eye(2, 2 * d), np.zeros(2), Mode.FULL)
+        f = np.repeat([[-400.0], [-401.0], [-402.0]], d, axis=1) / d
+        logits, trace = forward(f, params)
+        assert np.all(np.isfinite(logits))
+        expect = np.exp(-2.0 * np.arange(3))
+        np.testing.assert_allclose(trace.final_weights, expect / expect.sum(),
+                                   rtol=1e-12, atol=0)
+        assert abs(trace.final_weights.sum() - 1.0) <= 1e-12
+        assert int(np.argmax(trace.final_weights)) == 0
+        _, grads = backward(f, params, 1)
+        assert np.all(np.isfinite(grads.flatten()))
+
     def test_single_frame_collapse(self):
         rng = np.random.default_rng(24)
         row = rng.standard_normal(4)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import frameattn.training as training
-from frameattn.data import SynthConfig, synth_generate
+from frameattn.data import Dataset, SynthConfig, VideoInstance, synth_generate
 from frameattn.errors import ConfigError, DataError, FormatError, NumericError, SchemaError
 from frameattn.model import FanGradients, Mode, backward, forward_backward, init_params
 from frameattn.sampling import stream, training_draw
@@ -302,3 +302,64 @@ class TestCheckpoint:
         assert lines[0] == "epoch,lr,loss,train_accuracy,val_accuracy"
         assert lines[1] == "0,0.1,1.5,0.25,"
         assert lines[2] == "1,0.1,1.2,0.5,0.75"
+
+
+class TestPackedMinibatches:
+    def test_batches_match_per_instance_gather(self):
+        ds = small_synth()
+        cfg = TrainConfig(batch_size=4, k=3, seed=4)
+        idx = [0, 2, 3, 5, 7, 8, 11, 13, 14, 17]
+        order, picks = training_draw(
+            cfg.seed, 2, [ds.instances[i].features.shape[0] for i in idx], cfg.k)
+        batches = list(training.minibatches(ds, idx, cfg, 2))
+        assert [len(b) for b, _, _ in batches] == [4, 4, 2]
+        np.testing.assert_array_equal(np.concatenate([b for b, _, _ in batches]),
+                                      np.asarray(idx)[order])
+        for number, (batch, stack, labels) in enumerate(batches):
+            rows = picks[number * cfg.batch_size:][:len(batch)]
+            want = np.stack([ds.instances[i].features[p] for i, p in zip(batch, rows)])
+            assert stack.shape == (len(batch), cfg.k, ds.dim)
+            assert stack.tobytes() == want.tobytes()
+            assert labels.tolist() == [ds.instances[i].label for i in batch]
+
+    def test_negative_indices_count_from_the_end(self):
+        ds = small_synth()  # 18 instances
+        cfg = TrainConfig(schedule=[(0, 0.05)], total_epochs=2, seed=3, k=2)
+        negative, _ = train(ds, cfg, train_indices=[-1, 0, 1, -5])
+        positive, _ = train(ds, cfg, train_indices=[17, 0, 1, 13])
+        assert negative.flatten().tobytes() == positive.flatten().tobytes()
+
+    def test_replaced_features_take_effect_at_next_train(self):
+        cfg = TrainConfig(schedule=[(0, 0.05)], total_epochs=2, seed=3,
+                          batch_size=4, k=2)
+        ds = small_synth()
+        before, _ = train(ds, cfg)
+        ds.instances[4].features = 2.0 * ds.instances[4].features[::-1]
+        ds.instances[9].label = (ds.instances[9].label + 1) % ds.num_classes
+        after, _ = train(ds, cfg)
+        fresh = Dataset([VideoInstance(i.video_id, i.subject_id, i.label,
+                                       np.array(i.features)) for i in ds.instances],
+                        ds.dim, ds.num_classes, ds.class_names)
+        expect, _ = train(fresh, cfg)
+        assert after.flatten().tobytes() == expect.flatten().tobytes()
+        assert after.flatten().tobytes() != before.flatten().tobytes()
+        assert ds.instances[4].features.base is ds.packed().frames
+
+    def test_second_train_does_not_repack(self, monkeypatch):
+        ds = small_synth()
+        packs = []
+        real = Dataset._pack
+        monkeypatch.setattr(Dataset, "_pack",
+                            lambda self: (packs.append(1), real(self))[1])
+        cfg = TrainConfig(schedule=[(0, 0.05)], total_epochs=2, seed=3, k=2)
+        first, _ = train(ds, cfg)
+        second, _ = train(ds, cfg)
+        assert packs == []
+        assert first.flatten().tobytes() == second.flatten().tobytes()
+
+    def test_in_place_non_finite_write_caught_at_kernel_entry(self):
+        ds = small_synth()
+        ds.instances[0].features[:] = np.nan
+        ds.validate()  # not rescanned: only replaced objects are rechecked
+        with pytest.raises(DataError):
+            train(ds, TrainConfig(total_epochs=1, k=2))
