@@ -34,24 +34,17 @@ from .evaluation import (
 )
 from .model import (
     AttentionTrace,
-    FanGradients,
     FanParams,
     Mode,
-    aggregate,
-    aggregate_self_only,
     backward,
     forward,
-    global_anchor,
     gradient_check,
     init_params,
     predict,
-    relation_attention,
-    self_attention,
 )
 from .sampling import SegmentPlan, frames_for_eval, plan_segments, sample_training
 from .training import (
     EpochStats,
-    OptState,
     TrainConfig,
     afew_config,
     ckplus_config,

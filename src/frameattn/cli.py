@@ -16,15 +16,17 @@ import sys
 import numpy as np
 
 from . import __version__
-from .data import SynthConfig, build_folds, load_feature_file, synth_generate, write_feature_file
+from .data import (SynthConfig, atomic_open, build_folds, load_feature_file,
+                   synth_generate, write_feature_file)
 from .errors import ConfigError, FrameAttnError, NumericError
 from .evaluation import cross_validate, evaluate, export_attention
-from .model import FanParams, Mode, backward, forward, init_params
-from .numerics import finite_diff_gradient, relative_error, softmax_cross_entropy
+from .model import Mode, forward, gradient_pair, init_params, locate, predict
+from .numerics import relative_errors
 from .training import (
     TrainConfig,
     afew_config,
     ckplus_config,
+    history_lines,
     load_checkpoint,
     save_checkpoint,
     synth_default_config,
@@ -98,8 +100,7 @@ def cmd_train(args) -> int:
     params, history = train(dataset, config, on_epoch=on_epoch)
     save_checkpoint(params, args.out)
     if args.history:
-        from .training import history_lines
-        with open(args.history, "w") as f:
+        with atomic_open(args.history, "w") as f:
             f.write("\n".join(history_lines(history)) + "\n")
     _emit({
         "checkpoint": args.out,
@@ -118,7 +119,6 @@ def cmd_eval(args) -> int:
                       k=args.k, seed=args.seed)
     result = {"mode": params.mode.value, **report.to_dict()}
     if args.per_instance:
-        from .model import forward, predict
         result["instances"] = [
             {"video_id": inst.video_id, "label": inst.label,
              "prediction": predict(forward(inst.features, params)[0])}
@@ -150,7 +150,6 @@ def cmd_cv(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(args.seed)
-    failures = []
     results = []
     for i in range(args.configs):
         d = args.d if args.d else int(rng.choice([4, 8, 16]))
@@ -161,46 +160,24 @@ def cmd_gradcheck(args) -> int:
         params = init_params(d, c, mode, seed=int(rng.integers(0, 2**31)))
         label = int(rng.integers(0, c))
 
-        _, grads = backward(features, params, label)
-        analytic = grads.flatten()
+        analytic, fd = gradient_pair(features, params, label, args.eps)
         if args.corrupt:
             analytic[0] += 1.0
-
-        def loss_of(flat, f=features, p=params, y=label):
-            cand = FanParams.from_flat(flat, p.feature_dim, p.num_classes, p.mode)
-            return softmax_cross_entropy(forward(f, cand)[0], y)[0]
-
-        fd = finite_diff_gradient(loss_of, params.flatten(), args.eps)
-        err = relative_error(analytic, fd)
-        worst = _worst_coordinate(analytic, fd, params)
+        errs = relative_errors(analytic, fd)
+        err = float(np.max(errs))
+        name, pos = locate(params.blocks, int(np.argmax(errs)))
+        worst = f"{name}[{pos}]"
         ok = err < args.tol
         results.append({"config": i, "mode": mode.value, "d": d, "n": n, "c": c,
                         "max_rel_err": err, "worst": worst, "ok": ok})
         _log(f"config {i}: mode={mode.value} d={d} n={n} c={c} "
              f"max_rel_err={err:.3e} {'ok' if ok else 'FAIL at ' + worst}")
-        if not ok:
-            failures.append((i, worst, err))
+    failures = [r for r in results if not r["ok"]]
     _emit({"tol": args.tol, "eps": args.eps, "configs": results,
            "passed": not failures})
-    if failures:
-        for i, worst, err in failures:
-            _log(f"FAIL config {i}: {worst} rel_err={err:.3e}")
-        return EXIT_NUMERIC
-    return EXIT_OK
-
-
-def _worst_coordinate(analytic: np.ndarray, fd: np.ndarray, params) -> str:
-    errs = np.abs(analytic - fd) / np.maximum(1e-8, np.abs(analytic) + np.abs(fd))
-    flat_idx = int(np.argmax(errs))
-    d, c = params.feature_dim, params.num_classes
-    in_dim = params.class_w.shape[1]
-    bounds = [("q0", d), ("q1", 2 * d), ("class_w", c * in_dim), ("class_b", c)]
-    offset = 0
-    for name, size in bounds:
-        if flat_idx < offset + size:
-            return f"{name}[{flat_idx - offset}]"
-        offset += size
-    return f"flat[{flat_idx}]"
+    for r in failures:
+        _log(f"FAIL config {r['config']}: {r['worst']} rel_err={r['max_rel_err']:.3e}")
+    return EXIT_NUMERIC if failures else EXIT_OK
 
 
 def cmd_synth(args) -> int:
@@ -233,11 +210,8 @@ def cmd_synth(args) -> int:
 def cmd_visualize(args) -> int:
     params = load_checkpoint(args.checkpoint)
     dataset = load_feature_file(args.data)
-    export_attention(params, dataset, args.out)
-    csv_path = args.out if args.out.endswith(".csv") else args.out + ".csv"
-    _emit({"csv": csv_path,
-           "json": os.path.splitext(csv_path)[0] + ".json",
-           "videos": len(dataset.instances)})
+    csv_path, json_path = export_attention(params, dataset, args.out)
+    _emit({"csv": csv_path, "json": json_path, "videos": len(dataset.instances)})
     return EXIT_OK
 
 

@@ -82,7 +82,9 @@ class Dataset:
     the next use repack and recheck. Writing into `features` in place
     changes the packed frames directly and is not rechecked: a non-finite
     value written that way is caught by the model when it reads the frames.
-    Two datasets that share VideoInstance objects rebind each other's
+    Take a subset by passing indices (train, evaluate and the splits all
+    do), not by building a second Dataset from some of these instances:
+    two datasets that share VideoInstance objects rebind each other's
     instances when they pack, so using them in turn repacks each time.
     """
 
@@ -303,45 +305,55 @@ def load_feature_csv(path: str, class_names: list[str] | None = None) -> Dataset
     One frame per line: video_id, subject_id, label, frame_index, then D
     feature values. Frames of a video may appear in any order; they are
     sorted by frame_index. When class_names is omitted the class count is
-    inferred from the labels present.
+    inferred from the labels present, and may not exceed the file's size in
+    bytes. The file must be UTF-8.
     """
     rows: dict[str, dict] = {}
     dim = None
-    with open(path, newline="") as f:
-        for lineno, parts in enumerate(csv.reader(f), start=1):
-            if not parts:
-                continue
-            if len(parts) < 5:
-                raise SchemaError(f"line {lineno}: expected at least 5 fields")
-            video_id, subject_id = parts[0].strip(), parts[1].strip()
-            try:
-                label = int(parts[2])
-                index = int(parts[3])
-                values = [float(v) for v in parts[4:]]
-            except ValueError as e:
-                raise SchemaError(f"line {lineno}: {e}") from None
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise SchemaError(
-                    f"line {lineno}: {len(values)} values, expected {dim}"
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            size = os.fstat(f.fileno()).st_size
+            for lineno, parts in enumerate(csv.reader(f), start=1):
+                if not parts:
+                    continue
+                if len(parts) < 5:
+                    raise SchemaError(f"line {lineno}: expected at least 5 fields")
+                video_id, subject_id = parts[0].strip(), parts[1].strip()
+                try:
+                    label = int(parts[2])
+                    index = int(parts[3])
+                    values = [float(v) for v in parts[4:]]
+                except ValueError as e:
+                    raise SchemaError(f"line {lineno}: {e}") from None
+                if dim is None:
+                    dim = len(values)
+                elif len(values) != dim:
+                    raise SchemaError(
+                        f"line {lineno}: {len(values)} values, expected {dim}"
+                    )
+                rec = rows.setdefault(
+                    video_id, {"subject": subject_id, "label": label, "frames": {}}
                 )
-            rec = rows.setdefault(
-                video_id, {"subject": subject_id, "label": label, "frames": {}}
-            )
-            if rec["subject"] != subject_id or rec["label"] != label:
-                raise SchemaError(
-                    f"line {lineno}: video '{video_id}' has inconsistent "
-                    "subject or label"
-                )
-            if index in rec["frames"]:
-                raise SchemaError(f"line {lineno}: duplicate frame {index}")
-            rec["frames"][index] = values
+                if rec["subject"] != subject_id or rec["label"] != label:
+                    raise SchemaError(
+                        f"line {lineno}: video '{video_id}' has inconsistent "
+                        "subject or label"
+                    )
+                if index in rec["frames"]:
+                    raise SchemaError(f"line {lineno}: duplicate frame {index}")
+                rec["frames"][index] = values
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"CSV is not UTF-8 text: {e}") from None
+
     if not rows:
         raise SchemaError("CSV contains no frames")
 
     if class_names is None:
         num_classes = max(rec["label"] for rec in rows.values()) + 1
+        # one name is made per class: bound their count by the input's size
+        if num_classes > size:
+            raise SchemaError(f"label {num_classes - 1} implies {num_classes} classes, "
+                              f"more than the file's {size} bytes")
         class_names = [f"class_{c}" for c in range(num_classes)]
     instances = [
         VideoInstance(

@@ -19,10 +19,10 @@ import numpy as np
 
 from . import model, sampling
 from .data import Dataset, FoldPlan, atomic_open, split_by_fold
-from .errors import ConfigError, DimensionError, NumericError
+from .errors import ConfigError, DimensionError
 from .model import FanParams
 from .numerics import softmax, softmax_cross_entropy
-from .training import TrainConfig, lr_at, minibatches, train
+from .training import TrainConfig, lr_at, minibatches, sgd_step, train
 
 
 @dataclass
@@ -132,15 +132,18 @@ def _train_frame_classifier(
     It steps through the attention trainer's minibatches (training.minibatches),
     so each epoch uses the same (seed, epoch) draw: every instance contributes
     its k segment-sampled frames, each frame is an independent sample, and
-    batch gradients are averaged over the batch's B*k frames.
+    batch gradients are averaged over the batch's B*k frames. Its weights
+    and bias are one flat vector, updated by training.sgd_step.
     """
     d, c = dataset.dim, dataset.num_classes
     rng = np.random.default_rng(config.seed)
     limit = np.sqrt(6.0 / (d + c))
-    w = rng.uniform(-limit, limit, size=(c, d))
-    b = np.zeros(c)
-    vw = np.zeros_like(w)
-    vb = np.zeros_like(b)
+    blocks = model.blocks_of([("baseline_w", (c, d)), ("baseline_b", (c,))])
+    params = np.concatenate([rng.uniform(-limit, limit, size=c * d), np.zeros(c)])
+    w = params[blocks[0].slice].reshape(c, d)
+    b = params[blocks[1].slice]
+    grads = np.empty_like(params)
+    velocity = np.zeros_like(params)
 
     for epoch in range(config.total_epochs):
         lr = lr_at(config.schedule, epoch)
@@ -149,14 +152,10 @@ def _train_frame_classifier(
             _, g = softmax_cross_entropy(frames @ w.T + b,
                                          np.repeat(labels, config.k))
             g /= len(frames)
-            vw *= config.momentum
-            vw += g.T @ frames + config.weight_decay * w
-            vb *= config.momentum
-            vb += g.sum(axis=0)
-            w -= lr * vw
-            b -= lr * vb
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise NumericError("baseline parameters became non-finite")
+            grads[blocks[0].slice] = (g.T @ frames).ravel()
+            grads[blocks[1].slice] = g.sum(axis=0)
+            sgd_step(params, grads, velocity, lr, config.momentum,
+                     config.weight_decay, blocks)
     return w, b
 
 
@@ -196,13 +195,15 @@ def score_fusion_baseline(
 
 
 def export_attention(params: FanParams, dataset: Dataset, path: str,
-                     indices: list[int] | None = None) -> None:
-    """Write per-frame attention weights for plotting.
+                     indices: list[int] | None = None) -> tuple[str, str]:
+    """Write per-frame attention weights for plotting; returns the CSV and
+    JSON paths.
 
     Produces two files: a CSV at `path` (one row per frame: video_id,
-    frame_index, alpha, final_weight, label, prediction) and a JSON summary
-    next to it with the per-video sequences and overall accuracy. No
-    rendering happens here; the output is plot-ready data.
+    frame_index, alpha, final_weight, label, prediction), with ".csv"
+    appended unless present, and a JSON summary next to it with the
+    per-video sequences and overall accuracy. No rendering happens here;
+    the output is plot-ready data.
     """
     labels = dataset.packed().labels
     _check_compat(params, dataset)
@@ -245,3 +246,4 @@ def export_attention(params: FanParams, dataset: Dataset, path: str,
     with atomic_open(json_path, "w") as f:
         json.dump(summary, f, indent=2)
         f.write("\n")
+    return csv_path, json_path

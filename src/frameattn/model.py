@@ -38,12 +38,15 @@ matrix are its B=1, K=n case, so ragged videos need no padding.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, DimensionError, NumericError
+from .errors import DimensionError, NumericError
 from .numerics import (
+    as_array,
     as_matrix,
     as_vector,
     finite_diff_gradient,
@@ -60,37 +63,89 @@ class Mode(str, enum.Enum):
     SELF_ONLY = "self_only"
 
 
-@dataclass
-class FanParams:
-    """All trainable parameters of the head.
+class Block(NamedTuple):
+    """One block of a flat parameter vector: its name, slice and shape."""
 
-    q1 is carried in both modes (it is simply unused, with zero gradient,
-    in SELF_ONLY) so checkpoints and flattening have one layout per (D, C).
+    name: str
+    slice: slice
+    shape: tuple
+
+
+def blocks_of(shapes) -> tuple[Block, ...]:
+    """Consecutive blocks of a flat vector, one per (name, shape), in order."""
+    blocks, start = [], 0
+    for name, shape in shapes:
+        stop = start + math.prod(shape)
+        blocks.append(Block(name, slice(start, stop), tuple(shape)))
+        start = stop
+    return tuple(blocks)
+
+
+def layout(dim: int, num_classes: int, mode: Mode) -> tuple[Block, ...]:
+    """The head's parameter layout for (D, C, mode), in flat order.
+
+    q0 (D,) is the self-attention kernel, q1 (2D,) the relation-attention
+    kernel, class_w (C, 2D) in full mode or (C, D) self-only the classifier
+    weights (row-major), and class_b (C,) its bias. q1 is carried in both
+    modes (unused, with zero gradient, in SELF_ONLY). Parameters, their
+    gradients, the optimizer's velocity and the checkpoint payload all use
+    this layout. The bias comes last: it is the one block weight decay skips.
+    """
+    if dim < 1 or num_classes < 1:
+        raise DimensionError("dim and num_classes must be positive")
+    in_dim = 2 * dim if Mode(mode) is Mode.FULL else dim
+    return blocks_of([("q0", (dim,)), ("q1", (2 * dim,)),
+                      ("class_w", (num_classes, in_dim)), ("class_b", (num_classes,))])
+
+
+def locate(blocks, index: int) -> tuple[str, int]:
+    """Name of the block that holds flat position `index`, and the position
+    within that block."""
+    block = next(b for b in blocks if index < b.slice.stop)
+    return block.name, index - block.slice.start
+
+
+class FanParams:
+    """All trainable parameters of the head, held in one float64 vector.
+
+    `flat` holds the blocks of `layout` in order, and q0, q1, class_w and
+    class_b are views of their blocks: writing into one writes into `flat`,
+    and assigning one copies the value into its block (its shape must
+    match). flatten() returns a copy of `flat`. Gradients use the same
+    layout: backward returns them as a FanParams.
     """
 
-    q0: np.ndarray       # (D,) self-attention kernel
-    q1: np.ndarray       # (2D,) relation-attention kernel
-    class_w: np.ndarray  # (C, 2D) full mode, (C, D) self-only
-    class_b: np.ndarray  # (C,)
-    mode: Mode
+    def __init__(self, q0, q1, class_w, class_b, mode: Mode):
+        mode = Mode(mode)
+        parts = [as_vector(q0, "q0"), as_vector(q1, "q1"),
+                 as_matrix(class_w, "class_w"), as_vector(class_b, "class_b")]
+        blocks = layout(parts[0].shape[0], parts[3].shape[0], mode)
+        for block, part in zip(blocks, parts):
+            if part.shape != block.shape:
+                raise DimensionError(f"{block.name} must have shape {block.shape} "
+                                     f"in {mode.value} mode, got {part.shape}")
+        self._bind(np.concatenate([part.ravel() for part in parts]), blocks, mode)
 
-    def __post_init__(self):
-        self.q0 = as_vector(self.q0, "q0")
-        self.q1 = as_vector(self.q1, "q1")
-        self.class_w = as_matrix(self.class_w, "class_w")
-        self.class_b = as_vector(self.class_b, "class_b")
-        self.mode = Mode(self.mode)
-        d = self.q0.shape[0]
-        if self.q1.shape[0] != 2 * d:
-            raise DimensionError(f"q1 must have length {2 * d}, got {self.q1.shape[0]}")
-        expect_in = 2 * d if self.mode is Mode.FULL else d
-        if self.class_w.shape[1] != expect_in:
-            raise DimensionError(
-                f"class_w must have {expect_in} columns in {self.mode.value} mode, "
-                f"got {self.class_w.shape[1]}"
-            )
-        if self.class_b.shape[0] != self.class_w.shape[0]:
-            raise DimensionError("class_b length must match class_w rows")
+    def _bind(self, flat: np.ndarray, blocks, mode: Mode) -> None:
+        self.__dict__.update(flat=flat, blocks=blocks, mode=mode,
+                             **{b.name: flat[b.slice].reshape(b.shape) for b in blocks})
+
+    @classmethod
+    def _over(cls, flat: np.ndarray, blocks, mode: Mode) -> "FanParams":
+        """Parameters whose storage is `flat` itself, unchecked."""
+        params = cls.__new__(cls)
+        params._bind(flat, blocks, mode)
+        return params
+
+    def __setattr__(self, name, value):
+        if name in _BLOCK_NAMES:
+            view = getattr(self, name)
+            value = np.asarray(value, dtype=np.float64)
+            if value.shape != view.shape:
+                raise DimensionError(f"{name} must have shape {view.shape}, got {value.shape}")
+            view[...] = value
+        else:
+            object.__setattr__(self, name, value)
 
     @property
     def feature_dim(self) -> int:
@@ -101,60 +156,26 @@ class FanParams:
         return self.class_b.shape[0]
 
     def copy(self) -> "FanParams":
-        return FanParams(self.q0.copy(), self.q1.copy(),
-                         self.class_w.copy(), self.class_b.copy(), self.mode)
+        return FanParams._over(self.flat.copy(), self.blocks, self.mode)
 
     def flatten(self) -> np.ndarray:
-        """Fixed layout: q0, q1, class_w row-major, class_b."""
-        return np.concatenate(
-            [self.q0, self.q1, self.class_w.ravel(), self.class_b]
-        )
+        """A copy of the flat vector: q0, q1, class_w row-major, class_b."""
+        return self.flat.copy()
 
     @classmethod
     def from_flat(cls, flat, dim: int, num_classes: int, mode: Mode) -> "FanParams":
-        """Inverse of flatten for the given dimensions and mode."""
+        """Inverse of flatten for the given dimensions and mode. The result
+        is stored in `flat` itself when that is a contiguous float64 vector."""
         mode = Mode(mode)
-        flat = np.asarray(flat, dtype=np.float64)
-        in_dim = 2 * dim if mode is Mode.FULL else dim
-        sizes = [dim, 2 * dim, num_classes * in_dim, num_classes]
-        if flat.shape != (sum(sizes),):
-            raise DimensionError(
-                f"flat parameter vector must have length {sum(sizes)}, got {flat.shape}"
-            )
-        q0, q1, w, b = np.split(flat, np.cumsum(sizes)[:-1])
-        return cls(q0, q1, w.reshape(num_classes, in_dim), b, mode)
+        blocks = layout(dim, num_classes, mode)
+        flat = np.ascontiguousarray(flat, dtype=np.float64)
+        if flat.shape != (blocks[-1].slice.stop,):
+            raise DimensionError(f"flat parameter vector must have length "
+                                 f"{blocks[-1].slice.stop}, got {flat.shape}")
+        return cls._over(as_vector(flat, "parameter vector"), blocks, mode)
 
 
-@dataclass
-class FanGradients:
-    """Cotangents for every FanParams field, same shapes."""
-
-    q0: np.ndarray
-    q1: np.ndarray
-    class_w: np.ndarray
-    class_b: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, params: FanParams) -> "FanGradients":
-        return cls(np.zeros_like(params.q0), np.zeros_like(params.q1),
-                   np.zeros_like(params.class_w), np.zeros_like(params.class_b))
-
-    def add(self, other: "FanGradients") -> None:
-        self.q0 += other.q0
-        self.q1 += other.q1
-        self.class_w += other.class_w
-        self.class_b += other.class_b
-
-    def scale(self, k: float) -> None:
-        self.q0 *= k
-        self.q1 *= k
-        self.class_w *= k
-        self.class_b *= k
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate(
-            [self.q0, self.q1, self.class_w.ravel(), self.class_b]
-        )
+_BLOCK_NAMES = frozenset(b.name for b in layout(1, 1, Mode.FULL))
 
 
 @dataclass
@@ -175,91 +196,18 @@ class AttentionTrace:
 
 def init_params(dim: int, num_classes: int, mode: Mode = Mode.FULL,
                 seed: int = 0) -> FanParams:
-    """Seeded uniform init: each weight block drawn from
+    """Seeded uniform init: each weight block drawn, in layout order, from
     +-sqrt(6/(fan_in+fan_out)); bias zero."""
     mode = Mode(mode)
-    if dim < 1 or num_classes < 1:
-        raise DimensionError("dim and num_classes must be positive")
+    blocks = layout(dim, num_classes, mode)
+    params = FanParams._over(np.zeros(blocks[-1].slice.stop), blocks, mode)
     rng = np.random.default_rng(seed)
-
-    def block(fan_in, fan_out, shape):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=shape)
-
-    in_dim = 2 * dim if mode is Mode.FULL else dim
-    return FanParams(
-        q0=block(dim, 1, dim),
-        q1=block(2 * dim, 1, 2 * dim),
-        class_w=block(in_dim, num_classes, (num_classes, in_dim)),
-        class_b=np.zeros(num_classes),
-        mode=mode,
-    )
-
-
-def self_attention(features, q0) -> np.ndarray:
-    """Per-frame weights alpha_i = sigmoid(f_i . q0), each in (0, 1)."""
-    f = as_matrix(features, "features")
-    q = as_vector(q0, "q0")
-    if f.shape[1] != q.shape[0]:
-        raise DimensionError(f"feature dim {f.shape[1]} != q0 length {q.shape[0]}")
-    return sigmoid(f @ q)
-
-
-def global_anchor(features, alpha) -> np.ndarray:
-    """Weighted mean of the frame rows: sum(alpha_i f_i) / sum(alpha_i).
-
-    A convex combination, so the result lies in the hull of the rows.
-    """
-    f = as_matrix(features, "features")
-    a = as_vector(alpha, "alpha")
-    if a.shape[0] != f.shape[0]:
-        raise DimensionError("alpha length must equal the number of frames")
-    if np.any(a <= 0):
-        raise ValueError("anchor weights must all be positive")
-    # normalize first: for n=1 the weight is exactly 1.0, so the anchor is
-    # the row itself bit-for-bit
-    return (a / np.sum(a)) @ f
-
-
-def relation_attention(features, anchor, q1) -> np.ndarray:
-    """Per-frame weights beta_i = sigmoid([f_i : anchor] . q1)."""
-    f = as_matrix(features, "features")
-    a = as_vector(anchor, "anchor")
-    q = as_vector(q1, "q1")
-    d = f.shape[1]
-    if a.shape[0] != d:
-        raise DimensionError("anchor length must equal the feature dim")
-    if q.shape[0] != 2 * d:
-        raise DimensionError(f"q1 must have length {2 * d}, got {q.shape[0]}")
-    logits = f @ q[:d] + float(a @ q[d:])
-    return sigmoid(logits)
-
-
-def aggregate(features, anchor, alpha, beta) -> np.ndarray:
-    """Weighted mean of the concatenated rows [f_i : anchor].
-
-    With w_i = alpha_i*beta_i, the top half is sum(w_i f_i)/sum(w_i) and the
-    bottom half is the anchor itself (every row shares it, and the weights
-    average to one).
-    """
-    f = as_matrix(features, "features")
-    anc = as_vector(anchor, "anchor")
-    a = as_vector(alpha, "alpha")
-    b = as_vector(beta, "beta")
-    if not (a.shape[0] == b.shape[0] == f.shape[0]):
-        raise DimensionError("alpha/beta length must equal the number of frames")
-    if anc.shape[0] != f.shape[1]:
-        raise DimensionError("anchor length must equal the feature dim")
-    w = a * b
-    if np.any(w <= 0):
-        raise ValueError("combined weights must all be positive")
-    top = (w / np.sum(w)) @ f
-    return np.concatenate([top, anc])
-
-
-def aggregate_self_only(features, alpha) -> np.ndarray:
-    """Ablation without relation weights: identical to global_anchor."""
-    return global_anchor(features, alpha)
+    for name, _, shape in blocks[:-1]:
+        # a kernel vector has fan_out 1, class_w is (fan_out, fan_in)
+        fan_out = shape[0] if len(shape) == 2 else 1
+        limit = np.sqrt(6.0 / (shape[-1] + fan_out))
+        setattr(params, name, rng.uniform(-limit, limit, size=shape))
+    return params
 
 
 def _kernel(f: np.ndarray, params: FanParams, labels=None):
@@ -310,6 +258,7 @@ def _kernel(f: np.ndarray, params: FanParams, labels=None):
 
     losses, g_logits = softmax_cross_entropy(logits, labels)
     g_agg = g_logits @ params.class_w
+    grads = FanParams._over(np.zeros_like(params.flat), params.blocks, params.mode)
 
     if params.mode is Mode.FULL:
         g_top = g_agg[:, :d]
@@ -318,20 +267,21 @@ def _kernel(f: np.ndarray, params: FanParams, labels=None):
                      - np.sum(top * g_top, axis=1, keepdims=True))
         g_t = y * (1.0 - beta)
         gt_sum = g_t.sum(axis=1)
-        d_q1 = np.concatenate([g_t.reshape(-1) @ rows, gt_sum @ anchor])
+        grads.q1[:d] = g_t.reshape(-1) @ rows
+        grads.q1[d:] = gt_sum @ anchor
         g_anchor = g_agg[:, d:] + gt_sum[:, None] * params.q1[d:]
     else:
         y = 0.0
         g_anchor = g_agg
-        d_q1 = np.zeros_like(params.q1)
     # through the anchor: (f_i - anchor) . g_anchor, times alpha_i / A
     g_s = (y + alpha_n * (np.matmul(f, g_anchor[:, :, None])[:, :, 0]
                           - np.sum(anchor * g_anchor, axis=1, keepdims=True))
            ) * (1.0 - alpha)
 
-    grads = FanGradients(q0=g_s.reshape(-1) @ rows, q1=d_q1,
-                         class_w=g_logits.T @ agg, class_b=g_logits.sum(axis=0))
-    if not np.all(np.isfinite(grads.flatten())):
+    grads.q0 = g_s.reshape(-1) @ rows
+    grads.class_w = g_logits.T @ agg
+    grads.class_b = g_logits.sum(axis=0)
+    if not np.all(np.isfinite(grads.flat)):
         raise NumericError("backward pass produced non-finite gradients",
                            row=_first_bad_row(f, params, labels))
     return logits, trace, losses, grads
@@ -350,22 +300,20 @@ def _first_bad_row(f: np.ndarray, params: FanParams, labels) -> int | None:
     return None
 
 
-def _as_video(features, params: FanParams) -> np.ndarray:
-    """One video's n x D features as a (1, n, D) stack."""
-    f = as_matrix(features, "features")
-    if f.shape[1] != params.feature_dim:
+def _frames(x, ndim: int, params: FanParams) -> np.ndarray:
+    """Checked frames whose last axis is the parameters' feature dim: one
+    video's (n, D) matrix (ndim 2) or a (B, K, D) stack (ndim 3)."""
+    f = as_array(x, ndim, "features" if ndim == 2 else "stack")
+    if f.shape[-1] != params.feature_dim:
         raise DimensionError(
-            f"feature dim {f.shape[1]} != params dim {params.feature_dim}")
-    return f[None]
+            f"feature dim {f.shape[-1]} != params dim {params.feature_dim}")
+    return f
 
 
 def forward(features, params: FanParams) -> tuple[np.ndarray, AttentionTrace]:
     """Logits plus the attention trace for one video's feature matrix."""
-    logits, trace, _, _ = _kernel(_as_video(features, params), params)
-    return logits[0], AttentionTrace(
-        alpha=trace.alpha[0], beta=trace.beta[0],
-        final_weights=trace.final_weights[0], anchor=trace.anchor[0],
-        aggregate=trace.aggregate[0])
+    logits, trace, _, _ = _kernel(_frames(features, 2, params)[None], params)
+    return logits[0], AttentionTrace(**{k: v[0] for k, v in vars(trace).items()})
 
 
 def predict(logits) -> int:
@@ -373,16 +321,17 @@ def predict(logits) -> int:
     return int(np.argmax(as_vector(logits, "logits")))
 
 
-def backward(features, params: FanParams, label: int) -> tuple[float, FanGradients]:
-    """Softmax cross-entropy loss and its exact parameter gradients."""
+def backward(features, params: FanParams, label: int) -> tuple[float, FanParams]:
+    """Softmax cross-entropy loss and its exact parameter gradients, in the
+    parameters' layout."""
     loss, _, grads = forward_backward(features, params, label)
     return loss, grads
 
 
 def forward_backward(features, params: FanParams, label: int):
     """Like backward but also returns the logits, for training-loop metrics."""
-    logits, _, losses, grads = _kernel(_as_video(features, params), params,
-                                       np.array([label]))
+    logits, _, losses, grads = _kernel(_frames(features, 2, params)[None],
+                                       params, np.array([label]))
     return float(losses[0]), logits[0], grads
 
 
@@ -394,22 +343,15 @@ def forward_backward_batch(stack, params: FanParams, labels):
     (B, C) logits and the parameter gradients summed over the batch; each
     instance's share equals forward_backward on its own K frames.
     """
-    f = np.asarray(stack, dtype=np.float64)
-    if f.ndim != 3 or min(f.shape) < 1:
-        raise DimensionError(
-            f"stack must be a non-empty (B, K, D) array, got {f.shape}")
-    if f.shape[2] != params.feature_dim:
-        raise DimensionError(
-            f"feature dim {f.shape[2]} != params dim {params.feature_dim}")
-    if not np.all(np.isfinite(f)):
-        raise DataError("stack contains non-finite entries")
-    logits, _, losses, grads = _kernel(f, params, np.asarray(labels))
+    logits, _, losses, grads = _kernel(_frames(stack, 3, params), params,
+                                       np.asarray(labels))
     return losses, logits, grads
 
 
-def gradient_check(features, params: FanParams, label: int,
-                   eps: float = 1e-5) -> float:
-    """Max relative error of the analytic gradient against central differences.
+def gradient_pair(features, params: FanParams, label: int,
+                  eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+    """The analytic gradient of one video's loss and its central-difference
+    estimate, both flat in the layout order.
 
     The finite-difference side rebuilds parameters from a flat vector and
     reruns the forward pass, so it shares no code with backward.
@@ -422,5 +364,10 @@ def gradient_check(features, params: FanParams, label: int,
         logits, _ = forward(features, candidate)
         return softmax_cross_entropy(logits, label)[0]
 
-    fd = finite_diff_gradient(loss_of, params.flatten(), eps)
-    return relative_error(grads.flatten(), fd)
+    return grads.flat, finite_diff_gradient(loss_of, params.flatten(), eps)
+
+
+def gradient_check(features, params: FanParams, label: int,
+                   eps: float = 1e-5) -> float:
+    """Max relative error of the analytic gradient against central differences."""
+    return relative_error(*gradient_pair(features, params, label, eps))

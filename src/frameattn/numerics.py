@@ -22,28 +22,27 @@ _SIGMOID_LO = np.nextafter(0.0, 1.0)
 _SIGMOID_HI = np.nextafter(1.0, 0.0)
 
 
-def as_vector(x, name: str = "vector") -> np.ndarray:
-    """Validate and convert to a finite 1-d float64 array of length >= 1."""
+def as_array(x, ndim: int, name: str) -> np.ndarray:
+    """Validate and convert to a finite, non-empty float64 array of `ndim`
+    dimensions."""
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionError(f"{name} must be 1-d, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise DimensionError(f"{name} must be {ndim}-d, got shape {arr.shape}")
     if arr.size == 0:
-        raise DimensionError(f"{name} must have at least one entry")
+        raise DimensionError(f"{name} must not be empty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise DataError(f"{name} contains non-finite entries")
     return arr
+
+
+def as_vector(x, name: str = "vector") -> np.ndarray:
+    """as_array for a 1-d vector."""
+    return as_array(x, 1, name)
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Validate and convert to a finite 2-d float64 array, rows/cols >= 1."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name} must be 2-d, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise DimensionError(f"{name} must have at least one row and column")
-    if not np.all(np.isfinite(arr)):
-        raise DataError(f"{name} contains non-finite entries")
-    return arr
+    """as_array for a 2-d matrix."""
+    return as_array(x, 2, name)
 
 
 def sigmoid(x):
@@ -61,22 +60,6 @@ def sigmoid(x):
     np.maximum(out, _SIGMOID_LO, out=out)
     np.minimum(out, _SIGMOID_HI, out=out)
     return float(out) if out.ndim == 0 else out
-
-
-def dot(a, b) -> float:
-    """Inner product of two equal-length vectors, accumulated in float64."""
-    va = as_vector(a, "a")
-    vb = as_vector(b, "b")
-    if va.shape[0] != vb.shape[0]:
-        raise DimensionError(f"dot length mismatch: {va.shape[0]} vs {vb.shape[0]}")
-    return float(np.dot(va, vb))
-
-
-def concat(a, b) -> np.ndarray:
-    """Concatenate two vectors, a's entries first."""
-    va = as_vector(a, "a")
-    vb = as_vector(b, "b")
-    return np.concatenate([va, vb])
 
 
 def softmax(logits) -> np.ndarray:
@@ -141,9 +124,13 @@ def finite_diff_gradient(
     return grad
 
 
-def relative_error(a, b) -> float:
-    """Max elementwise |a-b| / max(1e-8, |a|+|b|), the gradient-check metric."""
+def relative_errors(a, b) -> np.ndarray:
+    """Elementwise |a-b| / max(1e-8, |a|+|b|), flattened."""
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
-    denom = np.maximum(1e-8, np.abs(a) + np.abs(b))
-    return float(np.max(np.abs(a - b) / denom))
+    return np.abs(a - b) / np.maximum(1e-8, np.abs(a) + np.abs(b))
+
+
+def relative_error(a, b) -> float:
+    """Max of relative_errors(a, b), the gradient-check metric."""
+    return float(np.max(relative_errors(a, b)))

@@ -16,8 +16,9 @@ frames of every instance in shuffled order (sampling.training_draw). The
 score-fusion baseline trains on the same minibatches.
 
 Checkpoint format ("FANP", little-endian): magic, version u32 = 1, D u32,
-C u32, mode u32 (0 full, 1 self-only), then the parameters as float64 in
-flatten order (q0, q1, class_w row-major, class_b).
+C u32, mode u32 (0 full, 1 self-only), then the parameters as float64:
+FanParams.flatten(), the blocks of model.layout in order (q0, q1, class_w
+row-major, class_b).
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import numpy as np
 
 from . import model, sampling
 from .data import Dataset, atomic_open
-from .errors import ConfigError, DataError, FormatError, NumericError, SchemaError
-from .model import FanGradients, FanParams, Mode
+from .errors import ConfigError, FormatError, NumericError, SchemaError
+from .model import FanParams, Mode
 
 _CKPT_MAGIC = b"FANP"
 _CKPT_VERSION = 1
@@ -110,37 +111,24 @@ def lr_at(schedule: Schedule, epoch: int) -> float:
     return lr
 
 
-@dataclass
-class OptState:
-    """Momentum velocity buffers, one per parameter field."""
+def sgd_step(params: np.ndarray, grads: np.ndarray, velocity: np.ndarray,
+             lr: float, momentum: float, weight_decay: float, blocks) -> None:
+    """One in-place momentum update of a flat parameter vector and its velocity.
 
-    q0: np.ndarray
-    q1: np.ndarray
-    class_w: np.ndarray
-    class_b: np.ndarray
-
-    @classmethod
-    def zeros(cls, params: FanParams) -> "OptState":
-        return cls(np.zeros_like(params.q0), np.zeros_like(params.q1),
-                   np.zeros_like(params.class_w), np.zeros_like(params.class_b))
-
-
-# (field name, apply weight decay) -- decay is off for the bias
-_PARAM_FIELDS = [("q0", True), ("q1", True), ("class_w", True), ("class_b", False)]
-
-
-def sgd_step(params: FanParams, grads: FanGradients, state: OptState,
-             lr: float, momentum: float, weight_decay: float) -> None:
-    """One in-place momentum update of params and state."""
-    for name, decay in _PARAM_FIELDS:
-        p = getattr(params, name)
-        g = getattr(grads, name) + (weight_decay * p if decay else 0.0)
-        v = getattr(state, name)
-        v *= momentum
-        v += g
-        p -= lr * v
-        if not np.all(np.isfinite(p)):
-            raise NumericError(f"parameter '{name}' became non-finite during update")
+    params, grads and velocity are flat vectors laid out as `blocks`
+    (model.layout for the head). Weight decay applies to every block but the
+    last, the bias. A non-finite result raises NumericError naming the first
+    block that holds one.
+    """
+    step = weight_decay * params
+    step[blocks[-1].slice] = 0.0
+    step += grads
+    velocity *= momentum
+    velocity += step
+    params -= lr * velocity
+    if not np.all(np.isfinite(params)):
+        name, _ = model.locate(blocks, int(np.argmin(np.isfinite(params))))
+        raise NumericError(f"parameter '{name}' became non-finite during update")
 
 
 @dataclass
@@ -206,7 +194,7 @@ def train(
 
     params = model.init_params(dataset.dim, dataset.num_classes,
                                config.mode, seed=config.seed)
-    state = OptState.zeros(params)
+    velocity = np.zeros_like(params.flat)
     history: TrainHistory = []
 
     for epoch in range(config.total_epochs):
@@ -218,9 +206,9 @@ def train(
             try:
                 losses, logits, grads = model.forward_backward_batch(
                     stack, params, labels)
-                grads.scale(1.0 / len(batch))
-                sgd_step(params, grads, state, lr,
-                         config.momentum, config.weight_decay)
+                grads.flat *= 1.0 / len(batch)
+                sgd_step(params.flat, grads.flat, velocity, lr, config.momentum,
+                         config.weight_decay, params.blocks)
             except NumericError as e:
                 where = f"epoch {epoch}, batch {number}"
                 if e.row is not None:
@@ -263,7 +251,7 @@ def save_checkpoint(params: FanParams, path: str) -> None:
         f.write(_CKPT_MAGIC)
         f.write(struct.pack("<IIII", _CKPT_VERSION, params.feature_dim,
                             params.num_classes, _MODE_TAGS[params.mode]))
-        f.write(params.flatten().astype("<f8").tobytes())
+        f.write(params.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path: str) -> FanParams:
@@ -280,13 +268,10 @@ def load_checkpoint(path: str) -> FanParams:
         if tag not in _TAG_MODES:
             raise SchemaError(f"unknown mode tag {tag}")
         mode = _TAG_MODES[tag]
-        in_dim = 2 * dim if mode is Mode.FULL else dim
-        expect = dim + 2 * dim + num_classes * in_dim + num_classes
+        expect = model.layout(dim, num_classes, mode)[-1].slice.stop
         raw = f.read()
         if len(raw) != 8 * expect:
             raise SchemaError(
                 f"checkpoint payload is {len(raw)} bytes, expected {8 * expect}")
     flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    if not np.all(np.isfinite(flat)):
-        raise DataError("checkpoint contains non-finite parameters")
     return FanParams.from_flat(flat, dim, num_classes, mode)

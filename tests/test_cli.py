@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from frameattn import cli
 from frameattn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 TINY_SYNTH = ["synth", "--videos-per-class", "5", "--frames-min", "3",
@@ -62,6 +63,21 @@ class TestTrainCommand:
         params = load_checkpoint(ckpt)
         assert params.feature_dim == 6 and params.num_classes == 3
 
+    def test_failed_history_write_keeps_previous_file(self, tiny_data, tmp_path,
+                                                      capsys, monkeypatch):
+        hist = tmp_path / "h.csv"
+        hist.write_text("previous\n")
+
+        def fail(history):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "history_lines", fail)
+        code, _ = run(capsys, "train", "--data", tiny_data, "--history", str(hist),
+                      "--out", str(tmp_path / "m.fanp"), "--epochs", "1", "--seed", "1")
+        assert code == EXIT_DATA
+        assert hist.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["h.csv", "m.fanp", "tiny.fanf"]
+
     def test_missing_data_no_partial_outputs(self, tmp_path, capsys):
         ckpt = tmp_path / "never.fanp"
         code, _ = run(capsys, "train", "--data", str(tmp_path / "absent.fanf"),
@@ -97,6 +113,21 @@ class TestTrainCommand:
             assert code == EXIT_OK
             outs.append((open(ckpt, "rb").read(), open(hist, "rb").read()))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("mode,sha256", [
+        ("full", "92a874e9ceab5f22a5ff8b65459c856e81aef531f2ebe05f95c1dab216e0b863"),
+        ("self-only", "8002f5b7f5bc5f176f6a567d5a51e956c745c6b36065af5aa6b24b65a444d88c"),
+    ])
+    def test_checkpoint_bytes_pinned(self, tiny_data, tmp_path, capsys, mode, sha256):
+        # a slip in the update (a reordered sum, a decayed bias, a flipped
+        # signed zero) changes these bytes; the pins were taken from the
+        # per-block update this one replaced (x86-64, numpy 2.4, OpenBLAS)
+        ckpt = str(tmp_path / "m.fanp")
+        code, _ = run(capsys, "train", "--data", tiny_data, "--out", ckpt,
+                      "--mode", mode, "--epochs", "4", "--batch-size", "4",
+                      "--k", "2", "--weight-decay", "0.05", "--seed", "3")
+        assert code == EXIT_OK
+        assert hashlib.sha256(open(ckpt, "rb").read()).hexdigest() == sha256
 
     def test_published_presets_pin_epoch_counts(self, tiny_data, tmp_path, capsys):
         for preset, epochs in (("ck+", 60), ("afew", 180)):

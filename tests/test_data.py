@@ -1,5 +1,6 @@
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,28 @@ class TestCsvImport:
         path = tmp_path / "t.csv"
         path.write_text("v0,s0,0,0,1.0,2.0\nv1,s0,0,0,1.0\n")
         with pytest.raises(SchemaError):
+            load_feature_csv(str(path))
+
+    def test_label_beyond_file_size_rejected_without_allocating(self, tmp_path):
+        # 18 bytes whose label would make a million class names
+        path = tmp_path / "t.csv"
+        path.write_text("v,s,1000000,0,1.0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemaError, match="1000001 classes"):
+                load_feature_csv(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        # with the names given, the label is checked against them instead
+        with pytest.raises(SchemaError, match="out of range"):
+            load_feature_csv(str(path), class_names=["a", "b"])
+
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"v0,s0,0,0,1.0\nv\xff,s0,0,1,2.0\n")
+        with pytest.raises(SchemaError, match="UTF-8"):
             load_feature_csv(str(path))
 
 

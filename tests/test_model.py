@@ -1,24 +1,20 @@
 import numpy as np
 import pytest
 
-from frameattn.errors import DimensionError
+from frameattn.errors import DataError, DimensionError
 from frameattn.numerics import finite_diff_gradient, relative_error
 from frameattn.model import (
-    FanGradients,
     FanParams,
     Mode,
-    aggregate,
-    aggregate_self_only,
     backward,
     forward,
     forward_backward,
     forward_backward_batch,
-    global_anchor,
     gradient_check,
     init_params,
+    layout,
+    locate,
     predict,
-    relation_attention,
-    self_attention,
 )
 
 from scalar_oracle import forward_logits as oracle_logits
@@ -31,102 +27,111 @@ def random_params(d, c, mode, seed=0):
     return init_params(d, c, mode, seed=seed)
 
 
+def head(q0, q1=None, mode=Mode.FULL, c=2):
+    """Given attention kernels and a zero classifier; q1 defaults to zero."""
+    d = len(q0)
+    in_dim = 2 * d if mode is Mode.FULL else d
+    return FanParams(q0, np.zeros(2 * d) if q1 is None else q1,
+                     np.zeros((c, in_dim)), np.zeros(c), mode)
+
+
+def trace_of(features, params):
+    return forward(np.asarray(features, dtype=np.float64), params)[1]
+
+
+# sigmoid(ln 3) = 0.75 and sigmoid(-ln 3) = 0.25: q0 = (ln3/s, -ln3/s) gives
+# the frames s*e_0 and s*e_1 those alphas
+LN3 = np.log(3.0)
+
+
 class TestSelfAttention:
     def test_zero_kernel(self):
-        a = self_attention([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
-        np.testing.assert_allclose(a, [0.5, 0.5])
+        t = trace_of([[1.0, 0.0], [0.0, 1.0]], head([0.0, 0.0]))
+        np.testing.assert_allclose(t.alpha, [0.5, 0.5])
 
     def test_unit_kernel(self):
-        a = self_attention([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
-        np.testing.assert_allclose(a, [SIG1, 0.5], atol=1e-15)
+        t = trace_of([[1.0, 0.0], [0.0, 1.0]], head([1.0, 0.0]))
+        np.testing.assert_allclose(t.alpha, [SIG1, 0.5], atol=1e-15)
 
     def test_cancelling_logit(self):
-        a = self_attention([[2.0, 2.0]], [1.0, -1.0])
-        np.testing.assert_allclose(a, [0.5])
+        t = trace_of([[2.0, 2.0]], head([1.0, -1.0]))
+        np.testing.assert_allclose(t.alpha, [0.5])
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
-            self_attention([[1.0, 0.0]], [1.0, 0.0, 0.0])
+            forward([[1.0, 0.0]], head([1.0, 0.0, 0.0]))
 
 
 class TestGlobalAnchor:
     def test_equal_weights_is_mean(self):
-        a = global_anchor([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
-        np.testing.assert_allclose(a, [0.5, 0.5])
+        t = trace_of([[1.0, 0.0], [0.0, 1.0]], head([0.0, 0.0]))
+        np.testing.assert_allclose(t.anchor, [0.5, 0.5])
 
     def test_single_row_any_weight(self):
-        for w in (0.1, 0.9, 2.0):
-            a = global_anchor([[3.0, -1.0]], [w])
-            np.testing.assert_allclose(a, [3.0, -1.0])
+        # a single frame passes through bit for bit, whatever its alpha
+        for q in (-2.0, 0.3, 5.0):
+            t = trace_of([[3.0, -1.0]], head([q, q]))
+            np.testing.assert_array_equal(t.anchor, [3.0, -1.0])
 
     def test_hand_arithmetic(self):
-        a = global_anchor([[2.0, 0.0], [0.0, 2.0]], [0.75, 0.25])
-        np.testing.assert_allclose(a, [1.5, 0.5])
-
-    def test_nonpositive_weight_rejected(self):
-        with pytest.raises(ValueError):
-            global_anchor([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.0])
+        t = trace_of([[2.0, 0.0], [0.0, 2.0]], head([LN3 / 2, -LN3 / 2]))
+        np.testing.assert_allclose(t.alpha, [0.75, 0.25])
+        np.testing.assert_allclose(t.anchor, [1.5, 0.5])
 
     def test_self_only_alias(self):
+        # self-only mode classifies on the anchor itself
         f = [[2.0, 0.0], [0.0, 2.0]]
-        np.testing.assert_array_equal(
-            aggregate_self_only(f, [0.75, 0.25]), global_anchor(f, [0.75, 0.25]))
+        t = trace_of(f, head([LN3 / 2, -LN3 / 2], mode=Mode.SELF_ONLY))
+        np.testing.assert_array_equal(t.aggregate, t.anchor)
 
     def test_convex_hull(self):
         rng = np.random.default_rng(9)
         f = rng.standard_normal((5, 3))
-        alpha = rng.uniform(0.1, 0.9, 5)
-        a = global_anchor(f, alpha)
-        w = alpha / alpha.sum()
-        np.testing.assert_allclose(a, w @ f, atol=1e-15)
+        t = trace_of(f, head(rng.standard_normal(3)))
+        w = t.alpha / t.alpha.sum()
+        np.testing.assert_allclose(t.anchor, w @ f, atol=1e-15)
         assert np.all(w > 0) and abs(w.sum() - 1.0) < 1e-12
+        assert np.all(t.anchor >= f.min(axis=0)) and np.all(t.anchor <= f.max(axis=0))
 
 
 class TestRelationAttention:
     def test_zero_kernel(self):
-        b = relation_attention([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0], [0.0] * 4)
-        np.testing.assert_allclose(b, [0.5, 0.5])
+        t = trace_of([[1.0, 2.0], [3.0, 4.0]], head([0.5, -0.5]))
+        np.testing.assert_allclose(t.beta, [0.5, 0.5])
 
     def test_known_value(self):
-        b = relation_attention([[1.0, 0.0]], [1.0, 0.0], [1.0, 0.0, 1.0, 0.0])
-        np.testing.assert_allclose(b, [SIG2], atol=1e-15)
+        # one frame [1, 0] is its own anchor: beta = sigmoid(1 + 1)
+        t = trace_of([[1.0, 0.0]], head([0.0, 0.0], q1=[1.0, 0.0, 1.0, 0.0]))
+        np.testing.assert_allclose(t.beta, [SIG2], atol=1e-15)
 
     def test_identical_frames_identical_weights(self):
         rng = np.random.default_rng(2)
-        row = rng.standard_normal(4)
-        f = np.tile(row, (3, 1))
-        q1 = rng.standard_normal(8)
-        b = relation_attention(f, row, q1)
-        assert b[0] == b[1] == b[2]
+        f = np.tile(rng.standard_normal(4), (3, 1))
+        t = trace_of(f, head(rng.standard_normal(4), q1=rng.standard_normal(8)))
+        assert t.beta[0] == t.beta[1] == t.beta[2]
+        assert t.final_weights[0] == t.final_weights[1] == t.final_weights[2]
 
 
 class TestAggregate:
     def test_uniform_weights(self):
-        out = aggregate([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5])
-        np.testing.assert_allclose(out, [0.5, 0.5, 0.5, 0.5])
+        t = trace_of([[1.0, 0.0], [0.0, 1.0]], head([0.0, 0.0]))
+        np.testing.assert_allclose(t.aggregate, [0.5, 0.5, 0.5, 0.5])
 
     def test_single_frame(self):
-        out = aggregate([[1.0, 2.0]], [7.0, 8.0], [0.3], [0.9])
-        np.testing.assert_allclose(out, [1.0, 2.0, 7.0, 8.0])
+        t = trace_of([[1.0, 2.0]], head([0.3, -0.2], q1=[0.1, 0.7, -0.4, 0.9]))
+        np.testing.assert_array_equal(t.aggregate, [1.0, 2.0, 1.0, 2.0])
 
     def test_hand_arithmetic(self):
-        # alpha*beta proportional to [3, 1]
-        out = aggregate([[4.0, 0.0], [0.0, 4.0]], [2.0, 2.0],
-                        [0.75, 0.25], [0.8, 0.8])
-        np.testing.assert_allclose(out, [3.0, 1.0, 2.0, 2.0])
+        # alpha = [0.75, 0.25] and beta = 0.5, so alpha*beta is proportional
+        # to [3, 1]; the anchor uses the same proportions
+        t = trace_of([[4.0, 0.0], [0.0, 4.0]], head([LN3 / 4, -LN3 / 4]))
+        np.testing.assert_allclose(t.aggregate, [3.0, 1.0, 3.0, 1.0])
 
     def test_anchor_half_exact(self):
         rng = np.random.default_rng(4)
         f = rng.standard_normal((6, 5))
-        anchor = rng.standard_normal(5)
-        alpha = rng.uniform(0.1, 0.9, 6)
-        beta = rng.uniform(0.1, 0.9, 6)
-        out = aggregate(f, anchor, alpha, beta)
-        np.testing.assert_array_equal(out[5:], anchor)
-
-    def test_nonpositive_weight_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate([[1.0, 0.0]], [1.0, 0.0], [0.0], [0.5])
+        t = trace_of(f, head(rng.standard_normal(5), q1=rng.standard_normal(10)))
+        np.testing.assert_array_equal(t.aggregate[5:], t.anchor)
 
 
 class TestForward:
@@ -321,14 +326,13 @@ class TestBatchKernel:
     def test_batch_equals_sum_of_single_calls(self, mode):
         stack, params, labels = self.batch(mode, 53)
         losses, logits, grads = forward_backward_batch(stack, params, labels)
-        total = FanGradients.zeros_like(params)
+        total = np.zeros_like(params.flat)
         for i in range(self.B):
             loss, lg, g = forward_backward(stack[i], params, labels[i])
             assert abs(loss - losses[i]) <= 1e-12
             np.testing.assert_allclose(lg, logits[i], rtol=0, atol=1e-12)
-            total.add(g)
-        np.testing.assert_allclose(grads.flatten(), total.flatten(),
-                                   rtol=0, atol=1e-12)
+            total += g.flat
+        np.testing.assert_allclose(grads.flatten(), total, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("mode,low,high", [
         (Mode.FULL, 40.0, 300.0),
@@ -409,10 +413,74 @@ class TestParams:
             FanParams(np.ones(4), np.ones(8), np.ones((3, 4)), np.ones(3), Mode.FULL)
 
     def test_gradients_zeros_and_accumulate(self):
+        # gradients are a FanParams in the parameters' layout, summed and
+        # scaled through their flat vectors
         p = init_params(3, 2, Mode.FULL, seed=0)
-        g = FanGradients.zeros_like(p)
+        g = FanParams.from_flat(np.zeros_like(p.flat), 3, 2, Mode.FULL)
         assert np.all(g.flatten() == 0.0)
         _, g1 = backward(np.ones((2, 3)), p, 0)
-        g.add(g1)
-        g.scale(0.5)
+        assert isinstance(g1, FanParams) and g1.blocks == p.blocks
+        g.flat += g1.flat
+        g.flat *= 0.5
         np.testing.assert_allclose(g.flatten(), 0.5 * g1.flatten())
+        np.testing.assert_array_equal(g.class_w, 0.5 * g1.class_w)
+
+    @pytest.mark.parametrize("mode", [Mode.FULL, Mode.SELF_ONLY])
+    def test_fields_are_views_of_flat(self, mode):
+        p = init_params(3, 2, mode, seed=1)
+        for name, sl, shape in p.blocks:
+            view = getattr(p, name)
+            assert view.shape == shape and np.shares_memory(view, p.flat)
+            np.testing.assert_array_equal(view.ravel(), p.flat[sl])
+        p.q1[1] = 7.0
+        assert p.flat[p.blocks[1].slice][1] == 7.0
+
+    def test_flatten_is_a_copy(self):
+        p = init_params(3, 2, Mode.FULL, seed=1)
+        before = p.flatten()
+        assert not np.shares_memory(before, p.flat)
+        p.q0[:] = 9.0
+        assert np.all(before[:3] != 9.0)
+        np.testing.assert_array_equal(p.flatten()[:3], 9.0)
+
+    def test_field_assignment_writes_through(self):
+        p = init_params(3, 2, Mode.FULL, seed=1)
+        flat = p.flat
+        rolled = np.roll(p.class_w, 1, axis=0)
+        p.class_w = rolled
+        assert p.flat is flat and np.shares_memory(p.class_w, flat)
+        np.testing.assert_array_equal(p.class_w, rolled)
+        p.class_b -= 1.0
+        np.testing.assert_array_equal(flat[-2:], [-1.0, -1.0])
+        with pytest.raises(DimensionError):
+            p.class_w = np.ones((2, 3))
+        np.testing.assert_array_equal(p.class_w, rolled)
+
+    def test_copy_is_independent(self):
+        p = init_params(3, 2, Mode.SELF_ONLY, seed=1)
+        q = p.copy()
+        q.q0[:] = 0.0
+        assert not np.shares_memory(p.flat, q.flat) and np.all(p.q0 != 0.0)
+        assert q.blocks == p.blocks and q.mode is p.mode
+
+    def test_layout_order_and_sizes(self):
+        d, c = 3, 2
+        for mode, in_dim in ((Mode.FULL, 2 * d), (Mode.SELF_ONLY, d)):
+            blocks = layout(d, c, mode)
+            assert [b.name for b in blocks] == ["q0", "q1", "class_w", "class_b"]
+            assert [b.shape for b in blocks] == [(d,), (2 * d,), (c, in_dim), (c,)]
+            assert blocks[0].slice.start == 0
+            assert all(a.slice.stop == b.slice.start for a, b in zip(blocks, blocks[1:]))
+            assert locate(blocks, 0) == ("q0", 0)
+            assert locate(blocks, d + 2 * d + 1) == ("class_w", 1)
+            assert locate(blocks, blocks[-1].slice.stop - 1) == ("class_b", c - 1)
+        with pytest.raises(DimensionError):
+            layout(0, 2, Mode.FULL)
+
+    def test_from_flat_rejects_wrong_length_and_nonfinite(self):
+        flat = init_params(3, 2, Mode.FULL, seed=1).flatten()
+        with pytest.raises(DimensionError):
+            FanParams.from_flat(flat[:-1], 3, 2, Mode.FULL)
+        flat[4] = np.nan
+        with pytest.raises(DataError):
+            FanParams.from_flat(flat, 3, 2, Mode.FULL)

@@ -5,8 +5,8 @@ import pytest
 
 from frameattn.errors import DataError, DimensionError, NumericError
 from frameattn.numerics import (
-    concat,
-    dot,
+    as_matrix,
+    as_vector,
     finite_diff_gradient,
     relative_error,
     sigmoid,
@@ -47,42 +47,6 @@ class TestSigmoid:
         assert isinstance(sigmoid(1.2), float)
         out = sigmoid(np.array([0.0, 1.0]))
         assert out.shape == (2,)
-
-
-class TestDot:
-    def test_orthogonal(self):
-        assert dot([1, 0], [0, 1]) == 0.0
-
-    def test_hand_arithmetic(self):
-        assert dot([1, 2], [3, 4]) == 11.0
-
-    def test_squared_norm(self):
-        assert dot([3, 4], [3, 4]) == 25.0
-
-    def test_symmetric_bit_exact(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            n = int(rng.integers(1, 40))
-            a = rng.standard_normal(n)
-            b = rng.standard_normal(n)
-            assert dot(a, b) == dot(b, a)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            dot([1, 2], [1, 2, 3])
-
-
-class TestConcat:
-    def test_basic(self):
-        assert concat([1], [2]).tolist() == [1, 2]
-
-    def test_order(self):
-        assert concat([1, 0], [0.5, 0.5]).tolist() == [1, 0, 0.5, 0.5]
-
-    def test_zero_length_rejected(self):
-        # zero-length vectors are rejected at construction
-        with pytest.raises(DimensionError):
-            concat([], [2, 3])
 
 
 class TestSoftmaxCrossEntropy:
@@ -149,7 +113,23 @@ class TestFiniteDiff:
 class TestValidation:
     def test_nonfinite_vector_rejected(self):
         with pytest.raises(DataError):
-            dot([1.0, float("nan")], [1.0, 2.0])
+            as_vector([1.0, float("nan")])
+        with pytest.raises(DataError):
+            as_matrix([[1.0], [float("inf")]])
+
+    def test_zero_length_rejected(self):
+        # zero-length vectors and matrices without rows or columns
+        with pytest.raises(DimensionError):
+            as_vector([])
+        for shape in ((0, 3), (3, 0)):
+            with pytest.raises(DimensionError):
+                as_matrix(np.ones(shape))
+
+    def test_wrong_rank_rejected(self):
+        with pytest.raises(DimensionError):
+            as_vector([[1.0]])
+        with pytest.raises(DimensionError):
+            as_matrix([1.0, 2.0])
 
     def test_relative_error_metric(self):
         assert relative_error([1.0], [1.0]) == 0.0

@@ -4,10 +4,9 @@ import pytest
 import frameattn.training as training
 from frameattn.data import Dataset, SynthConfig, VideoInstance, synth_generate
 from frameattn.errors import ConfigError, DataError, FormatError, NumericError, SchemaError
-from frameattn.model import FanGradients, Mode, backward, forward_backward, init_params
+from frameattn.model import FanParams, Mode, backward, forward_backward, init_params
 from frameattn.sampling import stream, training_draw
 from frameattn.training import (
-    OptState,
     TrainConfig,
     afew_config,
     ckplus_config,
@@ -67,49 +66,81 @@ class TestSchedules:
             TrainConfig(batch_size=0).validate()
 
 
+def step(p, grads, velocity, lr, momentum, weight_decay):
+    """sgd_step on a FanParams and its gradient vector."""
+    sgd_step(p.flat, grads, velocity, lr, momentum, weight_decay, p.blocks)
+
+
 class TestSgdStep:
     def test_plain_gradient_descent(self):
         p = init_params(3, 2, Mode.FULL, seed=0)
         before = p.flatten()
-        g = FanGradients(np.ones(3), np.ones(6), np.ones((2, 6)), np.ones(2))
-        sgd_step(p, g, OptState.zeros(p), lr=0.1, momentum=0.0, weight_decay=0.0)
+        g = FanParams(np.ones(3), np.ones(6), np.ones((2, 6)), np.ones(2), Mode.FULL)
+        step(p, g.flat, np.zeros_like(p.flat), lr=0.1, momentum=0.0, weight_decay=0.0)
         np.testing.assert_allclose(p.flatten(), before - 0.1)
 
     def test_zero_gradient_is_noop(self):
         p = init_params(3, 2, Mode.FULL, seed=0)
         before = p.flatten()
-        sgd_step(p, FanGradients.zeros_like(p), OptState.zeros(p),
-                 lr=0.5, momentum=0.9, weight_decay=0.0)
+        step(p, np.zeros_like(p.flat), np.zeros_like(p.flat),
+             lr=0.5, momentum=0.9, weight_decay=0.0)
         np.testing.assert_array_equal(p.flatten(), before)
 
     def test_momentum_walk_through(self):
         # param=1, grad=1, momentum=0.9, lr=0.1: v=1 -> 0.9; v=1.9 -> 0.71
         p = init_params(1, 1, Mode.FULL, seed=0)
         p.q0[:] = 1.0
-        g = FanGradients.zeros_like(p)
-        g.q0[:] = 1.0
-        st = OptState.zeros(p)
-        sgd_step(p, g, st, lr=0.1, momentum=0.9, weight_decay=0.0)
+        g = np.zeros_like(p.flat)
+        g[p.blocks[0].slice] = 1.0
+        velocity = np.zeros_like(p.flat)
+        step(p, g, velocity, lr=0.1, momentum=0.9, weight_decay=0.0)
         assert p.q0[0] == pytest.approx(0.9, abs=1e-15)
-        sgd_step(p, g, st, lr=0.1, momentum=0.9, weight_decay=0.0)
+        step(p, g, velocity, lr=0.1, momentum=0.9, weight_decay=0.0)
         assert p.q0[0] == pytest.approx(0.71, abs=1e-15)
 
     def test_weight_decay_skips_bias(self):
         p = init_params(2, 2, Mode.FULL, seed=1)
         p.class_b[:] = 5.0
         w_before = p.class_w.copy()
-        sgd_step(p, FanGradients.zeros_like(p), OptState.zeros(p),
-                 lr=0.1, momentum=0.0, weight_decay=0.5)
+        step(p, np.zeros_like(p.flat), np.zeros_like(p.flat),
+             lr=0.1, momentum=0.0, weight_decay=0.5)
         np.testing.assert_array_equal(p.class_b, [5.0, 5.0])  # bias undecayed
         assert np.all(p.class_w != w_before)
 
+    def test_matches_per_block_update_bit_for_bit(self):
+        # the flat step is the per-block form: g = grad + decay * p (grad +
+        # 0.0 for the bias, which turns a -0.0 gradient into +0.0),
+        # v = momentum * v + g, p -= lr * v
+        rng = np.random.default_rng(3)
+        p = init_params(3, 2, Mode.FULL, seed=2)
+        p.class_b = [0.0, -0.0]
+        grads = rng.standard_normal(p.flat.size)
+        grads[-2:] = -0.0
+        velocity = rng.standard_normal(p.flat.size)
+        expect_p, expect_v = p.flatten(), velocity.copy()
+        for i, (_, sl, _) in enumerate(p.blocks):
+            decay = 0.01 * expect_p[sl] if i < 3 else 0.0
+            expect_v[sl] = 0.9 * expect_v[sl] + (grads[sl] + decay)
+            expect_p[sl] -= 0.1 * expect_v[sl]
+        step(p, grads, velocity, lr=0.1, momentum=0.9, weight_decay=0.01)
+        assert p.flat.tobytes() == expect_p.tobytes()
+        assert velocity.tobytes() == expect_v.tobytes()
+
     def test_nonfinite_update_raises(self):
         p = init_params(2, 2, Mode.FULL, seed=1)
-        g = FanGradients.zeros_like(p)
-        g.q0[:] = 1.0
-        with np.errstate(over="ignore"), pytest.raises(NumericError):
-            sgd_step(p, g, OptState.zeros(p), lr=1e308, momentum=0.0,
-                     weight_decay=1e308)
+        g = np.zeros_like(p.flat)
+        g[p.blocks[0].slice] = 1.0
+        with np.errstate(over="ignore"), pytest.raises(NumericError,
+                                                       match="parameter 'q0'"):
+            step(p, g, np.zeros_like(p.flat), lr=1e308, momentum=0.0,
+                 weight_decay=1e308)
+
+    def test_nonfinite_update_names_the_block(self):
+        p = init_params(2, 2, Mode.FULL, seed=1)
+        g = np.zeros_like(p.flat)
+        g[p.blocks[2].slice.start + 1] = np.inf
+        with pytest.raises(NumericError, match="parameter 'class_w'"):
+            step(p, g, np.zeros_like(p.flat), lr=0.1, momentum=0.0, weight_decay=0.0)
 
 
 class TestTrainLoop:
@@ -129,12 +160,12 @@ class TestTrainLoop:
         params, _ = train(ds, cfg, train_indices=[0])
         # replay the single expected update by hand
         expect = init_params(ds.dim, ds.num_classes, cfg.mode, seed=cfg.seed)
-        state = OptState.zeros(expect)
         inst = ds.instances[0]
         _, picks = training_draw(cfg.seed, 0, [inst.features.shape[0]], cfg.k)
         frames = picks[0]
         _, _, grads = forward_backward(inst.features[frames], expect, inst.label)
-        sgd_step(expect, grads, state, 0.1, cfg.momentum, cfg.weight_decay)
+        step(expect, grads.flat, np.zeros_like(expect.flat), 0.1, cfg.momentum,
+             cfg.weight_decay)
         np.testing.assert_array_equal(params.flatten(), expect.flatten())
 
     def test_steps_per_epoch_is_ceil(self, monkeypatch):
@@ -219,16 +250,14 @@ class TestTrainLoop:
 
         expect = init_params(ds.dim, ds.num_classes, cfg.mode, seed=cfg.seed)
         for epoch in range(3):
-            total = FanGradients.zeros_like(expect)
+            total = np.zeros_like(expect.flat)
             order = stream(cfg.seed, epoch).permutation(n_inst)
             for idx in order:
                 inst = ds.instances[idx]
                 _, g = backward(inst.features, expect, inst.label)
-                total.add(g)
-            total.scale(1.0 / n_inst)
-            for name in ("q0", "q1", "class_w", "class_b"):
-                arr = getattr(expect, name)
-                arr -= 0.05 * getattr(total, name)
+                total += g.flat
+            total *= 1.0 / n_inst
+            expect.flat -= 0.05 * total
         # the trainer sums the batch inside one kernel call, so only the
         # order of float additions differs
         np.testing.assert_allclose(params.flatten(), expect.flatten(),
@@ -242,13 +271,14 @@ class TestTrainLoop:
         params = init_params(ds.dim, ds.num_classes, Mode.SELF_ONLY, seed=0)
         losses = []
         for _ in range(40):
-            total = FanGradients.zeros_like(params)
+            total = FanParams.from_flat(np.zeros_like(params.flat), ds.dim,
+                                        ds.num_classes, Mode.SELF_ONLY)
             loss_sum = 0.0
             for inst in ds.instances:
                 loss, g = backward(inst.features, params, inst.label)
                 loss_sum += loss
-                total.add(g)
-            total.scale(1.0 / len(ds.instances))
+                total.flat += g.flat
+            total.flat *= 1.0 / len(ds.instances)
             losses.append(loss_sum / len(ds.instances))
             params.class_w -= 0.2 * total.class_w
             params.class_b -= 0.2 * total.class_b  # q0, q1 frozen
