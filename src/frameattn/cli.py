@@ -19,8 +19,8 @@ from . import __version__
 from .data import (SynthConfig, atomic_open, build_folds, load_feature_file,
                    synth_generate, write_feature_file)
 from .errors import ConfigError, FrameAttnError, NumericError
-from .evaluation import cross_validate, evaluate, export_attention
-from .model import Mode, forward, gradient_pair, init_params, locate, predict
+from .evaluation import cross_validate, evaluate, export_attention, predict_videos
+from .model import Mode, gradient_pair, init_params, locate
 from .numerics import relative_errors
 from .training import (
     TrainConfig,
@@ -119,10 +119,10 @@ def cmd_eval(args) -> int:
                       k=args.k, seed=args.seed)
     result = {"mode": params.mode.value, **report.to_dict()}
     if args.per_instance:
+        _, preds = predict_videos(params, dataset)
         result["instances"] = [
-            {"video_id": inst.video_id, "label": inst.label,
-             "prediction": predict(forward(inst.features, params)[0])}
-            for inst in dataset.instances
+            {"video_id": inst.video_id, "label": inst.label, "prediction": pred}
+            for inst, pred in zip(dataset.instances, preds.tolist())
         ]
     _emit(result)
     return EXIT_OK

@@ -69,6 +69,14 @@ class PackedFrames:
     offsets: np.ndarray  # (N + 1,) int64, offsets[0] = 0
     labels: np.ndarray   # (N,) int64
 
+    def select(self, indices=None) -> np.ndarray:
+        """Video indices as an int64 array: every video by default;
+        negative ones count from the end, as list indexing does, and out of
+        range ones raise IndexError."""
+        everything = np.arange(len(self.labels))
+        return everything if indices is None else everything[
+            np.asarray(indices, dtype=np.int64)]
+
 
 @dataclass
 class Dataset:

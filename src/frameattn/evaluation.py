@@ -1,6 +1,11 @@
 """Accuracy evaluation, cross-validation, the score-fusion baseline, and
 attention-weight export.
 
+evaluate and export_attention score a dataset's videos in one pass through
+the head (model.score): chunks of whole videos read from the packed frames,
+each chunk's working set near model.SCORE_CHUNK_BYTES, so their memory does
+not grow with the dataset.
+
 The baseline trains an affine per-frame classifier with the same optimizer
 settings as the attention model and fuses a video's decision by summing its
 per-frame scores. Summation is over raw logits by default; pass
@@ -10,10 +15,10 @@ fusion="probs" to sum softmax probabilities instead (the argmax can differ).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -71,28 +76,40 @@ def _check_compat(params: FanParams, dataset: Dataset) -> None:
             f"{dataset.num_classes}")
 
 
-def evaluate(params: FanParams, dataset: Dataset, frame_mode: str = "all",
-             k: int = 3, seed: int = 0,
-             indices: list[int] | None = None) -> EvalReport:
-    """Classify each instance and tally a confusion matrix.
+def predict_videos(params: FanParams, dataset: Dataset, frame_mode: str = "all",
+                   k: int = 3, seed: int = 0,
+                   indices: list[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The dataset indices of the selected videos (negative ones counted
+    from the end) and their predicted classes, from one scoring pass
+    (model.score).
 
     frame_mode "all" uses every frame (deterministic); "sampled" draws k
-    frames per video with the segment sampler, seeded per instance.
+    frames per video with the segment sampler, from one (seed, index)
+    stream per video.
     """
     if frame_mode not in ("all", "sampled"):
         raise ConfigError(f"unknown frame_mode '{frame_mode}'")
-    labels = dataset.packed().labels
+    packed = dataset.packed()
     _check_compat(params, dataset)
-    if indices is None:
-        indices = list(range(len(dataset.instances)))
+    indices = packed.select(indices)
+    picks = None
+    if frame_mode == "sampled":
+        lengths = np.diff(packed.offsets)[indices].tolist()
+        picks = np.array([sampling.sample_training(n, k, sampling.stream(seed, i))
+                          for n, i in zip(lengths, indices.tolist())],
+                         dtype=np.int64).reshape(len(indices), k)
+    preds = [np.argmax(s.logits, axis=1)
+             for s in model.score(params, packed, indices, picks)]
+    return indices, np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
+
+
+def evaluate(params: FanParams, dataset: Dataset, frame_mode: str = "all",
+             k: int = 3, seed: int = 0,
+             indices: list[int] | None = None) -> EvalReport:
+    """Classify each instance (predict_videos) and tally a confusion matrix."""
+    indices, preds = predict_videos(params, dataset, frame_mode, k, seed, indices)
     confusion = np.zeros((dataset.num_classes, dataset.num_classes), dtype=np.int64)
-    for idx in indices:
-        frames = dataset.instances[idx].features
-        if frame_mode == "sampled":
-            frames = frames[sampling.sample_training(len(frames), k,
-                                                     sampling.stream(seed, idx))]
-        logits, _ = model.forward(frames, params)
-        confusion[labels[idx], model.predict(logits)] += 1
+    np.add.at(confusion, (dataset.packed().labels[indices], preds), 1)
     return _report_from_confusion(confusion)
 
 
@@ -187,11 +204,28 @@ def score_fusion_baseline(
     for idx in test_indices:
         frame_logits = dataset.instances[idx].features @ w.T + b
         if fusion == "probs":
-            scores = np.array([softmax(row) for row in frame_logits]).sum(axis=0)
+            scores = softmax(frame_logits).sum(axis=0)
         else:
             scores = frame_logits.sum(axis=0)
         confusion[labels[idx], int(np.argmax(scores))] += 1
     return _report_from_confusion(confusion)
+
+
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes it as one field of a row of several."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-3]
+
+
+# The export's JSON, as json.dump(summary, indent=2) lays it out; the
+# numbers go in as repr, which is how json writes ints and finite floats.
+_JSON_HEAD = '{\n  "mode": %s,\n  "count": %d,\n  "accuracy": %r,\n  "videos": ['
+_JSON_VIDEO = ('    {\n      "video_id": %s,\n      "label": %d,\n      "prediction": %d,\n'
+               '      "frame_indices": [\n        %s\n      ],\n'
+               '      "alpha": [\n        %s\n      ],\n'
+               '      "final_weights": [\n        %s\n      ]\n    }')
+_JSON_ITEM = ",\n        "
 
 
 def export_attention(params: FanParams, dataset: Dataset, path: str,
@@ -204,46 +238,44 @@ def export_attention(params: FanParams, dataset: Dataset, path: str,
     appended unless present, and a JSON summary next to it with the
     per-video sequences and overall accuracy. No rendering happens here;
     the output is plot-ready data.
+
+    The videos are scored in one pass (model.score), which keeps each
+    frame's alpha and final weight (16 bytes a frame); both files are then
+    written together, video by video. Their bytes are those of csv.writer
+    and json.dump(summary, indent=2) on the same numbers. The numbers can
+    differ from per-video model.forward in the last digits, from the order
+    of the sums.
     """
-    labels = dataset.packed().labels
+    packed = dataset.packed()
     _check_compat(params, dataset)
-    if indices is None:
-        indices = list(range(len(dataset.instances)))
     csv_path = path if path.endswith(".csv") else path + ".csv"
     json_path = os.path.splitext(csv_path)[0] + ".json"
 
-    videos = []
-    correct = 0
-    with atomic_open(csv_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["video_id", "frame_index", "alpha", "final_weight",
-                         "label", "prediction"])
-        for idx in indices:
-            inst = dataset.instances[idx]
-            label = int(labels[idx])
-            logits, trace = model.forward(inst.features, params)
-            pred = model.predict(logits)
-            correct += pred == label
-            frame_ids = sampling.frames_for_eval(len(inst.features))
-            alpha = trace.alpha.tolist()
-            final = trace.final_weights.tolist()
-            writer.writerows(zip(repeat(inst.video_id), frame_ids, map(repr, alpha),
-                                 map(repr, final), repeat(label), repeat(pred)))
-            videos.append({
-                "video_id": inst.video_id,
-                "label": label,
-                "prediction": pred,
-                "frame_indices": frame_ids,
-                "alpha": alpha,
-                "final_weights": final,
-            })
-    summary = {
-        "mode": params.mode.value,
-        "count": len(indices),
-        "accuracy": correct / len(indices) if indices else 0.0,
-        "videos": videos,
-    }
-    with atomic_open(json_path, "w") as f:
-        json.dump(summary, f, indent=2)
-        f.write("\n")
+    chunks = [(s.indices, s.offsets, np.argmax(s.logits, axis=1),
+               s.alpha, s.final_weights)
+              for s in model.score(params, packed, indices)]
+    count = sum(len(chunk[0]) for chunk in chunks)
+    correct = sum(int(np.sum(preds == packed.labels[idx])) for idx, _, preds, _, _ in chunks)
+    with atomic_open(csv_path, "w", newline="") as fc, atomic_open(json_path, "w") as fj:
+        fc.write("video_id,frame_index,alpha,final_weight,label,prediction\r\n")
+        fj.write(_JSON_HEAD % (json.dumps(params.mode.value), count,
+                               correct / count if count else 0.0))
+        sep = "\n"
+        for idx, offsets, preds, alpha, final in chunks:
+            alpha, final, bounds = alpha.tolist(), final.tolist(), offsets.tolist()
+            for j, (i, pred) in enumerate(zip(idx.tolist(), preds.tolist())):
+                video_id = dataset.instances[i].video_id
+                label = int(packed.labels[i])
+                frame_ids = sampling.frames_for_eval(bounds[j + 1] - bounds[j])
+                a = list(map(repr, alpha[bounds[j]:bounds[j + 1]]))
+                w = list(map(repr, final[bounds[j]:bounds[j + 1]]))
+                head, tail = _csv_field(video_id), f",{label},{pred}\r\n"
+                fc.write("".join([f"{head},{n},{x},{y}{tail}"
+                                  for n, x, y in zip(frame_ids, a, w)]))
+                fj.write(sep + _JSON_VIDEO % (
+                    json.dumps(video_id), label, pred,
+                    _JSON_ITEM.join(map(str, frame_ids)),
+                    _JSON_ITEM.join(a), _JSON_ITEM.join(w)))
+                sep = ",\n"
+        fj.write("\n  ]\n}\n" if count else "]\n}\n")
     return csv_path, json_path

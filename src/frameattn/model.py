@@ -29,10 +29,24 @@ g_s_i = [w_i/W (f_i - u).g_u + alpha_i/A (f_i - a).(dL/da)] (1 - alpha_i):
 only normalized weights appear, so saturated sigmoids, whose alpha and beta
 can be tiny, never make a cotangent divide by a tiny sum.
 
-One kernel computes all of this for a (B, K, D) stack of B instances with K
-frames each, and sums the gradients over B. Training steps whole minibatches
-through it; forward, backward and forward_backward on one video's n x D
-matrix are its B=1, K=n case, so ragged videos need no padding.
+One kernel computes all of this for packed frame rows: video i is rows
+offsets[i]:offsets[i+1] of one (R, D) matrix. The forward formulas are
+written once, over four per-video operations (sum, max, spread back to the
+frames, weighted mean of the rows), which two kinds of segments supply:
+
+  * equal lengths, B videos of K frames: per-frame values are (B, K) arrays
+    reduced along axis 1, the means are one batched matmul. Training's
+    minibatches and forward, backward and forward_backward on one video
+    (B=1, K=n) take this path, and it alone computes gradients, summed
+    over B.
+  * unequal lengths: per-frame values stay (R,) vectors reduced per video
+    by 1-D np.add.reduceat / np.maximum.reduceat, and each mean is one
+    w[a:b] @ rows[a:b] per video. Scoring whole videos takes this path
+    (score); its values match per-video forward up to reassociation.
+
+score runs the head over the videos of a packed dataset in chunks of whole
+videos whose working set is about SCORE_CHUNK_BYTES, so its memory does not
+grow with the dataset.
 """
 
 from __future__ import annotations
@@ -44,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, NumericError
+from .errors import DataError, DimensionError, NumericError
 from .numerics import (
     as_array,
     as_matrix,
@@ -210,37 +224,99 @@ def init_params(dim: int, num_classes: int, mode: Mode = Mode.FULL,
     return params
 
 
-def _kernel(f: np.ndarray, params: FanParams, labels=None):
-    """The head on a validated (B, K, D) stack: B instances of K frames each.
+class _Even:
+    """B videos of K frames each, the (B, K, D) stack f: per-frame values
+    are (B, K) arrays."""
 
-    Returns the (B, C) logits and the attention trace with a leading B axis
-    on every field. Given one label per instance it also returns the (B,)
-    cross-entropy losses and the parameter gradients summed over B;
+    def __init__(self, f: np.ndarray):
+        self.f = f
+        self.b, self.k = f.shape[:2]
+
+    def frames(self, x):
+        return x.reshape(self.b, self.k)
+
+    def sum(self, x):
+        return x.sum(axis=1)
+
+    def max(self, x):
+        return x.max(axis=1)
+
+    def spread(self, v):
+        return v[:, None]
+
+    def mean(self, w, rows):
+        return np.matmul(w[:, None, :], self.f)[:, 0, :]
+
+
+class _Ragged:
+    """Videos of unequal lengths: per-frame values are (R,) vectors in row
+    order, reduced per video along their one axis."""
+
+    def __init__(self, offsets: np.ndarray):
+        self.starts = offsets[:-1]
+        self.lengths = np.diff(offsets)
+        self.bounds = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+
+    def frames(self, x):
+        return x
+
+    def sum(self, x):
+        return np.add.reduceat(x, self.starts)
+
+    def max(self, x):
+        return np.maximum.reduceat(x, self.starts)
+
+    def spread(self, v):
+        return np.repeat(v, self.lengths)
+
+    def mean(self, w, rows):
+        out = np.empty((len(self.bounds), rows.shape[1]))
+        for i, (a, b) in enumerate(self.bounds):
+            out[i] = w[a:b] @ rows[a:b]
+        return out
+
+
+def _segments(rows: np.ndarray, offsets: np.ndarray):
+    """The videos rows[offsets[i]:offsets[i+1]]: _Even when they all have
+    the same length, else _Ragged."""
+    lengths = np.diff(offsets)
+    if lengths.min() == lengths.max():
+        return _Even(rows.reshape(len(lengths), int(lengths[0]), rows.shape[1]))
+    return _Ragged(offsets)
+
+
+def _kernel(rows: np.ndarray, seg, params: FanParams, labels=None):
+    """The head on validated (R, D) frame rows cut into videos by `seg`
+    (an _Even or a _Ragged).
+
+    Returns the (B, C) logits and the attention trace: per-frame fields are
+    (B, K) for _Even and (R,) for _Ragged, per-video fields (B, D) or
+    (B, 2D). Given one label per instance (_Even only) it also returns the
+    (B,) cross-entropy losses and the parameter gradients summed over B;
     otherwise those two are None. A non-finite value raises NumericError
-    whose row is the batch position of the first bad instance.
+    whose row is the position of the first bad instance.
     """
-    b, k, d = f.shape
-    rows = f.reshape(b * k, d)
+    d = rows.shape[1]
 
     # weights are normalized before averaging so that a single frame passes
     # through exactly (its weight is 1.0 bit-for-bit)
-    alpha = sigmoid(rows @ params.q0).reshape(b, k)
-    alpha_n = alpha / alpha.sum(axis=1, keepdims=True)
-    anchor = np.matmul(alpha_n[:, None, :], f)[:, 0, :]
+    alpha = seg.frames(sigmoid(rows @ params.q0))
+    alpha_n = alpha / seg.spread(seg.sum(alpha))
+    anchor = seg.mean(alpha_n, rows)
 
     if params.mode is Mode.FULL:
-        beta = sigmoid((rows @ params.q1[:d]).reshape(b, k)
-                       + (anchor @ params.q1[d:])[:, None])
+        beta = sigmoid(seg.frames(rows @ params.q1[:d])
+                       + seg.spread(anchor @ params.q1[d:]))
         # w_i = alpha_i beta_i scaled by the power of two that brings the
-        # row's largest to [1/4, 1): the exponents are added apart from the
-        # mantissas, so when every product underflows the weights are still
-        # exact, and otherwise final is bit-for-bit w / sum(w)
+        # video's largest to [1/4, 1): the exponents are added apart from
+        # the mantissas, so when every product underflows the weights are
+        # still exact, and otherwise final is bit-for-bit w / sum(w)
         ma, ea = np.frexp(alpha)
         mb, eb = np.frexp(beta)
         e = ea + eb
-        w = np.ldexp(ma * mb, e - e.max(axis=1, keepdims=True))
-        final = w / w.sum(axis=1, keepdims=True)
-        top = np.matmul(final[:, None, :], f)[:, 0, :]
+        w = np.ldexp(ma * mb, e - seg.spread(seg.max(e)))
+        final = w / seg.spread(seg.sum(w))
+        top = seg.mean(final, rows)
         agg = np.concatenate([top, anchor], axis=1)
     else:
         beta = np.ones_like(alpha)
@@ -256,6 +332,7 @@ def _kernel(f: np.ndarray, params: FanParams, labels=None):
     if labels is None:
         return logits, trace, None, None
 
+    f = seg.f
     losses, g_logits = softmax_cross_entropy(logits, labels)
     g_agg = g_logits @ params.class_w
     grads = FanParams._over(np.zeros_like(params.flat), params.blocks, params.mode)
@@ -287,6 +364,12 @@ def _kernel(f: np.ndarray, params: FanParams, labels=None):
     return logits, trace, losses, grads
 
 
+def _stack_kernel(f: np.ndarray, params: FanParams, labels=None):
+    """_kernel on a validated (B, K, D) stack of B videos of K frames."""
+    b, k, d = f.shape
+    return _kernel(f.reshape(b * k, d), _Even(f), params, labels)
+
+
 def _first_bad_row(f: np.ndarray, params: FanParams, labels) -> int | None:
     """Batch position of the first instance whose own gradients are not
     finite; None when each is finite and only their sum overflowed."""
@@ -294,7 +377,7 @@ def _first_bad_row(f: np.ndarray, params: FanParams, labels) -> int | None:
         return 0
     for r in range(len(f)):
         try:
-            _kernel(f[r:r + 1], params, labels[r:r + 1])
+            _stack_kernel(f[r:r + 1], params, labels[r:r + 1])
         except NumericError:
             return r
     return None
@@ -312,8 +395,107 @@ def _frames(x, ndim: int, params: FanParams) -> np.ndarray:
 
 def forward(features, params: FanParams) -> tuple[np.ndarray, AttentionTrace]:
     """Logits plus the attention trace for one video's feature matrix."""
-    logits, trace, _, _ = _kernel(_frames(features, 2, params)[None], params)
+    logits, trace, _, _ = _stack_kernel(_frames(features, 2, params)[None], params)
     return logits[0], AttentionTrace(**{k: v[0] for k, v in vars(trace).items()})
+
+
+# score holds one chunk of whole videos at a time, sized to keep its working
+# set within SCORE_CHUNK_BYTES: per frame, its D-wide row (a gathered copy,
+# or a slice that the kernel's passes read again from cache) and
+# _FRAME_TEMPS float64 temporaries of the kernel; per video, its D-wide
+# means (anchor, top half, aggregate). A video over the budget on its own
+# is a chunk of its own.
+SCORE_CHUNK_BYTES = 1 << 20
+_FRAME_TEMPS = 16
+
+
+class Scored(NamedTuple):
+    """One chunk of a scoring pass: the dataset indices of its n videos, the
+    (n + 1,) offsets of their frames in the per-frame fields, their (n, C)
+    logits, and each frame's alpha and final weight in row order."""
+
+    indices: np.ndarray
+    offsets: np.ndarray
+    logits: np.ndarray
+    alpha: np.ndarray
+    final_weights: np.ndarray
+
+
+def _chunks(costs: np.ndarray, budget: int):
+    """(lo, hi) position ranges of consecutive videos whose costs add up to
+    at most `budget`, or of one video whose cost alone is more."""
+    ends = np.cumsum(costs)
+    lo, done = 0, 0
+    while lo < len(costs):
+        hi = max(lo + 1, int(np.searchsorted(ends, done + budget, side="right")))
+        yield lo, hi
+        lo, done = hi, int(ends[hi - 1])
+
+
+def score(params: FanParams, packed, indices=None, picks=None):
+    """Run the head over whole videos of a data.PackedFrames, a chunk at a
+    time.
+
+    indices selects the videos, in order, as packed.select reads them
+    (repeats are scored again); by default every video. With picks, an
+    (len(indices), k) array, video j is scored on its frames picks[j] only.
+    Yields one Scored per chunk, the videos in the order of indices.
+
+    Consecutive indices are scored from slices of the packed frames; any
+    other selection is gathered a chunk at a time. Each chunk's rows are
+    checked: a non-finite value raises DataError. A non-finite logit raises
+    NumericError. Both name the dataset index of the first bad video.
+    """
+    frames, offsets = packed.frames, packed.offsets
+    indices = packed.select(indices)
+    d = frames.shape[1]
+    if d != params.feature_dim:
+        raise DimensionError(f"feature dim {d} != params dim {params.feature_dim}")
+    starts = offsets[indices]
+    if picks is None:
+        lengths = offsets[indices + 1] - starts
+        sliced = bool(np.all(np.diff(indices) == 1))
+    else:
+        lengths = np.full(len(indices), picks.shape[1])
+        sliced = False
+    costs = 8 * (_FRAME_TEMPS * lengths + d * (4 + lengths))
+    for lo, hi in _chunks(costs, SCORE_CHUNK_BYTES):
+        chunk = indices[lo:hi]
+        local = np.zeros(hi - lo + 1, dtype=np.int64)
+        np.cumsum(lengths[lo:hi], out=local[1:])
+        if sliced:
+            rows = frames[starts[lo]:starts[lo] + local[-1]]
+        elif picks is None:
+            rows = frames[np.repeat(starts[lo:hi] - local[:-1], lengths[lo:hi])
+                          + np.arange(local[-1])]
+        else:
+            rows = frames[(starts[lo:hi, None] + picks[lo:hi]).ravel()]
+        scored = _score_chunk(rows, chunk, local, params)
+        del rows  # so that the next chunk is gathered after this one is gone
+        yield scored
+
+
+def _score_chunk(rows: np.ndarray, chunk: np.ndarray, local: np.ndarray,
+                 params: FanParams) -> Scored:
+    """One chunk of score: the videos chunk, whose frames are rows cut at
+    the offsets local."""
+    # a non-finite value makes its row's sum non-finite; so can finite ones
+    # that overflow, and only then is each value looked at. The sums are a
+    # matrix-vector product, which reads the rows faster than a reduction.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = rows @ np.ones(rows.shape[1])
+    if not np.all(np.isfinite(sums)):
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            bad = np.searchsorted(local, np.argmin(finite), side="right") - 1
+            raise DataError(f"dataset index {chunk[bad]}: "
+                            "features contains non-finite entries")
+    try:
+        logits, trace, _, _ = _kernel(rows, _segments(rows, local), params)
+    except NumericError as e:
+        raise NumericError(f"dataset index {chunk[e.row]}: {e}") from e
+    return Scored(chunk, local, logits, trace.alpha.reshape(-1),
+                  trace.final_weights.reshape(-1))
 
 
 def predict(logits) -> int:
@@ -330,8 +512,8 @@ def backward(features, params: FanParams, label: int) -> tuple[float, FanParams]
 
 def forward_backward(features, params: FanParams, label: int):
     """Like backward but also returns the logits, for training-loop metrics."""
-    logits, _, losses, grads = _kernel(_frames(features, 2, params)[None],
-                                       params, np.array([label]))
+    logits, _, losses, grads = _stack_kernel(_frames(features, 2, params)[None],
+                                             params, np.array([label]))
     return float(losses[0]), logits[0], grads
 
 
@@ -343,8 +525,8 @@ def forward_backward_batch(stack, params: FanParams, labels):
     (B, C) logits and the parameter gradients summed over the batch; each
     instance's share equals forward_backward on its own K frames.
     """
-    logits, _, losses, grads = _kernel(_frames(stack, 3, params), params,
-                                       np.asarray(labels))
+    logits, _, losses, grads = _stack_kernel(_frames(stack, 3, params), params,
+                                             np.asarray(labels))
     return losses, logits, grads
 
 

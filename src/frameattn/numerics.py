@@ -63,11 +63,12 @@ def sigmoid(x):
 
 
 def softmax(logits) -> np.ndarray:
-    """Softmax with max-subtraction stabilization."""
-    z = as_vector(logits, "logits")
-    shifted = z - np.max(z)
+    """Softmax with max-subtraction stabilization, of a logit vector or of
+    each row of an (n, C) block."""
+    z = as_array(logits, 2 if np.ndim(logits) == 2 else 1, "logits")
+    shifted = z - np.max(z, axis=-1, keepdims=True)
     ez = np.exp(shifted)
-    return ez / np.sum(ez)
+    return ez / np.sum(ez, axis=-1, keepdims=True)
 
 
 def softmax_cross_entropy(logits, label):

@@ -23,6 +23,7 @@ row-major, class_b).
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -156,8 +157,7 @@ def minibatches(dataset: Dataset, indices, config: TrainConfig, epoch: int):
     frames is held at a time.
     """
     packed = dataset.packed()
-    # as list indexing would: negative indices count from the end
-    indices = np.arange(len(packed.labels))[indices]
+    indices = packed.select(indices)
     starts = packed.offsets[indices]
     order, picks = sampling.training_draw(
         config.seed, epoch, packed.offsets[indices + 1] - starts, config.k)
@@ -219,11 +219,7 @@ def train(
 
         val_acc = None
         if val_indices is not None:
-            val_correct = sum(
-                model.predict(model.forward(dataset.instances[i].features, params)[0])
-                == dataset.instances[i].label
-                for i in val_indices)
-            val_acc = val_correct / len(val_indices) if val_indices else 0.0
+            val_acc = _accuracy(dataset, params, val_indices, epoch)
         stats = EpochStats(
             epoch=epoch, lr=lr,
             loss=loss_sum / len(train_indices),
@@ -234,6 +230,19 @@ def train(
         if on_epoch is not None:
             on_epoch(stats)
     return params, history
+
+
+def _accuracy(dataset: Dataset, params: FanParams, indices, epoch: int) -> float:
+    """Share of the videos at `indices` that the head classifies right,
+    from one scoring pass (model.score); 0.0 for no videos."""
+    packed = dataset.packed()
+    correct = 0
+    try:
+        for s in model.score(params, packed, indices):
+            correct += int(np.sum(np.argmax(s.logits, axis=1) == packed.labels[s.indices]))
+    except NumericError as e:
+        raise NumericError(f"epoch {epoch}, validation, {e}") from e
+    return correct / len(indices) if len(indices) else 0.0
 
 
 def history_lines(history: TrainHistory) -> list[str]:
@@ -268,10 +277,14 @@ def load_checkpoint(path: str) -> FanParams:
         if tag not in _TAG_MODES:
             raise SchemaError(f"unknown mode tag {tag}")
         mode = _TAG_MODES[tag]
-        expect = model.layout(dim, num_classes, mode)[-1].slice.stop
-        raw = f.read()
-        if len(raw) != 8 * expect:
-            raise SchemaError(
-                f"checkpoint payload is {len(raw)} bytes, expected {8 * expect}")
+        expect = 8 * model.layout(dim, num_classes, mode)[-1].slice.stop
+        # compared before reading, so that nothing is read into memory for
+        # a file larger than its header implies
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        if size != expect:
+            raise SchemaError(f"checkpoint payload is {size} bytes, expected {expect}")
+        raw = f.read(expect)
+        if len(raw) != expect:
+            raise SchemaError(f"checkpoint payload is {len(raw)} bytes, expected {expect}")
     flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     return FanParams.from_flat(flat, dim, num_classes, mode)

@@ -4,6 +4,7 @@ These tests fail when a rename or removal in the library would otherwise
 turn a benchmark metric into a silent zero or a crashed workload."""
 
 import importlib.util
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -49,3 +50,28 @@ def test_every_fa_name_the_workloads_use_resolves():
         for part in dotted.split("."):
             assert hasattr(obj, part), f"fa.{dotted} does not resolve"
             obj = getattr(obj, part)
+
+
+# Argument positions that perfbench/tracing.py's work counters read from
+# positional calls. Untraced runs wrap evaluate and train too, so a
+# reordered signature would miscount their work without any error.
+COUNTER_POSITIONS = {
+    ("frameattn.evaluation", "evaluate"): {"dataset": 1, "frame_mode": 2, "k": 3,
+                                           "indices": 5},
+    ("frameattn.evaluation", "export_attention"): {"dataset": 1, "path": 2, "indices": 3},
+    ("frameattn.training", "train"): {"config": 1, "train_indices": 2},
+}
+
+
+def test_work_counters_read_the_arguments_they_name():
+    _, modules = bench_module("run").import_frameattn()
+    for (module, name), positions in COUNTER_POSITIONS.items():
+        params = list(inspect.signature(getattr(modules[module], name)).parameters)
+        assert {arg: params.index(arg) for arg in positions} == positions, name
+
+
+def test_traced_kernel_entry_points_stay_where_the_tracer_looks():
+    _, modules = bench_module("run").import_frameattn()
+    timed = {attr: owners for _, attr, owners, _, _ in bench_module("tracing").TIMED}
+    for attr in ("sample_training", "forward", "forward_backward"):
+        assert any(hasattr(modules.get(owner), attr) for owner in timed[attr]), attr

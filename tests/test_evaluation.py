@@ -1,18 +1,22 @@
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
+from frameattn import model
 from frameattn.data import Dataset, SynthConfig, VideoInstance, build_folds, synth_generate
-from frameattn.errors import ConfigError, DataError, DimensionError
+from frameattn.errors import ConfigError, DataError, DimensionError, NumericError
 from frameattn.evaluation import (
     cross_validate,
     evaluate,
     export_attention,
+    predict_videos,
     score_fusion_baseline,
 )
-from frameattn.model import FanParams, Mode, init_params
+from frameattn.model import FanParams, Mode, forward, init_params, predict
+from frameattn.sampling import sample_training, stream
 from frameattn.training import TrainConfig
 
 
@@ -289,3 +293,139 @@ class TestPackedEvaluate:
         with pytest.raises(DataError):
             export_attention(zero_params(3, 2), ds, path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
+
+
+def ragged_dataset(ids, d=4, c=3, seed=11):
+    """Videos of 1 to 12 frames with the given ids, labels cycling over c."""
+    rng = np.random.default_rng(seed)
+    instances = [VideoInstance(v, f"s{i}", i % c,
+                               rng.standard_normal((int(rng.integers(1, 13)), d)))
+                 for i, v in enumerate(ids)]
+    return Dataset(instances, d, c, [f"c{j}" for j in range(c)])
+
+
+def spread_params(d, c, mode, seed=3):
+    params = init_params(d, c, mode, seed=seed)
+    params.q0 *= 4.0
+    return params
+
+
+class TestScoringPass:
+    """evaluate, predict_videos and export_attention score through one
+    chunked pass; their results must be those of per-video forward."""
+
+    IDS = [f"v{i}" for i in range(9)]
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("indices", [None, [7, 1, 4], [-1, -9, 3], [2, 2, 8, 2]])
+    def test_predictions_match_per_video_forward(self, mode, indices, monkeypatch):
+        monkeypatch.setattr(model, "SCORE_CHUNK_BYTES", 2000)
+        ds = ragged_dataset(self.IDS)
+        params = spread_params(4, 3, mode)
+        got_idx, preds = predict_videos(params, ds, indices=indices)
+        want_idx = range(9) if indices is None else [i % 9 for i in indices]
+        assert got_idx.tolist() == list(want_idx)
+        assert preds.tolist() == [predict(forward(ds.instances[i].features, params)[0])
+                                  for i in want_idx]
+        confusion = np.zeros((3, 3), dtype=np.int64)
+        for i, pred in zip(got_idx, preds):
+            confusion[ds.instances[i].label, pred] += 1
+        np.testing.assert_array_equal(
+            evaluate(params, ds, indices=indices).confusion, confusion)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_sampled_mode_keeps_per_video_streams(self, mode, monkeypatch):
+        monkeypatch.setattr(model, "SCORE_CHUNK_BYTES", 2000)
+        ds = ragged_dataset(self.IDS)
+        params = spread_params(4, 3, mode)
+        indices = [8, 0, 3, 3, -2]
+        _, preds = predict_videos(params, ds, "sampled", k=3, seed=5, indices=indices)
+        want = []
+        for i in indices:
+            frames = ds.instances[i].features
+            picks = sample_training(len(frames), 3, stream(5, i % 9))
+            want.append(predict(forward(frames[picks], params)[0]))
+        assert preds.tolist() == want
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_exported_weights_match_per_video_forward(self, mode, tmp_path, monkeypatch):
+        monkeypatch.setattr(model, "SCORE_CHUNK_BYTES", 2000)
+        ds = ragged_dataset(self.IDS)
+        params = spread_params(4, 3, mode)
+        indices = [5, -1, 0, 0]
+        export_attention(params, ds, str(tmp_path / "w"), indices)
+        summary = json.loads((tmp_path / "w.json").read_text())
+        assert [v["video_id"] for v in summary["videos"]] == ["v5", "v8", "v0", "v0"]
+        for video, i in zip(summary["videos"], [5, 8, 0, 0]):
+            logits, trace = forward(ds.instances[i].features, params)
+            assert video["prediction"] == predict(logits)
+            np.testing.assert_allclose(video["alpha"], trace.alpha, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(video["final_weights"], trace.final_weights,
+                                       rtol=0, atol=1e-12)
+
+    def test_empty_index_list(self, tmp_path):
+        ds = ragged_dataset(self.IDS)
+        params = spread_params(4, 3, Mode.FULL)
+        idx, preds = predict_videos(params, ds, indices=[])
+        assert idx.tolist() == preds.tolist() == []
+        with pytest.raises(ConfigError):
+            evaluate(params, ds, indices=[])
+        export_attention(params, ds, str(tmp_path / "w.csv"), [])
+        assert (tmp_path / "w.csv").read_bytes() == \
+            b"video_id,frame_index,alpha,final_weight,label,prediction\r\n"
+        summary = {"mode": "full", "count": 0, "accuracy": 0.0, "videos": []}
+        assert (tmp_path / "w.json").read_text() == json.dumps(summary, indent=2) + "\n"
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_writers_are_byte_identical_to_csv_and_json_dump(self, mode, tmp_path):
+        # ids quoted by csv (comma, quote, CR, LF) and escaped by json
+        # (quote, control characters, non-ASCII), plus format specifiers
+        ids = ["a,b", 'say "hi"', "two\nlines", "cr\rx", "caf\u00e9 \u00fcber \u6f22",
+               "", " pad ", "{0}", "%d%%", "tab\tx", "back\\slash", "plain"]
+        ds = ragged_dataset(ids)
+        params = spread_params(4, 3, mode)
+        csv_path, json_path = export_attention(params, ds, str(tmp_path / "w.csv"),
+                                               [3, 0, 11, 1, 2, 4, 5, 6, 7, 8, 9, 10, 3])
+        raw = open(json_path, encoding="utf-8").read()
+        summary = json.loads(raw)
+        assert [v["video_id"] for v in summary["videos"]][:3] == [ids[3], ids[0], ids[11]]
+        out = io.StringIO()
+        json.dump(summary, out, indent=2)
+        out.write("\n")
+        assert raw == out.getvalue()
+
+        out = io.StringIO(newline="")
+        writer = csv.writer(out)
+        writer.writerow(["video_id", "frame_index", "alpha", "final_weight",
+                         "label", "prediction"])
+        for v in summary["videos"]:
+            writer.writerows(zip([v["video_id"]] * len(v["alpha"]), v["frame_indices"],
+                                 map(repr, v["alpha"]), map(repr, v["final_weights"]),
+                                 [v["label"]] * len(v["alpha"]),
+                                 [v["prediction"]] * len(v["alpha"])))
+        assert open(csv_path, newline="", encoding="utf-8").read() == out.getvalue()
+        assert summary["accuracy"] == sum(
+            v["label"] == v["prediction"] for v in summary["videos"]) / 13
+
+    def overflowing(self):
+        """Three videos and a head whose logits overflow on the second."""
+        ds = labeled_dataset([0, 1, 0], d=3, frames=4, seed=12)
+        ds.instances[1].features = np.full((4, 3), 1e308)
+        return ds, init_params(3, 2, Mode.FULL, seed=1)
+
+    def test_numeric_errors_name_the_dataset_index(self, tmp_path):
+        ds, params = self.overflowing()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for call in (lambda: evaluate(params, ds),
+                         lambda: evaluate(params, ds, "sampled", indices=[2, 1]),
+                         lambda: export_attention(params, ds, str(tmp_path / "w"))):
+                with pytest.raises(NumericError, match="dataset index 1: forward pass"):
+                    call()
+        assert not list(tmp_path.iterdir())
+
+    def test_non_finite_frames_name_the_dataset_index(self):
+        ds = labeled_dataset([0, 1, 0], d=3, frames=4, seed=12)
+        ds.validate()
+        ds.instances[2].features[3, 1] = np.nan
+        with pytest.raises(DataError, match="dataset index 2: "):
+            evaluate(zero_params(3, 2), ds)

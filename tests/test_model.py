@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from frameattn.errors import DataError, DimensionError
+from frameattn import model
+from frameattn.data import PackedFrames
+from frameattn.errors import DataError, DimensionError, NumericError
 from frameattn.numerics import finite_diff_gradient, relative_error
 from frameattn.model import (
     FanParams,
@@ -15,6 +19,7 @@ from frameattn.model import (
     layout,
     locate,
     predict,
+    score,
 )
 
 from scalar_oracle import forward_logits as oracle_logits
@@ -484,3 +489,114 @@ class TestParams:
         flat[4] = np.nan
         with pytest.raises(DataError):
             FanParams.from_flat(flat, 3, 2, Mode.FULL)
+
+
+def packed_videos(lengths, d, seed=0):
+    """Random frames of videos of the given lengths, packed."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    frames = np.random.default_rng(seed).standard_normal((offsets[-1], d))
+    return PackedFrames(frames, offsets, np.zeros(len(lengths), dtype=np.int64))
+
+
+class TestScore:
+    """The scoring pass: the segment kernel over chunks of whole videos."""
+
+    LENGTHS = [1, 5, 3, 1, 40, 2, 9, 1]
+    D = 4
+
+    def videos(self, params, packed, indices=None):
+        """Per scored video: (dataset index, logits, alpha, final weights)."""
+        out = []
+        for s in score(params, packed, indices):
+            for j, i in enumerate(s.indices.tolist()):
+                a, b = s.offsets[j], s.offsets[j + 1]
+                out.append((i, s.logits[j], s.alpha[a:b], s.final_weights[a:b]))
+        return out
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("indices", [None, [6, 0, 3, 2], [-1, -8, 4, -4],
+                                         [2, 2, 5, 2, 3, 3]])
+    @pytest.mark.parametrize("budget", [1000, model.SCORE_CHUNK_BYTES])
+    def test_matches_per_video_forward(self, mode, indices, budget, monkeypatch):
+        # a 1000-byte budget holds a few short videos per chunk at D=4, and
+        # the 40-frame video is over it on its own
+        monkeypatch.setattr(model, "SCORE_CHUNK_BYTES", budget)
+        packed = packed_videos(self.LENGTHS, self.D, seed=1)
+        frames, offsets = packed.frames, packed.offsets
+        params = random_params(self.D, 3, mode, seed=2)
+        params.q0 *= 4.0  # spread the weights
+        got = self.videos(params, packed, indices)
+        count = len(self.LENGTHS)
+        expect = range(count) if indices is None else [i % count for i in indices]
+        assert [i for i, *_ in got] == list(expect)
+        for i, logits, alpha, final in got:
+            want_logits, trace = forward(frames[offsets[i]:offsets[i + 1]], params)
+            np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(alpha, trace.alpha, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(final, trace.final_weights, rtol=0, atol=1e-12)
+            if len(final) == 1:
+                assert final[0] == 1.0
+
+    def test_chunks_hold_whole_videos_within_the_budget(self, monkeypatch):
+        monkeypatch.setattr(model, "SCORE_CHUNK_BYTES", 1000)
+        packed = packed_videos(self.LENGTHS, self.D)
+        params = random_params(self.D, 3, Mode.FULL)
+        chunks = [s.indices.tolist() for s in score(params, packed)]
+        assert sum(chunks, []) == list(range(len(self.LENGTHS)))
+        assert len(chunks) > 2
+        assert [4] in chunks  # the long video is a chunk of its own
+
+    def test_empty_index_list_scores_nothing(self):
+        packed = packed_videos(self.LENGTHS, self.D)
+        params = random_params(self.D, 3, Mode.FULL)
+        assert list(score(params, packed, [])) == []
+
+    def test_sampled_frames_match_forward_on_the_picks(self):
+        packed = packed_videos(self.LENGTHS, self.D, seed=3)
+        frames, offsets = packed.frames, packed.offsets
+        params = random_params(self.D, 3, Mode.FULL, seed=4)
+        indices = np.array([4, 0, 6])
+        picks = np.array([[0, 20, 39], [0, 0, 0], [1, 5, 8]])
+        (s,) = score(params, packed, indices, picks)
+        for j, i in enumerate(indices):
+            want, _ = forward(frames[offsets[i] + picks[j]], params)
+            np.testing.assert_allclose(s.logits[j], want, rtol=0, atol=1e-12)
+
+    def test_errors_name_the_dataset_index(self):
+        packed = packed_videos(self.LENGTHS, self.D)
+        frames, offsets = packed.frames, packed.offsets
+        params = random_params(self.D, 3, Mode.FULL)
+        params.class_w[:] = 10.0
+        frames[offsets[5]:offsets[6]] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match="dataset index 5: forward"):
+            list(score(params, packed, [0, 5, 6]))
+        frames[offsets[6] + 1, 2] = np.nan
+        with pytest.raises(DataError, match="dataset index 6: "):
+            list(score(params, packed, [6, 0]))
+        with pytest.raises(DimensionError):
+            list(score(random_params(self.D + 1, 3, Mode.FULL), packed))
+
+    def test_finite_values_whose_sums_overflow_are_scored(self):
+        packed = packed_videos([2, 3], 2)
+        packed.frames[:] = 1e308
+        params = head(np.zeros(2))
+        (s,) = score(params, packed)
+        np.testing.assert_array_equal(s.final_weights, [0.5, 0.5, 1 / 3, 1 / 3, 1 / 3])
+
+    @pytest.mark.parametrize("d, videos, longest", [(16, 2000, 80), (512, 300, 40)])
+    def test_memory_stays_within_a_fixed_bound(self, d, videos, longest):
+        # whole-dataset temporaries would be far larger: (frames,) vectors
+        # are 0.7 MB at D=16, per-video D-wide means 4.9 MB and the frame
+        # matrix 30 MB at D=512
+        rng = np.random.default_rng(5)
+        packed = packed_videos(rng.integers(8, longest + 1, videos), d)
+        params = random_params(d, 7, Mode.FULL)
+        for indices in (None, np.arange(videos)[::-2]):
+            tracemalloc.start()
+            for _ in score(params, packed, indices):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 3e6, (indices is None, peak)

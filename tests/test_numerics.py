@@ -10,6 +10,7 @@ from frameattn.numerics import (
     finite_diff_gradient,
     relative_error,
     sigmoid,
+    softmax,
     softmax_cross_entropy,
 )
 
@@ -47,6 +48,22 @@ class TestSigmoid:
         assert isinstance(sigmoid(1.2), float)
         out = sigmoid(np.array([0.0, 1.0]))
         assert out.shape == (2,)
+
+
+class TestSoftmax:
+    def test_block_is_bit_equal_to_the_per_row_loop(self):
+        rng = np.random.default_rng(4)
+        for scale in (1.0, 30.0, 700.0):
+            block = scale * rng.standard_normal((257, 7))
+            rows = np.array([softmax(row) for row in block])
+            assert softmax(block).tobytes() == rows.tobytes()
+
+    def test_vector_and_shape_checks(self):
+        np.testing.assert_allclose(softmax([0.0, 0.0]), [0.5, 0.5], rtol=0, atol=0)
+        with pytest.raises(DimensionError):
+            softmax(np.zeros((2, 2, 2)))
+        with pytest.raises(DataError):
+            softmax([[0.0, np.nan]])
 
 
 class TestSoftmaxCrossEntropy:

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -232,6 +235,18 @@ class TestTrainLoop:
                     pytest.raises(NumericError, match=where):
                 train(ds, cfg)
 
+    def test_numeric_error_in_validation_names_epoch_and_instance(self):
+        # training never sees instance 5, whose features overflow its logits
+        cfg = TrainConfig(schedule=[(0, 0.05)], total_epochs=1, seed=3,
+                          batch_size=4, k=2)
+        ds = small_synth()
+        ds.instances[5].features[:] = 1e308
+        train_idx = [i for i in range(len(ds.instances)) if i != 5]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError,
+                match="epoch 0, validation, dataset index 5: forward pass"):
+            train(ds, cfg, train_indices=train_idx, val_indices=[0, 5, 6])
+
     def test_numeric_error_in_update_names_epoch_and_batch(self):
         cfg = TrainConfig(schedule=[(0, 1e308)], weight_decay=1e308,
                           total_epochs=1, seed=3, batch_size=4, k=2)
@@ -314,6 +329,21 @@ class TestCheckpoint:
         open(path, "wb").write(raw[:-8])
         with pytest.raises(SchemaError):
             load_checkpoint(path)
+
+    def test_oversized_payload_rejected_before_reading(self, tmp_path):
+        # a valid header for D=4, C=2 (240 payload bytes) before 50 MB
+        path = tmp_path / "big.fanp"
+        with open(path, "wb") as f:
+            f.write(b"FANP" + struct.pack("<IIII", 1, 4, 2, 0))
+            f.truncate(20 + 50_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemaError, match="50000000 bytes, expected 240"):
+                load_checkpoint(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_nan_payload(self, tmp_path):
         path = str(tmp_path / "x.fanp")
