@@ -19,7 +19,7 @@ from . import __version__
 from .data import (SynthConfig, atomic_open, build_folds, load_feature_file,
                    synth_generate, write_feature_file)
 from .errors import ConfigError, FrameAttnError, NumericError
-from .evaluation import cross_validate, evaluate, export_attention, predict_videos
+from .evaluation import cross_validate, evaluate, export_attention
 from .model import Mode, gradient_pair, init_params, locate
 from .numerics import relative_errors
 from .training import (
@@ -119,10 +119,10 @@ def cmd_eval(args) -> int:
                       k=args.k, seed=args.seed)
     result = {"mode": params.mode.value, **report.to_dict()}
     if args.per_instance:
-        _, preds = predict_videos(params, dataset)
+        # the predictions the report tallied, in dataset order
         result["instances"] = [
             {"video_id": inst.video_id, "label": inst.label, "prediction": pred}
-            for inst, pred in zip(dataset.instances, preds.tolist())
+            for inst, pred in zip(dataset.instances, report.predictions.tolist())
         ]
     _emit(result)
     return EXIT_OK

@@ -15,16 +15,21 @@ Canonical on-disk format ("FANF", little-endian throughout):
         frame count u32          (must be >= 1)
         features    n*D float32, row-major
 
-Features are stored in single precision; everything is float64 in memory.
-Writing is canonical: equal datasets produce identical bytes. A plain-text
-CSV import (one frame per line) is provided for interoperability; the
-binary form is the canonical one.
+Features are stored in single precision. A loaded file keeps them in
+float32 (exactly the stored values, at half the memory); a dataset built in
+memory (synth_generate, load_feature_csv, user code) holds float64. Every
+computation widens the frames it reads to float64, which is exact, so both
+give the same results. Writing is canonical: equal datasets produce
+identical bytes. A plain-text CSV import (one frame per line) is provided
+for interoperability; the binary form is the canonical one.
 
 In memory a checked dataset holds all of its frames once, in one packed
-(sum n, D) float64 matrix: video i's frames are rows offsets[i]:offsets[i+1],
-and its `features` is a view of exactly those rows (Dataset.packed). The
-loader fills the matrix record by record; a dataset built in memory is
-packed, and its videos copied in, the first time it is checked.
+(sum n, D) matrix: video i's frames are rows offsets[i]:offsets[i+1], and
+its `features` is a view of exactly those rows (Dataset.packed). The loader
+reads each record's features straight into its rows of a float32 matrix; a
+dataset built in memory is packed into a float64 matrix, and its videos
+copied in, the first time it is checked (as is a loaded dataset whose
+instances were replaced since).
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ class PackedFrames:
     class is labels[i].
     """
 
-    frames: np.ndarray   # (sum n, D) float64
+    frames: np.ndarray   # (sum n, D): float32 when loaded, else float64
     offsets: np.ndarray  # (N + 1,) int64, offsets[0] = 0
     labels: np.ndarray   # (N,) int64
 
@@ -87,9 +92,11 @@ class Dataset:
     instance's `features` to its view of it, so the frames are held once.
     Later uses cost O(videos) while the dataset is unchanged. Replacing the
     instance list, an instance, its `features` object or its label makes
-    the next use repack and recheck. Writing into `features` in place
-    changes the packed frames directly and is not rechecked: a non-finite
-    value written that way is caught by the model when it reads the frames.
+    the next use repack and recheck, into a float64 matrix. Writing into
+    `features` in place changes the packed frames directly, in their dtype
+    (a loaded dataset's are float32, so the value written is rounded to
+    float32), and is not rechecked: a non-finite value written that way is
+    caught by the model when it reads the frames.
     Take a subset by passing indices (train, evaluate and the splits all
     do), not by building a second Dataset from some of these instances:
     two datasets that share VideoInstance objects rebind each other's
@@ -200,7 +207,10 @@ def _read_exact(f, nbytes: int, what: str, size: int) -> bytes:
 
 def _read_str(f, what: str, size: int) -> str:
     (length,) = struct.unpack("<H", _read_exact(f, 2, what, size))
-    return _read_exact(f, length, what, size).decode("utf-8")
+    try:
+        return _read_exact(f, length, what, size).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{what} is not UTF-8: {e}") from None
 
 
 @contextlib.contextmanager
@@ -255,7 +265,8 @@ def load_feature_file(path: str) -> Dataset:
     Two passes: the first reads and checks every record header, seeking
     past the features, so the packed matrix is sized only from frame counts
     whose bytes the file holds. The second reads each record's features
-    straight into its rows of that matrix and checks them.
+    straight into its rows of that matrix and checks them. The matrix is
+    float32, as stored; each instance's `features` is a view of its rows.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -291,16 +302,17 @@ def load_feature_file(path: str) -> Dataset:
 
         offsets = np.zeros(len(records) + 1, dtype=np.int64)
         np.cumsum([n for n, _ in records], out=offsets[1:])
-        frames = np.empty((int(offsets[-1]), dim))
+        frames = np.empty((int(offsets[-1]), dim), dtype="<f4")
         for inst, (n, start), lo in zip(instances, records, offsets.tolist()):
+            rows = frames[lo:lo + n]
             f.seek(start)
-            raw = np.frombuffer(
-                _read_exact(f, 4 * n * dim, f"features of record '{inst.video_id}'",
-                            size), dtype="<f4").reshape(n, dim)
-            # float32 to float64 keeps finiteness, so the smaller copy is checked
-            if not np.all(np.isfinite(raw)):
+            if f.readinto(memoryview(rows).cast("B")) != rows.nbytes:
+                raise SchemaError(
+                    f"file truncated while reading features of record '{inst.video_id}'")
+            # a float64 sum of float32 values cannot overflow, so it is finite
+            # exactly when every value is; the reduction needs no n x D mask
+            if not np.isfinite(rows.sum(dtype=np.float64)):
                 raise DataError(f"record '{inst.video_id}': non-finite feature value")
-            frames[lo:lo + n] = raw
 
     ds = Dataset(instances, dim, num_classes, class_names)
     ds._adopt(frames, offsets)

@@ -32,12 +32,15 @@ from .training import TrainConfig, lr_at, minibatches, sgd_step, train
 
 @dataclass
 class EvalReport:
-    """Accuracy summary over one evaluation pass."""
+    """Accuracy summary over one evaluation pass. `evaluate` also keeps the
+    predicted class of each video it tallied, in the order it scored them;
+    pooled and baseline reports have none."""
 
     accuracy: float
     per_class_accuracy: list[float]
     confusion: np.ndarray  # (C, C) counts, rows = true class
     count: int
+    predictions: np.ndarray | None = None  # (count,) class indices
 
     def to_dict(self) -> dict:
         return {
@@ -48,7 +51,7 @@ class EvalReport:
         }
 
 
-def _report_from_confusion(confusion: np.ndarray) -> EvalReport:
+def _report_from_confusion(confusion: np.ndarray, predictions=None) -> EvalReport:
     total = int(confusion.sum())
     if total == 0:
         raise ConfigError("evaluation saw no instances")
@@ -63,6 +66,7 @@ def _report_from_confusion(confusion: np.ndarray) -> EvalReport:
         per_class_accuracy=per_class,
         confusion=confusion,
         count=total,
+        predictions=predictions,
     )
 
 
@@ -106,11 +110,12 @@ def predict_videos(params: FanParams, dataset: Dataset, frame_mode: str = "all",
 def evaluate(params: FanParams, dataset: Dataset, frame_mode: str = "all",
              k: int = 3, seed: int = 0,
              indices: list[int] | None = None) -> EvalReport:
-    """Classify each instance (predict_videos) and tally a confusion matrix."""
+    """Classify each instance (predict_videos) and tally a confusion matrix;
+    the report keeps the predictions, in the order of `indices`."""
     indices, preds = predict_videos(params, dataset, frame_mode, k, seed, indices)
     confusion = np.zeros((dataset.num_classes, dataset.num_classes), dtype=np.int64)
     np.add.at(confusion, (dataset.packed().labels[indices], preds), 1)
-    return _report_from_confusion(confusion)
+    return _report_from_confusion(confusion, preds)
 
 
 def cross_validate(

@@ -400,8 +400,9 @@ def forward(features, params: FanParams) -> tuple[np.ndarray, AttentionTrace]:
 
 
 # score holds one chunk of whole videos at a time, sized to keep its working
-# set within SCORE_CHUNK_BYTES: per frame, its D-wide row (a gathered copy,
-# or a slice that the kernel's passes read again from cache) and
+# set within SCORE_CHUNK_BYTES: per frame, its D-wide float64 row (a slice
+# that the kernel's passes read again from cache, or a copy: gathered,
+# widened from float32, or both, when the 4-byte gather is held too) and
 # _FRAME_TEMPS float64 temporaries of the kernel; per video, its D-wide
 # means (anchor, top half, aggregate). A video over the budget on its own
 # is a chunk of its own.
@@ -443,7 +444,8 @@ def score(params: FanParams, packed, indices=None, picks=None):
 
     Consecutive indices are scored from slices of the packed frames; any
     other selection is gathered a chunk at a time. Each chunk's rows are
-    checked: a non-finite value raises DataError. A non-finite logit raises
+    widened to float64 (float32 frames of a loaded dataset) and checked: a
+    non-finite value raises DataError. A non-finite logit raises
     NumericError. Both name the dataset index of the first bad video.
     """
     frames, offsets = packed.frames, packed.offsets
@@ -458,7 +460,8 @@ def score(params: FanParams, packed, indices=None, picks=None):
     else:
         lengths = np.full(len(indices), picks.shape[1])
         sliced = False
-    costs = 8 * (_FRAME_TEMPS * lengths + d * (4 + lengths))
+    row_bytes = 8 if sliced or frames.dtype == np.float64 else 8 + frames.itemsize
+    costs = 8 * _FRAME_TEMPS * lengths + d * (8 * 4 + row_bytes * lengths)
     for lo, hi in _chunks(costs, SCORE_CHUNK_BYTES):
         chunk = indices[lo:hi]
         local = np.zeros(hi - lo + 1, dtype=np.int64)
@@ -470,6 +473,7 @@ def score(params: FanParams, packed, indices=None, picks=None):
                           + np.arange(local[-1])]
         else:
             rows = frames[(starts[lo:hi, None] + picks[lo:hi]).ravel()]
+        rows = rows.astype(np.float64, copy=False)
         scored = _score_chunk(rows, chunk, local, params)
         del rows  # so that the next chunk is gathered after this one is gone
         yield scored

@@ -154,7 +154,8 @@ def minibatches(dataset: Dataset, indices, config: TrainConfig, epoch: int):
     sampling.training_draw, turned into rows of the dataset's packed frames
     (Dataset.packed) once per epoch; each batch's stack is one fancy index
     of those rows, taken only when the batch is reached, so one batch of
-    frames is held at a time.
+    frames is held at a time. The stack is float64: a loaded dataset's
+    float32 frames are widened once per batch, after the gather.
     """
     packed = dataset.packed()
     indices = packed.select(indices)
@@ -165,8 +166,8 @@ def minibatches(dataset: Dataset, indices, config: TrainConfig, epoch: int):
     rows = starts[order][:, None] + picks
     for lo in range(0, len(indices), config.batch_size):
         batch = indices[lo:lo + config.batch_size]
-        yield (batch, packed.frames[rows[lo:lo + config.batch_size]],
-               packed.labels[batch])
+        stack = packed.frames[rows[lo:lo + config.batch_size]]
+        yield batch, stack.astype(np.float64, copy=False), packed.labels[batch]
 
 
 def train(

@@ -178,6 +178,29 @@ class TestEvalCommand:
         assert code == EXIT_OK
         assert json.loads(out)["count"] == 15
 
+    @pytest.mark.parametrize("frames", [[], ["--frames", "sampled", "--k", "1", "--seed", "4"]],
+                             ids=["all", "sampled"])
+    def test_per_instance_list_is_what_the_report_tallies(self, tiny_data, tmp_path,
+                                                          capsys, frames):
+        ckpt = str(tmp_path / "m.fanp")
+        run(capsys, "train", "--data", tiny_data, "--out", ckpt,
+            "--epochs", "20", "--seed", "1")
+        code, out = run(capsys, "eval", "--checkpoint", ckpt, "--data", tiny_data,
+                        "--per-instance", *frames)
+        assert code == EXIT_OK
+        result = json.loads(out)
+        confusion = [[0] * 3 for _ in range(3)]
+        for inst in result["instances"]:
+            confusion[inst["label"]][inst["prediction"]] += 1
+        assert confusion == result["confusion"]
+        _, everything = run(capsys, "eval", "--checkpoint", ckpt, "--data", tiny_data,
+                            "--per-instance")
+        listed = [inst["prediction"] for inst in result["instances"]]
+        # one sampled frame per video changes some predictions, so the list
+        # above is the sampled one, not the all-frame one
+        assert (listed == [inst["prediction"] for inst in
+                           json.loads(everything)["instances"]]) == (not frames)
+
 
 class TestCvCommand:
     def test_ten_folds_disjoint_and_consistent(self, tiny_data, capsys):

@@ -472,6 +472,27 @@ class TestPackedFrames:
             load_feature_file(path)
         assert sizes == []
 
+    def test_loader_memory_is_bounded_by_the_payload(self, tmp_path):
+        # 8 MB of float32 frames in 200 records: the loaded dataset holds
+        # them once, as read, and loading allocates little beside them
+        rng = np.random.default_rng(3)
+        dim, count, n = 256, 200, 40
+        with open(tmp_path / "big.fanf", "wb") as f:
+            f.write(b"FANF" + struct.pack("<IIIQ", 1, dim, 2, count)
+                    + struct.pack("<H", 1) + b"a" + struct.pack("<H", 1) + b"b")
+            for i in range(count):
+                f.write(fanf_record(f"v{i}", i % 2, n,
+                                    rng.standard_normal((n, dim), dtype=np.float32)))
+        payload = 4 * count * n * dim
+        tracemalloc.start()
+        try:
+            ds = load_feature_file(str(tmp_path / "big.fanf"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * payload, peak / payload
+        assert ds.packed().frames.nbytes == payload
+
 
 class TestAtomicWrite:
     def test_failed_write_keeps_target_and_removes_temp(self, tmp_path):
