@@ -42,7 +42,7 @@ from .model import (
     init_params,
     predict,
 )
-from .sampling import SegmentPlan, frames_for_eval, plan_segments, sample_training
+from .sampling import plan_segments, sample_training
 from .training import (
     EpochStats,
     TrainConfig,

@@ -64,18 +64,11 @@ def _log(msg: str) -> None:
 
 def _train_config(args) -> TrainConfig:
     overrides = {"seed": args.seed, "mode": Mode(args.mode.replace("-", "_"))}
-    if args.epochs is not None:
-        overrides["total_epochs"] = args.epochs
-    if args.batch_size is not None:
-        overrides["batch_size"] = args.batch_size
-    if args.k is not None:
-        overrides["k"] = args.k
+    named = {"total_epochs": args.epochs, "batch_size": args.batch_size, "k": args.k,
+             "momentum": args.momentum, "weight_decay": args.weight_decay}
+    overrides.update({key: value for key, value in named.items() if value is not None})
     if args.lr is not None:
         overrides["schedule"] = [(0, args.lr)]
-    if args.momentum is not None:
-        overrides["momentum"] = args.momentum
-    if args.weight_decay is not None:
-        overrides["weight_decay"] = args.weight_decay
     return _PRESETS[args.preset](**overrides)
 
 
@@ -149,6 +142,9 @@ def cmd_cv(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not args.eps > 0 or args.configs < 1:
+        raise ConfigError(f"--eps must be positive and --configs at least 1, "
+                          f"got {args.eps} and {args.configs}")
     rng = np.random.default_rng(args.seed)
     results = []
     for i in range(args.configs):

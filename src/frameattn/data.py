@@ -20,8 +20,10 @@ float32 (exactly the stored values, at half the memory); a dataset built in
 memory (synth_generate, load_feature_csv, user code) holds float64. Every
 computation widens the frames it reads to float64, which is exact, so both
 give the same results. Writing is canonical: equal datasets produce
-identical bytes. A plain-text CSV import (one frame per line) is provided
-for interoperability; the binary form is the canonical one.
+identical bytes. The writer checks every video as packing does, then writes
+each one's float32 bytes; it neither packs nor rebinds `features`. A
+plain-text CSV import (one frame per line) is provided for
+interoperability; the binary form is the canonical one.
 
 In memory a checked dataset holds all of its frames once, in one packed
 (sum n, D) matrix: video i's frames are rows offsets[i]:offsets[i+1], and
@@ -45,6 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, SchemaError
+from .numerics import first_nonfinite_row
 
 _MAGIC = b"FANF"
 _VERSION = 1
@@ -96,7 +99,7 @@ class Dataset:
     `features` in place changes the packed frames directly, in their dtype
     (a loaded dataset's are float32, so the value written is rounded to
     float32), and is not rechecked: a non-finite value written that way is
-    caught by the model when it reads the frames.
+    caught when the model reads the frames or write_feature_file checks them.
     Take a subset by passing indices (train, evaluate and the splits all
     do), not by building a second Dataset from some of these instances:
     two datasets that share VideoInstance objects rebind each other's
@@ -112,8 +115,8 @@ class Dataset:
     _stamp: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def validate(self) -> None:
-        """Raise SchemaError or DataError unless every video is well formed:
-        D columns, at least one frame, finite values and a label in range."""
+        """Raise SchemaError or DataError unless every video is well formed
+        (see _checked_videos)."""
         self.packed()
 
     def packed(self) -> PackedFrames:
@@ -135,28 +138,30 @@ class Dataset:
                 and all(map(operator.is_, map(_FEATURES, insts), views))
                 and list(map(_LABEL, insts)) == labels)
 
-    def _pack(self) -> None:
+    def _checked_videos(self) -> list[np.ndarray]:
+        """Every instance's frames as an array, once the header and then each
+        video in turn pass the rules: D columns, at least one frame, finite
+        values and a label in range. Packing and the writer check here."""
         if self.dim < 1 or self.num_classes < 1:
             raise SchemaError("dim and num_classes must be positive")
         if len(self.class_names) != self.num_classes:
-            raise SchemaError(
-                f"expected {self.num_classes} class names, got {len(self.class_names)}"
-            )
+            raise SchemaError(f"expected {self.num_classes} class names, "
+                              f"got {len(self.class_names)}")
         videos = []
         for inst in self.instances:
             f = np.asarray(inst.features)
             if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] != self.dim:
-                raise SchemaError(
-                    f"instance '{inst.video_id}': feature shape {f.shape} "
-                    f"inconsistent with dim {self.dim}"
-                )
-            if not np.all(np.isfinite(f)):
+                raise SchemaError(f"instance '{inst.video_id}': feature shape {f.shape} "
+                                  f"inconsistent with dim {self.dim}")
+            if first_nonfinite_row(f) is not None:
                 raise DataError(f"instance '{inst.video_id}': non-finite feature value")
             if not 0 <= inst.label < self.num_classes:
-                raise SchemaError(
-                    f"instance '{inst.video_id}': label {inst.label} out of range"
-                )
+                raise SchemaError(f"instance '{inst.video_id}': label {inst.label} out of range")
             videos.append(f)
+        return videos
+
+    def _pack(self) -> None:
+        videos = self._checked_videos()
         offsets = np.zeros(len(videos) + 1, dtype=np.int64)
         np.cumsum([len(f) for f in videos], out=offsets[1:])
         frames = np.empty((int(offsets[-1]), self.dim))
@@ -239,24 +244,27 @@ def atomic_open(path: str, mode: str = "wb", **kwargs):
 
 
 def write_feature_file(dataset: Dataset, path: str) -> None:
-    """Serialize a dataset to the canonical binary form (deterministic bytes)."""
-    dataset.validate()
+    """Serialize a dataset to the canonical binary form (deterministic bytes).
+    Every video is checked first (Dataset._checked_videos), then each one is
+    rounded to float32 and written on its own. The dataset is not packed:
+    every instance keeps its `features` object."""
+    videos = dataset._checked_videos()
     with atomic_open(path) as f:
         f.write(_MAGIC)
         f.write(struct.pack("<III", _VERSION, dataset.dim, dataset.num_classes))
         f.write(struct.pack("<Q", len(dataset.instances)))
         for name in dataset.class_names:
             f.write(_pack_str(name))
-        for inst in dataset.instances:
-            feats = np.ascontiguousarray(inst.features, dtype=np.float32)
-            if not np.all(np.isfinite(feats)):
+        for inst, frames in zip(dataset.instances, videos):
+            feats = np.ascontiguousarray(frames, dtype="<f4")
+            if first_nonfinite_row(feats) is not None:
                 raise DataError(
                     f"instance '{inst.video_id}': feature overflows single precision"
                 )
             f.write(_pack_str(inst.video_id))
             f.write(_pack_str(inst.subject_id))
             f.write(struct.pack("<II", inst.label, feats.shape[0]))
-            f.write(feats.tobytes())
+            f.write(feats)
 
 
 def load_feature_file(path: str) -> Dataset:
@@ -309,9 +317,7 @@ def load_feature_file(path: str) -> Dataset:
             if f.readinto(memoryview(rows).cast("B")) != rows.nbytes:
                 raise SchemaError(
                     f"file truncated while reading features of record '{inst.video_id}'")
-            # a float64 sum of float32 values cannot overflow, so it is finite
-            # exactly when every value is; the reduction needs no n x D mask
-            if not np.isfinite(rows.sum(dtype=np.float64)):
+            if first_nonfinite_row(rows) is not None:
                 raise DataError(f"record '{inst.video_id}': non-finite feature value")
 
     ds = Dataset(instances, dim, num_classes, class_names)
@@ -364,6 +370,8 @@ def load_feature_csv(path: str, class_names: list[str] | None = None) -> Dataset
                 rec["frames"][index] = values
     except UnicodeDecodeError as e:
         raise SchemaError(f"CSV is not UTF-8 text: {e}") from None
+    except csv.Error as e:
+        raise SchemaError(f"malformed CSV: {e}") from None
 
     if not rows:
         raise SchemaError("CSV contains no frames")
@@ -407,6 +415,8 @@ def build_folds(dataset: Dataset, fold_count: int = 10) -> FoldPlan:
     fold takes every fold_count-th subject starting from its offset. Subject
     ids are compared lexicographically; use zero-padded ids for numeric order.
     """
+    if fold_count < 2:  # one fold holds every subject out
+        raise ConfigError(f"need at least 2 folds, got {fold_count}")
     subjects = dataset.subjects()
     if len(subjects) < fold_count:
         raise ConfigError(
@@ -507,7 +517,7 @@ def synth_generate(config: SynthConfig) -> Dataset:
     offsets = np.zeros(count + 1, dtype=np.int64)
     instances = []
     for i, (inst, _) in enumerate(_synth_videos(config)):
-        if not np.all(np.isfinite(inst.features)):
+        if first_nonfinite_row(inst.features) is not None:
             raise DataError(f"instance '{inst.video_id}': non-finite feature value")
         offsets[i + 1] = offsets[i] + len(inst.features)
         frames[offsets[i]:offsets[i + 1]] = inst.features

@@ -93,6 +93,8 @@ def predict_videos(params: FanParams, dataset: Dataset, frame_mode: str = "all",
     """
     if frame_mode not in ("all", "sampled"):
         raise ConfigError(f"unknown frame_mode '{frame_mode}'")
+    if frame_mode == "sampled" and k < 1:
+        raise ConfigError(f"sampled evaluation needs k >= 1 frames, got {k}")
     packed = dataset.packed()
     _check_compat(params, dataset)
     indices = packed.select(indices)
@@ -208,10 +210,7 @@ def score_fusion_baseline(
     confusion = np.zeros((dataset.num_classes, dataset.num_classes), dtype=np.int64)
     for idx in test_indices:
         frame_logits = dataset.instances[idx].features @ w.T + b
-        if fusion == "probs":
-            scores = softmax(frame_logits).sum(axis=0)
-        else:
-            scores = frame_logits.sum(axis=0)
+        scores = (softmax(frame_logits) if fusion == "probs" else frame_logits).sum(axis=0)
         confusion[labels[idx], int(np.argmax(scores))] += 1
     return _report_from_confusion(confusion)
 
@@ -271,7 +270,7 @@ def export_attention(params: FanParams, dataset: Dataset, path: str,
             for j, (i, pred) in enumerate(zip(idx.tolist(), preds.tolist())):
                 video_id = dataset.instances[i].video_id
                 label = int(packed.labels[i])
-                frame_ids = sampling.frames_for_eval(bounds[j + 1] - bounds[j])
+                frame_ids = range(bounds[j + 1] - bounds[j])
                 a = list(map(repr, alpha[bounds[j]:bounds[j + 1]]))
                 w = list(map(repr, final[bounds[j]:bounds[j + 1]]))
                 head, tail = _csv_field(video_id), f",{label},{pred}\r\n"

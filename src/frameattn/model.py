@@ -64,6 +64,7 @@ from .numerics import (
     as_matrix,
     as_vector,
     finite_diff_gradient,
+    first_nonfinite_row,
     relative_error,
     sigmoid,
     softmax_cross_entropy,
@@ -444,9 +445,10 @@ def score(params: FanParams, packed, indices=None, picks=None):
 
     Consecutive indices are scored from slices of the packed frames; any
     other selection is gathered a chunk at a time. Each chunk's rows are
-    widened to float64 (float32 frames of a loaded dataset) and checked: a
-    non-finite value raises DataError. A non-finite logit raises
-    NumericError. Both name the dataset index of the first bad video.
+    checked in their stored dtype, where a non-finite value raises
+    DataError, then widened to float64 (float32 frames of a loaded
+    dataset). A non-finite logit raises NumericError. Both name the dataset
+    index of the first bad video.
     """
     frames, offsets = packed.frames, packed.offsets
     indices = packed.select(indices)
@@ -473,7 +475,6 @@ def score(params: FanParams, packed, indices=None, picks=None):
                           + np.arange(local[-1])]
         else:
             rows = frames[(starts[lo:hi, None] + picks[lo:hi]).ravel()]
-        rows = rows.astype(np.float64, copy=False)
         scored = _score_chunk(rows, chunk, local, params)
         del rows  # so that the next chunk is gathered after this one is gone
         yield scored
@@ -481,19 +482,13 @@ def score(params: FanParams, packed, indices=None, picks=None):
 
 def _score_chunk(rows: np.ndarray, chunk: np.ndarray, local: np.ndarray,
                  params: FanParams) -> Scored:
-    """One chunk of score: the videos chunk, whose frames are rows cut at
-    the offsets local."""
-    # a non-finite value makes its row's sum non-finite; so can finite ones
-    # that overflow, and only then is each value looked at. The sums are a
-    # matrix-vector product, which reads the rows faster than a reduction.
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = rows @ np.ones(rows.shape[1])
-    if not np.all(np.isfinite(sums)):
-        finite = np.isfinite(rows).all(axis=1)
-        if not finite.all():
-            bad = np.searchsorted(local, np.argmin(finite), side="right") - 1
-            raise DataError(f"dataset index {chunk[bad]}: "
-                            "features contains non-finite entries")
+    """One chunk of score: the videos chunk, whose frames are rows, in
+    their stored dtype, cut at the offsets local."""
+    bad = first_nonfinite_row(rows)
+    if bad is not None:
+        video = chunk[np.searchsorted(local, bad, side="right") - 1]
+        raise DataError(f"dataset index {video}: features contains non-finite entries")
+    rows = rows.astype(np.float64, copy=False)
     try:
         logits, trace, _, _ = _kernel(rows, _segments(rows, local), params)
     except NumericError as e:

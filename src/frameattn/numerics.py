@@ -1,14 +1,15 @@
 """Dense numeric primitives shared by the model, trainer, and tests.
 
-Everything here operates on float64. Vectors are 1-d numpy arrays with at
-least one entry, matrices are 2-d arrays with at least one row and column;
-both must be entirely finite. The finite-difference gradient lives here so
-the analytic backward pass elsewhere can be checked against an oracle that
-never shares its code path.
+Everything here but first_nonfinite_row, the one finite check of input
+frames, operates on float64. Vectors are 1-d arrays with at least one entry,
+matrices 2-d arrays with rows and columns; both must be entirely finite.
+The finite-difference gradient lives here so the analytic backward pass
+elsewhere can be checked against an oracle that never shares its code path.
 """
 
 from __future__ import annotations
 
+import cmath
 from typing import Callable
 
 import numpy as np
@@ -30,9 +31,24 @@ def as_array(x, ndim: int, name: str) -> np.ndarray:
         raise DimensionError(f"{name} must be {ndim}-d, got shape {arr.shape}")
     if arr.size == 0:
         raise DimensionError(f"{name} must not be empty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if first_nonfinite_row(arr.reshape(-1, arr.shape[-1])) is not None:
         raise DataError(f"{name} contains non-finite entries")
     return arr
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def first_nonfinite_row(arr: np.ndarray) -> int | None:
+    """Index of the first row of a 2-d array holding a NaN or an infinity,
+    or None. The row sums are one matrix-vector product in the array's own
+    dtype; only rows whose sum is not finite (a non-finite value, or finite
+    ones that overflow) are then scanned value by value."""
+    sums = arr @ np.ones(arr.shape[1], dtype=arr.dtype)
+    if cmath.isfinite(sums @ sums):  # the common case: one scalar test
+        return None
+    for row in np.flatnonzero(~np.isfinite(sums)).tolist():
+        if not np.isfinite(arr[row]).all():
+            return row
+    return None
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:

@@ -9,18 +9,7 @@ stream; sampled evaluation uses one (seed, instance index) stream per video.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class SegmentPlan:
-    """K half-open index ranges covering [0, n), in order, non-overlapping."""
-
-    n: int
-    k: int
-    boundaries: list[tuple[int, int]]
 
 
 def stream(seed: int, *keys: int) -> np.random.Generator:
@@ -39,14 +28,14 @@ def _segment_bounds(lengths: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     return edges[:, :-1], edges[:, 1:]
 
 
-def plan_segments(n: int, k: int) -> SegmentPlan:
-    """Split [0, n) into k floor-rounded ranges; range s is
-    [floor(s*n/k), floor((s+1)*n/k)). Ranges may be empty when n < k."""
+def plan_segments(n: int, k: int) -> list[tuple[int, int]]:
+    """Split [0, n) into k floor-rounded half-open ranges (lo, hi), in
+    order; range s is [floor(s*n/k), floor((s+1)*n/k)). Ranges may be empty
+    when n < k."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
     lo, hi = _segment_bounds(np.array([n]), k)
-    return SegmentPlan(n=n, k=k,
-                       boundaries=list(zip(lo[0].tolist(), hi[0].tolist())))
+    return list(zip(lo[0].tolist(), hi[0].tolist()))
 
 
 def sample_segments(lengths, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -91,10 +80,3 @@ def training_draw(seed: int, epoch: int, lengths,
     rng = stream(seed, epoch)
     order = rng.permutation(len(lengths))
     return order, sample_segments(np.asarray(lengths)[order], k, rng)
-
-
-def frames_for_eval(n: int) -> list[int]:
-    """Every frame index of an n-frame video, in order."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return list(range(n))

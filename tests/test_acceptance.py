@@ -225,7 +225,7 @@ def test_criterion_6_protocol_fidelity():
 
     for n in range(1, 201):
         for k in range(1, 11):
-            bounds = plan_segments(n, k).boundaries
+            bounds = plan_segments(n, k)
             if bounds[0][0] != 0 or bounds[-1][1] != n or any(
                     a1 != b0 for (_, a1), (b0, _) in zip(bounds, bounds[1:])):
                 failures.append(f"segment plan broken for n={n} k={k}")

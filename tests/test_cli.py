@@ -17,6 +17,17 @@ def run(capsys, *args):
     return code, out
 
 
+def run_rejected(capsys, *args):
+    """Run a command that must be refused as a data/config problem: exit 2,
+    one error line, nothing on stdout. Returns that line."""
+    code = main(list(args))
+    out, err = capsys.readouterr()
+    assert code == EXIT_DATA
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
 @pytest.fixture()
 def tiny_data(tmp_path, capsys):
     path = str(tmp_path / "tiny.fanf")
@@ -178,6 +189,15 @@ class TestEvalCommand:
         assert code == EXIT_OK
         assert json.loads(out)["count"] == 15
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_sampled_k_below_one_exits_2(self, tiny_data, tmp_path, capsys, k):
+        ckpt = str(tmp_path / "m.fanp")
+        run(capsys, "train", "--data", tiny_data, "--out", ckpt,
+            "--epochs", "1", "--seed", "1")
+        err = run_rejected(capsys, "eval", "--checkpoint", ckpt, "--data", tiny_data,
+                           "--frames", "sampled", "--k", k)
+        assert f"got {k}" in err
+
     @pytest.mark.parametrize("frames", [[], ["--frames", "sampled", "--k", "1", "--seed", "4"]],
                              ids=["all", "sampled"])
     def test_per_instance_list_is_what_the_report_tallies(self, tiny_data, tmp_path,
@@ -231,6 +251,12 @@ class TestCvCommand:
                       "--epochs", "1")
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("folds", ["1", "0", "-1"])
+    def test_fewer_than_two_folds_exits_2(self, tiny_data, capsys, folds):
+        err = run_rejected(capsys, "cv", "--data", tiny_data, "--folds", folds,
+                           "--epochs", "1")
+        assert f"need at least 2 folds, got {folds}" in err
+
 
 class TestGradcheckCommand:
     def test_small_run_exits_0(self, capsys):
@@ -253,6 +279,13 @@ class TestGradcheckCommand:
                         "--corrupt")
         assert code == EXIT_NUMERIC
         assert json.loads(out)["passed"] is False
+
+    @pytest.mark.parametrize("flags", [["--eps", "0"], ["--eps", "-1"],
+                                       ["--configs", "0"], ["--configs", "-1"]],
+                             ids=["eps0", "eps-1", "configs0", "configs-1"])
+    def test_bad_eps_or_config_count_exits_2(self, capsys, flags):
+        err = run_rejected(capsys, "gradcheck", *flags)
+        assert flags[0] in err
 
 
 class TestVisualizeCommand:
@@ -285,9 +318,16 @@ class TestUsage:
         assert main(["--version"]) == EXIT_OK
 
     def test_module_entry_point(self):
+        import os
         import subprocess
         import sys
+
+        import frameattn
+        # the child imports the package this run imports, installed or not
+        src = os.path.dirname(os.path.dirname(frameattn.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "frameattn.cli", "--version"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert proc.stdout.strip()

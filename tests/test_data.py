@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 import tracemalloc
@@ -20,6 +21,7 @@ from frameattn.data import (
 )
 from frameattn.cli import EXIT_DATA, main
 from frameattn.errors import ConfigError, DataError, FormatError, SchemaError
+from frameattn.evaluation import evaluate
 from frameattn.model import init_params
 from frameattn.training import save_checkpoint
 
@@ -204,6 +206,12 @@ class TestCsvImport:
         with pytest.raises(SchemaError, match="out of range"):
             load_feature_csv(str(path), class_names=["a", "b"])
 
+    def test_field_beyond_the_parser_limit_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("v0,s0,0,0," + "1" * 200_000 + "\n")
+        with pytest.raises(SchemaError, match="field larger than field limit"):
+            load_feature_csv(str(path))
+
     def test_undecodable_bytes_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"v0,s0,0,0,1.0\nv\xff,s0,0,1,2.0\n")
@@ -223,6 +231,12 @@ class TestFolds:
         plan = build_folds(ds, 10)
         sizes = [len(plan.subjects_in(f)) for f in range(10)]
         assert sizes == [3, 3, 3, 3, 3, 2, 2, 2, 2, 2]
+
+    @pytest.mark.parametrize("folds", [1, 0, -1])
+    def test_fewer_than_two_folds_rejected(self, folds):
+        ds = dataset_with_subjects([f"s{i}" for i in range(10)])
+        with pytest.raises(ConfigError, match="at least 2 folds"):
+            build_folds(ds, folds)
 
     def test_one_subject_per_fold(self):
         ds = dataset_with_subjects([f"s{i}" for i in range(10)])
@@ -492,6 +506,96 @@ class TestPackedFrames:
             tracemalloc.stop()
         assert peak < 1.2 * payload, peak / payload
         assert ds.packed().frames.nbytes == payload
+
+
+def ragged_dataset(seed=11):
+    """12 float64 videos of 1 to 5 frames, not rounded to float32."""
+    rng = np.random.default_rng(seed)
+    return Dataset([VideoInstance(f"v{i:02d}", f"s{i % 3}", i % 3,
+                                  rng.standard_normal((1 + i % 5, 6)))
+                    for i in range(12)], 6, 3, ["a", "b", "c"])
+
+
+class TestWriter:
+    # the bytes of ragged_dataset(), pinned before the writer stopped packing
+    RAGGED_SHA256 = "1bee33d1c23abe5816443a2f392686373f18106e1e4ec945ae29b9ad24a5f609"
+
+    def sha256(self, ds, path):
+        write_feature_file(ds, str(path))
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_bytes_pinned_for_float64_loaded_and_packed_datasets(self, tmp_path):
+        assert self.sha256(ragged_dataset(), tmp_path / "a.fanf") == self.RAGGED_SHA256
+        loaded = load_feature_file(str(tmp_path / "a.fanf"))
+        assert loaded.packed().frames.dtype == np.float32
+        assert self.sha256(loaded, tmp_path / "b.fanf") == self.RAGGED_SHA256
+        packed = ragged_dataset()
+        packed.validate()
+        assert self.sha256(packed, tmp_path / "c.fanf") == self.RAGGED_SHA256
+
+    def test_features_objects_are_left_as_they_were(self, tmp_path):
+        ds = ragged_dataset()
+        before = [inst.features for inst in ds.instances]
+        write_feature_file(ds, str(tmp_path / "a.fanf"))
+        assert all(inst.features is f for inst, f in zip(ds.instances, before))
+        loaded = load_feature_file(str(tmp_path / "a.fanf"))
+        views = [inst.features for inst in loaded.instances]
+        write_feature_file(loaded, str(tmp_path / "b.fanf"))
+        assert all(inst.features is f for inst, f in zip(loaded.instances, views))
+
+    def test_memory_is_bounded_by_the_largest_video(self, tmp_path):
+        # 8 MB of float64 frames in 100 videos of 20 to 59 frames: writing
+        # holds one video's float32 copy at a time, not a packed copy
+        rng = np.random.default_rng(5)
+        dim = 256
+        ds = Dataset([VideoInstance(f"v{i}", "s", i % 2,
+                                    rng.standard_normal((20 + i % 40, dim)))
+                      for i in range(100)], dim, 2, ["a", "b"])
+        largest = max(inst.features.nbytes for inst in ds.instances)
+        tracemalloc.start()
+        try:
+            write_feature_file(ds, str(tmp_path / "big.fanf"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * largest + 64 * 1024, peak / largest
+        assert len(load_feature_file(str(tmp_path / "big.fanf")).instances) == 100
+
+    def test_every_video_is_checked_before_any_is_rounded(self, tmp_path):
+        # video 0 overflows float32 and video 1's label is out of range:
+        # the rules every video must meet come first, so video 1 is named
+        ds = Dataset([VideoInstance("v0", "s", 0, np.array([[1e39, 0.0]])),
+                      VideoInstance("v1", "s", 5, np.ones((1, 2)))], 2, 2, ["a", "b"])
+        path = tmp_path / "order.fanf"
+        with pytest.raises(SchemaError, match="'v1'"):
+            write_feature_file(ds, str(path))
+        ds.instances[1].label = 1
+        with np.errstate(over="ignore"), pytest.raises(
+                DataError, match="'v0': feature overflows single precision"):
+            write_feature_file(ds, str(path))
+        assert not path.exists()
+
+    def test_in_place_non_finite_write_is_caught_at_write(self, tmp_path):
+        ds = ragged_dataset()
+        ds.validate()
+        ds.instances[3].features[1, 2] = np.nan
+        with pytest.raises(DataError, match="'v03': non-finite feature value"):
+            write_feature_file(ds, str(tmp_path / "nan.fanf"))
+
+    def test_finite_rows_whose_float32_sum_overflows_load_and_score(self, tmp_path):
+        ds = Dataset([VideoInstance("v0", "s", 0, np.array([[3e38, 3e38, 1.0]] * 2)),
+                      VideoInstance("v1", "s", 1, np.array([[-3e38, -3e38, 0.0]]))],
+                     3, 2, ["a", "b"])
+        path = str(tmp_path / "big.fanf")
+        write_feature_file(ds, path)
+        loaded = load_feature_file(path)
+        assert loaded.packed().frames.dtype == np.float32
+        with np.errstate(over="ignore"):
+            assert not np.all(np.isfinite(loaded.packed().frames.sum(axis=1)))
+        params = init_params(3, 2, seed=1)
+        assert evaluate(params, loaded).count == 2
+        assert evaluate(params, loaded, indices=[1, 0]).count == 2
+        assert evaluate(params, loaded, frame_mode="sampled", k=2).count == 2
 
 
 class TestAtomicWrite:

@@ -7,7 +7,7 @@ import pytest
 
 from frameattn import model
 from frameattn.data import Dataset, SynthConfig, VideoInstance, build_folds, synth_generate
-from frameattn.errors import ConfigError, DataError, DimensionError, NumericError
+from frameattn.errors import ConfigError, DataError, DimensionError, NumericError, SchemaError
 from frameattn.evaluation import (
     cross_validate,
     evaluate,
@@ -246,6 +246,31 @@ class TestExportAttention:
             per_video.setdefault(row["video_id"], 0.0)
             per_video[row["video_id"]] += float(row["final_weight"])
         assert all(abs(total - 1.0) < 1e-9 for total in per_video.values())
+
+    def test_frame_index_of_a_single_frame_video(self, tmp_path):
+        ds = labeled_dataset([0], d=3, frames=1, seed=2)
+        path = str(tmp_path / "att.csv")
+        export_attention(zero_params(3, 1), ds, path)
+        assert [row["frame_index"] for row in csv.DictReader(open(path))] == ["0"]
+        assert json.load(open(tmp_path / "att.json"))["videos"][0]["frame_indices"] == [0]
+
+    def test_frame_indices_enumerate_every_frame(self, tmp_path):
+        ds = labeled_dataset([0, 1], d=3, frames=4, seed=1)
+        path = str(tmp_path / "att.csv")
+        export_attention(zero_params(3, 2), ds, path)
+        rows = list(csv.DictReader(open(path)))
+        for video_id in ("v0", "v1"):
+            assert [int(r["frame_index"]) for r in rows
+                    if r["video_id"] == video_id] == [0, 1, 2, 3]
+        for video in json.load(open(tmp_path / "att.json"))["videos"]:
+            assert video["frame_indices"] == [0, 1, 2, 3]
+
+    def test_zero_frame_video_rejected(self, tmp_path):
+        ds = labeled_dataset([0, 1], d=3, frames=2)
+        ds.instances[1].features = np.zeros((0, 3))
+        with pytest.raises(SchemaError, match="'v1'"):
+            export_attention(zero_params(3, 2), ds, str(tmp_path / "att.csv"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_suffix_handling(self, tmp_path):
         ds = labeled_dataset([0], d=3, frames=2)

@@ -8,6 +8,7 @@ from frameattn.numerics import (
     as_matrix,
     as_vector,
     finite_diff_gradient,
+    first_nonfinite_row,
     relative_error,
     sigmoid,
     softmax,
@@ -153,3 +154,49 @@ class TestValidation:
         # |a-b| / max(1e-8, |a|+|b|)
         assert relative_error([2.0], [1.0]) == pytest.approx(1 / 3)
         assert relative_error([0.0], [0.0]) == 0.0
+
+
+class TestFirstNonfiniteRow:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_names_the_first_bad_row(self, dtype, bad):
+        for row in range(4):
+            arr = np.ones((4, 3), dtype=dtype)
+            arr[row, 1] = bad
+            assert first_nonfinite_row(arr) == row
+            arr[3, 2] = bad
+            assert first_nonfinite_row(arr) == row
+
+    def test_opposite_infinities_in_one_row(self):
+        arr = np.zeros((3, 2), dtype=np.float32)
+        arr[2] = [np.inf, -np.inf]
+        assert first_nonfinite_row(arr) == 2
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_finite_rows_whose_sums_overflow_pass(self, dtype):
+        big = np.finfo(dtype).max / 1.2
+        arr = np.array([[big, big, 1.0], [0.0, -big, -big], [1.0, 2.0, 3.0]], dtype=dtype)
+        with np.errstate(over="ignore"):
+            assert not np.all(np.isfinite(arr @ np.ones(3, dtype=dtype)))
+        assert first_nonfinite_row(arr) is None
+        assert first_nonfinite_row(np.array([[3e38, 3e38]], dtype=np.float32)) is None
+        arr[2, 0] = np.nan
+        assert first_nonfinite_row(arr) == 2
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64, np.int32])
+    def test_one_row_and_one_column(self, dtype):
+        assert first_nonfinite_row(np.ones((1, 5), dtype=dtype)) is None
+        assert first_nonfinite_row(np.ones((5, 1), dtype=dtype)) is None
+        if np.dtype(dtype).kind == "f":
+            row = np.ones((1, 5), dtype=dtype)
+            row[0, 4] = np.nan
+            assert first_nonfinite_row(row) == 0
+            col = np.ones((5, 1), dtype=dtype)
+            col[3, 0] = -np.inf
+            assert first_nonfinite_row(col) == 3
+
+    def test_integer_input_is_finite(self):
+        # an integer sum may wrap around, but no integer is non-finite
+        big = np.iinfo(np.int64).max
+        assert first_nonfinite_row(np.array([[big, big], [1, 2]])) is None
+        assert first_nonfinite_row(np.arange(12, dtype=np.int32).reshape(3, 4)) is None

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from frameattn.sampling import (
-    frames_for_eval,
     plan_segments,
     sample_segments,
     sample_training,
@@ -13,19 +12,19 @@ from frameattn.sampling import (
 
 class TestPlanSegments:
     def test_even_split(self):
-        assert plan_segments(9, 3).boundaries == [(0, 3), (3, 6), (6, 9)]
+        assert plan_segments(9, 3) == [(0, 3), (3, 6), (6, 9)]
 
     def test_singleton_segments(self):
-        assert plan_segments(3, 3).boundaries == [(0, 1), (1, 2), (2, 3)]
+        assert plan_segments(3, 3) == [(0, 1), (1, 2), (2, 3)]
 
     def test_floor_formula(self):
-        assert plan_segments(7, 3).boundaries == [(0, 2), (2, 4), (4, 7)]
+        assert plan_segments(7, 3) == [(0, 2), (2, 4), (4, 7)]
 
     def test_partition_property(self):
         # exhaustive over the supported verification range
         for n in range(1, 201):
             for k in range(1, 11):
-                bounds = plan_segments(n, k).boundaries
+                bounds = plan_segments(n, k)
                 assert len(bounds) == k
                 assert bounds[0][0] == 0 and bounds[-1][1] == n
                 for (a0, a1), (b0, b1) in zip(bounds, bounds[1:]):
@@ -60,7 +59,7 @@ class TestSampleTraining:
                 if n < k:
                     continue
                 picks = sample_training(n, k, stream(n * 100 + k))
-                bounds = plan_segments(n, k).boundaries
+                bounds = plan_segments(n, k)
                 assert all(lo <= p < hi for p, (lo, hi) in zip(picks, bounds))
                 assert all(a < b for a, b in zip(picks, picks[1:]))
                 assert all(p < n for p in picks)
@@ -92,7 +91,7 @@ class TestSampleSegments:
             for n, row in zip(lengths.tolist(), picks.tolist()):
                 assert all(0 <= p < n for p in row)
                 if n >= k:
-                    bounds = plan_segments(n, k).boundaries
+                    bounds = plan_segments(n, k)
                     assert all(lo <= p < hi for p, (lo, hi) in zip(row, bounds))
                     assert all(a < b for a, b in zip(row, row[1:]))
                 else:
@@ -121,14 +120,3 @@ class TestTrainingDraw:
         assert picks.tolist() == [[1, 5, 7], [2, 7, 8], [0, 1, 2], [0, 0, 1],
                                   [2, 10, 21]]
 
-
-class TestFramesForEval:
-    def test_single(self):
-        assert frames_for_eval(1) == [0]
-
-    def test_enumeration(self):
-        assert frames_for_eval(4) == [0, 1, 2, 3]
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            frames_for_eval(0)
