@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -142,15 +143,19 @@ def cmd_cv(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if not args.eps > 0 or args.configs < 1:
-        raise ConfigError(f"--eps must be positive and --configs at least 1, "
-                          f"got {args.eps} and {args.configs}")
+    for flag, value in (("--eps", args.eps), ("--tol", args.tol)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ConfigError(f"{flag} must be finite and positive, got {value}")
+    for flag, value in (("--configs", args.configs), ("--d", args.d),
+                        ("--n", args.n), ("--c", args.c)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
     rng = np.random.default_rng(args.seed)
     results = []
     for i in range(args.configs):
-        d = args.d if args.d else int(rng.choice([4, 8, 16]))
-        n = args.n if args.n else int(rng.integers(1, 7))
-        c = args.c if args.c else int(rng.choice([3, 7]))
+        d = args.d if args.d is not None else int(rng.choice([4, 8, 16]))
+        n = args.n if args.n is not None else int(rng.integers(1, 7))
+        c = args.c if args.c is not None else int(rng.choice([3, 7]))
         mode = Mode.FULL if i % 2 == 0 else Mode.SELF_ONLY
         features = rng.standard_normal((n, d))
         params = init_params(d, c, mode, seed=int(rng.integers(0, 2**31)))
@@ -177,19 +182,11 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    config = SynthConfig(
-        videos_per_class=args.videos_per_class,
-        frames_min=args.frames_min,
-        frames_max=args.frames_max,
-        dim=args.dim,
-        num_classes=args.classes,
-        peak_frames=args.peaks,
-        signal=args.signal,
-        noise=args.noise,
-        seed=args.seed,
-        subject_count=args.subjects,
-        terminal_peak=args.terminal_peak,
-    )
+    # the parser holds only the flags given; SynthConfig supplies the rest
+    names = {"classes": "num_classes", "peaks": "peak_frames", "subjects": "subject_count"}
+    given = {names.get(key, key): value for key, value in vars(args).items()}
+    config = SynthConfig(**{key: value for key, value in given.items()
+                            if key in SynthConfig.__dataclass_fields__})
     dataset = synth_generate(config)
     write_feature_file(dataset, args.out)
     _emit({
@@ -271,18 +268,19 @@ def build_parser() -> argparse.ArgumentParser:
                         "and expect failure")
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("synth", help="generate a planted-peak feature file")
+    p = sub.add_parser("synth", help="generate a planted-peak feature file",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
-    p.add_argument("--videos-per-class", type=int, default=200)
-    p.add_argument("--frames-min", type=int, default=8)
-    p.add_argument("--frames-max", type=int, default=16)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--peaks", type=int, default=1)
-    p.add_argument("--signal", type=float, default=8.0)
-    p.add_argument("--noise", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--subjects", type=int, default=30)
+    p.add_argument("--videos-per-class", type=int)
+    p.add_argument("--frames-min", type=int)
+    p.add_argument("--frames-max", type=int)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--classes", type=int)
+    p.add_argument("--peaks", type=int)
+    p.add_argument("--signal", type=float)
+    p.add_argument("--noise", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--subjects", type=int)
     p.add_argument("--terminal-peak", action="store_true",
                    help="place peaks at the end of each video")
     p.set_defaults(func=cmd_synth)

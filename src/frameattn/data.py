@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import math
 import operator
 import os
 import struct
@@ -95,11 +96,13 @@ class Dataset:
     instance's `features` to its view of it, so the frames are held once.
     Later uses cost O(videos) while the dataset is unchanged. Replacing the
     instance list, an instance, its `features` object or its label makes
-    the next use repack and recheck, into a float64 matrix. Writing into
-    `features` in place changes the packed frames directly, in their dtype
-    (a loaded dataset's are float32, so the value written is rounded to
-    float32), and is not rechecked: a non-finite value written that way is
-    caught when the model reads the frames or write_feature_file checks them.
+    the next use repack and recheck, into a float64 matrix. Frames are
+    checked only where they enter: training and scoring read them as they
+    are. Writing into `features` in place changes the packed frames
+    directly, in their dtype (a loaded dataset's are float32, so the value
+    written is rounded to float32), and is not rechecked: a non-finite
+    value written that way is reported by the kernel (NumericError, naming
+    the dataset index) or by write_feature_file (DataError).
     Take a subset by passing indices (train, evaluate and the splits all
     do), not by building a second Dataset from some of these instances:
     two datasets that share VideoInstance objects rebind each other's
@@ -467,6 +470,9 @@ class SynthConfig:
             raise ConfigError("frames_max must be >= frames_min")
         if self.peak_frames > self.frames_min:
             raise ConfigError("peak_frames cannot exceed frames_min")
+        for name, value in (("signal", self.signal), ("noise", self.noise)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.signal < 0 or self.noise < 0:
             raise ConfigError("signal and noise magnitudes cannot be negative")
         if self.num_classes > self.dim:

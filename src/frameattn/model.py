@@ -58,13 +58,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, DimensionError, NumericError
+from .errors import DimensionError, NumericError
 from .numerics import (
-    as_array,
     as_matrix,
     as_vector,
     finite_diff_gradient,
-    first_nonfinite_row,
     relative_error,
     sigmoid,
     softmax_cross_entropy,
@@ -384,19 +382,18 @@ def _first_bad_row(f: np.ndarray, params: FanParams, labels) -> int | None:
     return None
 
 
-def _frames(x, ndim: int, params: FanParams) -> np.ndarray:
-    """Checked frames whose last axis is the parameters' feature dim: one
-    video's (n, D) matrix (ndim 2) or a (B, K, D) stack (ndim 3)."""
-    f = as_array(x, ndim, "features" if ndim == 2 else "stack")
-    if f.shape[-1] != params.feature_dim:
+def _frames(x, params: FanParams) -> np.ndarray:
+    """One video's checked (n, D) frame matrix, D the params' feature dim."""
+    f = as_matrix(x, "features")
+    if f.shape[1] != params.feature_dim:
         raise DimensionError(
-            f"feature dim {f.shape[-1]} != params dim {params.feature_dim}")
+            f"feature dim {f.shape[1]} != params dim {params.feature_dim}")
     return f
 
 
 def forward(features, params: FanParams) -> tuple[np.ndarray, AttentionTrace]:
     """Logits plus the attention trace for one video's feature matrix."""
-    logits, trace, _, _ = _stack_kernel(_frames(features, 2, params)[None], params)
+    logits, trace, _, _ = _stack_kernel(_frames(features, params)[None], params)
     return logits[0], AttentionTrace(**{k: v[0] for k, v in vars(trace).items()})
 
 
@@ -445,10 +442,11 @@ def score(params: FanParams, packed, indices=None, picks=None):
 
     Consecutive indices are scored from slices of the packed frames; any
     other selection is gathered a chunk at a time. Each chunk's rows are
-    checked in their stored dtype, where a non-finite value raises
-    DataError, then widened to float64 (float32 frames of a loaded
-    dataset). A non-finite logit raises NumericError. Both name the dataset
-    index of the first bad video.
+    widened to float64 (float32 frames of a loaded dataset), not checked
+    again: the dataset checked its frames when they entered it. A
+    non-finite logit, which a non-finite value written into them in place
+    also gives, raises NumericError naming the dataset index of the first
+    bad video.
     """
     frames, offsets = packed.frames, packed.offsets
     indices = packed.select(indices)
@@ -483,11 +481,8 @@ def score(params: FanParams, packed, indices=None, picks=None):
 def _score_chunk(rows: np.ndarray, chunk: np.ndarray, local: np.ndarray,
                  params: FanParams) -> Scored:
     """One chunk of score: the videos chunk, whose frames are rows, in
-    their stored dtype, cut at the offsets local."""
-    bad = first_nonfinite_row(rows)
-    if bad is not None:
-        video = chunk[np.searchsorted(local, bad, side="right") - 1]
-        raise DataError(f"dataset index {video}: features contains non-finite entries")
+    their stored dtype, cut at the offsets local. A function of its own so
+    that the chunk's trace is gone before the next chunk is gathered."""
     rows = rows.astype(np.float64, copy=False)
     try:
         logits, trace, _, _ = _kernel(rows, _segments(rows, local), params)
@@ -511,22 +506,9 @@ def backward(features, params: FanParams, label: int) -> tuple[float, FanParams]
 
 def forward_backward(features, params: FanParams, label: int):
     """Like backward but also returns the logits, for training-loop metrics."""
-    logits, _, losses, grads = _stack_kernel(_frames(features, 2, params)[None],
+    logits, _, losses, grads = _stack_kernel(_frames(features, params)[None],
                                              params, np.array([label]))
     return float(losses[0]), logits[0], grads
-
-
-def forward_backward_batch(stack, params: FanParams, labels):
-    """Losses, logits and summed gradients of a minibatch.
-
-    stack is a (B, K, D) array holding K frames of each of B instances and
-    labels their B class indices. Returns the (B,) per-instance losses, the
-    (B, C) logits and the parameter gradients summed over the batch; each
-    instance's share equals forward_backward on its own K frames.
-    """
-    logits, _, losses, grads = _stack_kernel(_frames(stack, 3, params), params,
-                                             np.asarray(labels))
-    return losses, logits, grads
 
 
 def gradient_pair(features, params: FanParams, label: int,

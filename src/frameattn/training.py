@@ -9,7 +9,8 @@ the gradient:
 
 Gradients are averaged (not summed) over the batch so the learning rate
 keeps its meaning across batch sizes, and each batch goes through the head
-as one (B, K, D) stack (model.forward_backward_batch). Everything is
+as one (B, K, D) stack (model._stack_kernel), gathered from the dataset's
+checked packed frames and not checked again. Everything is
 deterministic given the config seed: each epoch draws, from its one
 (seed, epoch) stream, first the shuffle and then the K segment-sampled
 frames of every instance in shuffled order (sampling.training_draw). The
@@ -23,6 +24,7 @@ row-major, class_b).
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -61,6 +63,10 @@ class TrainConfig:
         starts = [s for s, _ in self.schedule]
         if starts[0] != 0 or any(b <= a for a, b in zip(starts, starts[1:])):
             raise ConfigError("schedule epochs must increase strictly from 0")
+        for name, value in [("momentum", self.momentum), ("weight_decay", self.weight_decay),
+                            *(("learning rate", lr) for _, lr in self.schedule)]:
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if any(lr < 0 for _, lr in self.schedule):
             raise ConfigError("learning rates cannot be negative")
 
@@ -184,7 +190,8 @@ def train(
     validation accuracy is recorded. on_epoch, if given, is called with each
     EpochStats as it completes. Deterministic given config.seed. A NumericError
     names the epoch, the batch and, when one instance caused it, that
-    instance's dataset index.
+    instance's dataset index; a non-finite value written into the dataset's
+    frames in place is reported so, as non-finite logits.
     """
     config.validate()
     dataset.packed()
@@ -205,8 +212,8 @@ def train(
         batches = minibatches(dataset, train_indices, config, epoch)
         for number, (batch, stack, labels) in enumerate(batches):
             try:
-                losses, logits, grads = model.forward_backward_batch(
-                    stack, params, labels)
+                logits, trace, losses, grads = model._stack_kernel(stack, params, labels)
+                del trace  # so that the step runs without this batch's trace
                 grads.flat *= 1.0 / len(batch)
                 sgd_step(params.flat, grads.flat, velocity, lr, config.momentum,
                          config.weight_decay, params.blocks)

@@ -57,6 +57,13 @@ class TestSynthCommand:
                       "--out", str(tmp_path / "x.fanf"))
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("flag,value", [("--signal", "nan"), ("--noise", "inf")])
+    def test_non_finite_magnitude_names_the_field(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.fanf"
+        err = run_rejected(capsys, "synth", flag, value, "--out", str(out))
+        assert f"{flag[2:]} must be finite, got {value}" in err
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_train_writes_checkpoint_and_history(self, tiny_data, tmp_path, capsys):
@@ -166,6 +173,22 @@ class TestTrainCommand:
         assert code == EXIT_OK
         # no signal: nothing generalizable; even in-sample stays near 1/C
         assert json.loads(out)["accuracy"] < 0.5
+
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--lr", "nan"), ("--lr", "inf"), ("--momentum", "nan"), ("--momentum", "inf"),
+        ("--weight-decay", "nan")])
+    def test_non_finite_setting_names_the_field(self, tiny_data, tmp_path, capsys,
+                                                command, flag, value):
+        field = {"--lr": "learning rate", "--momentum": "momentum",
+                 "--weight-decay": "weight_decay"}[flag]
+        ckpt = tmp_path / "m.fanp"
+        extra = ["--out", str(ckpt)] if command == "train" else ["--folds", "2"]
+        err = run_rejected(capsys, command, "--data", tiny_data, "--epochs", "1",
+                           flag, value, *extra)
+        assert f"{field} must be finite, got {value}" in err
+        assert not ckpt.exists()
 
 
 class TestEvalCommand:
@@ -286,6 +309,13 @@ class TestGradcheckCommand:
     def test_bad_eps_or_config_count_exits_2(self, capsys, flags):
         err = run_rejected(capsys, "gradcheck", *flags)
         assert flags[0] in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--n", "-1"), ("--d", "-3"), ("--n", "0"), ("--d", "0"), ("--c", "0"),
+        ("--tol", "0"), ("--tol", "nan"), ("--eps", "inf")])
+    def test_bad_pin_or_bound_exits_2(self, capsys, flag, value):
+        err = run_rejected(capsys, "gradcheck", "--configs", "1", flag, value)
+        assert err.startswith(f"error: {flag} must be ")
 
 
 class TestVisualizeCommand:

@@ -7,7 +7,7 @@ import pytest
 
 from frameattn import model
 from frameattn.data import Dataset, SynthConfig, VideoInstance, build_folds, synth_generate
-from frameattn.errors import ConfigError, DataError, DimensionError, NumericError, SchemaError
+from frameattn.errors import ConfigError, DimensionError, NumericError, SchemaError
 from frameattn.evaluation import (
     cross_validate,
     evaluate,
@@ -306,7 +306,8 @@ class TestPackedEvaluate:
         ds = labeled_dataset([0, 1])
         ds.validate()
         ds.instances[1].features[0, 0] = np.inf
-        with pytest.raises(DataError):
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericError, match="^dataset index 1: forward pass produced non-finite logits"):
             evaluate(zero_params(3, 2), ds)
 
     def test_failed_export_keeps_previous_files(self, tmp_path):
@@ -315,7 +316,8 @@ class TestPackedEvaluate:
         export_attention(zero_params(3, 2), ds, path)
         old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         ds.instances[2].features[0, 0] = np.nan
-        with pytest.raises(DataError):
+        with pytest.raises(NumericError,
+                           match="^dataset index 2: forward pass produced non-finite logits"):
             export_attention(zero_params(3, 2), ds, path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
 
@@ -452,5 +454,6 @@ class TestScoringPass:
         ds = labeled_dataset([0, 1, 0], d=3, frames=4, seed=12)
         ds.validate()
         ds.instances[2].features[3, 1] = np.nan
-        with pytest.raises(DataError, match="dataset index 2: "):
+        with pytest.raises(NumericError,
+                           match="^dataset index 2: forward pass produced non-finite logits"):
             evaluate(zero_params(3, 2), ds)

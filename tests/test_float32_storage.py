@@ -14,7 +14,7 @@ from frameattn.data import (
     synth_generate,
     write_feature_file,
 )
-from frameattn.errors import DataError
+from frameattn.errors import DataError, NumericError
 from frameattn.evaluation import (
     cross_validate,
     evaluate,
@@ -64,13 +64,17 @@ def test_in_place_write_is_rounded_to_float32(pair):
     assert stored.dtype == np.float32 and float(stored) == float(np.float32(0.1)) != 0.1
 
 
-def test_nan_written_in_place_is_caught_by_train_and_evaluate(pair):
+def test_nan_written_in_place_is_caught_by_train_and_evaluate(pair, tmp_path):
     loaded, _ = pair
     loaded.instances[0].features[:] = np.nan
-    with pytest.raises(DataError):
+    with pytest.raises(NumericError, match=r"^epoch 0, batch \d+, dataset index 0: "
+                                           "forward pass produced non-finite logits"):
         train(loaded, synth_default_config(total_epochs=1, seed=1))
-    with pytest.raises(DataError):
+    with pytest.raises(NumericError,
+                       match="^dataset index 0: forward pass produced non-finite logits"):
         evaluate(head(loaded, Mode.FULL), loaded)
+    with pytest.raises(DataError, match="non-finite feature value"):
+        write_feature_file(loaded, str(tmp_path / "out.fanf"))
 
 
 def test_training_batches_and_scoring_chunks_are_widened_once(pair, monkeypatch):

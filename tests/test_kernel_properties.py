@@ -7,13 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frameattn.model import (
-    Mode,
-    forward,
-    forward_backward,
-    forward_backward_batch,
-    init_params,
-)
+from frameattn.model import Mode, _stack_kernel, forward, forward_backward, init_params
 
 PROPS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 TOL = dict(rtol=1e-12, atol=1e-12)
@@ -35,7 +29,7 @@ def draw(seed, b, k, d, c, mode):
        c=st.integers(1, 4), mode=MODES)
 def test_batch_matches_per_instance_and_sums_its_gradients(seed, b, k, d, c, mode):
     stack, labels, params = draw(seed, b, k, d, c, mode)
-    losses, logits, grads = forward_backward_batch(stack, params, labels)
+    logits, _, losses, grads = _stack_kernel(stack, params, labels)
     total = np.zeros_like(grads.flat)
     for i in range(b):
         loss, logit, grad = forward_backward(stack[i], params, int(labels[i]))
@@ -80,6 +74,6 @@ def test_saturated_sigmoids_give_finite_gradients(seed, b, k, d, c, mode, reach)
     side = np.where(stack @ params.q0 >= 0, 1.0, -1.0)
     stack += (side * reach / (params.q0 @ params.q0))[..., None] * params.q0
     assert np.all(np.abs(stack @ params.q0) >= reach * (1 - 1e-9))
-    losses, logits, grads = forward_backward_batch(stack, params, labels)
+    logits, _, losses, grads = _stack_kernel(stack, params, labels)
     assert np.all(np.isfinite(losses)) and np.all(np.isfinite(logits))
     assert np.all(np.isfinite(grads.flat))

@@ -13,7 +13,6 @@ from frameattn.model import (
     backward,
     forward,
     forward_backward,
-    forward_backward_batch,
     gradient_check,
     init_params,
     layout,
@@ -307,7 +306,7 @@ class TestBatchKernel:
     @pytest.mark.parametrize("mode", [Mode.FULL, Mode.SELF_ONLY])
     def test_logits_match_scalar_oracle(self, mode):
         stack, params, labels = self.batch(mode, 51)
-        _, logits, _ = forward_backward_batch(stack, params, labels)
+        logits, _, _, _ = model._stack_kernel(stack, params, labels)
         expect = [oracle_logits(f.tolist(), params.q0.tolist(), params.q1.tolist(),
                                 params.class_w.tolist(), params.class_b.tolist(),
                                 self_only=mode is Mode.SELF_ONLY)
@@ -317,12 +316,12 @@ class TestBatchKernel:
     @pytest.mark.parametrize("mode", [Mode.FULL, Mode.SELF_ONLY])
     def test_summed_gradient_matches_finite_differences(self, mode):
         stack, params, labels = self.batch(mode, 52)
-        _, _, grads = forward_backward_batch(stack, params, labels)
+        grads = model._stack_kernel(stack, params, labels)[3]
 
         def total_loss(flat):
             candidate = FanParams.from_flat(flat, params.feature_dim,
                                             params.num_classes, mode)
-            return float(np.sum(forward_backward_batch(stack, candidate, labels)[0]))
+            return float(np.sum(model._stack_kernel(stack, candidate, labels)[2]))
 
         fd = finite_diff_gradient(total_loss, params.flatten())
         assert relative_error(grads.flatten(), fd) < 1e-4
@@ -330,7 +329,7 @@ class TestBatchKernel:
     @pytest.mark.parametrize("mode", [Mode.FULL, Mode.SELF_ONLY])
     def test_batch_equals_sum_of_single_calls(self, mode):
         stack, params, labels = self.batch(mode, 53)
-        losses, logits, grads = forward_backward_batch(stack, params, labels)
+        logits, _, losses, grads = model._stack_kernel(stack, params, labels)
         total = np.zeros_like(params.flat)
         for i in range(self.B):
             loss, lg, g = forward_backward(stack[i], params, labels[i])
@@ -359,15 +358,8 @@ class TestBatchKernel:
         attention = signs * rng.uniform(low, high, size=(self.B, 3))
         stack = np.repeat(attention[:, :, None] / d, d, axis=2)
         labels = rng.integers(0, 3, size=self.B)
-        _, _, grads = forward_backward_batch(stack, params, labels)
+        grads = model._stack_kernel(stack, params, labels)[3]
         assert np.all(np.isfinite(grads.flatten()))
-
-    def test_shape_checks(self):
-        params = random_params(4, 3, Mode.FULL)
-        with pytest.raises(DimensionError):
-            forward_backward_batch(np.ones((2, 3, 5)), params, [0, 1])
-        with pytest.raises(DimensionError):
-            forward_backward_batch(np.ones((3, 4)), params, [0, 1, 2])
 
 
 class TestLearnedAttention:
@@ -573,7 +565,7 @@ class TestScore:
                 pytest.raises(NumericError, match="dataset index 5: forward"):
             list(score(params, packed, [0, 5, 6]))
         frames[offsets[6] + 1, 2] = np.nan
-        with pytest.raises(DataError, match="dataset index 6: "):
+        with pytest.raises(NumericError, match="^dataset index 6: forward pass"):
             list(score(params, packed, [6, 0]))
         with pytest.raises(DimensionError):
             list(score(random_params(self.D + 1, 3, Mode.FULL), packed))

@@ -421,5 +421,6 @@ class TestPackedMinibatches:
         ds = small_synth()
         ds.instances[0].features[:] = np.nan
         ds.validate()  # not rescanned: only replaced objects are rechecked
-        with pytest.raises(DataError):
+        with pytest.raises(NumericError, match=r"^epoch 0, batch \d+, dataset index 0: "
+                                               "forward pass produced non-finite logits"):
             train(ds, TrainConfig(total_epochs=1, k=2))
