@@ -334,19 +334,20 @@ def load_feature_csv(path: str, class_names: list[str] | None = None) -> Dataset
     One frame per line: video_id, subject_id, label, frame_index, then D
     feature values. Frames of a video may appear in any order; they are
     sorted by frame_index. When class_names is omitted the class count is
-    inferred from the labels present, and may not exceed the file's size in
-    bytes. The file must be UTF-8.
+    inferred from the labels present, and may not exceed the number of
+    fields read. The file must be UTF-8.
     """
     rows: dict[str, dict] = {}
     dim = None
+    fields = 0
     try:
         with open(path, newline="", encoding="utf-8") as f:
-            size = os.fstat(f.fileno()).st_size
             for lineno, parts in enumerate(csv.reader(f), start=1):
                 if not parts:
                     continue
                 if len(parts) < 5:
                     raise SchemaError(f"line {lineno}: expected at least 5 fields")
+                fields += len(parts)
                 video_id, subject_id = parts[0].strip(), parts[1].strip()
                 try:
                     label = int(parts[2])
@@ -381,10 +382,10 @@ def load_feature_csv(path: str, class_names: list[str] | None = None) -> Dataset
 
     if class_names is None:
         num_classes = max(rec["label"] for rec in rows.values()) + 1
-        # one name is made per class: bound their count by the input's size
-        if num_classes > size:
+        # one name is made per class: bound their count by the fields read
+        if num_classes > fields:
             raise SchemaError(f"label {num_classes - 1} implies {num_classes} classes, "
-                              f"more than the file's {size} bytes")
+                              f"more than the {fields} fields read; pass class_names")
         class_names = [f"class_{c}" for c in range(num_classes)]
     instances = [
         VideoInstance(

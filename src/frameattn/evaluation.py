@@ -24,7 +24,7 @@ import numpy as np
 
 from . import model, sampling
 from .data import Dataset, FoldPlan, atomic_open, split_by_fold
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, NumericError
 from .model import FanParams
 from .numerics import softmax, softmax_cross_entropy
 from .training import TrainConfig, lr_at, minibatches, sgd_step, train
@@ -194,6 +194,7 @@ def score_fusion_baseline(
 
     test_indices defaults to the training split (in-sample report). The
     decision is invariant to any positive scaling of a video's frame scores.
+    A non-finite frame score raises NumericError naming the dataset index.
     """
     if fusion not in ("logits", "probs"):
         raise ConfigError(f"unknown fusion '{fusion}'")
@@ -210,6 +211,8 @@ def score_fusion_baseline(
     confusion = np.zeros((dataset.num_classes, dataset.num_classes), dtype=np.int64)
     for idx in test_indices:
         frame_logits = dataset.instances[idx].features @ w.T + b
+        if not np.isfinite(frame_logits).all():  # a value written in place
+            raise NumericError(f"dataset index {idx}: baseline produced non-finite scores")
         scores = (softmax(frame_logits) if fusion == "probs" else frame_logits).sum(axis=0)
         confusion[labels[idx], int(np.argmax(scores))] += 1
     return _report_from_confusion(confusion)

@@ -27,7 +27,9 @@ where g_t, g_s are the pre-sigmoid cotangents of beta and alpha. The kernel
 applies the sigmoid slopes as g_t_i = w_i/W (f_i - u).g_u (1 - beta_i) and
 g_s_i = [w_i/W (f_i - u).g_u + alpha_i/A (f_i - a).(dL/da)] (1 - alpha_i):
 only normalized weights appear, so saturated sigmoids, whose alpha and beta
-can be tiny, never make a cotangent divide by a tiny sum.
+can be tiny, never make a cotangent divide by a tiny sum. The w_i are direct
+products unless one of a batch underflows; then _kernel scales them by powers
+of two, which is exact, so both ways give the same bits where both apply.
 
 One kernel computes all of this for packed frame rows: video i is rows
 offsets[i]:offsets[i+1] of one (R, D) matrix. The forward formulas are
@@ -60,6 +62,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericError
 from .numerics import (
+    _xent,
     as_matrix,
     as_vector,
     finite_diff_gradient,
@@ -306,14 +309,15 @@ def _kernel(rows: np.ndarray, seg, params: FanParams, labels=None):
     if params.mode is Mode.FULL:
         beta = sigmoid(seg.frames(rows @ params.q1[:d])
                        + seg.spread(anchor @ params.q1[d:]))
-        # w_i = alpha_i beta_i scaled by the power of two that brings the
-        # video's largest to [1/4, 1): the exponents are added apart from
-        # the mantissas, so when every product underflows the weights are
-        # still exact, and otherwise final is bit-for-bit w / sum(w)
-        ma, ea = np.frexp(alpha)
-        mb, eb = np.frexp(beta)
-        e = ea + eb
-        w = np.ldexp(ma * mb, e - seg.spread(seg.max(e)))
+        # w_i = alpha_i beta_i when no product underflows; else each video's
+        # scaled by the power of two that brings its largest to [1/4, 1),
+        # exponents added apart from mantissas: exact even if all underflow
+        w = alpha * beta
+        if not w.min() >= 2.0**-1022:  # the smallest normal float64
+            ma, ea = np.frexp(alpha)
+            mb, eb = np.frexp(beta)
+            e = ea + eb
+            w = np.ldexp(ma * mb, e - seg.spread(seg.max(e)))
         final = w / seg.spread(seg.sum(w))
         top = seg.mean(final, rows)
         agg = np.concatenate([top, anchor], axis=1)
@@ -323,7 +327,7 @@ def _kernel(rows: np.ndarray, seg, params: FanParams, labels=None):
         agg = anchor
 
     logits = agg @ params.class_w.T + params.class_b
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise NumericError("forward pass produced non-finite logits",
                            row=int(np.argmin(np.all(np.isfinite(logits), axis=1))))
     trace = AttentionTrace(alpha=alpha, beta=beta, final_weights=final,
@@ -332,7 +336,7 @@ def _kernel(rows: np.ndarray, seg, params: FanParams, labels=None):
         return logits, trace, None, None
 
     f = seg.f
-    losses, g_logits = softmax_cross_entropy(logits, labels)
+    losses, g_logits = _xent(logits, labels)
     g_agg = g_logits @ params.class_w
     grads = FanParams._over(np.zeros_like(params.flat), params.blocks, params.mode)
 
@@ -340,24 +344,24 @@ def _kernel(rows: np.ndarray, seg, params: FanParams, labels=None):
         g_top = g_agg[:, :d]
         # through the weighted mean: (f_i - top) . g_top, times w_i / W
         y = final * (np.matmul(f, g_top[:, :, None])[:, :, 0]
-                     - np.sum(top * g_top, axis=1, keepdims=True))
+                     - (top * g_top).sum(axis=1, keepdims=True))
         g_t = y * (1.0 - beta)
         gt_sum = g_t.sum(axis=1)
-        grads.q1[:d] = g_t.reshape(-1) @ rows
-        grads.q1[d:] = gt_sum @ anchor
+        np.matmul(g_t.reshape(-1), rows, out=grads.q1[:d])
+        np.matmul(gt_sum, anchor, out=grads.q1[d:])
         g_anchor = g_agg[:, d:] + gt_sum[:, None] * params.q1[d:]
     else:
         y = 0.0
         g_anchor = g_agg
     # through the anchor: (f_i - anchor) . g_anchor, times alpha_i / A
     g_s = (y + alpha_n * (np.matmul(f, g_anchor[:, :, None])[:, :, 0]
-                          - np.sum(anchor * g_anchor, axis=1, keepdims=True))
+                          - (anchor * g_anchor).sum(axis=1, keepdims=True))
            ) * (1.0 - alpha)
 
-    grads.q0 = g_s.reshape(-1) @ rows
-    grads.class_w = g_logits.T @ agg
-    grads.class_b = g_logits.sum(axis=0)
-    if not np.all(np.isfinite(grads.flat)):
+    np.matmul(g_s.reshape(-1), rows, out=grads.q0)
+    np.matmul(g_logits.T, agg, out=grads.class_w)
+    g_logits.sum(axis=0, out=grads.class_b)
+    if not np.isfinite(grads.flat).all():
         raise NumericError("backward pass produced non-finite gradients",
                            row=_first_bad_row(f, params, labels))
     return logits, trace, losses, grads
@@ -506,8 +510,10 @@ def backward(features, params: FanParams, label: int) -> tuple[float, FanParams]
 
 def forward_backward(features, params: FanParams, label: int):
     """Like backward but also returns the logits, for training-loop metrics."""
-    logits, _, losses, grads = _stack_kernel(_frames(features, params)[None],
-                                             params, np.array([label]))
+    f = _frames(features, params)
+    if not 0 <= label < params.num_classes:  # the kernel takes labels unchecked
+        raise IndexError(f"label out of range for {params.num_classes} logits")
+    logits, _, losses, grads = _stack_kernel(f[None], params, np.array([label]))
     return float(losses[0]), logits[0], grads
 
 

@@ -70,7 +70,8 @@ def sigmoid(x):
     """
     arr = np.asarray(x, dtype=np.float64)
     ex = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    out = np.where(arr >= 0, 1.0, ex)
+    out /= 1.0 + ex
     # maximum/minimum rather than np.clip, whose call overhead dominates on
     # the few values of one video
     np.maximum(out, _SIGMOID_LO, out=out)
@@ -94,7 +95,7 @@ def softmax_cross_entropy(logits, label):
     Returns (loss, gradient) where gradient = softmax(logits) - onehot(label),
     per row; each gradient row sums to zero up to rounding. A single vector
     gives a float loss and a (C,) gradient, a batch (B,) losses and a (B, C)
-    gradient.
+    gradient. It is the checks and a call to _xent, the one implementation.
     """
     single = np.ndim(logits) == 1
     z = as_vector(logits, "logits")[None] if single else as_matrix(logits, "logits")
@@ -103,14 +104,19 @@ def softmax_cross_entropy(logits, label):
         raise DimensionError(f"{labels.shape[0]} labels for {z.shape[0]} logit rows")
     if np.any((labels < 0) | (labels >= z.shape[1])):
         raise IndexError(f"label out of range for {z.shape[1]} logits")
+    loss, grad = _xent(z, labels)
+    return (float(loss[0]), grad[0]) if single else (loss, grad)
+
+
+def _xent(z: np.ndarray, labels: np.ndarray):
+    """softmax_cross_entropy on (B, C) logits and B labels, unchecked: -1
+    would pick class C-1, so labels are checked where they enter."""
     rows = np.arange(z.shape[0])
-    shifted = z - np.max(z, axis=1, keepdims=True)
-    logsumexp = np.log(np.sum(np.exp(shifted), axis=1))
+    shifted = z - z.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(shifted).sum(axis=1))
     loss = logsumexp - shifted[rows, labels]
     grad = np.exp(shifted - logsumexp[:, None])
     grad[rows, labels] -= 1.0
-    if single:
-        return float(loss[0]), grad[0]
     return loss, grad
 
 

@@ -133,7 +133,7 @@ def sgd_step(params: np.ndarray, grads: np.ndarray, velocity: np.ndarray,
     velocity *= momentum
     velocity += step
     params -= lr * velocity
-    if not np.all(np.isfinite(params)):
+    if not np.isfinite(params).all():
         name, _ = model.locate(blocks, int(np.argmin(np.isfinite(params))))
         raise NumericError(f"parameter '{name}' became non-finite during update")
 
@@ -223,7 +223,7 @@ def train(
                     where += f", dataset index {int(batch[e.row])}"
                 raise NumericError(f"{where}: {e}") from e
             loss_sum += float(losses.sum())
-            correct += int(np.sum(np.argmax(logits, axis=1) == labels))
+            correct += int((logits.argmax(axis=1) == labels).sum())
 
         val_acc = None
         if val_indices is not None:

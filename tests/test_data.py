@@ -206,6 +206,24 @@ class TestCsvImport:
         with pytest.raises(SchemaError, match="out of range"):
             load_feature_csv(str(path), class_names=["a", "b"])
 
+    def test_label_beyond_the_fields_read_rejected_in_a_padded_file(self, tmp_path):
+        # one frame line padded to 100,000 bytes with blank lines: its label
+        # would make 100,000 class names, about 77 times the file's size
+        path = tmp_path / "t.csv"
+        line = "v,s,99999,0,1.0\n"
+        path.write_text(line + "\n" * (100_000 - len(line)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemaError, match="100000 classes, more than the 5 "
+                                                  "fields read; pass class_names"):
+                load_feature_csv(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * path.stat().st_size
+        assert len(load_feature_csv(str(path), class_names=[f"c{i}" for i in range(10**5)])
+                   .instances) == 1
+
     def test_field_beyond_the_parser_limit_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("v0,s0,0,0," + "1" * 200_000 + "\n")

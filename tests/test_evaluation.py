@@ -171,6 +171,18 @@ class TestScoreFusionBaseline:
         np.testing.assert_array_equal(report.confusion, again.confusion)
         assert report.count == 6
 
+    @pytest.mark.parametrize("fusion", ["logits", "probs"])
+    def test_non_finite_test_video_names_its_dataset_index(self, fusion):
+        # a value written into the checked frames in place: the video used
+        # to be classified silently (its NaN scores argmax to class 0)
+        ds = synth_generate(SynthConfig(videos_per_class=6, frames_min=3, frames_max=5,
+                                        dim=6, num_classes=3, subject_count=12, seed=1))
+        ds.packed()
+        ds.instances[5].features[1, 2] = np.nan
+        with pytest.raises(NumericError,
+                           match="^dataset index 5: baseline produced non-finite scores$"):
+            score_fusion_baseline(ds, TrainConfig(total_epochs=0), fusion=fusion)
+
     def test_probability_fusion_option(self):
         ds = labeled_dataset([0, 1, 0, 1], d=4, frames=5, seed=10)
         idx = list(range(4))

@@ -283,6 +283,16 @@ class TestBackward:
         expect[2] -= 1.0
         np.testing.assert_allclose(grads.class_b, expect, atol=1e-14)
 
+    @pytest.mark.parametrize("label", [-1, 3])
+    @pytest.mark.parametrize("mode", [Mode.FULL, Mode.SELF_ONLY])
+    def test_label_out_of_range_raises_at_every_public_entry(self, label, mode):
+        # the kernel takes labels unchecked: -1 would pick the last class
+        f = np.random.default_rng(34).standard_normal((3, 4))
+        params = random_params(4, 3, mode, seed=2)
+        for entry in (backward, forward_backward, model.gradient_pair):
+            with pytest.raises(IndexError, match="^label out of range for 3 logits$"):
+                entry(f, params, label)
+
     def test_duplication_leaves_loss_and_grads_unchanged(self):
         rng = np.random.default_rng(33)
         f = rng.standard_normal((3, 4))
@@ -292,6 +302,64 @@ class TestBackward:
         assert abs(loss1 - loss2) < 1e-10
         for a, b in zip(g1.flatten(), g2.flatten()):
             assert abs(a - b) < 1e-10
+
+
+def scaled_final(alpha, beta):
+    """Final weights of (B, K) alpha and beta from the products scaled per
+    video by the power of two that brings the largest to [1/4, 1)."""
+    ma, ea = np.frexp(alpha)
+    mb, eb = np.frexp(beta)
+    e = ea + eb
+    w = np.ldexp(ma * mb, e - e.max(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True)
+
+
+class TestWeightProducts:
+    """The kernel takes w = alpha * beta directly only when every product of
+    the batch is a normal float; its final weights must then equal those of
+    the scaled products bit for bit, and otherwise come from them."""
+
+    TINY = np.finfo(np.float64).tiny
+
+    def kernel_final(self, alpha, beta, ragged, monkeypatch):
+        """The kernel's final weights when its two sigmoids return alpha,
+        then beta: through the even-length batch or the ragged path."""
+        b, k = alpha.shape
+        shape = (b * k,) if ragged else (b, k)
+        outs = iter([alpha.reshape(-1), beta.reshape(shape)])
+        monkeypatch.setattr(model, "sigmoid", lambda x: next(outs))
+        params = random_params(2, 3, Mode.FULL, seed=4)
+        f = np.ones((b, k, 2))
+        if ragged:
+            seg = model._Ragged(np.arange(0, b * k + 1, k))
+            _, trace, _, _ = model._kernel(f.reshape(b * k, 2), seg, params)
+        else:
+            _, trace, _, _ = model._stack_kernel(f, params)
+        return trace.final_weights.reshape(b, k)
+
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_smallest_product_exactly_tiny_takes_the_direct_product(self, ragged,
+                                                                      monkeypatch):
+        alpha = np.array([[2.0**-500, 0.6, 0.3], [0.2, 0.9, 0.45]])
+        beta = np.array([[2.0**-522, 0.8, 0.55], [0.35, 0.7, 0.99]])
+        assert (alpha * beta).min() == self.TINY
+        got = self.kernel_final(alpha, beta, ragged, monkeypatch)
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      scaled_final(alpha, beta).view(np.int64))
+
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_one_subnormal_product_takes_the_scaled_path(self, ragged, monkeypatch):
+        alpha = np.array([[0.7 * 2.0**-530, 0.1, 0.5], [0.2, 0.9, 0.45]])
+        beta = np.array([[0.9 * 2.0**-535, 0.5, 0.1], [0.35, 0.7, 0.99]])
+        w = alpha * beta
+        assert 0.0 < w.min() < self.TINY
+        # the direct product rounds the subnormal differently here, so only
+        # the scaled path gives these bits
+        direct = w / w.sum(axis=1, keepdims=True)
+        assert not np.array_equal(direct, scaled_final(alpha, beta))
+        got = self.kernel_final(alpha, beta, ragged, monkeypatch)
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      scaled_final(alpha, beta).view(np.int64))
 
 
 class TestBatchKernel:

@@ -50,6 +50,28 @@ class TestSigmoid:
         out = sigmoid(np.array([0.0, 1.0]))
         assert out.shape == (2,)
 
+    def test_bit_equal_to_the_two_division_formula(self):
+        # sigmoid divides the chosen numerator (1 or e) by 1 + e once; the
+        # two-division form below, with the same clamps, must give each bit
+        def two_divisions(x):
+            ex = np.exp(-np.abs(x))
+            out = np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+            return np.minimum(np.maximum(out, np.nextafter(0.0, 1.0)),
+                              np.nextafter(1.0, 0.0))
+
+        tiny = np.finfo(np.float64).tiny
+        edges = np.array([0.0, 36.7, 37.0, 745.0, 746.0, 1e308,
+                          tiny, tiny / 3, 5e-324, np.inf])
+        rng = np.random.default_rng(11)
+        bits = rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64)
+        xs = np.concatenate([edges, -edges, bits[np.isfinite(bits)],
+                             40.0 * rng.standard_normal(2000),
+                             rng.uniform(-800.0, 800.0, 2000)])
+        np.testing.assert_array_equal(sigmoid(xs).view(np.int64),
+                                      two_divisions(xs).view(np.int64))
+        for x in np.concatenate([edges, -edges]):
+            assert sigmoid(x) == float(two_divisions(x))
+
 
 class TestSoftmax:
     def test_block_is_bit_equal_to_the_per_row_loop(self):

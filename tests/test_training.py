@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tracemalloc
 
@@ -299,6 +300,27 @@ class TestTrainLoop:
             params.class_b -= 0.2 * total.class_b  # q0, q1 frozen
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < losses[0]
+
+    @pytest.mark.parametrize("mode,ckpt_sha256,history_sha256", [
+        (Mode.FULL, "527dde5749af21ec62caded827b0e29a0e4d19634067754dd32c2dfd7843952a",
+         "df4bfe0fb7d9bf60fb0ded72ffb424992d8f0e74da501261a8c2572c1b67f0b9"),
+        (Mode.SELF_ONLY, "3ecbe1b9a4f92e2da400c14d1f2b3ed5c0a68e83fe4bddf1daa1742f8c679a70",
+         "3e8e18328049590dd47e89f12b2d5344fa37af370fb792d93397121966cf49aa"),
+    ])
+    def test_checkpoint_and_history_bytes_pinned(self, tmp_path, mode, ckpt_sha256,
+                                                 history_sha256):
+        # pinned before the step took its cross-entropy unchecked, its
+        # sigmoid with one division, its weights as direct products and its
+        # gradients written in place (x86-64, numpy 2.4, OpenBLAS): a
+        # reordered sum or a rounded-differently weight changes these bytes
+        cfg = TrainConfig(total_epochs=5, batch_size=4, k=2, seed=3, mode=mode,
+                          weight_decay=0.01)
+        params, history = train(small_synth(), cfg, val_indices=[0, 7, 13])
+        path = tmp_path / "m.fanp"
+        save_checkpoint(params, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == ckpt_sha256
+        lines = "\n".join(history_lines(history)).encode()
+        assert hashlib.sha256(lines).hexdigest() == history_sha256
 
 
 class TestCheckpoint:
