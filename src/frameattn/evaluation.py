@@ -6,10 +6,11 @@ the head (model.score): chunks of whole videos read from the packed frames,
 each chunk's working set near model.SCORE_CHUNK_BYTES, so their memory does
 not grow with the dataset.
 
-The baseline trains an affine per-frame classifier with the same optimizer
-settings as the attention model and fuses a video's decision by summing its
-per-frame scores. Summation is over raw logits by default; pass
-fusion="probs" to sum softmax probabilities instead (the argmax can differ).
+The baseline trains an affine per-frame classifier through the attention
+head's own loop (training.fit), on the same minibatches and optimizer
+settings, and fuses a video's decision by summing its per-frame scores.
+Summation is over raw logits by default; pass fusion="probs" to sum softmax
+probabilities instead (the argmax can differ).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from . import model, sampling
 from .data import Dataset, FoldPlan, atomic_open, split_by_fold
 from .errors import ConfigError, DimensionError, NumericError
 from .model import FanParams
-from .numerics import softmax, softmax_cross_entropy
-from .training import TrainConfig, lr_at, minibatches, sgd_step, train
+from .numerics import _xent, softmax
+from .training import TrainConfig, fit, train, training_split
 
 
 @dataclass
@@ -148,41 +149,6 @@ def cross_validate(
     return reports, _report_from_confusion(pooled)
 
 
-def _train_frame_classifier(
-    dataset: Dataset, config: TrainConfig, train_indices: list[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Affine per-frame classifier trained with the shared optimizer settings.
-
-    It steps through the attention trainer's minibatches (training.minibatches),
-    so each epoch uses the same (seed, epoch) draw: every instance contributes
-    its k segment-sampled frames, each frame is an independent sample, and
-    batch gradients are averaged over the batch's B*k frames. Its weights
-    and bias are one flat vector, updated by training.sgd_step.
-    """
-    d, c = dataset.dim, dataset.num_classes
-    rng = np.random.default_rng(config.seed)
-    limit = np.sqrt(6.0 / (d + c))
-    blocks = model.blocks_of([("baseline_w", (c, d)), ("baseline_b", (c,))])
-    params = np.concatenate([rng.uniform(-limit, limit, size=c * d), np.zeros(c)])
-    w = params[blocks[0].slice].reshape(c, d)
-    b = params[blocks[1].slice]
-    grads = np.empty_like(params)
-    velocity = np.zeros_like(params)
-
-    for epoch in range(config.total_epochs):
-        lr = lr_at(config.schedule, epoch)
-        for _, stack, labels in minibatches(dataset, train_indices, config, epoch):
-            frames = stack.reshape(-1, d)
-            _, g = softmax_cross_entropy(frames @ w.T + b,
-                                         np.repeat(labels, config.k))
-            g /= len(frames)
-            grads[blocks[0].slice] = (g.T @ frames).ravel()
-            grads[blocks[1].slice] = g.sum(axis=0)
-            sgd_step(params, grads, velocity, lr, config.momentum,
-                     config.weight_decay, blocks)
-    return w, b
-
-
 def score_fusion_baseline(
     dataset: Dataset,
     config: TrainConfig,
@@ -192,23 +158,44 @@ def score_fusion_baseline(
 ) -> EvalReport:
     """Train the per-frame classifier and fuse per-frame scores by summation.
 
-    test_indices defaults to the training split (in-sample report). The
-    decision is invariant to any positive scaling of a video's frame scores.
-    A non-finite frame score raises NumericError naming the dataset index.
+    Training is training.fit on one flat vector of weights and bias: each
+    sampled frame is an independent sample, and batch gradients are averaged
+    over the batch's B*k frames. test_indices defaults to the training split
+    (in-sample report). The decision is invariant to any positive scaling of
+    a video's frame scores. A non-finite frame score raises NumericError
+    naming the dataset index (and, in training, the epoch and batch).
     """
     if fusion not in ("logits", "probs"):
         raise ConfigError(f"unknown fusion '{fusion}'")
-    config.validate()
-    labels = dataset.packed().labels
-    if train_indices is None:
-        train_indices = list(range(len(dataset.instances)))
-    if not train_indices:
-        raise ConfigError("training split is empty")
-    if test_indices is None:
-        test_indices = list(train_indices)
+    train_indices = training_split(dataset, config, train_indices)
+    test_indices = list(train_indices) if test_indices is None else test_indices
 
-    w, b = _train_frame_classifier(dataset, config, train_indices)
-    confusion = np.zeros((dataset.num_classes, dataset.num_classes), dtype=np.int64)
+    d, c = dataset.dim, dataset.num_classes
+    rng = np.random.default_rng(config.seed)
+    limit = np.sqrt(6.0 / (d + c))
+    blocks = model.blocks_of([("baseline_w", (c, d)), ("baseline_b", (c,))])
+    params = np.concatenate([rng.uniform(-limit, limit, size=c * d), np.zeros(c)])
+    w = params[blocks[0].slice].reshape(c, d)
+    b = params[blocks[1].slice]
+    grads = np.empty_like(params)
+
+    def step(stack, labels):
+        frames = stack.reshape(-1, d)
+        logits = frames @ w.T + b
+        if not np.isfinite(logits).all():  # a value written into the frames in place
+            row = int(np.argmin(np.isfinite(logits).all(axis=1))) // config.k
+            raise NumericError("baseline produced non-finite scores", row=row)
+        labels = np.repeat(labels, config.k)
+        losses, g = _xent(logits, labels)
+        g /= len(frames)
+        grads[blocks[0].slice] = (g.T @ frames).ravel()
+        grads[blocks[1].slice] = g.sum(axis=0)
+        return float(losses.sum()), int((logits.argmax(axis=1) == labels).sum()), grads
+
+    for _ in fit(dataset, config, train_indices, params, blocks, step):
+        pass
+    labels = dataset.packed().labels
+    confusion = np.zeros((c, c), dtype=np.int64)
     for idx in test_indices:
         frame_logits = dataset.instances[idx].features @ w.T + b
         if not np.isfinite(frame_logits).all():  # a value written in place

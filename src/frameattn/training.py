@@ -14,7 +14,7 @@ checked packed frames and not checked again. Everything is
 deterministic given the config seed: each epoch draws, from its one
 (seed, epoch) stream, first the shuffle and then the K segment-sampled
 frames of every instance in shuffled order (sampling.training_draw). The
-score-fusion baseline trains on the same minibatches.
+score-fusion baseline trains in the same loop (fit), on the same minibatches.
 
 Checkpoint format ("FANP", little-endian): magic, version u32 = 1, D u32,
 C u32, mode u32 (0 full, 1 self-only), then the parameters as float64:
@@ -176,6 +176,44 @@ def minibatches(dataset: Dataset, indices, config: TrainConfig, epoch: int):
         yield batch, stack.astype(np.float64, copy=False), packed.labels[batch]
 
 
+def training_split(dataset: Dataset, config: TrainConfig, indices=None):
+    """The training indices (every instance by default), after checking the
+    config and packing the dataset; an empty split raises ConfigError."""
+    config.validate()
+    dataset.packed()
+    indices = list(range(len(dataset.instances))) if indices is None else indices
+    if not len(indices):
+        raise ConfigError("training split is empty")
+    return indices
+
+
+def fit(dataset: Dataset, config: TrainConfig, indices, flat: np.ndarray, blocks, step):
+    """The SGD loop of both heads; yields (epoch, lr, loss sum, correct
+    count) as each epoch ends. Each minibatch goes through step(stack,
+    labels) -> (loss sum, correct count, flat gradients laid out as
+    `blocks`), then sgd_step updates `flat` in place. A NumericError is
+    raised again naming the epoch, the batch and the dataset index of its
+    row, if it has one."""
+    velocity = np.zeros_like(flat)
+    for epoch in range(config.total_epochs):
+        lr = lr_at(config.schedule, epoch)
+        loss_sum, correct = 0.0, 0
+        batches = minibatches(dataset, indices, config, epoch)
+        for number, (batch, stack, labels) in enumerate(batches):
+            try:
+                loss, hits, grads = step(stack, labels)
+                sgd_step(flat, grads, velocity, lr, config.momentum,
+                         config.weight_decay, blocks)
+            except NumericError as e:
+                where = f"epoch {epoch}, batch {number}"
+                if e.row is not None:
+                    where += f", dataset index {int(batch[e.row])}"
+                raise NumericError(f"{where}: {e}") from e
+            loss_sum += loss
+            correct += hits
+        yield epoch, lr, loss_sum, correct
+
+
 def train(
     dataset: Dataset,
     config: TrainConfig,
@@ -193,47 +231,21 @@ def train(
     instance's dataset index; a non-finite value written into the dataset's
     frames in place is reported so, as non-finite logits.
     """
-    config.validate()
-    dataset.packed()
-    if train_indices is None:
-        train_indices = list(range(len(dataset.instances)))
-    if not train_indices:
-        raise ConfigError("training split is empty")
-
+    train_indices = training_split(dataset, config, train_indices)
     params = model.init_params(dataset.dim, dataset.num_classes,
                                config.mode, seed=config.seed)
-    velocity = np.zeros_like(params.flat)
+
+    def step(stack, labels):
+        logits, _, losses, grads = model._stack_kernel(stack, params, labels)
+        grads.flat *= 1.0 / len(labels)
+        return float(losses.sum()), int((logits.argmax(axis=1) == labels).sum()), grads.flat
+
     history: TrainHistory = []
-
-    for epoch in range(config.total_epochs):
-        lr = lr_at(config.schedule, epoch)
-        loss_sum = 0.0
-        correct = 0
-        batches = minibatches(dataset, train_indices, config, epoch)
-        for number, (batch, stack, labels) in enumerate(batches):
-            try:
-                logits, trace, losses, grads = model._stack_kernel(stack, params, labels)
-                del trace  # so that the step runs without this batch's trace
-                grads.flat *= 1.0 / len(batch)
-                sgd_step(params.flat, grads.flat, velocity, lr, config.momentum,
-                         config.weight_decay, params.blocks)
-            except NumericError as e:
-                where = f"epoch {epoch}, batch {number}"
-                if e.row is not None:
-                    where += f", dataset index {int(batch[e.row])}"
-                raise NumericError(f"{where}: {e}") from e
-            loss_sum += float(losses.sum())
-            correct += int((logits.argmax(axis=1) == labels).sum())
-
-        val_acc = None
-        if val_indices is not None:
-            val_acc = _accuracy(dataset, params, val_indices, epoch)
-        stats = EpochStats(
-            epoch=epoch, lr=lr,
-            loss=loss_sum / len(train_indices),
-            train_accuracy=correct / len(train_indices),
-            val_accuracy=val_acc,
-        )
+    for epoch, lr, loss_sum, correct in fit(dataset, config, train_indices,
+                                            params.flat, params.blocks, step):
+        val = None if val_indices is None else _accuracy(dataset, params, val_indices, epoch)
+        stats = EpochStats(epoch, lr, loss_sum / len(train_indices),
+                           correct / len(train_indices), val)
         history.append(stats)
         if on_epoch is not None:
             on_epoch(stats)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -6,7 +7,14 @@ import numpy as np
 import pytest
 
 from frameattn import model
-from frameattn.data import Dataset, SynthConfig, VideoInstance, build_folds, synth_generate
+from frameattn.data import (
+    Dataset,
+    SynthConfig,
+    VideoInstance,
+    build_folds,
+    split_by_fold,
+    synth_generate,
+)
 from frameattn.errors import ConfigError, DimensionError, NumericError, SchemaError
 from frameattn.evaluation import (
     cross_validate,
@@ -182,6 +190,41 @@ class TestScoreFusionBaseline:
         with pytest.raises(NumericError,
                            match="^dataset index 5: baseline produced non-finite scores$"):
             score_fusion_baseline(ds, TrainConfig(total_epochs=0), fusion=fusion)
+
+    @pytest.mark.parametrize("fusion", ["logits", "probs"])
+    def test_non_finite_training_video_names_epoch_batch_and_index(self, fusion):
+        # a value written into the checked frames in place, met in training:
+        # training.fit names the epoch, the batch and the video
+        ds = synth_generate(SynthConfig(videos_per_class=6, frames_min=3, frames_max=5,
+                                        dim=6, num_classes=3, subject_count=12, seed=1))
+        ds.packed()
+        ds.instances[5].features[:] = np.nan
+        with pytest.raises(NumericError, match=r"^epoch 0, batch \d+, dataset index 5: "
+                                               r"baseline produced non-finite scores$"):
+            score_fusion_baseline(ds, TrainConfig(total_epochs=1, k=2), fusion=fusion)
+
+    @pytest.mark.parametrize("fusion, sha256", [
+        ("logits", "b98b7e6d83351cfd79483c0e689c66e2a5e0d4fa3878464a070f91bc53d9d04d"),
+        ("probs", "41d1ffdb0c3b07ab2d4b9c026d324508cd3d971dcaec5165652381f6b6304079"),
+    ])
+    def test_confusions_pinned(self, fusion, sha256):
+        # pinned while the baseline still ran its own SGD loop (x86-64,
+        # numpy 2.4, OpenBLAS): three seeds, five held-out folds and one
+        # in-sample run each, with a learning-rate drop and ragged videos
+        # shorter than k; accuracies range from 0.0 to 0.83
+        digest = hashlib.sha256()
+        for seed in (0, 1, 2):
+            ds = synth_generate(SynthConfig(videos_per_class=8, frames_min=2, frames_max=7,
+                                            dim=6, num_classes=3, subject_count=10,
+                                            signal=2.0, seed=seed))
+            cfg = TrainConfig(schedule=[(0, 0.1), (2, 0.02)], total_epochs=4, batch_size=5,
+                              k=3, weight_decay=1e-3, seed=seed)
+            plan = build_folds(ds, 5)
+            splits = [split_by_fold(ds, plan, fold) for fold in range(5)] + [(None, None)]
+            for train_idx, test_idx in splits:
+                report = score_fusion_baseline(ds, cfg, train_idx, test_idx, fusion)
+                digest.update(report.confusion.astype("<i8").tobytes())
+        assert digest.hexdigest() == sha256
 
     def test_probability_fusion_option(self):
         ds = labeled_dataset([0, 1, 0, 1], d=4, frames=5, seed=10)

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 import frameattn.training as training
+from frameattn import model
 from frameattn.data import Dataset, SynthConfig, VideoInstance, synth_generate
 from frameattn.errors import ConfigError, DataError, FormatError, NumericError, SchemaError
+from frameattn.evaluation import score_fusion_baseline
 from frameattn.model import FanParams, Mode, backward, forward_backward, init_params
 from frameattn.sampling import stream, training_draw
 from frameattn.training import (
     TrainConfig,
     afew_config,
     ckplus_config,
+    fit,
     history_lines,
     load_checkpoint,
     lr_at,
@@ -321,6 +324,65 @@ class TestTrainLoop:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == ckpt_sha256
         lines = "\n".join(history_lines(history)).encode()
         assert hashlib.sha256(lines).hexdigest() == history_sha256
+
+
+class TestFit:
+    def cfg(self, **kw):
+        return TrainConfig(**{**dict(schedule=[(0, 0.1), (2, 0.02)], total_epochs=3,
+                                     batch_size=4, k=2, seed=3), **kw})
+
+    def test_yields_each_epoch_and_gives_trains_history(self):
+        ds, cfg = small_synth(), self.cfg()
+        idx = list(range(1, len(ds.instances)))
+        params = init_params(ds.dim, ds.num_classes, cfg.mode, seed=cfg.seed)
+
+        def step(stack, labels):
+            logits, _, losses, grads = model._stack_kernel(stack, params, labels)
+            grads.flat *= 1.0 / len(labels)
+            return float(losses.sum()), int((logits.argmax(axis=1) == labels).sum()), grads.flat
+
+        epochs = list(fit(ds, cfg, idx, params.flat, params.blocks, step))
+        trained, history = train(ds, cfg, train_indices=idx)
+        assert [(e, lr) for e, lr, _, _ in epochs] == [(0, 0.1), (1, 0.1), (2, 0.02)]
+        assert [(s.loss, s.train_accuracy) for s in history] == [
+            (loss / len(idx), correct / len(idx)) for _, _, loss, correct in epochs]
+        assert params.flat.tobytes() == trained.flat.tobytes()
+
+    @pytest.mark.parametrize("row", [2, None])
+    def test_step_error_names_epoch_batch_and_the_rows_dataset_index(self, row):
+        ds, cfg = small_synth(), self.cfg()
+        idx = list(range(len(ds.instances)))
+        flat = np.zeros(3)
+        blocks = model.blocks_of([("w", (3,))])
+        calls = []
+
+        def step(stack, labels):
+            calls.append(len(labels))
+            if len(calls) == 7:  # epoch 1, batch 1
+                raise NumericError("step failed", row=row)
+            return 0.0, 0, np.zeros(3)
+
+        batch = list(training.minibatches(ds, idx, cfg, 1))[1][0]
+        where = "epoch 1, batch 1" + ("" if row is None else f", dataset index {batch[row]}")
+        with pytest.raises(NumericError, match=f"^{where}: step failed$"):
+            for _ in fit(ds, cfg, idx, flat, blocks, step):
+                pass
+        assert calls[:5] == [4, 4, 4, 4, 2]
+
+    def test_zero_epochs_yield_nothing_but_the_split_is_checked(self):
+        ds, cfg = small_synth(), self.cfg(total_epochs=0)
+
+        def step(stack, labels):
+            raise AssertionError("no epoch, so no step")
+
+        blocks = model.blocks_of([("w", (3,))])
+        assert list(fit(ds, cfg, [0, 1], np.zeros(3), blocks, step)) == []
+        for head in (train, score_fusion_baseline):
+            with pytest.raises(ConfigError, match="training split is empty"):
+                head(ds, cfg, [])
+        with pytest.raises(ConfigError, match="training split is empty"):
+            training.training_split(ds, cfg, np.zeros(0, dtype=np.int64))
+        assert training.training_split(ds, cfg) == list(range(len(ds.instances)))
 
 
 class TestCheckpoint:
