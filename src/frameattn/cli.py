@@ -150,6 +150,8 @@ def cmd_gradcheck(args) -> int:
                         ("--n", args.n), ("--c", args.c)):
         if value is not None and value < 1:
             raise ConfigError(f"{flag} must be at least 1, got {value}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     results = []
     for i in range(args.configs):

@@ -469,6 +469,8 @@ class SynthConfig:
             raise ConfigError("all synthetic counts must be positive")
         if self.frames_max < self.frames_min:
             raise ConfigError("frames_max must be >= frames_min")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.peak_frames > self.frames_min:
             raise ConfigError("peak_frames cannot exceed frames_min")
         for name, value in (("signal", self.signal), ("noise", self.noise)):

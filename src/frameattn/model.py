@@ -31,24 +31,17 @@ can be tiny, never make a cotangent divide by a tiny sum. The w_i are direct
 products unless one of a batch underflows; then _kernel scales them by powers
 of two, which is exact, so both ways give the same bits where both apply.
 
-One kernel computes all of this for packed frame rows: video i is rows
-offsets[i]:offsets[i+1] of one (R, D) matrix. The forward formulas are
-written once, over four per-video operations (sum, max, spread back to the
-frames, weighted mean of the rows), which two kinds of segments supply:
+One kernel (_kernel) computes all of this for a (B, K, D) stack of B videos
+of K frames each: per-frame values are (B, K) arrays reduced along axis 1,
+and the weighted means are one batched matmul. Training's minibatches,
+forward, backward and forward_backward on one video (B=1, K=n) and the
+scoring pass all call it; with labels it also returns the gradients,
+summed over B.
 
-  * equal lengths, B videos of K frames: per-frame values are (B, K) arrays
-    reduced along axis 1, the means are one batched matmul. Training's
-    minibatches and forward, backward and forward_backward on one video
-    (B=1, K=n) take this path, and it alone computes gradients, summed
-    over B.
-  * unequal lengths: per-frame values stay (R,) vectors reduced per video
-    by 1-D np.add.reduceat / np.maximum.reduceat, and each mean is one
-    w[a:b] @ rows[a:b] per video. Scoring whole videos takes this path
-    (score); its values match per-video forward up to reassociation.
-
-score runs the head over the videos of a packed dataset in chunks of whole
-videos whose working set is about SCORE_CHUNK_BYTES, so its memory does not
-grow with the dataset.
+score runs the head over the videos of a packed dataset in equal-length
+buckets: the selection sorted by length, each run of one length cut into
+stacks whose working set is about SCORE_CHUNK_BYTES, so the frames held at
+a time do not grow with the dataset.
 """
 
 from __future__ import annotations
@@ -226,89 +219,30 @@ def init_params(dim: int, num_classes: int, mode: Mode = Mode.FULL,
     return params
 
 
-class _Even:
-    """B videos of K frames each, the (B, K, D) stack f: per-frame values
-    are (B, K) arrays."""
-
-    def __init__(self, f: np.ndarray):
-        self.f = f
-        self.b, self.k = f.shape[:2]
-
-    def frames(self, x):
-        return x.reshape(self.b, self.k)
-
-    def sum(self, x):
-        return x.sum(axis=1)
-
-    def max(self, x):
-        return x.max(axis=1)
-
-    def spread(self, v):
-        return v[:, None]
-
-    def mean(self, w, rows):
-        return np.matmul(w[:, None, :], self.f)[:, 0, :]
-
-
-class _Ragged:
-    """Videos of unequal lengths: per-frame values are (R,) vectors in row
-    order, reduced per video along their one axis."""
-
-    def __init__(self, offsets: np.ndarray):
-        self.starts = offsets[:-1]
-        self.lengths = np.diff(offsets)
-        self.bounds = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
-
-    def frames(self, x):
-        return x
-
-    def sum(self, x):
-        return np.add.reduceat(x, self.starts)
-
-    def max(self, x):
-        return np.maximum.reduceat(x, self.starts)
-
-    def spread(self, v):
-        return np.repeat(v, self.lengths)
-
-    def mean(self, w, rows):
-        out = np.empty((len(self.bounds), rows.shape[1]))
-        for i, (a, b) in enumerate(self.bounds):
-            out[i] = w[a:b] @ rows[a:b]
-        return out
-
-
-def _segments(rows: np.ndarray, offsets: np.ndarray):
-    """The videos rows[offsets[i]:offsets[i+1]]: _Even when they all have
-    the same length, else _Ragged."""
-    lengths = np.diff(offsets)
-    if lengths.min() == lengths.max():
-        return _Even(rows.reshape(len(lengths), int(lengths[0]), rows.shape[1]))
-    return _Ragged(offsets)
-
-
-def _kernel(rows: np.ndarray, seg, params: FanParams, labels=None):
-    """The head on validated (R, D) frame rows cut into videos by `seg`
-    (an _Even or a _Ragged).
+@np.errstate(over="ignore", invalid="ignore")
+def _kernel(f: np.ndarray, params: FanParams, labels=None):
+    """The head on a validated float64 (B, K, D) stack of B videos of K
+    frames each.
 
     Returns the (B, C) logits and the attention trace: per-frame fields are
-    (B, K) for _Even and (R,) for _Ragged, per-video fields (B, D) or
-    (B, 2D). Given one label per instance (_Even only) it also returns the
-    (B,) cross-entropy losses and the parameter gradients summed over B;
-    otherwise those two are None. A non-finite value raises NumericError
-    whose row is the position of the first bad instance.
+    (B, K), per-video fields (B, D) or (B, 2D). Given one label per video it
+    also returns the (B,) cross-entropy losses and the parameter gradients
+    summed over B; otherwise those two are None. A non-finite value raises
+    NumericError whose row is the position of the first bad video; its own
+    checks see every non-finite result, so numpy's warnings are silenced.
     """
-    d = rows.shape[1]
+    b, k, d = f.shape
+    rows = f.reshape(b * k, d)
 
     # weights are normalized before averaging so that a single frame passes
     # through exactly (its weight is 1.0 bit-for-bit)
-    alpha = seg.frames(sigmoid(rows @ params.q0))
-    alpha_n = alpha / seg.spread(seg.sum(alpha))
-    anchor = seg.mean(alpha_n, rows)
+    alpha = sigmoid(rows @ params.q0).reshape(b, k)
+    alpha_n = alpha / alpha.sum(axis=1)[:, None]
+    anchor = np.matmul(alpha_n[:, None, :], f)[:, 0, :]
 
     if params.mode is Mode.FULL:
-        beta = sigmoid(seg.frames(rows @ params.q1[:d])
-                       + seg.spread(anchor @ params.q1[d:]))
+        beta = sigmoid((rows @ params.q1[:d]).reshape(b, k)
+                       + (anchor @ params.q1[d:])[:, None])
         # w_i = alpha_i beta_i when no product underflows; else each video's
         # scaled by the power of two that brings its largest to [1/4, 1),
         # exponents added apart from mantissas: exact even if all underflow
@@ -317,9 +251,9 @@ def _kernel(rows: np.ndarray, seg, params: FanParams, labels=None):
             ma, ea = np.frexp(alpha)
             mb, eb = np.frexp(beta)
             e = ea + eb
-            w = np.ldexp(ma * mb, e - seg.spread(seg.max(e)))
-        final = w / seg.spread(seg.sum(w))
-        top = seg.mean(final, rows)
+            w = np.ldexp(ma * mb, e - e.max(axis=1)[:, None])
+        final = w / w.sum(axis=1)[:, None]
+        top = np.matmul(final[:, None, :], f)[:, 0, :]
         agg = np.concatenate([top, anchor], axis=1)
     else:
         beta = np.ones_like(alpha)
@@ -335,7 +269,6 @@ def _kernel(rows: np.ndarray, seg, params: FanParams, labels=None):
     if labels is None:
         return logits, trace, None, None
 
-    f = seg.f
     losses, g_logits = _xent(logits, labels)
     g_agg = g_logits @ params.class_w
     grads = FanParams._over(np.zeros_like(params.flat), params.blocks, params.mode)
@@ -367,12 +300,6 @@ def _kernel(rows: np.ndarray, seg, params: FanParams, labels=None):
     return logits, trace, losses, grads
 
 
-def _stack_kernel(f: np.ndarray, params: FanParams, labels=None):
-    """_kernel on a validated (B, K, D) stack of B videos of K frames."""
-    b, k, d = f.shape
-    return _kernel(f.reshape(b * k, d), _Even(f), params, labels)
-
-
 def _first_bad_row(f: np.ndarray, params: FanParams, labels) -> int | None:
     """Batch position of the first instance whose own gradients are not
     finite; None when each is finite and only their sum overflowed."""
@@ -380,7 +307,7 @@ def _first_bad_row(f: np.ndarray, params: FanParams, labels) -> int | None:
         return 0
     for r in range(len(f)):
         try:
-            _stack_kernel(f[r:r + 1], params, labels[r:r + 1])
+            _kernel(f[r:r + 1], params, labels[r:r + 1])
         except NumericError:
             return r
     return None
@@ -397,25 +324,25 @@ def _frames(x, params: FanParams) -> np.ndarray:
 
 def forward(features, params: FanParams) -> tuple[np.ndarray, AttentionTrace]:
     """Logits plus the attention trace for one video's feature matrix."""
-    logits, trace, _, _ = _stack_kernel(_frames(features, params)[None], params)
+    logits, trace, _, _ = _kernel(_frames(features, params)[None], params)
     return logits[0], AttentionTrace(**{k: v[0] for k, v in vars(trace).items()})
 
 
-# score holds one chunk of whole videos at a time, sized to keep its working
-# set within SCORE_CHUNK_BYTES: per frame, its D-wide float64 row (a slice
-# that the kernel's passes read again from cache, or a copy: gathered,
-# widened from float32, or both, when the 4-byte gather is held too) and
-# _FRAME_TEMPS float64 temporaries of the kernel; per video, its D-wide
-# means (anchor, top half, aggregate). A video over the budget on its own
-# is a chunk of its own.
+# score holds one stack of equal-length videos at a time, sized to keep its
+# working set within SCORE_CHUNK_BYTES: per frame, its D-wide row as gathered
+# and widened to float64 (12 bytes an element whatever the stored dtype, so
+# that float32 and float64 frames are cut into the same stacks and give the
+# same bits) and _FRAME_TEMPS float64 temporaries of the kernel; per video,
+# its D-wide means (anchor, top half, aggregate). A video over the budget on
+# its own is a stack of its own.
 SCORE_CHUNK_BYTES = 1 << 20
 _FRAME_TEMPS = 16
 
 
 class Scored(NamedTuple):
-    """One chunk of a scoring pass: the dataset indices of its n videos, the
-    (n + 1,) offsets of their frames in the per-frame fields, their (n, C)
-    logits, and each frame's alpha and final weight in row order."""
+    """A scoring pass: the dataset indices of its n videos, the (n + 1,)
+    offsets of their frames in the per-frame fields, their (n, C) logits,
+    and each frame's alpha and final weight, video after video."""
 
     indices: np.ndarray
     offsets: np.ndarray
@@ -424,33 +351,23 @@ class Scored(NamedTuple):
     final_weights: np.ndarray
 
 
-def _chunks(costs: np.ndarray, budget: int):
-    """(lo, hi) position ranges of consecutive videos whose costs add up to
-    at most `budget`, or of one video whose cost alone is more."""
-    ends = np.cumsum(costs)
-    lo, done = 0, 0
-    while lo < len(costs):
-        hi = max(lo + 1, int(np.searchsorted(ends, done + budget, side="right")))
-        yield lo, hi
-        lo, done = hi, int(ends[hi - 1])
-
-
-def score(params: FanParams, packed, indices=None, picks=None):
-    """Run the head over whole videos of a data.PackedFrames, a chunk at a
-    time.
+def score(params: FanParams, packed, indices=None, picks=None) -> Scored:
+    """Run the head over whole videos of a data.PackedFrames.
 
     indices selects the videos, in order, as packed.select reads them
     (repeats are scored again); by default every video. With picks, an
     (len(indices), k) array, video j is scored on its frames picks[j] only.
-    Yields one Scored per chunk, the videos in the order of indices.
+    Returns one Scored, the videos in the order of indices; it holds 16
+    bytes a frame and C logits a video of the selection.
 
-    Consecutive indices are scored from slices of the packed frames; any
-    other selection is gathered a chunk at a time. Each chunk's rows are
-    widened to float64 (float32 frames of a loaded dataset), not checked
-    again: the dataset checked its frames when they entered it. A
-    non-finite logit, which a non-finite value written into them in place
-    also gives, raises NumericError naming the dataset index of the first
-    bad video.
+    The videos are run through _kernel in buckets of one length: sorted by
+    length (a stable sort), each run of one length cut into stacks within
+    SCORE_CHUNK_BYTES and gathered one stack at a time, widened to float64
+    (float32 frames of a loaded dataset), not checked again: the dataset
+    checked its frames when they entered it. A non-finite logit, which a
+    non-finite value written into them in place also gives, raises
+    NumericError naming the dataset index of the first bad video in length
+    order, not in the order of indices.
     """
     frames, offsets = packed.frames, packed.offsets
     indices = packed.select(indices)
@@ -458,42 +375,34 @@ def score(params: FanParams, packed, indices=None, picks=None):
     if d != params.feature_dim:
         raise DimensionError(f"feature dim {d} != params dim {params.feature_dim}")
     starts = offsets[indices]
-    if picks is None:
-        lengths = offsets[indices + 1] - starts
-        sliced = bool(np.all(np.diff(indices) == 1))
-    else:
-        lengths = np.full(len(indices), picks.shape[1])
-        sliced = False
-    row_bytes = 8 if sliced or frames.dtype == np.float64 else 8 + frames.itemsize
-    costs = 8 * _FRAME_TEMPS * lengths + d * (8 * 4 + row_bytes * lengths)
-    for lo, hi in _chunks(costs, SCORE_CHUNK_BYTES):
-        chunk = indices[lo:hi]
-        local = np.zeros(hi - lo + 1, dtype=np.int64)
-        np.cumsum(lengths[lo:hi], out=local[1:])
-        if sliced:
-            rows = frames[starts[lo]:starts[lo] + local[-1]]
-        elif picks is None:
-            rows = frames[np.repeat(starts[lo:hi] - local[:-1], lengths[lo:hi])
-                          + np.arange(local[-1])]
-        else:
-            rows = frames[(starts[lo:hi, None] + picks[lo:hi]).ravel()]
-        scored = _score_chunk(rows, chunk, local, params)
-        del rows  # so that the next chunk is gathered after this one is gone
-        yield scored
+    lengths = (offsets[indices + 1] - starts if picks is None
+               else np.full(len(indices), picks.shape[1]))
+    local = np.zeros(len(indices) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=local[1:])
+    logits = np.empty((len(indices), params.num_classes))
+    alpha, final = np.empty(local[-1]), np.empty(local[-1])
 
-
-def _score_chunk(rows: np.ndarray, chunk: np.ndarray, local: np.ndarray,
-                 params: FanParams) -> Scored:
-    """One chunk of score: the videos chunk, whose frames are rows, in
-    their stored dtype, cut at the offsets local. A function of its own so
-    that the chunk's trace is gone before the next chunk is gathered."""
-    rows = rows.astype(np.float64, copy=False)
-    try:
-        logits, trace, _, _ = _kernel(rows, _segments(rows, local), params)
-    except NumericError as e:
-        raise NumericError(f"dataset index {chunk[e.row]}: {e}") from e
-    return Scored(chunk, local, logits, trace.alpha.reshape(-1),
-                  trace.final_weights.reshape(-1))
+    order = np.argsort(lengths, kind="stable")
+    # the first position of each run of one length (every length is >= 1)
+    firsts = np.flatnonzero(np.diff(lengths[order], prepend=0)).tolist()
+    for lo, hi in zip(firsts, firsts[1:] + [len(order)]):
+        k = int(lengths[order[lo]])
+        frame_ids = np.arange(k)
+        cost = 8 * _FRAME_TEMPS * k + d * (8 * 4 + 12 * k)
+        step = max(1, SCORE_CHUNK_BYTES // cost)
+        for at in range(lo, hi, step):
+            pos = order[at:min(at + step, hi)]
+            ids = frame_ids if picks is None else picks[pos]
+            f = frames[starts[pos, None] + ids].astype(np.float64, copy=False)
+            try:
+                logits[pos], trace, _, _ = _kernel(f, params)
+            except NumericError as e:
+                raise NumericError(f"dataset index {indices[pos[e.row]]}: {e}") from e
+            cells = local[pos, None] + frame_ids
+            alpha[cells] = trace.alpha
+            final[cells] = trace.final_weights
+            del f, trace  # so that the next stack is gathered after this one is gone
+    return Scored(indices, local, logits, alpha, final)
 
 
 def predict(logits) -> int:
@@ -513,7 +422,7 @@ def forward_backward(features, params: FanParams, label: int):
     f = _frames(features, params)
     if not 0 <= label < params.num_classes:  # the kernel takes labels unchecked
         raise IndexError(f"label out of range for {params.num_classes} logits")
-    logits, _, losses, grads = _stack_kernel(f[None], params, np.array([label]))
+    logits, _, losses, grads = _kernel(f[None], params, np.array([label]))
     return float(losses[0]), logits[0], grads
 
 

@@ -9,7 +9,7 @@ the gradient:
 
 Gradients are averaged (not summed) over the batch so the learning rate
 keeps its meaning across batch sizes, and each batch goes through the head
-as one (B, K, D) stack (model._stack_kernel), gathered from the dataset's
+as one (B, K, D) stack (model._kernel), gathered from the dataset's
 checked packed frames and not checked again. Everything is
 deterministic given the config seed: each epoch draws, from its one
 (seed, epoch) stream, first the shuffle and then the K segment-sampled
@@ -58,6 +58,8 @@ class TrainConfig:
     def validate(self) -> None:
         if self.batch_size < 1 or self.k < 1 or self.total_epochs < 0:
             raise ConfigError("batch_size, k must be >= 1 and total_epochs >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not self.schedule:
             raise ConfigError("schedule must have at least one step")
         starts = [s for s, _ in self.schedule]
@@ -118,6 +120,7 @@ def lr_at(schedule: Schedule, epoch: int) -> float:
     return lr
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sgd_step(params: np.ndarray, grads: np.ndarray, velocity: np.ndarray,
              lr: float, momentum: float, weight_decay: float, blocks) -> None:
     """One in-place momentum update of a flat parameter vector and its velocity.
@@ -125,7 +128,8 @@ def sgd_step(params: np.ndarray, grads: np.ndarray, velocity: np.ndarray,
     params, grads and velocity are flat vectors laid out as `blocks`
     (model.layout for the head). Weight decay applies to every block but the
     last, the bias. A non-finite result raises NumericError naming the first
-    block that holds one.
+    block that holds one; that check sees every overflow, so numpy's
+    warnings are silenced.
     """
     step = weight_decay * params
     step[blocks[-1].slice] = 0.0
@@ -236,7 +240,7 @@ def train(
                                config.mode, seed=config.seed)
 
     def step(stack, labels):
-        logits, _, losses, grads = model._stack_kernel(stack, params, labels)
+        logits, _, losses, grads = model._kernel(stack, params, labels)
         grads.flat *= 1.0 / len(labels)
         return float(losses.sum()), int((logits.argmax(axis=1) == labels).sum()), grads.flat
 
@@ -256,12 +260,11 @@ def _accuracy(dataset: Dataset, params: FanParams, indices, epoch: int) -> float
     """Share of the videos at `indices` that the head classifies right,
     from one scoring pass (model.score); 0.0 for no videos."""
     packed = dataset.packed()
-    correct = 0
     try:
-        for s in model.score(params, packed, indices):
-            correct += int(np.sum(np.argmax(s.logits, axis=1) == packed.labels[s.indices]))
+        scored = model.score(params, packed, indices)
     except NumericError as e:
         raise NumericError(f"epoch {epoch}, validation, {e}") from e
+    correct = int(np.sum(np.argmax(scored.logits, axis=1) == packed.labels[scored.indices]))
     return correct / len(indices) if len(indices) else 0.0
 
 

@@ -1,0 +1,203 @@
+"""Byte comparison of the CLI's outputs: a parent checkout against this one.
+
+    python3 tests/compare_outputs.py --parent DIR
+
+DIR is the root of another checkout (for example the parent commit, made
+with ``git archive``). For each checkout, a fixed matrix of ``frameattn``
+commands runs in a fresh working directory, each command in its own
+process on the checkout's ``src/``, with one BLAS thread and the same
+relative paths on both sides:
+
+  * synth, then train (full and self-only, each with --history, and one
+    run whose update overflows), eval (all frames, --per-instance,
+    sampled), visualize (both heads), cv (both modes), and gradcheck
+    (plain and --corrupt).
+
+Each command's exit code, stdout and stderr are compared, and then every
+file left in the two working directories, byte for byte. Python warning
+lines (``path:line: SomeWarning: ...`` and the source line under each)
+are taken out of stderr before the comparison and counted per side, since
+they name the checkout's own path and line numbers; the counts are
+printed. The CSV and JSON files that visualize writes may differ in the
+last bits of their floats: there only, a differing field that is a number
+on both sides is counted, with the largest absolute difference, and any
+other difference is a difference.
+
+The exit code is 0 when nothing but exported floats differs. Not collected
+by pytest; it takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+DATA = "data.fanf"
+# (name, arguments); visualize steps write the files compared as floats
+MATRIX = [
+    ("synth", ["synth", "--out", DATA, "--videos-per-class", "20",
+               "--frames-min", "2", "--frames-max", "12", "--seed", "3"]),
+    ("train full", ["train", "--data", DATA, "--out", "full.fanp",
+                    "--history", "full.csv", "--epochs", "8", "--seed", "3"]),
+    ("train self-only", ["train", "--data", DATA, "--out", "self.fanp",
+                         "--history", "self.csv", "--mode", "self-only",
+                         "--epochs", "8", "--seed", "3"]),
+    ("train, update overflows", ["train", "--data", DATA, "--out", "bad.fanp",
+                                 "--lr", "1e308", "--weight-decay", "1e308",
+                                 "--epochs", "2"]),
+    ("eval", ["eval", "--checkpoint", "full.fanp", "--data", DATA]),
+    ("eval --per-instance", ["eval", "--checkpoint", "self.fanp", "--data", DATA,
+                             "--per-instance"]),
+    ("eval sampled", ["eval", "--checkpoint", "full.fanp", "--data", DATA,
+                      "--frames", "sampled", "--k", "3", "--seed", "5",
+                      "--per-instance"]),
+    ("visualize full", ["visualize", "--checkpoint", "full.fanp", "--data", DATA,
+                        "--out", "full_attention.csv"]),
+    ("visualize self-only", ["visualize", "--checkpoint", "self.fanp", "--data", DATA,
+                             "--out", "self_attention.csv"]),
+    ("cv full", ["cv", "--data", DATA, "--folds", "5", "--epochs", "3", "--seed", "2"]),
+    ("cv self-only", ["cv", "--data", DATA, "--folds", "5", "--epochs", "3",
+                      "--seed", "2", "--mode", "self-only"]),
+    ("gradcheck", ["gradcheck", "--configs", "6", "--seed", "1"]),
+    ("gradcheck --corrupt", ["gradcheck", "--configs", "2", "--seed", "1", "--corrupt"]),
+]
+EXPORTS = {"full_attention.csv", "full_attention.json",
+           "self_attention.csv", "self_attention.json"}
+
+_WARNING = re.compile(r"^\S.*:\d+: \w*Warning: ")
+
+
+def run_matrix(root: Path, work: Path) -> dict:
+    """Each step's (exit code, stdout, stderr without warnings, warning
+    count), run in `work` on root/src."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop("PYTHONWARNINGS", None)
+    results = {}
+    for name, args in MATRIX:
+        proc = subprocess.run([sys.executable, "-m", "frameattn.cli", *args], cwd=work,
+                              env=env, capture_output=True, text=True)
+        kept, warnings, lines = [], 0, proc.stderr.splitlines(keepends=True)
+        i = 0
+        while i < len(lines):
+            if _WARNING.match(lines[i]):
+                warnings += 1
+                i += 2 if i + 1 < len(lines) and lines[i + 1].startswith(" ") else 1
+            else:
+                kept.append(lines[i])
+                i += 1
+        results[name] = (proc.returncode, proc.stdout, "".join(kept), warnings)
+    return results
+
+
+class FloatDiffs:
+    """Exported fields that are numbers on both sides but differ."""
+
+    def __init__(self):
+        self.count = 0
+        self.largest = 0.0
+
+    def same(self, a, b) -> bool:
+        """True when a and b are equal, or are both numbers (then counted)."""
+        if a == b and type(a) is type(b):
+            return True
+        try:
+            x, y = float(a), float(b)
+        except (TypeError, ValueError):
+            return False
+        if isinstance(a, bool) or isinstance(b, bool) or x != x or y != y:
+            return False
+        self.count += 1
+        self.largest = max(self.largest, abs(x - y))
+        return True
+
+
+def same_json(a, b, floats: FloatDiffs) -> bool:
+    if isinstance(a, dict) and isinstance(b, dict):
+        return list(a) == list(b) and all(same_json(a[k], b[k], floats) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(same_json(x, y, floats) for x, y in zip(a, b))
+    if isinstance(a, float) or isinstance(b, float):
+        return floats.same(a, b)
+    return a == b and type(a) is type(b)
+
+
+def same_export(name: str, a: bytes, b: bytes, floats: FloatDiffs) -> bool:
+    """Whether two export files differ only in float fields."""
+    if name.endswith(".json"):
+        return same_json(json.loads(a), json.loads(b), floats)
+    rows_a = list(csv.reader(io.StringIO(a.decode("utf-8"), newline="")))
+    rows_b = list(csv.reader(io.StringIO(b.decode("utf-8"), newline="")))
+    if len(rows_a) != len(rows_b) or rows_a[:1] != rows_b[:1]:
+        return False
+    for ra, rb in zip(rows_a[1:], rows_b[1:]):
+        if len(ra) != len(rb):
+            return False
+        for column, (x, y) in enumerate(zip(ra, rb)):
+            # alpha and final_weight are the float columns
+            if x != y and not (column in (2, 3) and floats.same(x, y)):
+                return False
+    return True
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", required=True, type=Path,
+                   help="root of the checkout to compare against")
+    args = p.parse_args(argv)
+    parent_root = args.parent.resolve()
+    if not (parent_root / "src" / "frameattn" / "__init__.py").is_file():
+        p.error(f"{parent_root} holds no src/frameattn")
+
+    differences = []
+    floats = FloatDiffs()
+    with tempfile.TemporaryDirectory() as tmp:
+        runs, works = {}, {}
+        for side, root in (("parent", parent_root), ("change", ROOT)):
+            works[side] = Path(tmp) / side
+            works[side].mkdir()
+            runs[side] = run_matrix(root, works[side])
+
+        for name, _ in MATRIX:
+            (code_a, out_a, err_a, warn_a), (code_b, out_b, err_b, warn_b) = (
+                runs["parent"][name], runs["change"][name])
+            for what, a, b in (("exit code", code_a, code_b), ("stdout", out_a, out_b),
+                               ("stderr", err_a, err_b)):
+                if a != b:
+                    differences.append(f"{name}: {what} differs")
+            print(f"{name}: exit {code_a} / {code_b}, "
+                  f"warnings {warn_a} / {warn_b} (parent / change)")
+
+        names = {side: sorted(p.name for p in work.iterdir()) for side, work in works.items()}
+        if names["parent"] != names["change"]:
+            differences.append(f"files differ: {names['parent']} vs {names['change']}")
+        for name in sorted(set(names["parent"]) & set(names["change"])):
+            a = (works["parent"] / name).read_bytes()
+            b = (works["change"] / name).read_bytes()
+            if a == b:
+                continue
+            if name in EXPORTS and same_export(name, a, b, floats):
+                continue
+            differences.append(f"{name}: bytes differ")
+
+    print(f"exported floats that differ: {floats.count}, "
+          f"largest difference {floats.largest:.3g}")
+    for line in differences:
+        print(f"DIFFERENT: {line}")
+    print("only exported floats differ" if not differences else
+          f"{len(differences)} difference(s) beyond exported floats")
+    return 0 if not differences else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

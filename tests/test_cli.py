@@ -334,6 +334,45 @@ class TestVisualizeCommand:
             assert abs(sum(video["final_weights"]) - 1.0) < 1e-9
 
 
+class TestNegativeSeed:
+    """A negative --seed is a config problem wherever a seed is read: exit 2
+    with one error line, not a traceback from numpy's generator."""
+
+    @pytest.mark.parametrize("command", ["train", "cv", "synth", "gradcheck", "eval"])
+    def test_exits_2(self, tiny_data, tmp_path, capsys, command):
+        ckpt = str(tmp_path / "m.fanp")
+        run(capsys, "train", "--data", tiny_data, "--out", ckpt, "--epochs", "1")
+        args = {
+            "train": ["--data", tiny_data, "--out", str(tmp_path / "n.fanp"), "--epochs", "1"],
+            "cv": ["--data", tiny_data, "--folds", "2", "--epochs", "1"],
+            "synth": ["--out", str(tmp_path / "x.fanf")],
+            "gradcheck": ["--configs", "1"],
+            "eval": ["--checkpoint", ckpt, "--data", tiny_data, "--frames", "sampled"],
+        }[command]
+        err = run_rejected(capsys, command, *args, "--seed", "-1")
+        assert "seed must be non-negative, got -1" in err
+        assert not (tmp_path / "n.fanp").exists() and not (tmp_path / "x.fanf").exists()
+
+
+class TestNumericFailure:
+    @pytest.mark.parametrize("flags, where", [
+        (["--lr", "1e100"],
+         "epoch 2, batch 0, dataset index 15: backward pass produced non-finite gradients"),
+        (["--lr", "1e308", "--weight-decay", "1e308"],
+         "epoch 0, batch 0: parameter 'q0' became non-finite during update"),
+    ], ids=["kernel", "update"])
+    def test_train_exits_3_with_one_located_line(self, tmp_path, capsys, flags, where):
+        data, ckpt = str(tmp_path / "d.fanf"), tmp_path / "m.fanp"
+        assert run(capsys, "synth", "--videos-per-class", "5", "--out", data)[0] == EXIT_OK
+        code = main(["train", "--data", data, "--out", str(ckpt), "--epochs", "4", *flags])
+        out, err = capsys.readouterr()
+        assert code == EXIT_NUMERIC and out == ""
+        *epochs, last = err.splitlines()
+        assert all(line.startswith("epoch ") for line in epochs)
+        assert last == f"numeric error: {where}"
+        assert not ckpt.exists()
+
+
 class TestUsage:
     def test_no_command_exits_1(self, capsys):
         assert main([]) == EXIT_USAGE

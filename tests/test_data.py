@@ -388,6 +388,8 @@ class TestSynth:
             synth_generate(SynthConfig(frames_min=10, frames_max=9))
         with pytest.raises(ConfigError):
             synth_generate(SynthConfig(signal=-1.0))
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            synth_generate(SynthConfig(seed=-1))
 
     def test_subjects_support_folds(self):
         ds = synth_generate(SynthConfig(videos_per_class=10, seed=2))

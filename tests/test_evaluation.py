@@ -86,6 +86,14 @@ class TestEvaluate:
         b = evaluate(params, ds, frame_mode="sampled", k=3, seed=11)
         np.testing.assert_array_equal(a.confusion, b.confusion)
 
+    def test_negative_seed_refused_only_where_it_is_read(self):
+        ds = labeled_dataset([0, 1, 0, 1], frames=9, seed=2)
+        params = init_params(3, 2, Mode.FULL, seed=4)
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            evaluate(params, ds, frame_mode="sampled", seed=-1)
+        # all-frame evaluation draws nothing, so it ignores the seed
+        assert evaluate(params, ds, seed=-1).to_dict() == evaluate(params, ds).to_dict()
+
     def test_dim_mismatch(self):
         ds = labeled_dataset([0, 1])
         with pytest.raises(DimensionError):

@@ -84,11 +84,13 @@ def test_training_batches_and_scoring_chunks_are_widened_once(pair, monkeypatch)
     seen = []
     kernel = model._kernel
     monkeypatch.setattr(model, "_kernel",
-                        lambda rows, *args: (seen.append(rows.dtype), kernel(rows, *args))[1])
+                        lambda f, *args: (seen.append(f.dtype), kernel(f, *args))[1])
     params = head(loaded, Mode.FULL)
+    # one stack per distinct length: the 24 videos have 1 to 9 frames, each
+    # length present; the two sampled videos have k = 3 each
     evaluate(params, loaded)
     evaluate(params, loaded, frame_mode="sampled", indices=[4, 2])
-    assert len(seen) == 2 and set(seen) == {np.dtype(np.float64)}
+    assert len(seen) == 9 + 1 and set(seen) == {np.dtype(np.float64)}
 
 
 @pytest.mark.parametrize("budget", [model.SCORE_CHUNK_BYTES, 3000])

@@ -321,34 +321,25 @@ class TestWeightProducts:
 
     TINY = np.finfo(np.float64).tiny
 
-    def kernel_final(self, alpha, beta, ragged, monkeypatch):
+    def kernel_final(self, alpha, beta, monkeypatch):
         """The kernel's final weights when its two sigmoids return alpha,
-        then beta: through the even-length batch or the ragged path."""
+        then beta."""
         b, k = alpha.shape
-        shape = (b * k,) if ragged else (b, k)
-        outs = iter([alpha.reshape(-1), beta.reshape(shape)])
+        outs = iter([alpha.reshape(-1), beta])
         monkeypatch.setattr(model, "sigmoid", lambda x: next(outs))
         params = random_params(2, 3, Mode.FULL, seed=4)
-        f = np.ones((b, k, 2))
-        if ragged:
-            seg = model._Ragged(np.arange(0, b * k + 1, k))
-            _, trace, _, _ = model._kernel(f.reshape(b * k, 2), seg, params)
-        else:
-            _, trace, _, _ = model._stack_kernel(f, params)
-        return trace.final_weights.reshape(b, k)
+        _, trace, _, _ = model._kernel(np.ones((b, k, 2)), params)
+        return trace.final_weights
 
-    @pytest.mark.parametrize("ragged", [False, True])
-    def test_smallest_product_exactly_tiny_takes_the_direct_product(self, ragged,
-                                                                      monkeypatch):
+    def test_smallest_product_exactly_tiny_takes_the_direct_product(self, monkeypatch):
         alpha = np.array([[2.0**-500, 0.6, 0.3], [0.2, 0.9, 0.45]])
         beta = np.array([[2.0**-522, 0.8, 0.55], [0.35, 0.7, 0.99]])
         assert (alpha * beta).min() == self.TINY
-        got = self.kernel_final(alpha, beta, ragged, monkeypatch)
+        got = self.kernel_final(alpha, beta, monkeypatch)
         np.testing.assert_array_equal(got.view(np.int64),
                                       scaled_final(alpha, beta).view(np.int64))
 
-    @pytest.mark.parametrize("ragged", [False, True])
-    def test_one_subnormal_product_takes_the_scaled_path(self, ragged, monkeypatch):
+    def test_one_subnormal_product_takes_the_scaled_path(self, monkeypatch):
         alpha = np.array([[0.7 * 2.0**-530, 0.1, 0.5], [0.2, 0.9, 0.45]])
         beta = np.array([[0.9 * 2.0**-535, 0.5, 0.1], [0.35, 0.7, 0.99]])
         w = alpha * beta
@@ -357,7 +348,7 @@ class TestWeightProducts:
         # the scaled path gives these bits
         direct = w / w.sum(axis=1, keepdims=True)
         assert not np.array_equal(direct, scaled_final(alpha, beta))
-        got = self.kernel_final(alpha, beta, ragged, monkeypatch)
+        got = self.kernel_final(alpha, beta, monkeypatch)
         np.testing.assert_array_equal(got.view(np.int64),
                                       scaled_final(alpha, beta).view(np.int64))
 
@@ -374,7 +365,7 @@ class TestBatchKernel:
     @pytest.mark.parametrize("mode", [Mode.FULL, Mode.SELF_ONLY])
     def test_logits_match_scalar_oracle(self, mode):
         stack, params, labels = self.batch(mode, 51)
-        logits, _, _, _ = model._stack_kernel(stack, params, labels)
+        logits, _, _, _ = model._kernel(stack, params, labels)
         expect = [oracle_logits(f.tolist(), params.q0.tolist(), params.q1.tolist(),
                                 params.class_w.tolist(), params.class_b.tolist(),
                                 self_only=mode is Mode.SELF_ONLY)
@@ -384,12 +375,12 @@ class TestBatchKernel:
     @pytest.mark.parametrize("mode", [Mode.FULL, Mode.SELF_ONLY])
     def test_summed_gradient_matches_finite_differences(self, mode):
         stack, params, labels = self.batch(mode, 52)
-        grads = model._stack_kernel(stack, params, labels)[3]
+        grads = model._kernel(stack, params, labels)[3]
 
         def total_loss(flat):
             candidate = FanParams.from_flat(flat, params.feature_dim,
                                             params.num_classes, mode)
-            return float(np.sum(model._stack_kernel(stack, candidate, labels)[2]))
+            return float(np.sum(model._kernel(stack, candidate, labels)[2]))
 
         fd = finite_diff_gradient(total_loss, params.flatten())
         assert relative_error(grads.flatten(), fd) < 1e-4
@@ -397,7 +388,7 @@ class TestBatchKernel:
     @pytest.mark.parametrize("mode", [Mode.FULL, Mode.SELF_ONLY])
     def test_batch_equals_sum_of_single_calls(self, mode):
         stack, params, labels = self.batch(mode, 53)
-        logits, _, losses, grads = model._stack_kernel(stack, params, labels)
+        logits, _, losses, grads = model._kernel(stack, params, labels)
         total = np.zeros_like(params.flat)
         for i in range(self.B):
             loss, lg, g = forward_backward(stack[i], params, labels[i])
@@ -426,7 +417,7 @@ class TestBatchKernel:
         attention = signs * rng.uniform(low, high, size=(self.B, 3))
         stack = np.repeat(attention[:, :, None] / d, d, axis=2)
         labels = rng.integers(0, 3, size=self.B)
-        grads = model._stack_kernel(stack, params, labels)[3]
+        grads = model._kernel(stack, params, labels)[3]
         assert np.all(np.isfinite(grads.flatten()))
 
 
@@ -560,18 +551,18 @@ def packed_videos(lengths, d, seed=0):
 
 
 class TestScore:
-    """The scoring pass: the segment kernel over chunks of whole videos."""
+    """The scoring pass: the kernel over equal-length buckets of whole videos."""
 
     LENGTHS = [1, 5, 3, 1, 40, 2, 9, 1]
     D = 4
 
     def videos(self, params, packed, indices=None):
         """Per scored video: (dataset index, logits, alpha, final weights)."""
+        s = score(params, packed, indices)
         out = []
-        for s in score(params, packed, indices):
-            for j, i in enumerate(s.indices.tolist()):
-                a, b = s.offsets[j], s.offsets[j + 1]
-                out.append((i, s.logits[j], s.alpha[a:b], s.final_weights[a:b]))
+        for j, i in enumerate(s.indices.tolist()):
+            a, b = s.offsets[j], s.offsets[j + 1]
+            out.append((i, s.logits[j], s.alpha[a:b], s.final_weights[a:b]))
         return out
 
     @pytest.mark.parametrize("mode", list(Mode))
@@ -598,19 +589,52 @@ class TestScore:
             if len(final) == 1:
                 assert final[0] == 1.0
 
-    def test_chunks_hold_whole_videos_within_the_budget(self, monkeypatch):
-        monkeypatch.setattr(model, "SCORE_CHUNK_BYTES", 1000)
+    @pytest.mark.parametrize("budget", [1000, model.SCORE_CHUNK_BYTES])
+    def test_buckets_hold_one_length_within_the_budget(self, budget, monkeypatch):
+        # the three 1-frame videos, selected five times, need two stacks at
+        # 1000 bytes; the 40-frame video is over it on its own
+        monkeypatch.setattr(model, "SCORE_CHUNK_BYTES", budget)
         packed = packed_videos(self.LENGTHS, self.D)
+        frames, offsets = packed.frames, packed.offsets
         params = random_params(self.D, 3, Mode.FULL)
-        chunks = [s.indices.tolist() for s in score(params, packed)]
-        assert sum(chunks, []) == list(range(len(self.LENGTHS)))
-        assert len(chunks) > 2
-        assert [4] in chunks  # the long video is a chunk of its own
+        seen = []
+        kernel = model._kernel
+        monkeypatch.setattr(model, "_kernel",
+                            lambda f, *args: (seen.append(f.copy()), kernel(f, *args))[1])
+        indices = [3, 4, 0, 7, 2, 3, 6, 1, 0, 5, 2]
+        score(params, packed, indices)
+        for f in seen:
+            b, k, d = f.shape
+            assert f.dtype == np.float64
+            cost = 8 * model._FRAME_TEMPS * k + d * (8 * 4 + 12 * k)
+            assert b == 1 or b * cost <= budget, (b, k)
+        assert len(seen) == (8 if budget == 1000 else 6)
+        # random frames tell the videos apart: every selected position,
+        # repeats included, went through the kernel once
+        scored = sorted(video.tobytes() for f in seen for video in f)
+        selected = sorted(frames[offsets[i]:offsets[i + 1]].tobytes() for i in indices)
+        assert scored == selected
+
+    def test_error_in_a_bucket_names_the_dataset_index(self):
+        # the 3-frame videos at positions 0, 1 and 3 make one stack; video
+        # 0 is its third row, and position 2 holds video 1
+        packed = packed_videos([3, 2, 3, 2, 3], self.D)
+        frames, offsets = packed.frames, packed.offsets
+        params = random_params(self.D, 3, Mode.FULL)
+        frames[offsets[0] + 1, 2] = np.nan
+        with pytest.raises(NumericError, match="^dataset index 0: forward pass"):
+            score(params, packed, [2, 4, 1, 0])
+        # the first bad video in length order, not in the order of indices
+        frames[offsets[3], 0] = np.nan
+        with pytest.raises(NumericError, match="^dataset index 3: forward pass"):
+            score(params, packed, [0, 3])
 
     def test_empty_index_list_scores_nothing(self):
         packed = packed_videos(self.LENGTHS, self.D)
         params = random_params(self.D, 3, Mode.FULL)
-        assert list(score(params, packed, [])) == []
+        s = score(params, packed, [])
+        assert s.indices.tolist() == s.alpha.tolist() == s.final_weights.tolist() == []
+        assert s.offsets.tolist() == [0] and s.logits.shape == (0, 3)
 
     def test_sampled_frames_match_forward_on_the_picks(self):
         packed = packed_videos(self.LENGTHS, self.D, seed=3)
@@ -618,7 +642,7 @@ class TestScore:
         params = random_params(self.D, 3, Mode.FULL, seed=4)
         indices = np.array([4, 0, 6])
         picks = np.array([[0, 20, 39], [0, 0, 0], [1, 5, 8]])
-        (s,) = score(params, packed, indices, picks)
+        s = score(params, packed, indices, picks)
         for j, i in enumerate(indices):
             want, _ = forward(frames[offsets[i] + picks[j]], params)
             np.testing.assert_allclose(s.logits[j], want, rtol=0, atol=1e-12)
@@ -629,20 +653,19 @@ class TestScore:
         params = random_params(self.D, 3, Mode.FULL)
         params.class_w[:] = 10.0
         frames[offsets[5]:offsets[6]] = 1e308
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NumericError, match="dataset index 5: forward"):
-            list(score(params, packed, [0, 5, 6]))
+        with pytest.raises(NumericError, match="dataset index 5: forward"):
+            score(params, packed, [0, 5, 6])
         frames[offsets[6] + 1, 2] = np.nan
         with pytest.raises(NumericError, match="^dataset index 6: forward pass"):
-            list(score(params, packed, [6, 0]))
+            score(params, packed, [6, 0])
         with pytest.raises(DimensionError):
-            list(score(random_params(self.D + 1, 3, Mode.FULL), packed))
+            score(random_params(self.D + 1, 3, Mode.FULL), packed)
 
     def test_finite_values_whose_sums_overflow_are_scored(self):
         packed = packed_videos([2, 3], 2)
         packed.frames[:] = 1e308
         params = head(np.zeros(2))
-        (s,) = score(params, packed)
+        s = score(params, packed)
         np.testing.assert_array_equal(s.final_weights, [0.5, 0.5, 1 / 3, 1 / 3, 1 / 3])
 
     @pytest.mark.parametrize("d, videos, longest", [(16, 2000, 80), (512, 300, 40)])
@@ -655,8 +678,7 @@ class TestScore:
         params = random_params(d, 7, Mode.FULL)
         for indices in (None, np.arange(videos)[::-2]):
             tracemalloc.start()
-            for _ in score(params, packed, indices):
-                pass
+            score(params, packed, indices)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             assert peak < 3e6, (indices is None, peak)

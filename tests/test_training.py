@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 import tracemalloc
 
@@ -7,7 +8,14 @@ import pytest
 
 import frameattn.training as training
 from frameattn import model
-from frameattn.data import Dataset, SynthConfig, VideoInstance, synth_generate
+from frameattn.data import (
+    Dataset,
+    SynthConfig,
+    VideoInstance,
+    load_feature_file,
+    synth_generate,
+    write_feature_file,
+)
 from frameattn.errors import ConfigError, DataError, FormatError, NumericError, SchemaError
 from frameattn.evaluation import score_fusion_baseline
 from frameattn.model import FanParams, Mode, backward, forward_backward, init_params
@@ -71,6 +79,8 @@ class TestSchedules:
             TrainConfig(schedule=[(0, 0.1), (0, 0.2)]).validate()
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=0).validate()
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            TrainConfig(seed=-1).validate()
 
 
 def step(p, grads, velocity, lr, momentum, weight_decay):
@@ -137,8 +147,8 @@ class TestSgdStep:
         p = init_params(2, 2, Mode.FULL, seed=1)
         g = np.zeros_like(p.flat)
         g[p.blocks[0].slice] = 1.0
-        with np.errstate(over="ignore"), pytest.raises(NumericError,
-                                                       match="parameter 'q0'"):
+        # no np.errstate here: sgd_step's own check reports the overflow
+        with pytest.raises(NumericError, match="parameter 'q0'"):
             step(p, g, np.zeros_like(p.flat), lr=1e308, momentum=0.0,
                  weight_decay=1e308)
 
@@ -235,9 +245,24 @@ class TestTrainLoop:
             order, _ = training_draw(cfg.seed, 0, lengths, cfg.k)
             batch = int(np.flatnonzero(order == 5)[0]) // cfg.batch_size
             where = f"epoch 0, batch {batch}, dataset index 5: {stage}"
-            with np.errstate(over="ignore", invalid="ignore"), \
-                    pytest.raises(NumericError, match=where):
+            with pytest.raises(NumericError, match=where):
                 train(ds, cfg)
+
+    @pytest.mark.parametrize("overrides, where", [
+        ({"schedule": [(0, 1e100)]},
+         "epoch 2, batch 0, dataset index 15: backward pass produced non-finite gradients"),
+        ({"schedule": [(0, 1e308)], "weight_decay": 1e308},
+         "epoch 0, batch 0: parameter 'q0' became non-finite during update"),
+    ], ids=["kernel", "update"])
+    def test_overflow_raises_the_located_error_and_no_warning(self, tmp_path,
+                                                              overrides, where):
+        # pytest turns a RuntimeWarning into an error, so a raw warning from
+        # the kernel or the update would end the run before its NumericError
+        path = str(tmp_path / "d.fanf")
+        write_feature_file(synth_generate(SynthConfig(videos_per_class=5)), path)
+        cfg = synth_default_config(total_epochs=4, seed=7, **overrides)
+        with pytest.raises(NumericError, match=f"^{re.escape(where)}$"):
+            train(load_feature_file(path), cfg)
 
     def test_numeric_error_in_validation_names_epoch_and_instance(self):
         # training never sees instance 5, whose features overflow its logits
@@ -337,7 +362,7 @@ class TestFit:
         params = init_params(ds.dim, ds.num_classes, cfg.mode, seed=cfg.seed)
 
         def step(stack, labels):
-            logits, _, losses, grads = model._stack_kernel(stack, params, labels)
+            logits, _, losses, grads = model._kernel(stack, params, labels)
             grads.flat *= 1.0 / len(labels)
             return float(losses.sum()), int((logits.argmax(axis=1) == labels).sum()), grads.flat
 
