@@ -143,8 +143,9 @@ class Dataset:
 
     def _checked_videos(self) -> list[np.ndarray]:
         """Every instance's frames as an array, once the header and then each
-        video in turn pass the rules: D columns, at least one frame, finite
-        values and a label in range. Packing and the writer check here."""
+        video in turn pass the rules: an array of real numbers (bool, int or
+        float) with D columns, at least one frame, finite values and a label
+        in range. Packing and the writer check here."""
         if self.dim < 1 or self.num_classes < 1:
             raise SchemaError("dim and num_classes must be positive")
         if len(self.class_names) != self.num_classes:
@@ -152,7 +153,13 @@ class Dataset:
                               f"got {len(self.class_names)}")
         videos = []
         for inst in self.instances:
-            f = np.asarray(inst.features)
+            try:
+                f = np.asarray(inst.features)
+            except (TypeError, ValueError) as e:  # ragged rows, for one
+                raise SchemaError(f"instance '{inst.video_id}': features: {e}") from None
+            if f.dtype.kind not in "biuf":  # complex, text, objects...
+                raise SchemaError(f"instance '{inst.video_id}': features of dtype "
+                                  f"{f.dtype} are not real numbers")
             if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] != self.dim:
                 raise SchemaError(f"instance '{inst.video_id}': feature shape {f.shape} "
                                   f"inconsistent with dim {self.dim}")

@@ -1,10 +1,10 @@
 """Accuracy evaluation, cross-validation, the score-fusion baseline, and
 attention-weight export.
 
-evaluate and export_attention score a dataset's videos in one pass through
-the head (model.score): equal-length buckets of whole videos gathered from
-the packed frames, each stack's working set near model.SCORE_CHUNK_BYTES.
-The pass keeps each frame's alpha and final weight and each video's logits.
+evaluate and export_attention hand the dataset to model.score, which
+matches the head to it and scores the selected videos in equal-length
+buckets gathered from the packed frames, each stack's working set near
+model.SCORE_CHUNK_BYTES, keeping their labels, logits and frame weights.
 
 The baseline trains an affine per-frame classifier through the attention
 head's own loop (training.fit), on the same minibatches and optimizer
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import model, sampling
 from .data import Dataset, FoldPlan, atomic_open, split_by_fold
-from .errors import ConfigError, DimensionError, NumericError
+from .errors import ConfigError, NumericError
 from .model import FanParams
 from .numerics import _xent, softmax
 from .training import TrainConfig, fit, train, training_split
@@ -71,22 +71,12 @@ def _report_from_confusion(confusion: np.ndarray, predictions=None) -> EvalRepor
     )
 
 
-def _check_compat(params: FanParams, dataset: Dataset) -> None:
-    if params.feature_dim != dataset.dim:
-        raise DimensionError(
-            f"params dim {params.feature_dim} != dataset dim {dataset.dim}")
-    if params.num_classes != dataset.num_classes:
-        raise DimensionError(
-            f"params classes {params.num_classes} != dataset classes "
-            f"{dataset.num_classes}")
-
-
-def predict_videos(params: FanParams, dataset: Dataset, frame_mode: str = "all",
-                   k: int = 3, seed: int = 0,
-                   indices: list[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The dataset indices of the selected videos (negative ones counted
-    from the end) and their predicted classes, from one scoring pass
-    (model.score).
+def evaluate(params: FanParams, dataset: Dataset, frame_mode: str = "all",
+             k: int = 3, seed: int = 0,
+             indices: list[int] | None = None) -> EvalReport:
+    """Classify the selected videos (every one by default) in one scoring
+    pass (model.score) and tally a confusion matrix; the report keeps the
+    predictions, in the order of `indices`.
 
     frame_mode "all" uses every frame (deterministic); "sampled" draws k
     frames per video with the segment sampler, from one (seed, index)
@@ -94,30 +84,22 @@ def predict_videos(params: FanParams, dataset: Dataset, frame_mode: str = "all",
     """
     if frame_mode not in ("all", "sampled"):
         raise ConfigError(f"unknown frame_mode '{frame_mode}'")
-    if frame_mode == "sampled" and k < 1:
-        raise ConfigError(f"sampled evaluation needs k >= 1 frames, got {k}")
-    if frame_mode == "sampled" and seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    packed = dataset.packed()
-    _check_compat(params, dataset)
-    indices = packed.select(indices)
     picks = None
     if frame_mode == "sampled":
+        if k < 1:
+            raise ConfigError(f"sampled evaluation needs k >= 1 frames, got {k}")
+        if seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {seed}")
+        packed = dataset.packed()
+        indices = packed.select(indices)
         lengths = np.diff(packed.offsets)[indices].tolist()
         picks = np.array([sampling.sample_training(n, k, sampling.stream(seed, i))
                           for n, i in zip(lengths, indices.tolist())],
                          dtype=np.int64).reshape(len(indices), k)
-    return indices, np.argmax(model.score(params, packed, indices, picks).logits, axis=1)
-
-
-def evaluate(params: FanParams, dataset: Dataset, frame_mode: str = "all",
-             k: int = 3, seed: int = 0,
-             indices: list[int] | None = None) -> EvalReport:
-    """Classify each instance (predict_videos) and tally a confusion matrix;
-    the report keeps the predictions, in the order of `indices`."""
-    indices, preds = predict_videos(params, dataset, frame_mode, k, seed, indices)
+    scored = model.score(params, dataset, indices, picks)
+    preds = np.argmax(scored.logits, axis=1)
     confusion = np.zeros((dataset.num_classes, dataset.num_classes), dtype=np.int64)
-    np.add.at(confusion, (dataset.packed().labels[indices], preds), 1)
+    np.add.at(confusion, (scored.labels, preds), 1)
     return _report_from_confusion(confusion, preds)
 
 
@@ -167,10 +149,8 @@ def score_fusion_baseline(
     test_indices = list(train_indices) if test_indices is None else test_indices
 
     d, c = dataset.dim, dataset.num_classes
-    rng = np.random.default_rng(config.seed)
-    limit = np.sqrt(6.0 / (d + c))
     blocks = model.blocks_of([("baseline_w", (c, d)), ("baseline_b", (c,))])
-    params = np.concatenate([rng.uniform(-limit, limit, size=c * d), np.zeros(c)])
+    params = model.init_flat(blocks, config.seed)
     w = params[blocks[0].slice].reshape(c, d)
     b = params[blocks[1].slice]
     grads = np.empty_like(params)
@@ -236,24 +216,22 @@ def export_attention(params: FanParams, dataset: Dataset, path: str,
     differ from per-video model.forward in the last digits, from the order
     of the sums.
     """
-    packed = dataset.packed()
-    _check_compat(params, dataset)
     csv_path = path if path.endswith(".csv") else path + ".csv"
     json_path = os.path.splitext(csv_path)[0] + ".json"
 
-    scored = model.score(params, packed, indices)
+    scored = model.score(params, dataset, indices)
     preds = np.argmax(scored.logits, axis=1)
     count = len(preds)
-    correct = int(np.sum(preds == packed.labels[scored.indices]))
+    correct = int(np.sum(preds == scored.labels))
     bounds = scored.offsets.tolist()
     with atomic_open(csv_path, "w", newline="") as fc, atomic_open(json_path, "w") as fj:
         fc.write("video_id,frame_index,alpha,final_weight,label,prediction\r\n")
         fj.write(_JSON_HEAD % (json.dumps(params.mode.value), count,
                                correct / count if count else 0.0))
         sep = "\n"
-        for j, (i, pred) in enumerate(zip(scored.indices.tolist(), preds.tolist())):
+        for j, (i, label, pred) in enumerate(zip(scored.indices.tolist(),
+                                                 scored.labels.tolist(), preds.tolist())):
             video_id = dataset.instances[i].video_id
-            label = int(packed.labels[i])
             lo, hi = bounds[j], bounds[j + 1]
             frame_ids = range(hi - lo)
             a = list(map(repr, scored.alpha[lo:hi].tolist()))

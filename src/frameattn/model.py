@@ -38,7 +38,7 @@ forward, backward and forward_backward on one video (B=1, K=n) and the
 scoring pass all call it; with labels it also returns the gradients,
 summed over B.
 
-score runs the head over the videos of a packed dataset in equal-length
+score runs the head over the videos of a dataset in equal-length
 buckets: the selection sorted by length, each run of one length cut into
 stacks whose working set is about SCORE_CHUNK_BYTES, so the frames held at
 a time do not grow with the dataset.
@@ -203,20 +203,25 @@ class AttentionTrace:
     aggregate: np.ndarray      # (2D,) full mode, (D,) self-only
 
 
-def init_params(dim: int, num_classes: int, mode: Mode = Mode.FULL,
-                seed: int = 0) -> FanParams:
-    """Seeded uniform init: each weight block drawn, in layout order, from
-    +-sqrt(6/(fan_in+fan_out)); bias zero."""
-    mode = Mode(mode)
-    blocks = layout(dim, num_classes, mode)
-    params = FanParams._over(np.zeros(blocks[-1].slice.stop), blocks, mode)
+def init_flat(blocks, seed: int) -> np.ndarray:
+    """Seeded uniform init of a flat vector laid out as `blocks`: each block
+    but the last drawn, in order, from +-sqrt(6/(fan_in+fan_out)); the last,
+    the bias, zero."""
+    flat = np.zeros(blocks[-1].slice.stop)
     rng = np.random.default_rng(seed)
-    for name, _, shape in blocks[:-1]:
-        # a kernel vector has fan_out 1, class_w is (fan_out, fan_in)
+    for _, where, shape in blocks[:-1]:
+        # a kernel vector has fan_out 1, a weight matrix is (fan_out, fan_in)
         fan_out = shape[0] if len(shape) == 2 else 1
         limit = np.sqrt(6.0 / (shape[-1] + fan_out))
-        setattr(params, name, rng.uniform(-limit, limit, size=shape))
-    return params
+        flat[where] = rng.uniform(-limit, limit, size=shape).ravel()
+    return flat
+
+
+def init_params(dim: int, num_classes: int, mode: Mode = Mode.FULL,
+                seed: int = 0) -> FanParams:
+    """init_flat on the head's layout for (dim, num_classes, mode)."""
+    blocks = layout(dim, num_classes, mode)
+    return FanParams._over(init_flat(blocks, seed), blocks, Mode(mode))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -340,22 +345,25 @@ _FRAME_TEMPS = 16
 
 
 class Scored(NamedTuple):
-    """A scoring pass: the dataset indices of its n videos, the (n + 1,)
+    """A scoring pass: its n videos' dataset indices and labels, the (n + 1,)
     offsets of their frames in the per-frame fields, their (n, C) logits,
     and each frame's alpha and final weight, video after video."""
 
     indices: np.ndarray
+    labels: np.ndarray
     offsets: np.ndarray
     logits: np.ndarray
     alpha: np.ndarray
     final_weights: np.ndarray
 
 
-def score(params: FanParams, packed, indices=None, picks=None) -> Scored:
-    """Run the head over whole videos of a data.PackedFrames.
+def score(params: FanParams, dataset, indices=None, picks=None) -> Scored:
+    """Run the head over whole videos of a data.Dataset.
 
-    indices selects the videos, in order, as packed.select reads them
-    (repeats are scored again); by default every video. With picks, an
+    The dataset is packed first; a head whose feature dim, then class
+    count, is not the dataset's raises DimensionError. indices selects the
+    videos, in order, as PackedFrames.select reads them (repeats are scored
+    again); by default every video. With picks, an
     (len(indices), k) array, video j is scored on its frames picks[j] only.
     Returns one Scored, the videos in the order of indices; it holds 16
     bytes a frame and C logits a video of the selection.
@@ -369,17 +377,19 @@ def score(params: FanParams, packed, indices=None, picks=None) -> Scored:
     NumericError naming the dataset index of the first bad video in length
     order, not in the order of indices.
     """
+    packed, d, c = dataset.packed(), dataset.dim, dataset.num_classes
+    if params.feature_dim != d:
+        raise DimensionError(f"params dim {params.feature_dim} != dataset dim {d}")
+    if params.num_classes != c:
+        raise DimensionError(f"params classes {params.num_classes} != dataset classes {c}")
     frames, offsets = packed.frames, packed.offsets
     indices = packed.select(indices)
-    d = frames.shape[1]
-    if d != params.feature_dim:
-        raise DimensionError(f"feature dim {d} != params dim {params.feature_dim}")
     starts = offsets[indices]
     lengths = (offsets[indices + 1] - starts if picks is None
                else np.full(len(indices), picks.shape[1]))
     local = np.zeros(len(indices) + 1, dtype=np.int64)
     np.cumsum(lengths, out=local[1:])
-    logits = np.empty((len(indices), params.num_classes))
+    logits = np.empty((len(indices), c))
     alpha, final = np.empty(local[-1]), np.empty(local[-1])
 
     order = np.argsort(lengths, kind="stable")
@@ -402,7 +412,7 @@ def score(params: FanParams, packed, indices=None, picks=None) -> Scored:
             alpha[cells] = trace.alpha
             final[cells] = trace.final_weights
             del f, trace  # so that the next stack is gathered after this one is gone
-    return Scored(indices, local, logits, alpha, final)
+    return Scored(indices, packed.labels[indices], local, logits, alpha, final)
 
 
 def predict(logits) -> int:

@@ -56,6 +56,11 @@ class TrainConfig:
     mode: Mode = Mode.FULL
 
     def validate(self) -> None:
+        for name in ("batch_size", "k", "total_epochs", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.mode not in list(Mode):
+            raise ConfigError(f"unknown mode {self.mode!r}")
         if self.batch_size < 1 or self.k < 1 or self.total_epochs < 0:
             raise ConfigError("batch_size, k must be >= 1 and total_epochs >= 0")
         if self.seed < 0:
@@ -259,12 +264,11 @@ def train(
 def _accuracy(dataset: Dataset, params: FanParams, indices, epoch: int) -> float:
     """Share of the videos at `indices` that the head classifies right,
     from one scoring pass (model.score); 0.0 for no videos."""
-    packed = dataset.packed()
     try:
-        scored = model.score(params, packed, indices)
+        scored = model.score(params, dataset, indices)
     except NumericError as e:
         raise NumericError(f"epoch {epoch}, validation, {e}") from e
-    correct = int(np.sum(np.argmax(scored.logits, axis=1) == packed.labels[scored.indices]))
+    correct = int(np.sum(np.argmax(scored.logits, axis=1) == scored.labels))
     return correct / len(indices) if len(indices) else 0.0
 
 

@@ -11,7 +11,12 @@ relative paths on both sides:
   * synth, then train (full and self-only, each with --history, and one
     run whose update overflows), eval (all frames, --per-instance,
     sampled), visualize (both heads), cv (both modes), and gradcheck
-    (plain and --corrupt).
+    (plain and --corrupt);
+  * then an API step for what the CLI cannot reach, dumped to api.json:
+    score_fusion_baseline reports with both fusions, in-sample and on one
+    held-out fold; a train with val_indices, its history and parameters;
+    and evaluate of both trained heads, on all and on sampled frames, with
+    repeated and negative indices.
 
 Each command's exit code, stdout and stderr are compared, and then every
 file left in the two working directories, byte for byte. Python warning
@@ -43,33 +48,70 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 DATA = "data.fanf"
-# (name, arguments); visualize steps write the files compared as floats
+
+# The library calls of the API step; it runs after the CLI steps, which
+# leave the data file and both trained heads in the working directory.
+API = f"""\
+import json
+import frameattn as fa
+from frameattn.training import history_lines
+
+ds = fa.load_feature_file({DATA!r})
+train_idx, test_idx = fa.split_by_fold(ds, fa.build_folds(ds, 5), 0)
+config = fa.TrainConfig(batch_size=16, total_epochs=4, seed=3)
+out = {{}}
+for fusion in ("logits", "probs"):
+    for split, fit_on, test_on in (("in-sample", None, None),
+                                   ("fold 0", train_idx, test_idx)):
+        report = fa.score_fusion_baseline(ds, config, fit_on, test_on, fusion)
+        out[f"baseline {{fusion}} {{split}}"] = report.to_dict()
+params, history = fa.train(ds, config, train_idx, test_idx)
+out["train with val_indices"] = {{"history": history_lines(history),
+                                  "params": params.flat.tolist()}}
+for name in ("full.fanp", "self.fanp"):
+    head = fa.load_checkpoint(name)
+    for frame_mode in ("all", "sampled"):
+        report = fa.evaluate(head, ds, frame_mode, 3, 5, [5, -1, 5, 0, -40, 5])
+        out[f"evaluate {{name}} {{frame_mode}}"] = {{
+            **report.to_dict(), "predictions": report.predictions.tolist()}}
+with open("api.json", "w") as f:
+    json.dump(out, f, indent=1)
+"""
+
+
+def cli(*args):
+    return ["-m", "frameattn.cli", *args]
+
+
+# (name, interpreter arguments); visualize steps write the files compared
+# as floats
 MATRIX = [
-    ("synth", ["synth", "--out", DATA, "--videos-per-class", "20",
-               "--frames-min", "2", "--frames-max", "12", "--seed", "3"]),
-    ("train full", ["train", "--data", DATA, "--out", "full.fanp",
-                    "--history", "full.csv", "--epochs", "8", "--seed", "3"]),
-    ("train self-only", ["train", "--data", DATA, "--out", "self.fanp",
-                         "--history", "self.csv", "--mode", "self-only",
-                         "--epochs", "8", "--seed", "3"]),
-    ("train, update overflows", ["train", "--data", DATA, "--out", "bad.fanp",
-                                 "--lr", "1e308", "--weight-decay", "1e308",
-                                 "--epochs", "2"]),
-    ("eval", ["eval", "--checkpoint", "full.fanp", "--data", DATA]),
-    ("eval --per-instance", ["eval", "--checkpoint", "self.fanp", "--data", DATA,
-                             "--per-instance"]),
-    ("eval sampled", ["eval", "--checkpoint", "full.fanp", "--data", DATA,
-                      "--frames", "sampled", "--k", "3", "--seed", "5",
-                      "--per-instance"]),
-    ("visualize full", ["visualize", "--checkpoint", "full.fanp", "--data", DATA,
-                        "--out", "full_attention.csv"]),
-    ("visualize self-only", ["visualize", "--checkpoint", "self.fanp", "--data", DATA,
-                             "--out", "self_attention.csv"]),
-    ("cv full", ["cv", "--data", DATA, "--folds", "5", "--epochs", "3", "--seed", "2"]),
-    ("cv self-only", ["cv", "--data", DATA, "--folds", "5", "--epochs", "3",
-                      "--seed", "2", "--mode", "self-only"]),
-    ("gradcheck", ["gradcheck", "--configs", "6", "--seed", "1"]),
-    ("gradcheck --corrupt", ["gradcheck", "--configs", "2", "--seed", "1", "--corrupt"]),
+    ("synth", cli("synth", "--out", DATA, "--videos-per-class", "20",
+                  "--frames-min", "2", "--frames-max", "12", "--seed", "3")),
+    ("train full", cli("train", "--data", DATA, "--out", "full.fanp",
+                       "--history", "full.csv", "--epochs", "8", "--seed", "3")),
+    ("train self-only", cli("train", "--data", DATA, "--out", "self.fanp",
+                            "--history", "self.csv", "--mode", "self-only",
+                            "--epochs", "8", "--seed", "3")),
+    ("train, update overflows", cli("train", "--data", DATA, "--out", "bad.fanp",
+                                    "--lr", "1e308", "--weight-decay", "1e308",
+                                    "--epochs", "2")),
+    ("eval", cli("eval", "--checkpoint", "full.fanp", "--data", DATA)),
+    ("eval --per-instance", cli("eval", "--checkpoint", "self.fanp", "--data", DATA,
+                                "--per-instance")),
+    ("eval sampled", cli("eval", "--checkpoint", "full.fanp", "--data", DATA,
+                         "--frames", "sampled", "--k", "3", "--seed", "5",
+                         "--per-instance")),
+    ("visualize full", cli("visualize", "--checkpoint", "full.fanp", "--data", DATA,
+                           "--out", "full_attention.csv")),
+    ("visualize self-only", cli("visualize", "--checkpoint", "self.fanp", "--data", DATA,
+                                "--out", "self_attention.csv")),
+    ("cv full", cli("cv", "--data", DATA, "--folds", "5", "--epochs", "3", "--seed", "2")),
+    ("cv self-only", cli("cv", "--data", DATA, "--folds", "5", "--epochs", "3",
+                         "--seed", "2", "--mode", "self-only")),
+    ("gradcheck", cli("gradcheck", "--configs", "6", "--seed", "1")),
+    ("gradcheck --corrupt", cli("gradcheck", "--configs", "2", "--seed", "1", "--corrupt")),
+    ("api", ["-c", API]),
 ]
 EXPORTS = {"full_attention.csv", "full_attention.json",
            "self_attention.csv", "self_attention.json"}
@@ -85,7 +127,7 @@ def run_matrix(root: Path, work: Path) -> dict:
     env.pop("PYTHONWARNINGS", None)
     results = {}
     for name, args in MATRIX:
-        proc = subprocess.run([sys.executable, "-m", "frameattn.cli", *args], cwd=work,
+        proc = subprocess.run([sys.executable, *args], cwd=work,
                               env=env, capture_output=True, text=True)
         kept, warnings, lines = [], 0, proc.stderr.splitlines(keepends=True)
         i = 0

@@ -2,6 +2,7 @@ import hashlib
 import os
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -413,6 +414,31 @@ class TestDatasetValidation:
                      2, 1, ["a"])
         with pytest.raises(DataError):
             ds.validate()
+
+    NOT_REAL = {
+        "text": [["1.0", "2.0"]],
+        "None in an object array": np.array([[None, 1.0]], dtype=object),
+        "ragged rows": [[1.0, 2.0], [3.0]],
+        "complex": np.array([[1.0 + 2.0j, 0.5]]),
+    }
+
+    @pytest.mark.parametrize("kind", list(NOT_REAL))
+    def test_features_that_are_not_real_numbers(self, kind, tmp_path):
+        ds = Dataset([VideoInstance("ok", "s", 0, np.ones((2, 2))),
+                      VideoInstance("bad", "s", 0, self.NOT_REAL[kind])], 2, 1, ["a"])
+        path = tmp_path / "d.fanf"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # complex parts are not dropped with a warning
+            with pytest.raises(SchemaError, match="^instance 'bad': features"):
+                ds.packed()
+            with pytest.raises(SchemaError, match="^instance 'bad': features"):
+                write_feature_file(ds, str(path))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("dtype", [bool, np.int32, np.uint8, np.float16, np.float32])
+    def test_real_dtypes_are_packed(self, dtype):
+        ds = Dataset([VideoInstance("v", "s", 0, np.ones((2, 2), dtype=dtype))], 2, 1, ["a"])
+        np.testing.assert_array_equal(ds.packed().frames, np.ones((2, 2)))
 
 
 def fanf_record(video_id, label, n, values):

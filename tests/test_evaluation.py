@@ -20,7 +20,6 @@ from frameattn.evaluation import (
     cross_validate,
     evaluate,
     export_attention,
-    predict_videos,
     score_fusion_baseline,
 )
 from frameattn.model import FanParams, Mode, forward, init_params, predict
@@ -401,8 +400,8 @@ def spread_params(d, c, mode, seed=3):
 
 
 class TestScoringPass:
-    """evaluate, predict_videos and export_attention score through one
-    chunked pass; their results must be those of per-video forward."""
+    """evaluate and export_attention score through one bucketed pass
+    (model.score); their results must be those of per-video forward."""
 
     IDS = [f"v{i}" for i in range(9)]
 
@@ -412,16 +411,15 @@ class TestScoringPass:
         monkeypatch.setattr(model, "SCORE_CHUNK_BYTES", 2000)
         ds = ragged_dataset(self.IDS)
         params = spread_params(4, 3, mode)
-        got_idx, preds = predict_videos(params, ds, indices=indices)
+        report = evaluate(params, ds, indices=indices)
         want_idx = range(9) if indices is None else [i % 9 for i in indices]
-        assert got_idx.tolist() == list(want_idx)
+        preds = report.predictions
         assert preds.tolist() == [predict(forward(ds.instances[i].features, params)[0])
                                   for i in want_idx]
         confusion = np.zeros((3, 3), dtype=np.int64)
-        for i, pred in zip(got_idx, preds):
+        for i, pred in zip(want_idx, preds):
             confusion[ds.instances[i].label, pred] += 1
-        np.testing.assert_array_equal(
-            evaluate(params, ds, indices=indices).confusion, confusion)
+        np.testing.assert_array_equal(report.confusion, confusion)
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_sampled_mode_keeps_per_video_streams(self, mode, monkeypatch):
@@ -429,7 +427,7 @@ class TestScoringPass:
         ds = ragged_dataset(self.IDS)
         params = spread_params(4, 3, mode)
         indices = [8, 0, 3, 3, -2]
-        _, preds = predict_videos(params, ds, "sampled", k=3, seed=5, indices=indices)
+        preds = evaluate(params, ds, "sampled", k=3, seed=5, indices=indices).predictions
         want = []
         for i in indices:
             frames = ds.instances[i].features
@@ -456,8 +454,8 @@ class TestScoringPass:
     def test_empty_index_list(self, tmp_path):
         ds = ragged_dataset(self.IDS)
         params = spread_params(4, 3, Mode.FULL)
-        idx, preds = predict_videos(params, ds, indices=[])
-        assert idx.tolist() == preds.tolist() == []
+        scored = model.score(params, ds, [])
+        assert scored.indices.tolist() == scored.labels.tolist() == []
         with pytest.raises(ConfigError):
             evaluate(params, ds, indices=[])
         export_attention(params, ds, str(tmp_path / "w.csv"), [])

@@ -1,10 +1,11 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from frameattn import model
-from frameattn.data import PackedFrames
+from frameattn.data import Dataset, VideoInstance
 from frameattn.errors import DataError, DimensionError, NumericError
 from frameattn.numerics import finite_diff_gradient, relative_error
 from frameattn.model import (
@@ -452,6 +453,28 @@ class TestParams:
         b = init_params(6, 4, Mode.FULL, seed=12)
         np.testing.assert_array_equal(a.flatten(), b.flatten())
 
+    @pytest.mark.parametrize("mode, seed, digest", [
+        (Mode.FULL, 0, "1d26b426bce1c80252c8692c761e25462e0ac7dec2d74f4cc869a871b801f113"),
+        (Mode.FULL, 7, "b7a30fa8b45c9ef4e7fc4d1ad523dc742b73573d67cec2511e0999df4bc41a13"),
+        (Mode.SELF_ONLY, 0, "83bea8c0165f36a35e76f16cafa77a144944592454df3de3444c253152112564"),
+        (Mode.SELF_ONLY, 7, "ad9efc02cc0851e1540f3426174820ce580694d21f5edc0e80f5c41584e0e65b"),
+    ])
+    def test_init_pinned(self, mode, seed, digest):
+        # sha256 of the little-endian float64 vector, as init_params drew it
+        # before init_flat was split out of it
+        flat = init_params(5, 3, mode, seed=seed).flat
+        assert hashlib.sha256(flat.astype("<f8").tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("d, c, seed", [(4, 3, 0), (7, 2, 5), (1, 1, 9)])
+    def test_init_flat_draws_the_baseline_classifier_as_before(self, d, c, seed):
+        # the score-fusion baseline drew its weights as c * d values and
+        # appended a zero bias; init_flat draws them as one (c, d) block
+        rng = np.random.default_rng(seed)
+        limit = np.sqrt(6.0 / (d + c))
+        before = np.concatenate([rng.uniform(-limit, limit, size=c * d), np.zeros(c)])
+        blocks = model.blocks_of([("baseline_w", (c, d)), ("baseline_b", (c,))])
+        assert model.init_flat(blocks, seed).tobytes() == before.tobytes()
+
     def test_init_bounds(self):
         p = init_params(8, 3, Mode.FULL, seed=1)
         assert np.all(np.abs(p.q0) <= np.sqrt(6 / 9))
@@ -542,12 +565,17 @@ class TestParams:
             FanParams.from_flat(flat, 3, 2, Mode.FULL)
 
 
-def packed_videos(lengths, d, seed=0):
-    """Random frames of videos of the given lengths, packed."""
+def video_dataset(lengths, d, seed=0, c=3):
+    """A packed dataset of videos of the given lengths: random frames, and
+    labels cycling over c classes."""
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     frames = np.random.default_rng(seed).standard_normal((offsets[-1], d))
-    return PackedFrames(frames, offsets, np.zeros(len(lengths), dtype=np.int64))
+    ds = Dataset([VideoInstance(f"v{i}", f"s{i}", i % c, frames[lo:hi])
+                  for i, (lo, hi) in enumerate(zip(offsets, offsets[1:]))],
+                 d, c, [f"c{j}" for j in range(c)])
+    ds.packed()
+    return ds
 
 
 class TestScore:
@@ -556,9 +584,9 @@ class TestScore:
     LENGTHS = [1, 5, 3, 1, 40, 2, 9, 1]
     D = 4
 
-    def videos(self, params, packed, indices=None):
+    def videos(self, params, ds, indices=None):
         """Per scored video: (dataset index, logits, alpha, final weights)."""
-        s = score(params, packed, indices)
+        s = score(params, ds, indices)
         out = []
         for j, i in enumerate(s.indices.tolist()):
             a, b = s.offsets[j], s.offsets[j + 1]
@@ -573,11 +601,11 @@ class TestScore:
         # a 1000-byte budget holds a few short videos per chunk at D=4, and
         # the 40-frame video is over it on its own
         monkeypatch.setattr(model, "SCORE_CHUNK_BYTES", budget)
-        packed = packed_videos(self.LENGTHS, self.D, seed=1)
-        frames, offsets = packed.frames, packed.offsets
+        ds = video_dataset(self.LENGTHS, self.D, seed=1)
+        frames, offsets = ds.packed().frames, ds.packed().offsets
         params = random_params(self.D, 3, mode, seed=2)
         params.q0 *= 4.0  # spread the weights
-        got = self.videos(params, packed, indices)
+        got = self.videos(params, ds, indices)
         count = len(self.LENGTHS)
         expect = range(count) if indices is None else [i % count for i in indices]
         assert [i for i, *_ in got] == list(expect)
@@ -594,15 +622,15 @@ class TestScore:
         # the three 1-frame videos, selected five times, need two stacks at
         # 1000 bytes; the 40-frame video is over it on its own
         monkeypatch.setattr(model, "SCORE_CHUNK_BYTES", budget)
-        packed = packed_videos(self.LENGTHS, self.D)
-        frames, offsets = packed.frames, packed.offsets
+        ds = video_dataset(self.LENGTHS, self.D)
+        frames, offsets = ds.packed().frames, ds.packed().offsets
         params = random_params(self.D, 3, Mode.FULL)
         seen = []
         kernel = model._kernel
         monkeypatch.setattr(model, "_kernel",
                             lambda f, *args: (seen.append(f.copy()), kernel(f, *args))[1])
         indices = [3, 4, 0, 7, 2, 3, 6, 1, 0, 5, 2]
-        score(params, packed, indices)
+        score(params, ds, indices)
         for f in seen:
             b, k, d = f.shape
             assert f.dtype == np.float64
@@ -618,54 +646,77 @@ class TestScore:
     def test_error_in_a_bucket_names_the_dataset_index(self):
         # the 3-frame videos at positions 0, 1 and 3 make one stack; video
         # 0 is its third row, and position 2 holds video 1
-        packed = packed_videos([3, 2, 3, 2, 3], self.D)
-        frames, offsets = packed.frames, packed.offsets
+        ds = video_dataset([3, 2, 3, 2, 3], self.D)
+        frames, offsets = ds.packed().frames, ds.packed().offsets
         params = random_params(self.D, 3, Mode.FULL)
         frames[offsets[0] + 1, 2] = np.nan
         with pytest.raises(NumericError, match="^dataset index 0: forward pass"):
-            score(params, packed, [2, 4, 1, 0])
+            score(params, ds, [2, 4, 1, 0])
         # the first bad video in length order, not in the order of indices
         frames[offsets[3], 0] = np.nan
         with pytest.raises(NumericError, match="^dataset index 3: forward pass"):
-            score(params, packed, [0, 3])
+            score(params, ds, [0, 3])
 
     def test_empty_index_list_scores_nothing(self):
-        packed = packed_videos(self.LENGTHS, self.D)
+        ds = video_dataset(self.LENGTHS, self.D)
         params = random_params(self.D, 3, Mode.FULL)
-        s = score(params, packed, [])
+        s = score(params, ds, [])
         assert s.indices.tolist() == s.alpha.tolist() == s.final_weights.tolist() == []
+        assert s.labels.tolist() == []
         assert s.offsets.tolist() == [0] and s.logits.shape == (0, 3)
 
+    @pytest.mark.parametrize("indices", [None, [-1, -8, 4, -4], [2, 2, 5, -6, 3, -5, 3]])
+    def test_labels_follow_the_indices(self, indices):
+        ds = video_dataset(self.LENGTHS, self.D)
+        s = score(random_params(self.D, 3, Mode.FULL), ds, indices)
+        chosen = range(len(self.LENGTHS)) if indices is None else indices
+        assert s.labels.dtype == np.int64
+        assert s.labels.tolist() == [ds.instances[i].label for i in chosen]
+
+    @pytest.mark.parametrize("d, c, message", [
+        (5, 3, "^params dim 5 != dataset dim 4$"),
+        (5, 2, "^params dim 5 != dataset dim 4$"),  # the dim is checked first
+        (4, 2, "^params classes 2 != dataset classes 3$"),
+    ])
+    def test_head_is_matched_to_the_dataset_before_the_kernel(self, d, c, message,
+                                                              monkeypatch):
+        ds = video_dataset(self.LENGTHS, self.D)
+        calls = []
+        monkeypatch.setattr(model, "_kernel", lambda *args: calls.append(args))
+        with pytest.raises(DimensionError, match=message):
+            score(random_params(d, c, Mode.FULL), ds, [0, 1])
+        assert calls == []
+
     def test_sampled_frames_match_forward_on_the_picks(self):
-        packed = packed_videos(self.LENGTHS, self.D, seed=3)
-        frames, offsets = packed.frames, packed.offsets
+        ds = video_dataset(self.LENGTHS, self.D, seed=3)
+        frames, offsets = ds.packed().frames, ds.packed().offsets
         params = random_params(self.D, 3, Mode.FULL, seed=4)
         indices = np.array([4, 0, 6])
         picks = np.array([[0, 20, 39], [0, 0, 0], [1, 5, 8]])
-        s = score(params, packed, indices, picks)
+        s = score(params, ds, indices, picks)
         for j, i in enumerate(indices):
             want, _ = forward(frames[offsets[i] + picks[j]], params)
             np.testing.assert_allclose(s.logits[j], want, rtol=0, atol=1e-12)
 
     def test_errors_name_the_dataset_index(self):
-        packed = packed_videos(self.LENGTHS, self.D)
-        frames, offsets = packed.frames, packed.offsets
+        ds = video_dataset(self.LENGTHS, self.D)
+        frames, offsets = ds.packed().frames, ds.packed().offsets
         params = random_params(self.D, 3, Mode.FULL)
         params.class_w[:] = 10.0
         frames[offsets[5]:offsets[6]] = 1e308
         with pytest.raises(NumericError, match="dataset index 5: forward"):
-            score(params, packed, [0, 5, 6])
+            score(params, ds, [0, 5, 6])
         frames[offsets[6] + 1, 2] = np.nan
         with pytest.raises(NumericError, match="^dataset index 6: forward pass"):
-            score(params, packed, [6, 0])
+            score(params, ds, [6, 0])
         with pytest.raises(DimensionError):
-            score(random_params(self.D + 1, 3, Mode.FULL), packed)
+            score(random_params(self.D + 1, 3, Mode.FULL), ds)
 
     def test_finite_values_whose_sums_overflow_are_scored(self):
-        packed = packed_videos([2, 3], 2)
-        packed.frames[:] = 1e308
+        ds = video_dataset([2, 3], 2, c=2)
+        ds.packed().frames[:] = 1e308
         params = head(np.zeros(2))
-        s = score(params, packed)
+        s = score(params, ds)
         np.testing.assert_array_equal(s.final_weights, [0.5, 0.5, 1 / 3, 1 / 3, 1 / 3])
 
     @pytest.mark.parametrize("d, videos, longest", [(16, 2000, 80), (512, 300, 40)])
@@ -674,11 +725,11 @@ class TestScore:
         # are 0.7 MB at D=16, per-video D-wide means 4.9 MB and the frame
         # matrix 30 MB at D=512
         rng = np.random.default_rng(5)
-        packed = packed_videos(rng.integers(8, longest + 1, videos), d)
+        ds = video_dataset(rng.integers(8, longest + 1, videos), d, c=7)
         params = random_params(d, 7, Mode.FULL)
         for indices in (None, np.arange(videos)[::-2]):
             tracemalloc.start()
-            score(params, packed, indices)
+            score(params, ds, indices)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             assert peak < 3e6, (indices is None, peak)

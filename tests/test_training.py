@@ -82,6 +82,25 @@ class TestSchedules:
         with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
             TrainConfig(seed=-1).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("mode", "self-only"), ("mode", "bogus"), ("k", 2.5), ("batch_size", 2.5),
+        ("total_epochs", 2.5), ("seed", 1.5)])
+    def test_fields_of_the_wrong_kind_refused_by_both_heads(self, field, value):
+        message = (f"unknown mode '{value}'" if field == "mode"
+                   else f"{field} must be an integer, got {value}")
+        ds = small_synth()
+        config = TrainConfig(**{"total_epochs": 1, field: value})
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            train(ds, config)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            score_fusion_baseline(ds, config)
+
+    def test_mode_given_by_its_value(self):
+        ds = small_synth()
+        params, _ = train(ds, TrainConfig(total_epochs=1, mode="self_only"))
+        assert params.mode is Mode.SELF_ONLY
+        TrainConfig(k=np.int64(2), batch_size=np.int32(4)).validate()
+
 
 def step(p, grads, velocity, lr, momentum, weight_decay):
     """sgd_step on a FanParams and its gradient vector."""
