@@ -15,23 +15,23 @@ Canonical on-disk format ("FANF", little-endian throughout):
         frame count u32          (must be >= 1)
         features    n*D float32, row-major
 
-Features are stored in single precision. A loaded file keeps them in
-float32 (exactly the stored values, at half the memory); a dataset built in
-memory (synth_generate, load_feature_csv, user code) holds float64. Every
+Features are stored in single precision. A dataset packs its frames into
+float32 when every video is float32 (a loaded file, synth_generate) and
+into float64 otherwise (load_feature_csv, most user code). Every
 computation widens the frames it reads to float64, which is exact, so both
 give the same results. Writing is canonical: equal datasets produce
-identical bytes. The writer checks every video as packing does, then writes
-each one's float32 bytes; it neither packs nor rebinds `features`. A
-plain-text CSV import (one frame per line) is provided for
+identical bytes. The writer checks every video as packing does, then
+writes each one's float32 bytes; it neither packs nor rebinds `features`.
+A plain-text CSV import (one frame per line) is provided for
 interoperability; the binary form is the canonical one.
 
 In memory a checked dataset holds all of its frames once, in one packed
 (sum n, D) matrix: video i's frames are rows offsets[i]:offsets[i+1], and
 its `features` is a view of exactly those rows (Dataset.packed). The loader
-reads each record's features straight into its rows of a float32 matrix; a
-dataset built in memory is packed into a float64 matrix, and its videos
-copied in, the first time it is checked (as is a loaded dataset whose
-instances were replaced since).
+reads each record's features straight into its rows of a float32 matrix
+and checks them there; any other dataset is packed, its videos copied in,
+the first time it is checked (as is a loaded one whose instances were
+replaced since).
 """
 
 from __future__ import annotations
@@ -56,6 +56,12 @@ _FEATURES = operator.attrgetter("features")
 _LABEL = operator.attrgetter("label")
 
 
+def require_integer(name: str, value, error=ConfigError) -> None:
+    """Raise `error` unless value is an int or a numpy integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class VideoInstance:
     """One video: identity, subject, class label, and its n x D features."""
@@ -74,7 +80,7 @@ class PackedFrames:
     class is labels[i].
     """
 
-    frames: np.ndarray   # (sum n, D): float32 when loaded, else float64
+    frames: np.ndarray   # (sum n, D): float32 if every video is, else float64
     offsets: np.ndarray  # (N + 1,) int64, offsets[0] = 0
     labels: np.ndarray   # (N,) int64
 
@@ -96,13 +102,13 @@ class Dataset:
     instance's `features` to its view of it, so the frames are held once.
     Later uses cost O(videos) while the dataset is unchanged. Replacing the
     instance list, an instance, its `features` object or its label makes
-    the next use repack and recheck, into a float64 matrix. Frames are
-    checked only where they enter: training and scoring read them as they
-    are. Writing into `features` in place changes the packed frames
-    directly, in their dtype (a loaded dataset's are float32, so the value
-    written is rounded to float32), and is not rechecked: a non-finite
-    value written that way is reported by the kernel (NumericError, naming
-    the dataset index) or by write_feature_file (DataError).
+    the next use repack and recheck (into float32 if every video is
+    float32, else float64). Frames are checked only where they enter:
+    training and scoring read them as they are. Writing into `features` in
+    place changes the packed frames directly, in their dtype (rounded to
+    float32 in a float32 matrix), and is not rechecked: a non-finite value
+    written that way is reported by the kernel (NumericError, naming the
+    dataset index) or by write_feature_file (DataError).
     Take a subset by passing indices (train, evaluate and the splits all
     do), not by building a second Dataset from some of these instances:
     two datasets that share VideoInstance objects rebind each other's
@@ -143,38 +149,20 @@ class Dataset:
 
     def _checked_videos(self) -> list[np.ndarray]:
         """Every instance's frames as an array, once the header and then each
-        video in turn pass the rules: an array of real numbers (bool, int or
-        float) with D columns, at least one frame, finite values and a label
-        in range. Packing and the writer check here."""
+        video in turn pass the rules (_checked_video)."""
         if self.dim < 1 or self.num_classes < 1:
             raise SchemaError("dim and num_classes must be positive")
         if len(self.class_names) != self.num_classes:
             raise SchemaError(f"expected {self.num_classes} class names, "
                               f"got {len(self.class_names)}")
-        videos = []
-        for inst in self.instances:
-            try:
-                f = np.asarray(inst.features)
-            except (TypeError, ValueError) as e:  # ragged rows, for one
-                raise SchemaError(f"instance '{inst.video_id}': features: {e}") from None
-            if f.dtype.kind not in "biuf":  # complex, text, objects...
-                raise SchemaError(f"instance '{inst.video_id}': features of dtype "
-                                  f"{f.dtype} are not real numbers")
-            if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] != self.dim:
-                raise SchemaError(f"instance '{inst.video_id}': feature shape {f.shape} "
-                                  f"inconsistent with dim {self.dim}")
-            if first_nonfinite_row(f) is not None:
-                raise DataError(f"instance '{inst.video_id}': non-finite feature value")
-            if not 0 <= inst.label < self.num_classes:
-                raise SchemaError(f"instance '{inst.video_id}': label {inst.label} out of range")
-            videos.append(f)
-        return videos
+        return [_checked_video(inst, self.dim, self.num_classes) for inst in self.instances]
 
     def _pack(self) -> None:
         videos = self._checked_videos()
         offsets = np.zeros(len(videos) + 1, dtype=np.int64)
         np.cumsum([len(f) for f in videos], out=offsets[1:])
-        frames = np.empty((int(offsets[-1]), self.dim))
+        dtype = np.float32 if all(f.dtype == np.float32 for f in videos) else np.float64
+        frames = np.empty((int(offsets[-1]), self.dim), dtype)
         for f, lo, hi in zip(videos, offsets.tolist(), offsets[1:].tolist()):
             frames[lo:hi] = f
         self._adopt(frames, offsets)
@@ -192,6 +180,28 @@ class Dataset:
     def subjects(self) -> list[str]:
         """Distinct subject ids, sorted ascending."""
         return sorted({inst.subject_id for inst in self.instances})
+
+
+def _checked_video(inst: VideoInstance, dim: int, num_classes: int) -> np.ndarray:
+    """inst's frames as an array, once they pass the rules every video meets
+    (packing, the writer and the loader check here): real numbers in `dim`
+    columns, at least one frame, all finite, and an integer label < C."""
+    try:
+        f = np.asarray(inst.features)
+    except (TypeError, ValueError) as e:  # ragged rows, for one
+        raise SchemaError(f"instance '{inst.video_id}': features: {e}") from None
+    if f.dtype.kind not in "biuf":  # complex, text, objects...
+        raise SchemaError(f"instance '{inst.video_id}': features of dtype "
+                          f"{f.dtype} are not real numbers")
+    if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] != dim:
+        raise SchemaError(f"instance '{inst.video_id}': feature shape {f.shape} "
+                          f"inconsistent with dim {dim}")
+    if first_nonfinite_row(f) is not None:
+        raise DataError(f"instance '{inst.video_id}': non-finite feature value")
+    require_integer(f"instance '{inst.video_id}': label", inst.label, SchemaError)
+    if not 0 <= inst.label < num_classes:
+        raise SchemaError(f"instance '{inst.video_id}': label {inst.label} out of range")
+    return f
 
 
 def _pack_str(s: str) -> bytes:
@@ -283,8 +293,8 @@ def load_feature_file(path: str) -> Dataset:
     Two passes: the first reads and checks every record header, seeking
     past the features, so the packed matrix is sized only from frame counts
     whose bytes the file holds. The second reads each record's features
-    straight into its rows of that matrix and checks them. The matrix is
-    float32, as stored; each instance's `features` is a view of its rows.
+    straight into its rows of that float32 matrix, as stored, and checks the
+    video as packing does; each instance's `features` is a view of its rows.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -300,35 +310,30 @@ def load_feature_file(path: str) -> Dataset:
         (count,) = struct.unpack("<Q", _read_exact(f, 8, "header", size))
         class_names = [_read_str(f, "class name", size) for _ in range(num_classes)]
 
-        instances = []
-        records = []   # (frame count, file position of the features)
+        records = []   # (video id, subject id, label, frame count, file position)
         for _ in range(count):
             video_id = _read_str(f, "video id", size)
             subject_id = _read_str(f, "subject id", size)
             label, n = struct.unpack(
                 "<II", _read_exact(f, 8, f"record '{video_id}'", size))
-            if label >= num_classes:
-                raise SchemaError(f"record '{video_id}': label {label} >= {num_classes}")
-            if n < 1:
-                raise SchemaError(f"record '{video_id}': zero frames")
             _check_left(f, 4 * n * dim, f"features of record '{video_id}'", size)
-            instances.append(VideoInstance(video_id, subject_id, int(label), None))
-            records.append((n, f.tell()))
+            records.append((video_id, subject_id, label, n, f.tell()))
             f.seek(4 * n * dim, os.SEEK_CUR)
         if f.read(1):
             raise SchemaError("trailing bytes after final record")
 
         offsets = np.zeros(len(records) + 1, dtype=np.int64)
-        np.cumsum([n for n, _ in records], out=offsets[1:])
+        np.cumsum([n for _, _, _, n, _ in records], out=offsets[1:])
         frames = np.empty((int(offsets[-1]), dim), dtype="<f4")
-        for inst, (n, start), lo in zip(instances, records, offsets.tolist()):
-            rows = frames[lo:lo + n]
+        instances = []
+        for (video_id, subject_id, label, n, start), lo in zip(records, offsets.tolist()):
+            inst = VideoInstance(video_id, subject_id, label, frames[lo:lo + n])
             f.seek(start)
-            if f.readinto(memoryview(rows).cast("B")) != rows.nbytes:
+            if f.readinto(inst.features) != inst.features.nbytes:
                 raise SchemaError(
-                    f"file truncated while reading features of record '{inst.video_id}'")
-            if first_nonfinite_row(rows) is not None:
-                raise DataError(f"record '{inst.video_id}': non-finite feature value")
+                    f"file truncated while reading features of record '{video_id}'")
+            _checked_video(inst, dim, num_classes)
+            instances.append(inst)
 
     ds = Dataset(instances, dim, num_classes, class_names)
     ds._adopt(frames, offsets)
@@ -426,6 +431,7 @@ def build_folds(dataset: Dataset, fold_count: int = 10) -> FoldPlan:
     fold takes every fold_count-th subject starting from its offset. Subject
     ids are compared lexicographically; use zero-padded ids for numeric order.
     """
+    require_integer("fold_count", fold_count)
     if fold_count < 2:  # one fold holds every subject out
         raise ConfigError(f"need at least 2 folds, got {fold_count}")
     subjects = dataset.subjects()
@@ -471,8 +477,11 @@ class SynthConfig:
     terminal_peak: bool = False
 
     def validate(self) -> None:
-        if min(self.videos_per_class, self.frames_min, self.frames_max,
-               self.dim, self.num_classes, self.peak_frames, self.subject_count) < 1:
+        counts = ("videos_per_class", "frames_min", "frames_max", "dim", "num_classes",
+                  "peak_frames", "subject_count", "seed")
+        for name in counts:
+            require_integer(name, getattr(self, name))
+        if min(getattr(self, name) for name in counts[:-1]) < 1:
             raise ConfigError("all synthetic counts must be positive")
         if self.frames_max < self.frames_min:
             raise ConfigError("frames_max must be >= frames_min")
@@ -481,6 +490,8 @@ class SynthConfig:
         if self.peak_frames > self.frames_min:
             raise ConfigError("peak_frames cannot exceed frames_min")
         for name, value in (("signal", self.signal), ("noise", self.noise)):
+            if not isinstance(value, (int, float, np.integer, np.floating)):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.signal < 0 or self.noise < 0:
@@ -509,7 +520,7 @@ def _synth_videos(config: SynthConfig):
                 )
             feats[peaks, label] += config.signal
             # quantize to storage precision so file round-trips are lossless
-            feats = feats.astype(np.float32).astype(np.float64)
+            feats = feats.astype(np.float32)
             inst = VideoInstance(
                 video_id=f"c{label}v{index:05d}",
                 subject_id=f"s{index % config.subject_count:03d}",
@@ -521,29 +532,11 @@ def _synth_videos(config: SynthConfig):
 
 
 def synth_generate(config: SynthConfig) -> Dataset:
-    """Generate the planted-peak dataset for the given configuration.
-
-    Each video goes into the packed matrix as soon as it is drawn, so the
-    frames are never held twice. The matrix is sized for videos of
-    frames_max frames, then shrunk in place to the frames drawn.
-    """
-    config.validate()
-    count = config.num_classes * config.videos_per_class
-    frames = np.empty((count * config.frames_max, config.dim))
-    offsets = np.zeros(count + 1, dtype=np.int64)
-    instances = []
-    for i, (inst, _) in enumerate(_synth_videos(config)):
-        if first_nonfinite_row(inst.features) is not None:
-            raise DataError(f"instance '{inst.video_id}': non-finite feature value")
-        offsets[i + 1] = offsets[i] + len(inst.features)
-        frames[offsets[i]:offsets[i + 1]] = inst.features
-        inst.features = None
-        instances.append(inst)
-    # no view of the matrix exists yet, so nothing can see it move
-    frames.resize((int(offsets[-1]), config.dim), refcheck=False)
-    ds = Dataset(instances, config.dim, config.num_classes,
-                 [f"class_{c}" for c in range(config.num_classes)])
-    ds._adopt(frames, offsets)
+    """Generate the planted-peak dataset for the given configuration. Its
+    videos are float32, the values a file stores, so it packs into float32."""
+    ds = Dataset([inst for inst, _ in _synth_videos(config)], config.dim,
+                 config.num_classes, [f"class_{c}" for c in range(config.num_classes)])
+    ds.packed()
     return ds
 
 

@@ -371,11 +371,11 @@ def score(params: FanParams, dataset, indices=None, picks=None) -> Scored:
     The videos are run through _kernel in buckets of one length: sorted by
     length (a stable sort), each run of one length cut into stacks within
     SCORE_CHUNK_BYTES and gathered one stack at a time, widened to float64
-    (float32 frames of a loaded dataset), not checked again: the dataset
-    checked its frames when they entered it. A non-finite logit, which a
-    non-finite value written into them in place also gives, raises
-    NumericError naming the dataset index of the first bad video in length
-    order, not in the order of indices.
+    (float32 frames: a loaded or synthetic dataset's), not checked again:
+    the dataset checked its frames when they entered it. A non-finite
+    logit, which a non-finite value written into them in place also gives,
+    raises NumericError naming the dataset index of the first bad video in
+    length order, not in the order of indices.
     """
     packed, d, c = dataset.packed(), dataset.dim, dataset.num_classes
     if params.feature_dim != d:

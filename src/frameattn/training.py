@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model, sampling
-from .data import Dataset, atomic_open
+from .data import Dataset, atomic_open, require_integer
 from .errors import ConfigError, FormatError, NumericError, SchemaError
 from .model import FanParams, Mode
 
@@ -57,8 +57,7 @@ class TrainConfig:
 
     def validate(self) -> None:
         for name in ("batch_size", "k", "total_epochs", "seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            require_integer(name, getattr(self, name))
         if self.mode not in list(Mode):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.batch_size < 1 or self.k < 1 or self.total_epochs < 0:
@@ -169,8 +168,8 @@ def minibatches(dataset: Dataset, indices, config: TrainConfig, epoch: int):
     sampling.training_draw, turned into rows of the dataset's packed frames
     (Dataset.packed) once per epoch; each batch's stack is one fancy index
     of those rows, taken only when the batch is reached, so one batch of
-    frames is held at a time. The stack is float64: a loaded dataset's
-    float32 frames are widened once per batch, after the gather.
+    frames is held at a time. The stack is float64: float32 frames (a
+    loaded or synthetic dataset's) are widened once per batch, after the gather.
     """
     packed = dataset.packed()
     indices = packed.select(indices)

@@ -12,11 +12,15 @@ relative paths on both sides:
     run whose update overflows), eval (all frames, --per-instance,
     sampled), visualize (both heads), cv (both modes), and gradcheck
     (plain and --corrupt);
+  * train --preset synth-default without --data, on the synthetic set it
+    generates for itself, in both modes, each with --history;
   * then an API step for what the CLI cannot reach, dumped to api.json:
     score_fusion_baseline reports with both fusions, in-sample and on one
     held-out fold; a train with val_indices, its history and parameters;
-    and evaluate of both trained heads, on all and on sampled frames, with
-    repeated and negative indices.
+    evaluate of both trained heads, on all and on sampled frames, with
+    repeated and negative indices; and a small CSV of float64 values,
+    imported with load_feature_csv, written back as csv.fanf and
+    evaluated.
 
 Each command's exit code, stdout and stderr are compared, and then every
 file left in the two working directories, byte for byte. Python warning
@@ -53,6 +57,7 @@ DATA = "data.fanf"
 # leave the data file and both trained heads in the working directory.
 API = f"""\
 import json
+import numpy as np
 import frameattn as fa
 from frameattn.training import history_lines
 
@@ -74,6 +79,19 @@ for name in ("full.fanp", "self.fanp"):
         report = fa.evaluate(head, ds, frame_mode, 3, 5, [5, -1, 5, 0, -40, 5])
         out[f"evaluate {{name}} {{frame_mode}}"] = {{
             **report.to_dict(), "predictions": report.predictions.tolist()}}
+rng = np.random.default_rng(4)
+with open("small.csv", "w") as f:
+    for v in range(12):
+        for frame in range(1 + v % 5):
+            values = ",".join(map(repr, rng.standard_normal(ds.dim).tolist()))
+            f.write(f"c{{v}},s{{v % 3}},{{v % ds.num_classes}},{{frame}},{{values}}\\n")
+csv_ds = fa.load_feature_csv("small.csv", ds.class_names)
+fa.write_feature_file(csv_ds, "csv.fanf")
+out["csv frames dtype"] = str(csv_ds.packed().frames.dtype)
+for frame_mode in ("all", "sampled"):
+    report = fa.evaluate(fa.load_checkpoint("full.fanp"), csv_ds, frame_mode, 3, 5)
+    out[f"evaluate csv {{frame_mode}}"] = {{
+        **report.to_dict(), "predictions": report.predictions.tolist()}}
 with open("api.json", "w") as f:
     json.dump(out, f, indent=1)
 """
@@ -109,6 +127,13 @@ MATRIX = [
     ("cv full", cli("cv", "--data", DATA, "--folds", "5", "--epochs", "3", "--seed", "2")),
     ("cv self-only", cli("cv", "--data", DATA, "--folds", "5", "--epochs", "3",
                          "--seed", "2", "--mode", "self-only")),
+    ("train synth-default full", cli("train", "--preset", "synth-default",
+                                     "--out", "synth_full.fanp", "--history",
+                                     "synth_full.csv", "--epochs", "4", "--seed", "11")),
+    ("train synth-default self-only", cli("train", "--preset", "synth-default",
+                                          "--out", "synth_self.fanp", "--history",
+                                          "synth_self.csv", "--mode", "self-only",
+                                          "--epochs", "4", "--seed", "11")),
     ("gradcheck", cli("gradcheck", "--configs", "6", "--seed", "1")),
     ("gradcheck --corrupt", cli("gradcheck", "--configs", "2", "--seed", "1", "--corrupt")),
     ("api", ["-c", API]),

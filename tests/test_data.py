@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import struct
 import tracemalloc
 import warnings
@@ -257,6 +258,11 @@ class TestFolds:
         with pytest.raises(ConfigError, match="at least 2 folds"):
             build_folds(ds, folds)
 
+    def test_fold_count_that_is_not_an_integer_rejected(self):
+        ds = dataset_with_subjects([f"s{i}" for i in range(10)])
+        with pytest.raises(ConfigError, match=r"^fold_count must be an integer, got 2\.5$"):
+            build_folds(ds, 2.5)
+
     def test_one_subject_per_fold(self):
         ds = dataset_with_subjects([f"s{i}" for i in range(10)])
         plan = build_folds(ds, 10)
@@ -301,6 +307,39 @@ class TestFolds:
 
 
 class TestSynth:
+    def test_videos_are_float32_views_of_the_packed_frames(self):
+        ds = synth_generate(SynthConfig(videos_per_class=3, seed=4))
+        frames = ds.packed().frames
+        assert frames.dtype == np.float32
+        for inst in ds.instances:
+            assert inst.features.base is frames
+
+    def test_memory_is_bounded_by_the_frames(self):
+        # the drawn videos and the packed matrix, both float32, together
+        # hold the frames' float64 bytes; a float64 matrix sized for
+        # frames_max would alone be 4/3 of them here. D=256 makes the
+        # frames outweigh the per-video objects; the warm-up takes the
+        # first call's one-off allocations (about 0.75 MB) out of the peak
+        config = SynthConfig(dim=256, videos_per_class=50)
+        synth_generate(SynthConfig(dim=256, videos_per_class=1))
+        tracemalloc.start()
+        try:
+            ds = synth_generate(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        wide = 8 * ds.packed().frames.size
+        assert peak < 1.1 * wide + 64 * 1024, peak / wide
+
+    @pytest.mark.parametrize("field, value", [
+        ("dim", 6.5), ("videos_per_class", 2.5), ("frames_max", 9.5), ("seed", 1.5),
+        ("signal", "8")])
+    def test_fields_of_the_wrong_kind_refused(self, field, value):
+        kind = "a real number" if field == "signal" else "an integer"
+        message = f"^{field} must be {kind}, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=message):
+            synth_generate(SynthConfig(**{field: value}))
+
     def test_bit_reproducible(self):
         cfg = SynthConfig(videos_per_class=3, seed=99)
         a = synth_generate(cfg)
@@ -404,6 +443,22 @@ class TestDatasetValidation:
         with pytest.raises(SchemaError):
             ds.validate()
 
+    @pytest.mark.parametrize("label", [1.5, "1"])
+    def test_label_that_is_not_an_integer(self, label, tmp_path):
+        ds = Dataset([VideoInstance("v", "s", label, np.ones((1, 2)))], 2, 3, list("abc"))
+        message = f"^instance 'v': label must be an integer, got {re.escape(repr(label))}$"
+        with pytest.raises(SchemaError, match=message):
+            ds.packed()
+        with pytest.raises(SchemaError, match=message):
+            write_feature_file(ds, str(tmp_path / "d.fanf"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_integer_label_is_an_integer(self, tmp_path):
+        ds = Dataset([VideoInstance("v", "s", np.uint8(2), np.ones((1, 2)))], 2, 3, list("abc"))
+        assert ds.packed().labels.tolist() == [2]
+        write_feature_file(ds, str(tmp_path / "d.fanf"))
+        assert load_feature_file(str(tmp_path / "d.fanf")).instances[0].label == 2
+
     def test_dim_mismatch(self):
         ds = Dataset([VideoInstance("v", "s", 0, np.ones((1, 4)))], 2, 1, ["a"])
         with pytest.raises(SchemaError):
@@ -435,10 +490,16 @@ class TestDatasetValidation:
                 write_feature_file(ds, str(path))
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("dtype", [bool, np.int32, np.uint8, np.float16, np.float32])
+    @pytest.mark.parametrize("dtype", [bool, np.int32, np.uint8, np.float16, np.float32,
+                                       np.float64])
     def test_real_dtypes_are_packed(self, dtype):
-        ds = Dataset([VideoInstance("v", "s", 0, np.ones((2, 2), dtype=dtype))], 2, 1, ["a"])
-        np.testing.assert_array_equal(ds.packed().frames, np.ones((2, 2)))
+        # beside a float32 video: the matrix is float32 only when every video is
+        ds = Dataset([VideoInstance("v", "s", 0, np.ones((2, 2), dtype=dtype)),
+                      VideoInstance("w", "s", 0, np.ones((1, 2), dtype=np.float32))],
+                     2, 1, ["a"])
+        frames = ds.packed().frames
+        np.testing.assert_array_equal(frames, np.ones((3, 2)))
+        assert frames.dtype == (np.float32 if dtype is np.float32 else np.float64)
 
 
 def fanf_record(video_id, label, n, values):
@@ -531,6 +592,25 @@ class TestPackedFrames:
         with pytest.raises(SchemaError, match="v1"):
             load_feature_file(path)
         assert sizes == []
+
+    @pytest.mark.parametrize("label, n, values, error", [
+        (2, 1, [1.0, 2.0], SchemaError), (0, 0, [], SchemaError),
+        (0, 1, [np.nan, 1.0], DataError)], ids=["label", "no frames", "nan"])
+    def test_loader_checks_each_record_as_packing_does(self, tmp_path,
+                                                       label, n, values, error):
+        # a record the header pass accepts: the loader raises what packing
+        # the same video raises, naming it
+        parts = [b"FANF", struct.pack("<IIIQ", 1, 2, 2, 2),
+                 struct.pack("<H", 1), b"a", struct.pack("<H", 1), b"b",
+                 fanf_record("v0", 1, 1, [0.5, 1.0]), fanf_record("v1", label, n, values)]
+        path = tmp_path / "bad.fanf"
+        path.write_bytes(b"".join(parts))
+        with pytest.raises(error, match="^instance 'v1': ") as loaded:
+            load_feature_file(str(path))
+        video = VideoInstance("v1", "s0", label, np.array(values, np.float32).reshape(n, 2))
+        with pytest.raises(error) as packed:
+            Dataset([video], 2, 2, ["a", "b"]).packed()
+        assert str(loaded.value) == str(packed.value)
 
     def test_loader_memory_is_bounded_by_the_payload(self, tmp_path):
         # 8 MB of float32 frames in 200 records: the loaded dataset holds

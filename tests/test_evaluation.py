@@ -93,6 +93,13 @@ class TestEvaluate:
         # all-frame evaluation draws nothing, so it ignores the seed
         assert evaluate(params, ds, seed=-1).to_dict() == evaluate(params, ds).to_dict()
 
+    @pytest.mark.parametrize("field, value", [("k", 2.5), ("k", True), ("seed", 1.5)])
+    def test_sampled_settings_of_the_wrong_kind_refused(self, field, value):
+        ds = labeled_dataset([0, 1, 0, 1], frames=9, seed=2)
+        params = init_params(3, 2, Mode.FULL, seed=4)
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value}$"):
+            evaluate(params, ds, "sampled", **{field: value})
+
     def test_dim_mismatch(self):
         ds = labeled_dataset([0, 1])
         with pytest.raises(DimensionError):

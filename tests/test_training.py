@@ -42,6 +42,15 @@ def small_synth(**kw):
     return synth_generate(SynthConfig(**defaults))
 
 
+def small_synth_float64(**kw):
+    """small_synth with every video widened to float64, so that values past
+    float32's range can be written into its frames in place."""
+    ds = small_synth(**kw)
+    for inst in ds.instances:
+        inst.features = inst.features.astype(np.float64)
+    return ds
+
+
 class TestSchedules:
     def test_lab_preset_boundaries(self):
         cfg = ckplus_config()
@@ -84,7 +93,7 @@ class TestSchedules:
 
     @pytest.mark.parametrize("field, value", [
         ("mode", "self-only"), ("mode", "bogus"), ("k", 2.5), ("batch_size", 2.5),
-        ("total_epochs", 2.5), ("seed", 1.5)])
+        ("total_epochs", 2.5), ("seed", 1.5), ("k", True)])
     def test_fields_of_the_wrong_kind_refused_by_both_heads(self, field, value):
         message = (f"unknown mode '{value}'" if field == "mode"
                    else f"{field} must be an integer, got {value}")
@@ -258,7 +267,7 @@ class TestTrainLoop:
         cfg = TrainConfig(schedule=[(0, 0.05)], total_epochs=1, seed=3,
                           batch_size=4, k=2)
         for scale, stage in ((1e308, "forward"), (1e200, "backward")):
-            ds = small_synth()
+            ds = small_synth_float64()
             ds.instances[5].features[:] = scale
             lengths = [inst.features.shape[0] for inst in ds.instances]
             order, _ = training_draw(cfg.seed, 0, lengths, cfg.k)
@@ -287,7 +296,7 @@ class TestTrainLoop:
         # training never sees instance 5, whose features overflow its logits
         cfg = TrainConfig(schedule=[(0, 0.05)], total_epochs=1, seed=3,
                           batch_size=4, k=2)
-        ds = small_synth()
+        ds = small_synth_float64()
         ds.instances[5].features[:] = 1e308
         train_idx = [i for i in range(len(ds.instances)) if i != 5]
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
@@ -507,7 +516,7 @@ class TestPackedMinibatches:
             rows = picks[number * cfg.batch_size:][:len(batch)]
             want = np.stack([ds.instances[i].features[p] for i, p in zip(batch, rows)])
             assert stack.shape == (len(batch), cfg.k, ds.dim)
-            assert stack.tobytes() == want.tobytes()
+            assert stack.tobytes() == want.astype(np.float64).tobytes()
             assert labels.tolist() == [ds.instances[i].label for i in batch]
 
     def test_negative_indices_count_from_the_end(self):
