@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -22,7 +21,7 @@ from .data import (SynthConfig, atomic_open, build_folds, load_feature_file,
 from .errors import ConfigError, FrameAttnError, NumericError
 from .evaluation import cross_validate, evaluate, export_attention
 from .model import Mode, gradient_pair, init_params, locate
-from .numerics import relative_errors
+from .numerics import relative_errors, require_integer, require_real
 from .training import (
     TrainConfig,
     afew_config,
@@ -144,14 +143,14 @@ def cmd_cv(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     for flag, value in (("--eps", args.eps), ("--tol", args.tol)):
-        if not (value > 0 and math.isfinite(value)):
-            raise ConfigError(f"{flag} must be finite and positive, got {value}")
+        require_real(flag, value)
+        if value <= 0:
+            raise ConfigError(f"{flag} must be positive, got {value}")
     for flag, value in (("--configs", args.configs), ("--d", args.d),
                         ("--n", args.n), ("--c", args.c)):
-        if value is not None and value < 1:
-            raise ConfigError(f"{flag} must be at least 1, got {value}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+        if value is not None:
+            require_integer(flag, value, 1)
+    require_integer("--seed", args.seed, 0)
     rng = np.random.default_rng(args.seed)
     results = []
     for i in range(args.configs):

@@ -23,7 +23,11 @@ give the same results. Writing is canonical: equal datasets produce
 identical bytes. The writer checks every video as packing does, then
 writes each one's float32 bytes; it neither packs nor rebinds `features`.
 A plain-text CSV import (one frame per line) is provided for
-interoperability; the binary form is the canonical one.
+interoperability; the binary form is the canonical one. Every video
+passes one rule, _checked_video (numerics.real_array frames, an integer
+label: SchemaError or DataError naming the instance); SynthConfig and
+build_folds raise ConfigError naming the field. Every size a file
+declares is read through one bounded reader, _read_exact.
 
 In memory a checked dataset holds all of its frames once, in one packed
 (sum n, D) matrix: video i's frames are rows offsets[i]:offsets[i+1], and
@@ -38,7 +42,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import math
 import operator
 import os
 import struct
@@ -48,18 +51,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, SchemaError
-from .numerics import first_nonfinite_row
+from .numerics import first_nonfinite_row, real_array, require_integer, require_real
 
 _MAGIC = b"FANF"
 _VERSION = 1
 _FEATURES = operator.attrgetter("features")
 _LABEL = operator.attrgetter("label")
-
-
-def require_integer(name: str, value, error=ConfigError) -> None:
-    """Raise `error` unless value is an int or a numpy integer (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -150,8 +147,8 @@ class Dataset:
     def _checked_videos(self) -> list[np.ndarray]:
         """Every instance's frames as an array, once the header and then each
         video in turn pass the rules (_checked_video)."""
-        if self.dim < 1 or self.num_classes < 1:
-            raise SchemaError("dim and num_classes must be positive")
+        require_integer("dim", self.dim, 1, SchemaError)
+        require_integer("num_classes", self.num_classes, 1, SchemaError)
         if len(self.class_names) != self.num_classes:
             raise SchemaError(f"expected {self.num_classes} class names, "
                               f"got {len(self.class_names)}")
@@ -186,19 +183,13 @@ def _checked_video(inst: VideoInstance, dim: int, num_classes: int) -> np.ndarra
     """inst's frames as an array, once they pass the rules every video meets
     (packing, the writer and the loader check here): real numbers in `dim`
     columns, at least one frame, all finite, and an integer label < C."""
-    try:
-        f = np.asarray(inst.features)
-    except (TypeError, ValueError) as e:  # ragged rows, for one
-        raise SchemaError(f"instance '{inst.video_id}': features: {e}") from None
-    if f.dtype.kind not in "biuf":  # complex, text, objects...
-        raise SchemaError(f"instance '{inst.video_id}': features of dtype "
-                          f"{f.dtype} are not real numbers")
+    f = real_array(inst.features, f"instance '{inst.video_id}': features", SchemaError)
     if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] != dim:
         raise SchemaError(f"instance '{inst.video_id}': feature shape {f.shape} "
                           f"inconsistent with dim {dim}")
     if first_nonfinite_row(f) is not None:
         raise DataError(f"instance '{inst.video_id}': non-finite feature value")
-    require_integer(f"instance '{inst.video_id}': label", inst.label, SchemaError)
+    require_integer(f"instance '{inst.video_id}': label", inst.label, error=SchemaError)
     if not 0 <= inst.label < num_classes:
         raise SchemaError(f"instance '{inst.video_id}': label {inst.label} out of range")
     return f
@@ -431,9 +422,7 @@ def build_folds(dataset: Dataset, fold_count: int = 10) -> FoldPlan:
     fold takes every fold_count-th subject starting from its offset. Subject
     ids are compared lexicographically; use zero-padded ids for numeric order.
     """
-    require_integer("fold_count", fold_count)
-    if fold_count < 2:  # one fold holds every subject out
-        raise ConfigError(f"need at least 2 folds, got {fold_count}")
+    require_integer("fold_count", fold_count, 2)  # one fold holds every subject out
     subjects = dataset.subjects()
     if len(subjects) < fold_count:
         raise ConfigError(
@@ -477,25 +466,16 @@ class SynthConfig:
     terminal_peak: bool = False
 
     def validate(self) -> None:
-        counts = ("videos_per_class", "frames_min", "frames_max", "dim", "num_classes",
-                  "peak_frames", "subject_count", "seed")
-        for name in counts:
-            require_integer(name, getattr(self, name))
-        if min(getattr(self, name) for name in counts[:-1]) < 1:
-            raise ConfigError("all synthetic counts must be positive")
+        for name in ("videos_per_class", "frames_min", "frames_max", "dim", "num_classes",
+                     "peak_frames", "subject_count"):
+            require_integer(name, getattr(self, name), 1)
+        require_integer("seed", self.seed, 0)
+        require_real("signal", self.signal, 0)
+        require_real("noise", self.noise, 0)
         if self.frames_max < self.frames_min:
             raise ConfigError("frames_max must be >= frames_min")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.peak_frames > self.frames_min:
             raise ConfigError("peak_frames cannot exceed frames_min")
-        for name, value in (("signal", self.signal), ("noise", self.noise)):
-            if not isinstance(value, (int, float, np.integer, np.floating)):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-        if self.signal < 0 or self.noise < 0:
-            raise ConfigError("signal and noise magnitudes cannot be negative")
         if self.num_classes > self.dim:
             raise ConfigError(
                 f"need num_classes <= dim for orthogonal class directions "

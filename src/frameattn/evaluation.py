@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, sampling
-from .data import Dataset, FoldPlan, atomic_open, require_integer, split_by_fold
+from .data import Dataset, FoldPlan, atomic_open, split_by_fold
 from .errors import ConfigError, NumericError
 from .model import FanParams
-from .numerics import _xent, softmax
+from .numerics import _xent, require_integer, softmax
 from .training import TrainConfig, fit, train, training_split
 
 
@@ -86,12 +86,8 @@ def evaluate(params: FanParams, dataset: Dataset, frame_mode: str = "all",
         raise ConfigError(f"unknown frame_mode '{frame_mode}'")
     picks = None
     if frame_mode == "sampled":
-        require_integer("k", k)
-        require_integer("seed", seed)
-        if k < 1:
-            raise ConfigError(f"sampled evaluation needs k >= 1 frames, got {k}")
-        if seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {seed}")
+        require_integer("k", k, 1)
+        require_integer("seed", seed, 0)
         packed = dataset.packed()
         indices = packed.select(indices)
         lengths = np.diff(packed.offsets)[indices].tolist()

@@ -59,7 +59,9 @@ from .numerics import (
     as_matrix,
     as_vector,
     finite_diff_gradient,
+    real_array,
     relative_error,
+    require_integer,
     sigmoid,
     softmax_cross_entropy,
 )
@@ -100,8 +102,8 @@ def layout(dim: int, num_classes: int, mode: Mode) -> tuple[Block, ...]:
     gradients, the optimizer's velocity and the checkpoint payload all use
     this layout. The bias comes last: it is the one block weight decay skips.
     """
-    if dim < 1 or num_classes < 1:
-        raise DimensionError("dim and num_classes must be positive")
+    require_integer("dim", dim, 1, DimensionError)
+    require_integer("num_classes", num_classes, 1, DimensionError)
     in_dim = 2 * dim if Mode(mode) is Mode.FULL else dim
     return blocks_of([("q0", (dim,)), ("q1", (2 * dim,)),
                       ("class_w", (num_classes, in_dim)), ("class_b", (num_classes,))])
@@ -149,7 +151,7 @@ class FanParams:
     def __setattr__(self, name, value):
         if name in _BLOCK_NAMES:
             view = getattr(self, name)
-            value = np.asarray(value, dtype=np.float64)
+            value = real_array(value, name)
             if value.shape != view.shape:
                 raise DimensionError(f"{name} must have shape {view.shape}, got {value.shape}")
             view[...] = value
@@ -177,11 +179,11 @@ class FanParams:
         is stored in `flat` itself when that is a contiguous float64 vector."""
         mode = Mode(mode)
         blocks = layout(dim, num_classes, mode)
-        flat = np.ascontiguousarray(flat, dtype=np.float64)
+        flat = np.ascontiguousarray(as_vector(flat, "parameter vector"))
         if flat.shape != (blocks[-1].slice.stop,):
             raise DimensionError(f"flat parameter vector must have length "
                                  f"{blocks[-1].slice.stop}, got {flat.shape}")
-        return cls._over(as_vector(flat, "parameter vector"), blocks, mode)
+        return cls._over(flat, blocks, mode)
 
 
 _BLOCK_NAMES = frozenset(b.name for b in layout(1, 1, Mode.FULL))
@@ -430,6 +432,7 @@ def backward(features, params: FanParams, label: int) -> tuple[float, FanParams]
 def forward_backward(features, params: FanParams, label: int):
     """Like backward but also returns the logits, for training-loop metrics."""
     f = _frames(features, params)
+    require_integer("label", label, error=IndexError)
     if not 0 <= label < params.num_classes:  # the kernel takes labels unchecked
         raise IndexError(f"label out of range for {params.num_classes} logits")
     logits, _, losses, grads = _kernel(f[None], params, np.array([label]))

@@ -1,20 +1,29 @@
-"""Dense numeric primitives shared by the model, trainer, and tests.
+"""Dense numeric primitives shared by the model, trainer, and tests, and
+the one rule for each kind of value that comes from outside the library:
+require_integer (an int or numpy integer, not a bool, at least a minimum),
+require_real (a finite int or float, numpy's included, not a bool; an int
+too large for a float is not finite) and real_array (an array of bool,
+int, uint or float values: not text, objects, complex values or ragged
+rows). Each raises the error class its caller gives, with a message that
+names the field. as_array widens what real_array accepts to float64, which
+is exact; first_nonfinite_row is the one finite check of input frames.
 
-Everything here but first_nonfinite_row, the one finite check of input
-frames, operates on float64. Vectors are 1-d arrays with at least one entry,
-matrices 2-d arrays with rows and columns; both must be entirely finite.
-The finite-difference gradient lives here so the analytic backward pass
-elsewhere can be checked against an oracle that never shares its code path.
+Everything else operates on float64. Vectors are 1-d arrays with at least
+one entry, matrices 2-d arrays with rows and columns; both must be entirely
+finite. The finite-difference gradient lives here so the analytic backward
+pass elsewhere can be checked against an oracle that never shares its code
+path.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, DimensionError, NumericError
+from .errors import ConfigError, DataError, DimensionError, NumericError
 
 # Open-interval bounds for the logistic: in float64 the exact formula
 # saturates to 0.0 / 1.0 for |x| beyond ~37, which would break the
@@ -23,14 +32,52 @@ _SIGMOID_LO = np.nextafter(0.0, 1.0)
 _SIGMOID_HI = np.nextafter(1.0, 0.0)
 
 
+def require_integer(name: str, value, minimum=None, error=ConfigError) -> None:
+    """Raise `error` naming `name` unless value is an int or a numpy integer
+    (a bool is not), at least `minimum` if one is given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    _require_at_least(name, value, minimum, error)
+
+
+def require_real(name: str, value, minimum=None, error=ConfigError) -> None:
+    """Raise `error` naming `name` unless value is a finite int or float,
+    numpy's included (a bool is not), at least `minimum` if one is given."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise error(f"{name} must be finite, got {value}")
+    _require_at_least(name, value, minimum, error)
+
+
+def _require_at_least(name: str, value, minimum, error) -> None:
+    if minimum is not None and value < minimum:
+        bound = "non-negative" if minimum == 0 else f"at least {minimum}"
+        raise error(f"{name} must be {bound}, got {value}")
+
+
+def real_array(x, name: str, error=DataError) -> np.ndarray:
+    """x as an array, as given, if its values are bool, int, uint or float;
+    ragged rows, text, objects and complex values raise `error` naming it."""
+    try:
+        arr = np.asarray(x)
+    except (TypeError, ValueError) as e:  # ragged rows, for one
+        raise error(f"{name}: {e}") from None
+    if arr.dtype.kind not in "biuf":  # complex, text, objects...
+        raise error(f"{name} of dtype {arr.dtype} are not real numbers")
+    return arr
+
+
 def as_array(x, ndim: int, name: str) -> np.ndarray:
     """Validate and convert to a finite, non-empty float64 array of `ndim`
-    dimensions."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != ndim:
-        raise DimensionError(f"{name} must be {ndim}-d, got shape {arr.shape}")
-    if arr.size == 0:
-        raise DimensionError(f"{name} must not be empty, got shape {arr.shape}")
+    dimensions (real_array, widened)."""
+    arr = real_array(x, name).astype(np.float64, copy=False)
+    if arr.ndim != ndim or arr.size == 0:
+        raise DimensionError(f"{name} must be a non-empty {ndim}-d array, got shape {arr.shape}")
     if first_nonfinite_row(arr.reshape(-1, arr.shape[-1])) is not None:
         raise DataError(f"{name} contains non-finite entries")
     return arr
@@ -100,6 +147,8 @@ def softmax_cross_entropy(logits, label):
     single = np.ndim(logits) == 1
     z = as_vector(logits, "logits")[None] if single else as_matrix(logits, "logits")
     labels = np.atleast_1d(np.asarray(label))
+    if labels.dtype.kind not in "iu":  # the integer rule, of every label
+        raise IndexError(f"label must be an integer, got {label!r}")
     if labels.shape != (z.shape[0],):
         raise DimensionError(f"{labels.shape[0]} labels for {z.shape[0]} logit rows")
     if np.any((labels < 0) | (labels >= z.shape[1])):

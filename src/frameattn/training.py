@@ -15,16 +15,18 @@ deterministic given the config seed: each epoch draws, from its one
 (seed, epoch) stream, first the shuffle and then the K segment-sampled
 frames of every instance in shuffled order (sampling.training_draw). The
 score-fusion baseline trains in the same loop (fit), on the same minibatches.
+TrainConfig.validate passes each field and schedule step through the
+number rules (numerics) and raises ConfigError naming the field.
 
 Checkpoint format ("FANP", little-endian): magic, version u32 = 1, D u32,
 C u32, mode u32 (0 full, 1 self-only), then the parameters as float64:
 FanParams.flatten(), the blocks of model.layout in order (q0, q1, class_w
-row-major, class_b).
+row-major, class_b). Both are read through data._read_exact, and a file
+whose size is not what its header implies is refused before its payload.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -32,9 +34,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model, sampling
-from .data import Dataset, atomic_open, require_integer
+from .data import Dataset, _read_exact, atomic_open
 from .errors import ConfigError, FormatError, NumericError, SchemaError
 from .model import FanParams, Mode
+from .numerics import require_integer, require_real
 
 _CKPT_MAGIC = b"FANP"
 _CKPT_VERSION = 1
@@ -56,25 +59,22 @@ class TrainConfig:
     mode: Mode = Mode.FULL
 
     def validate(self) -> None:
-        for name in ("batch_size", "k", "total_epochs", "seed"):
-            require_integer(name, getattr(self, name))
+        for name, minimum in (("batch_size", 1), ("k", 1), ("total_epochs", 0), ("seed", 0)):
+            require_integer(name, getattr(self, name), minimum)
+        require_real("momentum", self.momentum)
+        require_real("weight_decay", self.weight_decay)
         if self.mode not in list(Mode):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.batch_size < 1 or self.k < 1 or self.total_epochs < 0:
-            raise ConfigError("batch_size, k must be >= 1 and total_epochs >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if not self.schedule:
-            raise ConfigError("schedule must have at least one step")
-        starts = [s for s, _ in self.schedule]
-        if starts[0] != 0 or any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ConfigError("schedule epochs must increase strictly from 0")
-        for name, value in [("momentum", self.momentum), ("weight_decay", self.weight_decay),
-                            *(("learning rate", lr) for _, lr in self.schedule)]:
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-        if any(lr < 0 for _, lr in self.schedule):
-            raise ConfigError("learning rates cannot be negative")
+        try:
+            steps = [(start, lr) for start, lr in self.schedule]
+        except (TypeError, ValueError):
+            raise ConfigError("schedule must be a list of (epoch, rate) pairs") from None
+        for start, lr in steps:
+            require_integer("schedule epoch", start)
+            require_real("learning rate", lr, 0)
+        starts = [s for s, _ in steps]
+        if starts[:1] != [0] or any(b <= a for a, b in zip(starts, starts[1:])):
+            raise ConfigError(f"schedule epochs must increase strictly from 0, got {starts}")
 
 
 def ckplus_config(**overrides) -> TrainConfig:
@@ -291,13 +291,12 @@ def save_checkpoint(params: FanParams, path: str) -> None:
 
 def load_checkpoint(path: str) -> FanParams:
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         magic = f.read(4)
         if magic != _CKPT_MAGIC:
             raise FormatError(f"bad magic bytes {magic!r}, expected {_CKPT_MAGIC!r}")
-        header = f.read(16)
-        if len(header) != 16:
-            raise SchemaError("checkpoint truncated in header")
-        version, dim, num_classes, tag = struct.unpack("<IIII", header)
+        version, dim, num_classes, tag = struct.unpack(
+            "<IIII", _read_exact(f, 16, "checkpoint header", size))
         if version != _CKPT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
         if tag not in _TAG_MODES:
@@ -306,11 +305,9 @@ def load_checkpoint(path: str) -> FanParams:
         expect = 8 * model.layout(dim, num_classes, mode)[-1].slice.stop
         # compared before reading, so that nothing is read into memory for
         # a file larger than its header implies
-        size = os.fstat(f.fileno()).st_size - f.tell()
-        if size != expect:
-            raise SchemaError(f"checkpoint payload is {size} bytes, expected {expect}")
-        raw = f.read(expect)
-        if len(raw) != expect:
-            raise SchemaError(f"checkpoint payload is {len(raw)} bytes, expected {expect}")
+        if size - f.tell() != expect:
+            raise SchemaError(
+                f"checkpoint payload is {size - f.tell()} bytes, expected {expect}")
+        raw = _read_exact(f, expect, "checkpoint payload", size)
     flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     return FanParams.from_flat(flat, dim, num_classes, mode)

@@ -18,7 +18,9 @@ relative paths on both sides:
     score_fusion_baseline reports with both fusions, in-sample and on one
     held-out fold; a train with val_indices, its history and parameters;
     evaluate of both trained heads, on all and on sampled frames, with
-    repeated and negative indices; and a small CSV of float64 values,
+    repeated and negative indices; forward and backward of both heads on
+    one video's frames as a float32 view, as ints and as bools, which the
+    head widens to float64; and a small CSV of float64 values,
     imported with load_feature_csv, written back as csv.fanf and
     evaluated.
 
@@ -73,12 +75,21 @@ for fusion in ("logits", "probs"):
 params, history = fa.train(ds, config, train_idx, test_idx)
 out["train with val_indices"] = {{"history": history_lines(history),
                                   "params": params.flat.tolist()}}
+video = ds.instances[3]  # its features: a float32 view of the packed frames
 for name in ("full.fanp", "self.fanp"):
     head = fa.load_checkpoint(name)
     for frame_mode in ("all", "sampled"):
         report = fa.evaluate(head, ds, frame_mode, 3, 5, [5, -1, 5, 0, -40, 5])
         out[f"evaluate {{name}} {{frame_mode}}"] = {{
             **report.to_dict(), "predictions": report.predictions.tolist()}}
+    for kind, frames in (("float32 view", video.features),
+                         ("int", np.rint(4 * video.features).astype(np.int64)),
+                         ("bool", video.features > 0)):
+        logits, trace = fa.forward(frames, head)
+        loss, grads = fa.backward(frames, head, video.label)
+        out[f"forward and backward {{name}} {{kind}}"] = {{
+            "logits": logits.tolist(), "loss": loss, "grads": grads.flat.tolist(),
+            **{{field: value.tolist() for field, value in vars(trace).items()}}}}
 rng = np.random.default_rng(4)
 with open("small.csv", "w") as f:
     for v in range(12):

@@ -278,7 +278,7 @@ class TestCvCommand:
     def test_fewer_than_two_folds_exits_2(self, tiny_data, capsys, folds):
         err = run_rejected(capsys, "cv", "--data", tiny_data, "--folds", folds,
                            "--epochs", "1")
-        assert f"need at least 2 folds, got {folds}" in err
+        assert f"fold_count must be at least 2, got {folds}" in err
 
 
 class TestGradcheckCommand:

@@ -24,7 +24,8 @@ from frameattn.data import (
 from frameattn.cli import EXIT_DATA, main
 from frameattn.errors import ConfigError, DataError, FormatError, SchemaError
 from frameattn.evaluation import evaluate
-from frameattn.model import init_params
+from frameattn.model import FanParams, Mode, backward, forward, init_params
+from frameattn.numerics import as_matrix
 from frameattn.training import save_checkpoint
 
 
@@ -255,7 +256,7 @@ class TestFolds:
     @pytest.mark.parametrize("folds", [1, 0, -1])
     def test_fewer_than_two_folds_rejected(self, folds):
         ds = dataset_with_subjects([f"s{i}" for i in range(10)])
-        with pytest.raises(ConfigError, match="at least 2 folds"):
+        with pytest.raises(ConfigError, match=f"^fold_count must be at least 2, got {folds}$"):
             build_folds(ds, folds)
 
     def test_fold_count_that_is_not_an_integer_rejected(self):
@@ -306,6 +307,11 @@ class TestFolds:
         assert not (test_subjects & train_subjects)
 
 
+def case(field, value, message, id=None):
+    """One refused setting and its whole message, named field-value."""
+    return pytest.param(field, value, message, id=id or f"{field}-{value}")
+
+
 class TestSynth:
     def test_videos_are_float32_views_of_the_packed_frames(self):
         ds = synth_generate(SynthConfig(videos_per_class=3, seed=4))
@@ -331,13 +337,20 @@ class TestSynth:
         wide = 8 * ds.packed().frames.size
         assert peak < 1.1 * wide + 64 * 1024, peak / wide
 
-    @pytest.mark.parametrize("field, value", [
-        ("dim", 6.5), ("videos_per_class", 2.5), ("frames_max", 9.5), ("seed", 1.5),
-        ("signal", "8")])
-    def test_fields_of_the_wrong_kind_refused(self, field, value):
-        kind = "a real number" if field == "signal" else "an integer"
-        message = f"^{field} must be {kind}, got {re.escape(repr(value))}$"
-        with pytest.raises(ConfigError, match=message):
+    @pytest.mark.parametrize("field, value, message", [
+        case("dim", 6.5, "dim must be an integer, got 6.5"),
+        case("videos_per_class", 2.5, "videos_per_class must be an integer, got 2.5"),
+        case("frames_max", 9.5, "frames_max must be an integer, got 9.5"),
+        case("seed", 1.5, "seed must be an integer, got 1.5"),
+        case("signal", "8", "signal must be a real number, got '8'"),
+        case("noise", False, "noise must be a real number, got False"),
+        # too large for a float: math.isfinite would raise OverflowError
+        case("signal", 10**400, "signal must be finite, got 1" + "0" * 400,
+             "signal-too-large-for-a-float"),
+        case("dim", 0, "dim must be at least 1, got 0"),
+        case("noise", -0.5, "noise must be non-negative, got -0.5")])
+    def test_fields_of_the_wrong_kind_refused(self, field, value, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             synth_generate(SynthConfig(**{field: value}))
 
     def test_bit_reproducible(self):
@@ -459,6 +472,15 @@ class TestDatasetValidation:
         write_feature_file(ds, str(tmp_path / "d.fanf"))
         assert load_feature_file(str(tmp_path / "d.fanf")).instances[0].label == 2
 
+    @pytest.mark.parametrize("dim, classes, message", [
+        (2.0, 1, "dim must be an integer, got 2.0"),
+        (2, "1", "num_classes must be an integer, got '1'"),
+        (0, 1, "dim must be at least 1, got 0")])
+    def test_header_of_the_wrong_kind(self, dim, classes, message):
+        ds = Dataset([VideoInstance("v", "s", 0, np.ones((1, 2)))], dim, classes, ["a"])
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            ds.packed()
+
     def test_dim_mismatch(self):
         ds = Dataset([VideoInstance("v", "s", 0, np.ones((1, 4)))], 2, 1, ["a"])
         with pytest.raises(SchemaError):
@@ -489,6 +511,23 @@ class TestDatasetValidation:
             with pytest.raises(SchemaError, match="^instance 'bad': features"):
                 write_feature_file(ds, str(path))
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", list(NOT_REAL))
+    def test_arrays_that_are_not_real_numbers_refused_by_the_head(self, kind):
+        # the same rule (numerics.real_array) guards every array entry point,
+        # with DataError naming the array
+        bad = self.NOT_REAL[kind]
+        full = init_params(2, 1, Mode.FULL, seed=0)
+        calls = [("features", lambda: forward(bad, full)),
+                 ("features", lambda: backward(bad, full, 0)),
+                 ("matrix", lambda: as_matrix(bad)),
+                 ("q0", lambda: FanParams(bad, full.q1, full.class_w, full.class_b, Mode.FULL)),
+                 ("class_w", lambda: FanParams(full.q0, full.q1, bad, full.class_b, Mode.FULL))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # complex parts are not dropped with a warning
+            for name, call in calls:
+                with pytest.raises(DataError, match=f"^{name}[: ]"):
+                    call()
 
     @pytest.mark.parametrize("dtype", [bool, np.int32, np.uint8, np.float16, np.float32,
                                        np.float64])

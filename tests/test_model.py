@@ -1,5 +1,7 @@
 import hashlib
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from frameattn import model
 from frameattn.data import Dataset, VideoInstance
 from frameattn.errors import DataError, DimensionError, NumericError
-from frameattn.numerics import finite_diff_gradient, relative_error
+from frameattn.numerics import as_matrix, finite_diff_gradient, relative_error
 from frameattn.model import (
     FanParams,
     Mode,
@@ -284,14 +286,16 @@ class TestBackward:
         expect[2] -= 1.0
         np.testing.assert_allclose(grads.class_b, expect, atol=1e-14)
 
-    @pytest.mark.parametrize("label", [-1, 3])
+    @pytest.mark.parametrize("label", [-1, 3, "1", 1.5, True, None, np.float64(1.0)])
     @pytest.mark.parametrize("mode", [Mode.FULL, Mode.SELF_ONLY])
     def test_label_out_of_range_raises_at_every_public_entry(self, label, mode):
         # the kernel takes labels unchecked: -1 would pick the last class
         f = np.random.default_rng(34).standard_normal((3, 4))
         params = random_params(4, 3, mode, seed=2)
+        message = ("label out of range for 3 logits" if type(label) is int
+                   else f"label must be an integer, got {label!r}")
         for entry in (backward, forward_backward, model.gradient_pair):
-            with pytest.raises(IndexError, match="^label out of range for 3 logits$"):
+            with pytest.raises(IndexError, match=f"^{re.escape(message)}$"):
                 entry(f, params, label)
 
     def test_duplication_leaves_loss_and_grads_unchanged(self):
@@ -555,6 +559,17 @@ class TestParams:
             assert locate(blocks, blocks[-1].slice.stop - 1) == ("class_b", c - 1)
         with pytest.raises(DimensionError):
             layout(0, 2, Mode.FULL)
+        with pytest.raises(DimensionError, match="^dim must be an integer, got 2.5$"):
+            init_params(2.5, 2, Mode.FULL)
+
+    def test_from_flat_keeps_a_contiguous_float64_vector_as_its_storage(self):
+        flat = init_params(3, 2, Mode.FULL, seed=1).flatten()
+        p = FanParams.from_flat(flat, 3, 2, Mode.FULL)
+        assert p.flat is flat and np.shares_memory(p.class_w, flat)
+        strided = np.repeat(flat, 2)[::2]
+        q = FanParams.from_flat(strided, 3, 2, Mode.FULL)
+        assert q.flat.flags.c_contiguous and not np.shares_memory(q.flat, strided)
+        np.testing.assert_array_equal(q.flat, flat)
 
     def test_from_flat_rejects_wrong_length_and_nonfinite(self):
         flat = init_params(3, 2, Mode.FULL, seed=1).flatten()
@@ -563,6 +578,28 @@ class TestParams:
         flat[4] = np.nan
         with pytest.raises(DataError):
             FanParams.from_flat(flat, 3, 2, Mode.FULL)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int32, np.uint8, np.float16, np.float32])
+@pytest.mark.parametrize("mode", [Mode.FULL, Mode.SELF_ONLY])
+def test_real_dtypes_reach_the_head_as_the_same_float64_values(dtype, mode):
+    # values every dtype holds exactly; numerics.real_array keeps the array
+    # as given and as_array widens it, which is exact
+    x = (np.arange(12).reshape(4, 3) % (2 if dtype is bool else 5)).astype(dtype)
+    wide = x.astype(np.float64)
+    params = random_params(3, 2, mode, seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        checked = as_matrix(x)
+        logits, trace = forward(x, params)
+        loss, grads = backward(x, params, 1)
+    assert checked.dtype == np.float64 and checked.tobytes() == wide.tobytes()
+    want_logits, want_trace = forward(wide, params)
+    assert logits.tobytes() == want_logits.tobytes()
+    for name, value in vars(want_trace).items():
+        assert getattr(trace, name).tobytes() == value.tobytes(), name
+    want_loss, want_grads = backward(wide, params, 1)
+    assert loss == want_loss and grads.flat.tobytes() == want_grads.flat.tobytes()
 
 
 def video_dataset(lengths, d, seed=0, c=3):

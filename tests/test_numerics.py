@@ -117,10 +117,19 @@ class TestSoftmaxCrossEntropy:
             assert abs(grad.sum()) < 1e-12
 
     def test_label_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match="^label out of range for 2 logits$"):
             softmax_cross_entropy([1.0, 2.0], 2)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match="^label out of range for 2 logits$"):
             softmax_cross_entropy([1.0, 2.0], -1)
+        # labels of the wrong kind, which numpy would index with or refuse
+        # with its own error
+        for label in (1.5, 1.0, True, "1", None):
+            with pytest.raises(IndexError, match="^label must be an integer, got "):
+                softmax_cross_entropy([1.0, 2.0], label)
+        with pytest.raises(IndexError, match="^label must be an integer, got "):
+            softmax_cross_entropy([[1.0, 2.0], [0.0, 1.0]], [0.0, 1.0])
+        loss, _ = softmax_cross_entropy([[1.0, 2.0], [0.0, 1.0]], np.array([0, 1], np.uint8))
+        assert loss.shape == (2,)
 
 
 class TestFiniteDiff:

@@ -51,6 +51,11 @@ def small_synth_float64(**kw):
     return ds
 
 
+def case(field, value, message, id=None):
+    """One refused setting and its whole message, named field-value."""
+    return pytest.param(field, value, message, id=id or f"{field}-{value}")
+
+
 class TestSchedules:
     def test_lab_preset_boundaries(self):
         cfg = ckplus_config()
@@ -91,18 +96,44 @@ class TestSchedules:
         with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
             TrainConfig(seed=-1).validate()
 
-    @pytest.mark.parametrize("field, value", [
-        ("mode", "self-only"), ("mode", "bogus"), ("k", 2.5), ("batch_size", 2.5),
-        ("total_epochs", 2.5), ("seed", 1.5), ("k", True)])
-    def test_fields_of_the_wrong_kind_refused_by_both_heads(self, field, value):
-        message = (f"unknown mode '{value}'" if field == "mode"
-                   else f"{field} must be an integer, got {value}")
+    @pytest.mark.parametrize("field, value, message", [
+        case("mode", "self-only", "unknown mode 'self-only'"),
+        case("mode", "bogus", "unknown mode 'bogus'"),
+        case("k", 2.5, "k must be an integer, got 2.5"),
+        case("batch_size", 2.5, "batch_size must be an integer, got 2.5"),
+        case("total_epochs", 2.5, "total_epochs must be an integer, got 2.5"),
+        case("seed", 1.5, "seed must be an integer, got 1.5"),
+        case("k", True, "k must be an integer, got True"),
+        case("momentum", "0.9", "momentum must be a real number, got '0.9'"),
+        case("weight_decay", None, "weight_decay must be a real number, got None"),
+        case("momentum", True, "momentum must be a real number, got True"),
+        case("schedule", [(0, "0.1")], "learning rate must be a real number, got '0.1'",
+             "schedule-text-rate"),
+        case("schedule", [0.1], "schedule must be a list of (epoch, rate) pairs",
+             "schedule-step-not-a-pair"),
+        case("schedule", None, "schedule must be a list of (epoch, rate) pairs"),
+        case("schedule", [(0, 0.1), (0.5, 0.2)], "schedule epoch must be an integer, got 0.5",
+             "schedule-fractional-epoch"),
+        case("schedule", [(0, 10**400)], "learning rate must be finite, got 1" + "0" * 400,
+             "schedule-rate-too-large-for-a-float")])
+    def test_fields_of_the_wrong_kind_refused_by_both_heads(self, field, value, message):
         ds = small_synth()
         config = TrainConfig(**{"total_epochs": 1, field: value})
-        with pytest.raises(ConfigError, match=f"^{message}$"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             train(ds, config)
-        with pytest.raises(ConfigError, match=f"^{message}$"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             score_fusion_baseline(ds, config)
+
+    @pytest.mark.parametrize("field, value, message", [
+        case("batch_size", 0, "batch_size must be at least 1, got 0"),
+        case("k", -2, "k must be at least 1, got -2"),
+        case("total_epochs", -1, "total_epochs must be non-negative, got -1"),
+        case("schedule", [], "schedule epochs must increase strictly from 0, got []"),
+        case("schedule", [(1, 0.1)], "schedule epochs must increase strictly from 0, got [1]"),
+        case("schedule", [(0, -0.1)], "learning rate must be non-negative, got -0.1")])
+    def test_fields_out_of_range_named(self, field, value, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            TrainConfig(**{field: value}).validate()
 
     def test_mode_given_by_its_value(self):
         ds = small_synth()
