@@ -27,7 +27,9 @@ interoperability; the binary form is the canonical one. Every video
 passes one rule, _checked_video (numerics.real_array frames, an integer
 label: SchemaError or DataError naming the instance); SynthConfig and
 build_folds raise ConfigError naming the field. Every size a file
-declares is read through one bounded reader, _read_exact.
+declares is read through one bounded reader, _read_exact. FANF and FANP
+(training) share one header writer and reader, _write_header and
+_read_header, which checks the magic and version (FormatError).
 
 In memory a checked dataset holds all of its frames once, in one packed
 (sum n, D) matrix: video i's frames are rows offsets[i]:offsets[i+1], and
@@ -35,7 +37,8 @@ its `features` is a view of exactly those rows (Dataset.packed). The loader
 reads each record's features straight into its rows of a float32 matrix
 and checks them there; any other dataset is packed, its videos copied in,
 the first time it is checked (as is a loaded one whose instances were
-replaced since).
+replaced since); both lay it out through _empty_pack. Other modules read
+it only through PackedFrames.select, .lengths and .stack.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, SchemaError
-from .numerics import first_nonfinite_row, real_array, require_integer, require_real
+from .numerics import _shown, first_nonfinite_row, real_array, require_integer, require_real
 
 _MAGIC = b"FANF"
 _VERSION = 1
@@ -83,11 +86,25 @@ class PackedFrames:
 
     def select(self, indices=None) -> np.ndarray:
         """Video indices as an int64 array: every video by default;
-        negative ones count from the end, as list indexing does, and out of
-        range ones raise IndexError."""
+        negative ones count from the end, as list indexing does. Indices
+        that are not integers (floats, text, bools) or are out of range
+        raise IndexError."""
         everything = np.arange(len(self.labels))
-        return everything if indices is None else everything[
-            np.asarray(indices, dtype=np.int64)]
+        picked = everything if indices is None else np.asarray(indices)
+        if picked.size and picked.dtype.kind not in "iu":
+            raise IndexError(f"indices must be integers, got {picked.dtype} values")
+        # an empty list makes a float64 array, which numpy does not index with
+        return everything[picked] if picked.size else everything[:0]
+
+    def lengths(self, videos: np.ndarray) -> np.ndarray:
+        """The frame counts of the videos at dataset indices `videos`."""
+        return self.offsets[videos + 1] - self.offsets[videos]
+
+    def stack(self, videos: np.ndarray, picks) -> np.ndarray:
+        """The (B, K, D) float64 stack whose row b holds frames picks[b]
+        (positions within the video) of video videos[b]; (K,) picks take
+        the same positions of every video. Widened after the gather."""
+        return self.frames[self.offsets[videos, None] + picks].astype(np.float64, copy=False)
 
 
 @dataclass
@@ -156,19 +173,17 @@ class Dataset:
 
     def _pack(self) -> None:
         videos = self._checked_videos()
-        offsets = np.zeros(len(videos) + 1, dtype=np.int64)
-        np.cumsum([len(f) for f in videos], out=offsets[1:])
         dtype = np.float32 if all(f.dtype == np.float32 for f in videos) else np.float64
-        frames = np.empty((int(offsets[-1]), self.dim), dtype)
-        for f, lo, hi in zip(videos, offsets.tolist(), offsets[1:].tolist()):
-            frames[lo:hi] = f
-        self._adopt(frames, offsets)
+        frames, offsets, rows = _empty_pack([len(f) for f in videos], self.dim, dtype)
+        for row, f in zip(rows, videos):
+            row[...] = f
+        self._adopt(frames, offsets, rows)
 
-    def _adopt(self, frames: np.ndarray, offsets: np.ndarray) -> None:
+    def _adopt(self, frames: np.ndarray, offsets: np.ndarray, rows) -> None:
         """Make checked packed frames the dataset's storage: rebind every
         instance's features to its rows of `frames`."""
-        for inst, lo, hi in zip(self.instances, offsets.tolist(), offsets[1:].tolist()):
-            inst.features = frames[lo:hi]
+        for inst, row in zip(self.instances, rows):
+            inst.features = row
         labels = [inst.label for inst in self.instances]
         self._packed = PackedFrames(frames, offsets, np.array(labels, dtype=np.int64))
         self._stamp = (self._header(),
@@ -177,6 +192,15 @@ class Dataset:
     def subjects(self) -> list[str]:
         """Distinct subject ids, sorted ascending."""
         return sorted({inst.subject_id for inst in self.instances})
+
+
+def _empty_pack(counts, dim: int, dtype):
+    """An uninitialized packed matrix for videos of `counts` frames: the
+    (sum n, dim) frames, their (N + 1,) offsets and each video's rows."""
+    offsets = np.cumsum([0] + counts, dtype=np.int64)
+    frames = np.empty((int(offsets[-1]), dim), dtype)
+    bounds = offsets.tolist()
+    return frames, offsets, [frames[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _checked_video(inst: VideoInstance, dim: int, num_classes: int) -> np.ndarray:
@@ -191,7 +215,8 @@ def _checked_video(inst: VideoInstance, dim: int, num_classes: int) -> np.ndarra
         raise DataError(f"instance '{inst.video_id}': non-finite feature value")
     require_integer(f"instance '{inst.video_id}': label", inst.label, error=SchemaError)
     if not 0 <= inst.label < num_classes:
-        raise SchemaError(f"instance '{inst.video_id}': label {inst.label} out of range")
+        raise SchemaError(f"instance '{inst.video_id}': label {_shown(inst.label, str)} "
+                          "out of range")
     return f
 
 
@@ -200,6 +225,26 @@ def _pack_str(s: str) -> bytes:
     if len(raw) > 0xFFFF:
         raise SchemaError(f"string too long to encode: {len(raw)} bytes")
     return struct.pack("<H", len(raw)) + raw
+
+
+def _write_header(f, magic: bytes, fmt: str, *fields) -> None:
+    """Write a binary file's magic bytes, then its fixed header fields (the
+    version first) packed as the struct format `fmt`."""
+    f.write(magic + struct.pack(fmt, *fields))
+
+
+def _read_header(f, magic: bytes, version: int, fmt: str, kind: str, what: str):
+    """Read the start of a header _write_header wrote: FormatError, naming
+    `kind`, unless the file starts with `magic` and the first of the `fmt`
+    fields is `version`. Returns the file's size and the other `fmt` fields."""
+    size = os.fstat(f.fileno()).st_size
+    got = f.read(len(magic))
+    if got != magic:
+        raise FormatError(f"bad magic bytes {got!r}, expected {magic!r}")
+    fields = struct.unpack(fmt, _read_exact(f, struct.calcsize(fmt), what, size))
+    if fields[0] != version:
+        raise FormatError(f"unsupported {kind} version {fields[0]}")
+    return size, fields[1:]
 
 
 def _check_left(f, nbytes: int, what: str, size: int) -> None:
@@ -261,9 +306,8 @@ def write_feature_file(dataset: Dataset, path: str) -> None:
     every instance keeps its `features` object."""
     videos = dataset._checked_videos()
     with atomic_open(path) as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<III", _VERSION, dataset.dim, dataset.num_classes))
-        f.write(struct.pack("<Q", len(dataset.instances)))
+        _write_header(f, _MAGIC, "<IIIQ", _VERSION, dataset.dim, dataset.num_classes,
+                      len(dataset.instances))
         for name in dataset.class_names:
             f.write(_pack_str(name))
         for inst, frames in zip(dataset.instances, videos):
@@ -288,14 +332,8 @@ def load_feature_file(path: str) -> Dataset:
     video as packing does; each instance's `features` is a view of its rows.
     """
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        magic = f.read(4)
-        if magic != _MAGIC:
-            raise FormatError(f"bad magic bytes {magic!r}, expected {_MAGIC!r}")
-        version, dim, num_classes = struct.unpack(
-            "<III", _read_exact(f, 12, "header", size))
-        if version != _VERSION:
-            raise FormatError(f"unsupported format version {version}")
+        # the count, the header's last field, is read once dim and C pass
+        size, (dim, num_classes) = _read_header(f, _MAGIC, _VERSION, "<III", "format", "header")
         if dim < 1 or num_classes < 1:
             raise SchemaError("header dim and class count must be positive")
         (count,) = struct.unpack("<Q", _read_exact(f, 8, "header", size))
@@ -313,21 +351,19 @@ def load_feature_file(path: str) -> Dataset:
         if f.read(1):
             raise SchemaError("trailing bytes after final record")
 
-        offsets = np.zeros(len(records) + 1, dtype=np.int64)
-        np.cumsum([n for _, _, _, n, _ in records], out=offsets[1:])
-        frames = np.empty((int(offsets[-1]), dim), dtype="<f4")
+        frames, offsets, rows = _empty_pack([n for _, _, _, n, _ in records], dim, "<f4")
         instances = []
-        for (video_id, subject_id, label, n, start), lo in zip(records, offsets.tolist()):
-            inst = VideoInstance(video_id, subject_id, label, frames[lo:lo + n])
+        for (video_id, subject_id, label, _, start), row in zip(records, rows):
+            inst = VideoInstance(video_id, subject_id, label, row)
             f.seek(start)
-            if f.readinto(inst.features) != inst.features.nbytes:
+            if f.readinto(row) != row.nbytes:
                 raise SchemaError(
                     f"file truncated while reading features of record '{video_id}'")
             _checked_video(inst, dim, num_classes)
             instances.append(inst)
 
     ds = Dataset(instances, dim, num_classes, class_names)
-    ds._adopt(frames, offsets)
+    ds._adopt(frames, offsets, rows)
     return ds
 
 
@@ -426,7 +462,7 @@ def build_folds(dataset: Dataset, fold_count: int = 10) -> FoldPlan:
     subjects = dataset.subjects()
     if len(subjects) < fold_count:
         raise ConfigError(
-            f"need at least {fold_count} distinct subjects, have {len(subjects)}"
+            f"need at least {_shown(fold_count, str)} distinct subjects, have {len(subjects)}"
         )
     return FoldPlan(fold_count, {s: p % fold_count for p, s in enumerate(subjects)})
 
@@ -479,7 +515,7 @@ class SynthConfig:
         if self.num_classes > self.dim:
             raise ConfigError(
                 f"need num_classes <= dim for orthogonal class directions "
-                f"({self.num_classes} > {self.dim})"
+                f"({_shown(self.num_classes, str)} > {_shown(self.dim, str)})"
             )
 
 

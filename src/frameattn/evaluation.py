@@ -27,7 +27,7 @@ from . import model, sampling
 from .data import Dataset, FoldPlan, atomic_open, split_by_fold
 from .errors import ConfigError, NumericError
 from .model import FanParams
-from .numerics import _xent, require_integer, softmax
+from .numerics import _shown, _xent, require_integer, softmax
 from .training import TrainConfig, fit, train, training_split
 
 
@@ -83,16 +83,15 @@ def evaluate(params: FanParams, dataset: Dataset, frame_mode: str = "all",
     stream per video; only it reads the seed.
     """
     if frame_mode not in ("all", "sampled"):
-        raise ConfigError(f"unknown frame_mode '{frame_mode}'")
+        raise ConfigError(f"unknown frame_mode '{_shown(frame_mode, str)}'")
     picks = None
     if frame_mode == "sampled":
         require_integer("k", k, 1)
         require_integer("seed", seed, 0)
         packed = dataset.packed()
         indices = packed.select(indices)
-        lengths = np.diff(packed.offsets)[indices].tolist()
         picks = np.array([sampling.sample_training(n, k, sampling.stream(seed, i))
-                          for n, i in zip(lengths, indices.tolist())],
+                          for n, i in zip(packed.lengths(indices).tolist(), indices.tolist())],
                          dtype=np.int64).reshape(len(indices), k)
     scored = model.score(params, dataset, indices, picks)
     preds = np.argmax(scored.logits, axis=1)
@@ -137,14 +136,14 @@ def score_fusion_baseline(
     Training is training.fit on one flat vector of weights and bias: each
     sampled frame is an independent sample, and batch gradients are averaged
     over the batch's B*k frames. test_indices defaults to the training split
-    (in-sample report). The decision is invariant to any positive scaling of
-    a video's frame scores. A non-finite frame score raises NumericError
+    (in-sample report); both are read by PackedFrames.select. The decision
+    is invariant to any positive scaling of a video's frame scores. A non-finite frame score raises NumericError
     naming the dataset index (and, in training, the epoch and batch).
     """
     if fusion not in ("logits", "probs"):
-        raise ConfigError(f"unknown fusion '{fusion}'")
+        raise ConfigError(f"unknown fusion '{_shown(fusion, str)}'")
     train_indices = training_split(dataset, config, train_indices)
-    test_indices = list(train_indices) if test_indices is None else test_indices
+    test_indices = train_indices if test_indices is None else dataset.packed().select(test_indices)
 
     d, c = dataset.dim, dataset.num_classes
     blocks = model.blocks_of([("baseline_w", (c, d)), ("baseline_b", (c,))])

@@ -372,9 +372,9 @@ def score(params: FanParams, dataset, indices=None, picks=None) -> Scored:
 
     The videos are run through _kernel in buckets of one length: sorted by
     length (a stable sort), each run of one length cut into stacks within
-    SCORE_CHUNK_BYTES and gathered one stack at a time, widened to float64
-    (float32 frames: a loaded or synthetic dataset's), not checked again:
-    the dataset checked its frames when they entered it. A non-finite
+    SCORE_CHUNK_BYTES and gathered one stack at a time as float64
+    (PackedFrames.stack), not checked again: the dataset checked its frames
+    when they entered it. A non-finite
     logit, which a non-finite value written into them in place also gives,
     raises NumericError naming the dataset index of the first bad video in
     length order, not in the order of indices.
@@ -384,13 +384,9 @@ def score(params: FanParams, dataset, indices=None, picks=None) -> Scored:
         raise DimensionError(f"params dim {params.feature_dim} != dataset dim {d}")
     if params.num_classes != c:
         raise DimensionError(f"params classes {params.num_classes} != dataset classes {c}")
-    frames, offsets = packed.frames, packed.offsets
     indices = packed.select(indices)
-    starts = offsets[indices]
-    lengths = (offsets[indices + 1] - starts if picks is None
-               else np.full(len(indices), picks.shape[1]))
-    local = np.zeros(len(indices) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=local[1:])
+    lengths = packed.lengths(indices) if picks is None else np.full(len(indices), picks.shape[1])
+    local = np.concatenate(([0], np.cumsum(lengths)))
     logits = np.empty((len(indices), c))
     alpha, final = np.empty(local[-1]), np.empty(local[-1])
 
@@ -404,8 +400,7 @@ def score(params: FanParams, dataset, indices=None, picks=None) -> Scored:
         step = max(1, SCORE_CHUNK_BYTES // cost)
         for at in range(lo, hi, step):
             pos = order[at:min(at + step, hi)]
-            ids = frame_ids if picks is None else picks[pos]
-            f = frames[starts[pos, None] + ids].astype(np.float64, copy=False)
+            f = packed.stack(indices[pos], frame_ids if picks is None else picks[pos])
             try:
                 logits[pos], trace, _, _ = _kernel(f, params)
             except NumericError as e:

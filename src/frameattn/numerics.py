@@ -5,8 +5,9 @@ require_real (a finite int or float, numpy's included, not a bool; an int
 too large for a float is not finite) and real_array (an array of bool,
 int, uint or float values: not text, objects, complex values or ragged
 rows). Each raises the error class its caller gives, with a message that
-names the field. as_array widens what real_array accepts to float64, which
-is exact; first_nonfinite_row is the one finite check of input frames.
+names the field and shows the value through _shown. as_array widens what
+real_array accepts to float64, which is exact; first_nonfinite_row is the
+one finite check of input frames.
 
 Everything else operates on float64. Vectors are 1-d arrays with at least
 one entry, matrices 2-d arrays with rows and columns; both must be entirely
@@ -36,7 +37,7 @@ def require_integer(name: str, value, minimum=None, error=ConfigError) -> None:
     """Raise `error` naming `name` unless value is an int or a numpy integer
     (a bool is not), at least `minimum` if one is given."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {_shown(value)}")
     _require_at_least(name, value, minimum, error)
 
 
@@ -44,20 +45,29 @@ def require_real(name: str, value, minimum=None, error=ConfigError) -> None:
     """Raise `error` naming `name` unless value is a finite int or float,
     numpy's included (a bool is not), at least `minimum` if one is given."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise error(f"{name} must be a real number, got {value!r}")
+        raise error(f"{name} must be a real number, got {_shown(value)}")
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an int too large for a float
         finite = False
     if not finite:
-        raise error(f"{name} must be finite, got {value}")
+        raise error(f"{name} must be finite, got {_shown(value, str)}")
     _require_at_least(name, value, minimum, error)
 
 
 def _require_at_least(name: str, value, minimum, error) -> None:
     if minimum is not None and value < minimum:
         bound = "non-negative" if minimum == 0 else f"at least {minimum}"
-        raise error(f"{name} must be {bound}, got {value}")
+        raise error(f"{name} must be {bound}, got {_shown(value, str)}")
+
+
+def _shown(value, show=repr) -> str:
+    """show(value) for a message; a value holding an int too long for
+    Python to print (over 4300 digits) is named by its type instead."""
+    try:
+        return show(value)
+    except ValueError:  # str refuses an int of over 4300 digits
+        return f"{type(value).__name__} with over 4300 digits"
 
 
 def real_array(x, name: str, error=DataError) -> np.ndarray:
@@ -148,7 +158,7 @@ def softmax_cross_entropy(logits, label):
     z = as_vector(logits, "logits")[None] if single else as_matrix(logits, "logits")
     labels = np.atleast_1d(np.asarray(label))
     if labels.dtype.kind not in "iu":  # the integer rule, of every label
-        raise IndexError(f"label must be an integer, got {label!r}")
+        raise IndexError(f"label must be an integer, got {_shown(label)}")
     if labels.shape != (z.shape[0],):
         raise DimensionError(f"{labels.shape[0]} labels for {z.shape[0]} logit rows")
     if np.any((labels < 0) | (labels >= z.shape[1])):
@@ -178,8 +188,9 @@ def finite_diff_gradient(
 
     Independent oracle for analytic gradients: (f(p + eps*e_j) - f(p - eps*e_j))
     / (2*eps) per coordinate. Raises NumericError if any probe evaluation is
-    non-finite.
+    non-finite, and ValueError naming eps unless it is a positive real.
     """
+    require_real("eps", eps, error=ValueError)
     if eps <= 0:
         raise ValueError("eps must be positive")
     p0 = as_vector(params, "params")

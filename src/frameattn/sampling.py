@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .numerics import require_integer
+
 
 def stream(seed: int, *keys: int) -> np.random.Generator:
     """Independent PCG64 stream for a (seed, key...) tuple.
@@ -23,7 +25,9 @@ def stream(seed: int, *keys: int) -> np.random.Generator:
 
 def _segment_bounds(lengths: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(N, k) starts and ends of the floor-rounded segments of N videos:
-    segment s of an n-frame video is [floor(s*n/k), floor((s+1)*n/k))."""
+    segment s of an n-frame video is [floor(s*n/k), floor((s+1)*n/k)).
+    A k that is not a positive integer raises ValueError."""
+    require_integer("k", k, 1, ValueError)
     edges = lengths[:, None] * np.arange(k + 1) // k
     return edges[:, :-1], edges[:, 1:]
 
@@ -31,9 +35,8 @@ def _segment_bounds(lengths: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
 def plan_segments(n: int, k: int) -> list[tuple[int, int]]:
     """Split [0, n) into k floor-rounded half-open ranges (lo, hi), in
     order; range s is [floor(s*n/k), floor((s+1)*n/k)). Ranges may be empty
-    when n < k."""
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
+    when n < k. n and k must be positive integers (ValueError)."""
+    require_integer("n", n, 1, ValueError)
     lo, hi = _segment_bounds(np.array([n]), k)
     return list(zip(lo[0].tolist(), hi[0].tolist()))
 
@@ -47,8 +50,8 @@ def sample_segments(lengths, k: int, rng: np.random.Generator) -> np.ndarray:
     one copy the first sample instead, so every row is non-decreasing.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.ndim != 1 or k < 1 or (lengths.size and lengths.min() < 1):
-        raise ValueError("lengths and k must be positive")
+    if lengths.ndim != 1 or (lengths.size and lengths.min() < 1):
+        raise ValueError("lengths must be positive")
     lo, hi = _segment_bounds(lengths, k)
     # an empty segment's range [lo, lo+1) yields lo without drawing, so the
     # draws are one scalar rng.integers(lo, hi) per non-empty segment, row

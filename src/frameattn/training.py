@@ -21,23 +21,22 @@ number rules (numerics) and raises ConfigError naming the field.
 Checkpoint format ("FANP", little-endian): magic, version u32 = 1, D u32,
 C u32, mode u32 (0 full, 1 self-only), then the parameters as float64:
 FanParams.flatten(), the blocks of model.layout in order (q0, q1, class_w
-row-major, class_b). Both are read through data._read_exact, and a file
-whose size is not what its header implies is refused before its payload.
+row-major, class_b). The header goes through data._write_header and
+data._read_header; a payload whose size is not what the header implies
+is refused before it is read.
 """
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model, sampling
-from .data import Dataset, _read_exact, atomic_open
-from .errors import ConfigError, FormatError, NumericError, SchemaError
+from .data import Dataset, _read_exact, _read_header, _write_header, atomic_open
+from .errors import ConfigError, NumericError, SchemaError
 from .model import FanParams, Mode
-from .numerics import require_integer, require_real
+from .numerics import _shown, require_integer, require_real
 
 _CKPT_MAGIC = b"FANP"
 _CKPT_VERSION = 1
@@ -64,7 +63,7 @@ class TrainConfig:
         require_real("momentum", self.momentum)
         require_real("weight_decay", self.weight_decay)
         if self.mode not in list(Mode):
-            raise ConfigError(f"unknown mode {self.mode!r}")
+            raise ConfigError(f"unknown mode {_shown(self.mode)}")
         try:
             steps = [(start, lr) for start, lr in self.schedule]
         except (TypeError, ValueError):
@@ -74,7 +73,8 @@ class TrainConfig:
             require_real("learning rate", lr, 0)
         starts = [s for s, _ in steps]
         if starts[:1] != [0] or any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ConfigError(f"schedule epochs must increase strictly from 0, got {starts}")
+            raise ConfigError("schedule epochs must increase strictly from 0, "
+                              f"got {_shown(starts)}")
 
 
 def ckplus_config(**overrides) -> TrainConfig:
@@ -165,31 +165,27 @@ def minibatches(dataset: Dataset, indices, config: TrainConfig, epoch: int):
     config.batch_size instances: the indices as a (B,) array, each
     instance's config.k segment-sampled frames as a (B, K, D) stack, and
     the (B,) labels. The epoch's order and every frame index come from one
-    sampling.training_draw, turned into rows of the dataset's packed frames
-    (Dataset.packed) once per epoch; each batch's stack is one fancy index
-    of those rows, taken only when the batch is reached, so one batch of
-    frames is held at a time. The stack is float64: float32 frames (a
-    loaded or synthetic dataset's) are widened once per batch, after the gather.
+    sampling.training_draw; each batch's stack is gathered from the
+    dataset's packed frames (PackedFrames.stack) only when the batch is
+    reached, so one batch of frames is held at a time. The stack is
+    float64: float32 frames (a loaded or synthetic dataset's) are widened
+    after the gather.
     """
     packed = dataset.packed()
     indices = packed.select(indices)
-    starts = packed.offsets[indices]
-    order, picks = sampling.training_draw(
-        config.seed, epoch, packed.offsets[indices + 1] - starts, config.k)
+    order, picks = sampling.training_draw(config.seed, epoch, packed.lengths(indices), config.k)
     indices = indices[order]
-    rows = starts[order][:, None] + picks
     for lo in range(0, len(indices), config.batch_size):
         batch = indices[lo:lo + config.batch_size]
-        stack = packed.frames[rows[lo:lo + config.batch_size]]
-        yield batch, stack.astype(np.float64, copy=False), packed.labels[batch]
+        yield batch, packed.stack(batch, picks[lo:lo + config.batch_size]), packed.labels[batch]
 
 
 def training_split(dataset: Dataset, config: TrainConfig, indices=None):
-    """The training indices (every instance by default), after checking the
-    config and packing the dataset; an empty split raises ConfigError."""
+    """The training indices (every instance by default) as a list read by
+    PackedFrames.select, after checking the config; an empty split raises
+    ConfigError."""
     config.validate()
-    dataset.packed()
-    indices = list(range(len(dataset.instances))) if indices is None else indices
+    indices = dataset.packed().select(indices).tolist()
     if not len(indices):
         raise ConfigError("training split is empty")
     return indices
@@ -232,7 +228,8 @@ def train(
     """Run the full training loop; returns final parameters and per-epoch stats.
 
     train_indices/val_indices select instances by position in
-    dataset.instances; by default every instance is used for training and no
+    dataset.instances, both read by PackedFrames.select before the first
+    epoch; by default every instance is used for training and no
     validation accuracy is recorded. on_epoch, if given, is called with each
     EpochStats as it completes. Deterministic given config.seed. A NumericError
     names the epoch, the batch and, when one instance caused it, that
@@ -240,6 +237,7 @@ def train(
     frames in place is reported so, as non-finite logits.
     """
     train_indices = training_split(dataset, config, train_indices)
+    val_indices = None if val_indices is None else dataset.packed().select(val_indices)
     params = model.init_params(dataset.dim, dataset.num_classes,
                                config.mode, seed=config.seed)
 
@@ -283,22 +281,15 @@ def history_lines(history: TrainHistory) -> list[str]:
 def save_checkpoint(params: FanParams, path: str) -> None:
     """Write parameters in the FANP layout (deterministic bytes)."""
     with atomic_open(path) as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<IIII", _CKPT_VERSION, params.feature_dim,
-                            params.num_classes, _MODE_TAGS[params.mode]))
+        _write_header(f, _CKPT_MAGIC, "<IIII", _CKPT_VERSION, params.feature_dim,
+                      params.num_classes, _MODE_TAGS[params.mode])
         f.write(params.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path: str) -> FanParams:
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        magic = f.read(4)
-        if magic != _CKPT_MAGIC:
-            raise FormatError(f"bad magic bytes {magic!r}, expected {_CKPT_MAGIC!r}")
-        version, dim, num_classes, tag = struct.unpack(
-            "<IIII", _read_exact(f, 16, "checkpoint header", size))
-        if version != _CKPT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}")
+        size, (dim, num_classes, tag) = _read_header(
+            f, _CKPT_MAGIC, _CKPT_VERSION, "<IIII", "checkpoint", "checkpoint header")
         if tag not in _TAG_MODES:
             raise SchemaError(f"unknown mode tag {tag}")
         mode = _TAG_MODES[tag]

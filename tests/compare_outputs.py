@@ -14,6 +14,10 @@ relative paths on both sides:
     (plain and --corrupt);
   * train --preset synth-default without --data, on the synthetic set it
     generates for itself, in both modes, each with --history;
+  * corrupt copies of the feature file and of the full head, each loaded
+    by ``eval``: bad magic bytes, an unsupported version and a header cut
+    short, for both formats, and a feature file whose dim is 0. Their exit
+    codes and stderr pin both loaders' error paths;
   * then an API step for what the CLI cannot reach, dumped to api.json:
     score_fusion_baseline reports with both fusions, in-sample and on one
     held-out fold; a train with val_indices, its history and parameters;
@@ -108,8 +112,31 @@ with open("api.json", "w") as f:
 """
 
 
+# Corrupt copies of the feature file and the full head, written by one
+# step after training: (file name, bytes of the original they are made of).
+CORRUPT = {
+    "bad_magic.fanf": "b'FANX' + fanf[4:]",
+    "bad_version.fanf": "fanf[:4] + (2).to_bytes(4, 'little') + fanf[8:]",
+    "short_header.fanf": "fanf[:10]",
+    "dim_0.fanf": "fanf[:8] + (0).to_bytes(4, 'little') + fanf[12:]",
+    "bad_magic.fanp": "b'FANX' + fanp[4:]",
+    "bad_version.fanp": "fanp[:4] + (2).to_bytes(4, 'little') + fanp[8:]",
+    "short_header.fanp": "fanp[:10]",
+}
+CORRUPT_WRITER = "\n".join(
+    ["from pathlib import Path",
+     f"fanf, fanp = Path({DATA!r}).read_bytes(), Path('full.fanp').read_bytes()"]
+    + [f"Path({name!r}).write_bytes({expr})" for name, expr in CORRUPT.items()])
+
+
 def cli(*args):
     return ["-m", "frameattn.cli", *args]
+
+
+def corrupt_eval(name):
+    """The eval step that loads the corrupt file `name` beside a good one."""
+    head, data = (name, DATA) if name.endswith(".fanp") else ("full.fanp", name)
+    return (f"eval {name}", cli("eval", "--checkpoint", head, "--data", data))
 
 
 # (name, interpreter arguments); visualize steps write the files compared
@@ -147,6 +174,8 @@ MATRIX = [
                                           "--epochs", "4", "--seed", "11")),
     ("gradcheck", cli("gradcheck", "--configs", "6", "--seed", "1")),
     ("gradcheck --corrupt", cli("gradcheck", "--configs", "2", "--seed", "1", "--corrupt")),
+    ("write corrupt files", ["-c", CORRUPT_WRITER]),
+    *map(corrupt_eval, CORRUPT),
     ("api", ["-c", API]),
 ]
 EXPORTS = {"full_attention.csv", "full_attention.json",

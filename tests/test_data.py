@@ -348,7 +348,12 @@ class TestSynth:
         case("signal", 10**400, "signal must be finite, got 1" + "0" * 400,
              "signal-too-large-for-a-float"),
         case("dim", 0, "dim must be at least 1, got 0"),
-        case("noise", -0.5, "noise must be non-negative, got -0.5")])
+        case("noise", -0.5, "noise must be non-negative, got -0.5"),
+        # str() refuses an int of over 4300 digits: the message names its type
+        case("seed", -10**5000, "seed must be non-negative, got int with over 4300 digits",
+             "seed-too-long-to-print"),
+        case("num_classes", 10**5000, "need num_classes <= dim for orthogonal class "
+             "directions (int with over 4300 digits > 16)", "num_classes-too-long-to-print")])
     def test_fields_of_the_wrong_kind_refused(self, field, value, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             synth_generate(SynthConfig(**{field: value}))
@@ -455,6 +460,11 @@ class TestDatasetValidation:
         ds = Dataset([VideoInstance("v", "s", 5, np.ones((1, 2)))], 2, 3, list("abc"))
         with pytest.raises(SchemaError):
             ds.validate()
+        for label in (10**5000, -10**5000):  # too long for str()
+            ds.instances[0].label = label
+            with pytest.raises(SchemaError, match="^instance 'v': label int with over 4300 "
+                                                  "digits out of range$"):
+                ds.validate()
 
     @pytest.mark.parametrize("label", [1.5, "1"])
     def test_label_that_is_not_an_integer(self, label, tmp_path):
@@ -606,6 +616,46 @@ class TestPackedFrames:
         ds.instances.append(VideoInstance("w", "s", 0, np.ones((2, 4))))
         with pytest.raises(SchemaError, match="'w'"):
             ds.validate()
+
+    @pytest.mark.parametrize("loaded", [True, False], ids=["loaded float32", "float64"])
+    def test_lengths_and_stack_gather_each_videos_frames(self, tmp_path, loaded):
+        ds = ragged_dataset()
+        if loaded:
+            write_feature_file(ds, str(tmp_path / "r.fanf"))
+            ds = load_feature_file(str(tmp_path / "r.fanf"))
+        packed = ds.packed()
+        assert packed.frames.dtype == (np.float32 if loaded else np.float64)
+        everything = packed.select()
+        assert packed.lengths(everything).tolist() == [len(i.features) for i in ds.instances]
+        videos = packed.select([3, -1, 3, 0, -12, 7, 7])
+        lengths = packed.lengths(videos)
+        assert lengths.tolist() == [len(ds.instances[i].features) for i in videos]
+        rng = np.random.default_rng(5)
+        picks = np.array([rng.integers(0, n, size=4) for n in lengths.tolist()])
+        stack = packed.stack(videos, picks)
+        want = np.stack([ds.instances[i].features[p] for i, p in zip(videos, picks)])
+        assert stack.dtype == np.float64 and stack.shape == (7, 4, ds.dim)
+        assert stack.tobytes() == want.astype(np.float64).tobytes()
+        # (K,) picks: the same positions of every video
+        first = np.stack([ds.instances[i].features[:1] for i in videos])
+        assert packed.stack(videos, np.arange(1)).tobytes() == \
+            first.astype(np.float64).tobytes()
+
+    def test_select_takes_integers_only(self):
+        packed = ragged_dataset().packed()  # 12 videos
+        assert packed.select().tolist() == list(range(12))
+        for empty in ([], np.array([]), np.zeros(0, np.int32)):
+            picked = packed.select(empty)
+            assert picked.dtype == np.int64 and picked.tolist() == []
+        assert packed.select([11, -1, 0]).tolist() == [11, 11, 0]
+        assert packed.select(np.array([2, -2], np.int32)).tolist() == [2, 10]
+        assert packed.select(np.array([3], np.uint64)).tolist() == [3]
+        for bad in ([12], [-13]):
+            with pytest.raises(IndexError, match="out of bounds"):
+                packed.select(bad)
+        for bad in ([1.0], [True], ["1"], [10**30], np.array([0.5])):
+            with pytest.raises(IndexError, match="^indices must be integers, got "):
+                packed.select(bad)
 
     def test_in_place_write_is_seen_but_not_rechecked(self):
         ds = tiny_dataset()

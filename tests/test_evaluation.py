@@ -24,7 +24,10 @@ from frameattn.evaluation import (
 )
 from frameattn.model import FanParams, Mode, forward, init_params, predict
 from frameattn.sampling import sample_training, stream
-from frameattn.training import TrainConfig
+from frameattn.training import TrainConfig, train
+
+
+NO_EPOCHS = TrainConfig(total_epochs=0)
 
 
 def zero_params(d, c, mode=Mode.FULL):
@@ -92,6 +95,12 @@ class TestEvaluate:
             evaluate(params, ds, frame_mode="sampled", seed=-1)
         # all-frame evaluation draws nothing, so it ignores the seed
         assert evaluate(params, ds, seed=-1).to_dict() == evaluate(params, ds).to_dict()
+
+    def test_unknown_frame_mode_refused(self):
+        ds = labeled_dataset([0, 1])
+        for mode, shown in (("some", "some"), (10**5000, "int with over 4300 digits")):
+            with pytest.raises(ConfigError, match=f"^unknown frame_mode '{shown}'$"):
+                evaluate(zero_params(3, 2), ds, frame_mode=mode)
 
     @pytest.mark.parametrize("field, value", [("k", 2.5), ("k", True), ("seed", 1.5)])
     def test_sampled_settings_of_the_wrong_kind_refused(self, field, value):
@@ -248,6 +257,8 @@ class TestScoreFusionBaseline:
         assert r_logit.count == r_prob.count == 4
         with pytest.raises(ConfigError):
             score_fusion_baseline(ds, self.cfg(), idx, idx, fusion="nope")
+        with pytest.raises(ConfigError, match="^unknown fusion 'int with over 4300 digits'$"):
+            score_fusion_baseline(ds, self.cfg(), idx, idx, fusion=10**5000)
 
 
 class TestTrainedModelReference:
@@ -457,6 +468,29 @@ class TestScoringPass:
             np.testing.assert_allclose(video["alpha"], trace.alpha, rtol=0, atol=1e-12)
             np.testing.assert_allclose(video["final_weights"], trace.final_weights,
                                        rtol=0, atol=1e-12)
+
+    # every call that takes indices reads them through PackedFrames.select;
+    # with no epochs, train and the baseline make no other use of them
+    TAKERS = {
+        "evaluate all": lambda ds, p, idx: evaluate(p, ds, indices=idx),
+        "evaluate sampled": lambda ds, p, idx: evaluate(p, ds, "sampled", indices=idx),
+        "score": lambda ds, p, idx: model.score(p, ds, idx),
+        "train train_indices": lambda ds, p, idx: train(ds, NO_EPOCHS, idx),
+        "train val_indices": lambda ds, p, idx: train(ds, NO_EPOCHS, None, idx),
+        "baseline train_indices": lambda ds, p, idx: score_fusion_baseline(ds, NO_EPOCHS, idx),
+        "baseline test_indices":
+            lambda ds, p, idx: score_fusion_baseline(ds, NO_EPOCHS, None, idx),
+    }
+
+    @pytest.mark.parametrize("taker", list(TAKERS))
+    @pytest.mark.parametrize("indices", [[0.9, 1.99, "2"], [0.0, 1.0], [True, False],
+                                         np.array([1.5])],
+                             ids=["text", "floats", "bools", "float array"])
+    def test_indices_that_are_not_integers_refused(self, taker, indices):
+        ds = ragged_dataset(self.IDS)
+        params = spread_params(4, 3, Mode.FULL)
+        with pytest.raises(IndexError, match="^indices must be integers, got "):
+            self.TAKERS[taker](ds, params, indices)
 
     def test_empty_index_list(self, tmp_path):
         ds = ragged_dataset(self.IDS)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from frameattn.errors import DataError, DimensionError, NumericError
+from frameattn.model import gradient_check, init_params
 from frameattn.numerics import (
     as_matrix,
     as_vector,
@@ -123,7 +124,7 @@ class TestSoftmaxCrossEntropy:
             softmax_cross_entropy([1.0, 2.0], -1)
         # labels of the wrong kind, which numpy would index with or refuse
         # with its own error
-        for label in (1.5, 1.0, True, "1", None):
+        for label in (1.5, 1.0, True, "1", None, 10**5000):
             with pytest.raises(IndexError, match="^label must be an integer, got "):
                 softmax_cross_entropy([1.0, 2.0], label)
         with pytest.raises(IndexError, match="^label must be an integer, got "):
@@ -157,6 +158,13 @@ class TestFiniteDiff:
     def test_bad_eps(self):
         with pytest.raises(ValueError):
             finite_diff_gradient(lambda p: 0.0, np.array([1.0]), eps=0.0)
+        # refused by the number rule before any probe, naming eps, also
+        # where the head's gradient check passes it on
+        for eps in ("x", None, True, float("nan"), float("inf"), -1e-5, 1j):
+            with pytest.raises(ValueError, match="^eps must be"):
+                finite_diff_gradient(lambda p: 0.0, np.array([1.0]), eps=eps)
+            with pytest.raises(ValueError, match="^eps must be"):
+                gradient_check(np.ones((2, 3)), init_params(3, 2), 0, eps=eps)
 
 
 class TestValidation:

@@ -38,6 +38,10 @@ class TestPlanSegments:
             plan_segments(0, 3)
         with pytest.raises(ValueError):
             plan_segments(3, 0)
+        # a count that is not an integer is refused, not rounded
+        for n, k in ((2.5, 2), (3, 2.5), ("3", 2), (True, 2), (3, None)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                plan_segments(n, k)
 
 
 class TestSampleTraining:
@@ -109,6 +113,11 @@ class TestSampleSegments:
             sample_segments([3, 0], 3, stream(0))
         with pytest.raises(ValueError):
             sample_segments([3], 0, stream(0))
+        for k in (2.5, "2", True, np.float64(2.0)):
+            with pytest.raises(ValueError, match="^k must be an integer"):
+                sample_segments([4], k, stream(0))
+            with pytest.raises(ValueError, match="^k must be an integer"):
+                sample_training(4, k, stream(0))
 
 
 class TestTrainingDraw:

@@ -115,7 +115,11 @@ class TestSchedules:
         case("schedule", [(0, 0.1), (0.5, 0.2)], "schedule epoch must be an integer, got 0.5",
              "schedule-fractional-epoch"),
         case("schedule", [(0, 10**400)], "learning rate must be finite, got 1" + "0" * 400,
-             "schedule-rate-too-large-for-a-float")])
+             "schedule-rate-too-large-for-a-float"),
+        # str() refuses an int of over 4300 digits: the message names its type
+        case("mode", 10**5000, "unknown mode int with over 4300 digits", "mode-too-long-to-print"),
+        case("momentum", -10**5000, "momentum must be finite, got int with over 4300 digits",
+             "momentum-too-long-to-print")])
     def test_fields_of_the_wrong_kind_refused_by_both_heads(self, field, value, message):
         ds = small_synth()
         config = TrainConfig(**{"total_epochs": 1, field: value})
@@ -130,7 +134,12 @@ class TestSchedules:
         case("total_epochs", -1, "total_epochs must be non-negative, got -1"),
         case("schedule", [], "schedule epochs must increase strictly from 0, got []"),
         case("schedule", [(1, 0.1)], "schedule epochs must increase strictly from 0, got [1]"),
-        case("schedule", [(0, -0.1)], "learning rate must be non-negative, got -0.1")])
+        case("schedule", [(0, -0.1)], "learning rate must be non-negative, got -0.1"),
+        case("seed", -10**5000, "seed must be non-negative, got int with over 4300 digits",
+             "seed-too-long-to-print"),
+        case("schedule", [(10**5000, 0.1)],
+             "schedule epochs must increase strictly from 0, got list with over 4300 digits",
+             "schedule-epoch-too-long-to-print")])
     def test_fields_out_of_range_named(self, field, value, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             TrainConfig(**{field: value}).validate()
