@@ -87,12 +87,16 @@ class PackedFrames:
     def select(self, indices=None) -> np.ndarray:
         """Video indices as an int64 array: every video by default;
         negative ones count from the end, as list indexing does. Indices
-        that are not integers (floats, text, bools) or are out of range
-        raise IndexError."""
-        everything = np.arange(len(self.labels))
+        that are not integers (floats, text, bools) or are outside [-N, N)
+        for N videos (a uint64 index too) raise IndexError."""
+        n = len(self.labels)
+        everything = np.arange(n)
         picked = everything if indices is None else np.asarray(indices)
         if picked.size and picked.dtype.kind not in "iu":
             raise IndexError(f"indices must be integers, got {picked.dtype} values")
+        # bounded before indexing, which would wrap a uint64 index modulo 2**64
+        if picked.size and not -n <= picked.min() <= picked.max() < n:
+            raise IndexError(f"indices {picked.min()}..{picked.max()} out of bounds: {n} videos")
         # an empty list makes a float64 array, which numpy does not index with
         return everything[picked] if picked.size else everything[:0]
 

@@ -19,7 +19,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,12 +44,10 @@ class EvalReport:
     predictions: np.ndarray | None = None  # (count,) class indices
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "per_class_accuracy": self.per_class_accuracy,
-            "confusion": self.confusion.tolist(),
-            "count": self.count,
-        }
+        """The fields as JSON values, in field order, without the predictions."""
+        out = asdict(self)
+        del out["predictions"]
+        return {**out, "confusion": self.confusion.tolist()}
 
 
 def _report_from_confusion(confusion: np.ndarray, predictions=None) -> EvalReport:

@@ -56,10 +56,10 @@ import numpy as np
 from .errors import DimensionError, NumericError
 from .numerics import (
     _xent,
+    as_array,
     as_matrix,
     as_vector,
     finite_diff_gradient,
-    real_array,
     relative_error,
     require_integer,
     sigmoid,
@@ -121,21 +121,20 @@ class FanParams:
 
     `flat` holds the blocks of `layout` in order, and q0, q1, class_w and
     class_b are views of their blocks: writing into one writes into `flat`,
-    and assigning one copies the value into its block (its shape must
-    match). flatten() returns a copy of `flat`. Gradients use the same
-    layout: backward returns them as a FanParams.
+    and assigning one copies the value into its block. The constructor
+    reads D from q0 and C from class_b and assigns all four blocks, so a
+    block passes one rule however it is set: numerics.as_array (real,
+    finite, non-empty, of the block's rank; DataError or DimensionError
+    naming the block), then the block's shape in the mode (DimensionError).
+    A refused assignment leaves `flat` unchanged. flatten() returns a copy
+    of `flat`. Gradients use the same layout: backward returns them as a
+    FanParams.
     """
 
     def __init__(self, q0, q1, class_w, class_b, mode: Mode):
-        mode = Mode(mode)
-        parts = [as_vector(q0, "q0"), as_vector(q1, "q1"),
-                 as_matrix(class_w, "class_w"), as_vector(class_b, "class_b")]
-        blocks = layout(parts[0].shape[0], parts[3].shape[0], mode)
-        for block, part in zip(blocks, parts):
-            if part.shape != block.shape:
-                raise DimensionError(f"{block.name} must have shape {block.shape} "
-                                     f"in {mode.value} mode, got {part.shape}")
-        self._bind(np.concatenate([part.ravel() for part in parts]), blocks, mode)
+        blocks = layout(len(as_vector(q0, "q0")), len(as_vector(class_b, "class_b")), mode)
+        self._bind(np.zeros(blocks[-1].slice.stop), blocks, Mode(mode))
+        self.q0, self.q1, self.class_w, self.class_b = q0, q1, class_w, class_b
 
     def _bind(self, flat: np.ndarray, blocks, mode: Mode) -> None:
         self.__dict__.update(flat=flat, blocks=blocks, mode=mode,
@@ -151,9 +150,10 @@ class FanParams:
     def __setattr__(self, name, value):
         if name in _BLOCK_NAMES:
             view = getattr(self, name)
-            value = real_array(value, name)
+            value = as_array(value, view.ndim, name)
             if value.shape != view.shape:
-                raise DimensionError(f"{name} must have shape {view.shape}, got {value.shape}")
+                raise DimensionError(f"{name} must have shape {view.shape} "
+                                     f"in {self.mode.value} mode, got {value.shape}")
             view[...] = value
         else:
             object.__setattr__(self, name, value)
@@ -177,13 +177,12 @@ class FanParams:
     def from_flat(cls, flat, dim: int, num_classes: int, mode: Mode) -> "FanParams":
         """Inverse of flatten for the given dimensions and mode. The result
         is stored in `flat` itself when that is a contiguous float64 vector."""
-        mode = Mode(mode)
         blocks = layout(dim, num_classes, mode)
         flat = np.ascontiguousarray(as_vector(flat, "parameter vector"))
         if flat.shape != (blocks[-1].slice.stop,):
             raise DimensionError(f"flat parameter vector must have length "
                                  f"{blocks[-1].slice.stop}, got {flat.shape}")
-        return cls._over(flat, blocks, mode)
+        return cls._over(flat, blocks, Mode(mode))
 
 
 _BLOCK_NAMES = frozenset(b.name for b in layout(1, 1, Mode.FULL))
@@ -365,8 +364,11 @@ def score(params: FanParams, dataset, indices=None, picks=None) -> Scored:
     The dataset is packed first; a head whose feature dim, then class
     count, is not the dataset's raises DimensionError. indices selects the
     videos, in order, as PackedFrames.select reads them (repeats are scored
-    again); by default every video. With picks, an
-    (len(indices), k) array, video j is scored on its frames picks[j] only.
+    again); by default every video. With picks, an (len(indices), k) array
+    of frame positions, video j is scored on its frames picks[j] only;
+    picks are checked once, on entry: another shape or k = 0 raises
+    DimensionError, and a position that is not an integer in [0, n) for
+    its video's n frames raises IndexError.
     Returns one Scored, the videos in the order of indices; it holds 16
     bytes a frame and C logits a video of the selection.
 
@@ -385,7 +387,13 @@ def score(params: FanParams, dataset, indices=None, picks=None) -> Scored:
     if params.num_classes != c:
         raise DimensionError(f"params classes {params.num_classes} != dataset classes {c}")
     indices = packed.select(indices)
-    lengths = packed.lengths(indices) if picks is None else np.full(len(indices), picks.shape[1])
+    lengths = packed.lengths(indices)
+    if picks is not None:
+        if picks.ndim != 2 or len(picks) != len(indices) or not picks.shape[1]:
+            raise DimensionError(f"picks shape {picks.shape} is not ({len(indices)}, k), k >= 1")
+        if picks.dtype.kind not in "iu" or not ((0 <= picks) & (picks < lengths[:, None])).all():
+            raise IndexError("picks must be integer frame positions within their videos")
+        lengths = np.full(len(indices), picks.shape[1])
     local = np.concatenate(([0], np.cumsum(lengths)))
     logits = np.empty((len(indices), c))
     alpha, final = np.empty(local[-1]), np.empty(local[-1])

@@ -48,8 +48,13 @@ def sample_segments(lengths, k: int, rng: np.random.Generator) -> np.ndarray:
     frames. Empty segments (only possible when n < k) repeat the nearest
     preceding segment's sample; empty segments before the first non-empty
     one copy the first sample instead, so every row is non-decreasing.
+    lengths must be positive integers: floats, bools and text raise
+    ValueError, not rounded or cast.
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
+    lengths = np.asarray(lengths)
+    if lengths.size and lengths.dtype.kind not in "iu":
+        raise ValueError(f"lengths must be integers, got {lengths.dtype} values")
+    lengths = lengths.astype(np.int64)
     if lengths.ndim != 1 or (lengths.size and lengths.min() < 1):
         raise ValueError("lengths must be positive")
     lo, hi = _segment_bounds(lengths, k)

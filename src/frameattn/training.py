@@ -28,7 +28,7 @@ is refused before it is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -270,12 +270,10 @@ def _accuracy(dataset: Dataset, params: FanParams, indices, epoch: int) -> float
 
 
 def history_lines(history: TrainHistory) -> list[str]:
-    """Deterministic line-oriented rendering: epoch,lr,loss,train_acc,val_acc."""
-    lines = ["epoch,lr,loss,train_accuracy,val_accuracy"]
-    for s in history:
-        val = "" if s.val_accuracy is None else repr(s.val_accuracy)
-        lines.append(f"{s.epoch},{s.lr!r},{s.loss!r},{s.train_accuracy!r},{val}")
-    return lines
+    """Deterministic CSV lines: a header of EpochStats' field names, then
+    one row per epoch holding the repr of each field, "" for None."""
+    return [",".join(f.name for f in fields(EpochStats))] + [
+        ",".join("" if v is None else repr(v) for v in astuple(s)) for s in history]
 
 
 def save_checkpoint(params: FanParams, path: str) -> None:

@@ -650,7 +650,8 @@ class TestPackedFrames:
         assert packed.select([11, -1, 0]).tolist() == [11, 11, 0]
         assert packed.select(np.array([2, -2], np.int32)).tolist() == [2, 10]
         assert packed.select(np.array([3], np.uint64)).tolist() == [3]
-        for bad in ([12], [-13]):
+        # numpy makes [2**64 - 1] a uint64 array, and would wrap it to -1
+        for bad in ([12], [-13], [2**64 - 1], np.array([2**64 - 1], np.uint64)):
             with pytest.raises(IndexError, match="out of bounds"):
                 packed.select(bad)
         for bad in ([1.0], [True], ["1"], [10**30], np.array([0.5])):

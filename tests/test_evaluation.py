@@ -492,6 +492,15 @@ class TestScoringPass:
         with pytest.raises(IndexError, match="^indices must be integers, got "):
             self.TAKERS[taker](ds, params, indices)
 
+    @pytest.mark.parametrize("taker", list(TAKERS))
+    @pytest.mark.parametrize("indices", [[2**64 - 1], np.array([2**64 - 9], np.uint64)])
+    def test_uint64_indices_that_would_wrap_refused(self, taker, indices):
+        # cast to int64 they would be -1 and -9: the last and the first video
+        ds = ragged_dataset(self.IDS)
+        params = spread_params(4, 3, Mode.FULL)
+        with pytest.raises(IndexError, match="out of bounds"):
+            self.TAKERS[taker](ds, params, indices)
+
     def test_empty_index_list(self, tmp_path):
         ds = ragged_dataset(self.IDS)
         params = spread_params(4, 3, Mode.FULL)

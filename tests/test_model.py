@@ -539,6 +539,28 @@ class TestParams:
             p.class_w = np.ones((2, 3))
         np.testing.assert_array_equal(p.class_w, rolled)
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_assignment_passes_the_constructors_rule(self, mode):
+        p = init_params(3, 2, mode, seed=1)
+        before = p.flatten()
+        for name, bad in (("q0", [np.nan, 0.0, 0.0]), ("q1", np.full(6, np.inf)),
+                          ("class_w", np.full(p.class_w.shape, -np.inf)),
+                          ("class_b", [0.0, np.nan])):
+            with pytest.raises(DataError, match=f"^{name} contains non-finite entries$"):
+                setattr(p, name, bad)
+            with pytest.raises(DataError, match=f"^{name} contains non-finite entries$"):
+                FanParams(**{"q0": p.q0, "q1": p.q1, "class_w": p.class_w,
+                             "class_b": p.class_b, name: bad}, mode=mode)
+        assert p.flat.tobytes() == before.tobytes()
+        in_dim = 6 if mode is Mode.FULL else 3
+        message = (rf"^class_w must have shape \(2, {in_dim}\) in {mode.value} mode, "
+                   rf"got \(2, 5\)$")
+        with pytest.raises(DimensionError, match=message):
+            p.class_w = np.ones((2, 5))
+        with pytest.raises(DimensionError, match=message):
+            FanParams(p.q0, p.q1, np.ones((2, 5)), p.class_b, mode)
+        assert p.flat.tobytes() == before.tobytes()
+
     def test_copy_is_independent(self):
         p = init_params(3, 2, Mode.SELF_ONLY, seed=1)
         q = p.copy()
@@ -734,6 +756,20 @@ class TestScore:
         for j, i in enumerate(indices):
             want, _ = forward(frames[offsets[i] + picks[j]], params)
             np.testing.assert_allclose(s.logits[j], want, rtol=0, atol=1e-12)
+
+    def test_picks_are_checked_against_each_video(self):
+        # picks index frames within a video: position 5 of a 3-frame video
+        # would be frame 2 of the next one; floats and wrong shapes are refused
+        ds = video_dataset([3, 3, 3], self.D)
+        params = random_params(self.D, 3, Mode.FULL)
+        for picks in ([[0, 3]], [[0, 5]], [[-1, 0]], [[0.0, 1.0]], [[True, False]]):
+            with pytest.raises(IndexError, match="^picks must be integer frame positions"):
+                score(params, ds, [0], np.array(picks))
+        for picks in (np.array([0, 1]), np.zeros((1, 0), int), np.zeros((2, 1), int)):
+            with pytest.raises(DimensionError, match="^picks shape "):
+                score(params, ds, [0], picks)
+        s = score(params, ds, [0, 2], np.array([[2, 0], [1, 1]]))
+        assert s.logits.shape == (2, 3) and s.offsets.tolist() == [0, 2, 4]
 
     def test_errors_name_the_dataset_index(self):
         ds = video_dataset(self.LENGTHS, self.D)

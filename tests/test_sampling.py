@@ -118,6 +118,11 @@ class TestSampleSegments:
                 sample_segments([4], k, stream(0))
             with pytest.raises(ValueError, match="^k must be an integer"):
                 sample_training(4, k, stream(0))
+        # a frame count that is not an integer is refused, not cast
+        for lengths in ([2.5], [2.9], np.array([True]), ["3"]):
+            with pytest.raises(ValueError, match="^lengths must be integers, got "):
+                sample_segments(lengths, 2, stream(0))
+        assert sample_segments([True, 3], 2, stream(0)).shape == (2, 2)  # an int array
 
 
 class TestTrainingDraw:
