@@ -15,28 +15,35 @@ and classifies on the anchor directly. All gradients are derived by hand;
 nothing here depends on an autodiff framework, which is what makes the
 finite-difference cross-check in the test suite meaningful.
 
-Backward-pass bookkeeping (full mode), with F the feature matrix, u the
-weighted mean in the top half of v, W = sum(alpha*beta), A = sum(alpha):
+Backward-pass bookkeeping (full mode). q0 and q1 reach the loss only
+through each frame's projections p_i = f_i . q0, r_i = f_i . q1[:D] and
+s_i = f_i . q1[D:]. With F the feature matrix, u the weighted mean in the
+top half of v and a the anchor in its bottom half, g_u and g_a the halves
+of dL/dv, W = sum(alpha*beta), A = sum(alpha) and a . q1[D:] =
+sum_i alpha_i s_i / A, the cotangents of the projections are
 
-    dL/dw_i    = (f_i - u) . g_u / W          (w_i = alpha_i beta_i)
-    dL/da      = g_v[D:] + sum_i g_t_i q1[D:] (direct + through beta)
-    dL/dalpha_i = beta_i dL/dw_i + (f_i - a) . (dL/da) / A
-    dq1        = [F^T g_t : sum(g_t) a],  dq0 = F^T g_s
+    y_i   = w_i/W (f_i - u) . g_u               (w_i = alpha_i beta_i)
+    g_r_i = y_i (1 - beta_i)                    (dL/dr_i, through beta)
+    e_i   = (f_i - a) . g_a + sum(g_r) (s_i - a . q1[D:])
+    g_p_i = (y_i + alpha_i/A e_i) (1 - alpha_i)  (dL/dp_i)
+    g_s_i = sum(g_r) alpha_i/A                  (dL/ds_i)
 
-where g_t, g_s are the pre-sigmoid cotangents of beta and alpha. The kernel
-applies the sigmoid slopes as g_t_i = w_i/W (f_i - u).g_u (1 - beta_i) and
-g_s_i = [w_i/W (f_i - u).g_u + alpha_i/A (f_i - a).(dL/da)] (1 - alpha_i):
-only normalized weights appear, so saturated sigmoids, whose alpha and beta
-can be tiny, never make a cotangent divide by a tiny sum. The w_i are direct
-products unless one of a batch underflows; then _kernel scales them by powers
-of two, which is exact, so both ways give the same bits where both apply.
+and the D-wide gradients are two products: [dq0 : dq1] = G F, G the rows
+g_p, g_r and g_s, and dclass_w = g_logits^T v. Each (f_i - m) . g for a mean m
+is f_i . g less the weighted mean of those dot products, so F meets each
+half of dL/dv once. Self-only mode keeps the row g_p with y = 0 and e_i =
+(f_i - a) . dL/dv; q1's gradient is zero. Only normalized weights appear,
+so saturated sigmoids, whose alpha and beta can be tiny, never make a
+cotangent divide by a tiny sum. The w_i are direct products unless one of
+a batch underflows; then _kernel scales them by powers of two, which is
+exact, so both ways give the same bits where both apply.
 
 One kernel (_kernel) computes all of this for a (B, K, D) stack of B videos
 of K frames each: per-frame values are (B, K) arrays reduced along axis 1,
-and the weighted means are one batched matmul. Training's minibatches,
-forward, backward and forward_backward on one video (B=1, K=n) and the
-scoring pass all call it; with labels it also returns the gradients,
-summed over B.
+the projections are one product and both weighted means one batched
+matmul. Training's minibatches, forward, backward and forward_backward on
+one video (B=1, K=n) and the scoring pass all call it; with labels it also
+returns the gradients, summed over B.
 
 score runs the head over the videos of a dataset in equal-length
 buckets: the selection sorted by length, each run of one length cut into
@@ -60,6 +67,7 @@ from .numerics import (
     as_matrix,
     as_vector,
     finite_diff_gradient,
+    real_array,
     relative_error,
     require_integer,
     sigmoid,
@@ -239,16 +247,22 @@ def _kernel(f: np.ndarray, params: FanParams, labels=None):
     """
     b, k, d = f.shape
     rows = f.reshape(b * k, d)
+    full = params.mode is Mode.FULL
+    # q0, q1[:D] and q1[D:] lead the flat vector: each frame's projections
+    # on them (on q0 alone self-only) are one product
+    kernels = params.flat[:(3 if full else 1) * d].reshape(-1, d)
+    proj = (kernels @ rows.T).reshape(-1, b, k)
+    alpha = sigmoid(proj[0])
 
-    # weights are normalized before averaging so that a single frame passes
-    # through exactly (its weight is 1.0 bit-for-bit)
-    alpha = sigmoid(rows @ params.q0).reshape(b, k)
-    alpha_n = alpha / alpha.sum(axis=1)[:, None]
-    anchor = np.matmul(alpha_n[:, None, :], f)[:, 0, :]
-
-    if params.mode is Mode.FULL:
-        beta = sigmoid((rows @ params.q1[:d]).reshape(b, k)
-                       + (anchor @ params.q1[d:])[:, None])
+    # weights[:, 0] averages the top half of the aggregate and weights[:, -1]
+    # the anchor (one row self-only); they are normalized before averaging
+    # so that a single frame passes through exactly (its weight is 1.0
+    # bit-for-bit)
+    weights = np.empty((b, 2 if full else 1, k))
+    alpha_n = np.divide(alpha, alpha.sum(axis=1)[:, None], out=weights[:, -1])
+    if full:
+        anchor_s = (alpha_n * proj[2]).sum(axis=1)  # anchor . q1[D:]
+        beta = sigmoid(proj[1] + anchor_s[:, None])
         # w_i = alpha_i beta_i when no product underflows; else each video's
         # scaled by the power of two that brings its largest to [1/4, 1),
         # exponents added apart from mantissas: exact even if all underflow
@@ -258,46 +272,41 @@ def _kernel(f: np.ndarray, params: FanParams, labels=None):
             mb, eb = np.frexp(beta)
             e = ea + eb
             w = np.ldexp(ma * mb, e - e.max(axis=1)[:, None])
-        final = w / w.sum(axis=1)[:, None]
-        top = np.matmul(final[:, None, :], f)[:, 0, :]
-        agg = np.concatenate([top, anchor], axis=1)
+        final = np.divide(w, w.sum(axis=1)[:, None], out=weights[:, 0])
     else:
-        beta = np.ones_like(alpha)
-        final = alpha_n
-        agg = anchor
+        beta, final = np.ones_like(alpha), alpha_n
+    means = weights @ f  # (B, 2, D): top half and anchor; (B, 1, D) self-only
+    agg = means.reshape(b, -1)
 
     logits = agg @ params.class_w.T + params.class_b
     if not np.isfinite(logits).all():
         raise NumericError("forward pass produced non-finite logits",
                            row=int(np.argmin(np.all(np.isfinite(logits), axis=1))))
     trace = AttentionTrace(alpha=alpha, beta=beta, final_weights=final,
-                           anchor=anchor, aggregate=agg)
+                           anchor=means[:, -1], aggregate=agg)
     if labels is None:
         return logits, trace, None, None
 
     losses, g_logits = _xent(logits, labels)
     g_agg = g_logits @ params.class_w
-    grads = FanParams._over(np.zeros_like(params.flat), params.blocks, params.mode)
-
-    if params.mode is Mode.FULL:
-        g_top = g_agg[:, :d]
-        # through the weighted mean: (f_i - top) . g_top, times w_i / W
-        y = final * (np.matmul(f, g_top[:, :, None])[:, :, 0]
-                     - (top * g_top).sum(axis=1, keepdims=True))
-        g_t = y * (1.0 - beta)
-        gt_sum = g_t.sum(axis=1)
-        np.matmul(g_t.reshape(-1), rows, out=grads.q1[:d])
-        np.matmul(gt_sum, anchor, out=grads.q1[d:])
-        g_anchor = g_agg[:, d:] + gt_sum[:, None] * params.q1[d:]
+    # (f_i - m) . g for each mean m and its half g of g_agg: f_i . g less
+    # the weighted mean of those
+    fg = g_agg.reshape(b, -1, d) @ f.transpose(0, 2, 1)
+    fg -= (weights * fg).sum(axis=2, keepdims=True)
+    cot = np.empty_like(proj)  # the cotangents g_p, g_r, g_s of the projections
+    if full:
+        y = final * fg[:, 0]
+        g_r = np.multiply(y, 1.0 - beta, out=cot[1])
+        gr_sum = g_r.sum(axis=1)
+        np.multiply(gr_sum[:, None], alpha_n, out=cot[2])
+        # (f_i - anchor) . dL/danchor, direct and through beta
+        g_e = fg[:, 1] + gr_sum[:, None] * (proj[2] - anchor_s[:, None])
     else:
-        y = 0.0
-        g_anchor = g_agg
-    # through the anchor: (f_i - anchor) . g_anchor, times alpha_i / A
-    g_s = (y + alpha_n * (np.matmul(f, g_anchor[:, :, None])[:, :, 0]
-                          - (anchor * g_anchor).sum(axis=1, keepdims=True))
-           ) * (1.0 - alpha)
+        y, g_e = 0.0, fg[:, 0]
+    np.multiply(y + alpha_n * g_e, 1.0 - alpha, out=cot[0])
 
-    np.matmul(g_s.reshape(-1), rows, out=grads.q0)
+    grads = FanParams._over(np.zeros_like(params.flat), params.blocks, params.mode)
+    grads.flat[:kernels.size] = (cot.reshape(len(kernels), -1) @ rows).ravel()
     np.matmul(g_logits.T, agg, out=grads.class_w)
     g_logits.sum(axis=0, out=grads.class_b)
     if not np.isfinite(grads.flat).all():
@@ -338,11 +347,14 @@ def forward(features, params: FanParams) -> tuple[np.ndarray, AttentionTrace]:
 # working set within SCORE_CHUNK_BYTES: per frame, its D-wide row as gathered
 # and widened to float64 (12 bytes an element whatever the stored dtype, so
 # that float32 and float64 frames are cut into the same stacks and give the
-# same bits) and _FRAME_TEMPS float64 temporaries of the kernel; per video,
-# its D-wide means (anchor, top half, aggregate). A video over the budget on
-# its own is a stack of its own.
+# same bits) and the kernel's float64 temporaries, _FRAME_TEMPS at its
+# peak (in full mode when the weight products underflow: the three
+# projections, alpha, beta, both weight rows, the products and the scaled
+# path's mantissas and exponents); per video, its two D-wide means (the top
+# half and the anchor, of which the aggregate is a view). A video over the
+# budget on its own is a stack of its own.
 SCORE_CHUNK_BYTES = 1 << 20
-_FRAME_TEMPS = 16
+_FRAME_TEMPS = 14
 
 
 class Scored(NamedTuple):
@@ -365,10 +377,11 @@ def score(params: FanParams, dataset, indices=None, picks=None) -> Scored:
     count, is not the dataset's raises DimensionError. indices selects the
     videos, in order, as PackedFrames.select reads them (repeats are scored
     again); by default every video. With picks, an (len(indices), k) array
-    of frame positions, video j is scored on its frames picks[j] only;
-    picks are checked once, on entry: another shape or k = 0 raises
-    DimensionError, and a position that is not an integer in [0, n) for
-    its video's n frames raises IndexError.
+    (or nested lists) of frame positions, video j is scored on its frames
+    picks[j] only; picks are checked once, on entry: ragged rows, values
+    that are not real numbers, another shape or k = 0 raise DimensionError,
+    and a position that is not an integer in [0, n) for its video's n
+    frames raises IndexError.
     Returns one Scored, the videos in the order of indices; it holds 16
     bytes a frame and C logits a video of the selection.
 
@@ -389,6 +402,7 @@ def score(params: FanParams, dataset, indices=None, picks=None) -> Scored:
     indices = packed.select(indices)
     lengths = packed.lengths(indices)
     if picks is not None:
+        picks = real_array(picks, "picks", DimensionError)
         if picks.ndim != 2 or len(picks) != len(indices) or not picks.shape[1]:
             raise DimensionError(f"picks shape {picks.shape} is not ({len(indices)}, k), k >= 1")
         if picks.dtype.kind not in "iu" or not ((0 <= picks) & (picks < lengths[:, None])).all():
@@ -404,7 +418,7 @@ def score(params: FanParams, dataset, indices=None, picks=None) -> Scored:
     for lo, hi in zip(firsts, firsts[1:] + [len(order)]):
         k = int(lengths[order[lo]])
         frame_ids = np.arange(k)
-        cost = 8 * _FRAME_TEMPS * k + d * (8 * 4 + 12 * k)
+        cost = 8 * _FRAME_TEMPS * k + d * (8 * 2 + 12 * k)
         step = max(1, SCORE_CHUNK_BYTES // cost)
         for at in range(lo, hi, step):
             pos = order[at:min(at + step, hi)]

@@ -1,9 +1,12 @@
 """In-process A/B of one perfbench workload: a parent checkout against this one.
 
     python3 tests/ab_rounds.py --parent DIR --workload {train,cv,score} --pairs N
+    python3 tests/ab_rounds.py --aa --workload {train,cv,score} --pairs N
 
 DIR is the root of another checkout (for example the parent commit, made
-with ``git archive``). Both ``src/frameattn`` packages are imported into
+with ``git archive``). With ``--aa`` this checkout is run against itself,
+which shows the ratio and win share the harness gives when nothing
+changed. Both ``src/frameattn`` packages are imported into
 this one interpreter, under the names ``frameattn_parent`` and
 ``frameattn_change``, and each drives its own instance of the workload's
 class from this checkout's ``perfbench/workloads.py``, read as it is. Each
@@ -16,8 +19,11 @@ slow spell of the host falls on both sides of a pair alike.
 
 Printed: each side's median and interquartile range of round CPU, the
 median of the per-pair ratio change / parent, the share of pairs the
-change won (ties count for neither), and whether each side's workload
-checks passed, on its last round's outputs, with no failed operation.
+change won (ties count for neither), whether a gain claim clears the rule
+for one (the change wins at least 9/10 of the pairs and its median is below
+the parent's by more than the parent's IQR), and whether each side's
+workload checks passed, on its last round's outputs, with no failed
+operation.
 The exit code is 0 when both sides passed their checks. Not collected by
 pytest; it takes minutes.
 """
@@ -61,15 +67,18 @@ def quartiles(values):
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--parent", required=True, type=Path,
-                   help="root of the checkout to compare against")
+    against = p.add_mutually_exclusive_group(required=True)
+    against.add_argument("--parent", type=Path,
+                         help="root of the checkout to compare against")
+    against.add_argument("--aa", action="store_true",
+                         help="compare this checkout against itself")
     p.add_argument("--workload", required=True, choices=["train", "cv", "score"])
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1)
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2")
-    parent_root = args.parent.resolve()
+    parent_root = ROOT if args.aa else args.parent.resolve()
     if not (parent_root / "src" / "frameattn" / "__init__.py").is_file():
         p.error(f"{parent_root} holds no src/frameattn")
 
@@ -112,7 +121,8 @@ def main(argv=None) -> int:
 
     wins = sum(c < q for c, q in zip(cpu["change"], cpu["parent"]))
     ratios = [c / q for c, q in zip(cpu["change"], cpu["parent"])]
-    print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs, "
+    print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs"
+          f"{' (A/A: this checkout on both sides)' if args.aa else ''}, "
           f"round CPU s, median (IQR):")
     for side in sides:
         median, iqr = quartiles(cpu[side])
@@ -122,6 +132,12 @@ def main(argv=None) -> int:
               f"{benches[side].ops.failed} failed")
     print(f"  change / parent: median ratio {statistics.median(ratios):.3f}, "
           f"change faster in {wins}/{args.pairs} pairs")
+    parent_median, parent_iqr = quartiles(cpu["parent"])
+    gap = parent_median - quartiles(cpu["change"])[0]
+    clears = wins >= 0.9 * args.pairs and gap > parent_iqr
+    print(f"  gain claim {'clears' if clears else 'does not clear'} the rule: "
+          f"{wins}/{args.pairs} pairs won (9/10 needed), median gap {gap:.4f} s "
+          f"against the parent's IQR {parent_iqr:.4f} s")
     return 0 if all(passed.values()) else 1
 
 

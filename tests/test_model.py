@@ -13,6 +13,7 @@ from frameattn.numerics import as_matrix, finite_diff_gradient, relative_error
 from frameattn.model import (
     FanParams,
     Mode,
+    Scored,
     backward,
     forward,
     forward_backward,
@@ -327,11 +328,16 @@ class TestWeightProducts:
     TINY = np.finfo(np.float64).tiny
 
     def kernel_final(self, alpha, beta, monkeypatch):
-        """The kernel's final weights when its two sigmoids return alpha,
-        then beta."""
+        """The kernel's final weights when its two sigmoids, each taking a
+        (B, K) block of per-frame projections, return alpha, then beta."""
         b, k = alpha.shape
-        outs = iter([alpha.reshape(-1), beta])
-        monkeypatch.setattr(model, "sigmoid", lambda x: next(outs))
+        outs = iter([alpha, beta])
+
+        def sigmoid(x):
+            assert x.shape == (b, k)
+            return next(outs)
+
+        monkeypatch.setattr(model, "sigmoid", sigmoid)
         params = random_params(2, 3, Mode.FULL, seed=4)
         _, trace, _, _ = model._kernel(np.ones((b, k, 2)), params)
         return trace.final_weights
@@ -392,15 +398,22 @@ class TestBatchKernel:
 
     @pytest.mark.parametrize("mode", [Mode.FULL, Mode.SELF_ONLY])
     def test_batch_equals_sum_of_single_calls(self, mode):
-        stack, params, labels = self.batch(mode, 53)
-        logits, _, losses, grads = model._kernel(stack, params, labels)
-        total = np.zeros_like(params.flat)
-        for i in range(self.B):
-            loss, lg, g = forward_backward(stack[i], params, labels[i])
-            assert abs(loss - losses[i]) <= 1e-12
-            np.testing.assert_allclose(lg, logits[i], rtol=0, atol=1e-12)
-            total += g.flat
-        np.testing.assert_allclose(grads.flatten(), total, rtol=0, atol=1e-12)
+        # D=512 and C=7 are the CK+- and AFEW-shaped workloads': K=3 frames a
+        # training batch, 1 to 64 and more a scoring stack
+        for k, d, c in [(3, 4, 3), (1, 512, 7), (3, 512, 7), (64, 512, 7)]:
+            stack, params, labels = self.batch(mode, 53, k=k, d=d, c=c)
+            logits, trace, losses, grads = model._kernel(stack, params, labels)
+            total = np.zeros_like(params.flat)
+            for i in range(self.B):
+                loss, lg, g = forward_backward(stack[i], params, labels[i])
+                assert abs(loss - losses[i]) <= 1e-12
+                np.testing.assert_allclose(lg, logits[i], rtol=0, atol=1e-12)
+                total += g.flat
+            np.testing.assert_allclose(grads.flatten(), total, rtol=0, atol=1e-12)
+            if k == 1:  # a single frame passes through exactly, in every half
+                np.testing.assert_array_equal(trace.final_weights, 1.0)
+                halves = 2 if mode is Mode.FULL else 1
+                np.testing.assert_array_equal(trace.aggregate, np.tile(stack[:, 0], halves))
 
     @pytest.mark.parametrize("mode,low,high", [
         (Mode.FULL, 40.0, 300.0),
@@ -693,7 +706,7 @@ class TestScore:
         for f in seen:
             b, k, d = f.shape
             assert f.dtype == np.float64
-            cost = 8 * model._FRAME_TEMPS * k + d * (8 * 4 + 12 * k)
+            cost = 8 * model._FRAME_TEMPS * k + d * (8 * 2 + 12 * k)
             assert b == 1 or b * cost <= budget, (b, k)
         assert len(seen) == (8 if budget == 1000 else 6)
         # random frames tell the videos apart: every selected position,
@@ -771,6 +784,20 @@ class TestScore:
         s = score(params, ds, [0, 2], np.array([[2, 0], [1, 1]]))
         assert s.logits.shape == (2, 3) and s.offsets.tolist() == [0, 2, 4]
 
+    def test_picks_given_as_lists_pass_the_same_checks(self):
+        ds = video_dataset([3, 3, 3], self.D, seed=5)
+        params = random_params(self.D, 3, Mode.FULL, seed=5)
+        got = score(params, ds, [0, 2], [[2, 0], [1, 1]])
+        want = score(params, ds, [0, 2], np.array([[2, 0], [1, 1]]))
+        for field in Scored._fields:
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        for picks in ([[0, 3]], [[0.0, 1.0]], [[True, False]]):
+            with pytest.raises(IndexError, match="^picks must be integer frame positions"):
+                score(params, ds, [0], picks)
+        for picks in ([0, 1], [[]], [[0, 1], [2]], [[0, 1], [1, 2]], [["0", "1"]]):
+            with pytest.raises(DimensionError, match="^picks"):
+                score(params, ds, [0], picks)
+
     def test_errors_name_the_dataset_index(self):
         ds = video_dataset(self.LENGTHS, self.D)
         frames, offsets = ds.packed().frames, ds.packed().offsets
@@ -791,6 +818,19 @@ class TestScore:
         params = head(np.zeros(2))
         s = score(params, ds)
         np.testing.assert_array_equal(s.final_weights, [0.5, 0.5, 1 / 3, 1 / 3, 1 / 3])
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_kernel_temporaries_are_the_count_the_budget_takes(self, mode):
+        # at D=1 the per-frame arrays are all there is; frames far below
+        # zero make every weight product underflow, the kernel's widest path
+        b, k = 4, 5000
+        params = head(np.ones(1), q1=[1.0, 0.0], mode=mode, c=3)
+        f = -800.0 - np.random.default_rng(6).random((b, k, 1))
+        tracemalloc.start()
+        model._kernel(f, params)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 8 * model._FRAME_TEMPS * b * k + 4096, peak / (8 * b * k)
 
     @pytest.mark.parametrize("d, videos, longest", [(16, 2000, 80), (512, 300, 40)])
     def test_memory_stays_within_a_fixed_bound(self, d, videos, longest):

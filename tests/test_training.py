@@ -302,13 +302,14 @@ class TestTrainLoop:
             train(ds, TrainConfig(total_epochs=1), train_indices=[])
 
     def test_numeric_error_names_epoch_batch_and_instance(self):
-        # instance 5's features overflow its logits (1e308) or, with its
-        # logits still finite, its gradients (1e200)
+        # instance 5's features overflow its logits (all 1e308) or, with its
+        # logits still finite, its gradients (its own frames times -1e200)
         cfg = TrainConfig(schedule=[(0, 0.05)], total_epochs=1, seed=3,
                           batch_size=4, k=2)
-        for scale, stage in ((1e308, "forward"), (1e200, "backward")):
+        for fill, stage in ((lambda f: 1e308, "forward"), (lambda f: -1e200 * f, "backward")):
             ds = small_synth_float64()
-            ds.instances[5].features[:] = scale
+            features = ds.instances[5].features
+            features[:] = fill(features)
             lengths = [inst.features.shape[0] for inst in ds.instances]
             order, _ = training_draw(cfg.seed, 0, lengths, cfg.k)
             batch = int(np.flatnonzero(order == 5)[0]) // cfg.batch_size
@@ -318,7 +319,7 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("overrides, where", [
         ({"schedule": [(0, 1e100)]},
-         "epoch 2, batch 0, dataset index 15: backward pass produced non-finite gradients"),
+         "epoch 2, batch 0, dataset index 4: backward pass produced non-finite gradients"),
         ({"schedule": [(0, 1e308)], "weight_decay": 1e308},
          "epoch 0, batch 0: parameter 'q0' became non-finite during update"),
     ], ids=["kernel", "update"])
@@ -398,17 +399,16 @@ class TestTrainLoop:
         assert losses[-1] < losses[0]
 
     @pytest.mark.parametrize("mode,ckpt_sha256,history_sha256", [
-        (Mode.FULL, "527dde5749af21ec62caded827b0e29a0e4d19634067754dd32c2dfd7843952a",
-         "df4bfe0fb7d9bf60fb0ded72ffb424992d8f0e74da501261a8c2572c1b67f0b9"),
-        (Mode.SELF_ONLY, "3ecbe1b9a4f92e2da400c14d1f2b3ed5c0a68e83fe4bddf1daa1742f8c679a70",
+        (Mode.FULL, "3c8cc49f263e18a290a46f2de71e7bf58e070e7cd909786b2b5dc645eaab29a4",
+         "4f0751588878812298ad58d924bb425dbc0abb5f2cc6df0e2aa0b8210d2a06ad"),
+        (Mode.SELF_ONLY, "40ab2f2835fa5dd14fe5a9a39440e16baafbeee70b90572df7b0eafbe4e3d653",
          "3e8e18328049590dd47e89f12b2d5344fa37af370fb792d93397121966cf49aa"),
-    ])
+    ], ids=["full", "self_only"])
     def test_checkpoint_and_history_bytes_pinned(self, tmp_path, mode, ckpt_sha256,
                                                  history_sha256):
-        # pinned before the step took its cross-entropy unchecked, its
-        # sigmoid with one division, its weights as direct products and its
-        # gradients written in place (x86-64, numpy 2.4, OpenBLAS): a
-        # reordered sum or a rounded-differently weight changes these bytes
+        # pinned with the kernel on per-frame projections (x86-64, numpy
+        # 2.4, OpenBLAS): a reordered sum or a rounded-differently weight
+        # changes these bytes
         cfg = TrainConfig(total_epochs=5, batch_size=4, k=2, seed=3, mode=mode,
                           weight_decay=0.01)
         params, history = train(small_synth(), cfg, val_indices=[0, 7, 13])
