@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -44,6 +45,9 @@ _PRESETS = {
     "synth-default": synth_default_config,
 }
 
+# the synth flags that are not named after their SynthConfig field
+_SYNTH_FLAGS = {"num_classes": "classes", "peak_frames": "peaks", "subject_count": "subjects"}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1."""
@@ -63,13 +67,10 @@ def _log(msg: str) -> None:
 
 
 def _train_config(args) -> TrainConfig:
-    overrides = {"seed": args.seed, "mode": Mode(args.mode.replace("-", "_"))}
-    named = {"total_epochs": args.epochs, "batch_size": args.batch_size, "k": args.k,
-             "momentum": args.momentum, "weight_decay": args.weight_decay}
-    overrides.update({key: value for key, value in named.items() if value is not None})
-    if args.lr is not None:
-        overrides["schedule"] = [(0, args.lr)]
-    return _PRESETS[args.preset](**overrides)
+    # every TrainConfig field has a flag of that dest; the unset ones are None
+    given = {f.name: getattr(args, f.name) for f in fields(TrainConfig)
+             if getattr(args, f.name) is not None}
+    return _PRESETS[args.preset](**{**given, "mode": Mode(args.mode.replace("-", "_"))})
 
 
 def _load_data(args):
@@ -183,11 +184,10 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    # the parser holds only the flags given; SynthConfig supplies the rest
-    names = {"classes": "num_classes", "peaks": "peak_frames", "subjects": "subject_count"}
-    given = {names.get(key, key): value for key, value in vars(args).items()}
-    config = SynthConfig(**{key: value for key, value in given.items()
-                            if key in SynthConfig.__dataclass_fields__})
+    # the parser holds only the flags given, each under its field's name;
+    # SynthConfig supplies the rest
+    config = SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)
+                            if hasattr(args, f.name)})
     dataset = synth_generate(config)
     write_feature_file(dataset, args.out)
     _emit({
@@ -210,15 +210,16 @@ def cmd_visualize(args) -> int:
 
 
 def _add_train_flags(p) -> None:
+    """The train and cv settings; each flag's dest is its TrainConfig field."""
     p.add_argument("--preset", choices=sorted(_PRESETS), default="synth-default")
     p.add_argument("--mode", choices=["full", "self-only", "self_only"],
                    default="full")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--epochs", dest="total_epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--lr", type=float,
-                   help="replace the preset schedule with a constant rate")
+    p.add_argument("--lr", dest="schedule", type=lambda rate: [(0, float(rate))],
+                   metavar="LR", help="replace the preset schedule with a constant rate")
     p.add_argument("--momentum", type=float)
     p.add_argument("--weight-decay", type=float)
 
@@ -272,18 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a planted-peak feature file",
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
-    p.add_argument("--videos-per-class", type=int)
-    p.add_argument("--frames-min", type=int)
-    p.add_argument("--frames-max", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--peaks", type=int)
-    p.add_argument("--signal", type=float)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--subjects", type=int)
-    p.add_argument("--terminal-peak", action="store_true",
-                   help="place peaks at the end of each video")
+    for f in fields(SynthConfig):  # each flag's dest is its field
+        flag = "--" + _SYNTH_FLAGS.get(f.name, f.name).replace("_", "-")
+        if isinstance(f.default, bool):
+            p.add_argument(flag, dest=f.name, action="store_true",
+                           help="place peaks at the end of each video")
+        else:
+            p.add_argument(flag, dest=f.name, type=type(f.default))
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("visualize",

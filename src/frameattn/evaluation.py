@@ -10,7 +10,9 @@ The baseline trains an affine per-frame classifier through the attention
 head's own loop (training.fit), on the same minibatches and optimizer
 settings, and fuses a video's decision by summing its per-frame scores.
 Summation is over raw logits by default; pass fusion="probs" to sum softmax
-probabilities instead (the argmax can differ).
+probabilities instead (the argmax can differ). Its held-out videos are
+scored on the stacks of model.score's walk (model.equal_length_stacks), and
+both heads' decisions go through one tally (_tally).
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from .training import TrainConfig, fit, train, training_split
 
 @dataclass
 class EvalReport:
-    """Accuracy summary over one evaluation pass. `evaluate` also keeps the
-    predicted class of each video it tallied, in the order it scored them;
-    pooled and baseline reports have none."""
+    """Accuracy summary over one evaluation pass. `evaluate` and the
+    baseline also keep the predicted class of each video they tallied, in
+    the order of their selection; pooled reports have none."""
 
     accuracy: float
     per_class_accuracy: list[float]
@@ -69,6 +71,15 @@ def _report_from_confusion(confusion: np.ndarray, predictions=None) -> EvalRepor
     )
 
 
+def _tally(labels: np.ndarray, scores: np.ndarray, num_classes: int) -> EvalReport:
+    """The report of videos with these labels and (n, C) scores: each
+    decision is its row's argmax (the lowest class on a tie)."""
+    preds = np.argmax(scores, axis=1)
+    confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
+    np.add.at(confusion, (labels, preds), 1)
+    return _report_from_confusion(confusion, preds)
+
+
 def evaluate(params: FanParams, dataset: Dataset, frame_mode: str = "all",
              k: int = 3, seed: int = 0,
              indices: list[int] | None = None) -> EvalReport:
@@ -92,10 +103,7 @@ def evaluate(params: FanParams, dataset: Dataset, frame_mode: str = "all",
                           for n, i in zip(packed.lengths(indices).tolist(), indices.tolist())],
                          dtype=np.int64).reshape(len(indices), k)
     scored = model.score(params, dataset, indices, picks)
-    preds = np.argmax(scored.logits, axis=1)
-    confusion = np.zeros((dataset.num_classes, dataset.num_classes), dtype=np.int64)
-    np.add.at(confusion, (scored.labels, preds), 1)
-    return _report_from_confusion(confusion, preds)
+    return _tally(scored.labels, scored.logits, dataset.num_classes)
 
 
 def cross_validate(
@@ -134,14 +142,20 @@ def score_fusion_baseline(
     Training is training.fit on one flat vector of weights and bias: each
     sampled frame is an independent sample, and batch gradients are averaged
     over the batch's B*k frames. test_indices defaults to the training split
-    (in-sample report); both are read by PackedFrames.select. The decision
-    is invariant to any positive scaling of a video's frame scores. A non-finite frame score raises NumericError
-    naming the dataset index (and, in training, the epoch and batch).
+    (in-sample report); both are read by PackedFrames.select. The held-out
+    videos are scored on the stacks of model.equal_length_stacks, one at a
+    time, and tallied as evaluate tallies; the report keeps the
+    predictions, in the order of test_indices. The decision is invariant
+    to any positive scaling of a video's frame scores. A non-finite frame
+    score raises NumericError naming the dataset index: in training, with
+    the epoch and batch; in the held-out pass, of the first bad video in
+    length order, as model.score names it.
     """
     if fusion not in ("logits", "probs"):
         raise ConfigError(f"unknown fusion '{_shown(fusion, str)}'")
     train_indices = training_split(dataset, config, train_indices)
-    test_indices = train_indices if test_indices is None else dataset.packed().select(test_indices)
+    packed = dataset.packed()
+    test_indices = packed.select(train_indices if test_indices is None else test_indices)
 
     d, c = dataset.dim, dataset.num_classes
     blocks = model.blocks_of([("baseline_w", (c, d)), ("baseline_b", (c,))])
@@ -165,15 +179,18 @@ def score_fusion_baseline(
 
     for _ in fit(dataset, config, train_indices, params, blocks, step):
         pass
-    labels = dataset.packed().labels
-    confusion = np.zeros((c, c), dtype=np.int64)
-    for idx in test_indices:
-        frame_logits = dataset.instances[idx].features @ w.T + b
-        if not np.isfinite(frame_logits).all():  # a value written in place
-            raise NumericError(f"dataset index {idx}: baseline produced non-finite scores")
-        scores = (softmax(frame_logits) if fusion == "probs" else frame_logits).sum(axis=0)
-        confusion[labels[idx], int(np.argmax(scores))] += 1
-    return _report_from_confusion(confusion)
+    scores = np.empty((len(test_indices), c))
+    for pos, f in model.equal_length_stacks(packed, test_indices, packed.lengths(test_indices)):
+        k = f.shape[1]
+        frame_scores = f.reshape(-1, d) @ w.T + b
+        del f  # so that the next stack is gathered after this one is gone
+        if not np.isfinite(frame_scores).all():  # a value written in place
+            row = int(np.argmin(np.isfinite(frame_scores).all(axis=1))) // k
+            raise NumericError(f"dataset index {test_indices[pos[row]]}: "
+                               "baseline produced non-finite scores")
+        fused = softmax(frame_scores) if fusion == "probs" else frame_scores
+        scores[pos] = fused.reshape(len(pos), k, c).sum(axis=1)
+    return _tally(packed.labels[test_indices], scores, c)
 
 
 def _csv_field(text: str) -> str:

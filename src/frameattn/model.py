@@ -48,7 +48,9 @@ returns the gradients, summed over B.
 score runs the head over the videos of a dataset in equal-length
 buckets: the selection sorted by length, each run of one length cut into
 stacks whose working set is about SCORE_CHUNK_BYTES, so the frames held at
-a time do not grow with the dataset.
+a time do not grow with the dataset. That walk is one generator,
+equal_length_stacks, which the score-fusion baseline's held-out pass
+(evaluation.score_fusion_baseline) also iterates.
 """
 
 from __future__ import annotations
@@ -343,7 +345,7 @@ def forward(features, params: FanParams) -> tuple[np.ndarray, AttentionTrace]:
     return logits[0], AttentionTrace(**{k: v[0] for k, v in vars(trace).items()})
 
 
-# score holds one stack of equal-length videos at a time, sized to keep its
+# equal_length_stacks cuts stacks of equal-length videos, sized to keep a
 # working set within SCORE_CHUNK_BYTES: per frame, its D-wide row as gathered
 # and widened to float64 (12 bytes an element whatever the stored dtype, so
 # that float32 and float64 frames are cut into the same stacks and give the
@@ -352,7 +354,8 @@ def forward(features, params: FanParams) -> tuple[np.ndarray, AttentionTrace]:
 # projections, alpha, beta, both weight rows, the products and the scaled
 # path's mantissas and exponents); per video, its two D-wide means (the top
 # half and the anchor, of which the aggregate is a view). A video over the
-# budget on its own is a stack of its own.
+# budget on its own is a stack of its own. The score-fusion baseline walks
+# the same stacks and drops each one once it holds its C scores a frame.
 SCORE_CHUNK_BYTES = 1 << 20
 _FRAME_TEMPS = 14
 
@@ -385,11 +388,9 @@ def score(params: FanParams, dataset, indices=None, picks=None) -> Scored:
     Returns one Scored, the videos in the order of indices; it holds 16
     bytes a frame and C logits a video of the selection.
 
-    The videos are run through _kernel in buckets of one length: sorted by
-    length (a stable sort), each run of one length cut into stacks within
-    SCORE_CHUNK_BYTES and gathered one stack at a time as float64
-    (PackedFrames.stack), not checked again: the dataset checked its frames
-    when they entered it. A non-finite
+    The videos are run through _kernel in buckets of one length, one stack
+    at a time, as equal_length_stacks gathers them, and not checked again:
+    the dataset checked its frames when they entered it. A non-finite
     logit, which a non-finite value written into them in place also gives,
     raises NumericError naming the dataset index of the first bad video in
     length order, not in the order of indices.
@@ -411,27 +412,42 @@ def score(params: FanParams, dataset, indices=None, picks=None) -> Scored:
     local = np.concatenate(([0], np.cumsum(lengths)))
     logits = np.empty((len(indices), c))
     alpha, final = np.empty(local[-1]), np.empty(local[-1])
+    for pos, f in equal_length_stacks(packed, indices, lengths, picks):
+        try:
+            logits[pos], trace, _, _ = _kernel(f, params)
+        except NumericError as e:
+            raise NumericError(f"dataset index {indices[pos[e.row]]}: {e}") from e
+        cells = local[pos, None] + np.arange(f.shape[1])
+        alpha[cells] = trace.alpha
+        final[cells] = trace.final_weights
+        del f, trace  # so that the next stack is gathered after this one is gone
+    return Scored(indices, packed.labels[indices], local, logits, alpha, final)
 
+
+def equal_length_stacks(packed, indices: np.ndarray, lengths: np.ndarray, picks=None):
+    """The walk of a scoring pass over the videos at dataset indices
+    `indices` of a data.PackedFrames, `lengths` their frame counts (with
+    picks, the pick count k of every video).
+
+    Yields (positions, stack): the selection is sorted by length (a stable
+    sort), each run of one length cut into stacks within SCORE_CHUNK_BYTES,
+    and each stack gathered as float64 (PackedFrames.stack) only when it is
+    reached. positions index `indices`; stack row b holds every frame of
+    video indices[positions[b]], or its frames picks[positions[b]]. The
+    stack is handed over and not kept here, so a caller that drops it
+    before asking for the next holds one stack at a time.
+    """
+    d = packed.frames.shape[1]
     order = np.argsort(lengths, kind="stable")
     # the first position of each run of one length (every length is >= 1)
     firsts = np.flatnonzero(np.diff(lengths[order], prepend=0)).tolist()
     for lo, hi in zip(firsts, firsts[1:] + [len(order)]):
         k = int(lengths[order[lo]])
-        frame_ids = np.arange(k)
         cost = 8 * _FRAME_TEMPS * k + d * (8 * 2 + 12 * k)
         step = max(1, SCORE_CHUNK_BYTES // cost)
         for at in range(lo, hi, step):
             pos = order[at:min(at + step, hi)]
-            f = packed.stack(indices[pos], frame_ids if picks is None else picks[pos])
-            try:
-                logits[pos], trace, _, _ = _kernel(f, params)
-            except NumericError as e:
-                raise NumericError(f"dataset index {indices[pos[e.row]]}: {e}") from e
-            cells = local[pos, None] + frame_ids
-            alpha[cells] = trace.alpha
-            final[cells] = trace.final_weights
-            del f, trace  # so that the next stack is gathered after this one is gone
-    return Scored(indices, packed.labels[indices], local, logits, alpha, final)
+            yield pos, packed.stack(indices[pos], np.arange(k) if picks is None else picks[pos])
 
 
 def predict(logits) -> int:
@@ -447,7 +463,8 @@ def backward(features, params: FanParams, label: int) -> tuple[float, FanParams]
 
 
 def forward_backward(features, params: FanParams, label: int):
-    """Like backward but also returns the logits, for training-loop metrics."""
+    """Like backward but also returns the logits; one video's loss, logits
+    and gradients (the training loop calls _kernel on whole minibatches)."""
     f = _frames(features, params)
     require_integer("label", label, error=IndexError)
     if not 0 <= label < params.num_classes:  # the kernel takes labels unchecked

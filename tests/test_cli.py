@@ -1,10 +1,14 @@
 import hashlib
 import json
+from dataclasses import fields, replace
 
 import pytest
 
 from frameattn import cli
 from frameattn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from frameattn.data import SynthConfig
+from frameattn.model import Mode
+from frameattn.training import TrainConfig, synth_default_config
 
 TINY_SYNTH = ["synth", "--videos-per-class", "5", "--frames-min", "3",
               "--frames-max", "5", "--dim", "6", "--classes", "3",
@@ -63,6 +67,74 @@ class TestSynthCommand:
         err = run_rejected(capsys, "synth", flag, value, "--out", str(out))
         assert f"{flag[2:]} must be finite, got {value}" in err
         assert not out.exists()
+
+
+# flag, config field, the text given, the value the field must then hold
+SYNTH_FLAGS = [
+    ("--videos-per-class", "videos_per_class", "3", 3),
+    ("--frames-min", "frames_min", "2", 2),
+    ("--frames-max", "frames_max", "9", 9),
+    ("--dim", "dim", "5", 5),
+    ("--classes", "num_classes", "2", 2),
+    ("--peaks", "peak_frames", "2", 2),
+    ("--signal", "signal", "2.5", 2.5),
+    ("--noise", "noise", "0.5", 0.5),
+    ("--seed", "seed", "11", 11),
+    ("--subjects", "subject_count", "4", 4),
+    ("--terminal-peak", "terminal_peak", None, True),
+]
+TRAIN_FLAGS = [
+    ("--epochs", "total_epochs", "5", 5),
+    ("--batch-size", "batch_size", "7", 7),
+    ("--k", "k", "4", 4),
+    ("--lr", "schedule", "0.5", [(0, 0.5)]),
+    ("--momentum", "momentum", "0.5", 0.5),
+    ("--weight-decay", "weight_decay", "0.25", 0.25),
+    ("--seed", "seed", "11", 11),
+    ("--mode", "mode", "self-only", Mode.SELF_ONLY),
+]
+
+
+class Captured(Exception):
+    """Raised by a stand-in for the call that receives the config."""
+
+
+class TestFlagsReachTheirFields:
+    def test_every_config_field_has_a_flag(self):
+        assert [f.name for f in fields(SynthConfig)] == [row[1] for row in SYNTH_FLAGS]
+        assert sorted(f.name for f in fields(TrainConfig)) == sorted(row[1] for row in TRAIN_FLAGS)
+
+    @pytest.mark.parametrize("flag, name, text, value", SYNTH_FLAGS)
+    def test_synth_flag(self, tmp_path, monkeypatch, flag, name, text, value):
+        seen = []
+
+        def synth_generate(config):
+            seen.append(config)
+            raise Captured
+
+        monkeypatch.setattr(cli, "synth_generate", synth_generate)
+        assert getattr(SynthConfig(), name) != value
+        with pytest.raises(Captured):
+            main(["synth", flag, *([text] if text else []), "--out", str(tmp_path / "x.fanf")])
+        assert seen == [replace(SynthConfig(), **{name: value})]
+
+    @pytest.mark.parametrize("flag, name, text, value", TRAIN_FLAGS)
+    @pytest.mark.parametrize("command, receiver", [("train", "train"), ("cv", "cross_validate")])
+    def test_train_flag(self, tiny_data, tmp_path, monkeypatch, command, receiver,
+                        flag, name, text, value):
+        seen = []
+
+        def receive(dataset, config, *rest, **options):
+            seen.append(config)
+            raise Captured
+
+        monkeypatch.setattr(cli, receiver, receive)
+        # the CLI's --seed default is 7; the preset is synth-default
+        assert getattr(synth_default_config(seed=7), name) != value
+        extra = ["--out", str(tmp_path / "m.fanp")] if command == "train" else []
+        with pytest.raises(Captured):
+            main([command, "--data", tiny_data, flag, text, *extra])
+        assert seen == [synth_default_config(**{"seed": 7, name: value})]
 
 
 class TestTrainCommand:

@@ -9,6 +9,7 @@ import pytest
 from frameattn import model
 from frameattn.data import (
     Dataset,
+    PackedFrames,
     SynthConfig,
     VideoInstance,
     build_folds,
@@ -225,6 +226,24 @@ class TestScoreFusionBaseline:
         with pytest.raises(NumericError, match=r"^epoch 0, batch \d+, dataset index 5: "
                                                r"baseline produced non-finite scores$"):
             score_fusion_baseline(ds, TrainConfig(total_epochs=1, k=2), fusion=fusion)
+
+    def test_held_out_videos_are_gathered_through_the_packed_stack(self, monkeypatch):
+        # the held-out pass reads frames only as PackedFrames.stack gathers
+        # them; with no epochs, training gathers none
+        ds = synth_generate(SynthConfig(videos_per_class=6, frames_min=3, frames_max=5,
+                                        dim=6, num_classes=3, subject_count=12, seed=1))
+        train_idx, test_idx = split_by_fold(ds, build_folds(ds, 3), 0)
+        gathered = []
+        stack = PackedFrames.stack
+
+        def recording(self, videos, picks):
+            gathered.extend(videos.tolist())
+            return stack(self, videos, picks)
+
+        monkeypatch.setattr(PackedFrames, "stack", recording)
+        report = score_fusion_baseline(ds, NO_EPOCHS, train_idx, test_idx)
+        assert sorted(gathered) == sorted(test_idx)
+        assert report.count == len(test_idx)
 
     @pytest.mark.parametrize("fusion, sha256", [
         ("logits", "b98b7e6d83351cfd79483c0e689c66e2a5e0d4fa3878464a070f91bc53d9d04d"),

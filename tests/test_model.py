@@ -9,6 +9,7 @@ import pytest
 from frameattn import model
 from frameattn.data import Dataset, VideoInstance
 from frameattn.errors import DataError, DimensionError, NumericError
+from frameattn.evaluation import score_fusion_baseline
 from frameattn.numerics import as_matrix, finite_diff_gradient, relative_error
 from frameattn.model import (
     FanParams,
@@ -24,6 +25,8 @@ from frameattn.model import (
     predict,
     score,
 )
+
+from frameattn.training import TrainConfig
 
 from scalar_oracle import forward_logits as oracle_logits
 
@@ -832,17 +835,27 @@ class TestScore:
         tracemalloc.stop()
         assert peak <= 8 * model._FRAME_TEMPS * b * k + 4096, peak / (8 * b * k)
 
-    @pytest.mark.parametrize("d, videos, longest", [(16, 2000, 80), (512, 300, 40)])
-    def test_memory_stays_within_a_fixed_bound(self, d, videos, longest):
+    @pytest.mark.parametrize("caller, d, videos, longest", [
+        pytest.param("score", 16, 2000, 80, id="16-2000-80"),
+        pytest.param("score", 512, 300, 40, id="512-300-40"),
+        pytest.param("baseline", 16, 2000, 80, id="baseline-16-2000-80"),
+        pytest.param("baseline", 512, 300, 40, id="baseline-512-300-40"),
+    ])
+    def test_memory_stays_within_a_fixed_bound(self, caller, d, videos, longest):
         # whole-dataset temporaries would be far larger: (frames,) vectors
         # are 0.7 MB at D=16, per-video D-wide means 4.9 MB and the frame
-        # matrix 30 MB at D=512
+        # matrix 30 MB at D=512; both walks of equal_length_stacks (the head's
+        # score and the baseline's held-out pass) hold one stack at a time
         rng = np.random.default_rng(5)
         ds = video_dataset(rng.integers(8, longest + 1, videos), d, c=7)
         params = random_params(d, 7, Mode.FULL)
+        untrained = TrainConfig(total_epochs=0)
+        run = {"score": lambda indices: score(params, ds, indices),
+               "baseline": lambda indices: score_fusion_baseline(
+                   ds, untrained, test_indices=indices)}[caller]
         for indices in (None, np.arange(videos)[::-2]):
             tracemalloc.start()
-            score(params, ds, indices)
+            run(indices)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             assert peak < 3e6, (indices is None, peak)
