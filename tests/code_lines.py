@@ -9,8 +9,9 @@ or function body) are not code lines. Prints, per module and in total, the
 line count (as ``wc -l`` gives it) and the code-line count. With
 ``--parent DIR``, the root of another checkout (for example the parent
 commit, made with ``git archive``), it also prints that checkout's counts
-and the change; a module that one side lacks counts 0 there. Not collected
-by pytest.
+and the change; a module that one side lacks counts 0 there. Both roots
+are printed first. A DIR that is this checkout itself, or that holds no
+``src/frameattn``, is refused with exit code 2. Not collected by pytest.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, help="root of the checkout to compare with")
     args = parser.parse_args(argv)
+    if args.parent and args.parent.resolve() == ROOT:
+        parser.error(f"--parent {args.parent} is this checkout")
+    if args.parent and not (args.parent / "src" / "frameattn").is_dir():
+        parser.error(f"--parent {args.parent} holds no src/frameattn")
     change = tree_counts(ROOT)
     parent = tree_counts(args.parent) if args.parent else {}
     rows = [(name, change.get(name, (0, 0)), parent.get(name, (0, 0)))
@@ -69,6 +74,7 @@ def main(argv=None) -> int:
         for name, (lines, code), _ in rows:
             print(f"{name:<16}{lines:>7}{code:>7}")
         return 0
+    print(f"parent: {args.parent.resolve()}\nchange: {ROOT}")
     print(f"{'module':<16}{'lines':^18}{'code':^18}")
     for name, (lines, code), (p_lines, p_code) in rows:
         print(f"{name:<16}{p_lines:>5} -> {lines:<5}{lines - p_lines:+4}"

@@ -344,6 +344,7 @@ class TestSynth:
         case("seed", 1.5, "seed must be an integer, got 1.5"),
         case("signal", "8", "signal must be a real number, got '8'"),
         case("noise", False, "noise must be a real number, got False"),
+        case("terminal_peak", "no", "terminal_peak must be a bool, got 'no'"),
         # too large for a float: math.isfinite would raise OverflowError
         case("signal", 10**400, "signal must be finite, got 1" + "0" * 400,
              "signal-too-large-for-a-float"),

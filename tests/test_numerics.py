@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frameattn.errors import DataError, DimensionError, NumericError
 from frameattn.model import gradient_check, init_params
@@ -195,7 +197,41 @@ class TestValidation:
         assert relative_error([0.0], [0.0]) == 0.0
 
 
+def first_nonfinite_row_oracle(arr):
+    """first_nonfinite_row row by row and value by value, with math.isfinite."""
+    for r, row in enumerate(arr.tolist()):
+        if not all(math.isfinite(v) for v in row):
+            return r
+    return None
+
+
 class TestFirstNonfiniteRow:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(dtype=st.sampled_from([np.float16, np.float32, np.float64, np.int64, np.int8,
+                                  np.uint16, np.bool_]),
+           rows=st.integers(1, 8), cols=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_agrees_with_a_row_by_row_oracle(self, dtype, rows, cols, seed, data):
+        rng = np.random.default_rng(seed)
+        if dtype is np.bool_:
+            arr = rng.random((rows, cols)) < 0.5
+        elif np.dtype(dtype).kind in "iu":
+            info = np.iinfo(dtype)
+            arr = rng.integers(info.min, info.max, (rows, cols), endpoint=True).astype(dtype)
+        else:
+            # a row of large values of one sign is finite, but its sum is
+            # not when it has two or more columns
+            big = rng.random(rows) < 0.5
+            scale = np.where(big, np.finfo(dtype).max, 1.0)[:, None]
+            sign = np.where(rng.random(rows) < 0.5, -1.0, 1.0)[:, None]
+            arr = (sign * scale * rng.uniform(0.6, 1.0, (rows, cols))).astype(dtype)
+            planted = data.draw(st.lists(st.tuples(
+                st.integers(0, rows - 1), st.integers(0, cols - 1),
+                st.sampled_from([np.nan, np.inf, -np.inf])), max_size=3))
+            for r, c, bad in planted:
+                arr[r, c] = bad
+        assert first_nonfinite_row(arr) == first_nonfinite_row_oracle(arr)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_names_the_first_bad_row(self, dtype, bad):
