@@ -10,9 +10,10 @@ The baseline trains an affine per-frame classifier through the attention
 head's own loop (training.fit), on the same minibatches and optimizer
 settings, and fuses a video's decision by summing its per-frame scores.
 Summation is over raw logits by default; pass fusion="probs" to sum softmax
-probabilities instead (the argmax can differ). Its held-out videos are
-scored on the stacks of model.score's walk (model.equal_length_stacks), and
-both heads' decisions go through one tally (_tally).
+probabilities instead (the argmax can differ). One function scores and
+checks its frames, for its training step and as the head that
+model.score's walk (model.equal_length_stacks) runs on its held-out
+videos' stacks; both heads' decisions go through one tally (_tally).
 """
 
 from __future__ import annotations
@@ -58,13 +59,10 @@ def _report_from_confusion(confusion: np.ndarray, predictions=None) -> EvalRepor
         raise ConfigError("evaluation saw no instances")
     row_sums = confusion.sum(axis=1)
     diag = np.diag(confusion)
-    per_class = [
-        float(diag[c] / row_sums[c]) if row_sums[c] > 0 else 0.0
-        for c in range(confusion.shape[0])
-    ]
     return EvalReport(
         accuracy=float(diag.sum() / total),
-        per_class_accuracy=per_class,
+        per_class_accuracy=np.divide(diag, row_sums, out=np.zeros(len(diag)),
+                                     where=row_sums > 0).tolist(),
         confusion=confusion,
         count=total,
         predictions=predictions,
@@ -142,14 +140,16 @@ def score_fusion_baseline(
     Training is training.fit on one flat vector of weights and bias: each
     sampled frame is an independent sample, and batch gradients are averaged
     over the batch's B*k frames. test_indices defaults to the training split
-    (in-sample report); both are read by PackedFrames.select. The held-out
-    videos are scored on the stacks of model.equal_length_stacks, one at a
-    time, and tallied as evaluate tallies; the report keeps the
-    predictions, in the order of test_indices. The decision is invariant
-    to any positive scaling of a video's frame scores. A non-finite frame
-    score raises NumericError naming the dataset index: in training, with
-    the epoch and batch; in the held-out pass, of the first bad video in
-    length order, as model.score names it.
+    (in-sample report); both are read by PackedFrames.select. One closure,
+    frame_scores, gives a stack's per-frame scores for the training step
+    and is the head model.equal_length_stacks runs on the held-out videos'
+    stacks, one at a time. Their decisions are tallied as evaluate tallies,
+    and the report keeps the predictions, in the order of test_indices. The
+    decision is invariant to any positive scaling of a video's frame
+    scores. A non-finite frame score raises NumericError naming the
+    dataset index: in training, with the epoch and batch (training.fit
+    names it); in the held-out pass, of the first bad video in length
+    order (the walk names it, as for model.score).
     """
     if fusion not in ("logits", "probs"):
         raise ConfigError(f"unknown fusion '{_shown(fusion, str)}'")
@@ -164,32 +164,31 @@ def score_fusion_baseline(
     b = params[blocks[1].slice]
     grads = np.empty_like(params)
 
-    def step(stack, labels):
-        frames = stack.reshape(-1, d)
-        logits = frames @ w.T + b
-        if not np.isfinite(logits).all():  # a value written into the frames in place
-            row = int(np.argmin(np.isfinite(logits).all(axis=1))) // config.k
+    def frame_scores(stack):
+        """The (B*K, C) scores of a (B, K, D) stack's frames, video after
+        video; a non-finite one raises NumericError whose row is its video's."""
+        scores = stack.reshape(-1, d) @ w.T + b
+        if not np.isfinite(scores).all():  # a value written into the frames in place
+            row = int(np.argmin(np.isfinite(scores).all(axis=1))) // stack.shape[1]
             raise NumericError("baseline produced non-finite scores", row=row)
+        return scores
+
+    def step(stack, labels):
+        logits = frame_scores(stack)
         labels = np.repeat(labels, config.k)
         losses, g = _xent(logits, labels)
-        g /= len(frames)
-        grads[blocks[0].slice] = (g.T @ frames).ravel()
+        g /= len(logits)
+        grads[blocks[0].slice] = (g.T @ stack.reshape(-1, d)).ravel()
         grads[blocks[1].slice] = g.sum(axis=0)
         return float(losses.sum()), int((logits.argmax(axis=1) == labels).sum()), grads
 
     for _ in fit(dataset, config, train_indices, params, blocks, step):
         pass
     scores = np.empty((len(test_indices), c))
-    for pos, f in model.equal_length_stacks(packed, test_indices, packed.lengths(test_indices)):
-        k = f.shape[1]
-        frame_scores = f.reshape(-1, d) @ w.T + b
-        del f  # so that the next stack is gathered after this one is gone
-        if not np.isfinite(frame_scores).all():  # a value written in place
-            row = int(np.argmin(np.isfinite(frame_scores).all(axis=1))) // k
-            raise NumericError(f"dataset index {test_indices[pos[row]]}: "
-                               "baseline produced non-finite scores")
-        fused = softmax(frame_scores) if fusion == "probs" else frame_scores
-        scores[pos] = fused.reshape(len(pos), k, c).sum(axis=1)
+    for pos, s in model.equal_length_stacks(packed, test_indices, packed.lengths(test_indices),
+                                            frame_scores):
+        fused = softmax(s) if fusion == "probs" else s
+        scores[pos] = fused.reshape(len(pos), -1, c).sum(axis=1)
     return _tally(packed.labels[test_indices], scores, c)
 
 

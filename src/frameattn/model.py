@@ -49,8 +49,10 @@ score runs the head over the videos of a dataset in equal-length
 buckets: the selection sorted by length, each run of one length cut into
 stacks whose working set is about SCORE_CHUNK_BYTES, so the frames held at
 a time do not grow with the dataset. That walk is one generator,
-equal_length_stacks, which the score-fusion baseline's held-out pass
-(evaluation.score_fusion_baseline) also iterates.
+equal_length_stacks, which runs a head on each stack: _kernel for score,
+the per-frame scorer of the score-fusion baseline's held-out pass
+(evaluation.score_fusion_baseline). It drops each stack once its head
+returns and names the dataset index of a failing video for both.
 """
 
 from __future__ import annotations
@@ -359,8 +361,8 @@ def forward(features, params: FanParams) -> tuple[np.ndarray, AttentionTrace]:
 # projections, alpha, beta, both weight rows, the products and the scaled
 # path's mantissas and exponents); per video, its two D-wide means (the top
 # half and the anchor, of which the aggregate is a view). A video over the
-# budget on its own is a stack of its own. The score-fusion baseline walks
-# the same stacks and drops each one once it holds its C scores a frame.
+# budget on its own is a stack of its own. The walk drops each stack once
+# its head returns; the score-fusion baseline's head keeps C scores a frame.
 # Bigger budgets score a little faster, from fewer stacks (an all-frame
 # evaluate of the AFEW-shaped benchmark file took 57 ms at 1 MiB and 47 ms
 # at 8 MiB on a 2-core x86-64 host), but hold more at once and raise the
@@ -421,30 +423,30 @@ def score(params: FanParams, dataset, indices=None, picks=None) -> Scored:
     local = np.concatenate(([0], np.cumsum(lengths)))
     logits = np.empty((len(indices), c))
     alpha, final = np.empty(local[-1]), np.empty(local[-1])
-    for pos, f in equal_length_stacks(packed, indices, lengths, picks):
-        try:
-            logits[pos], trace, _, _ = _kernel(f, params)
-        except NumericError as e:
-            raise NumericError(f"dataset index {indices[pos[e.row]]}: {e}") from e
-        cells = local[pos, None] + np.arange(f.shape[1])
+    for pos, (out, trace, _, _) in equal_length_stacks(
+            packed, indices, lengths, lambda f: _kernel(f, params), picks):
+        logits[pos] = out
+        cells = local[pos, None] + np.arange(trace.alpha.shape[1])
         alpha[cells] = trace.alpha
         final[cells] = trace.final_weights
-        del f, trace  # so that the next stack is gathered after this one is gone
     return Scored(indices, packed.labels[indices], local, logits, alpha, final)
 
 
-def equal_length_stacks(packed, indices: np.ndarray, lengths: np.ndarray, picks=None):
+def equal_length_stacks(packed, indices: np.ndarray, lengths: np.ndarray, head, picks=None):
     """The walk of a scoring pass over the videos at dataset indices
     `indices` of a data.PackedFrames, `lengths` their frame counts (with
-    picks, the pick count k of every video).
+    picks, the pick count k of every video), running `head` on each stack.
 
-    Yields (positions, stack): the selection is sorted by length (a stable
-    sort), each run of one length cut into stacks within SCORE_CHUNK_BYTES,
-    and each stack gathered as float64 (PackedFrames.stack) only when it is
-    reached. positions index `indices`; stack row b holds every frame of
-    video indices[positions[b]], or its frames picks[positions[b]]. The
-    stack is handed over and not kept here, so a caller that drops it
-    before asking for the next holds one stack at a time.
+    Yields (positions, head(stack)): the selection is sorted by length (a
+    stable sort), each run of one length cut into stacks within
+    SCORE_CHUNK_BYTES, and each stack gathered as float64
+    (PackedFrames.stack) only when it is reached. positions index
+    `indices`; stack row b holds every frame of video indices[positions[b]],
+    or its frames picks[positions[b]]. The walk keeps no stack once its
+    head returns, so it holds one stack at a time unless the head keeps
+    one. A NumericError from the head that carries a row, the stack row of
+    the first bad video, is raised again as "dataset index {i}: {message}",
+    i that video's dataset index.
     """
     d = packed.frames.shape[1]
     order = np.argsort(lengths, kind="stable")
@@ -456,7 +458,14 @@ def equal_length_stacks(packed, indices: np.ndarray, lengths: np.ndarray, picks=
         step = max(1, SCORE_CHUNK_BYTES // cost)
         for at in range(lo, hi, step):
             pos = order[at:min(at + step, hi)]
-            yield pos, packed.stack(indices[pos], np.arange(k) if picks is None else picks[pos])
+            frame_ids = np.arange(k) if picks is None else picks[pos]
+            try:
+                out = head(packed.stack(indices[pos], frame_ids))
+            except NumericError as e:
+                if e.row is None:
+                    raise
+                raise NumericError(f"dataset index {indices[pos[e.row]]}: {e}") from e
+            yield pos, out
 
 
 def predict(logits) -> int:

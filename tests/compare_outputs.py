@@ -26,7 +26,12 @@ relative paths on both sides:
     one video's frames as a float32 view, as ints and as bools, which the
     head widens to float64; and a small CSV of float64 values,
     imported with load_feature_csv, written back as csv.fanf and
-    evaluated.
+    evaluated;
+  * eval on sampled frames with --k 20, more than any video's frame
+    count, so every video has empty segments;
+  * a last API step that writes a NaN in place into one held-out video
+    and dumps, to nan.json, the error line of evaluate, export_attention
+    and score_fusion_baseline on the held-out fold.
 
 Each command's exit code, stdout and stderr are compared, and then every
 file left in the two working directories, byte for byte. Python warning
@@ -111,6 +116,35 @@ with open("api.json", "w") as f:
     json.dump(out, f, indent=1)
 """
 
+# A NaN written in place into one held-out video, after packing: the error
+# line each scoring path gives, dumped to nan.json.
+NAN_IN_PLACE = f"""\
+import json
+import numpy as np
+import frameattn as fa
+
+ds = fa.load_feature_file({DATA!r})
+train_idx, test_idx = fa.split_by_fold(ds, fa.build_folds(ds, 5), 0)
+ds.packed()
+ds.instances[test_idx[1]].features[1, 2] = np.nan  # every video has 2 frames or more
+head = fa.load_checkpoint("full.fanp")
+calls = {{
+    "evaluate": lambda: fa.evaluate(head, ds, indices=test_idx),
+    "export_attention": lambda: fa.export_attention(head, ds, "nan_attention.csv", test_idx),
+    "score_fusion_baseline": lambda: fa.score_fusion_baseline(
+        ds, fa.TrainConfig(batch_size=16, total_epochs=2, seed=3), train_idx, test_idx),
+}}
+out = {{}}
+for name, call in calls.items():
+    try:
+        call()
+        out[name] = "no error"
+    except fa.FrameAttnError as e:
+        out[name] = f"{{type(e).__name__}}: {{e}}"
+with open("nan.json", "w") as f:
+    json.dump(out, f, indent=1)
+"""
+
 
 # Corrupt copies of the feature file and the full head, written by one
 # step after training: (file name, bytes of the original they are made of).
@@ -158,6 +192,10 @@ MATRIX = [
     ("eval sampled", cli("eval", "--checkpoint", "full.fanp", "--data", DATA,
                          "--frames", "sampled", "--k", "3", "--seed", "5",
                          "--per-instance")),
+    ("eval sampled, k over every length", cli("eval", "--checkpoint", "full.fanp",
+                                              "--data", DATA, "--frames", "sampled",
+                                              "--k", "20", "--seed", "5",
+                                              "--per-instance")),
     ("visualize full", cli("visualize", "--checkpoint", "full.fanp", "--data", DATA,
                            "--out", "full_attention.csv")),
     ("visualize self-only", cli("visualize", "--checkpoint", "self.fanp", "--data", DATA,
@@ -177,6 +215,7 @@ MATRIX = [
     ("write corrupt files", ["-c", CORRUPT_WRITER]),
     *map(corrupt_eval, CORRUPT),
     ("api", ["-c", API]),
+    ("api, NaN written in place", ["-c", NAN_IN_PLACE]),
 ]
 EXPORTS = {"full_attention.csv", "full_attention.json",
            "self_attention.csv", "self_attention.json"}

@@ -2,6 +2,7 @@ import hashlib
 import re
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -731,6 +732,34 @@ class TestScore:
         frames[offsets[3], 0] = np.nan
         with pytest.raises(NumericError, match="^dataset index 3: forward pass"):
             score(params, ds, [0, 3])
+
+    def test_walk_names_the_failing_video_and_keeps_no_stack(self):
+        # positions 4, 2 and (0, 1, 3) make the stacks of lengths 1, 2 and
+        # 3; row 1 of the last is position 1, dataset index 4
+        ds = video_dataset([3, 2, 3, 2, 3, 1], self.D)
+        packed = ds.packed()
+        indices = np.array([2, 4, 1, 0, 5])
+        stacks, fail_at = [], None
+
+        def head(stack):
+            stacks.append(weakref.ref(stack))
+            if stack.shape[1] == fail_at:
+                raise NumericError("bad scores", row=1)
+            return stack.shape
+
+        walked = []
+        for pos, shape in model.equal_length_stacks(packed, indices, packed.lengths(indices),
+                                                    head):
+            # each stack is gone once its head returned, so before the next
+            assert [ref() for ref in stacks] == [None] * len(stacks)
+            walked.append((pos.tolist(), shape))
+        assert walked == [([4], (1, 1, self.D)), ([2], (1, 2, self.D)),
+                          ([0, 1, 3], (3, 3, self.D))]
+        stacks.clear()
+        fail_at = 3
+        with pytest.raises(NumericError, match="^dataset index 4: bad scores$"):
+            list(model.equal_length_stacks(packed, indices, packed.lengths(indices), head))
+        assert len(stacks) == 3
 
     def test_empty_index_list_scores_nothing(self):
         ds = video_dataset(self.LENGTHS, self.D)

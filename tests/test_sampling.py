@@ -101,6 +101,28 @@ class TestSampleSegments:
                 else:
                     assert all(a <= b for a, b in zip(row, row[1:]))
 
+    def test_short_rows_follow_the_preceding_segment(self):
+        # n < k: each non-empty segment holds one frame, its only choice; an
+        # empty one repeats the sample before it, or the first sample when
+        # none is before it. No draw is spent on such a row
+        def oracle(n, k):
+            row = [lo if hi > lo else None for lo, hi in plan_segments(n, k)]
+            for s, p in enumerate(row):
+                if p is None:
+                    row[s] = row[s - 1] if s else next(q for q in row if q is not None)
+            return row
+
+        for k in range(2, 17):
+            shorts = list(range(1, min(k, 13)))
+            # the long video between the short ones spends the only draws
+            rows = sample_segments(shorts + [k + 5] + shorts, k, stream(k)).tolist()
+            for n, row in zip(shorts + shorts, rows[:len(shorts)] + rows[len(shorts) + 1:]):
+                assert row == oracle(n, k), (n, k)
+            for n in shorts:
+                rng = stream(k, n)
+                assert sample_segments([n], k, rng).tolist() == [oracle(n, k)], (n, k)
+                assert rng.integers(1 << 62) == stream(k, n).integers(1 << 62)
+
     def test_rows_continue_one_stream(self):
         # N rows draw what N one-row calls on the same generator draw
         lengths = [9, 2, 17, 5, 1, 30]
