@@ -37,8 +37,11 @@ its `features` is a view of exactly those rows (Dataset.packed). The loader
 reads each record's features straight into its rows of a float32 matrix
 and checks them there; any other dataset is packed, its videos copied in,
 the first time it is checked (as is a loaded one whose instances were
-replaced since); both lay it out through _empty_pack. Other modules read
-it only through PackedFrames.select, .lengths and .stack.
+replaced since); both lay it out through _empty_pack. Other modules
+select videos with PackedFrames.select, gather their frames with .lengths
+and .stack (the one gather) and read the selection's classes from
+.labels; the scoring walk also takes the width D of .frames. None of them
+reads the offsets or indexes .frames itself.
 """
 
 from __future__ import annotations
@@ -85,10 +88,13 @@ class PackedFrames:
         """Video indices as an int64 array: every video by default;
         negative ones count from the end, as list indexing does. Indices
         that are not integers (floats, text, bools) or are outside [-N, N)
-        for N videos (a uint64 index too) raise IndexError."""
+        for N videos (a uint64 index too), and a selection that is not
+        one-dimensional (a nested list, a 0-d or 2-d array), raise IndexError."""
         n = len(self.labels)
         everything = np.arange(n)
         picked = everything if indices is None else np.asarray(indices)
+        if picked.ndim != 1:
+            raise IndexError(f"indices must be one-dimensional, got shape {picked.shape}")
         if picked.size and picked.dtype.kind not in "iu":
             raise IndexError(f"indices must be integers, got {picked.dtype} values")
         # bounded before indexing, which would wrap a uint64 index modulo 2**64

@@ -327,6 +327,8 @@ def _kernel(f: np.ndarray, params: FanParams, labels=None):
 def _first_bad_row(f: np.ndarray, params: FanParams, labels) -> int | None:
     """Batch position of the first instance whose own gradients are not
     finite; None when each is finite and only their sum overflowed."""
+    # the recursion's base case, not a fast path: without it a failing
+    # single row would run this again on itself without end
     if len(f) == 1:
         return 0
     for r in range(len(f)):
@@ -444,9 +446,11 @@ def equal_length_stacks(packed, indices: np.ndarray, lengths: np.ndarray, head, 
     `indices`; stack row b holds every frame of video indices[positions[b]],
     or its frames picks[positions[b]]. The walk keeps no stack once its
     head returns, so it holds one stack at a time unless the head keeps
-    one. A NumericError from the head that carries a row, the stack row of
-    the first bad video, is raised again as "dataset index {i}: {message}",
-    i that video's dataset index.
+    one. A head's NumericError carries the stack row of its first bad
+    video (both heads give one: _kernel without labels raises only its
+    logit check, and the baseline's frame_scores always sets it); the walk
+    raises it again as "dataset index {i}: {message}", i that video's
+    dataset index.
     """
     d = packed.frames.shape[1]
     order = np.argsort(lengths, kind="stable")
@@ -462,8 +466,6 @@ def equal_length_stacks(packed, indices: np.ndarray, lengths: np.ndarray, head, 
             try:
                 out = head(packed.stack(indices[pos], frame_ids))
             except NumericError as e:
-                if e.row is None:
-                    raise
                 raise NumericError(f"dataset index {indices[pos[e.row]]}: {e}") from e
             yield pos, out
 

@@ -168,6 +168,12 @@ class TestTrainCommand:
         assert hist.read_text() == "previous\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["h.csv", "m.fanp", "tiny.fanf"]
 
+    def test_dataset_preset_requires_data(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.fanp"
+        err = run_rejected(capsys, "train", "--preset", "ck+", "--out", str(ckpt))
+        assert err == "error: --data is required with preset 'ck+'\n"
+        assert not ckpt.exists()
+
     def test_missing_data_no_partial_outputs(self, tmp_path, capsys):
         ckpt = tmp_path / "never.fanp"
         code, _ = run(capsys, "train", "--data", str(tmp_path / "absent.fanf"),

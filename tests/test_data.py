@@ -23,10 +23,10 @@ from frameattn.data import (
 )
 from frameattn.cli import EXIT_DATA, main
 from frameattn.errors import ConfigError, DataError, FormatError, SchemaError
-from frameattn.evaluation import evaluate
+from frameattn.evaluation import evaluate, export_attention, score_fusion_baseline
 from frameattn.model import FanParams, Mode, backward, forward, init_params
 from frameattn.numerics import as_matrix
-from frameattn.training import save_checkpoint
+from frameattn.training import TrainConfig, save_checkpoint, train
 
 
 def tiny_dataset():
@@ -180,6 +180,12 @@ class TestCsvImport:
         path.write_text("v0,s0,2,0,1.0,2.0\n")
         ds = load_feature_csv(str(path))
         assert ds.num_classes == 3 and ds.class_names == ["class_0", "class_1", "class_2"]
+
+    def test_duplicate_frame_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("v0,s0,1,0,1.0\nv0,s0,1,0,2.0\n")
+        with pytest.raises(SchemaError, match="^line 2: duplicate frame 0$"):
+            load_feature_csv(str(path))
 
     def test_inconsistent_video_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -477,6 +483,14 @@ class TestDatasetValidation:
             write_feature_file(ds, str(tmp_path / "d.fanf"))
         assert list(tmp_path.iterdir()) == []
 
+    def test_class_name_count_must_be_the_class_count(self, tmp_path):
+        ds = Dataset([VideoInstance("v", "s", 0, np.ones((1, 2)))], 2, 2, ["a"])
+        with pytest.raises(SchemaError, match="^expected 2 class names, got 1$"):
+            ds.packed()
+        with pytest.raises(SchemaError, match="^expected 2 class names, got 1$"):
+            write_feature_file(ds, str(tmp_path / "d.fanf"))
+        assert list(tmp_path.iterdir()) == []
+
     def test_numpy_integer_label_is_an_integer(self, tmp_path):
         ds = Dataset([VideoInstance("v", "s", np.uint8(2), np.ones((1, 2)))], 2, 3, list("abc"))
         assert ds.packed().labels.tolist() == [2]
@@ -659,6 +673,33 @@ class TestPackedFrames:
             with pytest.raises(IndexError, match="^indices must be integers, got "):
                 packed.select(bad)
 
+    def test_select_takes_one_dimensional_selections_only(self):
+        packed = ragged_dataset().packed()
+        for bad, shape in (([[0, 1]], (1, 2)), (np.zeros((2, 1), np.int64), (2, 1)),
+                           (np.array(3), ()), ([[]], (1, 0))):
+            with pytest.raises(IndexError, match=re.escape(
+                    f"indices must be one-dimensional, got shape {shape}")):
+                packed.select(bad)
+
+    @pytest.mark.parametrize("entry", [
+        lambda ds, params, path: evaluate(params, ds, indices=[[0, 1]]),
+        lambda ds, params, path: evaluate(params, ds, "sampled", indices=[[0, 1]]),
+        lambda ds, params, path: train(ds, TrainConfig(total_epochs=1), train_indices=[[0, 1]]),
+        lambda ds, params, path: train(ds, TrainConfig(total_epochs=1), val_indices=[[0, 1]]),
+        lambda ds, params, path: score_fusion_baseline(ds, TrainConfig(total_epochs=1),
+                                                       test_indices=[[0, 1]]),
+        lambda ds, params, path: export_attention(params, ds, path, indices=[[0, 1]]),
+    ], ids=["evaluate", "sampled evaluate", "train_indices", "val_indices",
+            "baseline test split", "export_attention"])
+    def test_entry_points_refuse_a_nested_selection(self, entry, tmp_path):
+        # numpy would index with the (1, 2) array and fail later, or not at all
+        ds = ragged_dataset()
+        params = init_params(ds.dim, ds.num_classes)
+        with pytest.raises(IndexError, match=re.escape(
+                "indices must be one-dimensional, got shape (1, 2)")):
+            entry(ds, params, str(tmp_path / "attention.csv"))
+        assert list(tmp_path.iterdir()) == []
+
     def test_in_place_write_is_seen_but_not_rechecked(self):
         ds = tiny_dataset()
         ds.validate()
@@ -759,6 +800,13 @@ class TestWriter:
         views = [inst.features for inst in loaded.instances]
         write_feature_file(loaded, str(tmp_path / "b.fanf"))
         assert all(inst.features is f for inst, f in zip(loaded.instances, views))
+
+    def test_string_too_long_for_its_length_field_is_refused(self, tmp_path):
+        ds = tiny_dataset()
+        ds.instances[3].video_id = "x" * 70_000   # a u16 length holds 65535
+        with pytest.raises(SchemaError, match="^string too long to encode: 70000 bytes$"):
+            write_feature_file(ds, str(tmp_path / "d.fanf"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_memory_is_bounded_by_the_largest_video(self, tmp_path):
         # 8 MB of float64 frames in 100 videos of 20 to 59 frames: writing

@@ -9,6 +9,7 @@ import pytest
 from frameattn import model
 from frameattn.data import (
     Dataset,
+    FoldPlan,
     PackedFrames,
     SynthConfig,
     VideoInstance,
@@ -159,6 +160,12 @@ class TestCrossValidate:
         total = sum(r.count for r in reports)
         assert pooled.accuracy == pytest.approx(total_correct / total)
         assert pooled.count == total
+
+    def test_fold_without_test_instances_rejected(self):
+        ds = labeled_dataset([0, 1], frames=3)
+        plan = FoldPlan(2, {s: 1 for s in ds.subjects()})  # fold 0 holds no subject
+        with pytest.raises(ConfigError, match="^fold 0 has no test instances$"):
+            cross_validate(ds, self.small_cfg(), plan)
 
     def test_empty_fold_rejected(self):
         ds = labeled_dataset([0, 1], frames=3)

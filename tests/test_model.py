@@ -419,6 +419,21 @@ class TestBatchKernel:
                 halves = 2 if mode is Mode.FULL else 1
                 np.testing.assert_array_equal(trace.aggregate, np.tile(stack[:, 0], halves))
 
+    @pytest.mark.parametrize("mode", [Mode.FULL, Mode.SELF_ONLY])
+    def test_overflow_of_the_summed_gradients_has_no_row(self, mode):
+        # zero kernels and a 1e-300 classifier: each one-frame video's
+        # class_w gradient is about 0.5 * 1.5e308, the sum of three is not finite
+        params = head(np.zeros(1), mode=mode)
+        params.class_w = np.full(params.class_w.shape, 1e-300)
+        stack, labels = np.full((3, 1, 1), 1.5e308), np.zeros(3, np.int64)
+        for r in range(3):
+            grads = model._kernel(stack[r:r + 1], params, labels[r:r + 1])[3]
+            assert np.isfinite(grads.flat).all()
+        with pytest.raises(NumericError, match="^backward pass produced non-finite "
+                                               "gradients$") as raised:
+            model._kernel(stack, params, labels)
+        assert raised.value.row is None
+
     @pytest.mark.parametrize("mode,low,high", [
         (Mode.FULL, 40.0, 300.0),
         (Mode.SELF_ONLY, 40.0, 300.0),

@@ -119,6 +119,10 @@ class TestSoftmaxCrossEntropy:
             _, grad = softmax_cross_entropy(logits, int(rng.integers(c)))
             assert abs(grad.sum()) < 1e-12
 
+    def test_label_count_must_be_the_row_count(self):
+        with pytest.raises(DimensionError, match="^2 labels for 3 logit rows$"):
+            softmax_cross_entropy(np.zeros((3, 2)), [0, 1])
+
     def test_label_out_of_range(self):
         with pytest.raises(IndexError, match="^label out of range for 2 logits$"):
             softmax_cross_entropy([1.0, 2.0], 2)

@@ -79,6 +79,14 @@ class TestSchedules:
         for epoch in (0, 5, 1000):
             assert lr_at([(0, 0.3)], epoch) == 0.3
 
+    def test_negative_epoch_rejected(self):
+        with pytest.raises(ValueError, match="^epoch must be >= 0$"):
+            lr_at([(0, 0.1)], -1)
+
+    def test_preset_override_of_an_unknown_field_rejected(self):
+        with pytest.raises(ConfigError, match="^unknown TrainConfig field 'foo'$"):
+            ckplus_config(foo=1)
+
     def test_piecewise_constant(self):
         sched = [(0, 1.0), (3, 0.5), (7, 0.25)]
         expect = [1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5, 0.25, 0.25]
@@ -461,6 +469,20 @@ class TestFit:
             for _ in fit(ds, cfg, idx, flat, blocks, step):
                 pass
         assert calls[:5] == [4, 4, 4, 4, 2]
+
+    @pytest.mark.parametrize("mode", [Mode.FULL, Mode.SELF_ONLY])
+    def test_overflow_of_the_summed_gradients_names_no_instance(self, mode, monkeypatch):
+        # each video's own gradients are finite; only their sum over the
+        # batch overflows (see TestBatchKernel in test_model.py)
+        ds = Dataset([VideoInstance(f"v{i}", "s", 0, np.array([[1.5e308]])) for i in range(3)],
+                     1, 2, ["a", "b"])
+        head = init_params(1, 2, mode)
+        head.flat[:] = 0.0
+        head.class_w = np.full(head.class_w.shape, 1e-300)
+        monkeypatch.setattr(model, "init_params", lambda *args, **kw: head)
+        with pytest.raises(NumericError, match="^epoch 0, batch 0: backward pass "
+                                               "produced non-finite gradients$"):
+            train(ds, self.cfg(batch_size=3))
 
     def test_zero_epochs_yield_nothing_but_the_split_is_checked(self):
         ds, cfg = small_synth(), self.cfg(total_epochs=0)
