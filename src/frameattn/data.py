@@ -88,11 +88,15 @@ class PackedFrames:
         """Video indices as an int64 array: every video by default;
         negative ones count from the end, as list indexing does. Indices
         that are not integers (floats, text, bools) or are outside [-N, N)
-        for N videos (a uint64 index too), and a selection that is not
-        one-dimensional (a nested list, a 0-d or 2-d array), raise IndexError."""
+        for N videos (a uint64 index too), a ragged selection (such as
+        [[0], [1, 2]] or [0, [1]]) and one that is not one-dimensional (a
+        nested list, a 0-d or 2-d array) raise IndexError."""
         n = len(self.labels)
         everything = np.arange(n)
-        picked = everything if indices is None else np.asarray(indices)
+        try:
+            picked = everything if indices is None else np.asarray(indices)
+        except (ValueError, TypeError):
+            raise IndexError("indices must be flat, got a ragged selection") from None
         if picked.ndim != 1:
             raise IndexError(f"indices must be one-dimensional, got shape {picked.shape}")
         if picked.size and picked.dtype.kind not in "iu":
@@ -131,6 +135,10 @@ class Dataset:
     float32 in a float32 matrix), and is not rechecked: a non-finite value
     written that way is reported by the kernel (NumericError, naming the
     dataset index) or by write_feature_file (DataError).
+    A run (training.train, the score-fusion baseline) uses the dataset
+    once, when it starts (training.training_split): it trains on the
+    packed frames it took then, so a change made during a run applies at
+    the next run.
     Take a subset by passing indices (train, evaluate and the splits all
     do), not by building a second Dataset from some of these instances:
     two datasets that share VideoInstance objects rebind each other's

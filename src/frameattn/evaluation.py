@@ -140,7 +140,9 @@ def score_fusion_baseline(
     Training is training.fit on one flat vector of weights and bias: each
     sampled frame is an independent sample, and batch gradients are averaged
     over the batch's B*k frames. test_indices defaults to the training split
-    (in-sample report); both are read by PackedFrames.select. One closure,
+    (in-sample report); both are read by PackedFrames.select on the packed
+    frames that training_split resolves once, when the run starts, and the
+    held-out pass scores those frames too. One closure,
     frame_scores, gives a stack's per-frame scores for the training step
     and is the head model.equal_length_stacks runs on the held-out videos'
     stacks, one at a time. Their decisions are tallied as evaluate tallies,
@@ -153,9 +155,8 @@ def score_fusion_baseline(
     """
     if fusion not in ("logits", "probs"):
         raise ConfigError(f"unknown fusion '{_shown(fusion, str)}'")
-    train_indices = training_split(dataset, config, train_indices)
-    packed = dataset.packed()
-    test_indices = packed.select(train_indices if test_indices is None else test_indices)
+    packed, train_indices = training_split(dataset, config, train_indices)
+    test_indices = train_indices if test_indices is None else packed.select(test_indices)
 
     d, c = dataset.dim, dataset.num_classes
     blocks = model.blocks_of([("baseline_w", (c, d)), ("baseline_b", (c,))])
@@ -182,7 +183,7 @@ def score_fusion_baseline(
         grads[blocks[1].slice] = g.sum(axis=0)
         return float(losses.sum()), int((logits.argmax(axis=1) == labels).sum()), grads
 
-    for _ in fit(dataset, config, train_indices, params, blocks, step):
+    for _ in fit(packed, config, train_indices, params, blocks, step):
         pass
     scores = np.empty((len(test_indices), c))
     for pos, s in model.equal_length_stacks(packed, test_indices, packed.lengths(test_indices),

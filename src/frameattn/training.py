@@ -9,8 +9,9 @@ the gradient:
 
 Gradients are averaged (not summed) over the batch so the learning rate
 keeps its meaning across batch sizes, and each batch goes through the head
-as one (B, K, D) stack (model._kernel), gathered from the dataset's
-checked packed frames and not checked again. Everything is
+as one (B, K, D) stack (model._kernel), gathered from the checked packed
+frames that the run resolved when it started (training_split) and not
+checked again. Everything is
 deterministic given the config seed: each epoch draws, from its one
 (seed, epoch) stream, first the shuffle and then the K segment-sampled
 frames of every instance in shuffled order (sampling.training_draw). The
@@ -33,7 +34,7 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from . import model, sampling
-from .data import Dataset, _read_exact, _read_header, _write_header, atomic_open
+from .data import Dataset, PackedFrames, _read_exact, _read_header, _write_header, atomic_open
 from .errors import ConfigError, NumericError, SchemaError
 from .model import FanParams, Mode
 from .numerics import _shown, require_integer, require_real
@@ -158,21 +159,21 @@ class EpochStats:
 TrainHistory = list[EpochStats]
 
 
-def minibatches(dataset: Dataset, indices, config: TrainConfig, epoch: int):
+def minibatches(packed: PackedFrames, indices: np.ndarray, config: TrainConfig, epoch: int):
     """The minibatches of one training epoch, in order.
 
+    packed and indices are a run's packed frames and its checked int64
+    selection (training_split), resolved once when the run starts: a
+    dataset changed during the run is not read again until the next run.
     Yields (dataset indices, frames, labels) per batch of at most
     config.batch_size instances: the indices as a (B,) array, each
     instance's config.k segment-sampled frames as a (B, K, D) stack, and
     the (B,) labels. The epoch's order and every frame index come from one
     sampling.training_draw; each batch's stack is gathered from the
-    dataset's packed frames (PackedFrames.stack) only when the batch is
-    reached, so one batch of frames is held at a time. The stack is
-    float64: float32 frames (a loaded or synthetic dataset's) are widened
-    after the gather.
+    packed frames (PackedFrames.stack) only when the batch is reached, so
+    one batch of frames is held at a time. The stack is float64: float32
+    frames (a loaded or synthetic dataset's) are widened after the gather.
     """
-    packed = dataset.packed()
-    indices = packed.select(indices)
     order, picks = sampling.training_draw(config.seed, epoch, packed.lengths(indices), config.k)
     indices = indices[order]
     for lo in range(0, len(indices), config.batch_size):
@@ -181,28 +182,33 @@ def minibatches(dataset: Dataset, indices, config: TrainConfig, epoch: int):
 
 
 def training_split(dataset: Dataset, config: TrainConfig, indices=None):
-    """The training indices (every instance by default) as a list read by
-    PackedFrames.select, after checking the config; an empty split raises
-    ConfigError."""
+    """A run's packed frames and its training selection (every instance
+    by default, read by PackedFrames.select) as an int64 array, after
+    checking the config; an empty split raises ConfigError. This is the
+    one point where a run resolves its dataset (Dataset.packed): the run
+    trains on these frames and this selection, so a change made to the
+    dataset during the run applies at the next run."""
     config.validate()
-    indices = dataset.packed().select(indices).tolist()
+    packed = dataset.packed()
+    indices = packed.select(indices)
     if not len(indices):
         raise ConfigError("training split is empty")
-    return indices
+    return packed, indices
 
 
-def fit(dataset: Dataset, config: TrainConfig, indices, flat: np.ndarray, blocks, step):
-    """The SGD loop of both heads; yields (epoch, lr, loss sum, correct
-    count) as each epoch ends. Each minibatch goes through step(stack,
-    labels) -> (loss sum, correct count, flat gradients laid out as
-    `blocks`), then sgd_step updates `flat` in place. A NumericError is
-    raised again naming the epoch, the batch and the dataset index of its
-    row, if it has one."""
+def fit(packed: PackedFrames, config: TrainConfig, indices, flat: np.ndarray, blocks, step):
+    """The SGD loop of both heads over a run's packed frames and checked
+    selection (training_split), resolved once when the run starts; yields
+    (epoch, lr, loss sum, correct count) as each epoch ends. Each
+    minibatch goes through step(stack, labels) -> (loss sum, correct
+    count, flat gradients laid out as `blocks`), then sgd_step updates
+    `flat` in place. A NumericError is raised again naming the epoch, the
+    batch and the dataset index of its row, if it has one."""
     velocity = np.zeros_like(flat)
     for epoch in range(config.total_epochs):
         lr = lr_at(config.schedule, epoch)
         loss_sum, correct = 0.0, 0
-        batches = minibatches(dataset, indices, config, epoch)
+        batches = minibatches(packed, indices, config, epoch)
         for number, (batch, stack, labels) in enumerate(batches):
             try:
                 loss, hits, grads = step(stack, labels)
@@ -231,13 +237,17 @@ def train(
     dataset.instances, both read by PackedFrames.select before the first
     epoch; by default every instance is used for training and no
     validation accuracy is recorded. on_epoch, if given, is called with each
-    EpochStats as it completes. Deterministic given config.seed. A NumericError
+    EpochStats as it completes. The run resolves the dataset once, when it
+    starts (training_split), and trains every epoch on those packed frames,
+    so a change made to the dataset during the run (from on_epoch) reaches
+    training at the next run; only the validation pass (model.score) reads
+    the dataset each epoch. Deterministic given config.seed. A NumericError
     names the epoch, the batch and, when one instance caused it, that
     instance's dataset index; a non-finite value written into the dataset's
     frames in place is reported so, as non-finite logits.
     """
-    train_indices = training_split(dataset, config, train_indices)
-    val_indices = None if val_indices is None else dataset.packed().select(val_indices)
+    packed, train_indices = training_split(dataset, config, train_indices)
+    val_indices = None if val_indices is None else packed.select(val_indices)
     params = model.init_params(dataset.dim, dataset.num_classes,
                                config.mode, seed=config.seed)
 
@@ -247,7 +257,7 @@ def train(
         return float(losses.sum()), int((logits.argmax(axis=1) == labels).sum()), grads.flat
 
     history: TrainHistory = []
-    for epoch, lr, loss_sum, correct in fit(dataset, config, train_indices,
+    for epoch, lr, loss_sum, correct in fit(packed, config, train_indices,
                                             params.flat, params.blocks, step):
         val = None if val_indices is None else _accuracy(dataset, params, val_indices, epoch)
         stats = EpochStats(epoch, lr, loss_sum / len(train_indices),

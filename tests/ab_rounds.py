@@ -14,16 +14,17 @@ side writes its inputs from the same seed into its own temporary directory,
 loads them and runs one untimed warm-up round. Then N pairs of whole rounds
 run, the side that goes first alternating from pair to pair, and each
 round's process CPU time is taken as ``perfbench/run.py`` takes it (after a
-gc.collect()). Both sides share one process and its machine state, so a
+gc.collect()), and its minor page faults from ``resource.getrusage`` of
+this process. Both sides share one process and its machine state, so a
 slow spell of the host falls on both sides of a pair alike.
 
-Printed: each side's median and interquartile range of round CPU, the
-median of the per-pair ratio change / parent, the share of pairs the
-change won (ties count for neither), whether a gain claim clears the rule
-for one (the change wins at least 9/10 of the pairs and its median is below
-the parent's by more than the parent's IQR), and whether each side's
-workload checks passed, on its last round's outputs, with no failed
-operation.
+Printed: each side's median and interquartile range of round CPU and its
+median minor faults per round, the median of the per-pair ratio change /
+parent, the share of pairs the change won (ties count for neither),
+whether a gain claim clears the rule for one (at least 10 pairs, the change
+wins at least 9/10 of them and its median is below the parent's by more
+than the parent's IQR), and whether each side's workload checks passed, on
+its last round's outputs, with no failed operation.
 The exit code is 0 when both sides passed their checks. Not collected by
 pytest; it takes minutes.
 """
@@ -35,6 +36,7 @@ import gc
 import importlib
 import importlib.util
 import os
+import resource
 import statistics
 import sys
 import tempfile
@@ -63,6 +65,29 @@ def load_package(root: Path, name: str):
 def quartiles(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return median, q3 - q1
+
+
+def claim_lines(parent, change, unit: str = "s") -> list[str]:
+    """The per-pair comparison of two sides' measurements (lower is
+    better), pair i being parent[i] and change[i]: the median ratio change
+    / parent, the pairs the change won (ties count for neither), and
+    whether a gain claim clears the rule for one (at least 10 pairs, the
+    change wins at least 9/10 of them and its median is below the parent's
+    by more than the parent's IQR)."""
+    pairs = len(parent)
+    wins = sum(c < q for c, q in zip(change, parent))
+    ratio = statistics.median(c / q for c, q in zip(change, parent))
+    parent_median, parent_iqr = quartiles(parent)
+    gap = parent_median - quartiles(change)[0]
+    clears = pairs >= 10 and wins >= 0.9 * pairs and gap > parent_iqr
+    return [f"  change / parent: median ratio {ratio:.3f}, change faster in {wins}/{pairs} pairs",
+            f"  gain claim {'clears' if clears else 'does not clear'} the rule: "
+            f"{wins}/{pairs} pairs won (9/10 of at least 10 needed), median gap {gap:.4f} {unit} "
+            f"against the parent's IQR {parent_iqr:.4f} {unit}"]
+
+
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def main(argv=None) -> int:
@@ -100,14 +125,16 @@ def main(argv=None) -> int:
         for bench in benches.values():  # warm-up: caches and lazy set-up
             bench.round()
         cpu = {side: [] for side in sides}
+        faults = {side: [] for side in sides}
         outs = {}
         for pair in range(args.pairs):
             order = list(sides) if pair % 2 == 0 else list(reversed(sides))
             for side in order:
                 gc.collect()
-                c0 = process_time()
+                f0, c0 = minor_faults(), process_time()
                 outs[side] = benches[side].round()
                 cpu[side].append(process_time() - c0)
+                faults[side].append(minor_faults() - f0)
             print(f"pair {pair}: parent {cpu['parent'][-1]:.3f} s, "
                   f"change {cpu['change'][-1]:.3f} s (first: {order[0]})",
                   file=sys.stderr)
@@ -119,8 +146,6 @@ def main(argv=None) -> int:
                 print(f"{side}: CHECK FAILED: {failure}", file=sys.stderr)
             passed[side] = not failures and bench.ops.failed == 0
 
-    wins = sum(c < q for c, q in zip(cpu["change"], cpu["parent"]))
-    ratios = [c / q for c, q in zip(cpu["change"], cpu["parent"])]
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs"
           f"{' (A/A: this checkout on both sides)' if args.aa else ''}, "
           f"round CPU s, median (IQR):")
@@ -129,15 +154,9 @@ def main(argv=None) -> int:
         print(f"  {side:6s} {median:.4f} ({iqr:.4f})  checks "
               f"{'passed' if passed[side] else 'FAILED'}, "
               f"{benches[side].ops.attempted} operations, "
-              f"{benches[side].ops.failed} failed")
-    print(f"  change / parent: median ratio {statistics.median(ratios):.3f}, "
-          f"change faster in {wins}/{args.pairs} pairs")
-    parent_median, parent_iqr = quartiles(cpu["parent"])
-    gap = parent_median - quartiles(cpu["change"])[0]
-    clears = wins >= 0.9 * args.pairs and gap > parent_iqr
-    print(f"  gain claim {'clears' if clears else 'does not clear'} the rule: "
-          f"{wins}/{args.pairs} pairs won (9/10 needed), median gap {gap:.4f} s "
-          f"against the parent's IQR {parent_iqr:.4f} s")
+              f"{benches[side].ops.failed} failed, "
+              f"median minor faults per round {statistics.median(faults[side]):.0f}")
+    print("\n".join(claim_lines(cpu["parent"], cpu["change"])))
     return 0 if all(passed.values()) else 1
 
 

@@ -24,7 +24,7 @@ from frameattn.data import (
 from frameattn.cli import EXIT_DATA, main
 from frameattn.errors import ConfigError, DataError, FormatError, SchemaError
 from frameattn.evaluation import evaluate, export_attention, score_fusion_baseline
-from frameattn.model import FanParams, Mode, backward, forward, init_params
+from frameattn.model import FanParams, Mode, backward, forward, init_params, score
 from frameattn.numerics import as_matrix
 from frameattn.training import TrainConfig, save_checkpoint, train
 
@@ -698,6 +698,35 @@ class TestPackedFrames:
         with pytest.raises(IndexError, match=re.escape(
                 "indices must be one-dimensional, got shape (1, 2)")):
             entry(ds, params, str(tmp_path / "attention.csv"))
+        assert list(tmp_path.iterdir()) == []
+
+    RAGGED = "indices must be flat, got a ragged selection"
+
+    def test_select_refuses_a_ragged_selection_before_any_other_check(self):
+        # np.asarray raises ValueError on these; an out-of-bounds or float
+        # entry does not change which error the caller sees
+        packed = ragged_dataset().packed()
+        for bad in ([[0], [1, 2]], [0, [1]], [[0], [1, 99]], [0.5, [1]]):
+            with pytest.raises(IndexError, match=f"^{self.RAGGED}$"):
+                packed.select(bad)
+
+    @pytest.mark.parametrize("ragged", [[[0], [1, 2]], [0, [1]]], ids=["rows", "mixed"])
+    @pytest.mark.parametrize("entry", [
+        lambda ds, params, path, sel: evaluate(params, ds, indices=sel),
+        lambda ds, params, path, sel: evaluate(params, ds, "sampled", indices=sel),
+        lambda ds, params, path, sel: train(ds, TrainConfig(total_epochs=1), train_indices=sel),
+        lambda ds, params, path, sel: train(ds, TrainConfig(total_epochs=1), val_indices=sel),
+        lambda ds, params, path, sel: score_fusion_baseline(ds, TrainConfig(total_epochs=1),
+                                                            test_indices=sel),
+        lambda ds, params, path, sel: export_attention(params, ds, path, indices=sel),
+        lambda ds, params, path, sel: score(params, ds, sel),
+    ], ids=["evaluate", "sampled evaluate", "train_indices", "val_indices",
+            "baseline test split", "export_attention", "model.score"])
+    def test_entry_points_refuse_a_ragged_selection(self, entry, ragged, tmp_path):
+        ds = ragged_dataset()
+        params = init_params(ds.dim, ds.num_classes)
+        with pytest.raises(IndexError, match=f"^{self.RAGGED}$"):
+            entry(ds, params, str(tmp_path / "attention.csv"), ragged)
         assert list(tmp_path.iterdir()) == []
 
     def test_in_place_write_is_seen_but_not_rechecked(self):

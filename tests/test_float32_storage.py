@@ -79,7 +79,8 @@ def test_nan_written_in_place_is_caught_by_train_and_evaluate(pair, tmp_path):
 
 def test_training_batches_and_scoring_chunks_are_widened_once(pair, monkeypatch):
     loaded, _ = pair
-    stacks = minibatches(loaded, None, synth_default_config(batch_size=5, seed=1), 0)
+    stacks = minibatches(loaded.packed(), loaded.packed().select(),
+                         synth_default_config(batch_size=5, seed=1), 0)
     assert {stack.dtype for _, stack, _ in stacks} == {np.dtype(np.float64)}
     seen = []
     kernel = model._kernel

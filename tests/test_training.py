@@ -442,7 +442,7 @@ class TestFit:
             grads.flat *= 1.0 / len(labels)
             return float(losses.sum()), int((logits.argmax(axis=1) == labels).sum()), grads.flat
 
-        epochs = list(fit(ds, cfg, idx, params.flat, params.blocks, step))
+        epochs = list(fit(ds.packed(), cfg, np.array(idx), params.flat, params.blocks, step))
         trained, history = train(ds, cfg, train_indices=idx)
         assert [(e, lr) for e, lr, _, _ in epochs] == [(0, 0.1), (1, 0.1), (2, 0.02)]
         assert [(s.loss, s.train_accuracy) for s in history] == [
@@ -463,10 +463,10 @@ class TestFit:
                 raise NumericError("step failed", row=row)
             return 0.0, 0, np.zeros(3)
 
-        batch = list(training.minibatches(ds, idx, cfg, 1))[1][0]
+        batch = list(training.minibatches(ds.packed(), np.array(idx), cfg, 1))[1][0]
         where = "epoch 1, batch 1" + ("" if row is None else f", dataset index {batch[row]}")
         with pytest.raises(NumericError, match=f"^{where}: step failed$"):
-            for _ in fit(ds, cfg, idx, flat, blocks, step):
+            for _ in fit(ds.packed(), cfg, np.array(idx), flat, blocks, step):
                 pass
         assert calls[:5] == [4, 4, 4, 4, 2]
 
@@ -491,14 +491,44 @@ class TestFit:
             raise AssertionError("no epoch, so no step")
 
         blocks = model.blocks_of([("w", (3,))])
-        assert list(fit(ds, cfg, [0, 1], np.zeros(3), blocks, step)) == []
+        assert list(fit(ds.packed(), cfg, np.array([0, 1]), np.zeros(3), blocks, step)) == []
         for head in (train, score_fusion_baseline):
             with pytest.raises(ConfigError, match="training split is empty"):
                 head(ds, cfg, [])
         with pytest.raises(ConfigError, match="training split is empty"):
             training.training_split(ds, cfg, np.zeros(0, dtype=np.int64))
-        assert training.training_split(ds, cfg) == list(range(len(ds.instances)))
+        assert training.training_split(ds, cfg)[1].tolist() == list(range(len(ds.instances)))
 
+
+    @pytest.mark.parametrize("run", [
+        lambda ds, cfg: train(ds, cfg),
+        lambda ds, cfg: train(ds, cfg, train_indices=[3, 1, -2]),
+        lambda ds, cfg: score_fusion_baseline(ds, cfg),
+        lambda ds, cfg: score_fusion_baseline(ds, cfg, [0, 2, 4], test_indices=[5, 1]),
+    ], ids=["train", "train split", "baseline", "baseline held out"])
+    def test_a_run_resolves_its_dataset_once(self, run, monkeypatch):
+        ds = small_synth()
+        calls = []
+        packed = Dataset.packed
+        monkeypatch.setattr(Dataset, "packed",
+                            lambda self: (calls.append(self is ds), packed(self))[1])
+        for epochs in (1, 5):
+            calls.clear()
+            run(ds, self.cfg(total_epochs=epochs))
+            assert calls == [True], f"{epochs} epochs"
+
+    def test_a_change_made_during_a_run_applies_at_the_next_run(self):
+        cfg = self.cfg()
+        ds, same = small_synth(), small_synth()
+
+        def change(stats):
+            ds.instances[4].features = 2.0 * ds.instances[4].features[::-1]
+
+        during, _ = train(ds, cfg, on_epoch=change)
+        assert during.flatten().tobytes() == train(same, cfg)[0].flatten().tobytes()
+        same.instances[4].features = ds.instances[4].features.copy()
+        assert train(ds, cfg)[0].flatten().tobytes() == train(same, cfg)[0].flatten().tobytes()
+        assert during.flatten().tobytes() != train(ds, cfg)[0].flatten().tobytes()
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -570,7 +600,7 @@ class TestPackedMinibatches:
         idx = [0, 2, 3, 5, 7, 8, 11, 13, 14, 17]
         order, picks = training_draw(
             cfg.seed, 2, [ds.instances[i].features.shape[0] for i in idx], cfg.k)
-        batches = list(training.minibatches(ds, idx, cfg, 2))
+        batches = list(training.minibatches(ds.packed(), np.array(idx), cfg, 2))
         assert [len(b) for b, _, _ in batches] == [4, 4, 2]
         np.testing.assert_array_equal(np.concatenate([b for b, _, _ in batches]),
                                       np.asarray(idx)[order])
