@@ -40,8 +40,8 @@ the first time it is checked (as is a loaded one whose instances were
 replaced since); both lay it out through _empty_pack. Other modules
 select videos with PackedFrames.select, gather their frames with .lengths
 and .stack (the one gather) and read the selection's classes from
-.labels; the scoring walk also takes the width D of .frames. None of them
-reads the offsets or indexes .frames itself.
+.labels; scoring also takes the width D of .frames and .num_classes. None
+of them reads the offsets or indexes .frames itself.
 """
 
 from __future__ import annotations
@@ -77,12 +77,14 @@ class PackedFrames:
     """Every frame of a dataset in one matrix.
 
     Video i's frames are rows offsets[i]:offsets[i + 1] of `frames` and its
-    class is labels[i].
+    class is labels[i], one of the num_classes classes its labels were
+    checked against.
     """
 
     frames: np.ndarray   # (sum n, D): float32 if every video is, else float64
     offsets: np.ndarray  # (N + 1,) int64, offsets[0] = 0
     labels: np.ndarray   # (N,) int64
+    num_classes: int
 
     def select(self, indices=None) -> np.ndarray:
         """Video indices as an int64 array: every video by default;
@@ -135,10 +137,12 @@ class Dataset:
     float32 in a float32 matrix), and is not rechecked: a non-finite value
     written that way is reported by the kernel (NumericError, naming the
     dataset index) or by write_feature_file (DataError).
-    A run (training.train, the score-fusion baseline) uses the dataset
-    once, when it starts (training.training_split): it trains on the
-    packed frames it took then, so a change made during a run applies at
-    the next run.
+    Each public call that trains or scores (training.train, the
+    score-fusion baseline, evaluation.evaluate, export_attention) resolves
+    the dataset once, when it starts, and works on the packed frames it
+    took then (model.score takes those, not the dataset), so a change made
+    during a run, to its training or its validation, applies at the next
+    run.
     Take a subset by passing indices (train, evaluate and the splits all
     do), not by building a second Dataset from some of these instances:
     two datasets that share VideoInstance objects rebind each other's
@@ -201,7 +205,7 @@ class Dataset:
         for inst, row in zip(self.instances, rows):
             inst.features = row
         labels = [inst.label for inst in self.instances]
-        self._packed = PackedFrames(frames, offsets, np.array(labels, dtype=np.int64))
+        self._packed = PackedFrames(frames, offsets, np.array(labels, np.int64), self.num_classes)
         self._stamp = (self._header(),
                        tuple(inst.features for inst in self.instances), labels)
 

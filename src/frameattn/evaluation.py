@@ -1,10 +1,11 @@
 """Accuracy evaluation, cross-validation, the score-fusion baseline, and
 attention-weight export.
 
-evaluate and export_attention hand the dataset to model.score, which
-matches the head to it and scores the selected videos in equal-length
-buckets gathered from the packed frames, each stack's working set near
-model.SCORE_CHUNK_BYTES, keeping their labels, logits and frame weights.
+evaluate and export_attention resolve the dataset once (Dataset.packed)
+and hand that view to model.score, which matches the head to it and
+scores the selected videos in equal-length buckets gathered from the
+packed frames, each stack's working set near model.SCORE_CHUNK_BYTES,
+keeping their labels, logits and frame weights.
 
 The baseline trains an affine per-frame classifier through the attention
 head's own loop (training.fit), on the same minibatches and optimizer
@@ -92,16 +93,16 @@ def evaluate(params: FanParams, dataset: Dataset, frame_mode: str = "all",
     if frame_mode not in ("all", "sampled"):
         raise ConfigError(f"unknown frame_mode '{_shown(frame_mode, str)}'")
     picks = None
+    packed = dataset.packed()
     if frame_mode == "sampled":
         require_integer("k", k, 1)
         require_integer("seed", seed, 0)
-        packed = dataset.packed()
         indices = packed.select(indices)
         picks = np.array([sampling.sample_training(n, k, sampling.stream(seed, i))
                           for n, i in zip(packed.lengths(indices).tolist(), indices.tolist())],
                          dtype=np.int64).reshape(len(indices), k)
-    scored = model.score(params, dataset, indices, picks)
-    return _tally(scored.labels, scored.logits, dataset.num_classes)
+    scored = model.score(params, packed, indices, picks)
+    return _tally(scored.labels, scored.logits, packed.num_classes)
 
 
 def cross_validate(
@@ -158,7 +159,7 @@ def score_fusion_baseline(
     packed, train_indices = training_split(dataset, config, train_indices)
     test_indices = train_indices if test_indices is None else packed.select(test_indices)
 
-    d, c = dataset.dim, dataset.num_classes
+    d, c = packed.frames.shape[1], packed.num_classes
     blocks = model.blocks_of([("baseline_w", (c, d)), ("baseline_b", (c,))])
     params = model.init_flat(blocks, config.seed)
     w = params[blocks[0].slice].reshape(c, d)
@@ -234,7 +235,7 @@ def export_attention(params: FanParams, dataset: Dataset, path: str,
     csv_path = path if path.endswith(".csv") else path + ".csv"
     json_path = os.path.splitext(csv_path)[0] + ".json"
 
-    scored = model.score(params, dataset, indices)
+    scored = model.score(params, dataset.packed(), indices)
     preds = np.argmax(scored.logits, axis=1)
     count = len(preds)
     correct = int(np.sum(preds == scored.labels))

@@ -45,14 +45,15 @@ matmul. Training's minibatches, forward, backward and forward_backward on
 one video (B=1, K=n) and the scoring pass all call it; with labels it also
 returns the gradients, summed over B.
 
-score runs the head over the videos of a dataset in equal-length
-buckets: the selection sorted by length, each run of one length cut into
-stacks whose working set is about SCORE_CHUNK_BYTES, so the frames held at
-a time do not grow with the dataset. That walk is one generator,
-equal_length_stacks, which runs a head on each stack: _kernel for score,
-the per-frame scorer of the score-fusion baseline's held-out pass
-(evaluation.score_fusion_baseline). It drops each stack once its head
-returns and names the dataset index of a failing video for both.
+score runs the head over the videos of a data.PackedFrames, the view
+that the calling run or evaluation resolved once from its dataset, in
+equal-length buckets: the selection sorted by length, each run of one
+length cut into stacks whose working set is about SCORE_CHUNK_BYTES, so
+the frames held at a time do not grow with the dataset. That walk is one
+generator, equal_length_stacks, which runs a head on each stack: _kernel
+for score, the per-frame scorer of the score-fusion baseline's held-out
+pass (evaluation.score_fusion_baseline). It drops each stack once its
+head returns and names the dataset index of a failing video for both.
 """
 
 from __future__ import annotations
@@ -386,18 +387,20 @@ class Scored(NamedTuple):
     final_weights: np.ndarray
 
 
-def score(params: FanParams, dataset, indices=None, picks=None) -> Scored:
-    """Run the head over whole videos of a data.Dataset.
+def score(params: FanParams, packed, indices=None, picks=None) -> Scored:
+    """Run the head over whole videos of a data.PackedFrames, the view a
+    call resolved from its dataset (Dataset.packed); score reads no
+    Dataset.
 
-    The dataset is packed first; a head whose feature dim, then class
-    count, is not the dataset's raises DimensionError. indices selects the
-    videos, in order, as PackedFrames.select reads them (repeats are scored
-    again); by default every video. With picks, an (len(indices), k) array
-    (or nested lists) of frame positions, video j is scored on its frames
-    picks[j] only; picks are checked once, on entry: ragged rows, values
-    that are not real numbers, another shape or k = 0 raise DimensionError,
-    and a position that is not an integer in [0, n) for its video's n
-    frames raises IndexError.
+    A head whose feature dim, then class count, is not that of the packed
+    frames (their width, their num_classes) raises DimensionError. indices
+    selects the videos, in order, as PackedFrames.select reads them
+    (repeats are scored again); by default every video. With picks, an
+    (len(indices), k) array (or nested lists) of frame positions, video j
+    is scored on its frames picks[j] only; picks are checked once, on
+    entry: ragged rows, values that are not real numbers, another shape or
+    k = 0 raise DimensionError, and a position that is not an integer in
+    [0, n) for its video's n frames raises IndexError.
     Returns one Scored, the videos in the order of indices; it holds 16
     bytes a frame and C logits a video of the selection.
 
@@ -408,7 +411,7 @@ def score(params: FanParams, dataset, indices=None, picks=None) -> Scored:
     raises NumericError naming the dataset index of the first bad video in
     length order, not in the order of indices.
     """
-    packed, d, c = dataset.packed(), dataset.dim, dataset.num_classes
+    d, c = packed.frames.shape[1], packed.num_classes
     if params.feature_dim != d:
         raise DimensionError(f"params dim {params.feature_dim} != dataset dim {d}")
     if params.num_classes != c:

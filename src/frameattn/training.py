@@ -236,19 +236,22 @@ def train(
     train_indices/val_indices select instances by position in
     dataset.instances, both read by PackedFrames.select before the first
     epoch; by default every instance is used for training and no
-    validation accuracy is recorded. on_epoch, if given, is called with each
-    EpochStats as it completes. The run resolves the dataset once, when it
-    starts (training_split), and trains every epoch on those packed frames,
-    so a change made to the dataset during the run (from on_epoch) reaches
-    training at the next run; only the validation pass (model.score) reads
-    the dataset each epoch. Deterministic given config.seed. A NumericError
-    names the epoch, the batch and, when one instance caused it, that
-    instance's dataset index; a non-finite value written into the dataset's
-    frames in place is reported so, as non-finite logits.
+    validation accuracy is recorded. An empty split of either raises
+    ConfigError. on_epoch, if given, is called with each EpochStats as it
+    completes. The run resolves the dataset once, when it starts
+    (training_split), and both trains and validates (model.score) every
+    epoch on those packed frames, so a change made to the dataset during
+    the run (from on_epoch) applies at the next run. Deterministic given
+    config.seed. A NumericError names the epoch, the batch and, when one
+    instance caused it, that instance's dataset index; a non-finite value
+    written into the dataset's frames in place is reported so, as
+    non-finite logits.
     """
     packed, train_indices = training_split(dataset, config, train_indices)
     val_indices = None if val_indices is None else packed.select(val_indices)
-    params = model.init_params(dataset.dim, dataset.num_classes,
+    if val_indices is not None and not len(val_indices):
+        raise ConfigError("validation split is empty")
+    params = model.init_params(packed.frames.shape[1], packed.num_classes,
                                config.mode, seed=config.seed)
 
     def step(stack, labels):
@@ -259,7 +262,7 @@ def train(
     history: TrainHistory = []
     for epoch, lr, loss_sum, correct in fit(packed, config, train_indices,
                                             params.flat, params.blocks, step):
-        val = None if val_indices is None else _accuracy(dataset, params, val_indices, epoch)
+        val = None if val_indices is None else _accuracy(packed, params, val_indices, epoch)
         stats = EpochStats(epoch, lr, loss_sum / len(train_indices),
                            correct / len(train_indices), val)
         history.append(stats)
@@ -268,15 +271,15 @@ def train(
     return params, history
 
 
-def _accuracy(dataset: Dataset, params: FanParams, indices, epoch: int) -> float:
-    """Share of the videos at `indices` that the head classifies right,
-    from one scoring pass (model.score); 0.0 for no videos."""
+def _accuracy(packed: PackedFrames, params: FanParams, indices, epoch: int) -> float:
+    """Share of the videos at `indices`, a run's checked non-empty
+    validation split, that the head classifies right, from one scoring
+    pass (model.score) over the run's packed frames."""
     try:
-        scored = model.score(params, dataset, indices)
+        scored = model.score(params, packed, indices)
     except NumericError as e:
         raise NumericError(f"epoch {epoch}, validation, {e}") from e
-    correct = int(np.sum(np.argmax(scored.logits, axis=1) == scored.labels))
-    return correct / len(indices) if len(indices) else 0.0
+    return float(np.mean(np.argmax(scored.logits, axis=1) == scored.labels))
 
 
 def history_lines(history: TrainHistory) -> list[str]:

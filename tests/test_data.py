@@ -719,7 +719,7 @@ class TestPackedFrames:
         lambda ds, params, path, sel: score_fusion_baseline(ds, TrainConfig(total_epochs=1),
                                                             test_indices=sel),
         lambda ds, params, path, sel: export_attention(params, ds, path, indices=sel),
-        lambda ds, params, path, sel: score(params, ds, sel),
+        lambda ds, params, path, sel: score(params, ds.packed(), sel),
     ], ids=["evaluate", "sampled evaluate", "train_indices", "val_indices",
             "baseline test split", "export_attention", "model.score"])
     def test_entry_points_refuse_a_ragged_selection(self, entry, ragged, tmp_path):

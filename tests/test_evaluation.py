@@ -500,19 +500,21 @@ class TestScoringPass:
     TAKERS = {
         "evaluate all": lambda ds, p, idx: evaluate(p, ds, indices=idx),
         "evaluate sampled": lambda ds, p, idx: evaluate(p, ds, "sampled", indices=idx),
-        "score": lambda ds, p, idx: model.score(p, ds, idx),
+        "score": lambda ds, p, idx: model.score(p, ds.packed(), idx),
         "train train_indices": lambda ds, p, idx: train(ds, NO_EPOCHS, idx),
         "train val_indices": lambda ds, p, idx: train(ds, NO_EPOCHS, None, idx),
         "baseline train_indices": lambda ds, p, idx: score_fusion_baseline(ds, NO_EPOCHS, idx),
         "baseline test_indices":
             lambda ds, p, idx: score_fusion_baseline(ds, NO_EPOCHS, None, idx),
+        "export": lambda ds, p, idx: export_attention(p, ds, "attn", idx),
     }
 
     @pytest.mark.parametrize("taker", list(TAKERS))
     @pytest.mark.parametrize("indices", [[0.9, 1.99, "2"], [0.0, 1.0], [True, False],
                                          np.array([1.5])],
                              ids=["text", "floats", "bools", "float array"])
-    def test_indices_that_are_not_integers_refused(self, taker, indices):
+    def test_indices_that_are_not_integers_refused(self, taker, indices, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)  # where export would write
         ds = ragged_dataset(self.IDS)
         params = spread_params(4, 3, Mode.FULL)
         with pytest.raises(IndexError, match="^indices must be integers, got "):
@@ -520,8 +522,9 @@ class TestScoringPass:
 
     @pytest.mark.parametrize("taker", list(TAKERS))
     @pytest.mark.parametrize("indices", [[2**64 - 1], np.array([2**64 - 9], np.uint64)])
-    def test_uint64_indices_that_would_wrap_refused(self, taker, indices):
+    def test_uint64_indices_that_would_wrap_refused(self, taker, indices, monkeypatch, tmp_path):
         # cast to int64 they would be -1 and -9: the last and the first video
+        monkeypatch.chdir(tmp_path)  # where export would write
         ds = ragged_dataset(self.IDS)
         params = spread_params(4, 3, Mode.FULL)
         with pytest.raises(IndexError, match="out of bounds"):
@@ -530,7 +533,7 @@ class TestScoringPass:
     def test_empty_index_list(self, tmp_path):
         ds = ragged_dataset(self.IDS)
         params = spread_params(4, 3, Mode.FULL)
-        scored = model.score(params, ds, [])
+        scored = model.score(params, ds.packed(), [])
         assert scored.indices.tolist() == scored.labels.tolist() == []
         with pytest.raises(ConfigError):
             evaluate(params, ds, indices=[])

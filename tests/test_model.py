@@ -677,7 +677,7 @@ class TestScore:
 
     def videos(self, params, ds, indices=None):
         """Per scored video: (dataset index, logits, alpha, final weights)."""
-        s = score(params, ds, indices)
+        s = score(params, ds.packed(), indices)
         out = []
         for j, i in enumerate(s.indices.tolist()):
             a, b = s.offsets[j], s.offsets[j + 1]
@@ -721,7 +721,7 @@ class TestScore:
         monkeypatch.setattr(model, "_kernel",
                             lambda f, *args: (seen.append(f.copy()), kernel(f, *args))[1])
         indices = [3, 4, 0, 7, 2, 3, 6, 1, 0, 5, 2]
-        score(params, ds, indices)
+        score(params, ds.packed(), indices)
         for f in seen:
             b, k, d = f.shape
             assert f.dtype == np.float64
@@ -742,11 +742,11 @@ class TestScore:
         params = random_params(self.D, 3, Mode.FULL)
         frames[offsets[0] + 1, 2] = np.nan
         with pytest.raises(NumericError, match="^dataset index 0: forward pass"):
-            score(params, ds, [2, 4, 1, 0])
+            score(params, ds.packed(), [2, 4, 1, 0])
         # the first bad video in length order, not in the order of indices
         frames[offsets[3], 0] = np.nan
         with pytest.raises(NumericError, match="^dataset index 3: forward pass"):
-            score(params, ds, [0, 3])
+            score(params, ds.packed(), [0, 3])
 
     def test_walk_names_the_failing_video_and_keeps_no_stack(self):
         # positions 4, 2 and (0, 1, 3) make the stacks of lengths 1, 2 and
@@ -779,7 +779,7 @@ class TestScore:
     def test_empty_index_list_scores_nothing(self):
         ds = video_dataset(self.LENGTHS, self.D)
         params = random_params(self.D, 3, Mode.FULL)
-        s = score(params, ds, [])
+        s = score(params, ds.packed(), [])
         assert s.indices.tolist() == s.alpha.tolist() == s.final_weights.tolist() == []
         assert s.labels.tolist() == []
         assert s.offsets.tolist() == [0] and s.logits.shape == (0, 3)
@@ -787,7 +787,7 @@ class TestScore:
     @pytest.mark.parametrize("indices", [None, [-1, -8, 4, -4], [2, 2, 5, -6, 3, -5, 3]])
     def test_labels_follow_the_indices(self, indices):
         ds = video_dataset(self.LENGTHS, self.D)
-        s = score(random_params(self.D, 3, Mode.FULL), ds, indices)
+        s = score(random_params(self.D, 3, Mode.FULL), ds.packed(), indices)
         chosen = range(len(self.LENGTHS)) if indices is None else indices
         assert s.labels.dtype == np.int64
         assert s.labels.tolist() == [ds.instances[i].label for i in chosen]
@@ -803,8 +803,19 @@ class TestScore:
         calls = []
         monkeypatch.setattr(model, "_kernel", lambda *args: calls.append(args))
         with pytest.raises(DimensionError, match=message):
-            score(random_params(d, c, Mode.FULL), ds, [0, 1])
+            score(random_params(d, c, Mode.FULL), ds.packed(), [0, 1])
         assert calls == []
+
+    def test_packed_frames_carry_the_class_count_their_labels_were_checked_against(self):
+        ds = video_dataset(self.LENGTHS, self.D)
+        old = random_params(self.D, 3, Mode.FULL)
+        before = ds.packed()
+        ds.num_classes, ds.class_names = 5, ds.class_names + ["c3", "c4"]
+        after = ds.packed()
+        assert (before.num_classes, after.num_classes) == (3, 5)
+        with pytest.raises(DimensionError, match="^params classes 3 != dataset classes 5$"):
+            score(old, after)
+        assert score(random_params(self.D, 5, Mode.FULL), after).logits.shape == (8, 5)
 
     def test_sampled_frames_match_forward_on_the_picks(self):
         ds = video_dataset(self.LENGTHS, self.D, seed=3)
@@ -812,7 +823,7 @@ class TestScore:
         params = random_params(self.D, 3, Mode.FULL, seed=4)
         indices = np.array([4, 0, 6])
         picks = np.array([[0, 20, 39], [0, 0, 0], [1, 5, 8]])
-        s = score(params, ds, indices, picks)
+        s = score(params, ds.packed(), indices, picks)
         for j, i in enumerate(indices):
             want, _ = forward(frames[offsets[i] + picks[j]], params)
             np.testing.assert_allclose(s.logits[j], want, rtol=0, atol=1e-12)
@@ -824,26 +835,26 @@ class TestScore:
         params = random_params(self.D, 3, Mode.FULL)
         for picks in ([[0, 3]], [[0, 5]], [[-1, 0]], [[0.0, 1.0]], [[True, False]]):
             with pytest.raises(IndexError, match="^picks must be integer frame positions"):
-                score(params, ds, [0], np.array(picks))
+                score(params, ds.packed(), [0], np.array(picks))
         for picks in (np.array([0, 1]), np.zeros((1, 0), int), np.zeros((2, 1), int)):
             with pytest.raises(DimensionError, match="^picks shape "):
-                score(params, ds, [0], picks)
-        s = score(params, ds, [0, 2], np.array([[2, 0], [1, 1]]))
+                score(params, ds.packed(), [0], picks)
+        s = score(params, ds.packed(), [0, 2], np.array([[2, 0], [1, 1]]))
         assert s.logits.shape == (2, 3) and s.offsets.tolist() == [0, 2, 4]
 
     def test_picks_given_as_lists_pass_the_same_checks(self):
         ds = video_dataset([3, 3, 3], self.D, seed=5)
         params = random_params(self.D, 3, Mode.FULL, seed=5)
-        got = score(params, ds, [0, 2], [[2, 0], [1, 1]])
-        want = score(params, ds, [0, 2], np.array([[2, 0], [1, 1]]))
+        got = score(params, ds.packed(), [0, 2], [[2, 0], [1, 1]])
+        want = score(params, ds.packed(), [0, 2], np.array([[2, 0], [1, 1]]))
         for field in Scored._fields:
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
         for picks in ([[0, 3]], [[0.0, 1.0]], [[True, False]]):
             with pytest.raises(IndexError, match="^picks must be integer frame positions"):
-                score(params, ds, [0], picks)
+                score(params, ds.packed(), [0], picks)
         for picks in ([0, 1], [[]], [[0, 1], [2]], [[0, 1], [1, 2]], [["0", "1"]]):
             with pytest.raises(DimensionError, match="^picks"):
-                score(params, ds, [0], picks)
+                score(params, ds.packed(), [0], picks)
 
     def test_errors_name_the_dataset_index(self):
         ds = video_dataset(self.LENGTHS, self.D)
@@ -852,18 +863,18 @@ class TestScore:
         params.class_w[:] = 10.0
         frames[offsets[5]:offsets[6]] = 1e308
         with pytest.raises(NumericError, match="dataset index 5: forward"):
-            score(params, ds, [0, 5, 6])
+            score(params, ds.packed(), [0, 5, 6])
         frames[offsets[6] + 1, 2] = np.nan
         with pytest.raises(NumericError, match="^dataset index 6: forward pass"):
-            score(params, ds, [6, 0])
+            score(params, ds.packed(), [6, 0])
         with pytest.raises(DimensionError):
-            score(random_params(self.D + 1, 3, Mode.FULL), ds)
+            score(random_params(self.D + 1, 3, Mode.FULL), ds.packed())
 
     def test_finite_values_whose_sums_overflow_are_scored(self):
         ds = video_dataset([2, 3], 2, c=2)
         ds.packed().frames[:] = 1e308
         params = head(np.zeros(2))
-        s = score(params, ds)
+        s = score(params, ds.packed())
         np.testing.assert_array_equal(s.final_weights, [0.5, 0.5, 1 / 3, 1 / 3, 1 / 3])
 
     @pytest.mark.parametrize("mode", list(Mode))
@@ -894,7 +905,7 @@ class TestScore:
         ds = video_dataset(rng.integers(8, longest + 1, videos), d, c=7)
         params = random_params(d, 7, Mode.FULL)
         untrained = TrainConfig(total_epochs=0)
-        run = {"score": lambda indices: score(params, ds, indices),
+        run = {"score": lambda indices: score(params, ds.packed(), indices),
                "baseline": lambda indices: score_fusion_baseline(
                    ds, untrained, test_indices=indices)}[caller]
         for indices in (None, np.arange(videos)[::-2]):

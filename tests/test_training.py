@@ -17,7 +17,7 @@ from frameattn.data import (
     write_feature_file,
 )
 from frameattn.errors import ConfigError, DataError, FormatError, NumericError, SchemaError
-from frameattn.evaluation import score_fusion_baseline
+from frameattn.evaluation import evaluate, export_attention, score_fusion_baseline
 from frameattn.model import FanParams, Mode, backward, forward_backward, init_params
 from frameattn.sampling import stream, training_draw
 from frameattn.training import (
@@ -499,14 +499,28 @@ class TestFit:
             training.training_split(ds, cfg, np.zeros(0, dtype=np.int64))
         assert training.training_split(ds, cfg)[1].tolist() == list(range(len(ds.instances)))
 
+    @pytest.mark.parametrize("val", [[], np.zeros(0, np.int64)], ids=["list", "array"])
+    def test_an_empty_validation_split_is_refused_before_the_first_epoch(self, val):
+        def on_epoch(stats):
+            raise AssertionError("refused before the first epoch")
+
+        with pytest.raises(ConfigError, match="^validation split is empty$"):
+            train(small_synth(), self.cfg(), val_indices=val, on_epoch=on_epoch)
 
     @pytest.mark.parametrize("run", [
         lambda ds, cfg: train(ds, cfg),
         lambda ds, cfg: train(ds, cfg, train_indices=[3, 1, -2]),
         lambda ds, cfg: score_fusion_baseline(ds, cfg),
         lambda ds, cfg: score_fusion_baseline(ds, cfg, [0, 2, 4], test_indices=[5, 1]),
-    ], ids=["train", "train split", "baseline", "baseline held out"])
-    def test_a_run_resolves_its_dataset_once(self, run, monkeypatch):
+        lambda ds, cfg: train(ds, cfg, val_indices=[0, 1]),
+        lambda ds, cfg: evaluate(init_params(ds.dim, ds.num_classes), ds),
+        lambda ds, cfg: evaluate(init_params(ds.dim, ds.num_classes), ds, "sampled",
+                                 indices=[4, 0, 4]),
+        lambda ds, cfg: export_attention(init_params(ds.dim, ds.num_classes), ds, "attn"),
+    ], ids=["train", "train split", "baseline", "baseline held out", "train val",
+            "evaluate all", "evaluate sampled", "export"])
+    def test_a_run_resolves_its_dataset_once(self, run, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)  # where export writes
         ds = small_synth()
         calls = []
         packed = Dataset.packed
@@ -522,13 +536,18 @@ class TestFit:
         ds, same = small_synth(), small_synth()
 
         def change(stats):
-            ds.instances[4].features = 2.0 * ds.instances[4].features[::-1]
+            # negated frames move video 4 to another class: a validation
+            # pass that read the changed dataset would count it otherwise
+            ds.instances[4].features = -2.0 * ds.instances[4].features[::-1]
 
-        during, _ = train(ds, cfg, on_epoch=change)
-        assert during.flatten().tobytes() == train(same, cfg)[0].flatten().tobytes()
+        during, history = train(ds, cfg, val_indices=[4, 0], on_epoch=change)
+        twin, twin_history = train(same, cfg, val_indices=[4, 0])
+        assert during.flatten().tobytes() == twin.flatten().tobytes()
+        assert [s.val_accuracy for s in history] == [s.val_accuracy for s in twin_history]
         same.instances[4].features = ds.instances[4].features.copy()
         assert train(ds, cfg)[0].flatten().tobytes() == train(same, cfg)[0].flatten().tobytes()
         assert during.flatten().tobytes() != train(ds, cfg)[0].flatten().tobytes()
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
