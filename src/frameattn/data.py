@@ -86,13 +86,16 @@ class PackedFrames:
     labels: np.ndarray   # (N,) int64
     num_classes: int
 
-    def select(self, indices=None) -> np.ndarray:
+    def select(self, indices=None, what: str = "selection") -> np.ndarray:
         """Video indices as an int64 array: every video by default;
-        negative ones count from the end, as list indexing does. Indices
-        that are not integers (floats, text, bools) or are outside [-N, N)
-        for N videos (a uint64 index too), a ragged selection (such as
-        [[0], [1, 2]] or [0, [1]]) and one that is not one-dimensional (a
-        nested list, a 0-d or 2-d array) raise IndexError."""
+        negative ones count from the end, as list indexing does. A ragged
+        selection (such as [[0], [1, 2]] or [0, [1]]) and one that is not
+        one-dimensional (a nested list, a 0-d or 2-d array) raise
+        IndexError; then an empty one, the default of a dataset without
+        videos too, raises ConfigError("{what} is empty"), `what` naming
+        the split; then indices that are not integers (floats, text, bools)
+        or are outside [-N, N) for N videos (a uint64 index too) raise
+        IndexError."""
         n = len(self.labels)
         everything = np.arange(n)
         try:
@@ -101,13 +104,14 @@ class PackedFrames:
             raise IndexError("indices must be flat, got a ragged selection") from None
         if picked.ndim != 1:
             raise IndexError(f"indices must be one-dimensional, got shape {picked.shape}")
-        if picked.size and picked.dtype.kind not in "iu":
+        if not picked.size:
+            raise ConfigError(f"{what} is empty")
+        if picked.dtype.kind not in "iu":
             raise IndexError(f"indices must be integers, got {picked.dtype} values")
         # bounded before indexing, which would wrap a uint64 index modulo 2**64
-        if picked.size and not -n <= picked.min() <= picked.max() < n:
+        if not -n <= picked.min() <= picked.max() < n:
             raise IndexError(f"indices {picked.min()}..{picked.max()} out of bounds: {n} videos")
-        # an empty list makes a float64 array, which numpy does not index with
-        return everything[picked] if picked.size else everything[:0]
+        return everything[picked]
 
     def lengths(self, videos: np.ndarray) -> np.ndarray:
         """The frame counts of the videos at dataset indices `videos`."""

@@ -5,7 +5,9 @@ evaluate and export_attention resolve the dataset once (Dataset.packed)
 and hand that view to model.score, which matches the head to it and
 scores the selected videos in equal-length buckets gathered from the
 packed frames, each stack's working set near model.SCORE_CHUNK_BYTES,
-keeping their labels, logits and frame weights.
+keeping their labels, logits and frame weights. Every selection, the
+training and test splits too, is read by PackedFrames.select, which
+refuses an empty one before any work.
 
 The baseline trains an affine per-frame classifier through the attention
 head's own loop (training.fit), on the same minibatches and optimizer
@@ -14,7 +16,8 @@ Summation is over raw logits by default; pass fusion="probs" to sum softmax
 probabilities instead (the argmax can differ). One function scores and
 checks its frames, for its training step and as the head that
 model.score's walk (model.equal_length_stacks) runs on its held-out
-videos' stacks; both heads' decisions go through one tally (_tally).
+videos' stacks; both heads' decisions, the exported ones too, go through
+one tally (_tally).
 """
 
 from __future__ import annotations
@@ -56,8 +59,6 @@ class EvalReport:
 
 def _report_from_confusion(confusion: np.ndarray, predictions=None) -> EvalReport:
     total = int(confusion.sum())
-    if total == 0:
-        raise ConfigError("evaluation saw no instances")
     row_sums = confusion.sum(axis=1)
     diag = np.diag(confusion)
     return EvalReport(
@@ -112,21 +113,20 @@ def cross_validate(
     evaluate on them, and pool the confusion counts over all instances.
 
     The pooled accuracy is instance-weighted (total correct / total count),
-    not the mean of fold accuracies.
+    not the mean of fold accuracies. A fold_count that is not an integer of
+    at least 2 raises ConfigError first, and a fold without test instances
+    before it trains; one without training instances is refused by train,
+    as an empty training split, before its first epoch.
     """
+    require_integer("fold_count", fold_plan.fold_count, 2)
     reports = []
-    pooled = np.zeros((dataset.num_classes, dataset.num_classes), dtype=np.int64)
     for fold in range(fold_plan.fold_count):
         train_idx, test_idx = split_by_fold(dataset, fold_plan, fold)
         if not test_idx:
             raise ConfigError(f"fold {fold} has no test instances")
-        if not train_idx:
-            raise ConfigError(f"fold {fold} has no training instances")
         params, _ = train(dataset, config, train_indices=train_idx)
-        report = evaluate(params, dataset, indices=test_idx)
-        reports.append(report)
-        pooled += report.confusion
-    return reports, _report_from_confusion(pooled)
+        reports.append(evaluate(params, dataset, indices=test_idx))
+    return reports, _report_from_confusion(sum(r.confusion for r in reports))
 
 
 def score_fusion_baseline(
@@ -142,8 +142,9 @@ def score_fusion_baseline(
     sampled frame is an independent sample, and batch gradients are averaged
     over the batch's B*k frames. test_indices defaults to the training split
     (in-sample report); both are read by PackedFrames.select on the packed
-    frames that training_split resolves once, when the run starts, and the
-    held-out pass scores those frames too. One closure,
+    frames that training_split resolves once, when the run starts, so an
+    empty one raises ConfigError before the first epoch, and the held-out
+    pass scores those frames too. One closure,
     frame_scores, gives a stack's per-frame scores for the training step
     and is the head model.equal_length_stacks runs on the held-out videos'
     stacks, one at a time. Their decisions are tallied as evaluate tallies,
@@ -157,7 +158,8 @@ def score_fusion_baseline(
     if fusion not in ("logits", "probs"):
         raise ConfigError(f"unknown fusion '{_shown(fusion, str)}'")
     packed, train_indices = training_split(dataset, config, train_indices)
-    test_indices = train_indices if test_indices is None else packed.select(test_indices)
+    test_indices = (train_indices if test_indices is None
+                    else packed.select(test_indices, "test split"))
 
     d, c = packed.frames.shape[1], packed.num_classes
     blocks = model.blocks_of([("baseline_w", (c, d)), ("baseline_b", (c,))])
@@ -222,31 +224,34 @@ def export_attention(params: FanParams, dataset: Dataset, path: str,
     Produces two files: a CSV at `path` (one row per frame: video_id,
     frame_index, alpha, final_weight, label, prediction), with ".csv"
     appended unless present, and a JSON summary next to it with the
-    per-video sequences and overall accuracy. No rendering happens here;
-    the output is plot-ready data.
+    per-video sequences and overall accuracy. path is a str or path-like.
+    No rendering happens here; the output is plot-ready data.
 
     The videos are scored in one pass (model.score), which keeps each
-    frame's alpha and final weight (16 bytes a frame); both files are then
-    written together, video by video. Their bytes are those of csv.writer
+    frame's alpha and final weight (16 bytes a frame), and their decisions
+    tallied as evaluate tallies them; an empty selection raises
+    ConfigError before any file is opened. Both files are then written
+    together, video by video. Their bytes are those of csv.writer
     and json.dump(summary, indent=2) on the same numbers. The numbers can
     differ from per-video model.forward in the last digits, from the order
     of the sums.
     """
+    path = os.fspath(path)
     csv_path = path if path.endswith(".csv") else path + ".csv"
     json_path = os.path.splitext(csv_path)[0] + ".json"
 
-    scored = model.score(params, dataset.packed(), indices)
-    preds = np.argmax(scored.logits, axis=1)
-    count = len(preds)
-    correct = int(np.sum(preds == scored.labels))
+    packed = dataset.packed()
+    scored = model.score(params, packed, indices)
+    report = _tally(scored.labels, scored.logits, packed.num_classes)
     bounds = scored.offsets.tolist()
     with atomic_open(csv_path, "w", newline="") as fc, atomic_open(json_path, "w") as fj:
         fc.write("video_id,frame_index,alpha,final_weight,label,prediction\r\n")
-        fj.write(_JSON_HEAD % (json.dumps(params.mode.value), count,
-                               correct / count if count else 0.0))
+        fj.write(_JSON_HEAD % (json.dumps(params.mode.value), report.count,
+                               report.accuracy))
         sep = "\n"
         for j, (i, label, pred) in enumerate(zip(scored.indices.tolist(),
-                                                 scored.labels.tolist(), preds.tolist())):
+                                                 scored.labels.tolist(),
+                                                 report.predictions.tolist())):
             video_id = dataset.instances[i].video_id
             lo, hi = bounds[j], bounds[j + 1]
             frame_ids = range(hi - lo)
@@ -260,5 +265,5 @@ def export_attention(params: FanParams, dataset: Dataset, path: str,
                 _JSON_ITEM.join(map(str, frame_ids)),
                 _JSON_ITEM.join(a), _JSON_ITEM.join(w)))
             sep = ",\n"
-        fj.write("\n  ]\n}\n" if count else "]\n}\n")
+        fj.write("\n  ]\n}\n")
     return csv_path, json_path

@@ -395,7 +395,8 @@ def score(params: FanParams, packed, indices=None, picks=None) -> Scored:
     A head whose feature dim, then class count, is not that of the packed
     frames (their width, their num_classes) raises DimensionError. indices
     selects the videos, in order, as PackedFrames.select reads them
-    (repeats are scored again); by default every video. With picks, an
+    (repeats are scored again); by default every video. select refuses an
+    empty selection with ConfigError, before any work. With picks, an
     (len(indices), k) array (or nested lists) of frame positions, video j
     is scored on its frames picks[j] only; picks are checked once, on
     entry: ragged rows, values that are not real numbers, another shape or

@@ -183,17 +183,14 @@ def minibatches(packed: PackedFrames, indices: np.ndarray, config: TrainConfig, 
 
 def training_split(dataset: Dataset, config: TrainConfig, indices=None):
     """A run's packed frames and its training selection (every instance
-    by default, read by PackedFrames.select) as an int64 array, after
-    checking the config; an empty split raises ConfigError. This is the
+    by default, read by PackedFrames.select, which refuses an empty one)
+    as an int64 array, after checking the config. This is the
     one point where a run resolves its dataset (Dataset.packed): the run
     trains on these frames and this selection, so a change made to the
     dataset during the run applies at the next run."""
     config.validate()
     packed = dataset.packed()
-    indices = packed.select(indices)
-    if not len(indices):
-        raise ConfigError("training split is empty")
-    return packed, indices
+    return packed, packed.select(indices, "training split")
 
 
 def fit(packed: PackedFrames, config: TrainConfig, indices, flat: np.ndarray, blocks, step):
@@ -248,9 +245,7 @@ def train(
     non-finite logits.
     """
     packed, train_indices = training_split(dataset, config, train_indices)
-    val_indices = None if val_indices is None else packed.select(val_indices)
-    if val_indices is not None and not len(val_indices):
-        raise ConfigError("validation split is empty")
+    val_indices = None if val_indices is None else packed.select(val_indices, "validation split")
     params = model.init_params(packed.frames.shape[1], packed.num_classes,
                                config.mode, seed=config.seed)
 

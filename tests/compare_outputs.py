@@ -29,9 +29,14 @@ relative paths on both sides:
     evaluated;
   * eval on sampled frames with --k 20, more than any video's frame
     count, so every video has empty segments;
-  * a last API step that writes a NaN in place into one held-out video
-    and dumps, to nan.json, the error line of evaluate, export_attention
-    and score_fusion_baseline on the held-out fold.
+  * an API step that writes a NaN in place into one held-out video and
+    dumps, to nan.json, the error line of evaluate, export_attention and
+    score_fusion_baseline on the held-out fold;
+  * empty selections: an API step that writes a header-only copy of the
+    feature file (empty.fanf) and dumps, to empty_selections.json, the
+    error line of evaluate, export_attention, model.score,
+    score_fusion_baseline on an empty test split and cross_validate with
+    FoldPlan(0, {}); then eval and visualize on empty.fanf.
 
 Each command's exit code, stdout and stderr are compared, and then every
 file left in the two working directories, byte for byte. Python warning
@@ -116,6 +121,23 @@ with open("api.json", "w") as f:
     json.dump(out, f, indent=1)
 """
 
+
+def error_lines(dump: str) -> str:
+    """The end of a step that runs each of its `calls` and dumps each one's
+    error line, or "no error", to the JSON file `dump`."""
+    return f"""
+out = {{}}
+for name, call in calls.items():
+    try:
+        call()
+        out[name] = "no error"
+    except fa.FrameAttnError as e:
+        out[name] = f"{{type(e).__name__}}: {{e}}"
+with open({dump!r}, "w") as f:
+    json.dump(out, f, indent=1)
+"""
+
+
 # A NaN written in place into one held-out video, after packing: the error
 # line each scoring path gives, dumped to nan.json.
 NAN_IN_PLACE = f"""\
@@ -133,17 +155,26 @@ calls = {{
     "export_attention": lambda: fa.export_attention(head, ds, "nan_attention.csv", test_idx),
     "score_fusion_baseline": lambda: fa.score_fusion_baseline(
         ds, fa.TrainConfig(batch_size=16, total_epochs=2, seed=3), train_idx, test_idx),
-}}
-out = {{}}
-for name, call in calls.items():
-    try:
-        call()
-        out[name] = "no error"
-    except fa.FrameAttnError as e:
-        out[name] = f"{{type(e).__name__}}: {{e}}"
-with open("nan.json", "w") as f:
-    json.dump(out, f, indent=1)
-"""
+}}""" + error_lines("nan.json")
+
+# Empty selections, each call's error line dumped to empty_selections.json,
+# and a header-only copy of the feature file for eval and visualize.
+EMPTY = f"""\
+import json
+import frameattn as fa
+from frameattn import model
+
+ds = fa.load_feature_file({DATA!r})
+fa.write_feature_file(fa.Dataset([], ds.dim, ds.num_classes, ds.class_names), "empty.fanf")
+head = fa.load_checkpoint("full.fanp")
+config = fa.TrainConfig(batch_size=16, total_epochs=2, seed=3)
+calls = {{
+    "evaluate": lambda: fa.evaluate(head, ds, indices=[]),
+    "export_attention": lambda: fa.export_attention(head, ds, "empty_attention.csv", []),
+    "model.score": lambda: model.score(head, ds.packed(), []),
+    "score_fusion_baseline": lambda: fa.score_fusion_baseline(ds, config, None, []),
+    "cross_validate": lambda: fa.cross_validate(ds, config, fa.FoldPlan(0, {{}})),
+}}""" + error_lines("empty_selections.json")
 
 
 # Corrupt copies of the feature file and the full head, written by one
@@ -216,6 +247,11 @@ MATRIX = [
     *map(corrupt_eval, CORRUPT),
     ("api", ["-c", API]),
     ("api, NaN written in place", ["-c", NAN_IN_PLACE]),
+    ("api, empty selections", ["-c", EMPTY]),
+    ("eval, header-only file", cli("eval", "--checkpoint", "full.fanp", "--data",
+                                   "empty.fanf")),
+    ("visualize, header-only file", cli("visualize", "--checkpoint", "full.fanp",
+                                        "--data", "empty.fanf", "--out", "empty.csv")),
 ]
 EXPORTS = {"full_attention.csv", "full_attention.json",
            "self_attention.csv", "self_attention.json"}

@@ -6,9 +6,9 @@ import pytest
 
 from frameattn import cli
 from frameattn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from frameattn.data import SynthConfig
-from frameattn.model import Mode
-from frameattn.training import TrainConfig, synth_default_config
+from frameattn.data import Dataset, SynthConfig, write_feature_file
+from frameattn.model import Mode, init_params
+from frameattn.training import TrainConfig, save_checkpoint, synth_default_config
 
 TINY_SYNTH = ["synth", "--videos-per-class", "5", "--frames-min", "3",
               "--frames-max", "5", "--dim", "6", "--classes", "3",
@@ -410,6 +410,16 @@ class TestVisualizeCommand:
         assert summary["count"] == 15
         for video in summary["videos"]:
             assert abs(sum(video["final_weights"]) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("command", ["visualize", "eval"])
+    def test_a_header_only_file_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
+        data, ckpt = str(tmp_path / "empty.fanf"), str(tmp_path / "m.fanp")
+        write_feature_file(Dataset([], 4, 2, ["a", "b"]), data)
+        save_checkpoint(init_params(4, 2, Mode.FULL, seed=1), ckpt)
+        out = ["--out", str(tmp_path / "weights.csv")] if command == "visualize" else []
+        err = run_rejected(capsys, command, "--checkpoint", ckpt, "--data", data, *out)
+        assert err == "error: selection is empty\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.fanf", "m.fanp"]
 
 
 class TestNegativeSeed:

@@ -659,9 +659,16 @@ class TestPackedFrames:
     def test_select_takes_integers_only(self):
         packed = ragged_dataset().packed()  # 12 videos
         assert packed.select().tolist() == list(range(12))
+        # refused after the shape checks, before the integer and bounds checks
         for empty in ([], np.array([]), np.zeros(0, np.int32)):
-            picked = packed.select(empty)
-            assert picked.dtype == np.int64 and picked.tolist() == []
+            with pytest.raises(ConfigError, match="^selection is empty$"):
+                packed.select(empty)
+        with pytest.raises(ConfigError, match="^test split is empty$"):
+            packed.select([], "test split")
+        with pytest.raises(IndexError, match="^indices must be one-dimensional"):
+            packed.select([[]])
+        with pytest.raises(ConfigError, match="^selection is empty$"):
+            Dataset([], 4, 2, ["a", "b"]).packed().select()  # no videos to default to
         assert packed.select([11, -1, 0]).tolist() == [11, 11, 0]
         assert packed.select(np.array([2, -2], np.int32)).tolist() == [2, 10]
         assert packed.select(np.array([3], np.uint64)).tolist() == [3]

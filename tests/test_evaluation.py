@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+import frameattn.evaluation as evaluation
+import frameattn.training as training
 from frameattn import model
 from frameattn.data import (
     Dataset,
@@ -167,13 +169,45 @@ class TestCrossValidate:
         with pytest.raises(ConfigError, match="^fold 0 has no test instances$"):
             cross_validate(ds, self.small_cfg(), plan)
 
+    @pytest.mark.parametrize("fold_count, message", [
+        ("3", "must be an integer, got '3'"), (2.0, "must be an integer, got 2.0"),
+        (True, "must be an integer, got True"),
+        (0, "must be at least 2, got 0"), (-2, "must be at least 2, got -2"),
+    ])
+    def test_fold_count_is_checked_before_any_fold_trains(self, fold_count, message,
+                                                           monkeypatch):
+        # the rule build_folds applies, for a hand-built plan
+        ds = labeled_dataset([0, 1, 0, 1], frames=3)
+        monkeypatch.setattr(evaluation, "train", self.no_training)
+        plan = FoldPlan(fold_count, {s: i % 2 for i, s in enumerate(ds.subjects())})
+        with pytest.raises(ConfigError, match=f"^fold_count {message}$"):
+            cross_validate(ds, self.small_cfg(), plan)
+
+    @staticmethod
+    def no_training(*args, **kwargs):
+        raise AssertionError("refused before any fold trains")
+
+    @pytest.mark.parametrize("num_classes, message", [
+        ("2", "num_classes must be an integer, got '2'"),
+        (2.0, "num_classes must be an integer, got 2.0"),
+        (10**20, "expected 100000000000000000000 class names, got 2"),
+    ])
+    def test_a_malformed_header_is_refused_as_train_refuses_it(self, num_classes, message):
+        ds = labeled_dataset([0, 1, 0, 1], frames=3)
+        ds.num_classes = num_classes
+        plan = FoldPlan(2, {s: i % 2 for i, s in enumerate(ds.subjects())})
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            train(ds, self.small_cfg())
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            cross_validate(ds, self.small_cfg(), plan)
+
     def test_empty_fold_rejected(self):
         ds = labeled_dataset([0, 1], frames=3)
         ds.instances[0].subject_id = "sA"
         ds.instances[1].subject_id = "sB"
         plan = build_folds(ds, 2)
         plan.assignment["sB"] = 0  # both subjects in fold 0; fold 1 empty
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^training split is empty$"):  # fold 0's
             cross_validate(ds, self.small_cfg(), plan)
 
 
@@ -181,6 +215,18 @@ class TestScoreFusionBaseline:
     def cfg(self):
         return TrainConfig(schedule=[(0, 0.1)], total_epochs=4, seed=2,
                            batch_size=8, k=2)
+
+    def test_an_empty_test_split_is_refused_before_the_first_step(self, monkeypatch):
+        steps = []
+        real = training.sgd_step
+        monkeypatch.setattr(training, "sgd_step",
+                            lambda *a, **k: (steps.append(1), real(*a, **k))[1])
+        ds = labeled_dataset([0, 1, 0, 1])
+        with pytest.raises(ConfigError, match="^test split is empty$"):
+            score_fusion_baseline(ds, self.cfg(), test_indices=[])
+        assert steps == []
+        score_fusion_baseline(ds, self.cfg(), test_indices=[0])
+        assert len(steps) == 4  # one batch in each of 4 epochs
 
     def test_duplicated_frames_change_no_decision(self):
         # summed scores scale with frame count; argmax is invariant to that
@@ -314,6 +360,15 @@ class TestTrainedModelReference:
 
 
 class TestExportAttention:
+    def test_path_like(self, tmp_path):
+        ds = labeled_dataset([0, 1], d=3, frames=4, seed=1)
+        params = init_params(3, 2, Mode.FULL, seed=3)
+        paths = export_attention(params, ds, tmp_path / "a")
+        assert paths == (str(tmp_path / "a.csv"), str(tmp_path / "a.json"))
+        export_attention(params, ds, str(tmp_path / "b"))
+        for ext in ("csv", "json"):
+            assert (tmp_path / f"a.{ext}").read_bytes() == (tmp_path / f"b.{ext}").read_bytes()
+
     def test_zero_params_uniform_weights(self, tmp_path):
         ds = labeled_dataset([0, 1], d=3, frames=4, seed=1)
         path = str(tmp_path / "att.csv")
@@ -530,18 +585,21 @@ class TestScoringPass:
         with pytest.raises(IndexError, match="out of bounds"):
             self.TAKERS[taker](ds, params, indices)
 
-    def test_empty_index_list(self, tmp_path):
+    def test_empty_index_list(self, monkeypatch, tmp_path):
+        # every taker refuses it through PackedFrames.select, naming its split
+        monkeypatch.chdir(tmp_path)  # where export would write
         ds = ragged_dataset(self.IDS)
         params = spread_params(4, 3, Mode.FULL)
-        scored = model.score(params, ds.packed(), [])
-        assert scored.indices.tolist() == scored.labels.tolist() == []
-        with pytest.raises(ConfigError):
-            evaluate(params, ds, indices=[])
-        export_attention(params, ds, str(tmp_path / "w.csv"), [])
-        assert (tmp_path / "w.csv").read_bytes() == \
-            b"video_id,frame_index,alpha,final_weight,label,prediction\r\n"
-        summary = {"mode": "full", "count": 0, "accuracy": 0.0, "videos": []}
-        assert (tmp_path / "w.json").read_text() == json.dumps(summary, indent=2) + "\n"
+        splits = {"train train_indices": "training split",
+                  "train val_indices": "validation split",
+                  "baseline train_indices": "training split",
+                  "baseline test_indices": "test split"}
+        for taker, take in self.TAKERS.items():
+            message = f"^{splits.get(taker, 'selection')} is empty$"
+            for empty in ([], np.zeros(0, np.int64)):
+                with pytest.raises(ConfigError, match=message):
+                    take(ds, params, empty)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_writers_are_byte_identical_to_csv_and_json_dump(self, mode, tmp_path):

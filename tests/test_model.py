@@ -9,7 +9,7 @@ import pytest
 
 from frameattn import model
 from frameattn.data import Dataset, VideoInstance
-from frameattn.errors import DataError, DimensionError, NumericError
+from frameattn.errors import ConfigError, DataError, DimensionError, NumericError
 from frameattn.evaluation import score_fusion_baseline
 from frameattn.numerics import as_matrix, finite_diff_gradient, relative_error
 from frameattn.model import (
@@ -776,13 +776,12 @@ class TestScore:
             list(model.equal_length_stacks(packed, indices, packed.lengths(indices), head))
         assert len(stacks) == 3
 
-    def test_empty_index_list_scores_nothing(self):
+    def test_an_empty_index_list_is_refused(self):
         ds = video_dataset(self.LENGTHS, self.D)
         params = random_params(self.D, 3, Mode.FULL)
-        s = score(params, ds.packed(), [])
-        assert s.indices.tolist() == s.alpha.tolist() == s.final_weights.tolist() == []
-        assert s.labels.tolist() == []
-        assert s.offsets.tolist() == [0] and s.logits.shape == (0, 3)
+        for picks in (None, np.zeros((0, 2), np.int64)):
+            with pytest.raises(ConfigError, match="^selection is empty$"):
+                score(params, ds.packed(), [], picks)
 
     @pytest.mark.parametrize("indices", [None, [-1, -8, 4, -4], [2, 2, 5, -6, 3, -5, 3]])
     def test_labels_follow_the_indices(self, indices):
