@@ -32,7 +32,7 @@ import numpy as np
 
 from . import model, sampling
 from .data import Dataset, FoldPlan, atomic_open, split_by_fold
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, FrameAttnError, NumericError
 from .model import FanParams
 from .numerics import _shown, _xent, require_integer, softmax
 from .training import TrainConfig, fit, train, training_split
@@ -113,19 +113,27 @@ def cross_validate(
     evaluate on them, and pool the confusion counts over all instances.
 
     The pooled accuracy is instance-weighted (total correct / total count),
-    not the mean of fold accuracies. A fold_count that is not an integer of
-    at least 2 raises ConfigError first, and a fold without test instances
-    before it trains; one without training instances is refused by train,
-    as an empty training split, before its first epoch.
+    not the mean of fold accuracies. Before any fold trains, a fold_count
+    that is not an integer of at least 2 raises ConfigError, then the
+    config and the dataset are checked as train checks them; those errors
+    name no fold. A fold without test instances raises ConfigError "fold N
+    has no test instances" before it trains. An error that a fold's train
+    or evaluate raises (an empty training split, a NumericError) is raised
+    again, with the same class, as "fold N: message".
     """
     require_integer("fold_count", fold_plan.fold_count, 2)
+    config.validate()
+    dataset.packed()
     reports = []
     for fold in range(fold_plan.fold_count):
         train_idx, test_idx = split_by_fold(dataset, fold_plan, fold)
         if not test_idx:
             raise ConfigError(f"fold {fold} has no test instances")
-        params, _ = train(dataset, config, train_indices=train_idx)
-        reports.append(evaluate(params, dataset, indices=test_idx))
+        try:
+            params, _ = train(dataset, config, train_indices=train_idx)
+            reports.append(evaluate(params, dataset, indices=test_idx))
+        except FrameAttnError as e:
+            raise type(e)(f"fold {fold}: {e}") from e
     return reports, _report_from_confusion(sum(r.confusion for r in reports))
 
 

@@ -87,7 +87,13 @@ def ckplus_config(**overrides) -> TrainConfig:
 
 def afew_config(**overrides) -> TrainConfig:
     """Published protocol for the in-the-wild dataset: lr 4e-6, then 8e-7 at
-    epoch 60 and 1.6e-7 at epoch 120, 180 epochs total."""
+    epoch 60 and 1.6e-7 at epoch 120, 180 epochs total.
+
+    These are the paper's rates for fine-tuning a whole network, CNN
+    embedding included. A fresh head trained with them stays close to
+    chance: on the default synthetic set (seed 7, fold 0 of 10 held out),
+    held-out accuracy is 0.36 after 180 epochs, against 0.99 for
+    ckplus_config, chance being 0.25."""
     cfg = TrainConfig(schedule=[(0, 4e-6), (60, 8e-7), (120, 1.6e-7)],
                       total_epochs=180)
     return _override(cfg, overrides)

@@ -10,8 +10,9 @@ relative paths on both sides:
 
   * synth, then train (full and self-only, each with --history, and one
     run whose update overflows), eval (all frames, --per-instance,
-    sampled), visualize (both heads), cv (both modes), and gradcheck
-    (plain and --corrupt);
+    sampled), visualize (both heads), cv (both modes, and one run whose
+    update overflows in its first fold), and gradcheck (plain and
+    --corrupt);
   * train --preset synth-default without --data, on the synthetic set it
     generates for itself, in both modes, each with --history;
   * corrupt copies of the feature file and of the full head, each loaded
@@ -234,6 +235,8 @@ MATRIX = [
     ("cv full", cli("cv", "--data", DATA, "--folds", "5", "--epochs", "3", "--seed", "2")),
     ("cv self-only", cli("cv", "--data", DATA, "--folds", "5", "--epochs", "3",
                          "--seed", "2", "--mode", "self-only")),
+    ("cv, update overflows", cli("cv", "--data", DATA, "--folds", "5", "--epochs", "2",
+                                 "--lr", "1e308", "--weight-decay", "1e308")),
     ("train synth-default full", cli("train", "--preset", "synth-default",
                                      "--out", "synth_full.fanp", "--history",
                                      "synth_full.csv", "--epochs", "4", "--seed", "11")),

@@ -460,6 +460,14 @@ class TestNumericFailure:
         assert last == f"numeric error: {where}"
         assert not ckpt.exists()
 
+    def test_cv_exits_3_naming_the_fold(self, tiny_data, capsys):
+        code = main(["cv", "--data", tiny_data, "--folds", "2", "--epochs", "2",
+                     "--lr", "1e308", "--weight-decay", "1e308"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_NUMERIC and out == ""
+        assert err == ("numeric error: fold 0: epoch 0, batch 0: "
+                       "parameter 'q0' became non-finite during update\n")
+
 
 class TestUsage:
     def test_no_command_exits_1(self, capsys):

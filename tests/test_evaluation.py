@@ -207,8 +207,27 @@ class TestCrossValidate:
         ds.instances[1].subject_id = "sB"
         plan = build_folds(ds, 2)
         plan.assignment["sB"] = 0  # both subjects in fold 0; fold 1 empty
-        with pytest.raises(ConfigError, match="^training split is empty$"):  # fold 0's
+        with pytest.raises(ConfigError, match="^fold 0: training split is empty$"):
             cross_validate(ds, self.small_cfg(), plan)
+
+    def test_a_fold_whose_update_overflows_is_named(self):
+        ds = labeled_dataset([0, 1, 0, 1, 0, 1], frames=3)
+        plan = FoldPlan(2, {s: i % 2 for i, s in enumerate(ds.subjects())})
+        config = TrainConfig(schedule=[(0, 1e308)], weight_decay=1e308, total_epochs=2,
+                             batch_size=8, k=2)
+        with pytest.raises(NumericError, match="^fold 0: epoch 0, batch 0: parameter 'q0' "
+                                               "became non-finite during update$"):
+            cross_validate(ds, config, plan)
+
+    def test_a_bad_config_is_refused_as_train_refuses_it(self, monkeypatch):
+        ds = labeled_dataset([0, 1, 0, 1], frames=3)
+        plan = FoldPlan(2, {s: i % 2 for i, s in enumerate(ds.subjects())})
+        config = TrainConfig(schedule=[(0, 0.05)], total_epochs=2, k=0)
+        with pytest.raises(ConfigError, match="^k must be at least 1, got 0$"):
+            train(ds, config)
+        monkeypatch.setattr(evaluation, "train", self.no_training)
+        with pytest.raises(ConfigError, match="^k must be at least 1, got 0$"):
+            cross_validate(ds, config, plan)
 
 
 class TestScoreFusionBaseline:
