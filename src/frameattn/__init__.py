@@ -11,6 +11,7 @@ from .data import (
     build_folds,
     load_feature_csv,
     load_feature_file,
+    open_feature_file,
     split_by_fold,
     synth_generate,
     synth_peak_positions,

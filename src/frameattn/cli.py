@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .data import (SynthConfig, atomic_open, build_folds, load_feature_file,
-                   synth_generate, write_feature_file)
+                   open_feature_file, synth_generate, write_feature_file)
 from .errors import ConfigError, FrameAttnError, NumericError
 from .evaluation import cross_validate, evaluate, export_attention
 from .model import Mode, gradient_pair, init_params, locate
@@ -108,7 +108,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params = load_checkpoint(args.checkpoint)
-    dataset = load_feature_file(args.data)
+    dataset = open_feature_file(args.data)
     report = evaluate(params, dataset, frame_mode=args.frames,
                       k=args.k, seed=args.seed)
     result = {"mode": params.mode.value, **report.to_dict()}
@@ -203,7 +203,7 @@ def cmd_synth(args) -> int:
 
 def cmd_visualize(args) -> int:
     params = load_checkpoint(args.checkpoint)
-    dataset = load_feature_file(args.data)
+    dataset = open_feature_file(args.data)
     csv_path, json_path = export_attention(params, dataset, args.out)
     _emit({"csv": csv_path, "json": json_path, "videos": len(dataset.instances)})
     return EXIT_OK

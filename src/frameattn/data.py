@@ -37,11 +37,17 @@ its `features` is a view of exactly those rows (Dataset.packed). The loader
 reads each record's features straight into its rows of a float32 matrix
 and checks them there; any other dataset is packed, its videos copied in,
 the first time it is checked (as is a loaded one whose instances were
-replaced since); both lay it out through _empty_pack. Other modules
-select videos with PackedFrames.select, gather their frames with .lengths
-and .stack (the one gather) and read the selection's classes from
-.labels; scoring also takes the width D of .frames and .num_classes. None
-of them reads the offsets or indexes .frames itself.
+replaced since); both lay it out through _empty_pack. An opened dataset
+(open_feature_file) leaves its frames in the file: each video's
+`features` is a StoredFrames handle, and its packed frames read a stack's
+videos through the one descriptor the dataset holds, checking each video's
+frames as they are read. Loading and opening share one record scan
+(_scan_records), which checks every record header, and one per-video
+reader (_read_frames). Other modules select videos with
+PackedFrames.select, gather their frames with .lengths and .stack (the one
+gather) and read the selection's classes from .labels; training and
+scoring also take the width .dim and .num_classes. None of them reads the
+offsets or .frames.
 """
 
 from __future__ import annotations
@@ -51,7 +57,9 @@ import csv
 import os
 import struct
 import tempfile
+import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,13 +86,18 @@ class PackedFrames:
 
     Video i's frames are rows offsets[i]:offsets[i + 1] of `frames` and its
     class is labels[i], one of the num_classes classes its labels were
-    checked against.
+    checked against; every frame has `dim` values. An opened dataset's
+    packed frames (_FilePackedFrames) hold no matrix: they read each
+    video's frames from its file when a stack takes them, and check them
+    then.
     """
 
-    frames: np.ndarray   # (sum n, D): float32 if every video is, else float64
+    frames: np.ndarray | None  # (sum n, D): float32 if every video is, else float64;
+                               # None for an opened file (_FilePackedFrames)
     offsets: np.ndarray  # (N + 1,) int64, offsets[0] = 0
     labels: np.ndarray   # (N,) int64
     num_classes: int
+    dim: int
 
     def select(self, indices=None, what: str = "selection") -> np.ndarray:
         """Video indices as an int64 array: every video by default;
@@ -124,19 +137,72 @@ class PackedFrames:
         return self.frames[self.offsets[videos, None] + picks].astype(np.float64, copy=False)
 
 
+@dataclass(frozen=True)
+class _FilePackedFrames(PackedFrames):
+    """The packed frames of an opened dataset: `videos` holds each video's
+    StoredFrames, read when a stack takes the video; `frames` is None."""
+
+    videos: tuple
+
+    def stack(self, videos: np.ndarray, picks) -> np.ndarray:
+        """As PackedFrames.stack, reading each video whole, one at a time,
+        and checking it (_checked_video) before its picked frames are taken:
+        SchemaError if the file has lost its bytes, DataError if one is not
+        finite."""
+        picks = np.broadcast_to(picks, (len(videos), np.shape(picks)[-1]))
+        out = np.empty((len(videos), picks.shape[1], self.dim))
+        for row, v, frame_ids in zip(out, videos.tolist(), picks):
+            stored = self.videos[v]
+            video = VideoInstance(stored.video_id, "", int(self.labels[v]), stored)
+            row[...] = _checked_video(video, self.dim, self.num_classes)[frame_ids]
+        return out
+
+
+class _OpenFile:
+    """A descriptor of an opened feature file, closed once nothing refers
+    to it: the dataset, its instances' StoredFrames and its packed frames
+    all do."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+        weakref.finalize(self, os.close, fd)
+
+
+class StoredFrames:
+    """One video's (n, D) float32 frames, left where an opened feature file
+    holds them (open_feature_file). `shape` and `dtype` are known without
+    reading anything; np.asarray reads the frames, unchecked, and raises
+    SchemaError naming the record if the file no longer holds them all."""
+
+    dtype = np.dtype("<f4")
+
+    def __init__(self, file: _OpenFile, video_id: str, start: int, shape: tuple):
+        self._file, self.video_id, self._start, self.shape = file, video_id, start, shape
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        frames = np.empty(self.shape, self.dtype)
+        _read_frames(self._file.fd, self._start, frames, self.video_id)
+        return frames if dtype is None else frames.astype(dtype, copy=False)
+
+
 @dataclass
 class Dataset:
     """A list of videos sharing one feature dimension and class list.
 
-    Its frames live in one packed matrix (see `packed`). The first use
-    checks every video and copies it into the matrix, then rebinds each
-    instance's `features` to its view of it, so the frames are held once.
-    Later uses cost one `is` and one label comparison a video
-    (_unchanged) while the dataset is unchanged. Replacing the
-    instance list, an instance, its `features` object or its label makes
-    the next use repack and recheck (into float32 if every video is
-    float32, else float64). Frames are checked only where they enter:
-    training and scoring read them as they are. Writing into `features` in
+    Its frames live in one packed matrix (see `packed`), or, for a dataset
+    opened with open_feature_file, stay in the file until a stack reads
+    them. The first use checks every video and copies it into the matrix,
+    then rebinds each instance's `features` to its view of it, so the
+    frames are held once. Later uses cost one `is` and one label
+    comparison a video (_unchanged) while the dataset is unchanged.
+    Replacing the instance list, an instance, its `features` object or its
+    label makes the next use repack and recheck (into float32 if every
+    video is float32, else float64; an opened dataset reads every video
+    from its file to repack). Frames are checked only where they enter:
+    training and scoring read them as they are. An opened dataset's
+    frames enter whenever a stack reads them, so each video's frames are
+    checked then, every time they are read; its record fields were
+    checked when it was opened. Writing into `features` in
     place changes the packed frames directly, in their dtype (rounded to
     float32 in a float32 matrix), and is not rechecked: a non-finite value
     written that way is reported by the kernel (NumericError, naming the
@@ -163,7 +229,8 @@ class Dataset:
 
     def validate(self) -> None:
         """Raise SchemaError or DataError unless every video is well formed
-        (see _checked_videos): packed(), its result dropped."""
+        (see _checked_videos): packed(), its result dropped. An opened
+        dataset's frames are checked when they are read, not here."""
         self.packed()
 
     def packed(self) -> PackedFrames:
@@ -199,29 +266,34 @@ class Dataset:
         videos = self._checked_videos()
         dtype = np.float32 if all(f.dtype == np.float32 for f in videos) else np.float64
         frames, offsets, rows = _empty_pack([len(f) for f in videos], self.dim, dtype)
-        for row, f in zip(rows, videos):
+        for inst, row, f in zip(self.instances, rows, videos):
             row[...] = f
-        self._adopt(frames, offsets, rows)
-
-    def _adopt(self, frames: np.ndarray, offsets: np.ndarray, rows) -> None:
-        """Make checked packed frames the dataset's storage: rebind every
-        instance's features to its rows of `frames`."""
-        for inst, row in zip(self.instances, rows):
             inst.features = row
+        self._adopt(PackedFrames, frames, offsets)
+
+    def _adopt(self, kind, frames, offsets: np.ndarray, *more) -> None:
+        """Make checked frames the dataset's storage: packed frames of `kind`
+        (PackedFrames, or _FilePackedFrames and its `more` fields for an
+        opened file), each instance's features being its video of them."""
         labels = [inst.label for inst in self.instances]
-        self._packed = PackedFrames(frames, offsets, np.array(labels, np.int64), self.num_classes)
-        self._stamp = (self._header(),
-                       tuple(inst.features for inst in self.instances), labels)
+        self._packed = kind(frames, offsets, np.array(labels, np.int64), self.num_classes,
+                            self.dim, *more)
+        self._stamp = (self._header(), tuple(inst.features for inst in self.instances), labels)
 
     def subjects(self) -> list[str]:
         """Distinct subject ids, sorted ascending."""
         return sorted({inst.subject_id for inst in self.instances})
 
 
+def _offsets(counts) -> np.ndarray:
+    """The (N + 1,) int64 offsets of videos of `counts` frames packed in turn."""
+    return np.cumsum([0] + counts, dtype=np.int64)
+
+
 def _empty_pack(counts, dim: int, dtype):
     """An uninitialized packed matrix for videos of `counts` frames: the
     (sum n, dim) frames, their (N + 1,) offsets and each video's rows."""
-    offsets = np.cumsum([0] + counts, dtype=np.int64)
+    offsets = _offsets(counts)
     frames = np.empty((int(offsets[-1]), dim), dtype)
     # slices at Python ints: np.split(frames, offsets[1:-1]) takes 3-4x as
     # long (385 videos: 100 against 397 us on a 2-core x86-64 host)
@@ -231,19 +303,27 @@ def _empty_pack(counts, dim: int, dtype):
 
 def _checked_video(inst: VideoInstance, dim: int, num_classes: int) -> np.ndarray:
     """inst's frames as an array, once they pass the rules every video meets
-    (packing, the writer and the loader check here): real numbers in `dim`
-    columns, at least one frame, all finite, and an integer label < C."""
+    (packing, the writer, the loader and an opened dataset's stacks check
+    here): real numbers, the fields a record header holds (_check_fields),
+    then every value finite."""
     f = real_array(inst.features, f"instance '{inst.video_id}': features", SchemaError)
-    if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] != dim:
-        raise SchemaError(f"instance '{inst.video_id}': feature shape {f.shape} "
-                          f"inconsistent with dim {dim}")
+    _check_fields(inst.video_id, f.shape, inst.label, dim, num_classes)
     if first_nonfinite_row(f) is not None:
         raise DataError(f"instance '{inst.video_id}': non-finite feature value")
-    require_integer(f"instance '{inst.video_id}': label", inst.label, error=SchemaError)
-    if not 0 <= inst.label < num_classes:
-        raise SchemaError(f"instance '{inst.video_id}': label {_shown(inst.label, str)} "
-                          "out of range")
     return f
+
+
+def _check_fields(video_id: str, shape: tuple, label, dim: int, num_classes: int) -> None:
+    """Raise SchemaError naming the video unless its frames' shape is (n, dim)
+    with n >= 1 and its label an integer < num_classes: the rules on what a
+    FANF record header holds, which the record scan checks before any
+    frame is read."""
+    if len(shape) != 2 or shape[0] < 1 or shape[1] != dim:
+        raise SchemaError(f"instance '{video_id}': feature shape {shape} "
+                          f"inconsistent with dim {dim}")
+    require_integer(f"instance '{video_id}': label", label, error=SchemaError)
+    if not 0 <= label < num_classes:
+        raise SchemaError(f"instance '{video_id}': label {_shown(label, str)} out of range")
 
 
 def _pack_str(s: str) -> bytes:
@@ -348,48 +428,105 @@ def write_feature_file(dataset: Dataset, path: str) -> None:
             f.write(feats)
 
 
+class _Record(NamedTuple):
+    """A FANF record's header fields, and the file position of its features."""
+
+    video_id: str
+    subject_id: str
+    label: int
+    frames: int
+    start: int
+
+
+def _scan_records(f):
+    """Read and check a FANF file's header and every record header, seeking
+    past the features, so nothing is sized by a frame count whose bytes the
+    file does not hold. Each record's frame count and label pass
+    _check_fields in record order, before any frame is read. Returns dim,
+    the class count, the class names and the records."""
+    # the count, the header's last field, is read once dim and C pass
+    size, (dim, num_classes) = _read_header(f, _MAGIC, _VERSION, "<III", "format", "header")
+    if dim < 1 or num_classes < 1:
+        raise SchemaError("header dim and class count must be positive")
+    (count,) = struct.unpack("<Q", _read_exact(f, 8, "header", size))
+    class_names = [_read_str(f, "class name", size) for _ in range(num_classes)]
+    records = []
+    for _ in range(count):
+        video_id = _read_str(f, "video id", size)
+        subject_id = _read_str(f, "subject id", size)
+        label, n = struct.unpack("<II", _read_exact(f, 8, f"record '{video_id}'", size))
+        _check_fields(video_id, (n, dim), label, dim, num_classes)
+        _check_left(f, 4 * n * dim, f"features of record '{video_id}'", size)
+        records.append(_Record(video_id, subject_id, label, n, f.tell()))
+        f.seek(4 * n * dim, os.SEEK_CUR)
+    if f.read(1):
+        raise SchemaError("trailing bytes after final record")
+    return dim, num_classes, class_names, records
+
+
+def _read_frames(fd: int, start: int, out: np.ndarray, video_id: str) -> None:
+    """Fill `out` with the bytes at position `start` of the file open as
+    `fd`, the features of record `video_id`; SchemaError naming it if the
+    file ends first (it has shrunk since it was scanned)."""
+    view = memoryview(out).cast("B")
+    while view:
+        got = os.preadv(fd, [view], start)
+        if not got:
+            raise SchemaError(
+                f"file truncated while reading features of record '{video_id}'")
+        view, start = view[got:], start + got
+
+
 def load_feature_file(path: str) -> Dataset:
     """Parse a canonical binary feature file, verifying every invariant.
 
-    Two passes: the first reads and checks every record header, seeking
-    past the features, so the packed matrix is sized only from frame counts
-    whose bytes the file holds. The second reads each record's features
-    straight into its rows of that float32 matrix, as stored, and checks the
-    video as packing does; each instance's `features` is a view of its rows.
+    The record scan (_scan_records) checks every record header first, so
+    the packed matrix is sized only from frame counts whose bytes the file
+    holds. Then each record's features are read straight into its rows of
+    that float32 matrix, as stored, and checked as packing checks a video;
+    each instance's `features` is a view of its rows.
     """
     with open(path, "rb") as f:
-        # the count, the header's last field, is read once dim and C pass
-        size, (dim, num_classes) = _read_header(f, _MAGIC, _VERSION, "<III", "format", "header")
-        if dim < 1 or num_classes < 1:
-            raise SchemaError("header dim and class count must be positive")
-        (count,) = struct.unpack("<Q", _read_exact(f, 8, "header", size))
-        class_names = [_read_str(f, "class name", size) for _ in range(num_classes)]
-
-        records = []   # (video id, subject id, label, frame count, file position)
-        for _ in range(count):
-            video_id = _read_str(f, "video id", size)
-            subject_id = _read_str(f, "subject id", size)
-            label, n = struct.unpack(
-                "<II", _read_exact(f, 8, f"record '{video_id}'", size))
-            _check_left(f, 4 * n * dim, f"features of record '{video_id}'", size)
-            records.append((video_id, subject_id, label, n, f.tell()))
-            f.seek(4 * n * dim, os.SEEK_CUR)
-        if f.read(1):
-            raise SchemaError("trailing bytes after final record")
-
-        frames, offsets, rows = _empty_pack([n for _, _, _, n, _ in records], dim, "<f4")
+        dim, num_classes, class_names, records = _scan_records(f)
+        frames, offsets, rows = _empty_pack([r.frames for r in records], dim, "<f4")
         instances = []
-        for (video_id, subject_id, label, _, start), row in zip(records, rows):
-            inst = VideoInstance(video_id, subject_id, label, row)
-            f.seek(start)
-            if f.readinto(row) != row.nbytes:
-                raise SchemaError(
-                    f"file truncated while reading features of record '{video_id}'")
+        for r, row in zip(records, rows):
+            _read_frames(f.fileno(), r.start, row, r.video_id)
+            inst = VideoInstance(r.video_id, r.subject_id, r.label, row)
             _checked_video(inst, dim, num_classes)
             instances.append(inst)
-
     ds = Dataset(instances, dim, num_classes, class_names)
-    ds._adopt(frames, offsets, rows)
+    ds._adopt(PackedFrames, frames, offsets)
+    return ds
+
+
+def open_feature_file(path: str) -> Dataset:
+    """Open a canonical binary feature file as a dataset whose frames stay
+    in the file.
+
+    The record scan (_scan_records) checks the header and every record
+    header as load_feature_file does, and no frame is read. Each
+    instance's `features` is a StoredFrames handle of its record, whose
+    shape is known without reading. The dataset's packed frames read the
+    videos of each stack when they are gathered, through one descriptor of
+    the file taken here, and check their frames then: a non-finite value
+    raises DataError, and a file that has lost bytes since SchemaError,
+    each naming the record, from the call that reads it. The descriptor
+    pins the file opened, so replacing `path` changes nothing the dataset
+    reads; it is closed once the dataset, its instances and its packed
+    frames are all dropped. Scoring an opened dataset (evaluation.evaluate,
+    export_attention) holds one stack of frames at a time, not the file;
+    training reads every video of each batch from the file.
+    """
+    with open(path, "rb") as f:
+        dim, num_classes, class_names, records = _scan_records(f)
+        file = _OpenFile(os.dup(f.fileno()))
+    instances = [VideoInstance(r.video_id, r.subject_id, r.label,
+                               StoredFrames(file, r.video_id, r.start, (r.frames, dim)))
+                 for r in records]
+    ds = Dataset(instances, dim, num_classes, class_names)
+    ds._adopt(_FilePackedFrames, None, _offsets([r.frames for r in records]),
+              tuple(inst.features for inst in instances))
     return ds
 
 

@@ -5,9 +5,13 @@ evaluate and export_attention resolve the dataset once (Dataset.packed)
 and hand that view to model.score, which matches the head to it and
 scores the selected videos in equal-length buckets gathered from the
 packed frames, each stack's working set near model.SCORE_CHUNK_BYTES,
-keeping their labels, logits and frame weights. Every selection, the
-training and test splits too, is read by PackedFrames.select, which
-refuses an empty one before any work.
+keeping their labels, logits and frame weights. The frames of a dataset
+opened in place (data.open_feature_file) are read from its file as each
+stack is gathered, and each video's frames are checked then, so a
+non-finite value or a file cut short since it was opened raises from the
+call that reads it, and scoring holds one stack, not the file. Every
+selection, the training and test splits too, is read by
+PackedFrames.select, which refuses an empty one before any work.
 
 The baseline trains an affine per-frame classifier through the attention
 head's own loop (training.fit), on the same minibatches and optimizer
@@ -169,7 +173,7 @@ def score_fusion_baseline(
     test_indices = (train_indices if test_indices is None
                     else packed.select(test_indices, "test split"))
 
-    d, c = packed.frames.shape[1], packed.num_classes
+    d, c = packed.dim, packed.num_classes
     blocks = model.blocks_of([("baseline_w", (c, d)), ("baseline_b", (c,))])
     params = model.init_flat(blocks, config.seed)
     w = params[blocks[0].slice].reshape(c, d)

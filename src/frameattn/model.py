@@ -407,12 +407,13 @@ def score(params: FanParams, packed, indices=None, picks=None) -> Scored:
 
     The videos are run through _kernel in buckets of one length, one stack
     at a time, as equal_length_stacks gathers them, and not checked again:
-    the dataset checked its frames when they entered it. A non-finite
+    the dataset checked its frames when they entered it (an opened one's
+    stack checks each video's frames as it reads them). A non-finite
     logit, which a non-finite value written into them in place also gives,
     raises NumericError naming the dataset index of the first bad video in
     length order, not in the order of indices.
     """
-    d, c = packed.frames.shape[1], packed.num_classes
+    d, c = packed.dim, packed.num_classes
     if params.feature_dim != d:
         raise DimensionError(f"params dim {params.feature_dim} != dataset dim {d}")
     if params.num_classes != c:
@@ -456,7 +457,7 @@ def equal_length_stacks(packed, indices: np.ndarray, lengths: np.ndarray, head, 
     raises it again as "dataset index {i}: {message}", i that video's
     dataset index.
     """
-    d = packed.frames.shape[1]
+    d = packed.dim
     order = np.argsort(lengths, kind="stable")
     # the first position of each run of one length (every length is >= 1)
     firsts = np.flatnonzero(np.diff(lengths[order], prepend=0)).tolist()

@@ -252,7 +252,7 @@ def train(
     """
     packed, train_indices = training_split(dataset, config, train_indices)
     val_indices = None if val_indices is None else packed.select(val_indices, "validation split")
-    params = model.init_params(packed.frames.shape[1], packed.num_classes,
+    params = model.init_params(packed.dim, packed.num_classes,
                                config.mode, seed=config.seed)
 
     def step(stack, labels):

@@ -2,7 +2,7 @@
 
     python3 tests/ab_rounds.py --parent DIR --workload {train,cv,score} [--pairs N] [--seed S]
     python3 tests/ab_rounds.py --aa --workload {train,cv,score} [--pairs N] [--seed S]
-    python3 tests/ab_rounds.py --parent DIR --fresh --workload {train,cv} [--pairs N] [--seed S]
+    python3 tests/ab_rounds.py --parent DIR --fresh --workload {train,cv,score} [--pairs N] [--seed S]
 
 DIR is the root of another checkout (for example the parent commit, made
 with ``git archive``). With ``--aa`` this checkout is run against itself,
@@ -24,29 +24,37 @@ slow spell of the host falls on both sides of a pair alike. A side passes
 when its workload checks pass on its last round's outputs with no failed
 operation.
 
-Fresh processes (``--fresh``): a run is one fresh process per checkout
-calling that checkout's ``frameattn.cli.main`` on its ``src/``, in its own
-temporary working directory, as a user runs the command end to end, and
-is measured as this process's children (``RUSAGE_CHILDREN``):
+Fresh processes (``--fresh``): a run is one fresh process per command
+of the workload, each calling that checkout's ``frameattn.cli.main`` on
+its ``src/``, in the side's own temporary working directory, as a user
+runs the commands end to end. It is measured as this process's children
+(``RUSAGE_CHILDREN``), and its peak RSS is the largest ``ru_maxrss`` of
+its processes, each read from ``os.wait4`` as it ends. The commands:
 
   cv     ``cv --data FILE --preset ck+ --epochs 8 --seed S``, FILE the
-         CK+-shaped input of perfbench's ``cv`` workload, written once from
-         seed S by ``perfbench/workloads.make_inputs`` (read as it is);
+         CK+-shaped input of perfbench's ``cv`` workload;
   train  ``train --preset synth-default --out model.fanp --seed S``, on the
-         synthetic set the command generates for itself.
+         synthetic set the command generates for itself;
+  score  ``eval --checkpoint HEAD --data FILE``, the same with ``--frames
+         sampled --seed S``, and ``visualize --checkpoint HEAD --data FILE
+         --out weights.csv``: perfbench's ``score`` round, on its
+         AFEW-shaped FILE and hand-built HEAD.
 
-The untimed first run compiles the checkout's bytecode and warms the file
-cache. Faults then count what a whole process does (imports, input
-loading, heap growth), so compare them only between runs of one command. A
-side passes when each of its runs exits 0 and prints the stdout of the
-parent's first run.
+FILE and HEAD are written once from seed S by
+``perfbench/workloads.make_inputs`` (read as it is). The untimed first run
+compiles the checkout's bytecode and warms the file cache. Faults then
+count what whole processes do (imports, input loading, heap growth), so
+compare them only between runs of one workload. A side passes when each
+of its processes exits 0 and every run prints the stdout of the parent's
+first run.
 
-Printed: each side's median and interquartile range of CPU time and of
-minor faults per run, and whether it passed; the median of the per-pair
-ratio change / parent and the share of pairs the change won (ties count
-for neither); last, whether a gain claim clears the rule for one (at least
-10 pairs, the change wins at least 9/10 of them and its median is below
-the parent's by more than the parent's IQR). The exit code is 0 when both
+Printed: each side's median and interquartile range of CPU time, of minor
+faults and, for fresh runs, of peak RSS per run, and whether it passed.
+Then, for CPU time and for peak RSS, the median of the per-pair ratio
+change / parent and the share of pairs the change won (ties count for
+neither), and whether a gain claim clears the rule for one (at least 10
+pairs, the change wins at least 9/10 of them and its median is below the
+parent's by more than the parent's IQR). The exit code is 0 when both
 sides passed, else 1. Not collected by pytest; it takes minutes.
 """
 
@@ -68,6 +76,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 MAIN = "import sys; from frameattn.cli import main; sys.exit(main(sys.argv[1:]))"
 
+# Writes a workload's inputs into a directory and prints the input file's name.
+WRITE_INPUTS = """\
+import sys
+from pathlib import Path
+import frameattn, workloads
+workloads.make_inputs(frameattn, sys.argv[1], int(sys.argv[2]), Path(sys.argv[3]))
+print(workloads.INPUT)
+"""
+
 
 def load_package(root: Path, name: str):
     """root/src/frameattn imported as the package `name`; returns it and its
@@ -86,30 +103,42 @@ def quartiles(values):
     return median, q3 - q1
 
 
-def claim_lines(parent, change) -> list[str]:
-    """The per-pair comparison of two sides' CPU seconds (lower is
-    better), pair i being parent[i] and change[i]: the median ratio change
-    / parent, the pairs the change won (ties count for neither), and
-    whether a gain claim clears the rule for one (at least 10 pairs, the
-    change wins at least 9/10 of them and its median is below the parent's
-    by more than the parent's IQR)."""
+def claim_lines(parent, change, metric="CPU", unit="s") -> list[str]:
+    """The per-pair comparison of two sides' values of `metric`, in `unit`
+    (lower is better), pair i being parent[i] and change[i]: the median
+    ratio change / parent, the pairs the change won (ties count for
+    neither), and whether a gain claim clears the rule for one (at least 10
+    pairs, the change wins at least 9/10 of them and its median is below
+    the parent's by more than the parent's IQR)."""
     pairs = len(parent)
     wins = sum(c < q for c, q in zip(change, parent))
     ratio = statistics.median(c / q for c, q in zip(change, parent))
     parent_median, parent_iqr = quartiles(parent)
     gap = parent_median - quartiles(change)[0]
     clears = pairs >= 10 and wins >= 0.9 * pairs and gap > parent_iqr
-    return [f"  change / parent: median ratio {ratio:.3f}, change faster in {wins}/{pairs} pairs",
-            f"  gain claim {'clears' if clears else 'does not clear'} the rule: "
-            f"{wins}/{pairs} pairs won (9/10 of at least 10 needed), median gap {gap:.4f} s "
-            f"against the parent's IQR {parent_iqr:.4f} s"]
+    return [f"  {metric} change / parent: median ratio {ratio:.3f}, "
+            f"change lower in {wins}/{pairs} pairs",
+            f"  {metric} gain claim {'clears' if clears else 'does not clear'} the rule: "
+            f"{wins}/{pairs} pairs won (9/10 of at least 10 needed), median gap "
+            f"{gap:.4f} {unit} against the parent's IQR {parent_iqr:.4f} {unit}"]
+
+
+def side_line(side: str, cpu, faults, rss, verdict: str) -> str:
+    """One side's summary: the median (IQR) per run of its CPU seconds, its
+    minor faults and, when measured (rss not None), its peak RSS in MB,
+    then its verdict."""
+    (c, c_iqr), (f, f_iqr) = quartiles(cpu), quartiles(faults)
+    parts = [f"CPU {c:.4f} s ({c_iqr:.4f})", f"minor faults {f:.0f} ({f_iqr:.0f})"]
+    if rss is not None:
+        r, r_iqr = quartiles(rss)
+        parts.append(f"peak RSS {r:.1f} MB ({r_iqr:.1f})")
+    return f"  {side:6s} {', '.join(parts + [verdict])}"
 
 
 class Rounds:
     """One side's in-process rounds of a perfbench workload."""
 
     who = resource.RUSAGE_SELF
-
     def __init__(self, workloads, name: str, seed: int, root: Path, side: str, work: Path):
         fa, cli = load_package(root, f"frameattn_{side}")
         workloads.make_inputs(fa, name, seed, work)
@@ -130,30 +159,43 @@ class Rounds:
 
 
 class FreshRuns:
-    """One side's fresh processes of a frameattn command."""
+    """One side's fresh processes of the frameattn commands of a run."""
 
     who = resource.RUSAGE_CHILDREN
 
-    def __init__(self, root: Path, argv: list[str], work: Path):
+    def __init__(self, root: Path, commands: list[list[str]], work: Path):
         self.env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        self.argv = argv
+        self.commands = commands
         self.work = work
-        self.outs = []  # (exit code, stdout) of each run
+        self.outs = []   # (failed processes, stdouts) of each run
+        self.peak = 0.0  # the last run's peak RSS, MB: that of its largest process
 
     def run(self) -> None:
-        proc = subprocess.run([sys.executable, "-c", MAIN, *self.argv], cwd=self.work,
-                              env=self.env, capture_output=True, text=True)
-        if proc.returncode != 0:
-            print(f"frameattn {self.argv[0]} exited {proc.returncode}\n{proc.stderr}",
-                  file=sys.stderr)
-        self.outs.append((proc.returncode, proc.stdout))
+        failed, outs, peak = 0, [], 0
+        for argv in self.commands:
+            with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+                proc = subprocess.Popen([sys.executable, "-c", MAIN, *argv], cwd=self.work,
+                                        env=self.env, stdout=out, stderr=err)
+                # reaped here, not by Popen, for the process's own rusage
+                _, status, usage = os.wait4(proc.pid, 0)
+                proc.returncode = os.waitstatus_to_exitcode(status)
+                out.seek(0)
+                err.seek(0)
+                outs.append(out.read().decode())
+                if proc.returncode != 0:
+                    failed += 1
+                    print(f"frameattn {argv[0]} exited {proc.returncode}\n"
+                          f"{err.read().decode()}", file=sys.stderr)
+            peak = max(peak, usage.ru_maxrss * 1024 / 1e6)  # ru_maxrss is in KiB
+        self.outs.append((failed, outs))
+        self.peak = peak
 
     def verdict(self, side: str, parent) -> tuple[bool, str]:
-        failed = sum(code != 0 for code, _ in self.outs)
-        differ = sum(out != parent.outs[0][1] for _, out in self.outs)
+        failed = sum(failed for failed, _ in self.outs)
+        differ = sum(outs != parent.outs[0][1] for _, outs in self.outs)
         return (not failed and not differ,
-                f"{len(self.outs)} runs, {failed} exited non-zero, "
-                f"{differ} with stdout unlike the parent's first")
+                f"{len(self.outs)} runs, {failed} processes exited non-zero, "
+                f"{differ} runs with stdout unlike the parent's first")
 
 
 def usage(who) -> tuple[float, int]:
@@ -171,14 +213,12 @@ def main(argv=None) -> int:
                          help="compare this checkout against itself")
     p.add_argument("--workload", required=True, choices=["train", "cv", "score"])
     p.add_argument("--fresh", action="store_true",
-                   help="time the workload's CLI command in fresh processes (train, cv)")
+                   help="time the workload's CLI commands in fresh processes")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1)
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2")
-    if args.fresh and args.workload == "score":
-        p.error("--fresh runs the train or cv command")
     parent_root = ROOT if args.aa else args.parent.resolve()
     if not (parent_root / "src" / "frameattn" / "__init__.py").is_file():
         p.error(f"{parent_root} holds no src/frameattn")
@@ -187,32 +227,44 @@ def main(argv=None) -> int:
     # here or in a fresh process
     os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                        "MKL_NUM_THREADS": "1"})
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-
     roots = {"parent": parent_root, "change": ROOT}
     with tempfile.TemporaryDirectory() as tmp:
         works = {side: Path(tmp) / side for side in roots}
         for work in works.values():
             work.mkdir()
         if args.fresh:
-            data = Path(tmp) / workloads.INPUT
-            if args.workload == "cv":
-                workloads.make_inputs(load_package(ROOT, "frameattn_inputs")[0], "cv",
-                                      args.seed, Path(tmp))
-                argv = ["cv", "--data", str(data), "--preset", "ck+", "--epochs", "8"]
-            else:
-                argv = ["train", "--preset", "synth-default", "--out", "model.fanp"]
-            argv += ["--seed", str(args.seed)]
-            runs = {side: FreshRuns(root, argv, works[side]) for side, root in roots.items()}
-            title = f"frameattn {' '.join(argv)}, fresh processes".replace(str(data), "FILE")
+            # Written by a process of its own: a process's ru_maxrss counts
+            # the memory of the one it was forked from, up to its exec, so
+            # this one stays small (it imports no numpy) for the runs' peak
+            # RSS to be their own.
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                [str(ROOT / "src"), str(ROOT / "perfbench")]))
+            name = subprocess.run([sys.executable, "-c", WRITE_INPUTS, args.workload,
+                                   str(args.seed), tmp], env=env, check=True,
+                                  capture_output=True, text=True).stdout.strip()
+            data, head, seed = Path(tmp) / name, Path(tmp) / "head.fanp", str(args.seed)
+            scored = ["--checkpoint", str(head), "--data", str(data)]
+            commands = {
+                "cv": [["cv", "--data", str(data), "--preset", "ck+", "--epochs", "8",
+                        "--seed", seed]],
+                "train": [["train", "--preset", "synth-default", "--out", "model.fanp",
+                           "--seed", seed]],
+                "score": [["eval", *scored], ["eval", *scored, "--frames", "sampled", "--seed", seed],
+                          ["visualize", *scored, "--out", "weights.csv"]],
+            }[args.workload]
+            runs = {side: FreshRuns(root, commands, works[side]) for side, root in roots.items()}
+            title = (f"frameattn {'; '.join(' '.join(argv) for argv in commands)}, fresh processes"
+                     .replace(str(data), "FILE").replace(str(head), "HEAD"))
         else:
+            sys.path.insert(0, str(ROOT / "perfbench"))
+            import workloads
             runs = {side: Rounds(workloads, args.workload, args.seed, root, side, works[side])
                     for side, root in roots.items()}
             title = f"workload {args.workload}, seed {args.seed}, in-process rounds"
 
         cpu = {side: [] for side in roots}
         faults = {side: [] for side in roots}
+        rss = {side: [] for side in roots}   # fresh runs only
         for pair in range(-1, args.pairs):  # pair -1 is the untimed first run
             order = list(roots) if pair % 2 == 0 else list(reversed(roots))
             for side in order:
@@ -223,20 +275,23 @@ def main(argv=None) -> int:
                 if pair >= 0:
                     cpu[side].append(c1 - c0)
                     faults[side].append(f1 - f0)
+                    if args.fresh:
+                        rss[side].append(runs[side].peak)
             if pair >= 0:
-                print(f"pair {pair}: parent {cpu['parent'][-1]:.3f} s "
-                      f"{faults['parent'][-1]} faults, change {cpu['change'][-1]:.3f} s "
-                      f"{faults['change'][-1]} faults (first: {order[0]})", file=sys.stderr)
+                print(f"pair {pair}: " + ", ".join(
+                    f"{side} {cpu[side][-1]:.3f} s {faults[side][-1]} faults"
+                    + (f" {rss[side][-1]:.1f} MB" if args.fresh else "") for side in roots)
+                    + f" (first: {order[0]})", file=sys.stderr)
         verdicts = {side: run.verdict(side, runs["parent"]) for side, run in runs.items()}
 
     print(f"{title}, {args.pairs} pairs"
           f"{' (A/A: this checkout on both sides)' if args.aa else ''}, median (IQR) per run:")
     for side in roots:
-        median, iqr = quartiles(cpu[side])
-        fmedian, fiqr = quartiles(faults[side])
-        print(f"  {side:6s} CPU {median:.4f} s ({iqr:.4f}), minor faults {fmedian:.0f} "
-              f"({fiqr:.0f}), {verdicts[side][1]}")
+        print(side_line(side, cpu[side], faults[side], rss[side] if args.fresh else None,
+                        verdicts[side][1]))
     print("\n".join(claim_lines(cpu["parent"], cpu["change"])))
+    if args.fresh:
+        print("\n".join(claim_lines(rss["parent"], rss["change"], "peak RSS", "MB")))
     return 0 if all(ok for ok, _ in verdicts.values()) else 1
 
 

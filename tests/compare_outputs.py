@@ -19,6 +19,10 @@ relative paths on both sides:
     by ``eval``: bad magic bytes, an unsupported version and a header cut
     short, for both formats, and a feature file whose dim is 0. Their exit
     codes and stderr pin both loaders' error paths;
+  * copies of the feature file with one defective record, the sixth: one
+    holding a NaN, one whose label is the class count and one with no
+    frames (its features taken out). Each goes through eval on all and on
+    sampled frames and through visualize, which must write nothing;
   * then an API step for what the CLI cannot reach, dumped to api.json:
     score_fusion_baseline reports with both fusions, in-sample and on one
     held-out fold; a train with val_indices, its history and parameters;
@@ -195,8 +199,49 @@ CORRUPT_WRITER = "\n".join(
     + [f"Path({name!r}).write_bytes({expr})" for name, expr in CORRUPT.items()])
 
 
+# Copies of the feature file whose sixth record is defective, written by
+# one step after synth: a NaN in its frames, its label set to the class
+# count, and its frame count set to 0 with its features taken out.
+RECORD_DEFECTS = f"""\
+import struct
+from pathlib import Path
+
+data = Path({DATA!r}).read_bytes()
+dim, classes = struct.unpack_from("<II", data, 8)
+at = 24
+def skip_str():
+    global at
+    at += 2 + struct.unpack_from("<H", data, at)[0]
+for _ in range(classes):
+    skip_str()
+for record in range(6):
+    skip_str()
+    skip_str()
+    label_at, features = at, at + 8
+    at = features + 4 * dim * struct.unpack_from("<I", data, label_at + 4)[0]
+nan = bytearray(data)
+struct.pack_into("<f", nan, features + 4 * (dim + 2), float("nan"))
+Path("nan_record.fanf").write_bytes(nan)
+label = bytearray(data)
+struct.pack_into("<I", label, label_at, classes)
+Path("label_record.fanf").write_bytes(label)
+Path("no_frames_record.fanf").write_bytes(
+    data[:label_at + 4] + struct.pack("<I", 0) + data[at:])
+"""
+RECORD_DEFECT_FILES = ["nan_record.fanf", "label_record.fanf", "no_frames_record.fanf"]
+
+
 def cli(*args):
     return ["-m", "frameattn.cli", *args]
+
+
+def record_defect_steps(name):
+    """eval on all and on sampled frames, and visualize, of the feature
+    file `name` that holds one defective record."""
+    data = ("--checkpoint", "full.fanp", "--data", name)
+    return [(f"eval {name}", cli("eval", *data)),
+            (f"eval sampled {name}", cli("eval", *data, "--frames", "sampled", "--seed", "5")),
+            (f"visualize {name}", cli("visualize", *data, "--out", name + ".csv"))]
 
 
 def corrupt_eval(name):
@@ -248,6 +293,8 @@ MATRIX = [
     ("gradcheck --corrupt", cli("gradcheck", "--configs", "2", "--seed", "1", "--corrupt")),
     ("write corrupt files", ["-c", CORRUPT_WRITER]),
     *map(corrupt_eval, CORRUPT),
+    ("write files with a defective record", ["-c", RECORD_DEFECTS]),
+    *[step for name in RECORD_DEFECT_FILES for step in record_defect_steps(name)],
     ("api", ["-c", API]),
     ("api, NaN written in place", ["-c", NAN_IN_PLACE]),
     ("api, empty selections", ["-c", EMPTY]),
