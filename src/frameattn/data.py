@@ -20,8 +20,9 @@ float32 when every video is float32 (a loaded file, synth_generate) and
 into float64 otherwise (load_feature_csv, most user code). Every
 computation widens the frames it reads to float64, which is exact, so both
 give the same results. Writing is canonical: equal datasets produce
-identical bytes. The writer checks every video as packing does, then
-writes each one's float32 bytes; it neither packs nor rebinds `features`.
+identical bytes. The writer checks every video as packing does, keeping
+none, then takes each again and writes its float32 bytes, so it holds one
+video at a time; it neither packs nor rebinds `features`.
 A plain-text CSV import (one frame per line) is provided for
 interoperability; the binary form is the canonical one. Every video
 passes one rule, _checked_video (numerics.real_array frames, an integer
@@ -31,19 +32,22 @@ declares is read through one bounded reader, _read_exact. FANF and FANP
 (training) share one header writer and reader, _write_header and
 _read_header, which checks the magic and version (FormatError).
 
+FANF has one reader. Opening a file (open_feature_file) is one record
+scan (_scan_records), which checks every record header and gives each
+instance a StoredFrames handle of its record, read through one
+descriptor the dataset holds; loading (load_feature_file) is opening,
+then one read per record (StoredFrames.read_into) into its rows of the
+packed matrix, each video checked there.
+
 In memory a checked dataset holds all of its frames once, in one packed
 (sum n, D) matrix: video i's frames are rows offsets[i]:offsets[i+1], and
-its `features` is a view of exactly those rows (Dataset.packed). The loader
-reads each record's features straight into its rows of a float32 matrix
-and checks them there; any other dataset is packed, its videos copied in,
-the first time it is checked (as is a loaded one whose instances were
-replaced since); both lay it out through _empty_pack. An opened dataset
-(open_feature_file) leaves its frames in the file: each video's
-`features` is a StoredFrames handle, and its packed frames read a stack's
-videos through the one descriptor the dataset holds, checking each video's
-frames as they are read. Loading and opening share one record scan
-(_scan_records), which checks every record header, and one per-video
-reader (_read_frames). Other modules select videos with
+its `features` is a view of exactly those rows (Dataset.packed). A loaded
+file's matrix is float32, filled as above; any other dataset is packed,
+its videos copied in, the first time it is checked (as is a loaded one
+whose instances were replaced since); both lay it out through
+_empty_pack. An opened dataset leaves its frames in the file: its packed
+frames read a stack's videos through its descriptor, checking each
+video's frames as they are read. Other modules select videos with
 PackedFrames.select, gather their frames with .lengths and .stack (the one
 gather) and read the selection's classes from .labels; training and
 scoring also take the width .dim and .num_classes. None of them reads the
@@ -52,6 +56,7 @@ offsets or .frames.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import os
@@ -59,7 +64,6 @@ import struct
 import tempfile
 import weakref
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -153,8 +157,8 @@ class _FilePackedFrames(PackedFrames):
         out = np.empty((len(videos), picks.shape[1], self.dim))
         for row, v, frame_ids in zip(out, videos.tolist(), picks):
             stored = self.videos[v]
-            video = VideoInstance(stored.video_id, "", int(self.labels[v]), stored)
-            row[...] = _checked_video(video, self.dim, self.num_classes)[frame_ids]
+            row[...] = _checked_video(stored.video_id, stored, self.labels[v], self.dim,
+                                      self.num_classes)[frame_ids]
         return out
 
 
@@ -171,8 +175,9 @@ class _OpenFile:
 class StoredFrames:
     """One video's (n, D) float32 frames, left where an opened feature file
     holds them (open_feature_file). `shape` and `dtype` are known without
-    reading anything; np.asarray reads the frames, unchecked, and raises
-    SchemaError naming the record if the file no longer holds them all."""
+    reading anything; np.asarray (or read_into) reads the frames, unchecked,
+    and raises SchemaError naming the record if the file no longer holds
+    them all."""
 
     dtype = np.dtype("<f4")
 
@@ -180,9 +185,20 @@ class StoredFrames:
         self._file, self.video_id, self._start, self.shape = file, video_id, start, shape
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        frames = np.empty(self.shape, self.dtype)
-        _read_frames(self._file.fd, self._start, frames, self.video_id)
+        frames = self.read_into(np.empty(self.shape, self.dtype))
         return frames if dtype is None else frames.astype(dtype, copy=False)
+
+    def read_into(self, out: np.ndarray) -> np.ndarray:
+        """Fill `out`, a C-contiguous array of `shape` and `dtype`, with the
+        record's stored bytes, and return it."""
+        view, start = memoryview(out).cast("B"), self._start
+        while view:
+            got = os.preadv(self._file.fd, [view], start)
+            if not got:  # the file has shrunk since it was scanned
+                raise SchemaError(
+                    f"file truncated while reading features of record '{self.video_id}'")
+            view, start = view[got:], start + got
+        return out
 
 
 @dataclass
@@ -252,18 +268,20 @@ class Dataset:
                 and all(inst.features is view for inst, view in zip(insts, views))
                 and [inst.label for inst in insts] == labels)
 
-    def _checked_videos(self) -> list[np.ndarray]:
-        """Every instance's frames as an array, once the header and then each
-        video in turn pass the rules (_checked_video)."""
+    def _checked_videos(self):
+        """Check the header now, and return an iterator of every instance's
+        frames as an array, each yielded once it passes the rules
+        (_checked_video), in instance order."""
         require_integer("dim", self.dim, 1, SchemaError)
         require_integer("num_classes", self.num_classes, 1, SchemaError)
         if len(self.class_names) != self.num_classes:
             raise SchemaError(f"expected {self.num_classes} class names, "
                               f"got {len(self.class_names)}")
-        return [_checked_video(inst, self.dim, self.num_classes) for inst in self.instances]
+        return (_checked_video(inst.video_id, inst.features, inst.label, self.dim,
+                               self.num_classes) for inst in self.instances)
 
     def _pack(self) -> None:
-        videos = self._checked_videos()
+        videos = list(self._checked_videos())
         dtype = np.float32 if all(f.dtype == np.float32 for f in videos) else np.float64
         frames, offsets, rows = _empty_pack([len(f) for f in videos], self.dim, dtype)
         for inst, row, f in zip(self.instances, rows, videos):
@@ -301,15 +319,15 @@ def _empty_pack(counts, dim: int, dtype):
     return frames, offsets, [frames[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _checked_video(inst: VideoInstance, dim: int, num_classes: int) -> np.ndarray:
-    """inst's frames as an array, once they pass the rules every video meets
-    (packing, the writer, the loader and an opened dataset's stacks check
-    here): real numbers, the fields a record header holds (_check_fields),
-    then every value finite."""
-    f = real_array(inst.features, f"instance '{inst.video_id}': features", SchemaError)
-    _check_fields(inst.video_id, f.shape, inst.label, dim, num_classes)
+def _checked_video(video_id: str, frames, label, dim: int, num_classes: int) -> np.ndarray:
+    """A video's frames as an array, once they pass the rules every video
+    meets (packing, the writer, the loader and an opened dataset's stacks
+    check here): real numbers, the fields a record header holds
+    (_check_fields), then every value finite."""
+    f = real_array(frames, f"instance '{video_id}': features", SchemaError)
+    _check_fields(video_id, f.shape, label, dim, num_classes)
     if first_nonfinite_row(f) is not None:
-        raise DataError(f"instance '{inst.video_id}': non-finite feature value")
+        raise DataError(f"instance '{video_id}': non-finite feature value")
     return f
 
 
@@ -407,17 +425,19 @@ def atomic_open(path: str, mode: str = "wb", **kwargs):
 
 def write_feature_file(dataset: Dataset, path: str) -> None:
     """Serialize a dataset to the canonical binary form (deterministic bytes).
-    Every video is checked first (Dataset._checked_videos), then each one is
-    rounded to float32 and written on its own. The dataset is not packed:
-    every instance keeps its `features` object."""
-    videos = dataset._checked_videos()
+    Every video is checked first (Dataset._checked_videos), and none is
+    kept; then each one is taken again (an opened dataset's read from its
+    file again), rounded to float32 and written on its own, so writing holds
+    one video at a time. The dataset is not packed: every instance keeps
+    its `features` object."""
+    collections.deque(dataset._checked_videos(), maxlen=0)  # keeps no video
     with atomic_open(path) as f:
         _write_header(f, _MAGIC, "<IIIQ", _VERSION, dataset.dim, dataset.num_classes,
                       len(dataset.instances))
         for name in dataset.class_names:
             f.write(_pack_str(name))
-        for inst, frames in zip(dataset.instances, videos):
-            feats = np.ascontiguousarray(frames, dtype="<f4")
+        for inst in dataset.instances:
+            feats = np.ascontiguousarray(np.asarray(inst.features), dtype="<f4")
             if first_nonfinite_row(feats) is not None:
                 raise DataError(
                     f"instance '{inst.video_id}': feature overflows single precision"
@@ -426,16 +446,7 @@ def write_feature_file(dataset: Dataset, path: str) -> None:
             f.write(_pack_str(inst.subject_id))
             f.write(struct.pack("<II", inst.label, feats.shape[0]))
             f.write(feats)
-
-
-class _Record(NamedTuple):
-    """A FANF record's header fields, and the file position of its features."""
-
-    video_id: str
-    subject_id: str
-    label: int
-    frames: int
-    start: int
+            del feats  # before the next video is taken
 
 
 def _scan_records(f):
@@ -443,61 +454,29 @@ def _scan_records(f):
     past the features, so nothing is sized by a frame count whose bytes the
     file does not hold. Each record's frame count and label pass
     _check_fields in record order, before any frame is read. Returns dim,
-    the class count, the class names and the records."""
+    the class count, the class names and the instances, each instance's
+    `features` a StoredFrames handle of its record, read through one
+    duplicate of f's descriptor, taken before the scan."""
+    file = _OpenFile(os.dup(f.fileno()))
     # the count, the header's last field, is read once dim and C pass
     size, (dim, num_classes) = _read_header(f, _MAGIC, _VERSION, "<III", "format", "header")
     if dim < 1 or num_classes < 1:
         raise SchemaError("header dim and class count must be positive")
     (count,) = struct.unpack("<Q", _read_exact(f, 8, "header", size))
     class_names = [_read_str(f, "class name", size) for _ in range(num_classes)]
-    records = []
+    instances = []
     for _ in range(count):
         video_id = _read_str(f, "video id", size)
         subject_id = _read_str(f, "subject id", size)
         label, n = struct.unpack("<II", _read_exact(f, 8, f"record '{video_id}'", size))
         _check_fields(video_id, (n, dim), label, dim, num_classes)
         _check_left(f, 4 * n * dim, f"features of record '{video_id}'", size)
-        records.append(_Record(video_id, subject_id, label, n, f.tell()))
+        frames = StoredFrames(file, video_id, f.tell(), (n, dim))
+        instances.append(VideoInstance(video_id, subject_id, label, frames))
         f.seek(4 * n * dim, os.SEEK_CUR)
     if f.read(1):
         raise SchemaError("trailing bytes after final record")
-    return dim, num_classes, class_names, records
-
-
-def _read_frames(fd: int, start: int, out: np.ndarray, video_id: str) -> None:
-    """Fill `out` with the bytes at position `start` of the file open as
-    `fd`, the features of record `video_id`; SchemaError naming it if the
-    file ends first (it has shrunk since it was scanned)."""
-    view = memoryview(out).cast("B")
-    while view:
-        got = os.preadv(fd, [view], start)
-        if not got:
-            raise SchemaError(
-                f"file truncated while reading features of record '{video_id}'")
-        view, start = view[got:], start + got
-
-
-def load_feature_file(path: str) -> Dataset:
-    """Parse a canonical binary feature file, verifying every invariant.
-
-    The record scan (_scan_records) checks every record header first, so
-    the packed matrix is sized only from frame counts whose bytes the file
-    holds. Then each record's features are read straight into its rows of
-    that float32 matrix, as stored, and checked as packing checks a video;
-    each instance's `features` is a view of its rows.
-    """
-    with open(path, "rb") as f:
-        dim, num_classes, class_names, records = _scan_records(f)
-        frames, offsets, rows = _empty_pack([r.frames for r in records], dim, "<f4")
-        instances = []
-        for r, row in zip(records, rows):
-            _read_frames(f.fileno(), r.start, row, r.video_id)
-            inst = VideoInstance(r.video_id, r.subject_id, r.label, row)
-            _checked_video(inst, dim, num_classes)
-            instances.append(inst)
-    ds = Dataset(instances, dim, num_classes, class_names)
-    ds._adopt(PackedFrames, frames, offsets)
-    return ds
+    return dim, num_classes, class_names, instances
 
 
 def open_feature_file(path: str) -> Dataset:
@@ -505,28 +484,45 @@ def open_feature_file(path: str) -> Dataset:
     in the file.
 
     The record scan (_scan_records) checks the header and every record
-    header as load_feature_file does, and no frame is read. Each
-    instance's `features` is a StoredFrames handle of its record, whose
-    shape is known without reading. The dataset's packed frames read the
-    videos of each stack when they are gathered, through one descriptor of
-    the file taken here, and check their frames then: a non-finite value
-    raises DataError, and a file that has lost bytes since SchemaError,
-    each naming the record, from the call that reads it. The descriptor
-    pins the file opened, so replacing `path` changes nothing the dataset
-    reads; it is closed once the dataset, its instances and its packed
-    frames are all dropped. Scoring an opened dataset (evaluation.evaluate,
-    export_attention) holds one stack of frames at a time, not the file;
-    training reads every video of each batch from the file.
+    header, and no frame is read. Each instance's `features` is a
+    StoredFrames handle of its record, whose shape is known without
+    reading. The dataset's packed frames read the videos of each stack
+    when they are gathered, through one descriptor of the file taken here,
+    and check their frames then: a non-finite value raises DataError, and
+    a file that has lost bytes since SchemaError, each naming the record,
+    from the call that reads it. The descriptor pins the file opened, so
+    replacing `path` changes nothing the dataset reads; it is closed once
+    the dataset, its instances and its packed frames are all dropped.
+    Scoring an opened dataset (evaluation.evaluate, export_attention)
+    holds one stack of frames at a time, not the file; training reads
+    every video of each batch from the file.
     """
     with open(path, "rb") as f:
-        dim, num_classes, class_names, records = _scan_records(f)
-        file = _OpenFile(os.dup(f.fileno()))
-    instances = [VideoInstance(r.video_id, r.subject_id, r.label,
-                               StoredFrames(file, r.video_id, r.start, (r.frames, dim)))
-                 for r in records]
+        dim, num_classes, class_names, instances = _scan_records(f)
     ds = Dataset(instances, dim, num_classes, class_names)
-    ds._adopt(_FilePackedFrames, None, _offsets([r.frames for r in records]),
+    ds._adopt(_FilePackedFrames, None, _offsets([inst.features.shape[0] for inst in instances]),
               tuple(inst.features for inst in instances))
+    return ds
+
+
+def load_feature_file(path: str) -> Dataset:
+    """Parse a canonical binary feature file, verifying every invariant.
+
+    Loading is opening the file (open_feature_file, whose record scan
+    checks every record header, so the packed matrix is sized only from
+    frame counts whose bytes the file holds), then reading each record, in
+    order, straight into its rows of one float32 matrix, as stored, and
+    checking it there as packing checks a video. Each instance's
+    `features` becomes a view of its rows, and the opened file's
+    descriptor is closed before this returns.
+    """
+    ds = open_feature_file(path)
+    frames, offsets, rows = _empty_pack([inst.features.shape[0] for inst in ds.instances],
+                                        ds.dim, "<f4")
+    for inst, row in zip(ds.instances, rows):
+        inst.features = _checked_video(inst.video_id, inst.features.read_into(row), inst.label,
+                                       ds.dim, ds.num_classes)
+    ds._adopt(PackedFrames, frames, offsets)
     return ds
 
 

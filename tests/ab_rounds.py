@@ -1,13 +1,12 @@
 """A/B pairs of one perfbench workload: a parent checkout against this one.
 
     python3 tests/ab_rounds.py --parent DIR --workload {train,cv,score} [--pairs N] [--seed S]
-    python3 tests/ab_rounds.py --aa --workload {train,cv,score} [--pairs N] [--seed S]
     python3 tests/ab_rounds.py --parent DIR --fresh --workload {train,cv,score} [--pairs N] [--seed S]
 
 DIR is the root of another checkout (for example the parent commit, made
-with ``git archive``). With ``--aa`` this checkout is run against itself,
-which shows the ratio and win share the harness gives when nothing
-changed. Both kinds of run below go through one loop: each side runs once,
+with ``git archive``). Given this checkout's own root (``--parent .``),
+the run is an A/A comparison, which shows the ratio and win share the
+harness gives when nothing changed. Both kinds of run below go through one loop: each side runs once,
 untimed, then N pairs of runs follow, the side that goes first alternating
 from pair to pair. A run's CPU time (user + system) and minor page faults
 are the change in ``resource.getrusage`` across it, after a gc.collect().
@@ -206,11 +205,8 @@ def usage(who) -> tuple[float, int]:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    against = p.add_mutually_exclusive_group(required=True)
-    against.add_argument("--parent", type=Path,
-                         help="root of the checkout to compare against")
-    against.add_argument("--aa", action="store_true",
-                         help="compare this checkout against itself")
+    p.add_argument("--parent", type=Path, required=True,
+                   help="root of the checkout to compare against")
     p.add_argument("--workload", required=True, choices=["train", "cv", "score"])
     p.add_argument("--fresh", action="store_true",
                    help="time the workload's CLI commands in fresh processes")
@@ -219,7 +215,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2")
-    parent_root = ROOT if args.aa else args.parent.resolve()
+    parent_root = args.parent.resolve()
     if not (parent_root / "src" / "frameattn" / "__init__.py").is_file():
         p.error(f"{parent_root} holds no src/frameattn")
 
@@ -284,8 +280,7 @@ def main(argv=None) -> int:
                     + f" (first: {order[0]})", file=sys.stderr)
         verdicts = {side: run.verdict(side, runs["parent"]) for side, run in runs.items()}
 
-    print(f"{title}, {args.pairs} pairs"
-          f"{' (A/A: this checkout on both sides)' if args.aa else ''}, median (IQR) per run:")
+    print(f"{title}, {args.pairs} pairs, median (IQR) per run:")
     for side in roots:
         print(side_line(side, cpu[side], faults[side], rss[side] if args.fresh else None,
                         verdicts[side][1]))

@@ -9,6 +9,7 @@ accuracy and localization criteria.
 import itertools
 import struct
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,7 +264,7 @@ def test_criterion_7_format_round_trips(tmp_path):
     f1, f2 = str(tmp_path / "a.fanf"), str(tmp_path / "b.fanf")
     write_feature_file(ds, f1)
     write_feature_file(load_feature_file(f1), f2)
-    if open(f1, "rb").read() != open(f2, "rb").read():
+    if Path(f1).read_bytes() != Path(f2).read_bytes():
         failures.append("feature file round trip is not bit-exact")
 
     for mode in (Mode.FULL, Mode.SELF_ONLY):
@@ -272,13 +273,13 @@ def test_criterion_7_format_round_trips(tmp_path):
         c2 = c1 + ".again"
         save_checkpoint(p, c1)
         save_checkpoint(load_checkpoint(c1), c2)
-        if open(c1, "rb").read() != open(c2, "rb").read():
+        if Path(c1).read_bytes() != Path(c2).read_bytes():
             failures.append(f"checkpoint round trip not bit-exact ({mode.value})")
 
     corrupt = str(tmp_path / "corrupt.fanf")
-    raw = bytearray(open(f1, "rb").read())
+    raw = bytearray(Path(f1).read_bytes())
     raw[:4] = b"XXXX"
-    open(corrupt, "wb").write(bytes(raw))
+    Path(corrupt).write_bytes(bytes(raw))
     try:
         load_feature_file(corrupt)
         failures.append("corrupted feature header accepted")
@@ -286,9 +287,9 @@ def test_criterion_7_format_round_trips(tmp_path):
         pass
 
     corrupt_ckpt = str(tmp_path / "corrupt.fanp")
-    raw = bytearray(open(str(tmp_path / "full.fanp"), "rb").read())
+    raw = bytearray((tmp_path / "full.fanp").read_bytes())
     raw[:4] = b"XXXX"
-    open(corrupt_ckpt, "wb").write(bytes(raw))
+    Path(corrupt_ckpt).write_bytes(bytes(raw))
     try:
         load_checkpoint(corrupt_ckpt)
         failures.append("corrupted checkpoint header accepted")
@@ -300,7 +301,7 @@ def test_criterion_7_format_round_trips(tmp_path):
              struct.pack("<H", 1), b"x",
              struct.pack("<H", 2), b"v0", struct.pack("<H", 2), b"s0",
              struct.pack("<II", 0, 1), np.array([np.nan, 0.0], "<f4").tobytes()]
-    open(nan_file, "wb").write(b"".join(parts))
+    Path(nan_file).write_bytes(b"".join(parts))
     try:
         load_feature_file(nan_file)
         failures.append("NaN feature payload accepted")
@@ -308,9 +309,9 @@ def test_criterion_7_format_round_trips(tmp_path):
         pass
 
     nan_ckpt = str(tmp_path / "nan.fanp")
-    raw = bytearray(open(str(tmp_path / "full.fanp"), "rb").read())
+    raw = bytearray((tmp_path / "full.fanp").read_bytes())
     raw[-8:] = np.array([np.nan]).tobytes()
-    open(nan_ckpt, "wb").write(bytes(raw))
+    Path(nan_ckpt).write_bytes(bytes(raw))
     try:
         load_checkpoint(nan_ckpt)
         failures.append("NaN checkpoint payload accepted")
@@ -332,7 +333,7 @@ def test_criterion_8_cli_determinism(tmp_path, capsys):
         if code != EXIT_OK:
             failures.append(f"{name} exited {code}")
             continue
-        outputs.append((open(ckpt, "rb").read(), open(hist, "rb").read()))
+        outputs.append((Path(ckpt).read_bytes(), Path(hist).read_bytes()))
     if len(outputs) == 2:
         if outputs[0][0] != outputs[1][0]:
             failures.append("checkpoints differ between identical runs")

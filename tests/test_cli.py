@@ -1,6 +1,7 @@
 import hashlib
 import json
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -54,7 +55,7 @@ class TestSynthCommand:
         p1, p2 = str(tmp_path / "a.fanf"), str(tmp_path / "b.fanf")
         assert run(capsys, *TINY_SYNTH, "--out", p1)[0] == EXIT_OK
         assert run(capsys, *TINY_SYNTH, "--out", p2)[0] == EXIT_OK
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         code, _ = run(capsys, "synth", "--classes", "20", "--dim", "4",
@@ -147,7 +148,7 @@ class TestTrainCommand:
         assert code == EXIT_OK
         summary = json.loads(out)
         assert summary["epochs"] == 3
-        lines = open(hist).read().strip().split("\n")
+        lines = Path(hist).read_text().strip().split("\n")
         assert len(lines) == 4  # header + 3 epochs
         from frameattn.training import load_checkpoint
         params = load_checkpoint(ckpt)
@@ -193,10 +194,10 @@ class TestTrainCommand:
         assert 0.0 <= report["accuracy"] <= 1.0
 
     def test_does_not_mutate_inputs(self, tiny_data, tmp_path, capsys):
-        before = hashlib.sha256(open(tiny_data, "rb").read()).hexdigest()
+        before = hashlib.sha256(Path(tiny_data).read_bytes()).hexdigest()
         run(capsys, "train", "--data", tiny_data,
             "--out", str(tmp_path / "m.fanp"), "--epochs", "1", "--seed", "1")
-        after = hashlib.sha256(open(tiny_data, "rb").read()).hexdigest()
+        after = hashlib.sha256(Path(tiny_data).read_bytes()).hexdigest()
         assert before == after
 
     def test_deterministic_outputs(self, tiny_data, tmp_path, capsys):
@@ -207,7 +208,7 @@ class TestTrainCommand:
             code, _ = run(capsys, "train", "--data", tiny_data, "--out", ckpt,
                           "--history", hist, "--epochs", "2", "--seed", "9")
             assert code == EXIT_OK
-            outs.append((open(ckpt, "rb").read(), open(hist, "rb").read()))
+            outs.append((Path(ckpt).read_bytes(), Path(hist).read_bytes()))
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("mode,sha256", [
@@ -223,7 +224,7 @@ class TestTrainCommand:
                       "--mode", mode, "--epochs", "4", "--batch-size", "4",
                       "--k", "2", "--weight-decay", "0.05", "--seed", "3")
         assert code == EXIT_OK
-        assert hashlib.sha256(open(ckpt, "rb").read()).hexdigest() == sha256
+        assert hashlib.sha256(Path(ckpt).read_bytes()).hexdigest() == sha256
 
     def test_published_presets_pin_epoch_counts(self, tiny_data, tmp_path, capsys):
         for preset, epochs in (("ck+", 60), ("afew", 180)):
@@ -234,7 +235,7 @@ class TestTrainCommand:
                             "--batch-size", "8", "--seed", "1")
             assert code == EXIT_OK
             assert json.loads(out)["epochs"] == epochs
-            assert len(open(hist).read().strip().split("\n")) == epochs + 1
+            assert len(Path(hist).read_text().strip().split("\n")) == epochs + 1
 
     def test_signal_zero_trains_to_chance(self, tmp_path, capsys):
         data = str(tmp_path / "nosig.fanf")
@@ -406,7 +407,7 @@ class TestVisualizeCommand:
                         "--data", tiny_data, "--out", out_path)
         assert code == EXIT_OK
         produced = json.loads(out)
-        summary = json.load(open(produced["json"]))
+        summary = json.loads(Path(produced["json"]).read_text())
         assert summary["count"] == 15
         for video in summary["videos"]:
             assert abs(sum(video["final_weights"]) - 1.0) < 1e-9

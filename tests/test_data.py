@@ -4,6 +4,7 @@ import re
 import struct
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ class TestBinaryFormat:
         p1, p2 = str(tmp_path / "a.fanf"), str(tmp_path / "b.fanf")
         write_feature_file(ds, p1)
         write_feature_file(ds, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_empty_dataset_header_only(self, tmp_path):
         ds = Dataset([], 4, 2, ["a", "b"])
@@ -73,31 +74,31 @@ class TestBinaryFormat:
                      2, 2, ["a", "b"])
         path = str(tmp_path / "one.fanf")
         write_feature_file(ds, path)
-        assert len(open(path, "rb").read()) == 54
+        assert len(Path(path).read_bytes()) == 54
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "bad.fanf")
         write_feature_file(tiny_dataset(), path)
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[:4] = b"NOPE"
-        open(path, "wb").write(bytes(raw))
+        Path(path).write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             load_feature_file(path)
 
     def test_bad_version(self, tmp_path):
         path = str(tmp_path / "bad.fanf")
         write_feature_file(tiny_dataset(), path)
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[4:8] = struct.pack("<I", 99)
-        open(path, "wb").write(bytes(raw))
+        Path(path).write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             load_feature_file(path)
 
     def test_truncated_file(self, tmp_path):
         path = str(tmp_path / "trunc.fanf")
         write_feature_file(tiny_dataset(), path)
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:-5])
+        raw = Path(path).read_bytes()
+        Path(path).write_bytes(raw[:-5])
         with pytest.raises(SchemaError):
             load_feature_file(path)
 
@@ -117,7 +118,7 @@ class TestBinaryFormat:
                  struct.pack("<II", 0, 1),
                  np.array([1.0, np.nan], "<f4").tobytes()]
         path = str(tmp_path / "nan.fanf")
-        open(path, "wb").write(b"".join(parts))
+        Path(path).write_bytes(b"".join(parts))
         with pytest.raises(DataError, match="vbad"):
             load_feature_file(path)
 
@@ -128,7 +129,7 @@ class TestBinaryFormat:
                  struct.pack("<II", 5, 1),
                  np.array([1.0, 2.0], "<f4").tobytes()]
         path = str(tmp_path / "lbl.fanf")
-        open(path, "wb").write(b"".join(parts))
+        Path(path).write_bytes(b"".join(parts))
         with pytest.raises(SchemaError):
             load_feature_file(path)
 
@@ -141,8 +142,8 @@ class TestBinaryFormat:
                  struct.pack("<H", 1), b"v", struct.pack("<H", 1), b"s",
                  struct.pack("<II", 0, big)]
         path = str(tmp_path / "hostile.fanf")
-        open(path, "wb").write(b"".join(parts))
-        assert len(open(path, "rb").read()) == 41
+        Path(path).write_bytes(b"".join(parts))
+        assert len(Path(path).read_bytes()) == 41
         with pytest.raises(SchemaError):
             load_feature_file(path)
 
@@ -752,7 +753,7 @@ class TestPackedFrames:
                  fanf_record("v0", 0, 1, [np.nan, 1.0]),
                  fanf_record("v1", 0, 2**31, [1.0, 2.0])]
         path = str(tmp_path / "big.fanf")
-        open(path, "wb").write(b"".join(parts))
+        Path(path).write_bytes(b"".join(parts))
         sizes = []
         real = np.empty
         monkeypatch.setattr(np, "empty",

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,7 +368,7 @@ class TestTrainedModelReference:
         export_attention(exp["params"], exp["dataset"], path,
                          indices=exp["test_indices"])
         by_video = {}
-        for row in csv.DictReader(open(path)):
+        for row in csv.DictReader(Path(path).read_text().splitlines()):
             by_video.setdefault(row["video_id"], []).append(
                 (int(row["frame_index"]), float(row["final_weight"])))
         hits = 0
@@ -392,7 +393,7 @@ class TestExportAttention:
         ds = labeled_dataset([0, 1], d=3, frames=4, seed=1)
         path = str(tmp_path / "att.csv")
         export_attention(zero_params(3, 2), ds, path)
-        rows = list(csv.DictReader(open(path)))
+        rows = list(csv.DictReader(Path(path).read_text().splitlines()))
         assert len(rows) == 8
         for row in rows:
             assert float(row["alpha"]) == 0.5
@@ -402,7 +403,7 @@ class TestExportAttention:
         ds = labeled_dataset([1], d=3, frames=1, seed=2)
         path = str(tmp_path / "att.csv")
         export_attention(init_params(3, 2, Mode.FULL, seed=3), ds, path)
-        rows = list(csv.DictReader(open(path)))
+        rows = list(csv.DictReader(Path(path).read_text().splitlines()))
         assert len(rows) == 1
         assert float(rows[0]["final_weight"]) == 1.0
 
@@ -410,7 +411,7 @@ class TestExportAttention:
         ds = labeled_dataset([0, 1, 1], d=4, frames=6, seed=5)
         path = str(tmp_path / "att.csv")
         export_attention(init_params(4, 2, Mode.FULL, seed=7), ds, path)
-        summary = json.load(open(str(tmp_path / "att.json")))
+        summary = json.loads((tmp_path / "att.json").read_text())
         assert summary["count"] == 3
         assert set(summary["videos"][0]) == {
             "video_id", "label", "prediction", "frame_indices", "alpha",
@@ -419,7 +420,7 @@ class TestExportAttention:
             assert len(video["alpha"]) == len(video["final_weights"]) == 6
             assert abs(sum(video["final_weights"]) - 1.0) < 1e-9
         # csv rows agree with the summary
-        rows = list(csv.DictReader(open(path)))
+        rows = list(csv.DictReader(Path(path).read_text().splitlines()))
         assert len(rows) == 18
         per_video = {}
         for row in rows:
@@ -431,18 +432,19 @@ class TestExportAttention:
         ds = labeled_dataset([0], d=3, frames=1, seed=2)
         path = str(tmp_path / "att.csv")
         export_attention(zero_params(3, 1), ds, path)
-        assert [row["frame_index"] for row in csv.DictReader(open(path))] == ["0"]
-        assert json.load(open(tmp_path / "att.json"))["videos"][0]["frame_indices"] == [0]
+        rows = csv.DictReader(Path(path).read_text().splitlines())
+        assert [row["frame_index"] for row in rows] == ["0"]
+        assert json.loads((tmp_path / "att.json").read_text())["videos"][0]["frame_indices"] == [0]
 
     def test_frame_indices_enumerate_every_frame(self, tmp_path):
         ds = labeled_dataset([0, 1], d=3, frames=4, seed=1)
         path = str(tmp_path / "att.csv")
         export_attention(zero_params(3, 2), ds, path)
-        rows = list(csv.DictReader(open(path)))
+        rows = list(csv.DictReader(Path(path).read_text().splitlines()))
         for video_id in ("v0", "v1"):
             assert [int(r["frame_index"]) for r in rows
                     if r["video_id"] == video_id] == [0, 1, 2, 3]
-        for video in json.load(open(tmp_path / "att.json"))["videos"]:
+        for video in json.loads((tmp_path / "att.json").read_text())["videos"]:
             assert video["frame_indices"] == [0, 1, 2, 3]
 
     def test_zero_frame_video_rejected(self, tmp_path):
@@ -630,7 +632,7 @@ class TestScoringPass:
         params = spread_params(4, 3, mode)
         csv_path, json_path = export_attention(params, ds, str(tmp_path / "w.csv"),
                                                [3, 0, 11, 1, 2, 4, 5, 6, 7, 8, 9, 10, 3])
-        raw = open(json_path, encoding="utf-8").read()
+        raw = Path(json_path).read_text(encoding="utf-8")
         summary = json.loads(raw)
         assert [v["video_id"] for v in summary["videos"]][:3] == [ids[3], ids[0], ids[11]]
         out = io.StringIO()
@@ -647,7 +649,7 @@ class TestScoringPass:
                                  map(repr, v["alpha"]), map(repr, v["final_weights"]),
                                  [v["label"]] * len(v["alpha"]),
                                  [v["prediction"]] * len(v["alpha"])))
-        assert open(csv_path, newline="", encoding="utf-8").read() == out.getvalue()
+        assert Path(csv_path).read_bytes().decode("utf-8") == out.getvalue()
         assert summary["accuracy"] == sum(
             v["label"] == v["prediction"] for v in summary["videos"]) / 13
 

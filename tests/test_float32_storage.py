@@ -1,6 +1,8 @@
 """A loaded FANF file keeps its frames in float32; everything computed from
 them is float64 and equals what the same frames give held as float64."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -109,7 +111,7 @@ def test_scoring_and_export_match_float64(pair, tmp_path, monkeypatch, mode, bud
     outputs = []
     for name, ds in (("loaded", loaded), ("wide", wide)):
         csv_path, json_path = export_attention(params, ds, str(tmp_path / name))
-        outputs.append((open(csv_path, "rb").read(), open(json_path, "rb").read()))
+        outputs.append((Path(csv_path).read_bytes(), Path(json_path).read_bytes()))
     assert outputs[0] == outputs[1]
 
 

@@ -1,8 +1,9 @@
 """Feature files opened in place (data.open_feature_file): the frames stay
 in the file and a stack reads them, so every result equals that of the
 loaded file, bit for bit, while scoring holds one stack of frames at a
-time. Also the record scan that loading and opening share, and the
-descriptor an opened dataset holds."""
+time. Also opening's record scan, which loading follows with one read
+per record; the descriptor an opened dataset holds; and writing an
+opened dataset one video at a time."""
 
 import gc
 import io
@@ -200,6 +201,24 @@ def test_dropping_an_opened_dataset_closes_its_file(synth_file, tmp_path):
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_loading_closes_the_file_it_opens(synth_file, tmp_path):
+    nan = tmp_path / "nan.fanf"
+    nan.write_bytes(fanf_bytes(2, 2, [("v0", 0, 1, [1.0, 2.0]), ("v1", 1, 1, [np.nan, 1.0])]))
+    gc.collect()
+    before = open_descriptors()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        loaded = load_feature_file(str(synth_file))
+        assert open_descriptors() == before
+        with pytest.raises(DataError, match="^instance 'v1': non-finite feature value$"):
+            load_feature_file(str(nan))
+        assert open_descriptors() == before
+        del loaded
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 def afew_like_file(path, megabytes):
     """An AFEW-shaped file of about `megabytes` MB of frames: D=512, 7
     classes, videos of 8 to 120 frames."""
@@ -230,3 +249,20 @@ def test_scoring_a_file_holds_one_stack_not_the_file(tmp_path, megabytes, capsys
             tracemalloc.stop()
         assert peak < 4 * SCORE_CHUNK_BYTES, (argv[0], peak / SCORE_CHUNK_BYTES)
     capsys.readouterr()
+
+
+def test_writing_an_opened_file_holds_one_video(tmp_path):
+    # the bound of test_data's test_memory_is_bounded_by_the_largest_video:
+    # the check pass keeps no video, and the write pass reads each again
+    source, copy = tmp_path / "afew.fanf", tmp_path / "copy.fanf"
+    afew_like_file(source, 8)
+    opened = open_feature_file(str(source))
+    largest = max(inst.features.shape[0] for inst in opened.instances) * 512 * 4
+    tracemalloc.start()
+    try:
+        write_feature_file(opened, str(copy))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * largest + 64 * 1024, peak / largest
+    assert copy.read_bytes() == source.read_bytes()

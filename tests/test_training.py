@@ -2,6 +2,7 @@ import hashlib
 import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -559,22 +560,22 @@ class TestCheckpoint:
             assert q.mode is mode
             np.testing.assert_array_equal(p.flatten(), q.flatten())
             save_checkpoint(q, path + ".2")
-            assert open(path, "rb").read() == open(path + ".2", "rb").read()
+            assert Path(path).read_bytes() == Path(path + ".2").read_bytes()
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "x.fanp")
         save_checkpoint(init_params(3, 2, Mode.FULL, seed=0), path)
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[:4] = b"JUNK"
-        open(path, "wb").write(bytes(raw))
+        Path(path).write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
     def test_truncated(self, tmp_path):
         path = str(tmp_path / "x.fanp")
         save_checkpoint(init_params(3, 2, Mode.FULL, seed=0), path)
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:-8])
+        raw = Path(path).read_bytes()
+        Path(path).write_bytes(raw[:-8])
         with pytest.raises(SchemaError):
             load_checkpoint(path)
 
@@ -597,9 +598,9 @@ class TestCheckpoint:
         path = str(tmp_path / "x.fanp")
         p = init_params(3, 2, Mode.FULL, seed=0)
         save_checkpoint(p, path)
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[20:28] = np.array([np.nan]).tobytes()
-        open(path, "wb").write(bytes(raw))
+        Path(path).write_bytes(bytes(raw))
         with pytest.raises(DataError):
             load_checkpoint(path)
 
