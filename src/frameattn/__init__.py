@@ -41,9 +41,8 @@ from .model import (
     forward,
     gradient_check,
     init_params,
-    predict,
 )
-from .sampling import plan_segments, sample_training
+from .sampling import sample_training
 from .training import (
     EpochStats,
     TrainConfig,

@@ -164,12 +164,12 @@ class _FilePackedFrames(PackedFrames):
 
 class _OpenFile:
     """A descriptor of an opened feature file, closed once nothing refers
-    to it: the dataset, its instances' StoredFrames and its packed frames
-    all do."""
+    to it (the dataset, its instances' StoredFrames and its packed frames
+    all do), or by close(), which a failing load calls. It closes once."""
 
     def __init__(self, fd: int):
         self.fd = fd
-        weakref.finalize(self, os.close, fd)
+        self.close = weakref.finalize(self, os.close, fd)
 
 
 class StoredFrames:
@@ -456,27 +456,28 @@ def _scan_records(f):
     _check_fields in record order, before any frame is read. Returns dim,
     the class count, the class names and the instances, each instance's
     `features` a StoredFrames handle of its record, read through one
-    duplicate of f's descriptor, taken before the scan."""
-    file = _OpenFile(os.dup(f.fileno()))
+    duplicate of f's descriptor, taken once the scan has passed."""
     # the count, the header's last field, is read once dim and C pass
     size, (dim, num_classes) = _read_header(f, _MAGIC, _VERSION, "<III", "format", "header")
     if dim < 1 or num_classes < 1:
         raise SchemaError("header dim and class count must be positive")
     (count,) = struct.unpack("<Q", _read_exact(f, 8, "header", size))
     class_names = [_read_str(f, "class name", size) for _ in range(num_classes)]
-    instances = []
+    records = []
     for _ in range(count):
         video_id = _read_str(f, "video id", size)
         subject_id = _read_str(f, "subject id", size)
         label, n = struct.unpack("<II", _read_exact(f, 8, f"record '{video_id}'", size))
         _check_fields(video_id, (n, dim), label, dim, num_classes)
         _check_left(f, 4 * n * dim, f"features of record '{video_id}'", size)
-        frames = StoredFrames(file, video_id, f.tell(), (n, dim))
-        instances.append(VideoInstance(video_id, subject_id, label, frames))
+        records.append((video_id, subject_id, label, f.tell(), n))
         f.seek(4 * n * dim, os.SEEK_CUR)
     if f.read(1):
         raise SchemaError("trailing bytes after final record")
-    return dim, num_classes, class_names, instances
+    file = _OpenFile(os.dup(f.fileno()))
+    return dim, num_classes, class_names, [
+        VideoInstance(video_id, subject_id, label, StoredFrames(file, video_id, start, (n, dim)))
+        for video_id, subject_id, label, start, n in records]
 
 
 def open_feature_file(path: str) -> Dataset:
@@ -514,14 +515,19 @@ def load_feature_file(path: str) -> Dataset:
     order, straight into its rows of one float32 matrix, as stored, and
     checking it there as packing checks a video. Each instance's
     `features` becomes a view of its rows, and the opened file's
-    descriptor is closed before this returns.
+    descriptor is closed before this returns or raises, even while the
+    exception is kept.
     """
     ds = open_feature_file(path)
     frames, offsets, rows = _empty_pack([inst.features.shape[0] for inst in ds.instances],
                                         ds.dim, "<f4")
-    for inst, row in zip(ds.instances, rows):
-        inst.features = _checked_video(inst.video_id, inst.features.read_into(row), inst.label,
-                                       ds.dim, ds.num_classes)
+    try:
+        for inst, row in zip(ds.instances, rows):
+            inst.features = _checked_video(inst.video_id, inst.features.read_into(row),
+                                           inst.label, ds.dim, ds.num_classes)
+    except BaseException:
+        inst.features._file.close()  # the traceback's frames still refer to it
+        raise
     ds._adopt(PackedFrames, frames, offsets)
     return ds
 

@@ -15,13 +15,11 @@ PackedFrames.select, which refuses an empty one before any work.
 
 The baseline trains an affine per-frame classifier through the attention
 head's own loop (training.fit), on the same minibatches and optimizer
-settings, and fuses a video's decision by summing its per-frame scores.
-Summation is over raw logits by default; pass fusion="probs" to sum softmax
-probabilities instead (the argmax can differ). One function scores and
-checks its frames, for its training step and as the head that
-model.score's walk (model.equal_length_stacks) runs on its held-out
-videos' stacks; both heads' decisions, the exported ones too, go through
-one tally (_tally).
+settings, and fuses a video's decision by summing its per-frame logits.
+One function scores and checks its frames, for its training step and as
+the head that model.score's walk (model.equal_length_stacks) runs on its
+held-out videos' stacks; both heads' decisions, the exported ones too, go
+through one tally (_tally).
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from . import model, sampling
 from .data import Dataset, FoldPlan, atomic_open, split_by_fold
 from .errors import ConfigError, FrameAttnError, NumericError
 from .model import FanParams
-from .numerics import _shown, _xent, require_integer, softmax
+from .numerics import _shown, _xent, require_integer
 from .training import TrainConfig, fit, train, training_split
 
 
@@ -146,9 +144,8 @@ def score_fusion_baseline(
     config: TrainConfig,
     train_indices: list[int] | None = None,
     test_indices: list[int] | None = None,
-    fusion: str = "logits",
 ) -> EvalReport:
-    """Train the per-frame classifier and fuse per-frame scores by summation.
+    """Train the per-frame classifier and fuse per-frame logits by summation.
 
     Training is training.fit on one flat vector of weights and bias: each
     sampled frame is an independent sample, and batch gradients are averaged
@@ -167,8 +164,6 @@ def score_fusion_baseline(
     names it); in the held-out pass, of the first bad video in length
     order (the walk names it, as for model.score).
     """
-    if fusion not in ("logits", "probs"):
-        raise ConfigError(f"unknown fusion '{_shown(fusion, str)}'")
     packed, train_indices = training_split(dataset, config, train_indices)
     test_indices = (train_indices if test_indices is None
                     else packed.select(test_indices, "test split"))
@@ -203,8 +198,7 @@ def score_fusion_baseline(
     scores = np.empty((len(test_indices), c))
     for pos, s in model.equal_length_stacks(packed, test_indices, packed.lengths(test_indices),
                                             frame_scores):
-        fused = softmax(s) if fusion == "probs" else s
-        scores[pos] = fused.reshape(len(pos), -1, c).sum(axis=1)
+        scores[pos] = s.reshape(len(pos), -1, c).sum(axis=1)
     return _tally(packed.labels[test_indices], scores, c)
 
 

@@ -73,7 +73,7 @@ from .numerics import (
     as_vector,
     finite_diff_gradient,
     real_array,
-    relative_error,
+    relative_errors,
     require_integer,
     sigmoid,
     softmax_cross_entropy,
@@ -178,9 +178,6 @@ class FanParams:
     @property
     def num_classes(self) -> int:
         return self.class_b.shape[0]
-
-    def copy(self) -> "FanParams":
-        return FanParams._over(self.flat.copy(), self.blocks, self.mode)
 
     def flatten(self) -> np.ndarray:
         """A copy of the flat vector: q0, q1, class_w row-major, class_b."""
@@ -475,11 +472,6 @@ def equal_length_stacks(packed, indices: np.ndarray, lengths: np.ndarray, head, 
             yield pos, out
 
 
-def predict(logits) -> int:
-    """Index of the maximum logit; ties resolve to the lowest index."""
-    return int(np.argmax(as_vector(logits, "logits")))
-
-
 def backward(features, params: FanParams, label: int) -> tuple[float, FanParams]:
     """Softmax cross-entropy loss and its exact parameter gradients, in the
     parameters' layout."""
@@ -520,4 +512,4 @@ def gradient_pair(features, params: FanParams, label: int,
 def gradient_check(features, params: FanParams, label: int,
                    eps: float = 1e-5) -> float:
     """Max relative error of the analytic gradient against central differences."""
-    return relative_error(*gradient_pair(features, params, label, eps))
+    return float(np.max(relative_errors(*gradient_pair(features, params, label, eps))))

@@ -129,15 +129,6 @@ def sigmoid(x):
     return float(out) if out.ndim == 0 else out
 
 
-def softmax(logits) -> np.ndarray:
-    """Softmax with max-subtraction stabilization, of a logit vector or of
-    each row of an (n, C) block."""
-    z = as_array(logits, 2 if np.ndim(logits) == 2 else 1, "logits")
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    ez = np.exp(shifted)
-    return ez / np.sum(ez, axis=-1, keepdims=True)
-
-
 def softmax_cross_entropy(logits, label):
     """Cross-entropy loss of softmax(logits) against integer labels.
 
@@ -205,8 +196,3 @@ def relative_errors(a, b) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
     return np.abs(a - b) / np.maximum(1e-8, np.abs(a) + np.abs(b))
-
-
-def relative_error(a, b) -> float:
-    """Max of relative_errors(a, b), the gradient-check metric."""
-    return float(np.max(relative_errors(a, b)))

@@ -32,15 +32,6 @@ def _segment_bounds(lengths: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     return edges[:, :-1], edges[:, 1:]
 
 
-def plan_segments(n: int, k: int) -> list[tuple[int, int]]:
-    """Split [0, n) into k floor-rounded half-open ranges (lo, hi), in
-    order; range s is [floor(s*n/k), floor((s+1)*n/k)). Ranges may be empty
-    when n < k. n and k must be positive integers (ValueError)."""
-    require_integer("n", n, 1, ValueError)
-    lo, hi = _segment_bounds(np.array([n]), k)
-    return list(zip(lo[0].tolist(), hi[0].tolist()))
-
-
 def sample_segments(lengths, k: int, rng: np.random.Generator) -> np.ndarray:
     """One uniformly random frame index per segment for each of N videos.
 

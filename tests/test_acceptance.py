@@ -29,7 +29,7 @@ from frameattn.data import (
 from frameattn.errors import DataError, FormatError
 from frameattn.evaluation import evaluate, score_fusion_baseline
 from frameattn.model import Mode, forward, gradient_check, init_params
-from frameattn.sampling import plan_segments, sample_training, stream
+from frameattn.sampling import _segment_bounds, sample_training, stream
 from frameattn.training import (
     afew_config,
     ckplus_config,
@@ -226,7 +226,8 @@ def test_criterion_6_protocol_fidelity():
 
     for n in range(1, 201):
         for k in range(1, 11):
-            bounds = plan_segments(n, k)
+            lo, hi = _segment_bounds(np.array([n]), k)
+            bounds = list(zip(lo[0].tolist(), hi[0].tolist()))
             if bounds[0][0] != 0 or bounds[-1][1] != n or any(
                     a1 != b0 for (_, a1), (b0, _) in zip(bounds, bounds[1:])):
                 failures.append(f"segment plan broken for n={n} k={k}")

@@ -27,7 +27,7 @@ from frameattn.evaluation import (
     export_attention,
     score_fusion_baseline,
 )
-from frameattn.model import FanParams, Mode, forward, init_params, predict
+from frameattn.model import FanParams, Mode, forward, init_params
 from frameattn.sampling import sample_training, stream
 from frameattn.training import TrainConfig, train
 
@@ -276,8 +276,7 @@ class TestScoreFusionBaseline:
         np.testing.assert_array_equal(report.confusion, again.confusion)
         assert report.count == 6
 
-    @pytest.mark.parametrize("fusion", ["logits", "probs"])
-    def test_non_finite_test_video_names_its_dataset_index(self, fusion):
+    def test_non_finite_test_video_names_its_dataset_index(self):
         # a value written into the checked frames in place: the video used
         # to be classified silently (its NaN scores argmax to class 0)
         ds = synth_generate(SynthConfig(videos_per_class=6, frames_min=3, frames_max=5,
@@ -286,10 +285,9 @@ class TestScoreFusionBaseline:
         ds.instances[5].features[1, 2] = np.nan
         with pytest.raises(NumericError,
                            match="^dataset index 5: baseline produced non-finite scores$"):
-            score_fusion_baseline(ds, TrainConfig(total_epochs=0), fusion=fusion)
+            score_fusion_baseline(ds, TrainConfig(total_epochs=0))
 
-    @pytest.mark.parametrize("fusion", ["logits", "probs"])
-    def test_non_finite_training_video_names_epoch_batch_and_index(self, fusion):
+    def test_non_finite_training_video_names_epoch_batch_and_index(self):
         # a value written into the checked frames in place, met in training:
         # training.fit names the epoch, the batch and the video
         ds = synth_generate(SynthConfig(videos_per_class=6, frames_min=3, frames_max=5,
@@ -298,7 +296,7 @@ class TestScoreFusionBaseline:
         ds.instances[5].features[:] = np.nan
         with pytest.raises(NumericError, match=r"^epoch 0, batch \d+, dataset index 5: "
                                                r"baseline produced non-finite scores$"):
-            score_fusion_baseline(ds, TrainConfig(total_epochs=1, k=2), fusion=fusion)
+            score_fusion_baseline(ds, TrainConfig(total_epochs=1, k=2))
 
     def test_held_out_videos_are_gathered_through_the_packed_stack(self, monkeypatch):
         # the held-out pass reads frames only as PackedFrames.stack gathers
@@ -318,11 +316,7 @@ class TestScoreFusionBaseline:
         assert sorted(gathered) == sorted(test_idx)
         assert report.count == len(test_idx)
 
-    @pytest.mark.parametrize("fusion, sha256", [
-        ("logits", "b98b7e6d83351cfd79483c0e689c66e2a5e0d4fa3878464a070f91bc53d9d04d"),
-        ("probs", "41d1ffdb0c3b07ab2d4b9c026d324508cd3d971dcaec5165652381f6b6304079"),
-    ])
-    def test_confusions_pinned(self, fusion, sha256):
+    def test_confusions_pinned(self):
         # pinned while the baseline still ran its own SGD loop (x86-64,
         # numpy 2.4, OpenBLAS): three seeds, five held-out folds and one
         # in-sample run each, with a learning-rate drop and ragged videos
@@ -337,20 +331,10 @@ class TestScoreFusionBaseline:
             plan = build_folds(ds, 5)
             splits = [split_by_fold(ds, plan, fold) for fold in range(5)] + [(None, None)]
             for train_idx, test_idx in splits:
-                report = score_fusion_baseline(ds, cfg, train_idx, test_idx, fusion)
+                report = score_fusion_baseline(ds, cfg, train_idx, test_idx)
                 digest.update(report.confusion.astype("<i8").tobytes())
-        assert digest.hexdigest() == sha256
-
-    def test_probability_fusion_option(self):
-        ds = labeled_dataset([0, 1, 0, 1], d=4, frames=5, seed=10)
-        idx = list(range(4))
-        r_logit = score_fusion_baseline(ds, self.cfg(), idx, idx, fusion="logits")
-        r_prob = score_fusion_baseline(ds, self.cfg(), idx, idx, fusion="probs")
-        assert r_logit.count == r_prob.count == 4
-        with pytest.raises(ConfigError):
-            score_fusion_baseline(ds, self.cfg(), idx, idx, fusion="nope")
-        with pytest.raises(ConfigError, match="^unknown fusion 'int with over 4300 digits'$"):
-            score_fusion_baseline(ds, self.cfg(), idx, idx, fusion=10**5000)
+        assert digest.hexdigest() == ("b98b7e6d83351cfd79483c0e689c66e2a5e0d4fa3878464a"
+                                      "070f91bc53d9d04d")
 
 
 class TestTrainedModelReference:
@@ -534,7 +518,7 @@ class TestScoringPass:
         report = evaluate(params, ds, indices=indices)
         want_idx = range(9) if indices is None else [i % 9 for i in indices]
         preds = report.predictions
-        assert preds.tolist() == [predict(forward(ds.instances[i].features, params)[0])
+        assert preds.tolist() == [int(np.argmax(forward(ds.instances[i].features, params)[0]))
                                   for i in want_idx]
         confusion = np.zeros((3, 3), dtype=np.int64)
         for i, pred in zip(want_idx, preds):
@@ -552,7 +536,7 @@ class TestScoringPass:
         for i in indices:
             frames = ds.instances[i].features
             picks = sample_training(len(frames), 3, stream(5, i % 9))
-            want.append(predict(forward(frames[picks], params)[0]))
+            want.append(int(np.argmax(forward(frames[picks], params)[0])))
         assert preds.tolist() == want
 
     @pytest.mark.parametrize("mode", list(Mode))
@@ -566,7 +550,7 @@ class TestScoringPass:
         assert [v["video_id"] for v in summary["videos"]] == ["v5", "v8", "v0", "v0"]
         for video, i in zip(summary["videos"], [5, 8, 0, 0]):
             logits, trace = forward(ds.instances[i].features, params)
-            assert video["prediction"] == predict(logits)
+            assert video["prediction"] == int(np.argmax(logits))
             np.testing.assert_allclose(video["alpha"], trace.alpha, rtol=0, atol=1e-12)
             np.testing.assert_allclose(video["final_weights"], trace.final_weights,
                                        rtol=0, atol=1e-12)

@@ -133,8 +133,6 @@ def test_cross_validation_and_baseline_match_float64(pair):
     runs = [cross_validate(ds, config, plan) for ds in (loaded, wide)]
     for a, b in zip(runs[0][0] + [runs[0][1]], runs[1][0] + [runs[1][1]]):
         assert a.confusion.tolist() == b.confusion.tolist()
-    for fusion in ("logits", "probs"):
-        a, b = (score_fusion_baseline(ds, config, list(range(0, 24, 2)),
-                                      list(range(1, 24, 2)), fusion=fusion)
-                for ds in (loaded, wide))
-        assert a.to_dict() == b.to_dict()
+    a, b = (score_fusion_baseline(ds, config, list(range(0, 24, 2)), list(range(1, 24, 2)))
+            for ds in (loaded, wide))
+    assert a.to_dict() == b.to_dict()

