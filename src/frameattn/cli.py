@@ -22,7 +22,7 @@ from .data import (SynthConfig, atomic_open, build_folds, load_feature_file,
 from .errors import ConfigError, FrameAttnError, NumericError
 from .evaluation import cross_validate, evaluate, export_attention
 from .model import Mode, gradient_pair, init_params, locate
-from .numerics import relative_errors, require_integer, require_real
+from .numerics import COUNT_MAX, relative_errors, require_integer, require_real
 from .training import (
     TrainConfig,
     afew_config,
@@ -150,7 +150,7 @@ def cmd_gradcheck(args) -> int:
     for flag, value in (("--configs", args.configs), ("--d", args.d),
                         ("--n", args.n), ("--c", args.c)):
         if value is not None:
-            require_integer(flag, value, 1)
+            require_integer(flag, value, 1, maximum=COUNT_MAX)
     require_integer("--seed", args.seed, 0)
     rng = np.random.default_rng(args.seed)
     results = []

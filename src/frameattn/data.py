@@ -51,7 +51,12 @@ video's frames as they are read. Other modules select videos with
 PackedFrames.select, gather their frames with .lengths and .stack (the one
 gather) and read the selection's classes from .labels; training and
 scoring also take the width .dim and .num_classes. None of them reads the
-offsets or .frames.
+offsets or .frames. A stack is gathered into a float64 buffer its caller
+owns, when it passes one (`out`): training.fit owns one for its whole run
+and each scoring walk (model.equal_length_stacks) one for the walk, and
+each gathers stack after stack into it, so no head may keep a stack past
+its call. Without `out`, as minibatches' other callers have it, every
+stack is a new array.
 """
 
 from __future__ import annotations
@@ -68,7 +73,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, SchemaError
-from .numerics import _shown, first_nonfinite_row, real_array, require_integer, require_real
+from .numerics import (COUNT_MAX, _shown, first_nonfinite_row, real_array, require_integer,
+                       require_real)
 
 _MAGIC = b"FANF"
 _VERSION = 1
@@ -134,31 +140,58 @@ class PackedFrames:
         """The frame counts of the videos at dataset indices `videos`."""
         return self.offsets[videos + 1] - self.offsets[videos]
 
-    def stack(self, videos: np.ndarray, picks) -> np.ndarray:
+    def stack(self, videos: np.ndarray, picks, out: np.ndarray | None = None) -> np.ndarray:
         """The (B, K, D) float64 stack whose row b holds frames picks[b]
         (positions within the video) of video videos[b]; (K,) picks take
-        the same positions of every video. Widened after the gather."""
-        return self.frames[self.offsets[videos, None] + picks].astype(np.float64, copy=False)
+        the same positions of every video, and picks None every frame of
+        videos of one length K. Widened after the gather: into `out`, a
+        float64 array of that shape, which is returned, or else into a new
+        array. The caller that passes `out` owns it, and the next stack it
+        gathers there overwrites this one (training.fit and the scoring
+        walk, model.equal_length_stacks, each own one)."""
+        if picks is None:
+            picks = np.arange(self.lengths(videos[:1])[0])
+        gathered = self.frames[self.offsets[videos, None] + picks]
+        if out is None:
+            return gathered.astype(np.float64, copy=False)
+        out[...] = gathered
+        return out
 
 
 @dataclass(frozen=True)
 class _FilePackedFrames(PackedFrames):
     """The packed frames of an opened dataset: `videos` holds each video's
-    StoredFrames, read when a stack takes the video; `frames` is None."""
+    StoredFrames, read when a stack takes the video; `frames` is None;
+    `longest` is the frame count of the file's longest video."""
 
     videos: tuple
+    longest: int
 
-    def stack(self, videos: np.ndarray, picks) -> np.ndarray:
+    def stack(self, videos: np.ndarray, picks, out: np.ndarray | None = None) -> np.ndarray:
         """As PackedFrames.stack, reading each video whole, one at a time,
-        and checking it (_checked_video) before its picked frames are taken:
-        SchemaError if the file has lost its bytes, DataError if one is not
-        finite."""
+        into one float32 read buffer that holds the file's longest video,
+        and checking it there (_checked_video) before its picked frames are
+        taken (all of them, with picks None, as they are: no copy of them
+        is made): SchemaError if the file has lost its bytes, DataError if
+        one is not finite."""
+        every = picks is None
+        if every:
+            picks = np.arange(self.lengths(videos[:1])[0])
         picks = np.broadcast_to(picks, (len(videos), np.shape(picks)[-1]))
-        out = np.empty((len(videos), picks.shape[1], self.dim))
+        if out is None:
+            out = np.empty((len(videos), picks.shape[1], self.dim))
+        # one read buffer of one size for every stack, and no copy of a
+        # video's frames when the stack takes all of them: such copies grow
+        # along the scoring walk's ascending lengths, and with them the
+        # first all-frame score of the AFEW-shaped benchmark file in a
+        # process took 10,952 minor faults, against 367 without them and
+        # 885 reading an array per video (2-core x86-64 host)
+        read = np.empty((self.longest, self.dim), StoredFrames.dtype)
         for row, v, frame_ids in zip(out, videos.tolist(), picks):
             stored = self.videos[v]
-            row[...] = _checked_video(stored.video_id, stored, self.labels[v], self.dim,
-                                      self.num_classes)[frame_ids]
+            frames = _checked_video(stored.video_id, stored.read_into(read[:stored.shape[0]]),
+                                    self.labels[v], self.dim, self.num_classes)
+            row[...] = frames if every else frames[frame_ids]
         return out
 
 
@@ -500,9 +533,10 @@ def open_feature_file(path: str) -> Dataset:
     """
     with open(path, "rb") as f:
         dim, num_classes, class_names, instances = _scan_records(f)
+    counts = [inst.features.shape[0] for inst in instances]
     ds = Dataset(instances, dim, num_classes, class_names)
-    ds._adopt(_FilePackedFrames, None, _offsets([inst.features.shape[0] for inst in instances]),
-              tuple(inst.features for inst in instances))
+    ds._adopt(_FilePackedFrames, None, _offsets(counts),
+              tuple(inst.features for inst in instances), max(counts, default=0))
     return ds
 
 
@@ -669,7 +703,10 @@ class SynthConfig:
     def validate(self) -> None:
         for name in ("videos_per_class", "frames_min", "frames_max", "dim", "num_classes",
                      "peak_frames", "subject_count"):
-            require_integer(name, getattr(self, name), 1)
+            # the counts that size arrays: dim and frames_max here, and
+            # num_classes, frames_min and peak_frames through them below
+            bounded = name in ("dim", "frames_max")
+            require_integer(name, getattr(self, name), 1, maximum=COUNT_MAX if bounded else None)
         require_integer("seed", self.seed, 0)
         require_real("signal", self.signal, 0)
         require_real("noise", self.noise, 0)

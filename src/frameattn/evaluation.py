@@ -36,7 +36,7 @@ from . import model, sampling
 from .data import Dataset, FoldPlan, atomic_open, split_by_fold
 from .errors import ConfigError, FrameAttnError, NumericError
 from .model import FanParams
-from .numerics import _shown, _xent, require_integer
+from .numerics import COUNT_MAX, _shown, _xent, require_integer
 from .training import TrainConfig, fit, train, training_split
 
 
@@ -98,7 +98,7 @@ def evaluate(params: FanParams, dataset: Dataset, frame_mode: str = "all",
     picks = None
     packed = dataset.packed()
     if frame_mode == "sampled":
-        require_integer("k", k, 1)
+        require_integer("k", k, 1, maximum=COUNT_MAX)
         require_integer("seed", seed, 0)
         indices = packed.select(indices)
         picks = np.array([sampling.sample_training(n, k, sampling.stream(seed, i))

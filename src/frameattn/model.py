@@ -52,8 +52,10 @@ length cut into stacks whose working set is about SCORE_CHUNK_BYTES, so
 the frames held at a time do not grow with the dataset. That walk is one
 generator, equal_length_stacks, which runs a head on each stack: _kernel
 for score, the per-frame scorer of the score-fusion baseline's held-out
-pass (evaluation.score_fusion_baseline). It drops each stack once its
-head returns and names the dataset index of a failing video for both.
+pass (evaluation.score_fusion_baseline). The walk owns one float64 buffer,
+sized to the largest stack it cuts, and gathers every stack into it, so
+no head may keep a stack (or a view of one) past its call; neither head
+does. It names the dataset index of a failing video for both heads.
 """
 
 from __future__ import annotations
@@ -446,30 +448,37 @@ def equal_length_stacks(packed, indices: np.ndarray, lengths: np.ndarray, head, 
     SCORE_CHUNK_BYTES, and each stack gathered as float64
     (PackedFrames.stack) only when it is reached. positions index
     `indices`; stack row b holds every frame of video indices[positions[b]],
-    or its frames picks[positions[b]]. The walk keeps no stack once its
-    head returns, so it holds one stack at a time unless the head keeps
-    one. A head's NumericError carries the stack row of its first bad
-    video (both heads give one: _kernel without labels raises only its
-    logit check, and the baseline's frame_scores always sets it); the walk
-    raises it again as "dataset index {i}: {message}", i that video's
-    dataset index.
+    or its frames picks[positions[b]]. Every stack is gathered into one
+    float64 buffer that the walk allocates when it starts, sized to the
+    largest stack it cuts (a buffer of SCORE_CHUNK_BYTES would be larger
+    than most walks need): the next stack overwrites it, so head must not
+    keep its stack, or a view of it, past its call. The walk keeps no
+    stack object once its head returns, and holds one stack's frames at a
+    time. A head's NumericError carries the stack row
+    of its first bad video (both heads give one: _kernel without labels
+    raises only its logit check, and the baseline's frame_scores always
+    sets it); the walk raises it again as "dataset index {i}: {message}",
+    i that video's dataset index.
     """
     d = packed.dim
     order = np.argsort(lengths, kind="stable")
     # the first position of each run of one length (every length is >= 1)
     firsts = np.flatnonzero(np.diff(lengths[order], prepend=0)).tolist()
+    stacks = []  # (positions, k) of each stack, in walk order
     for lo, hi in zip(firsts, firsts[1:] + [len(order)]):
         k = int(lengths[order[lo]])
         cost = 8 * _FRAME_TEMPS * k + d * (8 * 2 + 12 * k)
         step = max(1, SCORE_CHUNK_BYTES // cost)
-        for at in range(lo, hi, step):
-            pos = order[at:min(at + step, hi)]
-            frame_ids = np.arange(k) if picks is None else picks[pos]
-            try:
-                out = head(packed.stack(indices[pos], frame_ids))
-            except NumericError as e:
-                raise NumericError(f"dataset index {indices[pos[e.row]]}: {e}") from e
-            yield pos, out
+        stacks += [(order[at:min(at + step, hi)], k) for at in range(lo, hi, step)]
+    buffer = np.empty(max(len(pos) * k for pos, k in stacks) * d)
+    for pos, k in stacks:
+        frame_ids = None if picks is None else picks[pos]
+        try:
+            out = head(packed.stack(indices[pos], frame_ids,
+                                    buffer[:len(pos) * k * d].reshape(len(pos), k, d)))
+        except NumericError as e:
+            raise NumericError(f"dataset index {indices[pos[e.row]]}: {e}") from e
+        yield pos, out
 
 
 def backward(features, params: FanParams, label: int) -> tuple[float, FanParams]:

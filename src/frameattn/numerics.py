@@ -1,6 +1,7 @@
 """Dense numeric primitives shared by the model, trainer, and tests, and
 the one rule for each kind of value that comes from outside the library:
-require_integer (an int or numpy integer, not a bool, at least a minimum),
+require_integer (an int or numpy integer, not a bool, at least a minimum
+and, for a count that sizes an array, at most COUNT_MAX),
 require_real (a finite int or float, numpy's included, not a bool; an int
 too large for a float is not finite) and real_array (an array of bool,
 int, uint or float values: not text, objects, complex values or ragged
@@ -33,12 +34,21 @@ _SIGMOID_LO = np.nextafter(0.0, 1.0)
 _SIGMOID_HI = np.nextafter(1.0, 0.0)
 
 
-def require_integer(name: str, value, minimum=None, error=ConfigError) -> None:
+# The largest count a setting that sizes an array may hold: the width of the
+# FANF and FANP u32 header fields (dim, class count, frame count). Larger
+# counts would otherwise reach numpy, which refuses them with a bare
+# ValueError; a seed or an epoch count sizes nothing and has no bound.
+COUNT_MAX = 2**32 - 1
+
+
+def require_integer(name: str, value, minimum=None, error=ConfigError, maximum=None) -> None:
     """Raise `error` naming `name` unless value is an int or a numpy integer
-    (a bool is not), at least `minimum` if one is given."""
+    (a bool is not), at least `minimum` and at most `maximum` if given."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{name} must be an integer, got {_shown(value)}")
     _require_at_least(name, value, minimum, error)
+    if maximum is not None and value > maximum:
+        raise error(f"{name} must be at most {maximum}, got {_shown(value, str)}")
 
 
 def require_real(name: str, value, minimum=None, error=ConfigError) -> None:

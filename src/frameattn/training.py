@@ -9,9 +9,9 @@ the gradient:
 
 Gradients are averaged (not summed) over the batch so the learning rate
 keeps its meaning across batch sizes, and each batch goes through the head
-as one (B, K, D) stack (model._kernel), gathered from the checked packed
-frames that the run resolved when it started (training_split) and not
-checked again. Everything is
+as one (B, K, D) stack (model._kernel), gathered into the run's one
+buffer from the checked packed frames that the run resolved when it
+started (training_split) and not checked again. Everything is
 deterministic given the config seed: each epoch draws, from its one
 (seed, epoch) stream, first the shuffle and then the K segment-sampled
 frames of every instance in shuffled order (sampling.training_draw). The
@@ -37,7 +37,7 @@ from . import model, sampling
 from .data import Dataset, PackedFrames, _read_exact, _read_header, _write_header, atomic_open
 from .errors import ConfigError, NumericError, SchemaError
 from .model import FanParams, Mode
-from .numerics import _shown, require_integer, require_real
+from .numerics import COUNT_MAX, _shown, require_integer, require_real
 
 _CKPT_MAGIC = b"FANP"
 _CKPT_VERSION = 1
@@ -59,8 +59,9 @@ class TrainConfig:
     mode: Mode = Mode.FULL
 
     def validate(self) -> None:
-        for name, minimum in (("batch_size", 1), ("k", 1), ("total_epochs", 0), ("seed", 0)):
-            require_integer(name, getattr(self, name), minimum)
+        for name, minimum, maximum in (("batch_size", 1, None), ("k", 1, COUNT_MAX),
+                                       ("total_epochs", 0, None), ("seed", 0, None)):
+            require_integer(name, getattr(self, name), minimum, maximum=maximum)
         require_real("momentum", self.momentum)
         require_real("weight_decay", self.weight_decay)
         if self.mode not in list(Mode):
@@ -171,7 +172,8 @@ class EpochStats:
 TrainHistory = list[EpochStats]
 
 
-def minibatches(packed: PackedFrames, indices: np.ndarray, config: TrainConfig, epoch: int):
+def minibatches(packed: PackedFrames, indices: np.ndarray, config: TrainConfig, epoch: int,
+                out: np.ndarray | None = None):
     """The minibatches of one training epoch, in order.
 
     packed and indices are a run's packed frames and its checked int64
@@ -185,12 +187,19 @@ def minibatches(packed: PackedFrames, indices: np.ndarray, config: TrainConfig, 
     packed frames (PackedFrames.stack) only when the batch is reached, so
     one batch of frames is held at a time. The stack is float64: float32
     frames (a loaded or synthetic dataset's) are widened after the gather.
+    With `out`, a float64 (B', config.k, D) buffer for some B' of at least
+    the batch size (or the selection's size, if smaller), each batch is
+    gathered into its first rows and overwrites the last, so a stack is
+    good only until the next is yielded: fit passes its own. Without it,
+    each stack is a new array that the caller may keep.
     """
     order, picks = sampling.training_draw(config.seed, epoch, packed.lengths(indices), config.k)
     indices = indices[order]
     for lo in range(0, len(indices), config.batch_size):
         batch = indices[lo:lo + config.batch_size]
-        yield batch, packed.stack(batch, picks[lo:lo + config.batch_size]), packed.labels[batch]
+        stack = None if out is None else out[:len(batch)]
+        yield (batch, packed.stack(batch, picks[lo:lo + config.batch_size], stack),
+               packed.labels[batch])
 
 
 def training_split(dataset: Dataset, config: TrainConfig, indices=None):
@@ -211,13 +220,17 @@ def fit(packed: PackedFrames, config: TrainConfig, indices, flat: np.ndarray, bl
     (epoch, lr, loss sum, correct count) as each epoch ends. Each
     minibatch goes through step(stack, labels) -> (loss sum, correct
     count, flat gradients laid out as `blocks`), then sgd_step updates
-    `flat` in place. A NumericError is raised again naming the epoch, the
-    batch and the dataset index of its row, if it has one."""
+    `flat` in place. The run owns one float64 (min(N, batch_size), k, D)
+    buffer, allocated when it starts, and minibatches gathers every batch
+    into it, so step must not keep its stack past its call. A
+    NumericError is raised again naming the epoch, the batch and the
+    dataset index of its row, if it has one."""
     velocity = np.zeros_like(flat)
+    buffer = np.empty((min(len(indices), config.batch_size), config.k, packed.dim))
     for epoch in range(config.total_epochs):
         lr = lr_at(config.schedule, epoch)
         loss_sum, correct = 0.0, 0
-        batches = minibatches(packed, indices, config, epoch)
+        batches = minibatches(packed, indices, config, epoch, buffer)
         for number, (batch, stack, labels) in enumerate(batches):
             try:
                 loss, hits, grads = step(stack, labels)

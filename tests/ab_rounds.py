@@ -49,7 +49,8 @@ first run.
 
 Printed: each side's median and interquartile range of CPU time, of minor
 faults and, for fresh runs, of peak RSS per run, and whether it passed.
-Then, for CPU time and for peak RSS, the median of the per-pair ratio
+Then, for CPU time, for minor faults and, for fresh runs, for peak RSS,
+the median of the per-pair ratio
 change / parent and the share of pairs the change won (ties count for
 neither), and whether a gain claim clears the rule for one (at least 10
 pairs, the change wins at least 9/10 of them and its median is below the
@@ -105,17 +106,19 @@ def quartiles(values):
 def claim_lines(parent, change, metric="CPU", unit="s") -> list[str]:
     """The per-pair comparison of two sides' values of `metric`, in `unit`
     (lower is better), pair i being parent[i] and change[i]: the median
-    ratio change / parent, the pairs the change won (ties count for
-    neither), and whether a gain claim clears the rule for one (at least 10
-    pairs, the change wins at least 9/10 of them and its median is below
-    the parent's by more than the parent's IQR)."""
+    ratio change / parent ("n/a" when a parent value is 0, as a warm
+    in-process round's faults can be), the pairs the change won (ties
+    count for neither), and whether a gain claim clears the rule for one
+    (at least 10 pairs, the change wins at least 9/10 of them and its
+    median is below the parent's by more than the parent's IQR)."""
     pairs = len(parent)
     wins = sum(c < q for c, q in zip(change, parent))
-    ratio = statistics.median(c / q for c, q in zip(change, parent))
+    ratio = (f"{statistics.median(c / q for c, q in zip(change, parent)):.3f}"
+             if all(parent) else "n/a")
     parent_median, parent_iqr = quartiles(parent)
     gap = parent_median - quartiles(change)[0]
     clears = pairs >= 10 and wins >= 0.9 * pairs and gap > parent_iqr
-    return [f"  {metric} change / parent: median ratio {ratio:.3f}, "
+    return [f"  {metric} change / parent: median ratio {ratio}, "
             f"change lower in {wins}/{pairs} pairs",
             f"  {metric} gain claim {'clears' if clears else 'does not clear'} the rule: "
             f"{wins}/{pairs} pairs won (9/10 of at least 10 needed), median gap "
@@ -285,6 +288,7 @@ def main(argv=None) -> int:
         print(side_line(side, cpu[side], faults[side], rss[side] if args.fresh else None,
                         verdicts[side][1]))
     print("\n".join(claim_lines(cpu["parent"], cpu["change"])))
+    print("\n".join(claim_lines(faults["parent"], faults["change"], "minor faults", "faults")))
     if args.fresh:
         print("\n".join(claim_lines(rss["parent"], rss["change"], "peak RSS", "MB")))
     return 0 if all(ok for ok, _ in verdicts.values()) else 1

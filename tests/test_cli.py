@@ -443,6 +443,31 @@ class TestNegativeSeed:
         assert not (tmp_path / "n.fanp").exists() and not (tmp_path / "x.fanf").exists()
 
 
+class TestCountTooLargeForAnArray:
+    """A count that sizes an array is at most 2**32 - 1, the width of the
+    FANF and FANP u32 header fields: a larger one is a config problem that
+    names its setting (exit 2, one error line), not a raw ValueError from
+    numpy. Only values above the bound are run, which allocate nothing."""
+
+    HUGE = str(10**20)
+
+    @pytest.mark.parametrize("command, name", [
+        ("synth", "dim"), ("train", "k"), ("eval", "k"), ("gradcheck", "--n")])
+    def test_exits_2_naming_the_setting(self, tiny_data, tmp_path, capsys, command, name):
+        ckpt = str(tmp_path / "m.fanp")
+        save_checkpoint(init_params(6, 3, Mode.FULL, seed=1), ckpt)
+        args = {
+            "synth": ["--dim", self.HUGE, "--out", str(tmp_path / "x.fanf")],
+            "train": ["--data", tiny_data, "--k", self.HUGE, "--out", str(tmp_path / "n.fanp")],
+            "eval": ["--checkpoint", ckpt, "--data", tiny_data, "--frames", "sampled",
+                     "--k", self.HUGE],
+            "gradcheck": ["--configs", "1", "--n", self.HUGE],
+        }[command]
+        err = run_rejected(capsys, command, *args)
+        assert err == f"error: {name} must be at most 4294967295, got {self.HUGE}\n"
+        assert not (tmp_path / "n.fanp").exists() and not (tmp_path / "x.fanf").exists()
+
+
 class TestNumericFailure:
     @pytest.mark.parametrize("flags, where", [
         (["--lr", "1e100"],

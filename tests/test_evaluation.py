@@ -307,9 +307,9 @@ class TestScoreFusionBaseline:
         gathered = []
         stack = PackedFrames.stack
 
-        def recording(self, videos, picks):
+        def recording(self, videos, picks, out=None):
             gathered.extend(videos.tolist())
-            return stack(self, videos, picks)
+            return stack(self, videos, picks, out)
 
         monkeypatch.setattr(PackedFrames, "stack", recording)
         report = score_fusion_baseline(ds, NO_EPOCHS, train_idx, test_idx)

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frameattn.errors import DataError, DimensionError, NumericError
+from frameattn.errors import ConfigError, DataError, DimensionError, NumericError
 from frameattn.model import gradient_check, init_params
 from frameattn.numerics import (
+    COUNT_MAX,
     as_matrix,
     as_vector,
     finite_diff_gradient,
     first_nonfinite_row,
     relative_errors,
+    require_integer,
     sigmoid,
     softmax_cross_entropy,
 )
@@ -176,6 +178,17 @@ class TestValidation:
             as_vector([[1.0]])
         with pytest.raises(DimensionError):
             as_matrix([1.0, 2.0])
+
+    @pytest.mark.parametrize("value", [COUNT_MAX, np.uint32(COUNT_MAX)], ids=["int", "uint32"])
+    def test_a_count_may_fill_a_u32_field(self, value):
+        require_integer("k", value, 1, maximum=COUNT_MAX)
+
+    @pytest.mark.parametrize("value, shown", [
+        (COUNT_MAX + 1, "4294967296"), (np.uint64(2**64 - 1), "18446744073709551615"),
+        (10**5000, "int with over 4300 digits")], ids=["2**32", "uint64-max", "too-long-to-print"])
+    def test_a_count_past_the_bound_names_its_field(self, value, shown):
+        with pytest.raises(ConfigError, match=f"^k must be at most 4294967295, got {shown}$"):
+            require_integer("k", value, 1, maximum=COUNT_MAX)
 
     def test_relative_error_metric(self):
         # |a-b| / max(1e-8, |a|+|b|), elementwise and flattened
