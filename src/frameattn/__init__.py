@@ -9,7 +9,6 @@ from .data import (
     SynthConfig,
     VideoInstance,
     build_folds,
-    load_feature_csv,
     load_feature_file,
     open_feature_file,
     split_by_fold,

@@ -83,8 +83,8 @@ def _load_data(args):
 
 
 def cmd_train(args) -> int:
-    dataset = _load_data(args)
     config = _train_config(args)
+    dataset = _load_data(args)
 
     def on_epoch(stats):
         val = "" if stats.val_accuracy is None else f" val_acc={stats.val_accuracy:.4f}"
@@ -123,8 +123,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    dataset = load_feature_file(args.data)
     config = _train_config(args)
+    dataset = load_feature_file(args.data)
     plan = build_folds(dataset, args.folds)
     reports, pooled = cross_validate(dataset, config, plan)
     _emit({

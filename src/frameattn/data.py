@@ -17,14 +17,14 @@ Canonical on-disk format ("FANF", little-endian throughout):
 
 Features are stored in single precision. A dataset packs its frames into
 float32 when every video is float32 (a loaded file, synth_generate) and
-into float64 otherwise (load_feature_csv, most user code). Every
+into float64 otherwise (videos built from a user's float64 arrays). Every
 computation widens the frames it reads to float64, which is exact, so both
 give the same results. Writing is canonical: equal datasets produce
 identical bytes. The writer checks every video as packing does, keeping
 none, then takes each again and writes its float32 bytes, so it holds one
 video at a time; it neither packs nor rebinds `features`.
-A plain-text CSV import (one frame per line) is provided for
-interoperability; the binary form is the canonical one. Every video
+FANF is the one input format: frames from elsewhere enter as
+VideoInstances in a Dataset, which write_feature_file stores. Every video
 passes one rule, _checked_video (numerics.real_array frames, an integer
 label: SchemaError or DataError naming the instance); SynthConfig and
 build_folds raise ConfigError naming the field. Every size a file
@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import csv
 import os
 import struct
 import tempfile
@@ -563,79 +562,6 @@ def load_feature_file(path: str) -> Dataset:
         inst.features._file.close()  # the traceback's frames still refer to it
         raise
     ds._adopt(PackedFrames, frames, offsets)
-    return ds
-
-
-def load_feature_csv(path: str, class_names: list[str] | None = None) -> Dataset:
-    """Import the plain-text interchange form.
-
-    One frame per line: video_id, subject_id, label, frame_index, then D
-    feature values. Frames of a video may appear in any order; they are
-    sorted by frame_index. When class_names is omitted the class count is
-    inferred from the labels present, and may not exceed the number of
-    fields read. The file must be UTF-8.
-    """
-    rows: dict[str, dict] = {}
-    dim = None
-    fields = 0
-    try:
-        with open(path, newline="", encoding="utf-8") as f:
-            for lineno, parts in enumerate(csv.reader(f), start=1):
-                if not parts:
-                    continue
-                if len(parts) < 5:
-                    raise SchemaError(f"line {lineno}: expected at least 5 fields")
-                fields += len(parts)
-                video_id, subject_id = parts[0].strip(), parts[1].strip()
-                try:
-                    label = int(parts[2])
-                    index = int(parts[3])
-                    values = [float(v) for v in parts[4:]]
-                except ValueError as e:
-                    raise SchemaError(f"line {lineno}: {e}") from None
-                if dim is None:
-                    dim = len(values)
-                elif len(values) != dim:
-                    raise SchemaError(
-                        f"line {lineno}: {len(values)} values, expected {dim}"
-                    )
-                rec = rows.setdefault(
-                    video_id, {"subject": subject_id, "label": label, "frames": {}}
-                )
-                if rec["subject"] != subject_id or rec["label"] != label:
-                    raise SchemaError(
-                        f"line {lineno}: video '{video_id}' has inconsistent "
-                        "subject or label"
-                    )
-                if index in rec["frames"]:
-                    raise SchemaError(f"line {lineno}: duplicate frame {index}")
-                rec["frames"][index] = values
-    except UnicodeDecodeError as e:
-        raise SchemaError(f"CSV is not UTF-8 text: {e}") from None
-    except csv.Error as e:
-        raise SchemaError(f"malformed CSV: {e}") from None
-
-    if not rows:
-        raise SchemaError("CSV contains no frames")
-
-    if class_names is None:
-        num_classes = max(rec["label"] for rec in rows.values()) + 1
-        # one name is made per class: bound their count by the fields read
-        if num_classes > fields:
-            raise SchemaError(f"label {num_classes - 1} implies {num_classes} classes, "
-                              f"more than the {fields} fields read; pass class_names")
-        class_names = [f"class_{c}" for c in range(num_classes)]
-    instances = [
-        VideoInstance(
-            video_id,
-            rec["subject"],
-            rec["label"],
-            np.array([rec["frames"][i] for i in sorted(rec["frames"])], dtype=np.float64),
-        )
-        for video_id, rec in rows.items()
-    ]
-    ds = Dataset(instances, dim, len(class_names), list(class_names))
-    ds.packed()
     return ds
 
 

@@ -319,7 +319,8 @@ def _kernel(f: np.ndarray, params: FanParams, labels=None):
     np.matmul(g_logits.T, agg, out=grads.class_w)
     g_logits.sum(axis=0, out=grads.class_b)
     if not np.isfinite(grads.flat).all():
-        raise NumericError("backward pass produced non-finite gradients",
+        name, _ = locate(params.blocks, int(np.argmin(np.isfinite(grads.flat))))
+        raise NumericError(f"backward pass produced non-finite gradients in block '{name}'",
                            row=_first_bad_row(f, params, labels))
     return logits, trace, losses, grads
 

@@ -28,9 +28,8 @@ relative paths on both sides:
     evaluate of both trained heads, on all and on sampled frames, with
     repeated and negative indices; forward and backward of both heads on
     one video's frames as a float32 view, as ints and as bools, which the
-    head widens to float64; and a small CSV of float64 values,
-    imported with load_feature_csv, written back as csv.fanf and
-    evaluated;
+    head widens to float64; and 12 small videos of float64 values built in
+    memory as a Dataset, written as arrays.fanf and evaluated;
   * eval on sampled frames with --k 20, more than any video's frame
     count, so every video has empty segments;
   * an API step that writes a NaN in place into one held-out video and
@@ -106,17 +105,14 @@ for name in ("full.fanp", "self.fanp"):
             "logits": logits.tolist(), "loss": loss, "grads": grads.flat.tolist(),
             **{{field: value.tolist() for field, value in vars(trace).items()}}}}
 rng = np.random.default_rng(4)
-with open("small.csv", "w") as f:
-    for v in range(12):
-        for frame in range(1 + v % 5):
-            values = ",".join(map(repr, rng.standard_normal(ds.dim).tolist()))
-            f.write(f"c{{v}},s{{v % 3}},{{v % ds.num_classes}},{{frame}},{{values}}\\n")
-csv_ds = fa.load_feature_csv("small.csv", ds.class_names)
-fa.write_feature_file(csv_ds, "csv.fanf")
-out["csv frames dtype"] = str(csv_ds.packed().frames.dtype)
+arrays_ds = fa.Dataset([fa.VideoInstance(f"c{{v}}", f"s{{v % 3}}", v % ds.num_classes,
+                                         rng.standard_normal((1 + v % 5, ds.dim)))
+                        for v in range(12)], ds.dim, ds.num_classes, ds.class_names)
+fa.write_feature_file(arrays_ds, "arrays.fanf")
+out["arrays frames dtype"] = str(arrays_ds.packed().frames.dtype)
 for frame_mode in ("all", "sampled"):
-    report = fa.evaluate(fa.load_checkpoint("full.fanp"), csv_ds, frame_mode, 3, 5)
-    out[f"evaluate csv {{frame_mode}}"] = {{
+    report = fa.evaluate(fa.load_checkpoint("full.fanp"), arrays_ds, frame_mode, 3, 5)
+    out[f"evaluate arrays {{frame_mode}}"] = {{
         **report.to_dict(), "predictions": report.predictions.tolist()}}
 with open("api.json", "w") as f:
     json.dump(out, f, indent=1)

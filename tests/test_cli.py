@@ -467,11 +467,21 @@ class TestCountTooLargeForAnArray:
         assert err == f"error: {name} must be at most 4294967295, got {self.HUGE}\n"
         assert not (tmp_path / "n.fanp").exists() and not (tmp_path / "x.fanf").exists()
 
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_settings_are_checked_before_the_data(self, tmp_path, capsys, command):
+        # without --data, train would generate the synthetic set first; cv
+        # would open the file, which does not exist
+        args = {"train": ["--out", str(tmp_path / "n.fanp")],
+                "cv": ["--data", str(tmp_path / "absent.fanf")]}[command]
+        err = run_rejected(capsys, command, *args, "--k", self.HUGE)
+        assert err == f"error: k must be at most 4294967295, got {self.HUGE}\n"
+
 
 class TestNumericFailure:
     @pytest.mark.parametrize("flags, where", [
         (["--lr", "1e100"],
-         "epoch 2, batch 0, dataset index 4: backward pass produced non-finite gradients"),
+         "epoch 2, batch 0, dataset index 4: backward pass produced non-finite gradients "
+         "in block 'q0'"),
         (["--lr", "1e308", "--weight-decay", "1e308"],
          "epoch 0, batch 0: parameter 'q0' became non-finite during update"),
     ], ids=["kernel", "update"])

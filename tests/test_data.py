@@ -15,7 +15,6 @@ from frameattn.data import (
     VideoInstance,
     atomic_open,
     build_folds,
-    load_feature_csv,
     load_feature_file,
     split_by_fold,
     synth_generate,
@@ -42,16 +41,24 @@ def tiny_dataset():
 
 class TestBinaryFormat:
     def test_round_trip(self, tmp_path):
-        ds = tiny_dataset()
-        path = str(tmp_path / "t.fanf")
-        write_feature_file(ds, path)
-        back = load_feature_file(path)
-        assert back.dim == ds.dim and back.num_classes == ds.num_classes
-        assert back.class_names == ds.class_names
-        assert len(back.instances) == len(ds.instances)
-        for a, b in zip(ds.instances, back.instances):
-            assert (a.video_id, a.subject_id, a.label) == (b.video_id, b.subject_id, b.label)
-            np.testing.assert_array_equal(a.features, b.features)
+        # a user's float64 arrays enter as a Dataset and come back as their
+        # float32 rounding, as the tiny dataset's float32-exact values do
+        rng = np.random.default_rng(4)
+        arrays = Dataset([VideoInstance(f"a{i}", f"s{i % 3}", i % 2,
+                                        rng.standard_normal((1 + i % 4, 5)))
+                          for i in range(6)], 5, 2, ["x", "y"])
+        for ds in (tiny_dataset(), arrays):
+            path = str(tmp_path / "t.fanf")
+            write_feature_file(ds, path)
+            back = load_feature_file(path)
+            assert back.dim == ds.dim and back.num_classes == ds.num_classes
+            assert back.class_names == ds.class_names
+            assert len(back.instances) == len(ds.instances)
+            for a, b in zip(ds.instances, back.instances):
+                assert (a.video_id, a.subject_id, a.label) == (b.video_id, b.subject_id,
+                                                                b.label)
+                assert b.features.dtype == np.float32
+                np.testing.assert_array_equal(b.features, a.features.astype(np.float32))
 
     def test_write_deterministic(self, tmp_path):
         ds = tiny_dataset()
@@ -156,95 +163,6 @@ class TestBinaryFormat:
                      2, 1, ["x"])
         with pytest.raises(DataError):
             write_feature_file(ds, str(tmp_path / "no.fanf"))
-
-
-class TestCsvImport:
-    def test_import_matches_binary(self, tmp_path):
-        ds = tiny_dataset()
-        lines = []
-        for inst in ds.instances:
-            for i, row in enumerate(inst.features):
-                vals = ",".join(repr(float(v)) for v in row)
-                lines.append(f"{inst.video_id},{inst.subject_id},{inst.label},{i},{vals}")
-        path = tmp_path / "t.csv"
-        path.write_text("\n".join(lines) + "\n")
-        back = load_feature_csv(str(path), class_names=ds.class_names)
-        assert back.dim == ds.dim and back.num_classes == 3
-        by_id = {i.video_id: i for i in back.instances}
-        for inst in ds.instances:
-            got = by_id[inst.video_id]
-            assert got.subject_id == inst.subject_id and got.label == inst.label
-            np.testing.assert_array_equal(got.features, inst.features)
-
-    def test_inferred_classes(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("v0,s0,2,0,1.0,2.0\n")
-        ds = load_feature_csv(str(path))
-        assert ds.num_classes == 3 and ds.class_names == ["class_0", "class_1", "class_2"]
-
-    def test_duplicate_frame_rejected(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("v0,s0,1,0,1.0\nv0,s0,1,0,2.0\n")
-        with pytest.raises(SchemaError, match="^line 2: duplicate frame 0$"):
-            load_feature_csv(str(path))
-
-    def test_inconsistent_video_rejected(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("v0,s0,1,0,1.0\nv0,s1,1,1,2.0\n")
-        with pytest.raises(SchemaError):
-            load_feature_csv(str(path))
-
-    def test_dim_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("v0,s0,0,0,1.0,2.0\nv1,s0,0,0,1.0\n")
-        with pytest.raises(SchemaError):
-            load_feature_csv(str(path))
-
-    def test_label_beyond_file_size_rejected_without_allocating(self, tmp_path):
-        # 18 bytes whose label would make a million class names
-        path = tmp_path / "t.csv"
-        path.write_text("v,s,1000000,0,1.0\n")
-        tracemalloc.start()
-        try:
-            with pytest.raises(SchemaError, match="1000001 classes"):
-                load_feature_csv(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
-        # with the names given, the label is checked against them instead
-        with pytest.raises(SchemaError, match="out of range"):
-            load_feature_csv(str(path), class_names=["a", "b"])
-
-    def test_label_beyond_the_fields_read_rejected_in_a_padded_file(self, tmp_path):
-        # one frame line padded to 100,000 bytes with blank lines: its label
-        # would make 100,000 class names, about 77 times the file's size
-        path = tmp_path / "t.csv"
-        line = "v,s,99999,0,1.0\n"
-        path.write_text(line + "\n" * (100_000 - len(line)))
-        tracemalloc.start()
-        try:
-            with pytest.raises(SchemaError, match="100000 classes, more than the 5 "
-                                                  "fields read; pass class_names"):
-                load_feature_csv(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * path.stat().st_size
-        assert len(load_feature_csv(str(path), class_names=[f"c{i}" for i in range(10**5)])
-                   .instances) == 1
-
-    def test_field_beyond_the_parser_limit_rejected(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("v0,s0,0,0," + "1" * 200_000 + "\n")
-        with pytest.raises(SchemaError, match="field larger than field limit"):
-            load_feature_csv(str(path))
-
-    def test_undecodable_bytes_rejected(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_bytes(b"v0,s0,0,0,1.0\nv\xff,s0,0,1,2.0\n")
-        with pytest.raises(SchemaError, match="UTF-8"):
-            load_feature_csv(str(path))
 
 
 def dataset_with_subjects(subjects):

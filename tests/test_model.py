@@ -418,7 +418,7 @@ class TestBatchKernel:
             grads = model._kernel(stack[r:r + 1], params, labels[r:r + 1])[3]
             assert np.isfinite(grads.flat).all()
         with pytest.raises(NumericError, match="^backward pass produced non-finite "
-                                               "gradients$") as raised:
+                                               "gradients in block 'class_w'$") as raised:
             model._kernel(stack, params, labels)
         assert raised.value.row is None
 

@@ -7,9 +7,9 @@ import frameattn
 
 PUBLIC = {
     # data
-    "Dataset", "FoldPlan", "SynthConfig", "VideoInstance", "build_folds", "load_feature_csv",
-    "load_feature_file", "open_feature_file", "split_by_fold", "synth_generate",
-    "synth_peak_positions", "write_feature_file",
+    "Dataset", "FoldPlan", "SynthConfig", "VideoInstance", "build_folds", "load_feature_file",
+    "open_feature_file", "split_by_fold", "synth_generate", "synth_peak_positions",
+    "write_feature_file",
     # errors
     "ConfigError", "DataError", "DimensionError", "FormatError", "FrameAttnError",
     "NumericError", "SchemaError",

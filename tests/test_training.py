@@ -328,7 +328,8 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("overrides, where", [
         ({"schedule": [(0, 1e100)]},
-         "epoch 2, batch 0, dataset index 4: backward pass produced non-finite gradients"),
+         "epoch 2, batch 0, dataset index 4: backward pass produced non-finite gradients "
+         "in block 'q0'"),
         ({"schedule": [(0, 1e308)], "weight_decay": 1e308},
          "epoch 0, batch 0: parameter 'q0' became non-finite during update"),
     ], ids=["kernel", "update"])
@@ -481,8 +482,8 @@ class TestFit:
         head.flat[:] = 0.0
         head.class_w = np.full(head.class_w.shape, 1e-300)
         monkeypatch.setattr(model, "init_params", lambda *args, **kw: head)
-        with pytest.raises(NumericError, match="^epoch 0, batch 0: backward pass "
-                                               "produced non-finite gradients$"):
+        with pytest.raises(NumericError, match="^epoch 0, batch 0: backward pass produced "
+                                               "non-finite gradients in block 'class_w'$"):
             train(ds, self.cfg(batch_size=3))
 
     def test_zero_epochs_yield_nothing_but_the_split_is_checked(self):
