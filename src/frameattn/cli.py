@@ -84,6 +84,10 @@ def _load_data(args):
 
 def cmd_train(args) -> int:
     config = _train_config(args)
+    # an output that cannot be written is refused before any data work
+    for flag, path in (("--out", args.out), ("--history", args.history)):
+        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+            raise ConfigError(f"{flag} must name a file in an existing directory, got {path!r}")
     dataset = _load_data(args)
 
     def on_epoch(stats):

@@ -51,12 +51,11 @@ video's frames as they are read. Other modules select videos with
 PackedFrames.select, gather their frames with .lengths and .stack (the one
 gather) and read the selection's classes from .labels; training and
 scoring also take the width .dim and .num_classes. None of them reads the
-offsets or .frames. A stack is gathered into a float64 buffer its caller
-owns, when it passes one (`out`): training.fit owns one for its whole run
-and each scoring walk (model.equal_length_stacks) one for the walk, and
-each gathers stack after stack into it, so no head may keep a stack past
-its call. Without `out`, as minibatches' other callers have it, every
-stack is a new array.
+offsets or .frames. Every stack is gathered into a float64 buffer its
+caller owns (`out`): training.fit owns one for its whole run and each
+scoring walk (model.equal_length_stacks) one for the walk, and each
+gathers stack after stack into it, so a stack is good until its owner
+gathers the next one, and no head may keep a stack past its call.
 """
 
 from __future__ import annotations
@@ -139,21 +138,16 @@ class PackedFrames:
         """The frame counts of the videos at dataset indices `videos`."""
         return self.offsets[videos + 1] - self.offsets[videos]
 
-    def stack(self, videos: np.ndarray, picks, out: np.ndarray | None = None) -> np.ndarray:
-        """The (B, K, D) float64 stack whose row b holds frames picks[b]
-        (positions within the video) of video videos[b]; (K,) picks take
-        the same positions of every video, and picks None every frame of
-        videos of one length K. Widened after the gather: into `out`, a
-        float64 array of that shape, which is returned, or else into a new
-        array. The caller that passes `out` owns it, and the next stack it
-        gathers there overwrites this one (training.fit and the scoring
-        walk, model.equal_length_stacks, each own one)."""
+    def stack(self, videos: np.ndarray, picks, out: np.ndarray) -> np.ndarray:
+        """Gather the (B, K, D) stack whose row b holds frames picks[b]
+        (positions within the video) of video videos[b], or with picks None
+        every frame of videos of one length K, into `out`, a float64 array
+        of that shape, widening it there, and return `out`. The caller owns
+        `out` (training.fit and the scoring walk, model.equal_length_stacks,
+        each own one), and a stack is good until it gathers the next one."""
         if picks is None:
-            picks = np.arange(self.lengths(videos[:1])[0])
-        gathered = self.frames[self.offsets[videos, None] + picks]
-        if out is None:
-            return gathered.astype(np.float64, copy=False)
-        out[...] = gathered
+            picks = np.arange(out.shape[1])
+        out[...] = self.frames[self.offsets[videos, None] + picks]
         return out
 
 
@@ -166,19 +160,13 @@ class _FilePackedFrames(PackedFrames):
     videos: tuple
     longest: int
 
-    def stack(self, videos: np.ndarray, picks, out: np.ndarray | None = None) -> np.ndarray:
+    def stack(self, videos: np.ndarray, picks, out: np.ndarray) -> np.ndarray:
         """As PackedFrames.stack, reading each video whole, one at a time,
         into one float32 read buffer that holds the file's longest video,
         and checking it there (_checked_video) before its picked frames are
         taken (all of them, with picks None, as they are: no copy of them
         is made): SchemaError if the file has lost its bytes, DataError if
         one is not finite."""
-        every = picks is None
-        if every:
-            picks = np.arange(self.lengths(videos[:1])[0])
-        picks = np.broadcast_to(picks, (len(videos), np.shape(picks)[-1]))
-        if out is None:
-            out = np.empty((len(videos), picks.shape[1], self.dim))
         # one read buffer of one size for every stack, and no copy of a
         # video's frames when the stack takes all of them: such copies grow
         # along the scoring walk's ascending lengths, and with them the
@@ -186,11 +174,11 @@ class _FilePackedFrames(PackedFrames):
         # process took 10,952 minor faults, against 367 without them and
         # 885 reading an array per video (2-core x86-64 host)
         read = np.empty((self.longest, self.dim), StoredFrames.dtype)
-        for row, v, frame_ids in zip(out, videos.tolist(), picks):
+        for b, v in enumerate(videos.tolist()):
             stored = self.videos[v]
             frames = _checked_video(stored.video_id, stored.read_into(read[:stored.shape[0]]),
                                     self.labels[v], self.dim, self.num_classes)
-            row[...] = frames if every else frames[frame_ids]
+            out[b] = frames if picks is None else frames[picks[b]]
         return out
 
 
@@ -376,8 +364,15 @@ def _check_fields(video_id: str, shape: tuple, label, dim: int, num_classes: int
         raise SchemaError(f"instance '{video_id}': label {_shown(label, str)} out of range")
 
 
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
+def _pack_str(s: str, what: str) -> bytes:
+    """s's UTF-8 bytes after their u16 length; SchemaError naming the field,
+    `what`, unless s is a str that UTF-8 encodes."""
+    if not isinstance(s, str):
+        raise SchemaError(f"{what} must be a str, got {_shown(s)}")
+    try:
+        raw = s.encode("utf-8")
+    except UnicodeEncodeError:
+        raise SchemaError(f"{what} {s!r} cannot be encoded as UTF-8") from None
     if len(raw) > 0xFFFF:
         raise SchemaError(f"string too long to encode: {len(raw)} bytes")
     return struct.pack("<H", len(raw)) + raw
@@ -461,21 +456,23 @@ def write_feature_file(dataset: Dataset, path: str) -> None:
     kept; then each one is taken again (an opened dataset's read from its
     file again), rounded to float32 and written on its own, so writing holds
     one video at a time. The dataset is not packed: every instance keeps
-    its `features` object."""
+    its `features` object. A class name, video id or subject id that is
+    not a str, or that UTF-8 cannot encode, raises SchemaError naming the
+    field (_pack_str)."""
     collections.deque(dataset._checked_videos(), maxlen=0)  # keeps no video
     with atomic_open(path) as f:
         _write_header(f, _MAGIC, "<IIIQ", _VERSION, dataset.dim, dataset.num_classes,
                       len(dataset.instances))
-        for name in dataset.class_names:
-            f.write(_pack_str(name))
-        for inst in dataset.instances:
+        for c, name in enumerate(dataset.class_names):
+            f.write(_pack_str(name, f"class name {c}"))
+        for i, inst in enumerate(dataset.instances):
             feats = np.ascontiguousarray(np.asarray(inst.features), dtype="<f4")
             if first_nonfinite_row(feats) is not None:
                 raise DataError(
                     f"instance '{inst.video_id}': feature overflows single precision"
                 )
-            f.write(_pack_str(inst.video_id))
-            f.write(_pack_str(inst.subject_id))
+            f.write(_pack_str(inst.video_id, f"instance {i}: video id"))
+            f.write(_pack_str(inst.subject_id, f"instance {i}: subject id"))
             f.write(struct.pack("<II", inst.label, feats.shape[0]))
             f.write(feats)
             del feats  # before the next video is taken

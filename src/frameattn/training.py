@@ -173,7 +173,7 @@ TrainHistory = list[EpochStats]
 
 
 def minibatches(packed: PackedFrames, indices: np.ndarray, config: TrainConfig, epoch: int,
-                out: np.ndarray | None = None):
+                out: np.ndarray):
     """The minibatches of one training epoch, in order.
 
     packed and indices are a run's packed frames and its checked int64
@@ -185,20 +185,18 @@ def minibatches(packed: PackedFrames, indices: np.ndarray, config: TrainConfig, 
     the (B,) labels. The epoch's order and every frame index come from one
     sampling.training_draw; each batch's stack is gathered from the
     packed frames (PackedFrames.stack) only when the batch is reached, so
-    one batch of frames is held at a time. The stack is float64: float32
-    frames (a loaded or synthetic dataset's) are widened after the gather.
-    With `out`, a float64 (B', config.k, D) buffer for some B' of at least
-    the batch size (or the selection's size, if smaller), each batch is
-    gathered into its first rows and overwrites the last, so a stack is
-    good only until the next is yielded: fit passes its own. Without it,
-    each stack is a new array that the caller may keep.
+    one batch of frames is held at a time. Each batch is gathered into the
+    first rows of `out`, a float64 (B', config.k, D) buffer the caller
+    owns (fit owns one for its run) for some B' of at least the batch size
+    (or the selection's size, if smaller), and float32 frames (a loaded or
+    synthetic dataset's) are widened there: a stack is good until the next
+    batch is gathered over it.
     """
     order, picks = sampling.training_draw(config.seed, epoch, packed.lengths(indices), config.k)
     indices = indices[order]
     for lo in range(0, len(indices), config.batch_size):
         batch = indices[lo:lo + config.batch_size]
-        stack = None if out is None else out[:len(batch)]
-        yield (batch, packed.stack(batch, picks[lo:lo + config.batch_size], stack),
+        yield (batch, packed.stack(batch, picks[lo:lo + config.batch_size], out[:len(batch)]),
                packed.labels[batch])
 
 

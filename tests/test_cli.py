@@ -169,6 +169,20 @@ class TestTrainCommand:
         assert hist.read_text() == "previous\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["h.csv", "m.fanp", "tiny.fanf"]
 
+    @pytest.mark.parametrize("flag", ["--out", "--history"])
+    @pytest.mark.parametrize("where", ["a directory", "in no directory"])
+    def test_unwritable_output_is_refused_before_training(self, tmp_path, capsys, flag,
+                                                         where):
+        ckpt = tmp_path / "m.fanp"
+        bad = tmp_path if where == "a directory" else tmp_path / "absent" / "x"
+        paths = {"--out": str(ckpt), "--history": str(tmp_path / "h.csv"), flag: str(bad)}
+        # no --data: the synthetic default would be generated, and logged
+        err = run_rejected(capsys, "train", "--epochs", "2",
+                           *[arg for item in paths.items() for arg in item])
+        assert err == (f"error: {flag} must name a file in an existing directory, "
+                       f"got {str(bad)!r}\n")
+        assert sorted(tmp_path.iterdir()) == []
+
     def test_dataset_preset_requires_data(self, tmp_path, capsys):
         ckpt = tmp_path / "m.fanp"
         err = run_rejected(capsys, "train", "--preset", "ck+", "--out", str(ckpt))

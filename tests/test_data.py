@@ -566,14 +566,14 @@ class TestPackedFrames:
         assert lengths.tolist() == [len(ds.instances[i].features) for i in videos]
         rng = np.random.default_rng(5)
         picks = np.array([rng.integers(0, n, size=4) for n in lengths.tolist()])
-        stack = packed.stack(videos, picks)
+        out = np.empty((7, 4, ds.dim))
+        assert packed.stack(videos, picks, out) is out
         want = np.stack([ds.instances[i].features[p] for i, p in zip(videos, picks)])
-        assert stack.dtype == np.float64 and stack.shape == (7, 4, ds.dim)
-        assert stack.tobytes() == want.astype(np.float64).tobytes()
-        # (K,) picks: the same positions of every video
+        assert out.tobytes() == want.astype(np.float64).tobytes()
+        # the first frame of every video, into a buffer of its own shape
         first = np.stack([ds.instances[i].features[:1] for i in videos])
-        assert packed.stack(videos, np.arange(1)).tobytes() == \
-            first.astype(np.float64).tobytes()
+        assert packed.stack(videos, np.zeros((7, 1), int), np.empty((7, 1, ds.dim))).tobytes() \
+            == first.astype(np.float64).tobytes()
 
     def test_select_takes_integers_only(self):
         packed = ragged_dataset().packed()  # 12 videos
@@ -760,6 +760,26 @@ class TestWriter:
         ds = tiny_dataset()
         ds.instances[3].video_id = "x" * 70_000   # a u16 length holds 65535
         with pytest.raises(SchemaError, match="^string too long to encode: 70000 bytes$"):
+            write_feature_file(ds, str(tmp_path / "d.fanf"))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("video_id", 5, "instance 3: video id must be a str, got 5"),
+        ("subject_id", None, "instance 3: subject id must be a str, got None"),
+        ("class name", 2, "class name 1 must be a str, got 2"),
+        ("video_id", "\ud800", "instance 3: video id '\\ud800' cannot be encoded as UTF-8"),
+        ("subject_id", "s\udfff", "instance 3: subject id 's\\udfff' cannot be encoded"),
+        ("class name", "\ud800", "class name 1 '\\ud800' cannot be encoded as UTF-8"),
+    ], ids=["int video id", "None subject", "int class name", "surrogate video id",
+            "surrogate subject", "surrogate class name"])
+    def test_string_field_that_is_no_utf8_text_is_refused(self, tmp_path, field, value,
+                                                         message):
+        ds = tiny_dataset()
+        if field == "class name":
+            ds.class_names[1] = value
+        else:
+            setattr(ds.instances[3], field, value)
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}"):
             write_feature_file(ds, str(tmp_path / "d.fanf"))
         assert list(tmp_path.iterdir()) == []
 

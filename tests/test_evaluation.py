@@ -307,7 +307,7 @@ class TestScoreFusionBaseline:
         gathered = []
         stack = PackedFrames.stack
 
-        def recording(self, videos, picks, out=None):
+        def recording(self, videos, picks, out):
             gathered.extend(videos.tolist())
             return stack(self, videos, picks, out)
 

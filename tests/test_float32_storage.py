@@ -81,9 +81,11 @@ def test_nan_written_in_place_is_caught_by_train_and_evaluate(pair, tmp_path):
 
 def test_training_batches_and_scoring_chunks_are_widened_once(pair, monkeypatch):
     loaded, _ = pair
-    stacks = minibatches(loaded.packed(), loaded.packed().select(),
-                         synth_default_config(batch_size=5, seed=1), 0)
-    assert {stack.dtype for _, stack, _ in stacks} == {np.dtype(np.float64)}
+    config = synth_default_config(batch_size=5, seed=1)
+    buffer = np.empty((5, config.k, loaded.dim))
+    stacks = minibatches(loaded.packed(), loaded.packed().select(), config, 0, buffer)
+    assert {(stack.dtype, stack.base is buffer) for _, stack, _ in stacks} == {
+        (np.dtype(np.float64), True)}
     seen = []
     kernel = model._kernel
     monkeypatch.setattr(model, "_kernel",

@@ -113,9 +113,9 @@ def test_video_written_in_place_is_named_by_training(seed, lengths, d, c, mode, 
     with tempfile.TemporaryDirectory() as where:
         ds = packed_copy(ragged(seed, lengths, d, c), loaded, where)
         ds.instances[video].features[:] = bad
-        number = next(n for n, (batch, _, _)
-                      in enumerate(minibatches(ds.packed(), ds.packed().select(), config, 0))
-                      if video in batch)
+        batches = minibatches(ds.packed(), ds.packed().select(), config, 0,
+                              np.empty((batch_size, 2, d)))
+        number = next(n for n, (batch, _, _) in enumerate(batches) if video in batch)
         with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
                 NumericError, match=f"^epoch 0, batch {number}, dataset index {video}: "
                                     "forward pass produced non-finite logits"):

@@ -2,7 +2,7 @@
 one for a whole run, and each scoring walk (model.equal_length_stacks) one
 sized to the largest stack it cuts. Every stack the kernel sees is a view
 of that buffer, so no (B, K, D) float64 block is made per batch or per
-stack; a stack that minibatches yields to any other caller is its own."""
+stack: a stack is good until its owner gathers the next one."""
 
 import tracemalloc
 
@@ -13,7 +13,7 @@ from frameattn import model, training
 from frameattn.data import (PackedFrames, StoredFrames, SynthConfig, load_feature_file,
                             open_feature_file, synth_generate, write_feature_file)
 from frameattn.model import Mode, init_params
-from frameattn.training import TrainConfig, minibatches
+from frameattn.training import TrainConfig
 
 
 def owner(a: np.ndarray) -> np.ndarray:
@@ -77,16 +77,6 @@ def test_a_run_smaller_than_a_batch_sizes_its_buffer_to_the_run(monkeypatch):
     assert owner(seen[0]).shape == (6, 2, 8)
 
 
-def test_stacks_yielded_to_a_caller_are_distinct_arrays():
-    ds = synth_generate(SynthConfig(videos_per_class=5, frames_min=3, frames_max=6, dim=8,
-                                    num_classes=3, subject_count=5, seed=3))
-    packed = ds.packed()
-    stacks = [s for _, s, _ in minibatches(packed, packed.select(),
-                                           TrainConfig(batch_size=4, k=3), 0)]
-    assert len(stacks) == 4
-    assert all(not np.shares_memory(a, b) for i, a in enumerate(stacks) for b in stacks[i + 1:])
-
-
 @pytest.fixture
 def ragged_file(tmp_path):
     """60 videos of 3 to 12 frames, D=16: several stacks of each length at
@@ -125,14 +115,17 @@ def test_an_opened_stack_reads_every_video_into_one_buffer(ragged_file, monkeypa
 
     monkeypatch.setattr(StoredFrames, "read_into", recording)
     same_length = np.flatnonzero(packed.lengths(np.arange(60)) == 5)[:3]
-    for videos, picks in (([5, 0, 17, 42], np.arange(3)), ([59, 7], [[0, 2], [1, 1]]),
-                          (same_length, None)):
+    for videos, picks, k in (([5, 0, 17, 42], np.tile(np.arange(3), (4, 1)), 3),
+                             ([59, 7], np.array([[0, 2], [1, 1]]), 2), (same_length, None, 5)):
         reads.clear()
         videos = np.array(videos)
-        stack = packed.stack(videos, picks)
-        assert stack.tobytes() == loaded.stack(videos, picks).tobytes()
+        out, want = np.empty((len(videos), k, 16)), np.empty((len(videos), k, 16))
+        assert packed.stack(videos, picks, out) is out
+        assert loaded.stack(videos, picks, want) is want
+        assert out.tobytes() == want.tobytes()
         assert [len(r) for r in reads] == packed.lengths(videos).tolist()
         assert len({id(owner(r)) for r in reads}) == 1
         assert owner(reads[0]).shape == (longest, 16) and owner(reads[0]).dtype == np.float32
     # picks None: every frame of each video, as picks of every position
-    assert stack.tobytes() == packed.stack(videos, np.arange(5)).tobytes()
+    assert out.tobytes() == packed.stack(videos, np.tile(np.arange(5), (3, 1)),
+                                         np.empty((3, 5, 16))).tobytes()

@@ -465,7 +465,9 @@ class TestFit:
                 raise NumericError("step failed", row=row)
             return 0.0, 0, np.zeros(3)
 
-        batch = list(training.minibatches(ds.packed(), np.array(idx), cfg, 1))[1][0]
+        batches = training.minibatches(ds.packed(), np.array(idx), cfg, 1,
+                                       np.empty((cfg.batch_size, cfg.k, ds.dim)))
+        batch = [b for b, _, _ in batches][1]
         where = "epoch 1, batch 1" + ("" if row is None else f", dataset index {batch[row]}")
         with pytest.raises(NumericError, match=f"^{where}: step failed$"):
             for _ in fit(ds.packed(), cfg, np.array(idx), flat, blocks, step):
@@ -621,7 +623,9 @@ class TestPackedMinibatches:
         idx = [0, 2, 3, 5, 7, 8, 11, 13, 14, 17]
         order, picks = training_draw(
             cfg.seed, 2, [ds.instances[i].features.shape[0] for i in idx], cfg.k)
-        batches = list(training.minibatches(ds.packed(), np.array(idx), cfg, 2))
+        # copied: each batch is gathered over the last in the one buffer
+        batches = [(b, s.copy(), labels) for b, s, labels in training.minibatches(
+            ds.packed(), np.array(idx), cfg, 2, np.empty((cfg.batch_size, cfg.k, ds.dim)))]
         assert [len(b) for b, _, _ in batches] == [4, 4, 2]
         np.testing.assert_array_equal(np.concatenate([b for b, _, _ in batches]),
                                       np.asarray(idx)[order])
