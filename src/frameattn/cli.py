@@ -3,7 +3,9 @@
 Subcommands: train, eval, cv, gradcheck, synth, visualize. Machine-readable
 JSON goes to stdout, progress lines to stderr. Exit codes: 0 success,
 1 usage, 2 data/format/config problems, 3 numeric failure. Every command is
-deterministic given identical inputs, flags, and seed.
+deterministic given identical inputs, flags, and seed. The `frameattn`
+console script calls main, and `python -m frameattn.cli` runs the same;
+both exit with its code.
 """
 
 from __future__ import annotations
@@ -311,9 +313,5 @@ def main(argv=None) -> int:
         return EXIT_DATA
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

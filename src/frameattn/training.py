@@ -35,7 +35,7 @@ import numpy as np
 
 from . import model, sampling
 from .data import Dataset, PackedFrames, _read_exact, _read_header, _write_header, atomic_open
-from .errors import ConfigError, NumericError, SchemaError
+from .errors import ConfigError, DataError, NumericError, SchemaError
 from .model import FanParams, Mode
 from .numerics import COUNT_MAX, _shown, require_integer, require_real
 
@@ -308,7 +308,12 @@ def history_lines(history: TrainHistory) -> list[str]:
 
 
 def save_checkpoint(params: FanParams, path: str) -> None:
-    """Write parameters in the FANP layout (deterministic bytes)."""
+    """Write parameters in the FANP layout (deterministic bytes). A
+    non-finite entry (written into a block in place) raises DataError naming
+    its block, and no file is written: load_checkpoint would refuse it."""
+    if not np.isfinite(params.flat).all():
+        name, _ = model.locate(params.blocks, int(np.argmin(np.isfinite(params.flat))))
+        raise DataError(f"parameter '{name}' is not finite: its checkpoint could not be loaded")
     with atomic_open(path) as f:
         _write_header(f, _CKPT_MAGIC, "<IIII", _CKPT_VERSION, params.feature_dim,
                       params.num_classes, _MODE_TAGS[params.mode])

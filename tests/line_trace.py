@@ -10,10 +10,9 @@ another thread is not seen. A statement is every ``ast`` statement but a
 docstring; it ran if any of its lines ran (a compound statement's lines
 end before its body, a decorated definition's start at its first
 decorator). Prints every statement that did not run, as ``module:line``
-and its source text, with the reason ALLOWED gives for it. Exits 1 if a
-test fails, or unless the statements that did not run are exactly those
-of ALLOWED, each matched by module and whitespace-normalized source text;
-0 otherwise. Not collected by pytest; it takes about twice the suite's time.
+and its source text. Exits 0 when every test passed and every statement
+ran, 1 otherwise. Not collected by pytest; it takes about twice the
+suite's time.
 """
 
 from __future__ import annotations
@@ -29,14 +28,6 @@ import pytest
 from code_lines import ROOT, docstring_lines
 
 SRC = ROOT / "src" / "frameattn"
-
-# (module, statement text) -> why no test runs the statement
-ALLOWED = {
-    ("cli.py", "sys.exit(main())"):
-        "the console script's body; only the --version test runs it, in a subprocess",
-    ("cli.py", "entry()"):
-        "python -m frameattn.cli; only the --version test runs it, in a subprocess",
-}
 
 
 def statements(source: str) -> list[tuple[int, int, str]]:
@@ -103,18 +94,12 @@ def main(argv=None) -> int:
         for first, last, text in statements(path.read_text()):
             if not any((path.name, line) in ran for line in range(first, last + 1)):
                 unran.append((path.name, first, text))
-    print(f"\n{len(unran)} statements of {SRC.relative_to(ROOT)} ran in no test "
-          f"({len(ALLOWED)} allowed):")
+    print(f"\n{len(unran)} statements of {SRC.relative_to(ROOT)} ran in no test")
     for module, line, text in unran:
-        reason = ALLOWED.get((module, text), "NOT ALLOWED")
-        print(f"{module}:{line}: {text}\n    {reason}")
-    stale = set(ALLOWED) - {(module, text) for module, _, text in unran}
-    for module, text in sorted(stale):
-        print(f"allowed but not found unrun: {module}: {text}")
+        print(f"{module}:{line}: {text}")
     if code:
         print(f"pytest exited {code}")
-    exact = sorted((m, t) for m, _, t in unran) == sorted(ALLOWED)
-    return 0 if exact and not code else 1
+    return 1 if unran or code else 0
 
 
 if __name__ == "__main__":

@@ -546,3 +546,17 @@ class TestUsage:
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert proc.stdout.strip()
+
+    def test_module_runs_as_main_in_this_process(self, monkeypatch, capsys):
+        # the __main__ block, run where the line trace sees it; without the
+        # imported module in sys.modules, runpy runs a fresh copy unwarned
+        import runpy
+        import sys
+
+        import frameattn
+        monkeypatch.delitem(sys.modules, "frameattn.cli")
+        monkeypatch.setattr(sys, "argv", ["frameattn", "--version"])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("frameattn.cli", run_name="__main__")
+        assert exited.value.code == EXIT_OK
+        assert capsys.readouterr().out == frameattn.__version__ + "\n"

@@ -1,4 +1,5 @@
 import hashlib
+import mmap
 import os
 import re
 import struct
@@ -27,6 +28,7 @@ from frameattn.evaluation import evaluate, export_attention, score_fusion_baseli
 from frameattn.model import FanParams, Mode, backward, forward, init_params, score
 from frameattn.numerics import as_matrix
 from frameattn.training import TrainConfig, save_checkpoint, train
+from mapped_frames import mapped_frames
 
 
 def tiny_dataset():
@@ -218,6 +220,16 @@ class TestFolds:
         b = build_folds(dataset_with_subjects(subjects[::-1]), 10)
         assert a.assignment == b.assignment
 
+    @pytest.mark.parametrize("subjects, message", [
+        ([None, "a"], "instance 0: subject id must be a str, got None"),
+        (["s000", 5], "instance 1: subject id must be a str, got 5"),
+        ([5, 6], "instance 0: subject id must be a str, got 5"),
+    ], ids=["None", "int-after-str", "all-int"])
+    def test_subject_id_that_is_not_a_str_is_refused(self, subjects, message):
+        # ids FANF cannot store; mixed types would not sort
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            build_folds(dataset_with_subjects(subjects), 2)
+
     def test_too_few_subjects(self):
         with pytest.raises(ConfigError):
             build_folds(dataset_with_subjects(["s0", "s1"]), 10)
@@ -253,12 +265,13 @@ class TestSynth:
         # first call's one-off allocations (about 0.75 MB) out of the peak
         config = SynthConfig(dim=256, videos_per_class=50)
         synth_generate(SynthConfig(dim=256, videos_per_class=1))
-        tracemalloc.start()
-        try:
-            ds = synth_generate(config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with mapped_frames() as mapped:
+            tracemalloc.start()
+            try:
+                ds = synth_generate(config)
+                peak = tracemalloc.get_traced_memory()[1] + sum(mapped)
+            finally:
+                tracemalloc.stop()
         wide = 8 * ds.packed().frames.size
         assert peak < 1.1 * wide + 64 * 1024, peak / wide
 
@@ -507,6 +520,20 @@ class TestPackedFrames:
             assert np.shares_memory(inst.features, packed.frames[lo:hi])
             np.testing.assert_array_equal(inst.features, packed.frames[lo:hi])
 
+    @pytest.mark.parametrize("source", ["loaded", "synthetic", "float64", "empty"])
+    def test_packed_matrix_is_a_writable_mapping_of_its_own(self, tmp_path, source):
+        if source == "loaded":
+            write_feature_file(tiny_dataset(), str(tmp_path / "t.fanf"))
+            ds = load_feature_file(str(tmp_path / "t.fanf"))
+        else:
+            ds = {"synthetic": lambda: synth_generate(SynthConfig(videos_per_class=2)),
+                  "float64": ragged_dataset,
+                  "empty": lambda: Dataset([], 2, 2, ["a", "b"])}[source]()
+        frames = ds.packed().frames
+        assert frames.flags.writeable
+        assert isinstance(frames.base, mmap.mmap)
+        assert all(inst.features.base is frames for inst in ds.instances)
+
     def test_in_memory_dataset_is_packed_on_first_use(self):
         ds = tiny_dataset()
         originals = [inst.features for inst in ds.instances]
@@ -662,23 +689,23 @@ class TestPackedFrames:
         ds.validate()  # the contract: only a replaced object is rechecked
         assert np.all(np.isinf(ds.packed().frames[:ds.packed().offsets[1]]))
 
-    def test_later_oversized_record_rejected_before_allocation(self, tmp_path,
-                                                                monkeypatch):
+    def test_later_oversized_record_rejected_before_allocation(self, tmp_path):
         # record 0 holds a NaN, record 1 declares 2^31 frames of which the
         # file holds one: the header pass raises before any features are read
-        parts = [b"FANF", struct.pack("<III", 1, 2, 1), struct.pack("<Q", 2),
-                 struct.pack("<H", 1), b"a",
-                 fanf_record("v0", 0, 1, [np.nan, 1.0]),
-                 fanf_record("v1", 0, 2**31, [1.0, 2.0])]
-        path = str(tmp_path / "big.fanf")
-        Path(path).write_bytes(b"".join(parts))
-        sizes = []
-        real = np.empty
-        monkeypatch.setattr(np, "empty",
-                            lambda shape, *a, **k: (sizes.append(shape), real(shape, *a, **k))[1])
-        with pytest.raises(SchemaError, match="v1"):
-            load_feature_file(path)
-        assert sizes == []
+        head = [b"FANF", struct.pack("<III", 1, 2, 1), struct.pack("<Q", 2),
+                struct.pack("<H", 1), b"a"]
+        path = tmp_path / "big.fanf"
+        path.write_bytes(b"".join(head + [fanf_record("v0", 0, 1, [np.nan, 1.0]),
+                                          fanf_record("v1", 0, 2**31, [1.0, 2.0])]))
+        with mapped_frames() as mapped:
+            with pytest.raises(SchemaError, match="v1"):
+                load_feature_file(str(path))
+            assert mapped == []
+            # the same file made whole maps its two frames' 16 bytes, once
+            path.write_bytes(b"".join(head + [fanf_record("v0", 0, 1, [0.5, 1.0]),
+                                              fanf_record("v1", 0, 1, [1.0, 2.0])]))
+            load_feature_file(str(path))
+        assert mapped == [16]
 
     @pytest.mark.parametrize("label, n, values, error", [
         (2, 1, [1.0, 2.0], SchemaError), (0, 0, [], SchemaError),
@@ -711,12 +738,13 @@ class TestPackedFrames:
                 f.write(fanf_record(f"v{i}", i % 2, n,
                                     rng.standard_normal((n, dim), dtype=np.float32)))
         payload = 4 * count * n * dim
-        tracemalloc.start()
-        try:
-            ds = load_feature_file(str(tmp_path / "big.fanf"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with mapped_frames() as mapped:
+            tracemalloc.start()
+            try:
+                ds = load_feature_file(str(tmp_path / "big.fanf"))
+                peak = tracemalloc.get_traced_memory()[1] + sum(mapped)
+            finally:
+                tracemalloc.stop()
         assert peak < 1.2 * payload, peak / payload
         assert ds.packed().frames.nbytes == payload
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from frameattn.data import Dataset, VideoInstance, load_feature_file, write_feature_file
 from frameattn.errors import FrameAttnError
+from mapped_frames import mapped_frames
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 # what loading a file of a few hundred bytes may allocate beyond a few
@@ -45,20 +46,23 @@ FIELD_AT = {"dim": 8, "classes": 12, "n0": N_AT[0], "n1": N_AT[1], "n2": N_AT[2]
 
 
 def check_load(path, data: bytes) -> None:
-    """Load `data` from `path`: either it loads and writes back to the same
-    bytes, or it raises a FrameAttnError; either way within the bound."""
+    """Load `data` from `path`: either it loads, maps its frames' bytes
+    once and writes back to the same bytes, or it raises a FrameAttnError;
+    either way within the bound."""
     path.write_bytes(data)
-    tracemalloc.start()
-    try:
+    with mapped_frames() as mapped:
+        tracemalloc.start()
         try:
-            ds = load_feature_file(str(path))
-        except FrameAttnError:
-            ds = None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+            try:
+                ds = load_feature_file(str(path))
+            except FrameAttnError:
+                ds = None
+            peak = tracemalloc.get_traced_memory()[1] + sum(mapped)
+        finally:
+            tracemalloc.stop()
     assert peak < SLACK + 4 * len(data), peak
     if ds is not None:
+        assert mapped == [ds.packed().frames.nbytes]  # its frames, mapped once
         back = path.with_suffix(".back")
         write_feature_file(ds, str(back))
         assert back.read_bytes() == data

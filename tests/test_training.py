@@ -607,6 +607,17 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("block", ["q0", "class_b"])
+    def test_non_finite_head_is_refused_and_nothing_written(self, tmp_path, block):
+        # a value written in place passes no block check, and load_checkpoint
+        # refuses the file it would make
+        p = init_params(3, 2, Mode.FULL, seed=0)
+        getattr(p, block)[0] = np.nan
+        with pytest.raises(DataError, match=f"^parameter '{block}' is not finite: "
+                                            "its checkpoint could not be loaded$"):
+            save_checkpoint(p, str(tmp_path / "x.fanp"))
+        assert list(tmp_path.iterdir()) == []
+
     def test_history_lines(self):
         from frameattn.training import EpochStats
         lines = history_lines([EpochStats(0, 0.1, 1.5, 0.25, None),
