@@ -38,7 +38,6 @@ from .model import (
     Mode,
     backward,
     forward,
-    gradient_check,
     init_params,
 )
 from .sampling import sample_training

@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands: train, eval, cv, gradcheck, synth, visualize. Machine-readable
-JSON goes to stdout, progress lines to stderr. Exit codes: 0 success,
-1 usage, 2 data/format/config problems, 3 numeric failure. Every command is
+Subcommands: train, eval, cv, synth, visualize. Machine-readable JSON goes
+to stdout, progress lines to stderr. Exit codes: 0 success, 1 usage, 2
+data/format/config problems, 3 numeric failure, 141 (128 + SIGPIPE) when
+the reader of stdout closed it early, with no message. Every command is
 deterministic given identical inputs, flags, and seed. The `frameattn`
 console script calls main, and `python -m frameattn.cli` runs the same;
 both exit with its code.
@@ -16,15 +17,12 @@ import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from . import __version__
 from .data import (SynthConfig, atomic_open, build_folds, load_feature_file,
                    open_feature_file, synth_generate, write_feature_file)
 from .errors import ConfigError, FrameAttnError, NumericError
 from .evaluation import cross_validate, evaluate, export_attention
-from .model import Mode, gradient_pair, init_params, locate
-from .numerics import COUNT_MAX, relative_errors, require_integer, require_real
+from .model import Mode
 from .training import (
     TrainConfig,
     afew_config,
@@ -40,6 +38,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer the signal killed
 
 _PRESETS = {
     "ck+": ckplus_config,
@@ -62,6 +61,7 @@ class _Parser(argparse.ArgumentParser):
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout, indent=2)
     sys.stdout.write("\n")
+    sys.stdout.flush()  # so that a closed pipe is raised inside main
 
 
 def _log(msg: str) -> None:
@@ -148,47 +148,6 @@ def cmd_cv(args) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(args) -> int:
-    for flag, value in (("--eps", args.eps), ("--tol", args.tol)):
-        require_real(flag, value)
-        if value <= 0:
-            raise ConfigError(f"{flag} must be positive, got {value}")
-    for flag, value in (("--configs", args.configs), ("--d", args.d),
-                        ("--n", args.n), ("--c", args.c)):
-        if value is not None:
-            require_integer(flag, value, 1, maximum=COUNT_MAX)
-    require_integer("--seed", args.seed, 0)
-    rng = np.random.default_rng(args.seed)
-    results = []
-    for i in range(args.configs):
-        d = args.d if args.d is not None else int(rng.choice([4, 8, 16]))
-        n = args.n if args.n is not None else int(rng.integers(1, 7))
-        c = args.c if args.c is not None else int(rng.choice([3, 7]))
-        mode = Mode.FULL if i % 2 == 0 else Mode.SELF_ONLY
-        features = rng.standard_normal((n, d))
-        params = init_params(d, c, mode, seed=int(rng.integers(0, 2**31)))
-        label = int(rng.integers(0, c))
-
-        analytic, fd = gradient_pair(features, params, label, args.eps)
-        if args.corrupt:
-            analytic[0] += 1.0
-        errs = relative_errors(analytic, fd)
-        err = float(np.max(errs))
-        name, pos = locate(params.blocks, int(np.argmax(errs)))
-        worst = f"{name}[{pos}]"
-        ok = err < args.tol
-        results.append({"config": i, "mode": mode.value, "d": d, "n": n, "c": c,
-                        "max_rel_err": err, "worst": worst, "ok": ok})
-        _log(f"config {i}: mode={mode.value} d={d} n={n} c={c} "
-             f"max_rel_err={err:.3e} {'ok' if ok else 'FAIL at ' + worst}")
-    failures = [r for r in results if not r["ok"]]
-    _emit({"tol": args.tol, "eps": args.eps, "configs": results,
-           "passed": not failures})
-    for r in failures:
-        _log(f"FAIL config {r['config']}: {r['worst']} rel_err={r['max_rel_err']:.3e}")
-    return EXIT_NUMERIC if failures else EXIT_OK
-
-
 def cmd_synth(args) -> int:
     # the parser holds only the flags given, each under its field's name;
     # SynthConfig supplies the rest
@@ -262,20 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     p.set_defaults(func=cmd_cv)
 
-    p = sub.add_parser("gradcheck",
-                       help="check analytic gradients against finite differences")
-    p.add_argument("--configs", type=int, default=20)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--d", type=int, help="pin the feature dimension")
-    p.add_argument("--n", type=int, help="pin the frame count")
-    p.add_argument("--c", type=int, help="pin the class count")
-    p.add_argument("--corrupt", action="store_true",
-                   help="negative control: perturb the analytic gradient "
-                        "and expect failure")
-    p.set_defaults(func=cmd_gradcheck)
-
     p = sub.add_parser("synth", help="generate a planted-peak feature file",
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
@@ -308,6 +253,14 @@ def main(argv=None) -> int:
     except NumericError as e:
         _log(f"numeric error: {e}")
         return EXIT_NUMERIC
+    except BrokenPipeError:
+        # the reader of stdout is gone, which is no data error: stop with no
+        # message, and point stdout's descriptor at devnull so that the
+        # interpreter's last flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except (FrameAttnError, OSError) as e:
         _log(f"error: {e}")
         return EXIT_DATA

@@ -73,12 +73,9 @@ from .numerics import (
     as_array,
     as_matrix,
     as_vector,
-    finite_diff_gradient,
     real_array,
-    relative_errors,
     require_integer,
     sigmoid,
-    softmax_cross_entropy,
 )
 
 
@@ -499,27 +496,3 @@ def forward_backward(features, params: FanParams, label: int):
     logits, _, losses, grads = _kernel(f[None], params, np.array([label]))
     return float(losses[0]), logits[0], grads
 
-
-def gradient_pair(features, params: FanParams, label: int,
-                  eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
-    """The analytic gradient of one video's loss and its central-difference
-    estimate, both flat in the layout order.
-
-    The finite-difference side rebuilds parameters from a flat vector and
-    reruns the forward pass, so it shares no code with backward.
-    """
-    _, grads = backward(features, params, label)
-
-    def loss_of(flat):
-        candidate = FanParams.from_flat(flat, params.feature_dim,
-                                        params.num_classes, params.mode)
-        logits, _ = forward(features, candidate)
-        return softmax_cross_entropy(logits, label)[0]
-
-    return grads.flat, finite_diff_gradient(loss_of, params.flatten(), eps)
-
-
-def gradient_check(features, params: FanParams, label: int,
-                   eps: float = 1e-5) -> float:
-    """Max relative error of the analytic gradient against central differences."""
-    return float(np.max(relative_errors(*gradient_pair(features, params, label, eps))))

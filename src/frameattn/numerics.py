@@ -5,27 +5,27 @@ and, for a count that sizes an array, at most COUNT_MAX),
 require_real (a finite int or float, numpy's included, not a bool; an int
 too large for a float is not finite) and real_array (an array of bool,
 int, uint or float values: not text, objects, complex values or ragged
-rows). Each raises the error class its caller gives, with a message that
-names the field and shows the value through _shown. as_array widens what
-real_array accepts to float64, which is exact; first_nonfinite_row (one
-np.isfinite pass) is the one finite check of input frames and, through
-as_array, of parameter blocks.
+rows). require_real raises ConfigError; require_integer and real_array
+raise the error class their caller gives. Each message names the field
+and shows the value through _shown. as_array widens what real_array
+accepts to float64, which is exact; first_nonfinite_row (one np.isfinite
+pass) is the one finite check of input frames and, through as_array, of
+parameter blocks.
 
 Everything else operates on float64. Vectors are 1-d arrays with at least
 one entry, matrices 2-d arrays with rows and columns; both must be entirely
-finite. The finite-difference gradient lives here so the analytic backward
-pass elsewhere can be checked against an oracle that never shares its code
-path.
+finite. The finite-difference oracle that checks the analytic backward
+pass is not here: it lives in the test suite (tests/gradcheck.py), so it
+never shares a code path with what it checks.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError, NumericError
+from .errors import ConfigError, DataError, DimensionError
 
 # Open-interval bounds for the logistic: in float64 the exact formula
 # saturates to 0.0 / 1.0 for |x| beyond ~37, which would break the
@@ -51,18 +51,19 @@ def require_integer(name: str, value, minimum=None, error=ConfigError, maximum=N
         raise error(f"{name} must be at most {maximum}, got {_shown(value, str)}")
 
 
-def require_real(name: str, value, minimum=None, error=ConfigError) -> None:
-    """Raise `error` naming `name` unless value is a finite int or float,
-    numpy's included (a bool is not), at least `minimum` if one is given."""
+def require_real(name: str, value, minimum=None) -> None:
+    """Raise ConfigError naming `name` unless value is a finite int or
+    float, numpy's included (a bool is not), at least `minimum` if one is
+    given."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise error(f"{name} must be a real number, got {_shown(value)}")
+        raise ConfigError(f"{name} must be a real number, got {_shown(value)}")
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an int too large for a float
         finite = False
     if not finite:
-        raise error(f"{name} must be finite, got {_shown(value, str)}")
-    _require_at_least(name, value, minimum, error)
+        raise ConfigError(f"{name} must be finite, got {_shown(value, str)}")
+    _require_at_least(name, value, minimum, ConfigError)
 
 
 def _require_at_least(name: str, value, minimum, error) -> None:
@@ -172,37 +173,3 @@ def _xent(z: np.ndarray, labels: np.ndarray):
     grad[rows, labels] -= 1.0
     return loss, grad
 
-
-def finite_diff_gradient(
-    loss_fn: Callable[[np.ndarray], float],
-    params,
-    eps: float = 1e-5,
-) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a flat vector.
-
-    Independent oracle for analytic gradients: (f(p + eps*e_j) - f(p - eps*e_j))
-    / (2*eps) per coordinate. Raises NumericError if any probe evaluation is
-    non-finite, and ValueError naming eps unless it is a positive real.
-    """
-    require_real("eps", eps, error=ValueError)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    p0 = as_vector(params, "params")
-    grad = np.zeros_like(p0)
-    for j in range(p0.shape[0]):
-        probe = p0.copy()
-        probe[j] = p0[j] + eps
-        fplus = float(loss_fn(probe))
-        probe[j] = p0[j] - eps
-        fminus = float(loss_fn(probe))
-        if not (np.isfinite(fplus) and np.isfinite(fminus)):
-            raise NumericError(f"loss non-finite at finite-difference probe {j}")
-        grad[j] = (fplus - fminus) / (2.0 * eps)
-    return grad
-
-
-def relative_errors(a, b) -> np.ndarray:
-    """Elementwise |a-b| / max(1e-8, |a|+|b|), flattened."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    return np.abs(a - b) / np.maximum(1e-8, np.abs(a) + np.abs(b))

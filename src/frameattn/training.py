@@ -17,7 +17,9 @@ deterministic given the config seed: each epoch draws, from its one
 frames of every instance in shuffled order (sampling.training_draw). The
 score-fusion baseline trains in the same loop (fit), on the same minibatches.
 TrainConfig.validate passes each field and schedule step through the
-number rules (numerics) and raises ConfigError naming the field.
+number rules (numerics), requires momentum in [0, 1) and weight_decay >= 0
+(outside them an update can grow without bound), and raises ConfigError
+naming the field.
 
 Checkpoint format ("FANP", little-endian): magic, version u32 = 1, D u32,
 C u32, mode u32 (0 full, 1 self-only), then the parameters as float64:
@@ -63,7 +65,9 @@ class TrainConfig:
                                        ("total_epochs", 0, None), ("seed", 0, None)):
             require_integer(name, getattr(self, name), minimum, maximum=maximum)
         require_real("momentum", self.momentum)
-        require_real("weight_decay", self.weight_decay)
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
+        require_real("weight_decay", self.weight_decay, 0)
         if self.mode not in list(Mode):
             raise ConfigError(f"unknown mode {_shown(self.mode)}")
         try:

@@ -10,9 +10,8 @@ relative paths on both sides:
 
   * synth, then train (full and self-only, each with --history, and one
     run whose update overflows), eval (all frames, --per-instance,
-    sampled), visualize (both heads), cv (both modes, and one run whose
-    update overflows in its first fold), and gradcheck (plain and
-    --corrupt);
+    sampled), visualize (both heads) and cv (both modes, and one run whose
+    update overflows in its first fold);
   * train --preset synth-default without --data, on the synthetic set it
     generates for itself, in both modes, each with --history;
   * corrupt copies of the feature file and of the full head, each loaded
@@ -281,8 +280,6 @@ MATRIX = [
                                           "--out", "synth_self.fanp", "--history",
                                           "synth_self.csv", "--mode", "self-only",
                                           "--epochs", "4", "--seed", "11")),
-    ("gradcheck", cli("gradcheck", "--configs", "6", "--seed", "1")),
-    ("gradcheck --corrupt", cli("gradcheck", "--configs", "2", "--seed", "1", "--corrupt")),
     ("write corrupt files", ["-c", CORRUPT_WRITER]),
     *map(corrupt_eval, CORRUPT),
     ("write files with a defective record", ["-c", RECORD_DEFECTS]),

@@ -28,7 +28,7 @@ from frameattn.data import (
 )
 from frameattn.errors import DataError, FormatError
 from frameattn.evaluation import evaluate, score_fusion_baseline
-from frameattn.model import Mode, forward, gradient_check, init_params
+from frameattn.model import Mode, forward, init_params
 from frameattn.sampling import _segment_bounds, sample_training, stream
 from frameattn.training import (
     afew_config,
@@ -40,6 +40,7 @@ from frameattn.training import (
     train,
 )
 
+from gradcheck import gradient_check
 from scalar_oracle import forward_logits as oracle_logits
 
 EXPERIMENT_SEEDS = [7, 8, 9, 10, 11]
@@ -86,34 +87,42 @@ def planted_peak_experiment():
     return acc
 
 
-def test_criterion_1_gradient_correctness():
-    failures = []
-    t0 = time.monotonic()
+def gradient_sweep(corrupt=False):
+    """Criterion 1's 24 configurations, each as (description, max relative
+    error of the analytic gradient against central differences)."""
     rng = np.random.default_rng(2024)
     combos = list(itertools.product((4, 8, 16), (3, 7),
                                     (Mode.FULL, Mode.SELF_ONLY)))
-    count = 0
-    worst = 0.0
     for repeat in range(2):
         for i, (d, c, mode) in enumerate(combos):
             n = (i + repeat * 3) % 6 + 1
             features = rng.standard_normal((n, d))
             params = init_params(d, c, mode, seed=int(rng.integers(10_000)))
             label = int(rng.integers(c))
-            err = gradient_check(features, params, label, eps=1e-5)
-            worst = max(worst, err)
-            count += 1
-            if err >= 1e-4:
-                failures.append(
-                    f"config d={d} n={n} c={c} mode={mode.value}: rel err {err:.3e}")
+            yield (f"config d={d} n={n} c={c} mode={mode.value}",
+                   gradient_check(features, params, label, eps=1e-5, corrupt=corrupt))
+
+
+def test_criterion_1_gradient_correctness():
+    t0 = time.monotonic()
+    errors = list(gradient_sweep())
     elapsed = time.monotonic() - t0
-    if count < 20:
-        failures.append(f"only {count} configurations checked")
+    failures = [f"{name}: rel err {err:.3e}" for name, err in errors if err >= 1e-4]
+    if len(errors) < 20:
+        failures.append(f"only {len(errors)} configurations checked")
     if elapsed >= 60:
         failures.append(f"gradient sweep took {elapsed:.1f}s (budget 60s)")
-    print(f"  [criterion 1] {count} configs, max rel err {worst:.3e}, "
-          f"{elapsed:.1f}s")
+    print(f"  [criterion 1] {len(errors)} configs, "
+          f"max rel err {max(err for _, err in errors):.3e}, {elapsed:.1f}s")
     report("1 gradient-correctness", failures)
+
+
+def test_criterion_1_fails_on_a_corrupted_gradient():
+    # the negative control: with 1 added to the analytic gradient's first
+    # entry, every configuration of the sweep reaches the tolerance
+    errors = list(gradient_sweep(corrupt=True))
+    assert len(errors) == 24
+    assert [name for name, err in errors if err < 1e-4] == []
 
 
 def test_criterion_2_oracle_equivalence():

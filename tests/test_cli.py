@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -338,6 +340,23 @@ class TestEvalCommand:
                            json.loads(everything)["instances"]]) == (not frames)
 
 
+    def test_a_closed_pipe_ends_quietly_with_141(self, tiny_data, tmp_path, capsys,
+                                                  monkeypatch):
+        # the reader of stdout is gone before the report is written: no
+        # error line, and stdout's descriptor is left on devnull, so that
+        # the last flush of what is still buffered succeeds
+        ckpt = str(tmp_path / "m.fanp")
+        save_checkpoint(init_params(6, 3, Mode.FULL, seed=1), ckpt)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as pipe:
+            monkeypatch.setattr(sys, "stdout", pipe)
+            code = main(["eval", "--checkpoint", ckpt, "--data", tiny_data, "--per-instance"])
+            assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+        assert code == cli.EXIT_PIPE == 141
+        assert capsys.readouterr().err == ""
+
+
 class TestCvCommand:
     def test_ten_folds_disjoint_and_consistent(self, tiny_data, capsys):
         code, out = run(capsys, "cv", "--data", tiny_data, "--folds", "10",
@@ -374,43 +393,6 @@ class TestCvCommand:
         assert f"fold_count must be at least 2, got {folds}" in err
 
 
-class TestGradcheckCommand:
-    def test_small_run_exits_0(self, capsys):
-        code, out = run(capsys, "gradcheck", "--configs", "6", "--seed", "1")
-        assert code == EXIT_OK
-        result = json.loads(out)
-        assert result["passed"] is True
-        assert all(c["max_rel_err"] < 1e-4 for c in result["configs"])
-
-    def test_pinned_config_reproducible(self, capsys):
-        args = ("gradcheck", "--configs", "1", "--d", "4", "--n", "2",
-                "--c", "3", "--seed", "1")
-        code1, out1 = run(capsys, *args)
-        code2, out2 = run(capsys, *args)
-        assert code1 == code2 == EXIT_OK
-        assert out1 == out2
-
-    def test_corrupted_gradient_detected(self, capsys):
-        code, out = run(capsys, "gradcheck", "--configs", "2", "--seed", "1",
-                        "--corrupt")
-        assert code == EXIT_NUMERIC
-        assert json.loads(out)["passed"] is False
-
-    @pytest.mark.parametrize("flags", [["--eps", "0"], ["--eps", "-1"],
-                                       ["--configs", "0"], ["--configs", "-1"]],
-                             ids=["eps0", "eps-1", "configs0", "configs-1"])
-    def test_bad_eps_or_config_count_exits_2(self, capsys, flags):
-        err = run_rejected(capsys, "gradcheck", *flags)
-        assert flags[0] in err
-
-    @pytest.mark.parametrize("flag,value", [
-        ("--n", "-1"), ("--d", "-3"), ("--n", "0"), ("--d", "0"), ("--c", "0"),
-        ("--tol", "0"), ("--tol", "nan"), ("--eps", "inf")])
-    def test_bad_pin_or_bound_exits_2(self, capsys, flag, value):
-        err = run_rejected(capsys, "gradcheck", "--configs", "1", flag, value)
-        assert err.startswith(f"error: {flag} must be ")
-
-
 class TestVisualizeCommand:
     def test_exports_csv_and_json(self, tiny_data, tmp_path, capsys):
         ckpt = str(tmp_path / "m.fanp")
@@ -441,7 +423,7 @@ class TestNegativeSeed:
     """A negative --seed is a config problem wherever a seed is read: exit 2
     with one error line, not a traceback from numpy's generator."""
 
-    @pytest.mark.parametrize("command", ["train", "cv", "synth", "gradcheck", "eval"])
+    @pytest.mark.parametrize("command", ["train", "cv", "synth", "eval"])
     def test_exits_2(self, tiny_data, tmp_path, capsys, command):
         ckpt = str(tmp_path / "m.fanp")
         run(capsys, "train", "--data", tiny_data, "--out", ckpt, "--epochs", "1")
@@ -449,7 +431,6 @@ class TestNegativeSeed:
             "train": ["--data", tiny_data, "--out", str(tmp_path / "n.fanp"), "--epochs", "1"],
             "cv": ["--data", tiny_data, "--folds", "2", "--epochs", "1"],
             "synth": ["--out", str(tmp_path / "x.fanf")],
-            "gradcheck": ["--configs", "1"],
             "eval": ["--checkpoint", ckpt, "--data", tiny_data, "--frames", "sampled"],
         }[command]
         err = run_rejected(capsys, command, *args, "--seed", "-1")
@@ -466,7 +447,7 @@ class TestCountTooLargeForAnArray:
     HUGE = str(10**20)
 
     @pytest.mark.parametrize("command, name", [
-        ("synth", "dim"), ("train", "k"), ("eval", "k"), ("gradcheck", "--n")])
+        ("synth", "dim"), ("train", "k"), ("eval", "k")])
     def test_exits_2_naming_the_setting(self, tiny_data, tmp_path, capsys, command, name):
         ckpt = str(tmp_path / "m.fanp")
         save_checkpoint(init_params(6, 3, Mode.FULL, seed=1), ckpt)
@@ -475,7 +456,6 @@ class TestCountTooLargeForAnArray:
             "train": ["--data", tiny_data, "--k", self.HUGE, "--out", str(tmp_path / "n.fanp")],
             "eval": ["--checkpoint", ckpt, "--data", tiny_data, "--frames", "sampled",
                      "--k", self.HUGE],
-            "gradcheck": ["--configs", "1", "--n", self.HUGE],
         }[command]
         err = run_rejected(capsys, command, *args)
         assert err == f"error: {name} must be at most 4294967295, got {self.HUGE}\n"
@@ -489,6 +469,26 @@ class TestCountTooLargeForAnArray:
                 "cv": ["--data", str(tmp_path / "absent.fanf")]}[command]
         err = run_rejected(capsys, command, *args, "--k", self.HUGE)
         assert err == f"error: k must be at most 4294967295, got {self.HUGE}\n"
+
+
+class TestDivergingSettings:
+    """momentum must lie in [0, 1) and weight decay be non-negative: outside
+    those ranges an update can grow without bound, and the run would still
+    exit 0. Both are refused, naming the field, before any data is read
+    (as in test_settings_are_checked_before_the_data)."""
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--momentum", "-3", "momentum must lie in [0, 1), got -3.0"),
+        ("--momentum", "1", "momentum must lie in [0, 1), got 1.0"),
+        ("--weight-decay", "-50", "weight_decay must be non-negative, got -50.0")],
+        ids=["momentum--3", "momentum-1", "weight-decay--50"])
+    def test_exits_2_before_the_data(self, tmp_path, capsys, command, flag, value, message):
+        args = {"train": ["--out", str(tmp_path / "n.fanp")],
+                "cv": ["--data", str(tmp_path / "absent.fanf")]}[command]
+        err = run_rejected(capsys, command, *args, flag, value)
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "n.fanp").exists()
 
 
 class TestNumericFailure:
@@ -531,6 +531,10 @@ class TestUsage:
 
     def test_version_exits_0(self, capsys):
         assert main(["--version"]) == EXIT_OK
+
+    def test_gradcheck_is_an_unknown_command(self, capsys):
+        # the finite-difference oracle lives in tests/gradcheck.py
+        assert main(["gradcheck"]) == EXIT_USAGE
 
     def test_module_entry_point(self):
         import os

@@ -11,7 +11,7 @@ from frameattn import model
 from frameattn.data import Dataset, VideoInstance
 from frameattn.errors import ConfigError, DataError, DimensionError, NumericError
 from frameattn.evaluation import score_fusion_baseline
-from frameattn.numerics import as_matrix, finite_diff_gradient, relative_errors
+from frameattn.numerics import as_matrix
 from frameattn.model import (
     FanParams,
     Mode,
@@ -19,7 +19,6 @@ from frameattn.model import (
     backward,
     forward,
     forward_backward,
-    gradient_check,
     init_params,
     layout,
     locate,
@@ -28,6 +27,7 @@ from frameattn.model import (
 
 from frameattn.training import TrainConfig
 
+from gradcheck import finite_diff_gradient, gradient_check, gradient_pair, relative_errors
 from scalar_oracle import forward_logits as oracle_logits
 
 SIG1 = 0.7310585786300049
@@ -287,7 +287,7 @@ class TestBackward:
         params = random_params(4, 3, mode, seed=2)
         message = ("label out of range for 3 logits" if type(label) is int
                    else f"label must be an integer, got {label!r}")
-        for entry in (backward, forward_backward, model.gradient_pair):
+        for entry in (backward, forward_backward, gradient_pair):
             with pytest.raises(IndexError, match=f"^{re.escape(message)}$"):
                 entry(f, params, label)
 

@@ -6,18 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frameattn.errors import ConfigError, DataError, DimensionError, NumericError
-from frameattn.model import gradient_check, init_params
+from frameattn.model import init_params
 from frameattn.numerics import (
     COUNT_MAX,
     as_matrix,
     as_vector,
-    finite_diff_gradient,
     first_nonfinite_row,
-    relative_errors,
     require_integer,
     sigmoid,
     softmax_cross_entropy,
 )
+
+from gradcheck import finite_diff_gradient, gradient_check, relative_errors
 
 
 class TestSigmoid:
@@ -147,14 +147,14 @@ class TestFiniteDiff:
             finite_diff_gradient(lambda p: float("nan"), np.array([1.0]), eps=1e-5)
 
     def test_bad_eps(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^eps must be positive$"):
             finite_diff_gradient(lambda p: 0.0, np.array([1.0]), eps=0.0)
         # refused by the number rule before any probe, naming eps, also
         # where the head's gradient check passes it on
         for eps in ("x", None, True, float("nan"), float("inf"), -1e-5, 1j):
-            with pytest.raises(ValueError, match="^eps must be"):
+            with pytest.raises(ConfigError, match="^eps must be"):
                 finite_diff_gradient(lambda p: 0.0, np.array([1.0]), eps=eps)
-            with pytest.raises(ValueError, match="^eps must be"):
+            with pytest.raises(ConfigError, match="^eps must be"):
                 gradient_check(np.ones((2, 3)), init_params(3, 2), 0, eps=eps)
 
 

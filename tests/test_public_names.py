@@ -15,9 +15,8 @@ PUBLIC = {
     "NumericError", "SchemaError",
     # evaluation
     "EvalReport", "cross_validate", "evaluate", "export_attention", "score_fusion_baseline",
-    # model
-    "AttentionTrace", "FanParams", "Mode", "backward", "forward", "gradient_check",
-    "init_params",
+    # model (the finite-difference oracle is not here: it is tests/gradcheck.py)
+    "AttentionTrace", "FanParams", "Mode", "backward", "forward", "init_params",
     # sampling
     "sample_training",
     # training

@@ -144,6 +144,10 @@ class TestSchedules:
         case("schedule", [], "schedule epochs must increase strictly from 0, got []"),
         case("schedule", [(1, 0.1)], "schedule epochs must increase strictly from 0, got [1]"),
         case("schedule", [(0, -0.1)], "learning rate must be non-negative, got -0.1"),
+        # outside these ranges an update grows without bound
+        case("momentum", -1e-9, "momentum must lie in [0, 1), got -1e-09"),
+        case("momentum", 1.0, "momentum must lie in [0, 1), got 1.0"),
+        case("weight_decay", -1e-9, "weight_decay must be non-negative, got -1e-09"),
         case("seed", -10**5000, "seed must be non-negative, got int with over 4300 digits",
              "seed-too-long-to-print"),
         case("schedule", [(10**5000, 0.1)],
@@ -152,6 +156,10 @@ class TestSchedules:
     def test_fields_out_of_range_named(self, field, value, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             TrainConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("momentum", [0, 0.999])
+    def test_momentum_and_decay_at_the_ends_of_their_ranges_accepted(self, momentum):
+        TrainConfig(momentum=momentum, weight_decay=0).validate()
 
     def test_mode_given_by_its_value(self):
         ds = small_synth()
