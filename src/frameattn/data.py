@@ -15,22 +15,20 @@ Canonical on-disk format ("FANF", little-endian throughout):
         frame count u32          (must be >= 1)
         features    n*D float32, row-major
 
-Features are stored in single precision. A dataset packs its frames into
-float32 when every video is float32 (a loaded file, synth_generate) and
-into float64 otherwise (videos built from a user's float64 arrays). Every
-computation widens the frames it reads to float64, which is exact, so both
-give the same results. Writing is canonical: equal datasets produce
-identical bytes. The writer checks every video as packing does, keeping
-none, then takes each again and writes its float32 bytes, so it holds one
-video at a time; it neither packs nor rebinds `features`.
+Frames are single precision, in a file and in memory: they are rounded to
+float32 where they enter a Dataset, and a value that overflows float32 is
+refused there (DataError). Every computation widens the frames it reads
+to float64, which is exact. Writing is canonical: equal datasets produce
+identical bytes, and the writer only writes, one video at a time.
 FANF is the one input format: frames from elsewhere enter as
 VideoInstances in a Dataset, which write_feature_file stores. Every video
 passes one rule, _checked_video (numerics.real_array frames, an integer
-label: SchemaError or DataError naming the instance); SynthConfig and
-build_folds raise ConfigError naming the field. Every size a file
-declares is read through one bounded reader, _read_exact. FANF and FANP
-(training) share one header writer and reader, _write_header and
-_read_header, which checks the magic and version (FormatError).
+label, finite float32 values: SchemaError or DataError naming the
+instance); SynthConfig and build_folds raise ConfigError naming the
+field. Every size a file declares is read through one bounded reader,
+_read_exact. FANF and FANP (training) share one header writer and
+reader, _write_header and _read_header, which checks the magic and
+version (FormatError).
 
 FANF has one reader. Opening a file (open_feature_file) is one record
 scan (_scan_records), which checks every record header and gives each
@@ -39,30 +37,29 @@ descriptor the dataset holds; loading (load_feature_file) is opening,
 then one read per record (StoredFrames.read_into) into its rows of the
 packed matrix, each video checked there.
 
-In memory a checked dataset holds all of its frames once, in one packed
-(sum n, D) matrix: video i's frames are rows offsets[i]:offsets[i+1], and
-its `features` is a view of exactly those rows (Dataset.packed). A loaded
-file's matrix is float32, filled as above; any other dataset is packed,
-its videos copied in, the first time it is checked (as is a loaded one
-whose instances were replaced since); both lay it out through
-_empty_pack, in an anonymous mapping of its own rather than the heap, so
-a dropped matrix goes back to the system. An opened dataset leaves its
-frames in the file: its packed frames read a stack's videos through its
-descriptor, checking each video's frames as they are read. Other
-modules select videos with PackedFrames.select, gather their frames with
-.lengths and .stack (the one gather) and read the selection's classes
-from .labels; training and scoring also take the width .dim and
-.num_classes. None of them reads the offsets or .frames. Every stack is
-gathered into a float64 buffer its caller owns (`out`): training.fit
-owns one for its whole run and each scoring walk
-(model.equal_length_stacks) one for the walk, and each gathers stack
-after stack into it, so a stack is good until its owner gathers the next
-one, and no head may keep a stack past its call.
+A Dataset is checked and packed once, when it is made, and is frozen:
+its frames are one packed (sum n, D) float32 matrix, video i's frames
+rows offsets[i]:offsets[i+1], and each of its frozen instances'
+`features` a read-only view of exactly those rows (Dataset.packed). A
+loaded file's matrix is filled as above, a dataset built in memory
+copies its checked videos in; both lay it out through _empty_pack, in an
+anonymous mapping of its own rather than the heap, so a dropped matrix
+goes back to the system. An opened dataset leaves its frames in the
+file: its packed frames read a stack's videos through its descriptor,
+checking each video's frames as they are read, since the file can
+change under it. Other modules select videos with
+PackedFrames.select, gather their frames with .lengths and .stack (the
+one gather) and read the selection's classes from .labels; training and
+scoring also take the width .dim and .num_classes. None of them reads
+the offsets or .frames. Every stack is gathered into a float64 buffer
+its caller owns (`out`): training.fit owns one for its whole run and
+each scoring walk (model.equal_length_stacks) one for the walk, and each
+gathers stack after stack into it, so a stack is good until its owner
+gathers the next one, and no head may keep a stack past its call.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import mmap
 import os
@@ -79,9 +76,10 @@ from .numerics import (COUNT_MAX, _shown, first_nonfinite_row, real_array, requi
 
 _MAGIC = b"FANF"
 _VERSION = 1
+_STORED = np.dtype("<f4")  # frames, in a file and in a packed matrix
 
 
-@dataclass
+@dataclass(frozen=True)
 class VideoInstance:
     """One video: identity, subject, class label, and its n x D features."""
 
@@ -103,8 +101,8 @@ class PackedFrames:
     then.
     """
 
-    frames: np.ndarray | None  # (sum n, D): float32 if every video is, else float64;
-                               # None for an opened file (_FilePackedFrames)
+    frames: np.ndarray | None  # (sum n, D) float32; None for an opened file
+                               # (_FilePackedFrames)
     offsets: np.ndarray  # (N + 1,) int64, offsets[0] = 0
     labels: np.ndarray   # (N,) int64
     num_classes: int
@@ -176,7 +174,7 @@ class _FilePackedFrames(PackedFrames):
         # first all-frame score of the AFEW-shaped benchmark file in a
         # process took 10,952 minor faults, against 367 without them and
         # 885 reading an array per video (2-core x86-64 host)
-        read = np.empty((self.longest, self.dim), StoredFrames.dtype)
+        read = np.empty((self.longest, self.dim), _STORED)
         for b, v in enumerate(videos.tolist()):
             stored = self.videos[v]
             frames = _checked_video(stored.video_id, stored.read_into(read[:stored.shape[0]]),
@@ -202,7 +200,7 @@ class StoredFrames:
     and raises SchemaError naming the record if the file no longer holds
     them all."""
 
-    dtype = np.dtype("<f4")
+    dtype = _STORED
 
     def __init__(self, file: _OpenFile, video_id: str, start: int, shape: tuple):
         self._file, self.video_id, self._start, self.shape = file, video_id, start, shape
@@ -224,102 +222,61 @@ class StoredFrames:
         return out
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """A list of videos sharing one feature dimension and class list.
+    """A tuple of videos sharing one feature dimension and class list.
 
-    Its frames live in one packed matrix (see `packed`), or, for a dataset
-    opened with open_feature_file, stay in the file until a stack reads
-    them. The first use checks every video and copies it into the matrix,
-    then rebinds each instance's `features` to its view of it, so the
-    frames are held once. Later uses cost one `is` and one label
-    comparison a video (_unchanged) while the dataset is unchanged.
-    Replacing the instance list, an instance, its `features` object or its
-    label makes the next use repack and recheck (into float32 if every
-    video is float32, else float64; an opened dataset reads every video
-    from its file to repack). Frames are checked only where they enter:
-    training and scoring read them as they are. An opened dataset's
-    frames enter whenever a stack reads them, so each video's frames are
-    checked then, every time they are read; its record fields were
-    checked when it was opened. Writing into `features` in
-    place changes the packed frames directly, in their dtype (rounded to
-    float32 in a float32 matrix), and is not rechecked: a non-finite value
-    written that way is reported by the kernel (NumericError, naming the
-    dataset index) or by write_feature_file (DataError).
-    Each public call that trains or scores (training.train, the
-    score-fusion baseline, evaluation.evaluate, export_attention) resolves
-    the dataset once, when it starts, and works on the packed frames it
-    took then (model.score takes those, not the dataset), so a change made
-    during a run, to its training or its validation, applies at the next
-    run.
-    Take a subset by passing indices (train, evaluate and the splits all
-    do), not by building a second Dataset from some of these instances:
-    two datasets that share VideoInstance objects rebind each other's
-    instances when they pack, so using them in turn repacks each time.
+    Making one checks the header and every video (_checked_video), rounds
+    each to float32 and packs them all, once, into one matrix
+    (`packed`). `instances` are new frozen VideoInstances, each one's
+    `features` a read-only view of its rows: the caller's instances and
+    arrays are left as they were, and no field of the dataset or of its
+    instances can be assigned. Training and scoring read the packed frames
+    as they are. A dataset opened with open_feature_file leaves its frames
+    in the file, each instance's `features` a StoredFrames handle: its
+    record fields were checked when it was opened, and each video's frames
+    are checked whenever a stack reads them.
     """
 
-    instances: list[VideoInstance]
+    instances: tuple[VideoInstance, ...]
     dim: int
     num_classes: int
-    class_names: list[str]
-    _packed: PackedFrames | None = field(
-        default=None, init=False, repr=False, compare=False)
-    _stamp: tuple = field(default=(), init=False, repr=False, compare=False)
+    class_names: tuple[str, ...]
+    packed: PackedFrames = field(init=False, repr=False)
 
-    def validate(self) -> None:
-        """Raise SchemaError or DataError unless every video is well formed
-        (see _checked_videos): packed(), its result dropped. An opened
-        dataset's frames are checked when they are read, not here."""
-        self.packed()
-
-    def packed(self) -> PackedFrames:
-        """The checked packed frames, offsets and labels of every instance;
-        packs (and checks) the dataset first if it has changed since."""
-        if self._packed is None or not self._unchanged():
-            self._pack()
-        return self._packed
-
-    def _header(self) -> tuple:
-        return self.dim, self.num_classes, len(self.class_names)
-
-    def _unchanged(self) -> bool:
-        """Whether the header, the instances' features objects and their
-        labels are those of the last pack: one `is` per video."""
-        header, views, labels = self._stamp
-        insts = self.instances
-        return (header == self._header() and len(insts) == len(views)
-                and all(inst.features is view for inst, view in zip(insts, views))
-                and [inst.label for inst in insts] == labels)
-
-    def _checked_videos(self):
-        """Check the header now, and return an iterator of every instance's
-        frames as an array, each yielded once it passes the rules
-        (_checked_video), in instance order."""
+    def __post_init__(self):
         require_integer("dim", self.dim, 1, SchemaError)
         require_integer("num_classes", self.num_classes, 1, SchemaError)
         if len(self.class_names) != self.num_classes:
             raise SchemaError(f"expected {self.num_classes} class names, "
                               f"got {len(self.class_names)}")
-        return (_checked_video(inst.video_id, inst.features, inst.label, self.dim,
-                               self.num_classes) for inst in self.instances)
-
-    def _pack(self) -> None:
-        videos = list(self._checked_videos())
-        dtype = np.float32 if all(f.dtype == np.float32 for f in videos) else np.float64
-        frames, offsets, rows = _empty_pack([len(f) for f in videos], self.dim, dtype)
-        for inst, row, f in zip(self.instances, rows, videos):
+        instances = tuple(self.instances)  # read twice below: an iterator would run dry
+        videos = [_checked_video(inst.video_id, inst.features, inst.label, self.dim,
+                                 self.num_classes) for inst in instances]
+        frames, offsets, rows = _empty_pack([len(f) for f in videos], self.dim)
+        for row, f in zip(rows, videos):
             row[...] = f
-            inst.features = row
-        self._adopt(PackedFrames, frames, offsets)
+        self._hold(instances, rows, PackedFrames, frames, offsets)
 
-    def _adopt(self, kind, frames, offsets: np.ndarray, *more) -> None:
-        """Make checked frames the dataset's storage: packed frames of `kind`
-        (PackedFrames, or _FilePackedFrames and its `more` fields for an
-        opened file), each instance's features being its video of them."""
-        labels = [inst.label for inst in self.instances]
-        self._packed = kind(frames, offsets, np.array(labels, np.int64), self.num_classes,
-                            self.dim, *more)
-        self._stamp = (self._header(), tuple(inst.features for inst in self.instances), labels)
+    def _hold(self, instances, features, kind, frames, offsets, *more) -> Dataset:
+        """Take new instances of `instances`' fields and `features` (checked
+        rows of `frames`, made read-only views here, or an opened file's
+        StoredFrames), the class names as a tuple, and packed frames of
+        `kind` (PackedFrames, or _FilePackedFrames and its `more` fields);
+        returns the dataset."""
+        for f in () if frames is None else features:
+            f.flags.writeable = False
+        vars(self).update(
+            instances=tuple(VideoInstance(inst.video_id, inst.subject_id, inst.label, f)
+                            for inst, f in zip(instances, features)),
+            class_names=tuple(self.class_names),
+            packed=kind(frames, offsets, np.array([inst.label for inst in instances], np.int64),
+                        self.num_classes, self.dim, *more))
+        return self
+
+    def validate(self) -> None:
+        """Nothing is left to check: a dataset is checked when it is made,
+        and an opened one's frames when they are read."""
 
     def subjects(self) -> list[str]:
         """Distinct subject ids, sorted ascending; SchemaError naming the
@@ -336,9 +293,9 @@ def _offsets(counts) -> np.ndarray:
     return np.cumsum([0] + counts, dtype=np.int64)
 
 
-def _empty_pack(counts, dim: int, dtype):
+def _empty_pack(counts, dim: int):
     """A zeroed packed matrix for videos of `counts` frames: the (sum n,
-    dim) frames, their (N + 1,) offsets and each video's rows. The frames
+    dim) float32 frames, their (N + 1,) offsets and each video's rows. The frames
     are an anonymous mapping of their own, unmapped when the matrix and
     every view of it are dropped."""
     offsets = _offsets(counts)
@@ -349,10 +306,10 @@ def _empty_pack(counts, dim: int, dtype):
     # 23.4 MB matrix), np.empty's matrix was in [heap] from round 2 on and
     # RssAnon read 65-85 MB after a round; here it reads 42 MB. The advice
     # (on this mapping only) cut a round's page faults from 9,000 to 4,000.
-    m = mmap.mmap(-1, max(1, shape[0] * dim * np.dtype(dtype).itemsize),
+    m = mmap.mmap(-1, max(1, shape[0] * dim * _STORED.itemsize),
                   flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     m.madvise(getattr(mmap, "MADV_HUGEPAGE", mmap.MADV_NORMAL))
-    frames = np.ndarray(shape, dtype, buffer=m)  # every row's .base is frames
+    frames = np.ndarray(shape, _STORED, buffer=m)  # every row's .base is frames
     # slices at Python ints: np.split(frames, offsets[1:-1]) takes 3-4x as
     # long (385 videos: 100 against 397 us on a 2-core x86-64 host)
     bounds = offsets.tolist()
@@ -360,15 +317,22 @@ def _empty_pack(counts, dim: int, dtype):
 
 
 def _checked_video(video_id: str, frames, label, dim: int, num_classes: int) -> np.ndarray:
-    """A video's frames as an array, once they pass the rules every video
-    meets (packing, the writer, the loader and an opened dataset's stacks
-    check here): real numbers, the fields a record header holds
-    (_check_fields), then every value finite."""
+    """A video's frames as a float32 array (float32 frames as they are),
+    once they pass the rules every video meets (a Dataset, the loader, the
+    writer of an opened dataset and its stacks check here): real numbers,
+    the fields a record header holds (_check_fields), then every value
+    finite, and still finite once rounded to float32 (DataError
+    "non-finite feature value" or "feature overflows single precision")."""
     f = real_array(frames, f"instance '{video_id}': features", SchemaError)
     _check_fields(video_id, f.shape, label, dim, num_classes)
-    if first_nonfinite_row(f) is not None:
-        raise DataError(f"instance '{video_id}': non-finite feature value")
-    return f
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        rounded = f.astype(_STORED, copy=False)
+    row = first_nonfinite_row(rounded)
+    if row is not None:
+        what = ("feature overflows single precision" if np.isfinite(f[row]).all()
+                else "non-finite feature value")
+        raise DataError(f"instance '{video_id}': {what}")
+    return rounded
 
 
 def _check_fields(video_id: str, shape: tuple, label, dim: int, num_classes: int) -> None:
@@ -471,31 +435,28 @@ def atomic_open(path: str, mode: str = "wb", **kwargs):
 
 
 def write_feature_file(dataset: Dataset, path: str) -> None:
-    """Serialize a dataset to the canonical binary form (deterministic bytes).
-    Every video is checked first (Dataset._checked_videos), and none is
-    kept; then each one is taken again (an opened dataset's read from its
-    file again), rounded to float32 and written on its own, so writing holds
-    one video at a time. The dataset is not packed: every instance keeps
-    its `features` object. A class name, video id or subject id that is
-    not a str, or that UTF-8 cannot encode, raises SchemaError naming the
-    field (_pack_str)."""
-    collections.deque(dataset._checked_videos(), maxlen=0)  # keeps no video
+    """Serialize a dataset to the canonical binary form (deterministic bytes),
+    one video at a time. A dataset's frames are checked float32 and are
+    written as they are; an opened dataset's are read from its file and
+    checked as they are read (_checked_video), and a failing video leaves
+    no file. A class name, video id or subject id that is not a str, or
+    that UTF-8 cannot encode, raises SchemaError naming the field
+    (_pack_str)."""
     with atomic_open(path) as f:
         _write_header(f, _MAGIC, "<IIIQ", _VERSION, dataset.dim, dataset.num_classes,
                       len(dataset.instances))
         for c, name in enumerate(dataset.class_names):
             f.write(_pack_str(name, f"class name {c}"))
         for i, inst in enumerate(dataset.instances):
-            feats = np.ascontiguousarray(np.asarray(inst.features), dtype="<f4")
-            if first_nonfinite_row(feats) is not None:
-                raise DataError(
-                    f"instance '{inst.video_id}': feature overflows single precision"
-                )
+            feats = inst.features
+            if isinstance(feats, StoredFrames):
+                feats = _checked_video(inst.video_id, feats, inst.label, dataset.dim,
+                                       dataset.num_classes)
             f.write(_pack_str(inst.video_id, f"instance {i}: video id"))
             f.write(_pack_str(inst.subject_id, f"instance {i}: subject id"))
             f.write(struct.pack("<II", inst.label, feats.shape[0]))
             f.write(feats)
-            del feats  # before the next video is taken
+            del feats  # before the next video is read
 
 
 def _scan_records(f):
@@ -529,6 +490,16 @@ def _scan_records(f):
         for video_id, subject_id, label, start, n in records]
 
 
+def _file_dataset(dim: int, num_classes: int, class_names: list, instances, *held) -> Dataset:
+    """A Dataset of a file's scanned records (_scan_records), made without
+    Dataset's checks and copy: its header and record fields were checked
+    by the scan, and its frames are checked where they are read; `held`
+    are Dataset._hold's arguments after the instances."""
+    ds = object.__new__(Dataset)
+    vars(ds).update(dim=dim, num_classes=num_classes, class_names=class_names)
+    return ds._hold(instances, *held)
+
+
 def open_feature_file(path: str) -> Dataset:
     """Open a canonical binary feature file as a dataset whose frames stay
     in the file.
@@ -549,11 +520,10 @@ def open_feature_file(path: str) -> Dataset:
     """
     with open(path, "rb") as f:
         dim, num_classes, class_names, instances = _scan_records(f)
-    counts = [inst.features.shape[0] for inst in instances]
-    ds = Dataset(instances, dim, num_classes, class_names)
-    ds._adopt(_FilePackedFrames, None, _offsets(counts),
-              tuple(inst.features for inst in instances), max(counts, default=0))
-    return ds
+    stored = [inst.features for inst in instances]
+    counts = [s.shape[0] for s in stored]
+    return _file_dataset(dim, num_classes, class_names, instances, stored, _FilePackedFrames,
+                         None, _offsets(counts), tuple(stored), max(counts, default=0))
 
 
 def load_feature_file(path: str) -> Dataset:
@@ -563,23 +533,23 @@ def load_feature_file(path: str) -> Dataset:
     checks every record header, so the packed matrix is sized only from
     frame counts whose bytes the file holds), then reading each record, in
     order, straight into its rows of one float32 matrix, as stored, and
-    checking it there as packing checks a video. Each instance's
-    `features` becomes a view of its rows, and the opened file's
-    descriptor is closed before this returns or raises, even while the
-    exception is kept.
+    checking it there as a Dataset checks a video: one copy of the
+    frames, and no other. Each instance's `features` is a read-only view
+    of its rows, and the opened file's descriptor is closed before this
+    returns or raises, even while the exception is kept.
     """
     ds = open_feature_file(path)
     frames, offsets, rows = _empty_pack([inst.features.shape[0] for inst in ds.instances],
-                                        ds.dim, "<f4")
+                                        ds.dim)
     try:
         for inst, row in zip(ds.instances, rows):
-            inst.features = _checked_video(inst.video_id, inst.features.read_into(row),
-                                           inst.label, ds.dim, ds.num_classes)
+            _checked_video(inst.video_id, inst.features.read_into(row), inst.label, ds.dim,
+                           ds.num_classes)
     except BaseException:
         inst.features._file.close()  # the traceback's frames still refer to it
         raise
-    ds._adopt(PackedFrames, frames, offsets)
-    return ds
+    return _file_dataset(ds.dim, ds.num_classes, ds.class_names, ds.instances, rows,
+                         PackedFrames, frames, offsets)
 
 
 @dataclass
@@ -696,11 +666,9 @@ def _synth_videos(config: SynthConfig):
 
 def synth_generate(config: SynthConfig) -> Dataset:
     """Generate the planted-peak dataset for the given configuration. Its
-    videos are float32, the values a file stores, so it packs into float32."""
-    ds = Dataset([inst for inst, _ in _synth_videos(config)], config.dim,
-                 config.num_classes, [f"class_{c}" for c in range(config.num_classes)])
-    ds.packed()
-    return ds
+    videos are float32, the values a file stores."""
+    return Dataset([inst for inst, _ in _synth_videos(config)], config.dim,
+                   config.num_classes, [f"class_{c}" for c in range(config.num_classes)])
 
 
 def synth_peak_positions(config: SynthConfig) -> dict[str, list[int]]:

@@ -1,8 +1,8 @@
 """Accuracy evaluation, cross-validation, the score-fusion baseline, and
 attention-weight export.
 
-evaluate and export_attention resolve the dataset once (Dataset.packed)
-and hand that view to model.score, which matches the head to it and
+evaluate and export_attention take the dataset's packed frames
+(Dataset.packed) and hand them to model.score, which matches the head to it and
 scores the selected videos in equal-length buckets gathered from the
 packed frames, each stack's working set near model.SCORE_CHUNK_BYTES,
 keeping their labels, logits and frame weights. The frames of a dataset
@@ -96,7 +96,7 @@ def evaluate(params: FanParams, dataset: Dataset, frame_mode: str = "all",
     if frame_mode not in ("all", "sampled"):
         raise ConfigError(f"unknown frame_mode '{_shown(frame_mode, str)}'")
     picks = None
-    packed = dataset.packed()
+    packed = dataset.packed
     if frame_mode == "sampled":
         require_integer("k", k, 1, maximum=COUNT_MAX)
         require_integer("seed", seed, 0)
@@ -117,15 +117,14 @@ def cross_validate(
     The pooled accuracy is instance-weighted (total correct / total count),
     not the mean of fold accuracies. Before any fold trains, a fold_count
     that is not an integer of at least 2 raises ConfigError, then the
-    config and the dataset are checked as train checks them; those errors
-    name no fold. A fold without test instances raises ConfigError "fold N
-    has no test instances" before it trains. An error that a fold's train
-    or evaluate raises (an empty training split, a NumericError) is raised
-    again, with the same class, as "fold N: message".
+    config is checked as train checks it; those errors name no fold. A
+    fold without test instances raises ConfigError "fold N has no test
+    instances" before it trains. An error that a fold's train or evaluate
+    raises (an empty training split, a NumericError) is raised again, with
+    the same class, as "fold N: message".
     """
     require_integer("fold_count", fold_plan.fold_count, 2)
     config.validate()
-    dataset.packed()
     reports = []
     for fold in range(fold_plan.fold_count):
         train_idx, test_idx = split_by_fold(dataset, fold_plan, fold)
@@ -179,7 +178,7 @@ def score_fusion_baseline(
         """The (B*K, C) scores of a (B, K, D) stack's frames, video after
         video; a non-finite one raises NumericError whose row is its video's."""
         scores = stack.reshape(-1, d) @ w.T + b
-        if not np.isfinite(scores).all():  # a value written into the frames in place
+        if not np.isfinite(scores).all():  # finite frames, but weights grown past range
             row = int(np.argmin(np.isfinite(scores).all(axis=1))) // stack.shape[1]
             raise NumericError("baseline produced non-finite scores", row=row)
         return scores
@@ -246,7 +245,7 @@ def export_attention(params: FanParams, dataset: Dataset, path: str,
     csv_path = path if path.endswith(".csv") else path + ".csv"
     json_path = os.path.splitext(csv_path)[0] + ".json"
 
-    packed = dataset.packed()
+    packed = dataset.packed
     scored = model.score(params, packed, indices)
     report = _tally(scored.labels, scored.logits, packed.num_classes)
     bounds = scored.offsets.tolist()

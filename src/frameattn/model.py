@@ -385,9 +385,8 @@ class Scored(NamedTuple):
 
 
 def score(params: FanParams, packed, indices=None, picks=None) -> Scored:
-    """Run the head over whole videos of a data.PackedFrames, the view a
-    call resolved from its dataset (Dataset.packed); score reads no
-    Dataset.
+    """Run the head over whole videos of a data.PackedFrames, a dataset's
+    packed frames (Dataset.packed); score reads no Dataset.
 
     A head whose feature dim, then class count, is not that of the packed
     frames (their width, their num_classes) raises DimensionError. indices
@@ -406,9 +405,8 @@ def score(params: FanParams, packed, indices=None, picks=None) -> Scored:
     at a time, as equal_length_stacks gathers them, and not checked again:
     the dataset checked its frames when they entered it (an opened one's
     stack checks each video's frames as it reads them). A non-finite
-    logit, which a non-finite value written into them in place also gives,
-    raises NumericError naming the dataset index of the first bad video in
-    length order, not in the order of indices.
+    logit raises NumericError naming the dataset index of the first bad
+    video in length order, not in the order of indices.
     """
     d, c = packed.dim, packed.num_classes
     if params.feature_dim != d:

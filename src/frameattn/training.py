@@ -10,8 +10,8 @@ the gradient:
 Gradients are averaged (not summed) over the batch so the learning rate
 keeps its meaning across batch sizes, and each batch goes through the head
 as one (B, K, D) stack (model._kernel), gathered into the run's one
-buffer from the checked packed frames that the run resolved when it
-started (training_split) and not checked again. Everything is
+buffer from the dataset's checked packed frames, which the run takes
+when it starts (training_split), and not checked again. Everything is
 deterministic given the config seed: each epoch draws, from its one
 (seed, epoch) stream, first the shuffle and then the K segment-sampled
 frames of every instance in shuffled order (sampling.training_draw). The
@@ -181,8 +181,7 @@ def minibatches(packed: PackedFrames, indices: np.ndarray, config: TrainConfig, 
     """The minibatches of one training epoch, in order.
 
     packed and indices are a run's packed frames and its checked int64
-    selection (training_split), resolved once when the run starts: a
-    dataset changed during the run is not read again until the next run.
+    selection (training_split), resolved once when the run starts.
     Yields (dataset indices, frames, labels) per batch of at most
     config.batch_size instances: the indices as a (B,) array, each
     instance's config.k segment-sampled frames as a (B, K, D) stack, and
@@ -208,11 +207,10 @@ def training_split(dataset: Dataset, config: TrainConfig, indices=None):
     """A run's packed frames and its training selection (every instance
     by default, read by PackedFrames.select, which refuses an empty one)
     as an int64 array, after checking the config. This is the
-    one point where a run resolves its dataset (Dataset.packed): the run
-    trains on these frames and this selection, so a change made to the
-    dataset during the run applies at the next run."""
+    one point where a run reads its dataset (Dataset.packed): the run
+    trains on these frames and this selection."""
     config.validate()
-    packed = dataset.packed()
+    packed = dataset.packed
     return packed, packed.select(indices, "training split")
 
 
@@ -264,12 +262,9 @@ def train(
     ConfigError. on_epoch, if given, is called with each EpochStats as it
     completes. The run resolves the dataset once, when it starts
     (training_split), and both trains and validates (model.score) every
-    epoch on those packed frames, so a change made to the dataset during
-    the run (from on_epoch) applies at the next run. Deterministic given
-    config.seed. A NumericError names the epoch, the batch and, when one
-    instance caused it, that instance's dataset index; a non-finite value
-    written into the dataset's frames in place is reported so, as
-    non-finite logits.
+    epoch on those packed frames. Deterministic given config.seed. A
+    NumericError names the epoch, the batch and, when one instance caused
+    it, that instance's dataset index.
     """
     packed, train_indices = training_split(dataset, config, train_indices)
     val_indices = None if val_indices is None else packed.select(val_indices, "validation split")

@@ -31,9 +31,10 @@ relative paths on both sides:
     memory as a Dataset, written as arrays.fanf and evaluated;
   * eval on sampled frames with --k 20, more than any video's frame
     count, so every video has empty segments;
-  * an API step that writes a NaN in place into one held-out video and
-    dumps, to nan.json, the error line of evaluate, export_attention and
-    score_fusion_baseline on the held-out fold;
+  * an API step that dumps, to nan.json, the error line of evaluate,
+    export_attention and score_fusion_baseline on a dataset made in memory
+    with a NaN in one held-out video (made inside each call) and on the
+    NaN-record copy of the feature file, opened;
   * empty selections: an API step that writes a header-only copy of the
     feature file (empty.fanf) and dumps, to empty_selections.json, the
     error line of evaluate, export_attention, model.score,
@@ -77,7 +78,7 @@ API = f"""\
 import json
 import numpy as np
 import frameattn as fa
-from frameattn.training import history_lines
+from frameattn.training import history_lines, training_split
 
 ds = fa.load_feature_file({DATA!r})
 train_idx, test_idx = fa.split_by_fold(ds, fa.build_folds(ds, 5), 0)
@@ -108,7 +109,7 @@ arrays_ds = fa.Dataset([fa.VideoInstance(f"c{{v}}", f"s{{v % 3}}", v % ds.num_cl
                                          rng.standard_normal((1 + v % 5, ds.dim)))
                         for v in range(12)], ds.dim, ds.num_classes, ds.class_names)
 fa.write_feature_file(arrays_ds, "arrays.fanf")
-out["arrays frames dtype"] = str(arrays_ds.packed().frames.dtype)
+out["arrays frames dtype"] = str(training_split(arrays_ds, config)[0].frames.dtype)
 for frame_mode in ("all", "sampled"):
     report = fa.evaluate(fa.load_checkpoint("full.fanp"), arrays_ds, frame_mode, 3, 5)
     out[f"evaluate arrays {{frame_mode}}"] = {{
@@ -134,23 +135,40 @@ with open({dump!r}, "w") as f:
 """
 
 
-# A NaN written in place into one held-out video, after packing: the error
-# line each scoring path gives, dumped to nan.json.
-NAN_IN_PLACE = f"""\
+# A NaN in one held-out video of a dataset made in memory, which each call
+# makes itself, and in the sixth record of the opened nan_record.fanf: the
+# error line each scoring path gives, dumped to nan.json.
+NAN = f"""\
 import json
 import numpy as np
 import frameattn as fa
 
 ds = fa.load_feature_file({DATA!r})
 train_idx, test_idx = fa.split_by_fold(ds, fa.build_folds(ds, 5), 0)
-ds.packed()
-ds.instances[test_idx[1]].features[1, 2] = np.nan  # every video has 2 frames or more
+bad = test_idx[1]
+
+
+def with_nan():
+    frames = np.array(ds.instances[bad].features)
+    frames[1, 2] = np.nan  # every video has 2 frames or more
+    return fa.Dataset([fa.VideoInstance(v.video_id, v.subject_id, v.label,
+                                        frames if i == bad else v.features)
+                       for i, v in enumerate(ds.instances)],
+                      ds.dim, ds.num_classes, ds.class_names)
+
+
+opened = fa.open_feature_file("nan_record.fanf")
 head = fa.load_checkpoint("full.fanp")
+config = fa.TrainConfig(batch_size=16, total_epochs=2, seed=3)
 calls = {{
-    "evaluate": lambda: fa.evaluate(head, ds, indices=test_idx),
-    "export_attention": lambda: fa.export_attention(head, ds, "nan_attention.csv", test_idx),
-    "score_fusion_baseline": lambda: fa.score_fusion_baseline(
-        ds, fa.TrainConfig(batch_size=16, total_epochs=2, seed=3), train_idx, test_idx),
+    "evaluate": lambda: fa.evaluate(head, with_nan(), indices=test_idx),
+    "export_attention": lambda: fa.export_attention(head, with_nan(), "nan_attention.csv",
+                                                    test_idx),
+    "score_fusion_baseline": lambda: fa.score_fusion_baseline(with_nan(), config, train_idx,
+                                                              test_idx),
+    "opened evaluate": lambda: fa.evaluate(head, opened),
+    "opened export_attention": lambda: fa.export_attention(head, opened, "nan_attention.csv"),
+    "opened score_fusion_baseline": lambda: fa.score_fusion_baseline(opened, config),
 }}""" + error_lines("nan.json")
 
 # Empty selections, each call's error line dumped to empty_selections.json,
@@ -158,7 +176,7 @@ calls = {{
 EMPTY = f"""\
 import json
 import frameattn as fa
-from frameattn import model
+from frameattn import model, training
 
 ds = fa.load_feature_file({DATA!r})
 fa.write_feature_file(fa.Dataset([], ds.dim, ds.num_classes, ds.class_names), "empty.fanf")
@@ -167,7 +185,7 @@ config = fa.TrainConfig(batch_size=16, total_epochs=2, seed=3)
 calls = {{
     "evaluate": lambda: fa.evaluate(head, ds, indices=[]),
     "export_attention": lambda: fa.export_attention(head, ds, "empty_attention.csv", []),
-    "model.score": lambda: model.score(head, ds.packed(), []),
+    "model.score": lambda: model.score(head, training.training_split(ds, config)[0], []),
     "score_fusion_baseline": lambda: fa.score_fusion_baseline(ds, config, None, []),
     "cross_validate": lambda: fa.cross_validate(ds, config, fa.FoldPlan(0, {{}})),
 }}""" + error_lines("empty_selections.json")
@@ -285,7 +303,7 @@ MATRIX = [
     ("write files with a defective record", ["-c", RECORD_DEFECTS]),
     *[step for name in RECORD_DEFECT_FILES for step in record_defect_steps(name)],
     ("api", ["-c", API]),
-    ("api, NaN written in place", ["-c", NAN_IN_PLACE]),
+    ("api, NaN in a video", ["-c", NAN]),
     ("api, empty selections", ["-c", EMPTY]),
     ("eval, header-only file", cli("eval", "--checkpoint", "full.fanp", "--data",
                                    "empty.fanf")),

@@ -5,6 +5,7 @@ import re
 import struct
 import tracemalloc
 import warnings
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from frameattn.data import (
     atomic_open,
     build_folds,
     load_feature_file,
+    open_feature_file,
     split_by_fold,
     synth_generate,
     synth_peak_positions,
@@ -24,7 +26,8 @@ from frameattn.data import (
 )
 from frameattn.cli import EXIT_DATA, main
 from frameattn.errors import ConfigError, DataError, FormatError, SchemaError
-from frameattn.evaluation import evaluate, export_attention, score_fusion_baseline
+from frameattn.evaluation import (cross_validate, evaluate, export_attention,
+                                  score_fusion_baseline)
 from frameattn.model import FanParams, Mode, backward, forward, init_params, score
 from frameattn.numerics import as_matrix
 from frameattn.training import TrainConfig, save_checkpoint, train
@@ -74,8 +77,8 @@ class TestBinaryFormat:
         path = str(tmp_path / "empty.fanf")
         write_feature_file(ds, path)
         back = load_feature_file(path)
-        assert back.instances == []
-        assert back.dim == 4 and back.class_names == ["a", "b"]
+        assert back.instances == ()
+        assert back.dim == 4 and back.class_names == ("a", "b")
 
     def test_exact_byte_length(self, tmp_path):
         # header 4+12+8 + names (2+1)*2, record (2+2)+(2+2)+4+4 + 4*1*2 = 54
@@ -161,10 +164,17 @@ class TestBinaryFormat:
         assert main(["eval", "--checkpoint", ckpt, "--data", path]) == EXIT_DATA
 
     def test_writer_rejects_nan(self, tmp_path):
-        ds = Dataset([VideoInstance("v0", "s0", 0, np.array([[np.nan, 1.0]]))],
-                     2, 1, ["x"])
-        with pytest.raises(DataError):
-            write_feature_file(ds, str(tmp_path / "no.fanf"))
+        # no Dataset holds a NaN; an opened file's record is checked as the
+        # writer reads it, and the failed write leaves no file
+        with pytest.raises(DataError, match="^instance 'v0': non-finite feature value$"):
+            Dataset([VideoInstance("v0", "s0", 0, np.array([[np.nan, 1.0]]))], 2, 1, ["x"])
+        path = tmp_path / "nan.fanf"
+        path.write_bytes(b"FANF" + struct.pack("<IIIQ", 1, 2, 1, 1) + struct.pack("<H", 1)
+                         + b"x" + fanf_record("v0", 0, 1, [np.nan, 1.0]))
+        opened = open_feature_file(str(path))
+        with pytest.raises(DataError, match="^instance 'v0': non-finite feature value$"):
+            write_feature_file(opened, str(tmp_path / "no.fanf"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["nan.fanf"]
 
 
 def dataset_with_subjects(subjects):
@@ -252,7 +262,7 @@ def case(field, value, message, id=None):
 class TestSynth:
     def test_videos_are_float32_views_of_the_packed_frames(self):
         ds = synth_generate(SynthConfig(videos_per_class=3, seed=4))
-        frames = ds.packed().frames
+        frames = ds.packed.frames
         assert frames.dtype == np.float32
         for inst in ds.instances:
             assert inst.features.base is frames
@@ -272,7 +282,7 @@ class TestSynth:
                 peak = tracemalloc.get_traced_memory()[1] + sum(mapped)
             finally:
                 tracemalloc.stop()
-        wide = 8 * ds.packed().frames.size
+        wide = 8 * ds.packed.frames.size
         assert peak < 1.1 * wide + 64 * 1024, peak / wide
 
     @pytest.mark.parametrize("field, value, message", [
@@ -396,36 +406,26 @@ class TestSynth:
 
 class TestDatasetValidation:
     def test_label_out_of_range(self):
-        ds = Dataset([VideoInstance("v", "s", 5, np.ones((1, 2)))], 2, 3, list("abc"))
         with pytest.raises(SchemaError):
-            ds.validate()
+            Dataset([VideoInstance("v", "s", 5, np.ones((1, 2)))], 2, 3, list("abc"))
         for label in (10**5000, -10**5000):  # too long for str()
-            ds.instances[0].label = label
             with pytest.raises(SchemaError, match="^instance 'v': label int with over 4300 "
                                                   "digits out of range$"):
-                ds.validate()
+                Dataset([VideoInstance("v", "s", label, np.ones((1, 2)))], 2, 3, list("abc"))
 
     @pytest.mark.parametrize("label", [1.5, "1"])
-    def test_label_that_is_not_an_integer(self, label, tmp_path):
-        ds = Dataset([VideoInstance("v", "s", label, np.ones((1, 2)))], 2, 3, list("abc"))
+    def test_label_that_is_not_an_integer(self, label):
         message = f"^instance 'v': label must be an integer, got {re.escape(repr(label))}$"
         with pytest.raises(SchemaError, match=message):
-            ds.packed()
-        with pytest.raises(SchemaError, match=message):
-            write_feature_file(ds, str(tmp_path / "d.fanf"))
-        assert list(tmp_path.iterdir()) == []
+            Dataset([VideoInstance("v", "s", label, np.ones((1, 2)))], 2, 3, list("abc"))
 
-    def test_class_name_count_must_be_the_class_count(self, tmp_path):
-        ds = Dataset([VideoInstance("v", "s", 0, np.ones((1, 2)))], 2, 2, ["a"])
+    def test_class_name_count_must_be_the_class_count(self):
         with pytest.raises(SchemaError, match="^expected 2 class names, got 1$"):
-            ds.packed()
-        with pytest.raises(SchemaError, match="^expected 2 class names, got 1$"):
-            write_feature_file(ds, str(tmp_path / "d.fanf"))
-        assert list(tmp_path.iterdir()) == []
+            Dataset([VideoInstance("v", "s", 0, np.ones((1, 2)))], 2, 2, ["a"])
 
     def test_numpy_integer_label_is_an_integer(self, tmp_path):
         ds = Dataset([VideoInstance("v", "s", np.uint8(2), np.ones((1, 2)))], 2, 3, list("abc"))
-        assert ds.packed().labels.tolist() == [2]
+        assert ds.packed.labels.tolist() == [2]
         write_feature_file(ds, str(tmp_path / "d.fanf"))
         assert load_feature_file(str(tmp_path / "d.fanf")).instances[0].label == 2
 
@@ -434,20 +434,16 @@ class TestDatasetValidation:
         (2, "1", "num_classes must be an integer, got '1'"),
         (0, 1, "dim must be at least 1, got 0")])
     def test_header_of_the_wrong_kind(self, dim, classes, message):
-        ds = Dataset([VideoInstance("v", "s", 0, np.ones((1, 2)))], dim, classes, ["a"])
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
-            ds.packed()
+            Dataset([VideoInstance("v", "s", 0, np.ones((1, 2)))], dim, classes, ["a"])
 
     def test_dim_mismatch(self):
-        ds = Dataset([VideoInstance("v", "s", 0, np.ones((1, 4)))], 2, 1, ["a"])
         with pytest.raises(SchemaError):
-            ds.validate()
+            Dataset([VideoInstance("v", "s", 0, np.ones((1, 4)))], 2, 1, ["a"])
 
     def test_nonfinite(self):
-        ds = Dataset([VideoInstance("v", "s", 0, np.array([[np.inf, 0.0]]))],
-                     2, 1, ["a"])
         with pytest.raises(DataError):
-            ds.validate()
+            Dataset([VideoInstance("v", "s", 0, np.array([[np.inf, 0.0]]))], 2, 1, ["a"])
 
     NOT_REAL = {
         "text": [["1.0", "2.0"]],
@@ -457,17 +453,13 @@ class TestDatasetValidation:
     }
 
     @pytest.mark.parametrize("kind", list(NOT_REAL))
-    def test_features_that_are_not_real_numbers(self, kind, tmp_path):
-        ds = Dataset([VideoInstance("ok", "s", 0, np.ones((2, 2))),
-                      VideoInstance("bad", "s", 0, self.NOT_REAL[kind])], 2, 1, ["a"])
-        path = tmp_path / "d.fanf"
+    def test_features_that_are_not_real_numbers(self, kind):
+        videos = [VideoInstance("ok", "s", 0, np.ones((2, 2))),
+                  VideoInstance("bad", "s", 0, self.NOT_REAL[kind])]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # complex parts are not dropped with a warning
             with pytest.raises(SchemaError, match="^instance 'bad': features"):
-                ds.packed()
-            with pytest.raises(SchemaError, match="^instance 'bad': features"):
-                write_feature_file(ds, str(path))
-        assert list(tmp_path.iterdir()) == []
+                Dataset(videos, 2, 1, ["a"])
 
     @pytest.mark.parametrize("kind", list(NOT_REAL))
     def test_arrays_that_are_not_real_numbers_refused_by_the_head(self, kind):
@@ -489,13 +481,13 @@ class TestDatasetValidation:
     @pytest.mark.parametrize("dtype", [bool, np.int32, np.uint8, np.float16, np.float32,
                                        np.float64])
     def test_real_dtypes_are_packed(self, dtype):
-        # beside a float32 video: the matrix is float32 only when every video is
+        # beside a float32 video: every video is rounded to float32 as it enters
         ds = Dataset([VideoInstance("v", "s", 0, np.ones((2, 2), dtype=dtype)),
                       VideoInstance("w", "s", 0, np.ones((1, 2), dtype=np.float32))],
                      2, 1, ["a"])
-        frames = ds.packed().frames
+        frames = ds.packed.frames
         np.testing.assert_array_equal(frames, np.ones((3, 2)))
-        assert frames.dtype == (np.float32 if dtype is np.float32 else np.float64)
+        assert frames.dtype == np.float32
 
 
 def fanf_record(video_id, label, n, values):
@@ -510,7 +502,7 @@ class TestPackedFrames:
         path = str(tmp_path / "t.fanf")
         write_feature_file(tiny_dataset(), path)
         ds = load_feature_file(path)
-        packed = ds.packed()
+        packed = ds.packed
         lengths = [inst.features.shape[0] for inst in ds.instances]
         assert packed.frames.shape == (sum(lengths), ds.dim)
         assert packed.offsets.tolist() == np.r_[0, np.cumsum(lengths)].tolist()
@@ -529,7 +521,7 @@ class TestPackedFrames:
             ds = {"synthetic": lambda: synth_generate(SynthConfig(videos_per_class=2)),
                   "float64": ragged_dataset,
                   "empty": lambda: Dataset([], 2, 2, ["a", "b"])}[source]()
-        frames = ds.packed().frames
+        frames = ds.packed.frames
         assert frames.flags.writeable
         assert isinstance(frames.base, mmap.mmap)
         assert all(inst.features.base is frames for inst in ds.instances)
@@ -537,46 +529,10 @@ class TestPackedFrames:
     def test_in_memory_dataset_is_packed_on_first_use(self):
         ds = tiny_dataset()
         originals = [inst.features for inst in ds.instances]
-        frames = ds.packed().frames
+        frames = ds.packed.frames
         for inst, before in zip(ds.instances, originals):
             assert inst.features.base is frames
             np.testing.assert_array_equal(inst.features, before)
-
-    def test_unchanged_dataset_is_not_rescanned(self, monkeypatch):
-        ds = tiny_dataset()
-        ds.validate()
-        packs = []
-        real = Dataset._pack
-        monkeypatch.setattr(Dataset, "_pack",
-                            lambda self: (packs.append(1), real(self))[1])
-        frames = ds.packed().frames
-        ds.validate()
-        assert ds.packed().frames is frames
-        assert packs == []
-
-    def test_replaced_features_are_repacked_and_rechecked(self):
-        ds = tiny_dataset()
-        old = ds.packed().frames
-        ds.instances[2].features = np.full((5, ds.dim), 3.0)   # was 4 frames
-        frames = ds.packed().frames
-        assert frames is not old and frames.shape[0] == old.shape[0] + 1
-        np.testing.assert_array_equal(ds.instances[2].features, np.full((5, ds.dim), 3.0))
-        assert ds.instances[2].features.base is frames
-        ds.instances[3].features = np.array([[np.nan] * ds.dim])
-        with pytest.raises(DataError, match="v003"):
-            ds.validate()
-
-    def test_changed_label_or_instance_list_is_rechecked(self):
-        ds = tiny_dataset()
-        ds.validate()
-        ds.instances[1].label = 7
-        with pytest.raises(SchemaError, match="v001"):
-            ds.validate()
-        ds.instances[1].label = 2
-        assert ds.packed().labels[1] == 2
-        ds.instances.append(VideoInstance("w", "s", 0, np.ones((2, 4))))
-        with pytest.raises(SchemaError, match="'w'"):
-            ds.validate()
 
     @pytest.mark.parametrize("loaded", [True, False], ids=["loaded float32", "float64"])
     def test_lengths_and_stack_gather_each_videos_frames(self, tmp_path, loaded):
@@ -584,8 +540,8 @@ class TestPackedFrames:
         if loaded:
             write_feature_file(ds, str(tmp_path / "r.fanf"))
             ds = load_feature_file(str(tmp_path / "r.fanf"))
-        packed = ds.packed()
-        assert packed.frames.dtype == (np.float32 if loaded else np.float64)
+        packed = ds.packed
+        assert packed.frames.dtype == np.float32
         everything = packed.select()
         assert packed.lengths(everything).tolist() == [len(i.features) for i in ds.instances]
         videos = packed.select([3, -1, 3, 0, -12, 7, 7])
@@ -603,7 +559,7 @@ class TestPackedFrames:
             == first.astype(np.float64).tobytes()
 
     def test_select_takes_integers_only(self):
-        packed = ragged_dataset().packed()  # 12 videos
+        packed = ragged_dataset().packed  # 12 videos
         assert packed.select().tolist() == list(range(12))
         # refused after the shape checks, before the integer and bounds checks
         for empty in ([], np.array([]), np.zeros(0, np.int32)):
@@ -614,7 +570,7 @@ class TestPackedFrames:
         with pytest.raises(IndexError, match="^indices must be one-dimensional"):
             packed.select([[]])
         with pytest.raises(ConfigError, match="^selection is empty$"):
-            Dataset([], 4, 2, ["a", "b"]).packed().select()  # no videos to default to
+            Dataset([], 4, 2, ["a", "b"]).packed.select()  # no videos to default to
         assert packed.select([11, -1, 0]).tolist() == [11, 11, 0]
         assert packed.select(np.array([2, -2], np.int32)).tolist() == [2, 10]
         assert packed.select(np.array([3], np.uint64)).tolist() == [3]
@@ -627,7 +583,7 @@ class TestPackedFrames:
                 packed.select(bad)
 
     def test_select_takes_one_dimensional_selections_only(self):
-        packed = ragged_dataset().packed()
+        packed = ragged_dataset().packed
         for bad, shape in (([[0, 1]], (1, 2)), (np.zeros((2, 1), np.int64), (2, 1)),
                            (np.array(3), ()), ([[]], (1, 0))):
             with pytest.raises(IndexError, match=re.escape(
@@ -658,7 +614,7 @@ class TestPackedFrames:
     def test_select_refuses_a_ragged_selection_before_any_other_check(self):
         # np.asarray raises ValueError on these; an out-of-bounds or float
         # entry does not change which error the caller sees
-        packed = ragged_dataset().packed()
+        packed = ragged_dataset().packed
         for bad in ([[0], [1, 2]], [0, [1]], [[0], [1, 99]], [0.5, [1]]):
             with pytest.raises(IndexError, match=f"^{self.RAGGED}$"):
                 packed.select(bad)
@@ -672,7 +628,7 @@ class TestPackedFrames:
         lambda ds, params, path, sel: score_fusion_baseline(ds, TrainConfig(total_epochs=1),
                                                             test_indices=sel),
         lambda ds, params, path, sel: export_attention(params, ds, path, indices=sel),
-        lambda ds, params, path, sel: score(params, ds.packed(), sel),
+        lambda ds, params, path, sel: score(params, ds.packed, sel),
     ], ids=["evaluate", "sampled evaluate", "train_indices", "val_indices",
             "baseline test split", "export_attention", "model.score"])
     def test_entry_points_refuse_a_ragged_selection(self, entry, ragged, tmp_path):
@@ -682,12 +638,62 @@ class TestPackedFrames:
             entry(ds, params, str(tmp_path / "attention.csv"), ragged)
         assert list(tmp_path.iterdir()) == []
 
-    def test_in_place_write_is_seen_but_not_rechecked(self):
+    def test_a_dataset_cannot_be_changed(self, tmp_path):
         ds = tiny_dataset()
-        ds.validate()
-        ds.instances[0].features[:] = np.inf
-        ds.validate()  # the contract: only a replaced object is rechecked
-        assert np.all(np.isinf(ds.packed().frames[:ds.packed().offsets[1]]))
+        write_feature_file(ds, str(tmp_path / "t.fanf"))
+        for made in (ds, load_feature_file(str(tmp_path / "t.fanf"))):
+            frames = made.packed.frames.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                made.instances[0].features[:] = np.inf
+            for name in ("video_id", "subject_id", "label", "features"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(made.instances[1], name, None)
+            for name in ("instances", "dim", "num_classes", "class_names", "packed"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(made, name, None)
+            with pytest.raises(TypeError):
+                made.instances[0] = made.instances[1]
+            assert made.packed.frames.tobytes() == frames.tobytes()
+
+    def test_the_callers_instances_and_arrays_are_left_as_they_were(self):
+        videos = tiny_dataset().instances[:3]
+        arrays = [np.array(inst.features, np.float64) for inst in videos]
+        given = [VideoInstance(inst.video_id, inst.subject_id, inst.label, a)
+                 for inst, a in zip(videos, arrays)]
+        copies = [a.copy() for a in arrays]
+        first = Dataset(given, 5, 3, ["neg", "neu", "pos"])
+        second = Dataset(iter(given[1:]), 5, 3, ["neg", "neu", "pos"])  # read once
+        assert len(second.instances) == len(second.packed.labels) == 2
+        for inst, a, copy in zip(given, arrays, copies):
+            assert inst.features is a and a.flags.writeable and a.dtype == np.float64
+            assert a.tobytes() == copy.tobytes()
+        # each dataset holds its own instances, views of its own matrix
+        assert first.instances[1] is not second.instances[0]
+        assert all(inst.features.base is first.packed.frames for inst in first.instances)
+        assert all(inst.features.base is second.packed.frames for inst in second.instances)
+
+    def test_each_dataset_packs_once_and_nothing_else_packs(self, tmp_path):
+        ds = ragged_dataset()
+        path = str(tmp_path / "r.fanf")
+        with mapped_frames() as mapped:
+            made = Dataset(ds.instances, ds.dim, ds.num_classes, ds.class_names)
+            assert mapped == [made.packed.frames.nbytes]
+            write_feature_file(made, path)
+            loaded = load_feature_file(path)
+            opened = open_feature_file(path)
+            assert mapped == [made.packed.frames.nbytes] * 2
+            config = TrainConfig(total_epochs=1, k=1, batch_size=4)
+            folds = build_folds(made, 3)
+            for each in (made, loaded, opened):
+                params, _ = train(each, config)
+                evaluate(params, each)
+                evaluate(params, each, "sampled", k=2)
+                export_attention(params, each, str(tmp_path / "w"))
+                write_feature_file(each, str(tmp_path / "again.fanf"))
+                score_fusion_baseline(each, config)
+                each.validate()
+            cross_validate(made, config, folds)
+            assert mapped == [made.packed.frames.nbytes] * 2
 
     def test_later_oversized_record_rejected_before_allocation(self, tmp_path):
         # record 0 holds a NaN, record 1 declares 2^31 frames of which the
@@ -723,7 +729,7 @@ class TestPackedFrames:
             load_feature_file(str(path))
         video = VideoInstance("v1", "s0", label, np.array(values, np.float32).reshape(n, 2))
         with pytest.raises(error) as packed:
-            Dataset([video], 2, 2, ["a", "b"]).packed()
+            Dataset([video], 2, 2, ["a", "b"])
         assert str(loaded.value) == str(packed.value)
 
     def test_loader_memory_is_bounded_by_the_payload(self, tmp_path):
@@ -746,7 +752,7 @@ class TestPackedFrames:
             finally:
                 tracemalloc.stop()
         assert peak < 1.2 * payload, peak / payload
-        assert ds.packed().frames.nbytes == payload
+        assert ds.packed.frames.nbytes == payload
 
 
 def ragged_dataset(seed=11):
@@ -768,7 +774,7 @@ class TestWriter:
     def test_bytes_pinned_for_float64_loaded_and_packed_datasets(self, tmp_path):
         assert self.sha256(ragged_dataset(), tmp_path / "a.fanf") == self.RAGGED_SHA256
         loaded = load_feature_file(str(tmp_path / "a.fanf"))
-        assert loaded.packed().frames.dtype == np.float32
+        assert loaded.packed.frames.dtype == np.float32
         assert self.sha256(loaded, tmp_path / "b.fanf") == self.RAGGED_SHA256
         packed = ragged_dataset()
         packed.validate()
@@ -786,7 +792,8 @@ class TestWriter:
 
     def test_string_too_long_for_its_length_field_is_refused(self, tmp_path):
         ds = tiny_dataset()
-        ds.instances[3].video_id = "x" * 70_000   # a u16 length holds 65535
+        ds = Dataset([replace(inst, video_id="x" * 70_000) if i == 3 else inst  # u16: 65535
+                      for i, inst in enumerate(ds.instances)], 5, 3, ds.class_names)
         with pytest.raises(SchemaError, match="^string too long to encode: 70000 bytes$"):
             write_feature_file(ds, str(tmp_path / "d.fanf"))
         assert list(tmp_path.iterdir()) == []
@@ -803,17 +810,18 @@ class TestWriter:
     def test_string_field_that_is_no_utf8_text_is_refused(self, tmp_path, field, value,
                                                          message):
         ds = tiny_dataset()
+        names = list(ds.class_names)
         if field == "class name":
-            ds.class_names[1] = value
-        else:
-            setattr(ds.instances[3], field, value)
+            names[1] = value
+        ds = Dataset([replace(inst, **{field: value}) if i == 3 and field != "class name"
+                      else inst for i, inst in enumerate(ds.instances)], 5, 3, names)
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}"):
             write_feature_file(ds, str(tmp_path / "d.fanf"))
         assert list(tmp_path.iterdir()) == []
 
     def test_memory_is_bounded_by_the_largest_video(self, tmp_path):
-        # 8 MB of float64 frames in 100 videos of 20 to 59 frames: writing
-        # holds one video's float32 copy at a time, not a packed copy
+        # 4 MB of float32 frames in 100 videos of 20 to 59 frames: writing
+        # copies none of them
         rng = np.random.default_rng(5)
         dim = 256
         ds = Dataset([VideoInstance(f"v{i}", "s", i % 2,
@@ -829,26 +837,19 @@ class TestWriter:
         assert peak < 2 * largest + 64 * 1024, peak / largest
         assert len(load_feature_file(str(tmp_path / "big.fanf")).instances) == 100
 
-    def test_every_video_is_checked_before_any_is_rounded(self, tmp_path):
+    def test_each_video_is_checked_and_rounded_in_turn(self):
         # video 0 overflows float32 and video 1's label is out of range:
-        # the rules every video must meet come first, so video 1 is named
-        ds = Dataset([VideoInstance("v0", "s", 0, np.array([[1e39, 0.0]])),
-                      VideoInstance("v1", "s", 5, np.ones((1, 2)))], 2, 2, ["a", "b"])
-        path = tmp_path / "order.fanf"
+        # each video is checked and rounded before the next one, so video 0
+        # is named, with no RuntimeWarning of the cast (pytest makes one an
+        # error); once video 0 is finite, video 1 is named
+        v0 = VideoInstance("v0", "s", 0, np.array([[1e39, 0.0]]))
+        v1 = VideoInstance("v1", "s", 5, np.ones((1, 2)))
+        with pytest.raises(DataError, match="^instance 'v0': feature overflows single precision$"):
+            Dataset([v0, v1], 2, 2, ["a", "b"])
         with pytest.raises(SchemaError, match="'v1'"):
-            write_feature_file(ds, str(path))
-        ds.instances[1].label = 1
-        with np.errstate(over="ignore"), pytest.raises(
-                DataError, match="'v0': feature overflows single precision"):
-            write_feature_file(ds, str(path))
-        assert not path.exists()
-
-    def test_in_place_non_finite_write_is_caught_at_write(self, tmp_path):
-        ds = ragged_dataset()
-        ds.validate()
-        ds.instances[3].features[1, 2] = np.nan
-        with pytest.raises(DataError, match="'v03': non-finite feature value"):
-            write_feature_file(ds, str(tmp_path / "nan.fanf"))
+            Dataset([replace(v0, features=np.array([[3e38, 0.0]])), v1], 2, 2, ["a", "b"])
+        with pytest.raises(DataError, match="^instance 'v0': non-finite feature value$"):
+            Dataset([replace(v0, features=np.array([[1e39, np.nan]])), v1], 2, 2, ["a", "b"])
 
     def test_finite_rows_whose_float32_sum_overflows_load_and_score(self, tmp_path):
         ds = Dataset([VideoInstance("v0", "s", 0, np.array([[3e38, 3e38, 1.0]] * 2)),
@@ -857,9 +858,9 @@ class TestWriter:
         path = str(tmp_path / "big.fanf")
         write_feature_file(ds, path)
         loaded = load_feature_file(path)
-        assert loaded.packed().frames.dtype == np.float32
+        assert loaded.packed.frames.dtype == np.float32
         with np.errstate(over="ignore"):
-            assert not np.all(np.isfinite(loaded.packed().frames.sum(axis=1)))
+            assert not np.all(np.isfinite(loaded.packed.frames.sum(axis=1)))
         params = init_params(3, 2, seed=1)
         assert evaluate(params, loaded).count == 2
         assert evaluate(params, loaded, indices=[1, 0]).count == 2

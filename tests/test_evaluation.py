@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +18,12 @@ from frameattn.data import (
     SynthConfig,
     VideoInstance,
     build_folds,
+    open_feature_file,
     split_by_fold,
     synth_generate,
+    write_feature_file,
 )
-from frameattn.errors import ConfigError, DimensionError, NumericError, SchemaError
+from frameattn.errors import ConfigError, DataError, DimensionError, NumericError, SchemaError
 from frameattn.evaluation import (
     cross_validate,
     evaluate,
@@ -41,14 +44,22 @@ def zero_params(d, c, mode=Mode.FULL):
                      np.zeros(c), mode)
 
 
-def labeled_dataset(labels, d=3, frames=2, seed=0):
+def labeled_dataset(labels, d=3, frames=2, seed=0, subjects=None):
     rng = np.random.default_rng(seed)
+    subjects = subjects or [f"s{i}" for i in range(len(labels))]
     instances = [
-        VideoInstance(f"v{i}", f"s{i}", int(lab), rng.standard_normal((frames, d)))
-        for i, lab in enumerate(labels)
+        VideoInstance(f"v{i}", subject, int(lab), rng.standard_normal((frames, d)))
+        for i, (lab, subject) in enumerate(zip(labels, subjects))
     ]
     return Dataset(instances, d, int(max(labels)) + 1,
                    [f"c{j}" for j in range(int(max(labels)) + 1)])
+
+
+def made_again(ds, video, **fields):
+    """ds made again with the given fields of one video replaced."""
+    return Dataset([replace(inst, **fields) if i == video else inst
+                    for i, inst in enumerate(ds.instances)],
+                   ds.dim, ds.num_classes, ds.class_names)
 
 
 class TestEvaluate:
@@ -80,9 +91,9 @@ class TestEvaluate:
         params = init_params(3, 2, Mode.FULL, seed=1)
         base = evaluate(params, ds)
         rng = np.random.default_rng(5)
-        for inst in ds.instances:
-            inst.features = inst.features[rng.permutation(6)]
-        again = evaluate(params, ds)
+        shuffled = Dataset([replace(inst, features=inst.features[rng.permutation(6)])
+                            for inst in ds.instances], 3, 2, ds.class_names)
+        again = evaluate(params, shuffled)
         assert base.accuracy == again.accuracy
         np.testing.assert_array_equal(base.confusion, again.confusion)
 
@@ -141,9 +152,7 @@ class TestCrossValidate:
         assert int(pooled.confusion.sum()) == len(ds.instances)
 
     def test_two_fold_swap(self):
-        ds = labeled_dataset([0, 1, 0, 1], frames=3, seed=4)
-        for i, inst in enumerate(ds.instances):
-            inst.subject_id = "sA" if i < 2 else "sB"
+        ds = labeled_dataset([0, 1, 0, 1], frames=3, seed=4, subjects=["sA", "sA", "sB", "sB"])
         plan = build_folds(ds, 2)
         reports, pooled = cross_validate(ds, self.small_cfg(), plan)
         assert len(reports) == 2
@@ -153,10 +162,8 @@ class TestCrossValidate:
     def test_pooled_is_instance_weighted(self):
         # unbalanced folds: pooled accuracy is sum(correct)/sum(count),
         # not the mean of the fold accuracies
-        ds = labeled_dataset([0, 1, 0, 1, 0, 1], frames=3, seed=6)
-        subjects = ["sA", "sA", "sA", "sA", "sB", "sB"]
-        for inst, s in zip(ds.instances, subjects):
-            inst.subject_id = s
+        ds = labeled_dataset([0, 1, 0, 1, 0, 1], frames=3, seed=6,
+                             subjects=["sA", "sA", "sA", "sA", "sB", "sB"])
         plan = build_folds(ds, 2)
         reports, pooled = cross_validate(ds, self.small_cfg(), plan)
         total_correct = sum(int(np.trace(r.confusion)) for r in reports)
@@ -194,18 +201,13 @@ class TestCrossValidate:
         (10**20, "expected 100000000000000000000 class names, got 2"),
     ])
     def test_a_malformed_header_is_refused_as_train_refuses_it(self, num_classes, message):
+        # when the dataset is made, so no train or cross_validate meets it
         ds = labeled_dataset([0, 1, 0, 1], frames=3)
-        ds.num_classes = num_classes
-        plan = FoldPlan(2, {s: i % 2 for i, s in enumerate(ds.subjects())})
         with pytest.raises(SchemaError, match=f"^{message}$"):
-            train(ds, self.small_cfg())
-        with pytest.raises(SchemaError, match=f"^{message}$"):
-            cross_validate(ds, self.small_cfg(), plan)
+            Dataset(ds.instances, ds.dim, num_classes, ds.class_names)
 
     def test_empty_fold_rejected(self):
-        ds = labeled_dataset([0, 1], frames=3)
-        ds.instances[0].subject_id = "sA"
-        ds.instances[1].subject_id = "sB"
+        ds = labeled_dataset([0, 1], frames=3, subjects=["sA", "sB"])
         plan = build_folds(ds, 2)
         plan.assignment["sB"] = 0  # both subjects in fold 0; fold 1 empty
         with pytest.raises(ConfigError, match="^fold 0: training split is empty$"):
@@ -276,26 +278,29 @@ class TestScoreFusionBaseline:
         np.testing.assert_array_equal(report.confusion, again.confusion)
         assert report.count == 6
 
-    def test_non_finite_test_video_names_its_dataset_index(self):
-        # a value written into the checked frames in place: the video used
-        # to be classified silently (its NaN scores argmax to class 0)
+    def overflowing(self, monkeypatch):
+        """Finite frames whose scores overflow: video 5's frames are 1e30
+        and the baseline starts from weights of 1e300, which score every
+        other video finitely. Such scores used to pass silently (their NaN
+        argmaxes to class 0)."""
+        monkeypatch.setattr(model, "init_flat",
+                            lambda blocks, seed: np.full(blocks[-1].slice.stop, 1e300))
         ds = synth_generate(SynthConfig(videos_per_class=6, frames_min=3, frames_max=5,
                                         dim=6, num_classes=3, subject_count=12, seed=1))
-        ds.packed()
-        ds.instances[5].features[1, 2] = np.nan
-        with pytest.raises(NumericError,
-                           match="^dataset index 5: baseline produced non-finite scores$"):
+        return made_again(ds, 5, features=np.full_like(ds.instances[5].features, 1e30))
+
+    def test_non_finite_test_video_names_its_dataset_index(self, monkeypatch):
+        ds = self.overflowing(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError, match="^dataset index 5: baseline produced non-finite scores$"):
             score_fusion_baseline(ds, TrainConfig(total_epochs=0))
 
-    def test_non_finite_training_video_names_epoch_batch_and_index(self):
-        # a value written into the checked frames in place, met in training:
-        # training.fit names the epoch, the batch and the video
-        ds = synth_generate(SynthConfig(videos_per_class=6, frames_min=3, frames_max=5,
-                                        dim=6, num_classes=3, subject_count=12, seed=1))
-        ds.packed()
-        ds.instances[5].features[:] = np.nan
-        with pytest.raises(NumericError, match=r"^epoch 0, batch \d+, dataset index 5: "
-                                               r"baseline produced non-finite scores$"):
+    def test_non_finite_training_video_names_epoch_batch_and_index(self, monkeypatch):
+        # met in training: training.fit names the epoch, the batch and the video
+        ds = self.overflowing(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError, match=r"^epoch 0, batch \d+, dataset index 5: "
+                                    r"baseline produced non-finite scores$"):
             score_fusion_baseline(ds, TrainConfig(total_epochs=1, k=2))
 
     def test_held_out_videos_are_gathered_through_the_packed_stack(self, monkeypatch):
@@ -431,12 +436,10 @@ class TestExportAttention:
         for video in json.loads((tmp_path / "att.json").read_text())["videos"]:
             assert video["frame_indices"] == [0, 1, 2, 3]
 
-    def test_zero_frame_video_rejected(self, tmp_path):
+    def test_zero_frame_video_rejected(self):
         ds = labeled_dataset([0, 1], d=3, frames=2)
-        ds.instances[1].features = np.zeros((0, 3))
         with pytest.raises(SchemaError, match="'v1'"):
-            export_attention(zero_params(3, 2), ds, str(tmp_path / "att.csv"))
-        assert list(tmp_path.iterdir()) == []
+            made_again(ds, 1, features=np.zeros((0, 3)))
 
     def test_suffix_handling(self, tmp_path):
         ds = labeled_dataset([0], d=3, frames=2)
@@ -455,37 +458,37 @@ class TestPackedEvaluate:
         return FanParams(np.zeros(d), np.zeros(2 * d), class_w, np.zeros(2), Mode.FULL)
 
     def test_replaced_features_and_labels_take_effect(self):
+        # in a dataset made again from them; the first one scores as before
         ds = labeled_dataset([0, 1, 0, 1], frames=3, seed=6)
         params = self.sign_params(3)
         before = evaluate(params, ds).confusion
-        for inst in ds.instances:
-            inst.features = -inst.features
-        ds.instances[0].label = 1
-        after = evaluate(params, ds).confusion
-        fresh = Dataset([VideoInstance(i.video_id, i.subject_id, i.label,
-                                       np.array(i.features)) for i in ds.instances],
-                        ds.dim, ds.num_classes, ds.class_names)
-        np.testing.assert_array_equal(after, evaluate(params, fresh).confusion)
+        flipped = Dataset([replace(inst, features=-inst.features,
+                                   label=1 if i == 0 else inst.label)
+                           for i, inst in enumerate(ds.instances)],
+                          ds.dim, ds.num_classes, ds.class_names)
+        after = evaluate(params, flipped).confusion
         assert not np.array_equal(after, before)
-
-    def test_in_place_non_finite_write_caught_at_kernel_entry(self):
-        ds = labeled_dataset([0, 1])
-        ds.validate()
-        ds.instances[1].features[0, 0] = np.inf
-        with np.errstate(invalid="ignore"), pytest.raises(
-                NumericError, match="^dataset index 1: forward pass produced non-finite logits"):
-            evaluate(zero_params(3, 2), ds)
+        np.testing.assert_array_equal(evaluate(params, ds).confusion, before)
 
     def test_failed_export_keeps_previous_files(self, tmp_path):
-        ds = labeled_dataset([0, 1, 0], d=3, frames=4)
+        ds, params = overflowing(2)
         path = str(tmp_path / "w.csv")
         export_attention(zero_params(3, 2), ds, path)
         old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        ds.instances[2].features[0, 0] = np.nan
-        with pytest.raises(NumericError,
-                           match="^dataset index 2: forward pass produced non-finite logits"):
-            export_attention(zero_params(3, 2), ds, path)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError, match="^dataset index 2: forward pass produced non-finite logits"):
+            export_attention(params, ds, path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
+
+
+def overflowing(video):
+    """Three videos of 4 finite float32 frames, video `video`'s all 1e30,
+    and a head whose class weights of 1e300 overflow that video's logits
+    only."""
+    ds = labeled_dataset([0, 1, 0], d=3, frames=4, seed=12)
+    params = init_params(3, 2, Mode.FULL, seed=1)
+    params.class_w = np.full_like(params.class_w, 1e300)
+    return made_again(ds, video, features=np.full((4, 3), 1e30)), params
 
 
 def ragged_dataset(ids, d=4, c=3, seed=11):
@@ -560,7 +563,7 @@ class TestScoringPass:
     TAKERS = {
         "evaluate all": lambda ds, p, idx: evaluate(p, ds, indices=idx),
         "evaluate sampled": lambda ds, p, idx: evaluate(p, ds, "sampled", indices=idx),
-        "score": lambda ds, p, idx: model.score(p, ds.packed(), idx),
+        "score": lambda ds, p, idx: model.score(p, ds.packed, idx),
         "train train_indices": lambda ds, p, idx: train(ds, NO_EPOCHS, idx),
         "train val_indices": lambda ds, p, idx: train(ds, NO_EPOCHS, None, idx),
         "baseline train_indices": lambda ds, p, idx: score_fusion_baseline(ds, NO_EPOCHS, idx),
@@ -637,14 +640,8 @@ class TestScoringPass:
         assert summary["accuracy"] == sum(
             v["label"] == v["prediction"] for v in summary["videos"]) / 13
 
-    def overflowing(self):
-        """Three videos and a head whose logits overflow on the second."""
-        ds = labeled_dataset([0, 1, 0], d=3, frames=4, seed=12)
-        ds.instances[1].features = np.full((4, 3), 1e308)
-        return ds, init_params(3, 2, Mode.FULL, seed=1)
-
     def test_numeric_errors_name_the_dataset_index(self, tmp_path):
-        ds, params = self.overflowing()
+        ds, params = overflowing(1)
         with np.errstate(over="ignore", invalid="ignore"):
             for call in (lambda: evaluate(params, ds),
                          lambda: evaluate(params, ds, "sampled", indices=[2, 1]),
@@ -653,10 +650,18 @@ class TestScoringPass:
                     call()
         assert not list(tmp_path.iterdir())
 
-    def test_non_finite_frames_name_the_dataset_index(self):
-        ds = labeled_dataset([0, 1, 0], d=3, frames=4, seed=12)
-        ds.validate()
-        ds.instances[2].features[3, 1] = np.nan
-        with pytest.raises(NumericError,
-                           match="^dataset index 2: forward pass produced non-finite logits"):
-            evaluate(zero_params(3, 2), ds)
+    def test_non_finite_frames_of_an_opened_file_name_the_video(self, tmp_path):
+        # no dataset made in memory holds one: a record whose frame turned
+        # NaN in its file is refused as a stack reads it, naming the video
+        path = tmp_path / "d.fanf"
+        write_feature_file(labeled_dataset([0, 1, 0], d=3, frames=4, seed=12), str(path))
+        opened = open_feature_file(str(path))
+        raw = bytearray(path.read_bytes())
+        last = len(raw) - 4 * 3 * 4   # video 2's 4 x 3 frames end the file
+        raw[last + 4 * (3 * 3 + 1):last + 4 * (3 * 3 + 2)] = np.float32(np.nan).tobytes()
+        with open(path, "r+b") as f:  # in place: the opened dataset reads this file
+            f.write(raw)
+        for call in (lambda: evaluate(zero_params(3, 2), opened),
+                     lambda: evaluate(zero_params(3, 2), opened, "sampled", k=4)):
+            with pytest.raises(DataError, match="^instance 'v2': non-finite feature value$"):
+                call()

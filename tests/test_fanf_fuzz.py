@@ -62,7 +62,7 @@ def check_load(path, data: bytes) -> None:
             tracemalloc.stop()
     assert peak < SLACK + 4 * len(data), peak
     if ds is not None:
-        assert mapped == [ds.packed().frames.nbytes]  # its frames, mapped once
+        assert mapped == [ds.packed.frames.nbytes]  # its frames, mapped once
         back = path.with_suffix(".back")
         write_feature_file(ds, str(back))
         assert back.read_bytes() == data

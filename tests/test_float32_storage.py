@@ -1,5 +1,7 @@
-"""A loaded FANF file keeps its frames in float32; everything computed from
-them is float64 and equals what the same frames give held as float64."""
+"""A dataset keeps its frames in float32: one made in memory from float64
+arrays holds their float32 rounding, which is what its saved FANF file
+holds. Everything computed from the frames is float64, widened exactly, so
+a dataset and its saved file give identical results."""
 
 from pathlib import Path
 
@@ -13,10 +15,11 @@ from frameattn.data import (
     VideoInstance,
     build_folds,
     load_feature_file,
+    open_feature_file,
     synth_generate,
     write_feature_file,
 )
-from frameattn.errors import DataError, NumericError
+from frameattn.errors import DataError
 from frameattn.evaluation import (
     cross_validate,
     evaluate,
@@ -27,20 +30,26 @@ from frameattn.model import Mode, init_params
 from frameattn.training import minibatches, save_checkpoint, synth_default_config, train
 
 
+def wide_arrays():
+    """Float64 frames that float32 cannot hold exactly: synthetic videos
+    with small float64 noise added."""
+    synth = synth_generate(SynthConfig(videos_per_class=8, frames_min=1, frames_max=9, dim=6,
+                                       num_classes=3, subject_count=6, seed=11))
+    rng = np.random.default_rng(3)
+    return [VideoInstance(inst.video_id, inst.subject_id, inst.label,
+                          inst.features + 1e-3 * rng.standard_normal(inst.features.shape))
+            for inst in synth.instances], synth.class_names
+
+
 @pytest.fixture()
 def pair(tmp_path):
-    """The same videos twice: loaded from a FANF file (float32 frames) and
-    rebuilt in memory from float64 copies of them."""
+    """The same videos twice: a dataset made in memory from float64 arrays,
+    and its FANF file loaded."""
     path = str(tmp_path / "d.fanf")
-    write_feature_file(synth_generate(SynthConfig(
-        videos_per_class=8, frames_min=1, frames_max=9, dim=6, num_classes=3,
-        subject_count=6, seed=11)), path)
-    loaded = load_feature_file(path)
-    wide = Dataset([VideoInstance(inst.video_id, inst.subject_id, inst.label,
-                                  inst.features.astype(np.float64))
-                    for inst in loaded.instances],
-                   loaded.dim, loaded.num_classes, list(loaded.class_names))
-    return loaded, wide
+    videos, names = wide_arrays()
+    wide = Dataset(videos, 6, 3, names)
+    write_feature_file(wide, path)
+    return load_feature_file(path), wide
 
 
 def head(ds, mode):
@@ -50,40 +59,52 @@ def head(ds, mode):
     return params
 
 
-def test_loaded_frames_are_float32_views_and_memory_frames_float64(pair):
-    loaded, wide = pair
-    frames = loaded.packed().frames
-    assert frames.dtype == np.float32
-    for inst in loaded.instances:
-        assert inst.features.dtype == np.float32 and inst.features.base is frames
-    assert wide.packed().frames.dtype == np.float64
+def test_loaded_and_memory_frames_are_float32_views(pair):
+    for ds in pair:
+        frames = ds.packed.frames
+        assert frames.dtype == np.float32
+        for inst in ds.instances:
+            assert inst.features.dtype == np.float32 and inst.features.base is frames
+    assert pair[0].packed.frames.tobytes() == pair[1].packed.frames.tobytes()
 
 
-def test_in_place_write_is_rounded_to_float32(pair):
-    loaded, _ = pair
-    loaded.instances[2].features[0, 1] = 0.1
-    stored = loaded.packed().frames[loaded.packed().offsets[2], 1]
+def test_frames_are_rounded_to_float32_where_they_enter():
+    videos, names = wide_arrays()
+    ds = Dataset(videos, 6, 3, names)
+    for given, inst in zip(videos, ds.instances):
+        assert inst.features.tobytes() == given.features.astype(np.float32).tobytes()
+        assert not np.array_equal(inst.features, given.features)
+    stored = Dataset([VideoInstance("v", "s", 0, [[0.1]])], 1, 1, ["a"]).packed.frames[0, 0]
     assert stored.dtype == np.float32 and float(stored) == float(np.float32(0.1)) != 0.1
+    with pytest.raises(DataError, match="^instance 'v': feature overflows single precision$"):
+        Dataset([VideoInstance("v", "s", 0, [[0.1], [-3.5e38]])], 1, 1, ["a"])
 
 
 def test_nan_written_in_place_is_caught_by_train_and_evaluate(pair, tmp_path):
+    # into the file of an opened dataset, which reads its frames from there
     loaded, _ = pair
-    loaded.instances[0].features[:] = np.nan
-    with pytest.raises(NumericError, match=r"^epoch 0, batch \d+, dataset index 0: "
-                                           "forward pass produced non-finite logits"):
-        train(loaded, synth_default_config(total_epochs=1, seed=1))
-    with pytest.raises(NumericError,
-                       match="^dataset index 0: forward pass produced non-finite logits"):
-        evaluate(head(loaded, Mode.FULL), loaded)
-    with pytest.raises(DataError, match="non-finite feature value"):
-        write_feature_file(loaded, str(tmp_path / "out.fanf"))
+    path = tmp_path / "d.fanf"
+    opened = open_feature_file(str(path))
+    raw = bytearray(path.read_bytes())
+    first = raw.index(loaded.instances[0].features.tobytes())
+    raw[first + 4:first + 8] = np.float32(np.nan).tobytes()
+    with open(path, "r+b") as f:
+        f.write(raw)
+    message = "^instance 'c0v00000': non-finite feature value$"
+    with pytest.raises(DataError, match=message):
+        train(opened, synth_default_config(total_epochs=1, seed=1))
+    with pytest.raises(DataError, match=message):
+        evaluate(head(opened, Mode.FULL), opened)
+    with pytest.raises(DataError, match=message):
+        write_feature_file(opened, str(tmp_path / "out.fanf"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.fanf"]
 
 
 def test_training_batches_and_scoring_chunks_are_widened_once(pair, monkeypatch):
     loaded, _ = pair
     config = synth_default_config(batch_size=5, seed=1)
     buffer = np.empty((5, config.k, loaded.dim))
-    stacks = minibatches(loaded.packed(), loaded.packed().select(), config, 0, buffer)
+    stacks = minibatches(loaded.packed, loaded.packed.select(), config, 0, buffer)
     assert {(stack.dtype, stack.base is buffer) for _, stack, _ in stacks} == {
         (np.dtype(np.float64), True)}
     seen = []

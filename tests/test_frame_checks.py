@@ -1,7 +1,8 @@
-"""Frames are checked once, where they enter a Dataset. Training and scoring
-read the checked packed frames without scanning them again, and a
-non-finite value written into them in place is reported by the kernel, with
-the dataset index of its video."""
+"""Frames are checked once, where they enter a Dataset, and training and
+scoring read the checked packed frames without scanning them again. An
+opened dataset's frames enter as each stack reads them from its file, so
+a non-finite value written into that file in place is refused then,
+naming its video, as loading the file refuses it."""
 
 import os
 import sys
@@ -19,13 +20,14 @@ from frameattn.data import (
     VideoInstance,
     build_folds,
     load_feature_file,
+    open_feature_file,
     synth_generate,
     write_feature_file,
 )
-from frameattn.errors import NumericError
+from frameattn.errors import DataError
 from frameattn.evaluation import cross_validate, evaluate, export_attention
 from frameattn.model import Mode, init_params
-from frameattn.training import TrainConfig, minibatches, train
+from frameattn.training import TrainConfig, train
 
 
 def test_checked_frames_are_not_scanned_again(monkeypatch):
@@ -33,7 +35,6 @@ def test_checked_frames_are_not_scanned_again(monkeypatch):
     # which the kernel checks itself before its unchecked cross-entropy
     ds = synth_generate(SynthConfig(videos_per_class=6, frames_min=3, frames_max=5,
                                     dim=6, num_classes=3, subject_count=12, seed=1))
-    ds.packed()
     widths = []
     real = numerics.first_nonfinite_row
 
@@ -65,38 +66,43 @@ def ragged(seed, lengths, d, c):
     return Dataset(instances, d, c, [f"c{j}" for j in range(c)])
 
 
-def packed_copy(ds, loaded, where):
-    """ds itself (float64 frames) or ds written out and loaded (float32)."""
-    if not loaded:
-        ds.packed()
-        return ds
+def opened_then_written(ds, where, video, values, bad):
+    """ds written to a FANF file and opened; then, in place, the values at
+    flat positions `values` of `video`'s frames set to `bad` in the file.
+    Loading the file now refuses it as the opened dataset will."""
     path = os.path.join(where, "d.fanf")
     write_feature_file(ds, path)
-    return load_feature_file(path)
+    opened = open_feature_file(path)
+    with open(path, "r+b") as f:
+        raw = f.read()
+        start = raw.index(ds.instances[video].features.tobytes())
+        for value in values:
+            f.seek(start + 4 * value)
+            f.write(np.float32(bad).tobytes())
+    with pytest.raises(DataError, match=f"^instance 'v{video}': non-finite feature value$"):
+        load_feature_file(path)
+    return opened
 
 
 @PROPS
 @given(seed=st.integers(0, 2**32 - 1), lengths=st.lists(st.integers(1, 6), min_size=2,
                                                         max_size=8),
        d=st.integers(1, 5), c=st.integers(2, 3), mode=st.sampled_from(list(Mode)),
-       loaded=st.booleans(), bad=BAD, data=st.data())
-def test_value_written_in_place_is_named_by_scoring(seed, lengths, d, c, mode, loaded,
-                                                    bad, data):
+       bad=BAD, data=st.data())
+def test_value_written_in_place_is_named_by_scoring(seed, lengths, d, c, mode, bad, data):
     video = data.draw(st.integers(0, len(lengths) - 1))
-    frame = data.draw(st.integers(0, lengths[video] - 1))
-    column = data.draw(st.integers(0, d - 1))
+    value = data.draw(st.integers(0, lengths[video] * d - 1))
     params = init_params(d, c, mode, seed=seed % 1000)
     with tempfile.TemporaryDirectory() as where:
-        ds = packed_copy(ragged(seed, lengths, d, c), loaded, where)
-        ds.instances[video].features[frame, column] = bad
+        ds = opened_then_written(ragged(seed, lengths, d, c), where, video, [value], bad)
         out = os.path.join(where, "export")
         os.mkdir(out)
-        match = f"^dataset index {video}: forward pass produced non-finite logits"
-        with np.errstate(invalid="ignore", over="ignore"):
-            with pytest.raises(NumericError, match=match):
-                evaluate(params, ds)
-            with pytest.raises(NumericError, match=match):
-                export_attention(params, ds, os.path.join(out, "w"))
+        match = f"^instance 'v{video}': non-finite feature value$"
+        for call in (lambda: evaluate(params, ds),
+                     lambda: evaluate(params, ds, "sampled", k=2),
+                     lambda: export_attention(params, ds, os.path.join(out, "w"))):
+            with pytest.raises(DataError, match=match):
+                call()
         assert os.listdir(out) == []
 
 
@@ -104,19 +110,15 @@ def test_value_written_in_place_is_named_by_scoring(seed, lengths, d, c, mode, l
 @given(seed=st.integers(0, 2**32 - 1), lengths=st.lists(st.integers(1, 6), min_size=2,
                                                         max_size=12),
        d=st.integers(1, 5), c=st.integers(2, 3), mode=st.sampled_from(list(Mode)),
-       loaded=st.booleans(), bad=BAD, batch_size=st.integers(1, 5), data=st.data())
-def test_video_written_in_place_is_named_by_training(seed, lengths, d, c, mode, loaded,
-                                                     bad, batch_size, data):
+       bad=BAD, batch_size=st.integers(1, 5), data=st.data())
+def test_video_written_in_place_is_named_by_training(seed, lengths, d, c, mode, bad,
+                                                     batch_size, data):
     video = data.draw(st.integers(0, len(lengths) - 1))
     config = TrainConfig(batch_size=batch_size, k=2, total_epochs=1, seed=seed % 1000,
                          mode=mode)
     with tempfile.TemporaryDirectory() as where:
-        ds = packed_copy(ragged(seed, lengths, d, c), loaded, where)
-        ds.instances[video].features[:] = bad
-        batches = minibatches(ds.packed(), ds.packed().select(), config, 0,
-                              np.empty((batch_size, 2, d)))
-        number = next(n for n, (batch, _, _) in enumerate(batches) if video in batch)
-        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
-                NumericError, match=f"^epoch 0, batch {number}, dataset index {video}: "
-                                    "forward pass produced non-finite logits"):
+        ds = opened_then_written(ragged(seed, lengths, d, c), where, video,
+                                 range(lengths[video] * d), bad)
+        with pytest.raises(DataError,
+                           match=f"^instance 'v{video}': non-finite feature value$"):
             train(ds, config)

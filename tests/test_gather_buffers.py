@@ -92,7 +92,7 @@ def ragged_file(tmp_path):
                          ids=["loaded", "opened"])
 def test_a_scoring_walk_gathers_every_stack_into_one_buffer(ragged_file, monkeypatch, reader):
     monkeypatch.setattr(model, "SCORE_CHUNK_BYTES", 4000)
-    packed = reader(str(ragged_file)).packed()
+    packed = reader(str(ragged_file)).packed
     seen = kernel_stacks(monkeypatch)
     model.score(init_params(16, 3, Mode.FULL, seed=2), packed)
     assert len({f.shape[1] for f in seen}) == 10 and len(seen) > 20
@@ -103,8 +103,8 @@ def test_a_scoring_walk_gathers_every_stack_into_one_buffer(ragged_file, monkeyp
 
 
 def test_an_opened_stack_reads_every_video_into_one_buffer(ragged_file, monkeypatch):
-    packed = open_feature_file(str(ragged_file)).packed()
-    loaded = load_feature_file(str(ragged_file)).packed()
+    packed = open_feature_file(str(ragged_file)).packed
+    loaded = load_feature_file(str(ragged_file)).packed
     longest = int(np.diff(packed.offsets).max())
     reads = []
     read_into = StoredFrames.read_into

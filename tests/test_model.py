@@ -3,6 +3,7 @@ import re
 import tracemalloc
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -637,17 +638,26 @@ def test_real_dtypes_reach_the_head_as_the_same_float64_values(dtype, mode):
     assert loss == want_loss and grads.flat.tobytes() == want_grads.flat.tobytes()
 
 
-def video_dataset(lengths, d, seed=0, c=3):
+def video_dataset(lengths, d, seed=0, c=3, overflowing=()):
     """A packed dataset of videos of the given lengths: random frames, and
-    labels cycling over c classes."""
+    labels cycling over c classes. The videos at `overflowing` have their
+    frames times 1e30, finite in float32, which the head of overflowing()
+    takes past float64's range."""
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     frames = np.random.default_rng(seed).standard_normal((offsets[-1], d))
-    ds = Dataset([VideoInstance(f"v{i}", f"s{i}", i % c, frames[lo:hi])
-                  for i, (lo, hi) in enumerate(zip(offsets, offsets[1:]))],
-                 d, c, [f"c{j}" for j in range(c)])
-    ds.packed()
-    return ds
+    return Dataset([VideoInstance(f"v{i}", f"s{i}", i % c,
+                                  frames[lo:hi] * (1e30 if i in overflowing else 1.0))
+                    for i, (lo, hi) in enumerate(zip(offsets, offsets[1:]))],
+                   d, c, [f"c{j}" for j in range(c)])
+
+
+def overflowing(d, c=3):
+    """A full-mode head whose class weights of 1e300 score video_dataset's
+    ordinary videos finitely and overflow the logits of its scaled ones."""
+    params = random_params(d, c, Mode.FULL)
+    params.class_w[:] = 1e300
+    return params
 
 
 class TestScore:
@@ -658,7 +668,7 @@ class TestScore:
 
     def videos(self, params, ds, indices=None):
         """Per scored video: (dataset index, logits, alpha, final weights)."""
-        s = score(params, ds.packed(), indices)
+        s = score(params, ds.packed, indices)
         out = []
         for j, i in enumerate(s.indices.tolist()):
             a, b = s.offsets[j], s.offsets[j + 1]
@@ -674,7 +684,7 @@ class TestScore:
         # the 40-frame video is over it on its own
         monkeypatch.setattr(model, "SCORE_CHUNK_BYTES", budget)
         ds = video_dataset(self.LENGTHS, self.D, seed=1)
-        frames, offsets = ds.packed().frames, ds.packed().offsets
+        frames, offsets = ds.packed.frames, ds.packed.offsets
         params = random_params(self.D, 3, mode, seed=2)
         params.q0 *= 4.0  # spread the weights
         got = self.videos(params, ds, indices)
@@ -695,14 +705,14 @@ class TestScore:
         # 1000 bytes; the 40-frame video is over it on its own
         monkeypatch.setattr(model, "SCORE_CHUNK_BYTES", budget)
         ds = video_dataset(self.LENGTHS, self.D)
-        frames, offsets = ds.packed().frames, ds.packed().offsets
+        frames, offsets = ds.packed.frames, ds.packed.offsets
         params = random_params(self.D, 3, Mode.FULL)
         seen = []
         kernel = model._kernel
         monkeypatch.setattr(model, "_kernel",
                             lambda f, *args: (seen.append(f.copy()), kernel(f, *args))[1])
         indices = [3, 4, 0, 7, 2, 3, 6, 1, 0, 5, 2]
-        score(params, ds.packed(), indices)
+        score(params, ds.packed, indices)
         for f in seen:
             b, k, d = f.shape
             assert f.dtype == np.float64
@@ -712,28 +722,29 @@ class TestScore:
         # random frames tell the videos apart: every selected position,
         # repeats included, went through the kernel once
         scored = sorted(video.tobytes() for f in seen for video in f)
-        selected = sorted(frames[offsets[i]:offsets[i + 1]].tobytes() for i in indices)
+        selected = sorted(frames[offsets[i]:offsets[i + 1]].astype(np.float64).tobytes()
+                          for i in indices)
         assert scored == selected
 
     def test_error_in_a_bucket_names_the_dataset_index(self):
         # the 3-frame videos at positions 0, 1 and 3 make one stack; video
         # 0 is its third row, and position 2 holds video 1
-        ds = video_dataset([3, 2, 3, 2, 3], self.D)
-        frames, offsets = ds.packed().frames, ds.packed().offsets
-        params = random_params(self.D, 3, Mode.FULL)
-        frames[offsets[0] + 1, 2] = np.nan
-        with pytest.raises(NumericError, match="^dataset index 0: forward pass"):
-            score(params, ds.packed(), [2, 4, 1, 0])
+        params = overflowing(self.D)
+        ds = video_dataset([3, 2, 3, 2, 3], self.D, overflowing=[0])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError, match="^dataset index 0: forward pass"):
+            score(params, ds.packed, [2, 4, 1, 0])
         # the first bad video in length order, not in the order of indices
-        frames[offsets[3], 0] = np.nan
-        with pytest.raises(NumericError, match="^dataset index 3: forward pass"):
-            score(params, ds.packed(), [0, 3])
+        ds = video_dataset([3, 2, 3, 2, 3], self.D, overflowing=[0, 3])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError, match="^dataset index 3: forward pass"):
+            score(params, ds.packed, [0, 3])
 
     def test_walk_names_the_failing_video_and_keeps_no_stack(self):
         # positions 4, 2 and (0, 1, 3) make the stacks of lengths 1, 2 and
         # 3; row 1 of the last is position 1, dataset index 4
         ds = video_dataset([3, 2, 3, 2, 3, 1], self.D)
-        packed = ds.packed()
+        packed = ds.packed
         indices = np.array([2, 4, 1, 0, 5])
         stacks, fail_at = [], None
 
@@ -762,12 +773,12 @@ class TestScore:
         params = random_params(self.D, 3, Mode.FULL)
         for picks in (None, np.zeros((0, 2), np.int64)):
             with pytest.raises(ConfigError, match="^selection is empty$"):
-                score(params, ds.packed(), [], picks)
+                score(params, ds.packed, [], picks)
 
     @pytest.mark.parametrize("indices", [None, [-1, -8, 4, -4], [2, 2, 5, -6, 3, -5, 3]])
     def test_labels_follow_the_indices(self, indices):
         ds = video_dataset(self.LENGTHS, self.D)
-        s = score(random_params(self.D, 3, Mode.FULL), ds.packed(), indices)
+        s = score(random_params(self.D, 3, Mode.FULL), ds.packed, indices)
         chosen = range(len(self.LENGTHS)) if indices is None else indices
         assert s.labels.dtype == np.int64
         assert s.labels.tolist() == [ds.instances[i].label for i in chosen]
@@ -783,15 +794,14 @@ class TestScore:
         calls = []
         monkeypatch.setattr(model, "_kernel", lambda *args: calls.append(args))
         with pytest.raises(DimensionError, match=message):
-            score(random_params(d, c, Mode.FULL), ds.packed(), [0, 1])
+            score(random_params(d, c, Mode.FULL), ds.packed, [0, 1])
         assert calls == []
 
     def test_packed_frames_carry_the_class_count_their_labels_were_checked_against(self):
         ds = video_dataset(self.LENGTHS, self.D)
         old = random_params(self.D, 3, Mode.FULL)
-        before = ds.packed()
-        ds.num_classes, ds.class_names = 5, ds.class_names + ["c3", "c4"]
-        after = ds.packed()
+        before = ds.packed
+        after = Dataset(ds.instances, ds.dim, 5, ds.class_names + ("c3", "c4")).packed
         assert (before.num_classes, after.num_classes) == (3, 5)
         with pytest.raises(DimensionError, match="^params classes 3 != dataset classes 5$"):
             score(old, after)
@@ -799,11 +809,11 @@ class TestScore:
 
     def test_sampled_frames_match_forward_on_the_picks(self):
         ds = video_dataset(self.LENGTHS, self.D, seed=3)
-        frames, offsets = ds.packed().frames, ds.packed().offsets
+        frames, offsets = ds.packed.frames, ds.packed.offsets
         params = random_params(self.D, 3, Mode.FULL, seed=4)
         indices = np.array([4, 0, 6])
         picks = np.array([[0, 20, 39], [0, 0, 0], [1, 5, 8]])
-        s = score(params, ds.packed(), indices, picks)
+        s = score(params, ds.packed, indices, picks)
         for j, i in enumerate(indices):
             want, _ = forward(frames[offsets[i] + picks[j]], params)
             np.testing.assert_allclose(s.logits[j], want, rtol=0, atol=1e-12)
@@ -815,46 +825,45 @@ class TestScore:
         params = random_params(self.D, 3, Mode.FULL)
         for picks in ([[0, 3]], [[0, 5]], [[-1, 0]], [[0.0, 1.0]], [[True, False]]):
             with pytest.raises(IndexError, match="^picks must be integer frame positions"):
-                score(params, ds.packed(), [0], np.array(picks))
+                score(params, ds.packed, [0], np.array(picks))
         for picks in (np.array([0, 1]), np.zeros((1, 0), int), np.zeros((2, 1), int)):
             with pytest.raises(DimensionError, match="^picks shape "):
-                score(params, ds.packed(), [0], picks)
-        s = score(params, ds.packed(), [0, 2], np.array([[2, 0], [1, 1]]))
+                score(params, ds.packed, [0], picks)
+        s = score(params, ds.packed, [0, 2], np.array([[2, 0], [1, 1]]))
         assert s.logits.shape == (2, 3) and s.offsets.tolist() == [0, 2, 4]
 
     def test_picks_given_as_lists_pass_the_same_checks(self):
         ds = video_dataset([3, 3, 3], self.D, seed=5)
         params = random_params(self.D, 3, Mode.FULL, seed=5)
-        got = score(params, ds.packed(), [0, 2], [[2, 0], [1, 1]])
-        want = score(params, ds.packed(), [0, 2], np.array([[2, 0], [1, 1]]))
+        got = score(params, ds.packed, [0, 2], [[2, 0], [1, 1]])
+        want = score(params, ds.packed, [0, 2], np.array([[2, 0], [1, 1]]))
         for field in Scored._fields:
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
         for picks in ([[0, 3]], [[0.0, 1.0]], [[True, False]]):
             with pytest.raises(IndexError, match="^picks must be integer frame positions"):
-                score(params, ds.packed(), [0], picks)
+                score(params, ds.packed, [0], picks)
         for picks in ([0, 1], [[]], [[0, 1], [2]], [[0, 1], [1, 2]], [["0", "1"]]):
             with pytest.raises(DimensionError, match="^picks"):
-                score(params, ds.packed(), [0], picks)
+                score(params, ds.packed, [0], picks)
 
     def test_errors_name_the_dataset_index(self):
-        ds = video_dataset(self.LENGTHS, self.D)
-        frames, offsets = ds.packed().frames, ds.packed().offsets
-        params = random_params(self.D, 3, Mode.FULL)
-        params.class_w[:] = 10.0
-        frames[offsets[5]:offsets[6]] = 1e308
-        with pytest.raises(NumericError, match="dataset index 5: forward"):
-            score(params, ds.packed(), [0, 5, 6])
-        frames[offsets[6] + 1, 2] = np.nan
-        with pytest.raises(NumericError, match="^dataset index 6: forward pass"):
-            score(params, ds.packed(), [6, 0])
+        ds = video_dataset(self.LENGTHS, self.D, overflowing=[5, 6])
+        params = overflowing(self.D)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="dataset index 5: forward"):
+                score(params, ds.packed, [0, 5, 6])
+            with pytest.raises(NumericError, match="^dataset index 6: forward pass"):
+                score(params, ds.packed, [6, 0])
         with pytest.raises(DimensionError):
-            score(random_params(self.D + 1, 3, Mode.FULL), ds.packed())
+            score(random_params(self.D + 1, 3, Mode.FULL), ds.packed)
 
     def test_finite_values_whose_sums_overflow_are_scored(self):
+        # 3e38 is finite in float32, and two of them sum past its range
         ds = video_dataset([2, 3], 2, c=2)
-        ds.packed().frames[:] = 1e308
+        ds = Dataset([replace(inst, features=np.full_like(inst.features, 3e38))
+                      for inst in ds.instances], 2, 2, ds.class_names)
         params = head(np.zeros(2))
-        s = score(params, ds.packed())
+        s = score(params, ds.packed)
         np.testing.assert_array_equal(s.final_weights, [0.5, 0.5, 1 / 3, 1 / 3, 1 / 3])
 
     @pytest.mark.parametrize("mode", list(Mode))
@@ -885,7 +894,7 @@ class TestScore:
         ds = video_dataset(rng.integers(8, longest + 1, videos), d, c=7)
         params = random_params(d, 7, Mode.FULL)
         untrained = TrainConfig(total_epochs=0)
-        run = {"score": lambda indices: score(params, ds.packed(), indices),
+        run = {"score": lambda indices: score(params, ds.packed, indices),
                "baseline": lambda indices: score_fusion_baseline(
                    ds, untrained, test_indices=indices)}[caller]
         for indices in (None, np.arange(videos)[::-2]):

@@ -74,8 +74,8 @@ def test_scores_exports_and_training_equal_the_loaded_files(synth_file, tmp_path
     params = head()
     picks = np.tile([0, 2, 1], (3, 1))
     for indices, frames in ((None, None), ([5, -1, 5], picks)):
-        for a, b in zip(score(params, opened.packed(), indices, frames),
-                        score(params, loaded.packed(), indices, frames)):
+        for a, b in zip(score(params, opened.packed, indices, frames),
+                        score(params, loaded.packed, indices, frames)):
             np.testing.assert_array_equal(a, b)
 
     written = [export_attention(params, ds, tmp_path / name)
@@ -99,10 +99,10 @@ def test_opened_videos_read_as_loaded_ones_and_write_the_same_bytes(synth_file, 
     write_feature_file(opened, str(tmp_path / "back.fanf"))
     assert (tmp_path / "back.fanf").read_bytes() == synth_file.read_bytes()
 
-    # a replaced instance makes the next use pack every video in memory
-    opened.instances[3] = VideoInstance("new", "s", 1, np.asarray(opened.instances[3].features))
-    np.testing.assert_array_equal(opened.packed().frames, loaded.packed().frames)
-    assert opened.packed().frames.dtype == np.float32
+    # a dataset made of its instances reads every video into its own matrix
+    made = Dataset(opened.instances, opened.dim, opened.num_classes, opened.class_names)
+    np.testing.assert_array_equal(made.packed.frames, loaded.packed.frames)
+    assert made.packed.frames.dtype == np.float32
 
 
 def test_shapes_are_known_without_reading(synth_file, monkeypatch):
@@ -114,10 +114,10 @@ def test_shapes_are_known_without_reading(synth_file, monkeypatch):
     monkeypatch.setattr(os, "preadv", no_read)
     assert ([inst.features.shape for inst in opened.instances]
             == [inst.features.shape for inst in loaded.instances])
-    packed = opened.packed()
+    packed = opened.packed
     assert packed.dim == 8 and packed.frames is None
     np.testing.assert_array_equal(packed.lengths(np.arange(24)),
-                                  loaded.packed().lengths(np.arange(24)))
+                                  loaded.packed.lengths(np.arange(24)))
 
 
 def test_record_fields_are_checked_before_any_frame(tmp_path):
@@ -189,7 +189,7 @@ def test_dropping_an_opened_dataset_closes_its_file(synth_file, tmp_path):
             open_feature_file(str(bad))
         assert open_descriptors() == before
         opened = open_feature_file(str(synth_file))
-        packed = opened.packed()
+        packed = opened.packed
         features = opened.instances[0].features
         evaluate(head(), opened)
         assert open_descriptors() == before + 1
