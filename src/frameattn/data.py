@@ -24,11 +24,13 @@ FANF is the one input format: frames from elsewhere enter as
 VideoInstances in a Dataset, which write_feature_file stores. Every video
 passes one rule, _checked_video (numerics.real_array frames, an integer
 label, finite float32 values: SchemaError or DataError naming the
-instance); SynthConfig and build_folds raise ConfigError naming the
-field. Every size a file declares is read through one bounded reader,
-_read_exact. FANF and FANP (training) share one header writer and
-reader, _write_header and _read_header, which checks the magic and
-version (FormatError).
+instance), and every text field another, _check_text (a str that UTF-8
+encodes in a FANF string's 65535 bytes: SchemaError naming the field),
+both when a Dataset is made. A SynthConfig is checked when it is made,
+and it and build_folds raise ConfigError naming the field. Every size a
+file declares is read through one bounded reader, _read_exact. FANF
+and FANP (training) share one header writer and reader, _write_header
+and _read_header, which checks the magic and version (FormatError).
 
 FANF has one reader. Opening a file (open_feature_file) is one record
 scan (_scan_records), which checks every record header and gives each
@@ -226,16 +228,17 @@ class StoredFrames:
 class Dataset:
     """A tuple of videos sharing one feature dimension and class list.
 
-    Making one checks the header and every video (_checked_video), rounds
-    each to float32 and packs them all, once, into one matrix
-    (`packed`). `instances` are new frozen VideoInstances, each one's
-    `features` a read-only view of its rows: the caller's instances and
-    arrays are left as they were, and no field of the dataset or of its
-    instances can be assigned. Training and scoring read the packed frames
-    as they are. A dataset opened with open_feature_file leaves its frames
-    in the file, each instance's `features` a StoredFrames handle: its
-    record fields were checked when it was opened, and each video's frames
-    are checked whenever a stack reads them.
+    Making one checks the header, every text field (_check_text) and every
+    video (_checked_video), rounds each to float32 and packs them all,
+    once, into one read-only matrix (`packed`). `instances` are new frozen
+    VideoInstances, each one's `features` a read-only view of its rows:
+    the caller's instances and arrays are left as they were, and no field
+    of the dataset or of its instances can be assigned. Training and
+    scoring read the packed frames as they are. A dataset opened with
+    open_feature_file leaves its frames in the file, each instance's
+    `features` a StoredFrames handle: its record fields were checked when
+    it was opened, and each video's frames are checked whenever a stack
+    reads them.
     """
 
     instances: tuple[VideoInstance, ...]
@@ -250,7 +253,12 @@ class Dataset:
         if len(self.class_names) != self.num_classes:
             raise SchemaError(f"expected {self.num_classes} class names, "
                               f"got {len(self.class_names)}")
+        for c, name in enumerate(self.class_names):
+            _check_text(name, f"class name {c}")
         instances = tuple(self.instances)  # read twice below: an iterator would run dry
+        for i, inst in enumerate(instances):
+            _check_text(inst.video_id, f"instance {i}: video id")
+            _check_text(inst.subject_id, f"instance {i}: subject id")
         videos = [_checked_video(inst.video_id, inst.features, inst.label, self.dim,
                                  self.num_classes) for inst in instances]
         frames, offsets, rows = _empty_pack([len(f) for f in videos], self.dim)
@@ -262,16 +270,16 @@ class Dataset:
         """Take new instances of `instances`' fields and `features` (checked
         rows of `frames`, made read-only views here, or an opened file's
         StoredFrames), the class names as a tuple, and packed frames of
-        `kind` (PackedFrames, or _FilePackedFrames and its `more` fields);
-        returns the dataset."""
-        for f in () if frames is None else features:
-            f.flags.writeable = False
+        `kind` (PackedFrames, or _FilePackedFrames and its `more` fields),
+        whose arrays are made read-only too; returns the dataset."""
+        labels = np.array([inst.label for inst in instances], np.int64)
+        for array in [offsets, labels, *([] if frames is None else [frames, *features])]:
+            array.flags.writeable = False
         vars(self).update(
             instances=tuple(VideoInstance(inst.video_id, inst.subject_id, inst.label, f)
                             for inst, f in zip(instances, features)),
             class_names=tuple(self.class_names),
-            packed=kind(frames, offsets, np.array([inst.label for inst in instances], np.int64),
-                        self.num_classes, self.dim, *more))
+            packed=kind(frames, offsets, labels, self.num_classes, self.dim, *more))
         return self
 
     def validate(self) -> None:
@@ -279,12 +287,7 @@ class Dataset:
         and an opened one's frames when they are read."""
 
     def subjects(self) -> list[str]:
-        """Distinct subject ids, sorted ascending; SchemaError naming the
-        instance, as the writer words it, for an id that is not a str."""
-        for i, inst in enumerate(self.instances):
-            if not isinstance(inst.subject_id, str):
-                raise SchemaError(f"instance {i}: subject id must be a str, "
-                                  f"got {_shown(inst.subject_id)}")
+        """Distinct subject ids, sorted ascending."""
         return sorted({inst.subject_id for inst in self.instances})
 
 
@@ -348,17 +351,24 @@ def _check_fields(video_id: str, shape: tuple, label, dim: int, num_classes: int
         raise SchemaError(f"instance '{video_id}': label {_shown(label, str)} out of range")
 
 
-def _pack_str(s: str, what: str) -> bytes:
-    """s's UTF-8 bytes after their u16 length; SchemaError naming the field,
-    `what`, unless s is a str that UTF-8 encodes."""
+def _check_text(s, what: str) -> None:
+    """SchemaError naming the field, `what`, unless s is a str that UTF-8
+    encodes in at most 0xFFFF bytes, as a FANF string (_pack_str) holds it."""
     if not isinstance(s, str):
         raise SchemaError(f"{what} must be a str, got {_shown(s)}")
     try:
-        raw = s.encode("utf-8")
+        size = len(s.encode("utf-8"))
     except UnicodeEncodeError:
         raise SchemaError(f"{what} {s!r} cannot be encoded as UTF-8") from None
-    if len(raw) > 0xFFFF:
-        raise SchemaError(f"string too long to encode: {len(raw)} bytes")
+    if size > 0xFFFF:
+        raise SchemaError(f"{what} is {size} bytes long, more than the 65535 a FANF "
+                          "string holds")
+
+
+def _pack_str(s: str) -> bytes:
+    """s's UTF-8 bytes after their u16 length: a text field a Dataset checked
+    (_check_text) or a file's decoder produced."""
+    raw = s.encode("utf-8")
     return struct.pack("<H", len(raw)) + raw
 
 
@@ -439,21 +449,20 @@ def write_feature_file(dataset: Dataset, path: str) -> None:
     one video at a time. A dataset's frames are checked float32 and are
     written as they are; an opened dataset's are read from its file and
     checked as they are read (_checked_video), and a failing video leaves
-    no file. A class name, video id or subject id that is not a str, or
-    that UTF-8 cannot encode, raises SchemaError naming the field
-    (_pack_str)."""
+    no file. Its text fields were checked when it was made, or decoded
+    from its file, and are written as they are (_pack_str)."""
     with atomic_open(path) as f:
         _write_header(f, _MAGIC, "<IIIQ", _VERSION, dataset.dim, dataset.num_classes,
                       len(dataset.instances))
-        for c, name in enumerate(dataset.class_names):
-            f.write(_pack_str(name, f"class name {c}"))
-        for i, inst in enumerate(dataset.instances):
+        for name in dataset.class_names:
+            f.write(_pack_str(name))
+        for inst in dataset.instances:
             feats = inst.features
             if isinstance(feats, StoredFrames):
                 feats = _checked_video(inst.video_id, feats, inst.label, dataset.dim,
                                        dataset.num_classes)
-            f.write(_pack_str(inst.video_id, f"instance {i}: video id"))
-            f.write(_pack_str(inst.subject_id, f"instance {i}: subject id"))
+            f.write(_pack_str(inst.video_id))
+            f.write(_pack_str(inst.subject_id))
             f.write(struct.pack("<II", inst.label, feats.shape[0]))
             f.write(feats)
             del feats  # before the next video is read
@@ -588,9 +597,9 @@ def split_by_fold(dataset: Dataset, plan: FoldPlan, fold: int) -> tuple[list[int
     return train, test
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
-    """Planted-peak synthetic task.
+    """Planted-peak synthetic task, checked when the config is made and frozen.
 
     Every frame is isotropic Gaussian noise; each video's designated peak
     frames additionally carry that class's signal direction. The class
@@ -613,7 +622,7 @@ class SynthConfig:
     subject_count: int = 30
     terminal_peak: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("videos_per_class", "frames_min", "frames_max", "dim", "num_classes",
                      "peak_frames", "subject_count"):
             # the counts that size arrays: dim and frames_max here, and
@@ -638,7 +647,6 @@ class SynthConfig:
 
 def _synth_videos(config: SynthConfig):
     """Deterministic generator of (instance, peak positions) pairs."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
     index = 0
     for label in range(config.num_classes):

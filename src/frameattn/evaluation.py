@@ -37,7 +37,7 @@ from .data import Dataset, FoldPlan, atomic_open, split_by_fold
 from .errors import ConfigError, FrameAttnError, NumericError
 from .model import FanParams
 from .numerics import COUNT_MAX, _shown, _xent, require_integer
-from .training import TrainConfig, fit, train, training_split
+from .training import TrainConfig, fit, train
 
 
 @dataclass
@@ -116,15 +116,14 @@ def cross_validate(
 
     The pooled accuracy is instance-weighted (total correct / total count),
     not the mean of fold accuracies. Before any fold trains, a fold_count
-    that is not an integer of at least 2 raises ConfigError, then the
-    config is checked as train checks it; those errors name no fold. A
+    that is not an integer of at least 2 raises ConfigError naming no
+    fold; the config was checked when it was made. A
     fold without test instances raises ConfigError "fold N has no test
     instances" before it trains. An error that a fold's train or evaluate
     raises (an empty training split, a NumericError) is raised again, with
     the same class, as "fold N: message".
     """
     require_integer("fold_count", fold_plan.fold_count, 2)
-    config.validate()
     reports = []
     for fold in range(fold_plan.fold_count):
         train_idx, test_idx = split_by_fold(dataset, fold_plan, fold)
@@ -149,10 +148,10 @@ def score_fusion_baseline(
     Training is training.fit on one flat vector of weights and bias: each
     sampled frame is an independent sample, and batch gradients are averaged
     over the batch's B*k frames. test_indices defaults to the training split
-    (in-sample report); both are read by PackedFrames.select on the packed
-    frames that training_split resolves once, when the run starts, so an
-    empty one raises ConfigError before the first epoch, and the held-out
-    pass scores those frames too. One closure,
+    (in-sample report); both are read by PackedFrames.select on the
+    dataset's packed frames (Dataset.packed), taken once, when the run
+    starts, so an empty one raises ConfigError before the first epoch, and
+    the held-out pass scores those frames too. One closure,
     frame_scores, gives a stack's per-frame scores for the training step
     and is the head model.equal_length_stacks runs on the held-out videos'
     stacks, one at a time. Their decisions are tallied as evaluate tallies,
@@ -163,7 +162,8 @@ def score_fusion_baseline(
     names it); in the held-out pass, of the first bad video in length
     order (the walk names it, as for model.score).
     """
-    packed, train_indices = training_split(dataset, config, train_indices)
+    packed = dataset.packed
+    train_indices = packed.select(train_indices, "training split")
     test_indices = (train_indices if test_indices is None
                     else packed.select(test_indices, "test split"))
 

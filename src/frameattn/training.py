@@ -10,16 +10,17 @@ the gradient:
 Gradients are averaged (not summed) over the batch so the learning rate
 keeps its meaning across batch sizes, and each batch goes through the head
 as one (B, K, D) stack (model._kernel), gathered into the run's one
-buffer from the dataset's checked packed frames, which the run takes
-when it starts (training_split), and not checked again. Everything is
+buffer from the dataset's checked packed frames (Dataset.packed), which
+the run takes when it starts, and not checked again. Everything is
 deterministic given the config seed: each epoch draws, from its one
 (seed, epoch) stream, first the shuffle and then the K segment-sampled
 frames of every instance in shuffled order (sampling.training_draw). The
 score-fusion baseline trains in the same loop (fit), on the same minibatches.
-TrainConfig.validate passes each field and schedule step through the
-number rules (numerics), requires momentum in [0, 1) and weight_decay >= 0
-(outside them an update can grow without bound), and raises ConfigError
-naming the field.
+A TrainConfig is checked once, when it is made: each field and schedule
+step passes the number rules (numerics), momentum must lie in [0, 1) and
+weight_decay be >= 0 (outside them an update can grow without bound), and
+ConfigError names the field. A config is frozen, so a run does not check
+it again.
 
 Checkpoint format ("FANP", little-endian): magic, version u32 = 1, D u32,
 C u32, mode u32 (0 full, 1 self-only), then the parameters as float64:
@@ -31,7 +32,7 @@ is refused before it is read.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -46,21 +47,24 @@ _CKPT_VERSION = 1
 _MODE_TAGS = {Mode.FULL: 0, Mode.SELF_ONLY: 1}
 _TAG_MODES = {v: k for k, v in _MODE_TAGS.items()}
 
-Schedule = list[tuple[int, float]]
+Schedule = tuple[tuple[int, float], ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """A run's settings, checked when made (see above) and frozen. The
+    schedule is kept as the tuple of (epoch, rate) pairs that was checked."""
+
     batch_size: int = 48
     k: int = 3
     momentum: float = 0.9
     weight_decay: float = 1e-4
-    schedule: Schedule = field(default_factory=lambda: [(0, 0.1)])
+    schedule: Schedule = ((0, 0.1),)
     total_epochs: int = 60
     seed: int = 0
     mode: Mode = Mode.FULL
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name, minimum, maximum in (("batch_size", 1, None), ("k", 1, COUNT_MAX),
                                        ("total_epochs", 0, None), ("seed", 0, None)):
             require_integer(name, getattr(self, name), minimum, maximum=maximum)
@@ -71,7 +75,7 @@ class TrainConfig:
         if self.mode not in list(Mode):
             raise ConfigError(f"unknown mode {_shown(self.mode)}")
         try:
-            steps = [(start, lr) for start, lr in self.schedule]
+            steps = tuple((start, lr) for start, lr in self.schedule)
         except (TypeError, ValueError):
             raise ConfigError("schedule must be a list of (epoch, rate) pairs") from None
         for start, lr in steps:
@@ -81,13 +85,13 @@ class TrainConfig:
         if starts[:1] != [0] or any(b <= a for a, b in zip(starts, starts[1:])):
             raise ConfigError("schedule epochs must increase strictly from 0, "
                               f"got {_shown(starts)}")
+        object.__setattr__(self, "schedule", steps)
 
 
 def ckplus_config(**overrides) -> TrainConfig:
     """Published protocol for the lab-recorded dataset: lr 0.1 dropping to
     0.02 at epoch 30, 60 epochs total."""
-    cfg = TrainConfig(schedule=[(0, 0.1), (30, 0.02)], total_epochs=60)
-    return _override(cfg, overrides)
+    return _preset(overrides, schedule=((0, 0.1), (30, 0.02)), total_epochs=60)
 
 
 def afew_config(**overrides) -> TrainConfig:
@@ -105,9 +109,8 @@ def afew_config(**overrides) -> TrainConfig:
     folds (no parameter moves by more than 3.4e-3), while ckplus_config's
     rates there drop it to 0.15-0.23 and a fresh head under either preset
     scores 0.10-0.21, chance being 0.14."""
-    cfg = TrainConfig(schedule=[(0, 4e-6), (60, 8e-7), (120, 1.6e-7)],
-                      total_epochs=180)
-    return _override(cfg, overrides)
+    return _preset(overrides, schedule=((0, 4e-6), (60, 8e-7), (120, 1.6e-7)),
+                   total_epochs=180)
 
 
 def synth_default_config(**overrides) -> TrainConfig:
@@ -117,18 +120,18 @@ def synth_default_config(**overrides) -> TrainConfig:
     the attention kernels so the learned frame weights localize the planted
     peaks, not just classify well.
     """
-    cfg = TrainConfig(schedule=[(0, 0.1), (40, 0.02)], total_epochs=60,
-                      weight_decay=1e-2)
-    return _override(cfg, overrides)
+    return _preset(overrides, schedule=((0, 0.1), (40, 0.02)), total_epochs=60,
+                   weight_decay=1e-2)
 
 
-def _override(cfg: TrainConfig, overrides: dict) -> TrainConfig:
-    for key, value in overrides.items():
-        if not hasattr(cfg, key):
+def _preset(overrides: dict, **values) -> TrainConfig:
+    """The config of a preset's field `values` with `overrides` in their
+    place; ConfigError naming the first override that is no field."""
+    names = {f.name for f in fields(TrainConfig)}
+    for key in overrides:
+        if key not in names:
             raise ConfigError(f"unknown TrainConfig field '{key}'")
-        setattr(cfg, key, value)
-    cfg.validate()
-    return cfg
+    return TrainConfig(**{**values, **overrides})
 
 
 def lr_at(schedule: Schedule, epoch: int) -> float:
@@ -181,7 +184,7 @@ def minibatches(packed: PackedFrames, indices: np.ndarray, config: TrainConfig, 
     """The minibatches of one training epoch, in order.
 
     packed and indices are a run's packed frames and its checked int64
-    selection (training_split), resolved once when the run starts.
+    selection (PackedFrames.select), resolved once when the run starts.
     Yields (dataset indices, frames, labels) per batch of at most
     config.batch_size instances: the indices as a (B,) array, each
     instance's config.k segment-sampled frames as a (B, K, D) stack, and
@@ -203,20 +206,9 @@ def minibatches(packed: PackedFrames, indices: np.ndarray, config: TrainConfig, 
                packed.labels[batch])
 
 
-def training_split(dataset: Dataset, config: TrainConfig, indices=None):
-    """A run's packed frames and its training selection (every instance
-    by default, read by PackedFrames.select, which refuses an empty one)
-    as an int64 array, after checking the config. This is the
-    one point where a run reads its dataset (Dataset.packed): the run
-    trains on these frames and this selection."""
-    config.validate()
-    packed = dataset.packed
-    return packed, packed.select(indices, "training split")
-
-
 def fit(packed: PackedFrames, config: TrainConfig, indices, flat: np.ndarray, blocks, step):
     """The SGD loop of both heads over a run's packed frames and checked
-    selection (training_split), resolved once when the run starts; yields
+    selection (PackedFrames.select), resolved once when the run starts; yields
     (epoch, lr, loss sum, correct count) as each epoch ends. Each
     minibatch goes through step(stack, labels) -> (loss sum, correct
     count, flat gradients laid out as `blocks`), then sgd_step updates
@@ -260,13 +252,14 @@ def train(
     epoch; by default every instance is used for training and no
     validation accuracy is recorded. An empty split of either raises
     ConfigError. on_epoch, if given, is called with each EpochStats as it
-    completes. The run resolves the dataset once, when it starts
-    (training_split), and both trains and validates (model.score) every
-    epoch on those packed frames. Deterministic given config.seed. A
-    NumericError names the epoch, the batch and, when one instance caused
-    it, that instance's dataset index.
+    completes. The run reads the dataset's packed frames (Dataset.packed)
+    and its training selection once, when it starts, and both trains and
+    validates (model.score) every epoch on those packed frames.
+    Deterministic given config.seed. A NumericError names the epoch, the
+    batch and, when one instance caused it, that instance's dataset index.
     """
-    packed, train_indices = training_split(dataset, config, train_indices)
+    packed = dataset.packed
+    train_indices = packed.select(train_indices, "training split")
     val_indices = None if val_indices is None else packed.select(val_indices, "validation split")
     params = model.init_params(packed.dim, packed.num_classes,
                                config.mode, seed=config.seed)

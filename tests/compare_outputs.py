@@ -78,7 +78,7 @@ API = f"""\
 import json
 import numpy as np
 import frameattn as fa
-from frameattn.training import history_lines, training_split
+from frameattn.training import history_lines
 
 ds = fa.load_feature_file({DATA!r})
 train_idx, test_idx = fa.split_by_fold(ds, fa.build_folds(ds, 5), 0)
@@ -109,7 +109,7 @@ arrays_ds = fa.Dataset([fa.VideoInstance(f"c{{v}}", f"s{{v % 3}}", v % ds.num_cl
                                          rng.standard_normal((1 + v % 5, ds.dim)))
                         for v in range(12)], ds.dim, ds.num_classes, ds.class_names)
 fa.write_feature_file(arrays_ds, "arrays.fanf")
-out["arrays frames dtype"] = str(training_split(arrays_ds, config)[0].frames.dtype)
+out["arrays frames dtype"] = str(arrays_ds.packed.frames.dtype)
 for frame_mode in ("all", "sampled"):
     report = fa.evaluate(fa.load_checkpoint("full.fanp"), arrays_ds, frame_mode, 3, 5)
     out[f"evaluate arrays {{frame_mode}}"] = {{
@@ -176,7 +176,7 @@ calls = {{
 EMPTY = f"""\
 import json
 import frameattn as fa
-from frameattn import model, training
+from frameattn import model
 
 ds = fa.load_feature_file({DATA!r})
 fa.write_feature_file(fa.Dataset([], ds.dim, ds.num_classes, ds.class_names), "empty.fanf")
@@ -185,7 +185,7 @@ config = fa.TrainConfig(batch_size=16, total_epochs=2, seed=3)
 calls = {{
     "evaluate": lambda: fa.evaluate(head, ds, indices=[]),
     "export_attention": lambda: fa.export_attention(head, ds, "empty_attention.csv", []),
-    "model.score": lambda: model.score(head, training.training_split(ds, config)[0], []),
+    "model.score": lambda: model.score(head, ds.packed, []),
     "score_fusion_baseline": lambda: fa.score_fusion_baseline(ds, config, None, []),
     "cross_validate": lambda: fa.cross_validate(ds, config, fa.FoldPlan(0, {{}})),
 }}""" + error_lines("empty_selections.json")

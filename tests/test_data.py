@@ -513,7 +513,7 @@ class TestPackedFrames:
             np.testing.assert_array_equal(inst.features, packed.frames[lo:hi])
 
     @pytest.mark.parametrize("source", ["loaded", "synthetic", "float64", "empty"])
-    def test_packed_matrix_is_a_writable_mapping_of_its_own(self, tmp_path, source):
+    def test_packed_matrix_is_a_read_only_mapping_of_its_own(self, tmp_path, source):
         if source == "loaded":
             write_feature_file(tiny_dataset(), str(tmp_path / "t.fanf"))
             ds = load_feature_file(str(tmp_path / "t.fanf"))
@@ -522,7 +522,7 @@ class TestPackedFrames:
                   "float64": ragged_dataset,
                   "empty": lambda: Dataset([], 2, 2, ["a", "b"])}[source]()
         frames = ds.packed.frames
-        assert frames.flags.writeable
+        assert not frames.flags.writeable
         assert isinstance(frames.base, mmap.mmap)
         assert all(inst.features.base is frames for inst in ds.instances)
 
@@ -654,6 +654,23 @@ class TestPackedFrames:
             with pytest.raises(TypeError):
                 made.instances[0] = made.instances[1]
             assert made.packed.frames.tobytes() == frames.tobytes()
+
+    @pytest.mark.parametrize("source", ["made", "loaded", "opened"])
+    def test_the_packed_arrays_cannot_be_written(self, tmp_path, source):
+        ds = tiny_dataset()
+        if source != "made":
+            write_feature_file(ds, str(tmp_path / "t.fanf"))
+            ds = {"loaded": load_feature_file, "opened": open_feature_file}[source](
+                str(tmp_path / "t.fanf"))
+        packed = ds.packed
+        arrays = {"offsets": packed.offsets, "labels": packed.labels}
+        if source != "opened":  # an opened dataset's frames stay in its file
+            arrays["frames"] = packed.frames
+        before = {name: a.copy() for name, a in arrays.items()}
+        for name, a in arrays.items():
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+            np.testing.assert_array_equal(a, before[name])
 
     def test_the_callers_instances_and_arrays_are_left_as_they_were(self):
         videos = tiny_dataset().instances[:3]
@@ -790,13 +807,17 @@ class TestWriter:
         write_feature_file(loaded, str(tmp_path / "b.fanf"))
         assert all(inst.features is f for inst, f in zip(loaded.instances, views))
 
-    def test_string_too_long_for_its_length_field_is_refused(self, tmp_path):
+    # A text field FANF cannot hold is refused where its Dataset is made, so
+    # the writer is never given one.
+    def test_string_too_long_for_its_length_field_is_refused(self):
         ds = tiny_dataset()
-        ds = Dataset([replace(inst, video_id="x" * 70_000) if i == 3 else inst  # u16: 65535
-                      for i, inst in enumerate(ds.instances)], 5, 3, ds.class_names)
-        with pytest.raises(SchemaError, match="^string too long to encode: 70000 bytes$"):
-            write_feature_file(ds, str(tmp_path / "d.fanf"))
-        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(SchemaError, match="^instance 3: video id is 70000 bytes long, "
+                                              "more than the 65535 a FANF string holds$"):
+            Dataset([replace(inst, video_id="x" * 70_000) if i == 3 else inst  # u16: 65535
+                     for i, inst in enumerate(ds.instances)], 5, 3, ds.class_names)
+        longest = Dataset([replace(ds.instances[0], video_id="x" * 65_535)], 5, 3,
+                          ds.class_names)
+        assert longest.instances[0].video_id == "x" * 65_535
 
     @pytest.mark.parametrize("field,value,message", [
         ("video_id", 5, "instance 3: video id must be a str, got 5"),
@@ -807,17 +828,14 @@ class TestWriter:
         ("class name", "\ud800", "class name 1 '\\ud800' cannot be encoded as UTF-8"),
     ], ids=["int video id", "None subject", "int class name", "surrogate video id",
             "surrogate subject", "surrogate class name"])
-    def test_string_field_that_is_no_utf8_text_is_refused(self, tmp_path, field, value,
-                                                         message):
+    def test_string_field_that_is_no_utf8_text_is_refused(self, field, value, message):
         ds = tiny_dataset()
         names = list(ds.class_names)
         if field == "class name":
             names[1] = value
-        ds = Dataset([replace(inst, **{field: value}) if i == 3 and field != "class name"
-                      else inst for i, inst in enumerate(ds.instances)], 5, 3, names)
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}"):
-            write_feature_file(ds, str(tmp_path / "d.fanf"))
-        assert list(tmp_path.iterdir()) == []
+            Dataset([replace(inst, **{field: value}) if i == 3 and field != "class name"
+                     else inst for i, inst in enumerate(ds.instances)], 5, 3, names)
 
     def test_memory_is_bounded_by_the_largest_video(self, tmp_path):
         # 4 MB of float32 frames in 100 videos of 20 to 59 frames: writing

@@ -222,15 +222,20 @@ class TestCrossValidate:
                                                "became non-finite during update$"):
             cross_validate(ds, config, plan)
 
-    def test_a_bad_config_is_refused_as_train_refuses_it(self, monkeypatch):
-        ds = labeled_dataset([0, 1, 0, 1], frames=3)
-        plan = FoldPlan(2, {s: i % 2 for i, s in enumerate(ds.subjects())})
-        config = TrainConfig(schedule=[(0, 0.05)], total_epochs=2, k=0)
+    def test_a_bad_config_is_refused_as_train_refuses_it(self):
+        # refused where it is made, naming no fold, so no run is given it
         with pytest.raises(ConfigError, match="^k must be at least 1, got 0$"):
-            train(ds, config)
-        monkeypatch.setattr(evaluation, "train", self.no_training)
-        with pytest.raises(ConfigError, match="^k must be at least 1, got 0$"):
-            cross_validate(ds, config, plan)
+            TrainConfig(schedule=[(0, 0.05)], total_epochs=2, k=0)
+
+    def test_a_schedule_given_as_an_iterator_serves_every_fold(self):
+        ds = labeled_dataset([0, 1, 0, 1], frames=3, seed=4, subjects=["sA", "sA", "sB", "sB"])
+        plan = build_folds(ds, 2)
+        config = TrainConfig(schedule=iter([(0, 0.05)]), total_epochs=2, seed=1,
+                             batch_size=8, k=2)
+        reports, pooled = cross_validate(ds, config, plan)
+        expect = cross_validate(ds, self.small_cfg(), plan)
+        assert [r.to_dict() for r in reports] == [r.to_dict() for r in expect[0]]
+        assert pooled.to_dict() == expect[1].to_dict()
 
 
 class TestScoreFusionBaseline:

@@ -2,7 +2,7 @@ import hashlib
 import re
 import struct
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -103,15 +103,15 @@ class TestSchedules:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            TrainConfig(schedule=[]).validate()
+            TrainConfig(schedule=[])
         with pytest.raises(ConfigError):
-            TrainConfig(schedule=[(5, 0.1)]).validate()
+            TrainConfig(schedule=[(5, 0.1)])
         with pytest.raises(ConfigError):
-            TrainConfig(schedule=[(0, 0.1), (0, 0.2)]).validate()
+            TrainConfig(schedule=[(0, 0.1), (0, 0.2)])
         with pytest.raises(ConfigError):
-            TrainConfig(batch_size=0).validate()
+            TrainConfig(batch_size=0)
         with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
-            TrainConfig(seed=-1).validate()
+            TrainConfig(seed=-1)
 
     @pytest.mark.parametrize("field, value, message", [
         case("mode", "self-only", "unknown mode 'self-only'"),
@@ -138,12 +138,9 @@ class TestSchedules:
         case("momentum", -10**5000, "momentum must be finite, got int with over 4300 digits",
              "momentum-too-long-to-print")])
     def test_fields_of_the_wrong_kind_refused_by_both_heads(self, field, value, message):
-        ds = small_synth()
-        config = TrainConfig(**{"total_epochs": 1, field: value})
+        # refused where the config is made, so neither head can be given it
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            train(ds, config)
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            score_fusion_baseline(ds, config)
+            TrainConfig(**{"total_epochs": 1, field: value})
 
     @pytest.mark.parametrize("field, value, message", [
         case("batch_size", 0, "batch_size must be at least 1, got 0"),
@@ -163,17 +160,48 @@ class TestSchedules:
              "schedule-epoch-too-long-to-print")])
     def test_fields_out_of_range_named(self, field, value, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            TrainConfig(**{field: value}).validate()
+            TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("momentum", [0, 0.999])
     def test_momentum_and_decay_at_the_ends_of_their_ranges_accepted(self, momentum):
-        TrainConfig(momentum=momentum, weight_decay=0).validate()
+        cfg = TrainConfig(momentum=momentum, weight_decay=0)
+        assert (cfg.momentum, cfg.weight_decay) == (momentum, 0)
 
     def test_mode_given_by_its_value(self):
         ds = small_synth()
         params, _ = train(ds, TrainConfig(total_epochs=1, mode="self_only"))
         assert params.mode is Mode.SELF_ONLY
-        TrainConfig(k=np.int64(2), batch_size=np.int32(4)).validate()
+        cfg = TrainConfig(k=np.int64(2), batch_size=np.int32(4))
+        assert (cfg.k, cfg.batch_size) == (2, 4)
+
+    def test_the_schedule_is_kept_as_the_tuple_of_pairs_it_was_checked_as(self):
+        for cfg in (TrainConfig(), ckplus_config(), TrainConfig(schedule=[[0, 0.1], (3, 0.2)])):
+            assert isinstance(cfg.schedule, tuple)
+            assert all(type(step) is tuple and len(step) == 2 for step in cfg.schedule)
+        assert TrainConfig().schedule == ((0, 0.1),)
+
+    @pytest.mark.parametrize("schedule", [iter([(0, 0.1)]), (step for step in [(0, 0.1)])],
+                             ids=["iterator", "generator"])
+    def test_a_schedule_given_as_an_iterator_trains(self, schedule):
+        ds = small_synth()
+        cfg = TrainConfig(schedule=schedule, total_epochs=2, seed=1)
+        _, history = train(ds, cfg)
+        assert [s.lr for s in history] == [0.1, 0.1]
+        assert cfg.schedule == ((0, 0.1),)
+
+    def test_a_config_cannot_be_changed(self):
+        cfg = ckplus_config()
+        for name in ("batch_size", "schedule", "mode"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(cfg, name, getattr(TrainConfig(), name))
+        assert cfg == ckplus_config()
+
+    @pytest.mark.parametrize("field, value, message", [
+        case("batch_size", 0, "batch_size must be at least 1, got 0"),
+        case("schedule", [(1, 0.1)], "schedule epochs must increase strictly from 0, got [1]")])
+    def test_a_replaced_field_is_checked(self, field, value, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            replace(ckplus_config(), **{field: value})
 
 
 def step(p, grads, velocity, lr, momentum, weight_decay):
@@ -515,9 +543,8 @@ class TestFit:
         for head in (train, score_fusion_baseline):
             with pytest.raises(ConfigError, match="training split is empty"):
                 head(ds, cfg, [])
-        with pytest.raises(ConfigError, match="training split is empty"):
-            training.training_split(ds, cfg, np.zeros(0, dtype=np.int64))
-        assert training.training_split(ds, cfg)[1].tolist() == list(range(len(ds.instances)))
+            with pytest.raises(ConfigError, match="training split is empty"):
+                head(ds, cfg, np.zeros(0, dtype=np.int64))
 
     @pytest.mark.parametrize("val", [[], np.zeros(0, np.int64)], ids=["list", "array"])
     def test_an_empty_validation_split_is_refused_before_the_first_epoch(self, val):
