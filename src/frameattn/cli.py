@@ -88,18 +88,18 @@ def cmd_train(args) -> int:
     config = _train_config(args)
     # an output that cannot be written is refused before any data work
     for flag, path in (("--out", args.out), ("--history", args.history)):
-        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+        if path is not None and (not os.path.basename(path) or os.path.isdir(path)
+                                 or not os.path.isdir(os.path.dirname(path) or ".")):
             raise ConfigError(f"{flag} must name a file in an existing directory, got {path!r}")
     dataset = _load_data(args)
 
     def on_epoch(stats):
-        val = "" if stats.val_accuracy is None else f" val_acc={stats.val_accuracy:.4f}"
         _log(f"epoch {stats.epoch} lr={stats.lr:g} loss={stats.loss:.6f} "
-             f"train_acc={stats.train_accuracy:.4f}{val}")
+             f"train_acc={stats.train_accuracy:.4f}")
 
     params, history = train(dataset, config, on_epoch=on_epoch)
     save_checkpoint(params, args.out)
-    if args.history:
+    if args.history is not None:
         with atomic_open(args.history, "w") as f:
             f.write("\n".join(history_lines(history)) + "\n")
     _emit({

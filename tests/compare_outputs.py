@@ -23,7 +23,8 @@ relative paths on both sides:
     frames (its features taken out). Each goes through eval on all and on
     sampled frames and through visualize, which must write nothing;
   * then an API step for what the CLI cannot reach, dumped to api.json:
-    score_fusion_baseline reports, in-sample and on one held-out fold; a train with val_indices, its history and parameters;
+    score_fusion_baseline reports, in-sample and on one held-out fold; a
+    train on that fold's training split, each epoch's stats and the parameters;
     evaluate of both trained heads, on all and on sampled frames, with
     repeated and negative indices; forward and backward of both heads on
     one video's frames as a float32 view, as ints and as bools, which the
@@ -78,7 +79,6 @@ API = f"""\
 import json
 import numpy as np
 import frameattn as fa
-from frameattn.training import history_lines
 
 ds = fa.load_feature_file({DATA!r})
 train_idx, test_idx = fa.split_by_fold(ds, fa.build_folds(ds, 5), 0)
@@ -86,9 +86,10 @@ config = fa.TrainConfig(batch_size=16, total_epochs=4, seed=3)
 out = {{}}
 for split, fit_on, test_on in (("in-sample", None, None), ("fold 0", train_idx, test_idx)):
     out[f"baseline {{split}}"] = fa.score_fusion_baseline(ds, config, fit_on, test_on).to_dict()
-params, history = fa.train(ds, config, train_idx, test_idx)
-out["train with val_indices"] = {{"history": history_lines(history),
-                                  "params": params.flat.tolist()}}
+params, history = fa.train(ds, config, train_idx)
+out["train on fold 0"] = {{"history": [[s.epoch, s.lr, s.loss, s.train_accuracy]
+                                       for s in history],
+                           "params": params.flat.tolist()}}
 video = ds.instances[3]  # its features: a float32 view of the packed frames
 for name in ("full.fanp", "self.fanp"):
     head = fa.load_checkpoint(name)

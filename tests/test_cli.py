@@ -172,11 +172,13 @@ class TestTrainCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["h.csv", "m.fanp", "tiny.fanf"]
 
     @pytest.mark.parametrize("flag", ["--out", "--history"])
-    @pytest.mark.parametrize("where", ["a directory", "in no directory"])
+    @pytest.mark.parametrize("where", ["a directory", "in no directory", "empty name"])
     def test_unwritable_output_is_refused_before_training(self, tmp_path, capsys, flag,
-                                                         where):
+                                                         where, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where an empty name would resolve
         ckpt = tmp_path / "m.fanp"
-        bad = tmp_path if where == "a directory" else tmp_path / "absent" / "x"
+        bad = {"a directory": tmp_path, "in no directory": tmp_path / "absent" / "x",
+               "empty name": ""}[where]
         paths = {"--out": str(ckpt), "--history": str(tmp_path / "h.csv"), flag: str(bad)}
         # no --data: the synthetic default would be generated, and logged
         err = run_rejected(capsys, "train", "--epochs", "2",

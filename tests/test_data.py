@@ -594,12 +594,11 @@ class TestPackedFrames:
         lambda ds, params, path: evaluate(params, ds, indices=[[0, 1]]),
         lambda ds, params, path: evaluate(params, ds, "sampled", indices=[[0, 1]]),
         lambda ds, params, path: train(ds, TrainConfig(total_epochs=1), train_indices=[[0, 1]]),
-        lambda ds, params, path: train(ds, TrainConfig(total_epochs=1), val_indices=[[0, 1]]),
         lambda ds, params, path: score_fusion_baseline(ds, TrainConfig(total_epochs=1),
                                                        test_indices=[[0, 1]]),
         lambda ds, params, path: export_attention(params, ds, path, indices=[[0, 1]]),
-    ], ids=["evaluate", "sampled evaluate", "train_indices", "val_indices",
-            "baseline test split", "export_attention"])
+    ], ids=["evaluate", "sampled evaluate", "train_indices", "baseline test split",
+            "export_attention"])
     def test_entry_points_refuse_a_nested_selection(self, entry, tmp_path):
         # numpy would index with the (1, 2) array and fail later, or not at all
         ds = ragged_dataset()
@@ -624,13 +623,12 @@ class TestPackedFrames:
         lambda ds, params, path, sel: evaluate(params, ds, indices=sel),
         lambda ds, params, path, sel: evaluate(params, ds, "sampled", indices=sel),
         lambda ds, params, path, sel: train(ds, TrainConfig(total_epochs=1), train_indices=sel),
-        lambda ds, params, path, sel: train(ds, TrainConfig(total_epochs=1), val_indices=sel),
         lambda ds, params, path, sel: score_fusion_baseline(ds, TrainConfig(total_epochs=1),
                                                             test_indices=sel),
         lambda ds, params, path, sel: export_attention(params, ds, path, indices=sel),
         lambda ds, params, path, sel: score(params, ds.packed, sel),
-    ], ids=["evaluate", "sampled evaluate", "train_indices", "val_indices",
-            "baseline test split", "export_attention", "model.score"])
+    ], ids=["evaluate", "sampled evaluate", "train_indices", "baseline test split",
+            "export_attention", "model.score"])
     def test_entry_points_refuse_a_ragged_selection(self, entry, ragged, tmp_path):
         ds = ragged_dataset()
         params = init_params(ds.dim, ds.num_classes)

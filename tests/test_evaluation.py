@@ -570,7 +570,6 @@ class TestScoringPass:
         "evaluate sampled": lambda ds, p, idx: evaluate(p, ds, "sampled", indices=idx),
         "score": lambda ds, p, idx: model.score(p, ds.packed, idx),
         "train train_indices": lambda ds, p, idx: train(ds, NO_EPOCHS, idx),
-        "train val_indices": lambda ds, p, idx: train(ds, NO_EPOCHS, None, idx),
         "baseline train_indices": lambda ds, p, idx: score_fusion_baseline(ds, NO_EPOCHS, idx),
         "baseline test_indices":
             lambda ds, p, idx: score_fusion_baseline(ds, NO_EPOCHS, None, idx),
@@ -604,7 +603,6 @@ class TestScoringPass:
         ds = ragged_dataset(self.IDS)
         params = spread_params(4, 3, Mode.FULL)
         splits = {"train train_indices": "training split",
-                  "train val_indices": "validation split",
                   "baseline train_indices": "training split",
                   "baseline test_indices": "test split"}
         for taker, take in self.TAKERS.items():

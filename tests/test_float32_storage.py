@@ -143,7 +143,7 @@ def test_training_matches_float64(pair, tmp_path, mode):
     loaded, wide = pair
     config = synth_default_config(total_epochs=5, batch_size=7, seed=2, mode=mode)
     for name, ds in (("loaded", loaded), ("wide", wide)):
-        params, _ = train(ds, config, val_indices=[0, 5, 9])
+        params, _ = train(ds, config)
         save_checkpoint(params, str(tmp_path / f"{name}.fanp"))
     assert ((tmp_path / "loaded.fanp").read_bytes()
             == (tmp_path / "wide.fanp").read_bytes())

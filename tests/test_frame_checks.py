@@ -46,7 +46,7 @@ def test_checked_frames_are_not_scanned_again(monkeypatch):
         if name.startswith("frameattn") and hasattr(module, "first_nonfinite_row"):
             monkeypatch.setattr(module, "first_nonfinite_row", counting)
     config = TrainConfig(total_epochs=2, k=2, batch_size=4)
-    params, _ = train(ds, config, val_indices=[0, 5])
+    params, _ = train(ds, config)
     cross_validate(ds, config, build_folds(ds, 3))
     evaluate(params, ds)
     evaluate(params, ds, "sampled", k=2, indices=[4, 1, 4])

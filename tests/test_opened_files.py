@@ -84,7 +84,7 @@ def test_scores_exports_and_training_equal_the_loaded_files(synth_file, tmp_path
         assert Path(a).read_bytes() == Path(b).read_bytes()
 
     config = TrainConfig(batch_size=5, total_epochs=3, seed=4)
-    (a, _), (b, _) = (train(ds, config, train_indices=list(range(18)), val_indices=[20, 21])
+    (a, _), (b, _) = (train(ds, config, train_indices=list(range(18)))
                       for ds in (opened, loaded))
     np.testing.assert_array_equal(a.flat, b.flat)
 

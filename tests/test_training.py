@@ -327,17 +327,6 @@ class TestTrainLoop:
         assert [(s.loss, s.train_accuracy) for s in h1] == \
                [(s.loss, s.train_accuracy) for s in h2]
 
-    def test_val_accuracy_matches_evaluate(self):
-        from frameattn.evaluation import evaluate
-        ds = small_synth()
-        cfg = TrainConfig(schedule=[(0, 0.05)], total_epochs=2, seed=2,
-                          batch_size=6, k=2)
-        val = list(range(0, 6))
-        params, history = train(ds, cfg, train_indices=list(range(6, 18)),
-                                val_indices=val)
-        report = evaluate(params, ds, indices=val)
-        assert history[-1].val_accuracy == report.accuracy
-
     def test_loss_decreases_first_epochs_median_over_seeds(self):
         # reference behavior on the planted-peak default task
         curves = []
@@ -385,17 +374,6 @@ class TestTrainLoop:
         cfg = synth_default_config(total_epochs=4, seed=7, **overrides)
         with pytest.raises(NumericError, match=f"^{re.escape(where)}$"):
             train(load_feature_file(path), cfg)
-
-    def test_numeric_error_in_validation_names_epoch_and_instance(self, monkeypatch):
-        # training never sees instance 5, whose features overflow its logits
-        cfg = TrainConfig(schedule=[(0, 1e-300)], total_epochs=1, seed=3,
-                          batch_size=4, k=2)
-        ds = overflowing(monkeypatch, 1e30)
-        train_idx = [i for i in range(len(ds.instances)) if i != 5]
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                NumericError,
-                match="epoch 0, validation, dataset index 5: forward pass"):
-            train(ds, cfg, train_indices=train_idx, val_indices=[0, 5, 6])
 
     def test_numeric_error_in_update_names_epoch_and_batch(self):
         cfg = TrainConfig(schedule=[(0, 1e308)], weight_decay=1e308,
@@ -452,9 +430,9 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("mode,ckpt_sha256,history_sha256", [
         (Mode.FULL, "3c8cc49f263e18a290a46f2de71e7bf58e070e7cd909786b2b5dc645eaab29a4",
-         "4f0751588878812298ad58d924bb425dbc0abb5f2cc6df0e2aa0b8210d2a06ad"),
+         "0c730f533aaebb1abb9e95b764544b17fc8bbb5a11a5d0a845a5d75d69bb2f6c"),
         (Mode.SELF_ONLY, "40ab2f2835fa5dd14fe5a9a39440e16baafbeee70b90572df7b0eafbe4e3d653",
-         "3e8e18328049590dd47e89f12b2d5344fa37af370fb792d93397121966cf49aa"),
+         "55b82cc32a0c6f9cfe966643458a16631a7ecdeb3fb649f6ce4937b965cc3e01"),
     ], ids=["full", "self_only"])
     def test_checkpoint_and_history_bytes_pinned(self, tmp_path, mode, ckpt_sha256,
                                                  history_sha256):
@@ -463,7 +441,7 @@ class TestTrainLoop:
         # changes these bytes
         cfg = TrainConfig(total_epochs=5, batch_size=4, k=2, seed=3, mode=mode,
                           weight_decay=0.01)
-        params, history = train(small_synth(), cfg, val_indices=[0, 7, 13])
+        params, history = train(small_synth(), cfg)
         path = tmp_path / "m.fanp"
         save_checkpoint(params, str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == ckpt_sha256
@@ -546,26 +524,29 @@ class TestFit:
             with pytest.raises(ConfigError, match="training split is empty"):
                 head(ds, cfg, np.zeros(0, dtype=np.int64))
 
-    @pytest.mark.parametrize("val", [[], np.zeros(0, np.int64)], ids=["list", "array"])
-    def test_an_empty_validation_split_is_refused_before_the_first_epoch(self, val):
-        def on_epoch(stats):
+    def test_a_fourth_positional_argument_is_refused_at_the_call(self, monkeypatch):
+        # on_epoch is keyword-only: an index list in its place fails before
+        # any epoch runs, not as a callback after the first one
+        def fit(*args):
             raise AssertionError("refused before the first epoch")
 
-        with pytest.raises(ConfigError, match="^validation split is empty$"):
-            train(small_synth(), self.cfg(), val_indices=val, on_epoch=on_epoch)
+        monkeypatch.setattr(training, "fit", fit)
+        with pytest.raises(TypeError, match="positional arguments but 4 were given"):
+            train(small_synth(), self.cfg(), [2, 3], [0, 1])
+        with pytest.raises(AssertionError, match="before the first epoch"):
+            train(small_synth(), self.cfg(), [2, 3])
 
     @pytest.mark.parametrize("run", [
         lambda ds, cfg: train(ds, cfg),
         lambda ds, cfg: train(ds, cfg, train_indices=[3, 1, -2]),
         lambda ds, cfg: score_fusion_baseline(ds, cfg),
         lambda ds, cfg: score_fusion_baseline(ds, cfg, [0, 2, 4], test_indices=[5, 1]),
-        lambda ds, cfg: train(ds, cfg, val_indices=[0, 1]),
         lambda ds, cfg: evaluate(init_params(ds.dim, ds.num_classes), ds),
         lambda ds, cfg: evaluate(init_params(ds.dim, ds.num_classes), ds, "sampled",
                                  indices=[4, 0, 4]),
         lambda ds, cfg: export_attention(init_params(ds.dim, ds.num_classes), ds, "attn"),
-    ], ids=["train", "train split", "baseline", "baseline held out", "train val",
-            "evaluate all", "evaluate sampled", "export"])
+    ], ids=["train", "train split", "baseline", "baseline held out", "evaluate all",
+            "evaluate sampled", "export"])
     def test_a_run_resolves_its_dataset_once(self, run, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)  # where export writes
         ds = small_synth()
@@ -651,11 +632,9 @@ class TestCheckpoint:
 
     def test_history_lines(self):
         from frameattn.training import EpochStats
-        lines = history_lines([EpochStats(0, 0.1, 1.5, 0.25, None),
-                               EpochStats(1, 0.1, 1.2, 0.5, 0.75)])
-        assert lines[0] == "epoch,lr,loss,train_accuracy,val_accuracy"
-        assert lines[1] == "0,0.1,1.5,0.25,"
-        assert lines[2] == "1,0.1,1.2,0.5,0.75"
+        lines = history_lines([EpochStats(0, 0.1, 1.5, 0.25),
+                               EpochStats(1, 0.1, 1.2, 0.5)])
+        assert lines == ["epoch,lr,loss,train_accuracy", "0,0.1,1.5,0.25", "1,0.1,1.2,0.5"]
 
 
 class TestPackedMinibatches:
